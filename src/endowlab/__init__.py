@@ -4,154 +4,3 @@ Finite forcing posets with exact semantics, endowment family verification,
 cover name approximation and refinement, finitized selection principles,
 and an end to end preservation runner with replayable certificates.
 """
-
-from .bounds import DEFAULT_LIMITS, Limits
-from .cohen import CohenPoset, format_condition, parse_condition
-from .endowment import (
-    EndowmentFamily,
-    adversarial_singleton_family,
-    cohen_dow_family,
-    dow_construct,
-    maximal_antichain_family,
-    measure_total_family,
-    verify_full_endowment,
-    verify_weak_endowment,
-)
-from .errors import (
-    DataError,
-    EndowlabError,
-    ResourceError,
-    ScenarioError,
-    UsageError,
-    VerificationFailure,
-)
-from .measure import (
-    MeasurePoset,
-    extract_measure_endowment,
-    format_cell,
-    measure_endowment_member,
-    parse_cell,
-)
-from .names import (
-    Approximation,
-    ApproxCertificate,
-    CoverName,
-    PointName,
-    RefinedName,
-    approximate,
-    check_approximation,
-    check_cover_name,
-    derive_point_names,
-    make_cover_name,
-    refine_name,
-    run_pipeline,
-)
-from .poset import (
-    ExistsSupersetInCover,
-    FamilyUnionCovers,
-    MemberOfName,
-    Name,
-    Poset,
-    RefinesName,
-    Stratification,
-    SubfamilyOf,
-    evaluate_name,
-    forces,
-    forces_dense,
-    make_stratification,
-    statement_holds_at,
-)
-from .preservation import (
-    PosetSpec,
-    PreservationCertificate,
-    Scenario,
-    build_bundle,
-    generate_scenario,
-    replay_certificate,
-    run_preservation,
-)
-from .selection import (
-    MODES,
-    SelectionProblem,
-    check_selection,
-    make_selection_problem,
-    menger_select,
-    rothberger_select,
-    screenability_select,
-    solve_selection,
-)
-from .topology import FiniteSpace, RefinementReport, covers, refines
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_LIMITS",
-    "Limits",
-    "CohenPoset",
-    "format_condition",
-    "parse_condition",
-    "EndowmentFamily",
-    "adversarial_singleton_family",
-    "cohen_dow_family",
-    "dow_construct",
-    "maximal_antichain_family",
-    "measure_total_family",
-    "verify_full_endowment",
-    "verify_weak_endowment",
-    "DataError",
-    "EndowlabError",
-    "ResourceError",
-    "ScenarioError",
-    "UsageError",
-    "VerificationFailure",
-    "MeasurePoset",
-    "extract_measure_endowment",
-    "format_cell",
-    "measure_endowment_member",
-    "parse_cell",
-    "Approximation",
-    "ApproxCertificate",
-    "CoverName",
-    "PointName",
-    "RefinedName",
-    "approximate",
-    "check_approximation",
-    "check_cover_name",
-    "derive_point_names",
-    "make_cover_name",
-    "refine_name",
-    "run_pipeline",
-    "ExistsSupersetInCover",
-    "FamilyUnionCovers",
-    "MemberOfName",
-    "Name",
-    "Poset",
-    "RefinesName",
-    "Stratification",
-    "SubfamilyOf",
-    "evaluate_name",
-    "forces",
-    "forces_dense",
-    "make_stratification",
-    "statement_holds_at",
-    "PosetSpec",
-    "PreservationCertificate",
-    "Scenario",
-    "build_bundle",
-    "generate_scenario",
-    "replay_certificate",
-    "run_preservation",
-    "MODES",
-    "SelectionProblem",
-    "check_selection",
-    "make_selection_problem",
-    "menger_select",
-    "rothberger_select",
-    "screenability_select",
-    "solve_selection",
-    "FiniteSpace",
-    "RefinementReport",
-    "covers",
-    "refines",
-    "__version__",
-]

@@ -22,6 +22,24 @@ class Limits:
     max_poset: int = 40    # explicit posets and exhaustive enumeration
     max_levels: int = 8    # scenario name sequences
 
+    @classmethod
+    def from_json(cls, text: str) -> "Limits":
+        """Parse a JSON object overriding any subset of the default limits."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"not valid JSON: {exc}") from exc
+        if type(data) is not dict:
+            raise DataError("must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise DataError(f"unknown keys: {unknown}")
+        for key, value in data.items():
+            if type(value) is not int or value < 0:
+                raise DataError(f"{key} must be a nonnegative integer")
+        return cls(**data)
+
 
 DEFAULT_LIMITS = Limits()
 
@@ -34,16 +52,6 @@ def limits_from_env(environ) -> Limits:
     if not raw:
         return DEFAULT_LIMITS
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{ENV_VAR} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DataError(f"{ENV_VAR} must be a JSON object")
-    known = {f.name for f in fields(Limits)}
-    unknown = set(data) - known
-    if unknown:
-        raise DataError(f"{ENV_VAR} has unknown keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if not isinstance(value, int) or value < 0:
-            raise DataError(f"{ENV_VAR} entry {key} must be a nonnegative integer")
-    return Limits(**{**{f.name: getattr(DEFAULT_LIMITS, f.name) for f in fields(Limits)}, **data})
+        return Limits.from_json(raw)
+    except DataError as exc:
+        raise DataError(f"{ENV_VAR}: {exc}") from exc

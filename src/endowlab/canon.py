@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+from .errors import DataError
+
 
 def set_key(s: Iterable[str]) -> tuple[str, ...]:
     """Canonical key for a set of point or condition identifiers."""
@@ -33,11 +35,6 @@ def set_list(s: Iterable[str]) -> list[str]:
     return sorted(s)
 
 
-def family_list(family: Iterable[Iterable[str]]) -> list[list[str]]:
-    """JSON friendly form of a family of sets."""
-    return [list(k) for k in sorted(set_key(m) for m in family)]
-
-
 def canonical_json(obj) -> str:
     """Dump with sorted keys and no incidental whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -46,3 +43,41 @@ def canonical_json(obj) -> str:
 def canonical_json_pretty(obj) -> str:
     """Dump with sorted keys, indented for human reading."""
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_TYPE_NAMES = {str: "a string", int: "an integer"}
+
+
+def check_shape(value, shape, where: str) -> None:
+    """Raise DataError naming the first spot where parsed JSON leaves `shape`.
+
+    A shape is `str` or `int` (booleans are not integers), a frozenset of
+    allowed strings, a one-item list (a list of items of that shape), a
+    tuple (a list of exactly that many items, shaped in order), a dict (an
+    object with exactly those keys), or a function of (value, where).
+    """
+    if isinstance(shape, type):
+        if type(value) is not shape:
+            raise DataError(f"{where} must be {_TYPE_NAMES[shape]}")
+    elif isinstance(shape, frozenset):
+        if type(value) is not str or value not in shape:
+            raise DataError(f"{where} must be one of {sorted(shape)}")
+    elif isinstance(shape, dict):
+        if type(value) is not dict:
+            raise DataError(f"{where} must be an object")
+        unknown = sorted(value.keys() - shape.keys())
+        if unknown:
+            raise DataError(f"{where} has unknown key {unknown[0]!r}")
+        for key, item in shape.items():
+            if key not in value:
+                raise DataError(f"{where} needs key {key!r}")
+            check_shape(value[key], item, f"{where}.{key}")
+    elif isinstance(shape, (list, tuple)):
+        if type(value) is not list:
+            raise DataError(f"{where} must be a list")
+        if isinstance(shape, tuple) and len(value) != len(shape):
+            raise DataError(f"{where} must have {len(shape)} entries")
+        for i, item in enumerate(value):
+            check_shape(item, shape[0] if isinstance(shape, list) else shape[i], f"{where}[{i}]")
+    else:
+        shape(value, where)

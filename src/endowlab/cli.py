@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import random
 import sys
@@ -20,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bounds import DEFAULT_LIMITS, Limits, limits_from_env
-from .canon import canonical_json, canonical_json_pretty
+from .canon import canonical_json, canonical_json_pretty, check_shape
 from .cohen import CohenPoset
 from .endowment import (
     DEFAULT_FULL_BUDGET,
@@ -38,6 +37,7 @@ from .instances import (
     fixture_cohen_pair,
     fixture_measure_pair,
     load_instance,
+    read_json,
     save_instance,
     wrap_instance,
 )
@@ -68,10 +68,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_poset_spec(text: str) -> PosetSpec:
     """Parse a poset argument: cohen:D=2, measure:k=1, or @file.json."""
     if text.startswith("@"):
-        payload = load_instance(text[1:], "poset")
-        return PosetSpec("explicit",
-                         elements=tuple(payload["elements"]),
-                         leq=tuple((a, b) for a, b in payload["leq"]))
+        return PosetSpec.from_jsonable({"kind": "explicit", **load_instance(text[1:], "poset")})
     head, sep, tail = text.partition(":")
     if sep and head == "cohen" and tail.startswith("D="):
         try:
@@ -95,16 +92,10 @@ def parse_bounds(text: str) -> Limits:
     if text == "large":
         return LARGE_BOUNDS
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise UsageError(f"bad bounds {text!r}; expected 'default', 'large', or a JSON object")
-    if not isinstance(data, dict):
-        raise UsageError("bounds JSON must be an object")
-    known = {f.name for f in dataclasses.fields(Limits)}
-    unknown = set(data) - known
-    if unknown:
-        raise UsageError(f"unknown bounds keys: {sorted(unknown)}")
-    return dataclasses.replace(DEFAULT_LIMITS, **data)
+        return Limits.from_json(text)
+    except DataError as exc:
+        raise UsageError(
+            f"bad bounds {text!r}; expected 'default', 'large', or a JSON object: {exc}") from exc
 
 
 def resolve_family(bundle, choice: str):
@@ -277,12 +268,8 @@ def cmd_refine(args, limits: Limits) -> int:
     bundle = build_bundle(spec, limits)
     space = FiniteSpace.from_jsonable(load_instance(args.space, "space"), limits)
     name = make_cover_name(bundle.poset, space, Name.from_jsonable(load_instance(args.name, "name")).pairs)
-    try:
-        raw = json.loads(Path(args.sets).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read ground family {args.sets}: {exc}") from exc
-    if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
-        raise UsageError("ground family file must be a JSON list of point lists")
+    raw = read_json(args.sets)
+    check_shape(raw, [[str]], "ground family")
     family = [frozenset(s) for s in raw]
     refined, cert = refine_name(bundle.poset, bundle.strat, args.n, name, family, space)
     result = {"refined_name": refined.to_jsonable(), "certificate": cert.to_jsonable()}
@@ -311,13 +298,7 @@ def cmd_preserve(args, limits: Limits) -> int:
 
 
 def cmd_verify(args, limits: Limits) -> int:
-    try:
-        data = json.loads(Path(args.cert).read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read {args.cert}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.cert} is not valid JSON: {exc}") from exc
-    report = replay_certificate(data, limits)
+    report = replay_certificate(read_json(args.cert), limits)
     lines = [f"replay: {'ok' if report.ok else 'MISMATCH'}"]
     if not report.ok:
         lines.append(f"mismatching sections: {list(report.mismatches)}")

@@ -19,7 +19,7 @@ class UsageError(EndowlabError):
 
 
 class DataError(EndowlabError):
-    """Malformed input data: unknown conditions, schema violations, bad
+    """Malformed input data: unknown conditions, shape violations, bad
     literals, arguments that fail a documented precondition."""
 
     exit_code = 65

@@ -1,8 +1,8 @@
-"""Instance files: strict schemas, load/save helpers, and fixed fixtures.
+"""Instance files: strict shapes, load/save helpers, and fixed fixtures.
 
 Every instance file is a JSON object {"format_version": 1, "kind": K,
 "payload": P} with K one of poset, space, name, scenario.  Payloads are
-validated strictly against the schemas below before any object is built.
+checked against the shape their parser declares before any object is built.
 """
 
 from __future__ import annotations
@@ -10,142 +10,63 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import jsonschema
-
+from .canon import check_shape
 from .errors import DataError
-from .poset import Name
-from .preservation import PosetSpec, Scenario
+from .poset import NAME_SHAPE, POSET_SHAPE, Name
+from .preservation import SCENARIO_SHAPE, PosetSpec, Scenario
+from .topology import SPACE_SHAPE
 
 FORMAT_VERSION = 1
 
-_SET = {"type": "array", "items": {"type": "string"}}
-_FAMILY = {"type": "array", "items": _SET}
-
-_NAME_PAYLOAD = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["condition", "set"],
-        "properties": {"condition": {"type": "string"}, "set": _SET},
-        "additionalProperties": False,
-    },
+PAYLOAD_SHAPES = {
+    "poset": POSET_SHAPE,
+    "space": SPACE_SHAPE,
+    "name": NAME_SHAPE,
+    "scenario": SCENARIO_SHAPE,
 }
-
-_POSET_PAYLOAD = {
-    "type": "object",
-    "required": ["elements", "leq"],
-    "properties": {
-        "elements": {"type": "array", "items": {"type": "string"}},
-        "leq": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "string"}, "minItems": 2, "maxItems": 2},
-        },
-    },
-    "additionalProperties": False,
+# the payload is checked once the kind is known
+_ENVELOPE_SHAPE = {
+    "format_version": int,
+    "kind": frozenset(PAYLOAD_SHAPES),
+    "payload": lambda value, where: None,
 }
-
-_SPACE_PAYLOAD = {
-    "type": "object",
-    "required": ["points", "base"],
-    "properties": {"points": _SET, "base": _FAMILY},
-    "additionalProperties": False,
-}
-
-_POSET_RECIPE = {
-    "oneOf": [
-        {
-            "type": "object",
-            "required": ["kind", "indices"],
-            "properties": {
-                "kind": {"const": "cohen"},
-                "indices": {"type": "array", "items": {"type": "integer"}},
-            },
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "required": ["kind", "k"],
-            "properties": {"kind": {"const": "measure"}, "k": {"type": "integer"}},
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "required": ["kind", "elements", "leq"],
-            "properties": {
-                "kind": {"const": "explicit"},
-                "elements": _POSET_PAYLOAD["properties"]["elements"],
-                "leq": _POSET_PAYLOAD["properties"]["leq"],
-            },
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_SCENARIO_PAYLOAD = {
-    "type": "object",
-    "required": ["poset", "space", "names", "property"],
-    "properties": {
-        "poset": _POSET_RECIPE,
-        "space": _SPACE_PAYLOAD,
-        "names": {"type": "array", "items": _NAME_PAYLOAD},
-        "property": {"enum": ["rothberger", "menger", "selective-screenability"]},
-    },
-    "additionalProperties": False,
-}
-
-PAYLOAD_SCHEMAS = {
-    "poset": _POSET_PAYLOAD,
-    "space": _SPACE_PAYLOAD,
-    "name": _NAME_PAYLOAD,
-    "scenario": _SCENARIO_PAYLOAD,
-}
-
-
-def _file_schema(kind: str) -> dict:
-    return {
-        "type": "object",
-        "required": ["format_version", "kind", "payload"],
-        "properties": {
-            "format_version": {"const": FORMAT_VERSION},
-            "kind": {"const": kind},
-            "payload": PAYLOAD_SCHEMAS[kind],
-        },
-        "additionalProperties": False,
-    }
 
 
 def wrap_instance(kind: str, payload) -> dict:
-    if kind not in PAYLOAD_SCHEMAS:
+    if kind not in PAYLOAD_SHAPES:
         raise DataError(f"unknown instance kind {kind!r}")
     return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
 
 
 def validate_instance(data, kind: str | None = None) -> str:
     """Validate a loaded instance object; returns the kind."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise DataError("instance file must be an object with a 'kind'")
+    check_shape(data, _ENVELOPE_SHAPE, "instance")
     actual = data["kind"]
-    if actual not in PAYLOAD_SCHEMAS:
-        raise DataError(f"unknown instance kind {actual!r}")
     if kind is not None and actual != kind:
         raise DataError(f"expected a {kind} instance, got {actual}")
-    try:
-        jsonschema.validate(data, _file_schema(actual))
-    except jsonschema.ValidationError as exc:
-        raise DataError(f"instance file invalid: {exc.message}") from exc
+    if data["format_version"] != FORMAT_VERSION:
+        raise DataError(f"unsupported instance format version {data['format_version']}")
+    check_shape(data["payload"], PAYLOAD_SHAPES[actual], actual)
     return actual
 
 
-def load_instance(path: str | Path, kind: str | None = None) -> dict:
-    """Read, parse, and validate an instance file; returns the payload."""
+def read_json(path: str | Path):
+    """Read and parse a JSON file; an unreadable file or bad JSON is a DataError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_instance(path: str | Path, kind: str | None = None) -> dict:
+    """Read, parse, and validate an instance file; returns the payload."""
+    data = read_json(path)
     validate_instance(data, kind)
     return data["payload"]
 

@@ -163,12 +163,6 @@ class Approximation:
     entries: tuple[tuple[str, tuple[Condition, ...], frozenset[str]], ...]
     cover: tuple[frozenset[str], ...]
 
-    def piece(self, point: str) -> frozenset[str]:
-        for x, _, v in self.entries:
-            if x == point:
-                return v
-        raise DataError(f"unknown point {point!r}")
-
     def to_jsonable(self) -> dict:
         return {
             "level": self.level,

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import set_key, sorted_sets
+from .canon import check_shape, set_key, sorted_sets
 from .errors import DataError, ResourceError
 
 Condition = str
@@ -23,6 +23,9 @@ Condition = str
 # Exhaustive antichain enumeration is only offered below this size; larger
 # posets must use seeded sampling.
 EXHAUSTIVE_LIMIT = 40
+
+POSET_SHAPE = {"elements": [str], "leq": [(str, str)]}
+NAME_SHAPE = [{"condition": str, "set": [str]}]
 
 
 class Poset:
@@ -218,8 +221,7 @@ class Poset:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Poset":
-        if not isinstance(data, dict) or "elements" not in data or "leq" not in data:
-            raise DataError("poset data needs 'elements' and 'leq'")
+        check_shape(data, POSET_SHAPE, "poset")
         return cls(data["elements"], [tuple(p) for p in data["leq"]])
 
 
@@ -291,14 +293,8 @@ class Name:
 
     @classmethod
     def from_jsonable(cls, data) -> "Name":
-        if not isinstance(data, list):
-            raise DataError("name data must be a list of {condition, set} entries")
-        pairs = []
-        for entry in data:
-            if not isinstance(entry, dict) or "condition" not in entry or "set" not in entry:
-                raise DataError("name entry needs 'condition' and 'set'")
-            pairs.append((entry["condition"], frozenset(entry["set"])))
-        return cls(tuple(pairs))
+        check_shape(data, NAME_SHAPE, "name")
+        return cls(tuple((entry["condition"], frozenset(entry["set"])) for entry in data))
 
 
 def validate_name(poset: Poset, name: Name) -> None:
@@ -321,17 +317,6 @@ def evaluate_name(poset: Poset, name: Name, atom: Condition) -> tuple[frozenset[
         raise DataError(f"evaluation point must be an atom, got {atom!r}")
     down = poset._down
     return sorted_sets(u for q, u in name.pairs if atom in down[q])
-
-
-@dataclass(frozen=True)
-class MemberOfName:
-    """Holds at an atom when `member` appears in the name's evaluation."""
-
-    name: Name
-    member: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "member", frozenset(self.member))
 
 
 @dataclass(frozen=True)
@@ -378,11 +363,11 @@ class FamilyUnionCovers:
         object.__setattr__(self, "points", frozenset(self.points))
 
 
-Statement = (MemberOfName | ExistsSupersetInCover | SubfamilyOf | RefinesName | FamilyUnionCovers)
+Statement = (ExistsSupersetInCover | SubfamilyOf | RefinesName | FamilyUnionCovers)
 
 
 def statement_names(statement: Statement) -> tuple[Name, ...]:
-    if isinstance(statement, (MemberOfName, ExistsSupersetInCover, SubfamilyOf)):
+    if isinstance(statement, (ExistsSupersetInCover, SubfamilyOf)):
         return (statement.name,)
     if isinstance(statement, RefinesName):
         return (statement.finer, statement.coarser)
@@ -395,8 +380,6 @@ def statement_holds_at(poset: Poset, statement: Statement, atom: Condition) -> b
     """Evaluate a statement in the extension determined by one atom."""
     for name in statement_names(statement):
         validate_name(poset, name)
-    if isinstance(statement, MemberOfName):
-        return statement.member in evaluate_name(poset, statement.name, atom)
     if isinstance(statement, ExistsSupersetInCover):
         return any(statement.lower <= u for u in evaluate_name(poset, statement.name, atom))
     if isinstance(statement, SubfamilyOf):

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .bounds import DEFAULT_LIMITS, Limits
-from .canon import canonical_json
+from .canon import canonical_json, check_shape
 from .cohen import CohenPoset
 from .endowment import (
     EndowmentFamily,
@@ -35,13 +35,41 @@ from .names import (
     make_cover_name,
     run_pipeline,
 )
-from .poset import Name, Poset, Stratification, evaluate_name, make_stratification
+from .poset import (
+    NAME_SHAPE,
+    POSET_SHAPE,
+    Name,
+    Poset,
+    Stratification,
+    evaluate_name,
+    make_stratification,
+)
 from .selection import MODES, check_selection, make_selection_problem, solve_selection
-from .topology import FiniteSpace
+from .topology import SPACE_SHAPE, FiniteSpace
 
 FORMAT_VERSION = 1
 
-POSET_KINDS = ("cohen", "measure", "explicit")
+RECIPE_SHAPES = {
+    "cohen": {"kind": str, "indices": [int]},
+    "measure": {"kind": str, "k": int},
+    "explicit": {"kind": str, **POSET_SHAPE},
+}
+POSET_KINDS = tuple(RECIPE_SHAPES)
+
+
+def check_recipe(data, where: str) -> None:
+    """Shape check for a poset recipe, whose keys depend on its kind."""
+    if type(data) is not dict or data.get("kind") not in POSET_KINDS:
+        raise DataError(f"{where} must be an object with a kind in {list(POSET_KINDS)}")
+    check_shape(data, RECIPE_SHAPES[data["kind"]], where)
+
+
+SCENARIO_SHAPE = {
+    "poset": check_recipe,
+    "space": SPACE_SHAPE,
+    "names": [NAME_SHAPE],
+    "property": frozenset(MODES),
+}
 
 
 @dataclass(frozen=True)
@@ -67,19 +95,12 @@ class PosetSpec:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PosetSpec":
-        if not isinstance(data, dict) or data.get("kind") not in POSET_KINDS:
-            raise DataError(f"poset recipe needs a kind in {POSET_KINDS}")
+        check_recipe(data, "poset")
         kind = data["kind"]
         if kind == "cohen":
-            if "indices" not in data:
-                raise DataError("cohen recipe needs 'indices'")
             return cls("cohen", indices=tuple(data["indices"]))
         if kind == "measure":
-            if "k" not in data:
-                raise DataError("measure recipe needs 'k'")
             return cls("measure", k=data["k"])
-        if "elements" not in data or "leq" not in data:
-            raise DataError("explicit recipe needs 'elements' and 'leq'")
         return cls(
             "explicit",
             elements=tuple(data["elements"]),
@@ -130,14 +151,8 @@ class Scenario:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Scenario":
-        for key in ("poset", "space", "names", "property"):
-            if not isinstance(data, dict) or key not in data:
-                raise DataError(f"scenario data needs {key!r}")
+        check_shape(data, SCENARIO_SHAPE, "scenario")
         space = data["space"]
-        if not isinstance(space, dict) or "points" not in space or "base" not in space:
-            raise DataError("scenario space needs 'points' and 'base'")
-        if data["property"] not in MODES:
-            raise DataError(f"unknown property {data['property']!r}; expected one of {MODES}")
         return cls(
             PosetSpec.from_jsonable(data["poset"]),
             tuple(sorted(space["points"])),
@@ -390,6 +405,14 @@ def generate_scenario(
     same seed always yields the same scenario.
     """
     _check_bounds(bounds, limits)
+    if bounds.max_points < 2:
+        raise DataError(
+            f"generation bound max_points={bounds.max_points} is below 2, the smallest space drawn")
+    # a drawn space has up to 3 points, and covering it can take one set per point
+    if bounds.max_base < min(3, bounds.max_points):
+        raise DataError(
+            f"generation bound max_base={bounds.max_base} is below "
+            f"{min(3, bounds.max_points)}, one subbase set per drawn point")
     rng = random.Random(seed)
     if mode is None:
         mode = rng.choice(MODES)

@@ -7,13 +7,14 @@ of its points has an intersection-of-subbase neighborhood inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .bounds import DEFAULT_LIMITS, Limits
-from .canon import sorted_sets
+from .canon import check_shape, sorted_sets
 from .errors import DataError, ResourceError
+
+SPACE_SHAPE = {"points": [str], "base": [[str]]}
 
 
 class FiniteSpace:
@@ -76,8 +77,7 @@ class FiniteSpace:
 
     @classmethod
     def from_jsonable(cls, data: dict, limits: Limits = DEFAULT_LIMITS) -> "FiniteSpace":
-        if not isinstance(data, dict) or "points" not in data or "base" not in data:
-            raise DataError("space data needs 'points' and 'base'")
+        check_shape(data, SPACE_SHAPE, "space")
         return cls(data["points"], data["base"], limits)
 
 
@@ -85,36 +85,3 @@ def covers(space: FiniteSpace, family: Iterable[frozenset[str]]) -> bool:
     members = list(family)
     return frozenset().union(*members) >= space.points if members else not space.points
 
-
-@dataclass(frozen=True)
-class RefinementReport:
-    ok: bool
-    witness: tuple[tuple[frozenset[str], frozenset[str]], ...]
-    counterexample: frozenset[str] | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": self.ok,
-            "witness": [[sorted(u), sorted(v)] for u, v in self.witness],
-            "counterexample": None if self.counterexample is None else sorted(self.counterexample),
-        }
-
-
-def refines(space: FiniteSpace, finer: Iterable[frozenset[str]], coarser: Iterable[frozenset[str]]) -> RefinementReport:
-    """Check that every member of `finer` fits inside a member of `coarser`.
-
-    Both families must consist of open sets.  The witness pairs each finer
-    member with the canonically least coarser superset.
-    """
-    fine = sorted_sets(frozenset(u) for u in finer)
-    coarse = sorted_sets(frozenset(v) for v in coarser)
-    for u in fine + coarse:
-        if not space.is_open(u):
-            raise DataError(f"refinement check needs open sets, got {sorted(u)}")
-    witness = []
-    for u in fine:
-        hit = next((v for v in coarse if u <= v), None)
-        if hit is None:
-            return RefinementReport(False, tuple(witness), u)
-        witness.append((u, hit))
-    return RefinementReport(True, tuple(witness), None)

@@ -1,7 +1,15 @@
 """Command line behaviour: subcommands, exit codes, files, and bounds."""
 
+import copy
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from functools import cache
+from pathlib import Path
 
+import endowlab
 from endowlab.canon import canonical_json
 from endowlab.cli import main, parse_bounds, parse_poset_spec
 from endowlab.errors import UsageError
@@ -10,9 +18,13 @@ from endowlab.instances import (
     fixture_cohen_pair,
     pair_space_payload,
     save_instance,
+    wrap_instance,
 )
+from endowlab.preservation import run_preservation
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -38,7 +50,7 @@ def test_parse_bounds():
     assert parse_bounds("default").max_k == 3
     assert parse_bounds("large").max_k == 4
     assert parse_bounds('{"max_k": 2}').max_k == 2
-    for bad in ("huge", '{"max_q": 1}', "[1]"):
+    for bad in ("huge", '{"max_q": 1}', "[1]", '{"max_k": "x"}', '{"max_k": -1}'):
         with pytest.raises(UsageError):
             parse_bounds(bad)
 
@@ -175,6 +187,16 @@ def test_refine_positive(pair_files, tmp_path, capsys):
     assert "positive" in capsys.readouterr().out
 
 
+def test_refine_malformed_ground_family_is_65(pair_files, tmp_path, capsys):
+    space, name = pair_files
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([["x", 1]]))
+    rc = main(["refine", "--poset", "cohen:D=2", "--space", space,
+               "--name", name, "--n", "1", "--sets", str(sets)])
+    assert rc == 65
+    assert "ground family[0][1] must be a string" in capsys.readouterr().err
+
+
 def test_refine_undominated_set_is_3(tmp_path, capsys):
     space = tmp_path / "space.json"
     name = tmp_path / "name.json"
@@ -241,6 +263,85 @@ def test_verify_tampered_certificate_is_3(tmp_path, capsys):
 
 def test_verify_missing_cert_is_65(tmp_path):
     assert main(["verify", "--cert", str(tmp_path / "nope.json")]) == 65
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for cert in (binary, deep):
+        assert main(["verify", "--cert", str(cert)]) == 65
+
+
+@cache
+def _pair_certificate() -> dict:
+    return run_preservation(fixture_cohen_pair()).to_jsonable()
+
+
+SCENARIO_MUTATIONS = {
+    "names-not-list": lambda s: s.update(names=5),
+    "set-is-string": lambda s: s["names"][0][0].update(set="x"),
+    "points-not-list": lambda s: s["space"].update(points=7),
+    "index-not-int": lambda s: s["poset"].update(indices=[0, "a"]),
+    "indices-not-list": lambda s: s["poset"].update(indices=3),
+    "extra-key": lambda s: s.update(extra=1),
+    "leq-triple": lambda s: s.update(poset={
+        "kind": "explicit", "elements": ["a", "b", "c"], "leq": [["a", "b", "c"]]}),
+}
+
+
+@pytest.mark.parametrize("mutate", SCENARIO_MUTATIONS.values(), ids=SCENARIO_MUTATIONS.keys())
+def test_verify_malformed_embedded_scenario_is_65(mutate, tmp_path, capsys):
+    data = copy.deepcopy(_pair_certificate())
+    mutate(data["scenario"])
+    cert = tmp_path / "cert.json"
+    cert.write_text(canonical_json(data))
+    assert main(["verify", "--cert", str(cert)]) == 65
+    assert "error: scenario" in capsys.readouterr().err
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.text("xy01:,", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("kx", max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_scenario_or_certificate_exits_with_a_documented_code(data):
+    command = data.draw(st.sampled_from(["preserve", "verify"]))
+    if command == "preserve":
+        doc = wrap_instance("scenario", fixture_cohen_pair().to_jsonable())
+    else:
+        doc = _pair_certificate()
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    doc = _replaced(doc, path, data.draw(JSON_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "in.json"
+        source.write_text(json.dumps(doc))
+        if command == "preserve":
+            argv = ["preserve", "--scenario", str(source), "--cert", str(Path(tmp) / "cert.json")]
+        else:
+            argv = ["verify", "--cert", str(source)]
+        assert main(argv) in {0, 2, 3, 64, 65, 70}
 
 
 def test_gen_writes_valid_deterministic_scenarios(tmp_path, capsys):
@@ -259,6 +360,12 @@ def test_gen_to_stdout(capsys):
     assert main(["gen", "--seed", "4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["kind"] == "scenario"
+
+
+@pytest.mark.parametrize("bounds", [{"max_points": 1}, {"max_base": 1}])
+def test_gen_rejects_bounds_it_cannot_honour(bounds, capsys):
+    assert main(["gen", "--seed", "0", "--bounds", json.dumps(bounds)]) == 65
+    assert next(iter(bounds)) in capsys.readouterr().err
 
 
 def test_gen_large_bounds_exceed_default_limits(capsys):
@@ -296,3 +403,14 @@ def test_selftest_parallel(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["scenarios"] == 4
     assert data["failures"] == []
+
+
+def test_cli_imports_only_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import endowlab.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(endowlab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = {name.split(".")[0] for name in run.stdout.split()}
+    # multiprocessing registers the main module again under this alias
+    assert loaded - set(sys.stdlib_module_names) - {"__mp_main__"} == {"endowlab"}

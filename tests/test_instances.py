@@ -1,4 +1,4 @@
-"""Instance file schemas, round trips, and the built-in fixtures."""
+"""Instance file shapes, round trips, and the built-in fixtures."""
 
 import json
 

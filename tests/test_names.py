@@ -95,8 +95,8 @@ def test_approximation_on_pair_fixture():
     approx = approximate(c.poset, pns, 1, family)
     assert approx.level == 1
     # x uses both sides: {x} meet {x,y} = {x}; y gets {x,y}
-    assert approx.piece("x") == frozenset({"x"})
-    assert approx.piece("y") == frozenset({"x", "y"})
+    assert {x: v for x, _, v in approx.entries} == {
+        "x": frozenset({"x"}), "y": frozenset({"x", "y"})}
     assert approx.cover == (frozenset({"x"}), frozenset({"x", "y"}))
 
 

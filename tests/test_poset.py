@@ -12,7 +12,6 @@ from endowlab.poset import (
     EXHAUSTIVE_LIMIT,
     ExistsSupersetInCover,
     FamilyUnionCovers,
-    MemberOfName,
     Name,
     Poset,
     RefinesName,
@@ -186,11 +185,9 @@ def test_evaluate_name_rejects_non_atoms_and_unknown_conditions():
         evaluate_name(v, Name((("nope", frozenset({"u"})),)), "a")
 
 
-def test_member_and_superset_statements():
+def test_superset_statements():
     v = vee()
     name = Name((("a", frozenset({"x"})), ("b", frozenset({"x", "y"}))))
-    assert statement_holds_at(v, MemberOfName(name, frozenset({"x"})), "a")
-    assert not statement_holds_at(v, MemberOfName(name, frozenset({"x"})), "b")
     assert statement_holds_at(v, ExistsSupersetInCover(name, frozenset({"x"})), "b")
     assert not statement_holds_at(v, ExistsSupersetInCover(name, frozenset({"y"})), "a")
 

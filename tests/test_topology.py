@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from endowlab.bounds import Limits
 from endowlab.errors import DataError, ResourceError
-from endowlab.topology import FiniteSpace, covers, refines
+from endowlab.topology import FiniteSpace, covers
 
 
 def brute_topology(points, base):
@@ -89,25 +89,6 @@ def test_covers():
     assert covers(s, [frozenset({"x"}), frozenset({"x", "y"})])
     assert not covers(s, [frozenset({"x"})])
     assert not covers(s, [])
-
-
-def test_refines_with_witness():
-    s = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"], ["x", "y"], ["x", "y", "z"]])
-    report = refines(s, [frozenset({"x"}), frozenset({"y"})], [frozenset({"x", "y"})])
-    assert report.ok
-    assert report.witness == (
-        (frozenset({"x"}), frozenset({"x", "y"})),
-        (frozenset({"y"}), frozenset({"x", "y"})),
-    )
-    report = refines(s, [frozenset({"x", "y", "z"})], [frozenset({"x", "y"})])
-    assert not report.ok
-    assert report.counterexample == frozenset({"x", "y", "z"})
-
-
-def test_refines_requires_open_sets():
-    s = FiniteSpace(["x", "y"], [["x"], ["x", "y"]])
-    with pytest.raises(DataError):
-        refines(s, [frozenset({"y"})], [frozenset({"x", "y"})])
 
 
 def test_json_roundtrip():
