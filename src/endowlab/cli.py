@@ -15,6 +15,7 @@ import dataclasses
 import os
 import random
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -144,17 +145,21 @@ def _endow_chunk_worker(payload: dict) -> dict:
     return report.to_jsonable()
 
 def _selftest_worker(payload: dict) -> dict:
-    limits = Limits(**payload["limits"])
-    bounds = Limits(**payload["bounds"])
-    scenario = generate_scenario(payload["seed"], payload["mode"], bounds, limits)
-    cert = run_preservation(scenario, limits)
-    replay = replay_certificate(cert.to_jsonable(), limits)
-    return {
-        "seed": payload["seed"],
-        "mode": payload["mode"],
-        "verdict": cert.verdict,
-        "replay_ok": replay.ok,
-    }
+    """One seed's outcome; an exception becomes a failure record, so one bad
+    seed does not abort the batch."""
+    record = {"seed": payload["seed"], "mode": payload["mode"],
+              "verdict": None, "replay_ok": False, "error": None}
+    try:
+        limits = Limits(**payload["limits"])
+        bounds = Limits(**payload["bounds"])
+        scenario = generate_scenario(payload["seed"], payload["mode"], bounds, limits)
+        cert = run_preservation(scenario, limits)
+        record["verdict"] = cert.verdict
+        record["replay_ok"] = replay_certificate(cert.to_jsonable(), limits).ok
+    except Exception as exc:  # the batch must keep running
+        traceback.print_exc()
+        record["error"] = f"{type(exc).__name__}: {exc}"
+    return record
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -421,8 +426,9 @@ def cmd_selftest(args, limits: Limits) -> int:
     lines.append(f"scenarios run: {len(results)}")
     lines.append(f"failures: {len(failures)}")
     for f in failures[:5]:
-        lines.append(f"  seed {f['seed']} mode {f['mode']}: verdict {f['verdict']}, "
-                     f"replay_ok {f['replay_ok']}")
+        outcome = (f"error {f['error']}" if f["error"] is not None else
+                   f"verdict {f['verdict']}, replay_ok {f['replay_ok']}")
+        lines.append(f"  seed {f['seed']} mode {f['mode']}: {outcome}")
     emit(args, result, lines)
     return 0 if not failures and not problems else 3
 
@@ -505,6 +511,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         limits = limits_from_env(os.environ)
@@ -517,6 +524,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        if getattr(args, "json", False):
+            partial = None if exc.partial is None else exc.partial.to_jsonable()
+            print(canonical_json_pretty({"error": str(exc), "partial": partial}))
         return exc.exit_code
     except EndowlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,9 @@ from .poset import (
     RefinesName,
     Stratification,
     SubfamilyOf,
-    forces,
+    forces,  # unused here; kept so `names.forces` stays a binding the benchmark tracer rebinds
     statement_holds_at,
+    truth,
     validate_name,
 )
 from .topology import FiniteSpace
@@ -55,14 +56,14 @@ def make_cover_name(poset: Poset, space: FiniteSpace, pairs: Iterable[tuple[Cond
     return name
 
 
-def commitment_conditions(poset: Poset, name: Name, point: str) -> frozenset[Condition]:
-    """Conditions that commit `point` into some value set of the name."""
+def commitment_mask(poset: Poset, name: Name, point: str) -> int:
+    """Down mask of the conditions that commit `point` into some value set."""
     validate_name(poset, name)
-    out: set[Condition] = set()
+    out = 0
     for q, u in name.pairs:
         if point in u:
-            out |= poset.down(q)
-    return frozenset(out)
+            out |= poset.down_mask[q]
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,9 @@ def check_cover_name(poset: Poset, space: FiniteSpace, name: Name) -> CoverRepor
     entries = []
     ok = True
     for x in sorted(space.points):
-        dset = commitment_conditions(poset, name, x)
+        committed = commitment_mask(poset, name, x)
         bad = next(
-            (p for p in poset.elements if poset.down(p).isdisjoint(dset)),
+            (p for p in poset.elements if poset.down_mask[p] & committed == 0),
             None,
         )
         entries.append((x, bad is None, bad))
@@ -136,11 +137,15 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
         raise DataError(f"name is not a valid cover name; point {bad!r} lacks dense commitments")
     out = []
     for x in sorted(space.points):
-        dset = commitment_conditions(poset, name, x)
+        committed = commitment_mask(poset, name, x)
         antichain: list[Condition] = []
-        for p in poset.elements:
-            if p in dset and all(not poset.compatible(p, q) for q in antichain):
+        chosen = 0  # union of the chosen members' down masks
+        for i, p in enumerate(poset.elements):
+            below = poset.down_mask[p]
+            # p is compatible with a chosen member iff their down-sets meet
+            if committed >> i & 1 and below & chosen == 0:
                 antichain.append(p)
+                chosen |= below
         if not poset.is_maximal_antichain(antichain):
             raise DataError(f"point {x!r}: greedy antichain is not maximal")
         values = []
@@ -224,6 +229,24 @@ class ApproxCertificate:
         }
 
 
+def least_witness(poset: Poset, p: Condition, truth_mask: int) -> Condition | None:
+    """The canonically least r <= p forcing a statement with this truth mask.
+
+    Down mask bits run in canonical order, so the first r whose atoms all
+    lie inside the truth mask is the least one; None when there is none.
+    """
+    poset.require(p)
+    elements, atom_mask = poset.elements, poset.atom_mask
+    below = poset.down_mask[p]
+    while below:
+        low = below & -below
+        r = elements[low.bit_length() - 1]
+        if atom_mask[r] & ~truth_mask == 0:
+            return r
+        below ^= low
+    return None
+
+
 def check_approximation(
     poset: Poset,
     strat: Stratification,
@@ -236,13 +259,9 @@ def check_approximation(
     level = sorted(strat.at(approx.level), key=poset.sort_key)
     triples = []
     for v in approx.cover:
-        statement = ExistsSupersetInCover(name, v)
+        mask = truth(poset, ExistsSupersetInCover(name, v))
         for p in level:
-            r = next(
-                (r for r in sorted(poset.down(p), key=poset.sort_key)
-                 if forces(poset, r, statement)),
-                None,
-            )
+            r = least_witness(poset, p, mask)
             if r is None:
                 return ApproxCertificate(approx.level, False, tuple(triples), (set_key(v), p))
             triples.append((set_key(v), p, r))
@@ -302,12 +321,11 @@ def refine_name(
     for h in family:
         if not space.is_open(h):
             raise DataError(f"ground family member {sorted(h)} is not open")
-    pairs = []
-    for p in poset.elements:
-        for h in family:
-            if forces(poset, p, ExistsSupersetInCover(name, h)):
-                pairs.append((p, h))
-    refined = RefinedName(tuple(pairs))
+    masks = [truth(poset, ExistsSupersetInCover(name, h)) for h in family]
+    refined = RefinedName(tuple(
+        (p, h) for h, mask in zip(family, masks)
+        for p in poset.elements if poset.atom_mask[p] & ~mask == 0
+    ))
     refine_stmt = RefinesName(refined, name)
     bad_atom = next(
         (a for a in poset.atoms if not statement_holds_at(poset, refine_stmt, a)),
@@ -316,14 +334,9 @@ def refine_name(
     level = sorted(strat.at(n), key=poset.sort_key)
     triples = []
     counterexample = None
-    for h in family:
-        statement = ExistsSupersetInCover(name, h)
+    for h, mask in zip(family, masks):
         for p in level:
-            r = next(
-                (r for r in sorted(poset.down(p), key=poset.sort_key)
-                 if forces(poset, r, statement)),
-                None,
-            )
+            r = least_witness(poset, p, mask)
             if r is None:
                 counterexample = (set_key(h), p)
                 break

@@ -7,6 +7,17 @@ minimal element), and the upward closure of an atom meets every dense set,
 so atoms stand in for generic filters: a condition forces a statement
 exactly when the statement holds in the evaluation determined by every atom
 below it.
+
+The forcing kernel works on integer bitmasks built once per poset.
+`atom_mask[p]` has bit j set when `atoms[j]` lies below p, and
+`down_mask[p]` has bit i set when the condition at canonical position i lies
+below p.  `truth` evaluates a statement once per atom into an atom mask, and
+p forces the statement exactly when `atom_mask[p]` lies inside that mask, so
+a caller with many forcing questions about one statement evaluates it once
+and answers each question with one mask test.
+`forces_dense` deliberately stays off the masks: it decides the superset
+statement from down-sets as frozensets, never evaluates a name at an atom,
+and so remains an independent oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -76,7 +87,9 @@ class Poset:
         self._atoms = tuple(p for p in self._elements if len(down[p]) == 1)
         self._atoms_set = frozenset(self._atoms)
         self._atoms_below = {p: frozenset(a for a in down[p] if a in self._atoms_set) for p in self._elements}
-        self._checked_names: set = set()
+        atom_bit = {a: 1 << j for j, a in enumerate(self._atoms)}
+        self.atom_mask = {p: sum(atom_bit[a] for a in self._atoms_below[p]) for p in self._elements}
+        self.down_mask = {p: sum(1 << self._pos[q] for q in down[p]) for p in self._elements}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -299,24 +312,26 @@ class Name:
 
 def validate_name(poset: Poset, name: Name) -> None:
     """Reject names whose conditions do not belong to the poset."""
-    if name in poset._checked_names:
-        return
     for q, _ in name.pairs:
         poset.require(q)
-    poset._checked_names.add(name)
 
 
 def evaluate_name(poset: Poset, name: Name, atom: Condition) -> tuple[frozenset[str], ...]:
     """The value sets contributed by pairs whose condition sits above the atom.
 
-    Returned in canonical order with duplicates removed.
+    Returned in canonical order with duplicates removed.  The lookup of each
+    pair's condition doubles as validation, so a name evaluated at every
+    atom pays no separate validation pass.
     """
-    validate_name(poset, name)
     poset.require(atom)
     if atom not in poset._atoms_set:
         raise DataError(f"evaluation point must be an atom, got {atom!r}")
     down = poset._down
-    return sorted_sets(u for q, u in name.pairs if atom in down[q])
+    try:
+        return sorted_sets(u for q, u in name.pairs if atom in down[q])
+    except KeyError:
+        validate_name(poset, name)  # raises DataError naming the unknown condition
+        raise
 
 
 @dataclass(frozen=True)
@@ -366,20 +381,11 @@ class FamilyUnionCovers:
 Statement = (ExistsSupersetInCover | SubfamilyOf | RefinesName | FamilyUnionCovers)
 
 
-def statement_names(statement: Statement) -> tuple[Name, ...]:
-    if isinstance(statement, (ExistsSupersetInCover, SubfamilyOf)):
-        return (statement.name,)
-    if isinstance(statement, RefinesName):
-        return (statement.finer, statement.coarser)
-    if isinstance(statement, FamilyUnionCovers):
-        return statement.names
-    raise DataError(f"unknown statement type: {type(statement).__name__}")
-
-
 def statement_holds_at(poset: Poset, statement: Statement, atom: Condition) -> bool:
-    """Evaluate a statement in the extension determined by one atom."""
-    for name in statement_names(statement):
-        validate_name(poset, name)
+    """Evaluate a statement in the extension determined by one atom.
+
+    Every name of the statement is evaluated in full, so each of its
+    conditions is validated."""
     if isinstance(statement, ExistsSupersetInCover):
         return any(statement.lower <= u for u in evaluate_name(poset, statement.name, atom))
     if isinstance(statement, SubfamilyOf):
@@ -397,10 +403,19 @@ def statement_holds_at(poset: Poset, statement: Statement, atom: Condition) -> b
     raise DataError(f"unknown statement type: {type(statement).__name__}")
 
 
+def truth(poset: Poset, statement: Statement) -> int:
+    """The atom mask of a statement: bit j is set when it holds at atoms[j]."""
+    mask = 0
+    for j, a in enumerate(poset.atoms):
+        if statement_holds_at(poset, statement, a):
+            mask |= 1 << j
+    return mask
+
+
 def forces(poset: Poset, p: Condition, statement: Statement) -> bool:
     """True when the statement holds at every atom below p."""
     poset.require(p)
-    return all(statement_holds_at(poset, statement, a) for a in poset.atoms_below(p))
+    return poset.atom_mask[p] & ~truth(poset, statement) == 0
 
 
 def forces_dense(poset: Poset, p: Condition, name: Name, lower: Iterable[str]) -> bool:

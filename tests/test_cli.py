@@ -10,6 +10,7 @@ from functools import cache
 from pathlib import Path
 
 import endowlab
+import endowlab.cli as cli
 from endowlab.canon import canonical_json
 from endowlab.cli import main, parse_bounds, parse_poset_spec
 from endowlab.errors import UsageError
@@ -20,7 +21,8 @@ from endowlab.instances import (
     save_instance,
     wrap_instance,
 )
-from endowlab.preservation import run_preservation
+from endowlab.preservation import generate_scenario, run_preservation
+from endowlab.selection import MODES
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,17 @@ def test_bounds_env_var_is_honoured(monkeypatch, capsys):
     assert "resource error" in capsys.readouterr().err
     monkeypatch.setenv("ENDOWLAB_BOUNDS", "{bad json")
     assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 65
+
+
+def test_resource_error_json_carries_the_partial_report(capsys):
+    argv = ["endow-verify", "cohen:D=2", "--n", "2", "--full", "--budget", "10", "--json"]
+    assert main(argv) == 70
+    captured = capsys.readouterr()
+    assert "resource error" in captured.err
+    data = json.loads(captured.out)
+    assert data["error"] == "joint extension scan exceeded budget 10"
+    assert data["partial"]["family"] == "staged-hitting"
+    assert data["partial"]["antichains_checked"] > 0
 
 
 # -- dow -------------------------------------------------------------------------
@@ -391,6 +404,25 @@ def test_selftest_passes(capsys):
     assert "fixed scenarios positive and replayed: 3/3" in out
     assert "scenarios run: 3" in out
     assert "failures: 0" in out
+
+
+def test_selftest_reports_a_failing_seed_and_continues(monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    bad = generate_scenario(3, MODES[1])
+    real = cli.run_preservation
+
+    def flaky(scenario, limits):
+        if scenario == bad:
+            raise RuntimeError("boom")
+        return real(scenario, limits)
+
+    monkeypatch.setattr(cli, "run_preservation", flaky)
+    assert main(["selftest", "--count", "3", "--seed", "2", "--jobs", "1", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["scenarios"] == 3
+    assert data["problems"] == []
+    assert data["failures"] == [{"seed": 3, "mode": MODES[1], "verdict": None,
+                                 "replay_ok": False, "error": "RuntimeError: boom"}]
 
 
 def test_selftest_large_bounds_exceed_default_limits(capsys):
