@@ -446,7 +446,9 @@ def build_parser() -> _Parser:
                    help="sample COUNT random maximal antichains instead")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full", action="store_true", help="also check the joint extension clause")
-    p.add_argument("--budget", type=int, default=DEFAULT_FULL_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_FULL_BUDGET,
+                   help="joint extension step budget: conditions of down(p) examined, "
+                        "up to and including the least witness")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_endow_verify)

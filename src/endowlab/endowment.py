@@ -86,6 +86,7 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     if not poset.is_maximal_antichain(items):
         raise DataError("staged construction needs a maximal antichain")
     by_canon = sorted(items, key=poset.sort_key)
+    down = poset.down_mask
     seed = by_canon[0]
     chosen: set[Condition] = {seed}
     support: set[int] = set(cohen.support(seed))
@@ -94,7 +95,7 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
         handled = [p for p in poset.elements if cohen.support(p) <= support]
         added: list[Condition] = []
         for p in handled:
-            pick = next(a for a in by_canon if poset.compatible(p, a))
+            pick = next(a for a in by_canon if down[a] & down[p])
             if pick not in chosen:
                 chosen.add(pick)
                 added.append(pick)
@@ -105,8 +106,8 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
 
 def hits_level(poset: Poset, level: Iterable[Condition], conditions: Iterable[Condition]) -> bool:
     """True when every condition of the level is compatible with a member."""
-    members = frozenset(conditions)
-    return all(any(poset.compatible(p, q) for q in members) for p in level)
+    reach = poset.reach(conditions)
+    return all(poset.down_mask[p] & reach for p in level)
 
 
 # -- concrete families -------------------------------------------------------
@@ -244,8 +245,9 @@ def verify_weak_endowment(
             violations.append(Violation("2", key, stray, "extraction leaves the antichain"))
         if not family.member(n, chosen):
             violations.append(Violation("2", key, None, "extraction is not a family member"))
+        reach = poset.reach(chosen)
         for p in level:
-            if not any(poset.compatible(p, q) for q in chosen):
+            if not poset.down_mask[p] & reach:
                 violations.append(Violation("3'", key, p, "level condition incompatible with every member"))
     return EndowmentReport(family.label, n, checked, tuple(violations))
 
@@ -265,14 +267,22 @@ def verify_full_endowment(
 
     For every level-n condition p and every n-tuple of extraction results
     there must be a common lower bound scheme: some r <= p lying below a
-    member of each tuple entry.  The scan is budgeted; exceeding the budget
-    raises ResourceError carrying the partial report.
+    member of each tuple entry.  With `reach` the down mask of everything
+    below some member, the witnesses below p are the bits of
+    `down_mask[p] & common`, where `common` is the intersection of the
+    tuple entries' reaches, and the least witness is its lowest bit.
+
+    The scan is budgeted.  One step is one condition of down(p) examined
+    in canonical order, up to and including the least witness, or all of
+    down(p) when there is none; the mask test counts the steps a scan of
+    down(p) would take.  Once the steps summed over all (tuple, p) pairs
+    exceed the budget, the scan raises ResourceError carrying the partial
+    report.
     """
     if n < 0:
         raise DataError(f"level must be nonnegative, got {n}")
     level = sorted(strat.at(n), key=poset.sort_key)
-    outputs: list[frozenset[Condition]] = []
-    seen: set[frozenset[Condition]] = set()
+    reach: dict[frozenset[Condition], int] = {}  # distinct extraction outputs, in first-seen order
     checked = 0
     for antichain in antichains:
         items = frozenset(antichain)
@@ -280,23 +290,26 @@ def verify_full_endowment(
             raise DataError("full verification needs maximal antichains")
         checked += 1
         chosen = frozenset(family.extract(n, items))
-        if chosen not in seen:
-            seen.add(chosen)
-            outputs.append(chosen)
+        if chosen not in reach:
+            reach[chosen] = poset.reach(chosen)
     violations: list[Violation] = []
     steps = 0
-    for combo in product(outputs, repeat=n):
+    for combo in product(reach, repeat=n):
+        common = -1  # every bit: the empty tuple constrains nothing
+        for part in combo:
+            common &= reach[part]
         for p in level:
-            found = False
-            for r in sorted(poset.down(p), key=poset.sort_key):
-                steps += 1
-                if all(not poset.up(r).isdisjoint(part) for part in combo):
-                    found = True
-                    break
+            below = poset.down_mask[p]
+            hits = below & common
+            if hits:
+                low = hits & -hits
+                steps += (below & (low - 1)).bit_count() + 1
+            else:
+                steps += below.bit_count()
             if steps > budget:
                 partial = EndowmentReport(family.label, n, checked, tuple(violations))
                 raise ResourceError(f"joint extension scan exceeded budget {budget}", partial=partial)
-            if not found:
+            if not hits:
                 flat = tuple(sorted(frozenset().union(*combo), key=poset.sort_key)) if combo else ()
                 violations.append(Violation("3", flat, p, "no common extension scheme for tuple"))
     return EndowmentReport(family.label, n, checked, tuple(violations))

@@ -59,11 +59,7 @@ def make_cover_name(poset: Poset, space: FiniteSpace, pairs: Iterable[tuple[Cond
 def commitment_mask(poset: Poset, name: Name, point: str) -> int:
     """Down mask of the conditions that commit `point` into some value set."""
     validate_name(poset, name)
-    out = 0
-    for q, u in name.pairs:
-        if point in u:
-            out |= poset.down_mask[q]
-    return out
+    return poset.reach(q for q, u in name.pairs if point in u)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,16 @@ below p.  `truth` evaluates a statement once per atom into an atom mask, and
 p forces the statement exactly when `atom_mask[p]` lies inside that mask, so
 a caller with many forcing questions about one statement evaluates it once
 and answers each question with one mask test.
-`forces_dense` deliberately stays off the masks: it decides the superset
-statement from down-sets as frozensets, never evaluates a name at an atom,
-and so remains an independent oracle for the kernel.
+The same down masks are the compatibility kernel: p and q are compatible
+exactly when `down_mask[p] & down_mask[q]` is nonzero, and r lies below
+some member of a set L exactly when bit `pos(r)` is set in `reach(L)`, the
+union of the members' down masks.  So a set is an antichain when each
+member's mask misses the union of those before it, and a maximal one when
+every condition's mask meets the union of all of them.
+`forces_dense`, and the `is_dense_below` it rests on, deliberately stay off
+the masks: they decide the superset statement from down-sets as frozensets,
+never evaluate a name at an atom, and so remain an independent oracle for
+the kernel.
 """
 
 from __future__ import annotations
@@ -149,16 +156,25 @@ class Poset:
         """True when p and q have a common lower bound."""
         self.require(p)
         self.require(q)
-        return not self._down[p].isdisjoint(self._down[q])
+        return self.down_mask[p] & self.down_mask[q] != 0
+
+    def reach(self, conditions: Iterable[Condition]) -> int:
+        """Down mask of everything at or below some member of the set."""
+        mask = 0
+        for q in conditions:
+            self.require(q)
+            mask |= self.down_mask[q]
+        return mask
 
     def is_antichain(self, conditions: Iterable[Condition]) -> bool:
         items = list(conditions)
         for p in items:
             self.require(p)
-        for i, p in enumerate(items):
-            for q in items[i + 1:]:
-                if self.compatible(p, q):
-                    return False
+        union = 0  # reach of the items before p
+        for p in items:
+            if self.down_mask[p] & union:
+                return False
+            union |= self.down_mask[p]
         return True
 
     def is_maximal_antichain(self, conditions: Iterable[Condition]) -> bool:
@@ -166,7 +182,8 @@ class Poset:
         items = frozenset(conditions)
         if not self.is_antichain(items):
             return False
-        return all(any(self.compatible(p, a) for a in items) for p in self._elements)
+        reach = self.reach(items)
+        return all(self.down_mask[p] & reach for p in self._elements)
 
     def is_dense(self, conditions: Iterable[Condition]) -> bool:
         """True when every condition has a member of the set below it."""
@@ -195,12 +212,8 @@ class Poset:
         if n > EXHAUSTIVE_LIMIT:
             raise ResourceError(
                 f"exhaustive antichain enumeration capped at {EXHAUSTIVE_LIMIT} conditions, got {n}")
-        incompat = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not self.compatible(self._elements[i], self._elements[j]):
-                    incompat[i].add(j)
-                    incompat[j].add(i)
+        masks = [self.down_mask[p] for p in self._elements]
+        incompat = [{j for j in range(n) if masks[i] & masks[j] == 0} for i in range(n)]
         found: list[frozenset[Condition]] = []
 
         def extend(clique: list[int], cand: set[int], excl: set[int]) -> None:
@@ -221,9 +234,11 @@ class Poset:
         order = list(self._elements)
         rng.shuffle(order)
         chosen: list[Condition] = []
+        union = 0  # reach of the chosen members
         for p in order:
-            if all(not self.compatible(p, q) for q in chosen):
+            if self.down_mask[p] & union == 0:
                 chosen.append(p)
+                union |= self.down_mask[p]
         return frozenset(chosen)
 
     # -- serialization -----------------------------------------------------

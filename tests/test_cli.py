@@ -124,6 +124,28 @@ def test_endow_verify_parallel_output_is_canonical_with_violations(capsys):
     assert json.loads(serial)["weak"]["violations"]
 
 
+def test_staged_family_fails_the_joint_extension_clause_at_d3(capsys):
+    # Pending ROADMAP 3b: whether the staged family is meant to satisfy the
+    # full clause at D=3 is undecided.  This pins the verifier's current
+    # answer, so a change to the scan cannot move it silently.  Minimal case:
+    # each of the two extractions meets p = 0:1,2:1 only through one of the
+    # incompatible members 0:1,1:0 and 0:1,1:1, so no r <= p serves both.
+    assert main(["endow-verify", "cohen:D=3", "--n", "2", "--full", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["weak"]["antichains_checked"] == 154
+    assert data["weak"]["violations"] == []
+    full = data["full"]
+    assert full["antichains_checked"] == 154
+    assert len(full["violations"]) == 240
+    assert {v["clause"] for v in full["violations"]} == {"3"}
+    assert {
+        "antichain": ["0:0", "0:1,1:0", "0:1,1:1", "0:1,1:0,2:0", "0:1,1:1,2:0"],
+        "clause": "3",
+        "detail": "no common extension scheme for tuple",
+        "witness": "0:1,2:1",
+    } in full["violations"]
+
+
 def test_bounds_env_var_is_honoured(monkeypatch, capsys):
     monkeypatch.setenv("ENDOWLAB_BOUNDS", '{"max_indices": 1}')
     assert main(["endow-verify", "cohen:D=2", "--n", "1"]) == 70

@@ -1,6 +1,9 @@
 """The staged construction, the four families, and the two verifiers."""
 
 import random
+from bisect import bisect_right
+from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,9 @@ from hypothesis import strategies as st
 
 from endowlab.cohen import CohenPoset
 from endowlab.endowment import (
+    EndowmentFamily,
+    EndowmentReport,
+    Violation,
     adversarial_singleton_family,
     cohen_dow_family,
     dow_construct,
@@ -18,6 +24,8 @@ from endowlab.endowment import (
 )
 from endowlab.errors import DataError, ResourceError
 from endowlab.measure import MeasurePoset
+from endowlab.poset import make_stratification
+from test_kernel import random_explicit_poset
 
 
 def test_staged_construction_two_sided_example():
@@ -177,3 +185,130 @@ def test_full_verifier_budget():
             c.poset, c.stratification(), family, 2, c.poset.maximal_antichains(), budget=10)
     assert info.value.partial is not None
     assert info.value.partial.family == "staged-hitting"
+
+
+# -- the mask scan against the per-r scan it replaced -------------------------
+
+
+def reference_scan(poset, strat, family, n, antichains):
+    """The joint extension scan as verify_full_endowment ran it before it used
+    down masks: for each tuple and level condition p, walk down(p) in
+    canonical order until some r lies below a member of every tuple entry.
+
+    Where that code compared its steps with the budget, this records the steps
+    so far and the number of violations found before, so one run answers
+    every budget (see `reference_outcome`).  Inputs are trusted to be maximal
+    antichains.
+    """
+    level = sorted(strat.at(n), key=poset.sort_key)
+    outputs = []
+    seen = set()
+    checked = 0
+    for antichain in antichains:
+        checked += 1
+        chosen = frozenset(family.extract(n, frozenset(antichain)))
+        if chosen not in seen:
+            seen.add(chosen)
+            outputs.append(chosen)
+    events = []
+    violations = []
+    steps = 0
+    for combo in product(outputs, repeat=n):
+        for p in level:
+            found = False
+            for r in sorted(poset.down(p), key=poset.sort_key):
+                steps += 1
+                if all(not poset.up(r).isdisjoint(part) for part in combo):
+                    found = True
+                    break
+            events.append((steps, len(violations)))
+            if not found:
+                flat = tuple(sorted(frozenset().union(*combo), key=poset.sort_key)) if combo else ()
+                violations.append(Violation("3", flat, p, "no common extension scheme for tuple"))
+    return checked, events, violations
+
+
+def reference_outcome(label, n, scan, budget):
+    """The per-r scan's answer under `budget`: its report, or the message and
+    partial report of the ResourceError it raised at the first budget check
+    whose steps exceeded the budget."""
+    checked, events, violations = scan
+    i = bisect_right([steps for steps, _ in events], budget)
+    if i < len(events):
+        partial = EndowmentReport(label, n, checked, tuple(violations[:events[i][1]]))
+        return ("raise", f"joint extension scan exceeded budget {budget}", partial)
+    return ("report", EndowmentReport(label, n, checked, tuple(violations)))
+
+
+def verifier_outcome(poset, strat, family, n, antichains, budget):
+    try:
+        return ("report", verify_full_endowment(poset, strat, family, n, antichains, budget=budget))
+    except ResourceError as error:
+        return ("raise", str(error), error.partial)
+
+
+# every budget is checked when the reference's total is at most this; above
+# it, only the budgets where the reference's answer can change
+EVERY_BUDGET_UP_TO = 1200
+
+
+def budgets_to_check(events):
+    """Budgets 0..total+1 for small scans.  For large ones: 0..59, and each
+    budget s-1 and s where s is the step count at which the partial report
+    would next grow (or the scan finish), thinned to about a dozen.
+
+    Between two such points the reference's answer is constant, and the
+    verifier's raise point only moves forward as the budget grows, so the
+    two ends of each stretch decide the stretch."""
+    total = events[-1][0] if events else 0
+    if total <= EVERY_BUDGET_UP_TO:
+        return range(total + 2)
+    changes = [steps for i, (steps, before) in enumerate(events)
+               if i + 1 == len(events) or events[i + 1][1] != before]
+    changes = changes[::max(1, len(changes) // 12)] + [total]
+    return sorted(set(range(60)) | {b for s in changes for b in (s - 1, s, s + 1)})
+
+
+def random_stratified_poset(rng):
+    poset = random_explicit_poset(rng)
+    elements = poset.elements
+    return poset, make_stratification(poset, [elements[:rng.randint(1, len(elements))], elements])
+
+
+def joint_extension_cases():
+    for d in (1, 2, 3):
+        c = CohenPoset(list(range(d)))
+        antichains = c.poset.maximal_antichains()
+        for family in (cohen_dow_family(c), maximal_antichain_family(c.poset),
+                       adversarial_singleton_family(c.poset)):
+            for n in (0, 1, 2):
+                # the maximal family's 154^2 tuples at D=3 would take the
+                # reference seconds and add no new kind of step
+                if (d, n, family.label) != (3, 2, "maximal-antichain"):
+                    yield f"cohen-D{d}-{family.label}-n{n}", c.poset, c.stratification(), family, n, antichains
+    for k in (1, 2):
+        m = MeasurePoset(k)
+        rng = random.Random(k)
+        antichains = [m.poset.random_maximal_antichain(rng) for _ in range(20)]
+        for family in (measure_total_family(m), maximal_antichain_family(m.poset),
+                       adversarial_singleton_family(m.poset)):
+            for n in (0, 1, 2):
+                yield f"measure-k{k}-{family.label}-n{n}", m.poset, m.stratification(), family, n, antichains
+    rng = random.Random(4)
+    for i in range(4):
+        poset, strat = random_stratified_poset(rng)
+        antichains = poset.maximal_antichains()
+        for family in (maximal_antichain_family(poset), adversarial_singleton_family(poset)):
+            for n in (0, 1, 2):
+                yield f"explicit{i}-{family.label}-n{n}", poset, strat, family, n, antichains
+
+
+@pytest.mark.parametrize("case", joint_extension_cases(), ids=lambda case: case[0])
+def test_full_verifier_matches_the_per_r_scan_at_every_budget(case):
+    _, poset, strat, family, n, antichains = case
+    # extraction runs once per antichain, not once per budget
+    family = EndowmentFamily(family.label, family.member, cache(family.extract))
+    scan = reference_scan(poset, strat, family, n, antichains)
+    for budget in budgets_to_check(scan[1]):
+        expected = reference_outcome(family.label, n, scan, budget)
+        assert verifier_outcome(poset, strat, family, n, antichains, budget) == expected, budget

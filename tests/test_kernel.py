@@ -1,7 +1,8 @@
-"""The bitmask forcing kernel against the frozenset density oracle.
+"""The bitmask kernel against frozenset references.
 
-`forces` and `least_witness` read atom and down-set masks; `forces_dense`
-and the brute-force witness below read only frozenset down-sets, so they
+`forces`, `least_witness` and the compatibility and antichain helpers read
+atom and down-set masks; `forces_dense`, the brute-force witness and the
+pairwise antichain references below read only frozenset down-sets, so they
 share no logic with the kernel."""
 
 import random
@@ -94,3 +95,87 @@ def test_unknown_name_conditions_raise_data_error(query):
     stmt = ExistsSupersetInCover(Name((("a", frozenset("x")), ("nope", frozenset("x")))), "x")
     with pytest.raises(DataError, match="unknown condition: 'nope'"):
         query(poset, stmt)
+
+
+# -- compatibility and antichains on the down masks ------------------------------
+#
+# The references below read only frozenset down-sets and test pairs one by one.
+
+
+def ref_compatible(poset: Poset, p, q) -> bool:
+    return not poset.down(p).isdisjoint(poset.down(q))
+
+
+def ref_is_antichain(poset: Poset, items) -> bool:
+    return all(not ref_compatible(poset, p, q) for i, p in enumerate(items) for q in items[i + 1:])
+
+
+def ref_is_maximal_antichain(poset: Poset, items) -> bool:
+    return ref_is_antichain(poset, items) and all(
+        any(ref_compatible(poset, p, a) for a in items) for p in poset.elements)
+
+
+def ref_random_maximal_antichain(poset: Poset, rng: random.Random) -> frozenset:
+    order = list(poset.elements)
+    rng.shuffle(order)
+    chosen = []
+    for p in order:
+        if all(not ref_compatible(poset, p, q) for q in chosen):
+            chosen.append(p)
+    return frozenset(chosen)
+
+
+def ref_maximal_antichains(poset: Poset) -> set[frozenset]:
+    """Grow every antichain by later elements; keep the maximal ones."""
+    elements = poset.elements
+    found = set()
+
+    def grow(chosen: list, start: int) -> None:
+        if ref_is_maximal_antichain(poset, chosen):
+            found.add(frozenset(chosen))
+        for i in range(start, len(elements)):
+            if all(not ref_compatible(poset, elements[i], q) for q in chosen):
+                grow(chosen + [elements[i]], i + 1)
+
+    grow([], 0)
+    return found
+
+
+def antichain_posets(rng: random.Random) -> list[Poset]:
+    fixed = [CohenPoset((0,)).poset, CohenPoset((0, 1)).poset, CohenPoset((0, 1, 2)).poset,
+             MeasurePoset(1).poset, MeasurePoset(2).poset]
+    return fixed + [random_explicit_poset(rng) for _ in range(30)]
+
+
+def test_antichain_helpers_match_the_pairwise_reference():
+    rng = random.Random(8128)
+    seen = set()
+    for poset in antichain_posets(rng):
+        elements = poset.elements
+        for p in elements:
+            for q in elements:
+                assert poset.compatible(p, q) == ref_compatible(poset, p, q)
+        for _ in range(40):
+            items = rng.sample(elements, rng.randint(0, min(4, len(elements))))
+            antichain = poset.is_antichain(items)
+            maximal = poset.is_maximal_antichain(items)
+            assert antichain == ref_is_antichain(poset, items), items
+            assert maximal == ref_is_maximal_antichain(poset, items), items
+            seen.add((antichain, maximal))
+        for seed in range(5):
+            sample = poset.random_maximal_antichain(random.Random(seed))
+            assert sample == ref_random_maximal_antichain(poset, random.Random(seed))
+            assert poset.is_maximal_antichain(sample)
+        everything = poset.maximal_antichains()
+        assert set(everything) == ref_maximal_antichains(poset)
+        assert len(set(everything)) == len(everything)
+    # non-antichains, antichains that are not maximal, and maximal ones all came up
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_antichain_checks_require_every_item_first():
+    poset = Poset(["t", "a", "b"], [("a", "t"), ("b", "t")])
+    assert poset.compatible("t", "a")
+    for check in (poset.is_antichain, poset.is_maximal_antichain, poset.reach):
+        with pytest.raises(DataError, match="unknown condition: 'nope'"):
+            check(["t", "a", "nope"])
