@@ -46,7 +46,6 @@ from .measure import MeasurePoset
 from .names import approximate, check_approximation, derive_point_names, make_cover_name, refine_name
 from .poset import EXHAUSTIVE_LIMIT, ExistsSupersetInCover, Name, forces, forces_dense
 from .preservation import (
-    PosetSpec,
     Scenario,
     _check_bounds,
     build_bundle,
@@ -66,23 +65,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_poset_spec(text: str) -> PosetSpec:
+def parse_poset_spec(text: str, limits: Limits = DEFAULT_LIMITS) -> dict:
     """Parse a poset argument: cohen:D=2, measure:k=1, or @file.json."""
     if text.startswith("@"):
-        return PosetSpec.from_jsonable({"kind": "explicit", **load_instance(text[1:], "poset")})
+        return {"kind": "explicit", **load_instance(text[1:], "poset")}
     head, sep, tail = text.partition(":")
     if sep and head == "cohen" and tail.startswith("D="):
         try:
             size = int(tail[2:])
         except ValueError:
             raise UsageError(f"bad index count in {text!r}")
-        return PosetSpec("cohen", indices=tuple(range(size)))
+        if size > limits.max_indices:
+            raise ResourceError(f"index set capped at {limits.max_indices} entries, got {size}")
+        return {"kind": "cohen", "indices": list(range(size))}
     if sep and head == "measure" and tail.startswith("k="):
         try:
             k = int(tail[2:])
         except ValueError:
             raise UsageError(f"bad exponent in {text!r}")
-        return PosetSpec("measure", k=k)
+        return {"kind": "measure", "k": k}
     raise UsageError(
         f"bad poset spec {text!r}; expected cohen:D=<n>, measure:k=<n>, or @file.json")
 
@@ -138,7 +139,7 @@ def emit(args, jsonable, text_lines) -> None:
 
 def _endow_chunk_worker(payload: dict) -> dict:
     limits = Limits(**payload["limits"])
-    bundle = build_bundle(PosetSpec.from_jsonable(payload["poset"]), limits)
+    bundle = build_bundle(payload["poset"], limits)
     family = resolve_family(bundle, payload["family"])
     antichains = [frozenset(a) for a in payload["antichains"]]
     report = verify_weak_endowment(bundle.poset, bundle.strat, family, payload["n"], antichains)
@@ -166,8 +167,10 @@ def _selftest_worker(payload: dict) -> dict:
 
 
 def cmd_endow_verify(args, limits: Limits) -> int:
-    spec = parse_poset_spec(args.poset)
-    bundle = build_bundle(spec, limits)
+    if args.seeded is not None and args.seeded < 1:
+        raise UsageError(f"--seeded COUNT must be at least 1, got {args.seeded}")
+    recipe = parse_poset_spec(args.poset, limits)
+    bundle = build_bundle(recipe, limits)
     family = resolve_family(bundle, args.family)
     exhaustive = args.exhaustive or (args.seeded is None and len(bundle.poset) <= EXHAUSTIVE_LIMIT)
     if not exhaustive and args.seeded is None:
@@ -181,7 +184,7 @@ def cmd_endow_verify(args, limits: Limits) -> int:
         payloads = [
             {
                 "limits": dataclasses.asdict(limits),
-                "poset": spec.to_jsonable(),
+                "poset": recipe,
                 "family": args.family,
                 "n": args.n,
                 "antichains": chunk,
@@ -201,7 +204,7 @@ def cmd_endow_verify(args, limits: Limits) -> int:
         weak = verify_weak_endowment(
             bundle.poset, bundle.strat, family, args.n, antichains).to_jsonable()
     result = {
-        "poset": spec.to_jsonable(),
+        "poset": recipe,
         "mode": "exhaustive" if exhaustive else f"seeded:{args.seeded}",
         "weak": weak,
     }
@@ -226,10 +229,10 @@ def cmd_endow_verify(args, limits: Limits) -> int:
 
 
 def cmd_dow(args, limits: Limits) -> int:
-    spec = parse_poset_spec(args.poset)
-    if spec.kind != "cohen":
+    recipe = parse_poset_spec(args.poset, limits)
+    if recipe["kind"] != "cohen":
         raise UsageError("the staged construction needs a cohen:D=<n> poset")
-    cohen = CohenPoset(spec.indices, limits)
+    cohen = CohenPoset(recipe["indices"], limits)
     trace = dow_construct(cohen, args.member, args.n)
     hits = hits_level(cohen.poset, cohen.stratification().at(args.n), trace.result)
     lines = [f"seed: {trace.seed!r}"]
@@ -245,8 +248,7 @@ def cmd_dow(args, limits: Limits) -> int:
 
 
 def cmd_approx(args, limits: Limits) -> int:
-    spec = parse_poset_spec(args.poset)
-    bundle = build_bundle(spec, limits)
+    bundle = build_bundle(parse_poset_spec(args.poset, limits), limits)
     space = FiniteSpace.from_jsonable(load_instance(args.space, "space"), limits)
     name = make_cover_name(bundle.poset, space, Name.from_jsonable(load_instance(args.name, "name")).pairs)
     family = resolve_family(bundle, args.family)
@@ -269,8 +271,7 @@ def cmd_approx(args, limits: Limits) -> int:
 
 
 def cmd_refine(args, limits: Limits) -> int:
-    spec = parse_poset_spec(args.poset)
-    bundle = build_bundle(spec, limits)
+    bundle = build_bundle(parse_poset_spec(args.poset, limits), limits)
     space = FiniteSpace.from_jsonable(load_instance(args.space, "space"), limits)
     name = make_cover_name(bundle.poset, space, Name.from_jsonable(load_instance(args.name, "name")).pairs)
     raw = read_json(args.sets)

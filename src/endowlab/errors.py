@@ -45,12 +45,3 @@ class ScenarioError(EndowlabError):
 
     exit_code = 2
 
-
-class VerificationFailure(EndowlabError):
-    """A verification run produced violations.
-
-    Raised only by the CLI layer to signal exit code 3; library functions
-    return reports instead of raising.
-    """
-
-    exit_code = 3

@@ -13,7 +13,7 @@ from pathlib import Path
 from .canon import check_shape
 from .errors import DataError
 from .poset import NAME_SHAPE, POSET_SHAPE, Name
-from .preservation import SCENARIO_SHAPE, PosetSpec, Scenario
+from .preservation import SCENARIO_SHAPE, Scenario
 from .topology import SPACE_SHAPE
 
 FORMAT_VERSION = 1
@@ -125,13 +125,13 @@ def fixture_measure_pair(levels: int = 3, mode: str = "rothberger") -> Scenario:
     return Scenario.from_jsonable(payload)
 
 
-def fixture_discrete_triple() -> tuple[PosetSpec, dict, Name]:
+def fixture_discrete_triple() -> tuple[dict, dict, Name]:
     """Three point discrete space with a name forced everywhere.
 
     Used by tamper tests: every singleton is committed at the top, so any
     candidate piece not contained in a singleton is genuinely undominated.
     """
-    spec = PosetSpec("cohen", indices=(0,))
+    recipe = {"kind": "cohen", "indices": [0]}
     space_payload = {"points": ["x", "y", "z"], "base": [["x"], ["y"], ["z"]]}
     name = Name((("", frozenset({"x"})), ("", frozenset({"y"})), ("", frozenset({"z"}))))
-    return spec, space_payload, name
+    return recipe, space_payload, name

@@ -368,16 +368,12 @@ def run_pipeline(
     space: FiniteSpace,
     names: Sequence[Name],
     ground_families: Sequence[Iterable[frozenset[str]]],
-    *,
-    check_horizon: bool = True,
 ) -> PipelineResult:
     """Refine every level and certify the combined covering statement.
 
-    Requires one ground family per name.  The horizon hypothesis asks that
-    every point lies in some ground set at a level at or above the
-    stabilization floor; without it the covering statement is hopeless, so
-    it is rejected up front (naming an uncovered point) unless the caller
-    disables the check to watch the honest failure.
+    Requires one ground family per name.  When some point lies in no ground
+    set at or above the stabilization floor, the run completes and reports
+    the covering statement as failed.
     """
     if len(names) != len(ground_families):
         raise DataError("need exactly one ground family per name")
@@ -385,17 +381,6 @@ def run_pipeline(
         raise DataError("pipeline needs at least one level")
     floor = strat.stabilization_index
     families = [sorted_sets(frozenset(h) for h in fam) for fam in ground_families]
-    if check_horizon:
-        reachable: set[str] = set()
-        for n in range(floor, len(names)):
-            for h in families[n]:
-                reachable |= h
-        missing = sorted(space.points - reachable)
-        if missing:
-            raise DataError(
-                f"horizon hypothesis fails: point {missing[0]!r} lies in no ground set "
-                f"at levels {floor}..{len(names) - 1}"
-            )
     refined = []
     certificates = []
     subfamily_flags = []

@@ -73,69 +73,36 @@ SCENARIO_SHAPE = {
 
 
 @dataclass(frozen=True)
-class PosetSpec:
-    """A recipe for one of the three supported poset kinds."""
-
-    kind: str
-    indices: tuple[int, ...] = ()
-    k: int = 0
-    elements: tuple[str, ...] = ()
-    leq: tuple[tuple[str, str], ...] = ()
-
-    def to_jsonable(self) -> dict:
-        if self.kind == "cohen":
-            return {"kind": "cohen", "indices": list(self.indices)}
-        if self.kind == "measure":
-            return {"kind": "measure", "k": self.k}
-        return {
-            "kind": "explicit",
-            "elements": list(self.elements),
-            "leq": [list(pair) for pair in self.leq],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "PosetSpec":
-        check_recipe(data, "poset")
-        kind = data["kind"]
-        if kind == "cohen":
-            return cls("cohen", indices=tuple(data["indices"]))
-        if kind == "measure":
-            return cls("measure", k=data["k"])
-        return cls(
-            "explicit",
-            elements=tuple(data["elements"]),
-            leq=tuple((a, b) for a, b in data["leq"]),
-        )
-
-
-@dataclass(frozen=True)
 class PosetBundle:
     poset: Poset
     strat: Stratification
     family: EndowmentFamily
 
 
-def build_bundle(spec: PosetSpec, limits: Limits = DEFAULT_LIMITS) -> PosetBundle:
-    """Materialize a poset recipe with its stratification and default family."""
-    if spec.kind == "cohen":
-        cohen = CohenPoset(spec.indices, limits)
+def build_bundle(recipe: dict, limits: Limits = DEFAULT_LIMITS) -> PosetBundle:
+    """Materialize a checked poset recipe with its stratification and
+    default family."""
+    kind = recipe["kind"]
+    if kind == "cohen":
+        cohen = CohenPoset(recipe["indices"], limits)
         return PosetBundle(cohen.poset, cohen.stratification(), cohen_dow_family(cohen))
-    if spec.kind == "measure":
-        algebra = MeasurePoset(spec.k, limits)
+    if kind == "measure":
+        algebra = MeasurePoset(recipe["k"], limits)
         return PosetBundle(algebra.poset, algebra.stratification(), measure_total_family(algebra))
-    if spec.kind == "explicit":
-        if len(spec.elements) > limits.max_poset:
+    if kind == "explicit":
+        elements = recipe["elements"]
+        if len(elements) > limits.max_poset:
             raise ResourceError(
-                f"explicit posets capped at {limits.max_poset} conditions, got {len(spec.elements)}")
-        poset = Poset(spec.elements, spec.leq)
+                f"explicit posets capped at {limits.max_poset} conditions, got {len(elements)}")
+        poset = Poset(elements, recipe["leq"])
         strat = make_stratification(poset, [poset.elements])
         return PosetBundle(poset, strat, maximal_antichain_family(poset))
-    raise DataError(f"unknown poset kind {spec.kind!r}")
+    raise DataError(f"unknown poset kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    poset: PosetSpec
+    poset: dict  # a recipe that passed check_recipe
     points: tuple[str, ...]
     base: tuple[frozenset[str], ...]
     names: tuple[Name, ...]
@@ -143,7 +110,7 @@ class Scenario:
 
     def to_jsonable(self) -> dict:
         return {
-            "poset": self.poset.to_jsonable(),
+            "poset": self.poset,
             "space": {"points": sorted(self.points), "base": [sorted(b) for b in self.base]},
             "names": [name.to_jsonable() for name in self.names],
             "property": self.mode,
@@ -154,7 +121,7 @@ class Scenario:
         check_shape(data, SCENARIO_SHAPE, "scenario")
         space = data["space"]
         return cls(
-            PosetSpec.from_jsonable(data["poset"]),
+            data["poset"],
             tuple(sorted(space["points"])),
             tuple(frozenset(b) for b in space["base"]),
             tuple(Name.from_jsonable(entry) for entry in data["names"]),
@@ -260,8 +227,7 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
         ground_families = tuple((u,) for u in solution)
     else:
         ground_families = tuple(tuple(fam) for fam in solution)
-    pipeline = run_pipeline(
-        bundle.poset, bundle.strat, space, names, ground_families, check_horizon=False)
+    pipeline = run_pipeline(bundle.poset, bundle.strat, space, names, ground_families)
     atom_rows = []
     complete = True
     for atom in bundle.poset.atoms:
@@ -381,15 +347,15 @@ def _random_base(rng: random.Random, points: tuple[str, ...], cap: int) -> tuple
     return tuple(unique)
 
 
-def _random_explicit(rng: random.Random, cap: int) -> PosetSpec:
+def _random_explicit(rng: random.Random, cap: int) -> dict:
     size = rng.randint(3, min(10, cap))
-    elements = tuple(f"e{i}" for i in range(size))
+    elements = [f"e{i}" for i in range(size)]
     pairs = []
     for j in range(size):
         for i in range(j):
             if rng.random() < 0.3:
-                pairs.append((elements[j], elements[i]))
-    return PosetSpec("explicit", elements=elements, leq=tuple(pairs))
+                pairs.append([elements[j], elements[i]])
+    return {"kind": "explicit", "elements": elements, "leq": pairs}
 
 
 def generate_scenario(
@@ -420,24 +386,20 @@ def generate_scenario(
         raise DataError(f"unknown property {mode!r}; expected one of {MODES}")
     kinds = []
     if bounds.max_indices >= 1:
-        kinds.append(PosetSpec("cohen", indices=(0,)))
+        kinds.append({"kind": "cohen", "indices": [0]})
     if bounds.max_indices >= 2:
-        kinds.append(PosetSpec("cohen", indices=(0, 1)))
+        kinds.append({"kind": "cohen", "indices": [0, 1]})
     if bounds.max_k >= 1:
-        kinds.append(PosetSpec("measure", k=1))
+        kinds.append({"kind": "measure", "k": 1})
     if bounds.max_k >= 2:
-        kinds.append(PosetSpec("measure", k=2))
+        kinds.append({"kind": "measure", "k": 2})
     if bounds.max_poset >= 3:
         kinds.append(_random_explicit(rng, bounds.max_poset))
     if not kinds:
         raise DataError("generation bounds leave no poset kind available")
-    spec = rng.choice(kinds)
-    if spec.kind == "cohen":
-        floor = len(spec.indices)
-    elif spec.kind == "measure":
-        floor = spec.k
-    else:
-        floor = 0
+    recipe = rng.choice(kinds)
+    bundle = build_bundle(recipe, limits)
+    floor = bundle.strat.stabilization_index
     n_points = rng.randint(2, min(3, bounds.max_points))
     while floor + n_points > bounds.max_levels and n_points > 1:
         n_points -= 1
@@ -445,7 +407,6 @@ def generate_scenario(
         raise DataError("generation bounds leave no room for the headroom guarantee")
     points = POINT_LETTERS[:n_points]
     base = _random_base(rng, points, bounds.max_base)
-    bundle = build_bundle(spec, limits)
     slack = bounds.max_levels - (floor + n_points)
     n_levels = floor + n_points + rng.randint(0, min(2, slack))
     names = []
@@ -460,4 +421,4 @@ def generate_scenario(
             extra_q = rng.choice(bundle.poset.elements)
             pairs.append((extra_q, rng.choice(base)))
         names.append(Name(tuple(pairs)))
-    return Scenario(spec, points, base, tuple(names), mode)
+    return Scenario(recipe, points, base, tuple(names), mode)

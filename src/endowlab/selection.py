@@ -21,7 +21,11 @@ Modes:
 
 All solvers are deterministic: they return the canonically least solution
 for a fixed canonical order on members and families, or None when no
-solution exists.
+solution exists.  Rothberger and selective screenability share one
+backtracking search: each level offers (pick, gain) options in canonical
+order, a single fixed option with no gain below the floor, and the first
+choice of one option per level whose gains cover the space wins.  The
+three checkers share one test that the picks at or above the floor cover.
 """
 
 from __future__ import annotations
@@ -76,6 +80,49 @@ def make_selection_problem(
     return SelectionProblem(space, tuple(packaged), floor, mode)
 
 
+def _least_selection(
+    points: frozenset[str], options: Sequence[Sequence[tuple[object, frozenset[str]]]],
+) -> tuple | None:
+    """Pick one (pick, gain) option per level so that the gains cover the
+    points; returns the picks of the first solution in option order, or None.
+
+    Backtracking prunes a level whose uncovered points lie outside every
+    later gain, and remembers (level, uncovered) states that already failed.
+    """
+    n_levels = len(options)
+    suffix_union: list[frozenset[str]] = [frozenset()] * (n_levels + 1)
+    for i in range(n_levels - 1, -1, -1):
+        suffix_union[i] = suffix_union[i + 1].union(*(gain for _, gain in options[i]))
+    picks: list = []
+    dead: set[tuple[int, frozenset[str]]] = set()
+
+    def extend(i: int, uncovered: frozenset[str]) -> bool:
+        if not uncovered <= suffix_union[i] or (i, uncovered) in dead:
+            return False
+        if i == n_levels:
+            return True
+        for pick, gain in options[i]:
+            picks.append(pick)
+            if extend(i + 1, uncovered - gain):
+                return True
+            picks.pop()
+        dead.add((i, uncovered))
+        return False
+
+    return tuple(picks) if extend(0, points) else None
+
+
+def _covered_from_floor(
+    problem: SelectionProblem, families: Sequence[Iterable[Iterable[str]]],
+) -> tuple[bool, str | None]:
+    """Do the families at or above the floor jointly cover the space?"""
+    hit = frozenset().union(*(u for fam in families[problem.floor:] for u in fam))
+    missing = sorted(problem.space.points - hit)
+    if missing:
+        return False, f"points not covered at or above the floor: {missing}"
+    return True, None
+
+
 # -- rothberger ---------------------------------------------------------------
 
 
@@ -83,40 +130,13 @@ def rothberger_select(problem: SelectionProblem) -> tuple[frozenset[str], ...] |
     """One pick per level, canonically least solution first.
 
     Below the floor the canonically least member is fixed; at or above it
-    the solver backtracks over members in canonical order.
+    every member is tried in canonical order.
     """
-    space, level_covers, floor = problem.space, problem.covers, problem.floor
-    n_levels = len(level_covers)
-    if floor >= n_levels:
-        return None
-    suffix_union: list[frozenset[str]] = [frozenset()] * (n_levels + 1)
-    for i in range(n_levels - 1, -1, -1):
-        own = frozenset().union(*level_covers[i]) if i >= floor else frozenset()
-        suffix_union[i] = suffix_union[i + 1] | own
-
-    picks: list[frozenset[str]] = []
-
-    def extend(i: int, uncovered: frozenset[str]) -> bool:
-        if i == n_levels:
-            return not uncovered
-        if not uncovered <= suffix_union[i]:
-            return False
-        if i < floor:
-            picks.append(level_covers[i][0])
-            if extend(i + 1, uncovered):
-                return True
-            picks.pop()
-            return False
-        for u in level_covers[i]:
-            picks.append(u)
-            if extend(i + 1, uncovered - u):
-                return True
-            picks.pop()
-        return False
-
-    if extend(0, space.points):
-        return tuple(picks)
-    return None
+    options = [
+        [(u, u) for u in cover] if i >= problem.floor else [(cover[0], frozenset())]
+        for i, cover in enumerate(problem.covers)
+    ]
+    return _least_selection(problem.space.points, options)
 
 
 def check_rothberger(problem: SelectionProblem, picks: Sequence[frozenset[str]]) -> tuple[bool, str | None]:
@@ -125,12 +145,7 @@ def check_rothberger(problem: SelectionProblem, picks: Sequence[frozenset[str]])
     for i, u in enumerate(picks):
         if frozenset(u) not in set(problem.covers[i]):
             return False, f"level {i} pick is not a cover member"
-    hit = frozenset().union(*(frozenset(u) for i, u in enumerate(picks) if i >= problem.floor)) \
-        if problem.floor < len(picks) else frozenset()
-    if not problem.space.points <= hit:
-        missing = sorted(problem.space.points - hit)
-        return False, f"points not covered at or above the floor: {missing}"
-    return True, None
+    return _covered_from_floor(problem, [(u,) for u in picks])
 
 
 # -- menger -------------------------------------------------------------------
@@ -183,15 +198,7 @@ def check_menger(problem: SelectionProblem, families: Sequence[Sequence[frozense
         for u in fam:
             if frozenset(u) not in allowed:
                 return False, f"level {i} family member is not a cover member"
-    hit: set[str] = set()
-    for i, fam in enumerate(families):
-        if i >= problem.floor:
-            for u in fam:
-                hit.update(u)
-    if not problem.space.points <= hit:
-        missing = sorted(problem.space.points - hit)
-        return False, f"points not covered at or above the floor: {missing}"
-    return True, None
+    return _covered_from_floor(problem, families)
 
 
 # -- selective screenability --------------------------------------------------
@@ -222,42 +229,15 @@ def screenability_select(problem: SelectionProblem) -> tuple[tuple[frozenset[str
     cover member of that level.  Levels below the floor get the empty
     family.
     """
-    space, level_covers, floor = problem.space, problem.covers, problem.floor
-    n_levels = len(level_covers)
-    if floor >= n_levels:
-        return None
-    opens = [v for v in space.opens if v]
-    level_candidates: list[list[frozenset[str]]] = []
-    level_families: list[list[tuple[frozenset[str], ...]]] = []
-    for i in range(n_levels):
-        cands = [v for v in opens if any(v <= u for u in level_covers[i])]
-        level_candidates.append(cands)
-        level_families.append(_disjoint_families(cands) if i >= floor else [()])
-    suffix_union: list[frozenset[str]] = [frozenset()] * (n_levels + 1)
-    for i in range(n_levels - 1, -1, -1):
-        own = frozenset().union(*level_candidates[i]) if i >= floor and level_candidates[i] else frozenset()
-        suffix_union[i] = suffix_union[i + 1] | own
-
-    chosen: list[tuple[frozenset[str], ...]] = []
-    dead: set[tuple[int, frozenset[str]]] = set()
-
-    def extend(i: int, uncovered: frozenset[str]) -> bool:
-        if i == n_levels:
-            return not uncovered
-        if not uncovered <= suffix_union[i] or (i, uncovered) in dead:
-            return False
-        for fam in level_families[i]:
-            chosen.append(fam)
-            gained = frozenset().union(*fam) if fam and i >= floor else frozenset()
-            if extend(i + 1, uncovered - gained):
-                return True
-            chosen.pop()
-        dead.add((i, uncovered))
-        return False
-
-    if extend(0, space.points):
-        return tuple(chosen)
-    return None
+    opens = [v for v in problem.space.opens if v]
+    options = []
+    for i, cover in enumerate(problem.covers):
+        if i < problem.floor:
+            options.append([((), frozenset())])
+            continue
+        candidates = [v for v in opens if any(v <= u for u in cover)]
+        options.append([(fam, frozenset().union(*fam)) for fam in _disjoint_families(candidates)])
+    return _least_selection(problem.space.points, options)
 
 
 def check_screenability(problem: SelectionProblem, families: Sequence[Sequence[frozenset[str]]]) -> tuple[bool, str | None]:
@@ -275,15 +255,7 @@ def check_screenability(problem: SelectionProblem, families: Sequence[Sequence[f
         for a, b in combinations(members, 2):
             if not a.isdisjoint(b):
                 return False, f"level {i} members overlap: {sorted(a)} and {sorted(b)}"
-    hit: set[str] = set()
-    for i, fam in enumerate(families):
-        if i >= problem.floor:
-            for v in fam:
-                hit.update(v)
-    if not problem.space.points <= hit:
-        missing = sorted(problem.space.points - hit)
-        return False, f"points not covered at or above the floor: {missing}"
-    return True, None
+    return _covered_from_floor(problem, families)
 
 
 def solve_selection(problem: SelectionProblem):

@@ -234,8 +234,8 @@ def test_criterion_8_negative_controls():
     assert any(v.clause == "3'" and v.witness == "0:1" for v in report.violations)
 
     # (b) a tampered approximation is rejected at the exact condition
-    spec, space_payload, raw = fixture_discrete_triple()
-    bundle = build_bundle(spec)
+    recipe, space_payload, raw = fixture_discrete_triple()
+    bundle = build_bundle(recipe)
     space = FiniteSpace.from_jsonable(space_payload)
     name = make_cover_name(bundle.poset, space, raw.pairs)
     point_names = derive_point_names(bundle.poset, space, name)

@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
 import endowlab
 import endowlab.cli as cli
+from endowlab.bounds import Limits
 from endowlab.canon import canonical_json
 from endowlab.cli import main, parse_bounds, parse_poset_spec
 from endowlab.errors import UsageError
@@ -33,8 +36,8 @@ from hypothesis import strategies as st
 
 
 def test_parse_poset_spec():
-    assert parse_poset_spec("cohen:D=2").indices == (0, 1)
-    assert parse_poset_spec("measure:k=1").k == 1
+    assert parse_poset_spec("cohen:D=2") == {"kind": "cohen", "indices": [0, 1]}
+    assert parse_poset_spec("measure:k=1") == {"kind": "measure", "k": 1}
     for bad in ("cohen", "cohen:D=x", "measure:k=", "random:3"):
         with pytest.raises(UsageError):
             parse_poset_spec(bad)
@@ -43,9 +46,8 @@ def test_parse_poset_spec():
 def test_parse_poset_spec_from_file(tmp_path):
     path = tmp_path / "poset.json"
     save_instance(path, "poset", {"elements": ["t", "a"], "leq": [["a", "t"]]})
-    spec = parse_poset_spec(f"@{path}")
-    assert spec.kind == "explicit"
-    assert spec.elements == ("t", "a")
+    assert parse_poset_spec(f"@{path}") == {
+        "kind": "explicit", "elements": ["t", "a"], "leq": [["a", "t"]]}
 
 
 def test_parse_bounds():
@@ -63,6 +65,8 @@ def test_usage_errors_are_exit_64(capsys):
     assert main(["endow-verify", "cohen:D=1"]) == 64  # missing --n
     assert main(["endow-verify", "random:1", "--n", "0"]) == 64
     assert main(["dow", "measure:k=1", "--member", "0", "--n", "0"]) == 64
+    assert main(["endow-verify", "cohen:D=4", "--n", "1", "--seeded", "0"]) == 64
+    assert main(["endow-verify", "cohen:D=4", "--n", "1", "--seeded", "-3", "--full"]) == 64
     assert "usage error" in capsys.readouterr().err
 
 
@@ -152,6 +156,13 @@ def test_bounds_env_var_is_honoured(monkeypatch, capsys):
     assert "resource error" in capsys.readouterr().err
     monkeypatch.setenv("ENDOWLAB_BOUNDS", "{bad json")
     assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 65
+
+
+def test_huge_cohen_index_count_is_rejected_before_building_it(capsys):
+    start = time.perf_counter()
+    assert main(["endow-verify", "cohen:D=1000000000000", "--n", "1"]) == 70
+    assert time.perf_counter() - start < 1
+    assert "index set capped at 5 entries" in capsys.readouterr().err
 
 
 def test_resource_error_json_carries_the_partial_report(capsys):
@@ -377,6 +388,41 @@ def test_fuzzed_scenario_or_certificate_exits_with_a_documented_code(data):
         else:
             argv = ["verify", "--cert", str(source)]
         assert main(argv) in {0, 2, 3, 64, 65, 70}
+
+
+POSET_FILES = st.lists(st.text("abt", max_size=2), max_size=8, unique=True).flatmap(
+    lambda elements: st.fixed_dictionaries({
+        "elements": st.just(elements),
+        "leq": st.lists(
+            st.lists(st.sampled_from(elements + ["zz"]), min_size=2, max_size=2), max_size=6),
+    }))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POSET_FILES)
+def test_fuzzed_poset_file_exits_with_a_documented_code(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "poset.json"
+        save_instance(source, "poset", payload)
+        assert main(["endow-verify", f"@{source}", "--n", "1"]) in {0, 2, 3, 64, 65, 70}
+
+
+LIMIT_KEYS = tuple(f.name for f in fields(Limits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(LIMIT_KEYS), st.integers(0, 12), max_size=4),
+    st.just({}) | st.dictionaries(
+        st.sampled_from(LIMIT_KEYS + ("max_q",)),
+        st.integers(-1, 1) | st.booleans() | st.none() | st.text("1x", max_size=2),
+        min_size=1, max_size=1,
+    ),
+    st.integers(0, 50),
+)
+def test_fuzzed_gen_bounds_exit_with_a_documented_code(bounds, junk, seed):
+    argv = ["gen", "--seed", str(seed), "--bounds", json.dumps({**bounds, **junk})]
+    assert main(argv) in {0, 2, 3, 64, 65, 70}
 
 
 def test_gen_writes_valid_deterministic_scenarios(tmp_path, capsys):

@@ -110,8 +110,8 @@ def test_fixture_scenarios_roundtrip_through_files(tmp_path):
 
 
 def test_discrete_triple_fixture_shape():
-    spec, space_payload, name = fixture_discrete_triple()
-    assert spec.kind == "cohen"
+    recipe, space_payload, name = fixture_discrete_triple()
+    assert recipe["kind"] == "cohen"
     assert validate_instance(wrap_instance("space", space_payload)) == "space"
     assert len(name.pairs) == 3
     assert {u for _, u in name.pairs} == {

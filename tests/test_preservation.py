@@ -10,7 +10,6 @@ from endowlab.canon import canonical_json
 from endowlab.errors import DataError, ResourceError, ScenarioError
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair
 from endowlab.preservation import (
-    PosetSpec,
     Scenario,
     build_bundle,
     generate_scenario,
@@ -50,7 +49,7 @@ def test_modes_all_positive_on_fixtures():
     for mode in MODES:
         for fixture in (fixture_cohen_pair(mode=mode), fixture_measure_pair(mode=mode)):
             cert = run_preservation(fixture)
-            assert cert.verdict == "positive", (fixture.poset.kind, mode)
+            assert cert.verdict == "positive", (fixture.poset["kind"], mode)
 
 
 def test_certificates_are_byte_identical_across_runs():
@@ -139,8 +138,8 @@ def test_explicit_poset_scenario():
 
 def test_build_bundle_validates():
     with pytest.raises(DataError):
-        build_bundle(PosetSpec.from_jsonable({"kind": "mystery"}))
-    big = PosetSpec("explicit", elements=tuple(f"e{i}" for i in range(41)), leq=())
+        build_bundle({"kind": "mystery"})
+    big = {"kind": "explicit", "elements": [f"e{i}" for i in range(41)], "leq": []}
     with pytest.raises(ResourceError):
         build_bundle(big)
 

@@ -1,14 +1,17 @@
 """Selection solvers: canonical outputs, floor semantics, brute force
 optimality oracles, and unsolvable problems."""
 
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endowlab.canon import family_key
 from endowlab.errors import DataError
 from endowlab.selection import (
+    _least_selection,
     check_menger,
     check_rothberger,
     check_screenability,
@@ -86,6 +89,7 @@ def test_rothberger_floor_excludes_early_picks():
 
 
 def brute_rothberger(problem):
+    """The lexicographically least pick sequence, canonical order per level."""
     for combo in product(*problem.covers):
         hit = frozenset().union(
             *(u for i, u in enumerate(combo) if i >= problem.floor), frozenset())
@@ -100,19 +104,39 @@ def test_rothberger_agrees_with_brute_force_on_solvability(data):
     points = ["x", "y", "z"]
     space = FiniteSpace(points, [["x"], ["y"], ["z"], ["x", "y"], ["y", "z"], ["x", "y", "z"]])
     opens = [v for v in space.opens if v]
-    n_levels = data.draw(st.integers(min_value=1, max_value=3))
+    n_levels = data.draw(st.integers(min_value=1, max_value=4))
     floor = data.draw(st.integers(min_value=0, max_value=n_levels - 1))
     level_covers = []
     for _ in range(n_levels):
         members = data.draw(st.sets(st.sampled_from(opens), min_size=1, max_size=4))
-        members = set(members) | {frozenset(points)}  # keep it a cover
+        missing = frozenset(points).difference(*members)
+        members = set(members) | {frozenset({x}) for x in missing}  # keep it a cover
         level_covers.append(sorted(members, key=sorted))
     problem = make_selection_problem(space, level_covers, floor, "rothberger")
     got = rothberger_select(problem)
-    expect = brute_rothberger(problem)
-    assert (got is None) == (expect is None)
+    assert got == brute_rothberger(problem)
     if got is not None:
         assert check_rothberger(problem, got) == (True, None)
+
+
+def test_least_selection_is_the_first_product_solution():
+    # five points and up to six levels reach states the solvers' own tests
+    # do not: the memo of failed (level, uncovered) states must never skip
+    # a state that could still succeed
+    rng = random.Random(1)
+    points = frozenset("abcde")
+    for _ in range(600):
+        options = [
+            [(j, frozenset(x for x in sorted(points) if rng.random() < 0.3))
+             for j in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 6))
+        ]
+        expect = next(
+            (tuple(pick for pick, _ in combo) for combo in product(*options)
+             if points <= frozenset().union(*(gain for _, gain in combo))),
+            None,
+        )
+        assert _least_selection(points, options) == expect, options
 
 
 def test_menger_minimizes_total_size():
@@ -207,6 +231,57 @@ def test_screenability_members_must_refine():
     assert families == ((frozenset({"x"}), frozenset({"y"})),)
     ok, reason = check_screenability(problem, [(frozenset({"x", "y"}),)])
     assert not ok and "refines" in reason
+
+
+def brute_screenability(problem):
+    """The lexicographically least family sequence: below the floor only the
+    empty family, at or above it every pairwise disjoint family of nonempty
+    opens inside a cover member, ordered by size and then member keys."""
+    opens = [v for v in problem.space.opens if v]
+    options = []
+    for i, cover in enumerate(problem.covers):
+        if i < problem.floor:
+            options.append([()])
+            continue
+        candidates = [v for v in opens if any(v <= u for u in cover)]
+        families = [
+            fam for size in range(len(candidates) + 1)
+            for fam in combinations(candidates, size)
+            if all(a.isdisjoint(b) for a, b in combinations(fam, 2))
+        ]
+        options.append(sorted(families, key=lambda fam: (len(fam), family_key(fam))))
+    for combo in product(*options):
+        hit = frozenset().union(*(v for fam in combo[problem.floor:] for v in fam))
+        if problem.space.points <= hit:
+            return combo
+    return None
+
+
+SCREENABILITY_SPACES = (
+    [["x"], ["y"], ["z"]],
+    [["x", "y"], ["y", "z"]],
+    [["x"], ["x", "y"], ["y", "z"]],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_screenability_agrees_with_brute_force(data):
+    points = ["x", "y", "z"]
+    space = FiniteSpace(points, data.draw(st.sampled_from(SCREENABILITY_SPACES)))
+    opens = [v for v in space.opens if v]
+    n_levels = data.draw(st.integers(min_value=1, max_value=4))
+    floor = data.draw(st.integers(min_value=0, max_value=n_levels))
+    level_covers = []
+    for _ in range(n_levels):
+        members = data.draw(st.sets(st.sampled_from(opens), min_size=1, max_size=3))
+        members = set(members) | set(space.base)  # keep it a cover
+        level_covers.append(sorted(members, key=sorted))
+    problem = make_selection_problem(space, level_covers, floor, "selective-screenability")
+    got = screenability_select(problem)
+    assert got == brute_screenability(problem)
+    if got is not None:
+        assert check_screenability(problem, got) == (True, None)
 
 
 def test_check_screenability_rejects_overlap_and_empty():
