@@ -166,9 +166,16 @@ def _selftest_worker(payload: dict) -> dict:
 # -- subcommands ---------------------------------------------------------------
 
 
+def require_at_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{option} must be at least {least}, got {value}")
+
+
 def cmd_endow_verify(args, limits: Limits) -> int:
-    if args.seeded is not None and args.seeded < 1:
-        raise UsageError(f"--seeded COUNT must be at least 1, got {args.seeded}")
+    if args.seeded is not None:
+        require_at_least("--seeded COUNT", args.seeded, 1)
+    require_at_least("--jobs", args.jobs, 1)
+    require_at_least("--budget", args.budget, 0)
     recipe = parse_poset_spec(args.poset, limits)
     bundle = build_bundle(recipe, limits)
     family = resolve_family(bundle, args.family)
@@ -295,7 +302,7 @@ def cmd_preserve(args, limits: Limits) -> int:
     Path(args.cert).write_text(canonical_json(data) + "\n")
     lines = [
         f"property: {scenario.mode}  floor: {cert.floor}  levels: {len(scenario.names)}",
-        f"atoms certified: {len({row.atom for row in cert.atom_table})}",
+        f"atoms certified: {len({row.atom for row in cert.pipeline.atom_table})}",
         f"verdict: {cert.verdict}",
         f"certificate written to {args.cert}",
     ]
@@ -349,6 +356,8 @@ def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
 
 
 def cmd_selftest(args, limits: Limits) -> int:
+    require_at_least("--count", args.count, 1)
+    require_at_least("--jobs", args.jobs, 1)
     bounds = parse_bounds(args.bounds)
     _check_bounds(bounds, limits)
     problems: list[str] = []

@@ -48,6 +48,8 @@ class CohenPoset:
 
     Canonical condition order: by support size, then support tuple, then
     value tuple, so the top condition comes first and atoms come last.
+    `support_mask[p]` has bit j set when the j-th entry of `indices` lies in
+    the support of p.
     """
 
     def __init__(self, indices: Iterable[int], limits: Limits = DEFAULT_LIMITS):
@@ -76,6 +78,8 @@ class CohenPoset:
                     pairs.append((literal, format_condition({i: assignment[i] for i in sub})))
         self.poset = Poset(literals, pairs)
         self._assignments = assignments
+        bit = {i: 1 << j for j, i in enumerate(idx)}
+        self.support_mask = {p: sum(bit[i] for i in a) for p, a in assignments.items()}
 
     def assignment(self, literal: str) -> dict[int, int]:
         if literal not in self._assignments:

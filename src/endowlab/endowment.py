@@ -77,7 +77,8 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     supports.  The result is compatible with every condition of support
     size at most n: such a condition misses one of the n+1 disjoint support
     increments, and the keeper chosen for its restriction to the stage
-    below works.
+    below works.  Once a stage leaves the support set unchanged, each later
+    stage would repeat its scan and add nothing, so its record is copied.
     """
     if n < 0:
         raise DataError(f"stage count must be nonnegative, got {n}")
@@ -87,20 +88,29 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
         raise DataError("staged construction needs a maximal antichain")
     by_canon = sorted(items, key=poset.sort_key)
     down = poset.down_mask
+    support_mask = cohen.support_mask
+
+    def indices(mask: int) -> tuple[int, ...]:
+        return tuple(i for j, i in enumerate(cohen.indices) if mask >> j & 1)
+
     seed = by_canon[0]
     chosen: set[Condition] = {seed}
-    support: set[int] = set(cohen.support(seed))
-    stages = [DowStage((), (seed,), tuple(sorted(support)))]
-    for _ in range(1, n + 1):
-        handled = [p for p in poset.elements if cohen.support(p) <= support]
+    support = support_mask[seed]
+    stages = [DowStage((), (seed,), indices(support))]
+    for stage in range(1, n + 1):
+        handled = tuple(p for p in poset.elements if support_mask[p] & ~support == 0)
         added: list[Condition] = []
+        before = support
         for p in handled:
             pick = next(a for a in by_canon if down[a] & down[p])
             if pick not in chosen:
                 chosen.add(pick)
                 added.append(pick)
-            support.update(cohen.support(pick))
-        stages.append(DowStage(tuple(handled), tuple(added), tuple(sorted(support))))
+            support |= support_mask[pick]
+        stages.append(DowStage(handled, tuple(added), indices(support)))
+        if support == before:
+            stages.extend([DowStage(handled, (), stages[-1].support)] * (n - stage))
+            break
     return DowTrace(seed, tuple(stages), frozenset(chosen))
 
 

@@ -77,12 +77,13 @@ class MeasurePoset:
         return Fraction(len(self.cell(literal)), 2 ** self.k)
 
     def stratification(self) -> Stratification:
-        """Level n holds the cells of measure at least 2^-n.
+        """Level n holds the cells of measure at least 2^-n, that is of
+        size s with s * 2^n >= 2^k.
 
         Stabilizes exactly at k: the singletons enter last.
         """
         levels = [
-            [p for p in self.poset.elements if self.measure(p) >= Fraction(1, 2 ** n)]
+            [p for p, cell in self._cells.items() if len(cell) << n >= 1 << self.k]
             for n in range(self.k + 1)
         ]
         return make_stratification(self.poset, levels)

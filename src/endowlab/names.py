@@ -6,7 +6,9 @@ point into some value set are dense.  From a valid cover name and an
 endowment family one builds, level by level, a ground model open cover
 approximating the named one, then a refined name whose evaluations land
 inside a chosen ground family.  Certificates record the dense witnesses so
-independent replays can confirm every step.
+independent replays can confirm every step.  The pipeline closes with one
+pass that evaluates each refined name once per atom and reads every closing
+fact (subfamily flags, atom rows, covering verdict) off that one table.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from .errors import DataError
 from .poset import (
     Condition,
     ExistsSupersetInCover,
-    FamilyUnionCovers,
     Name,
     Poset,
     RefinesName,
     Stratification,
-    SubfamilyOf,
+    evaluate_name,
     forces,  # unused here; kept so `names.forces` stays a binding the benchmark tracer rebinds
     statement_holds_at,
     truth,
@@ -56,47 +57,6 @@ def make_cover_name(poset: Poset, space: FiniteSpace, pairs: Iterable[tuple[Cond
     return name
 
 
-def commitment_mask(poset: Poset, name: Name, point: str) -> int:
-    """Down mask of the conditions that commit `point` into some value set."""
-    validate_name(poset, name)
-    return poset.reach(q for q, u in name.pairs if point in u)
-
-
-@dataclass(frozen=True)
-class CoverReport:
-    ok: bool
-    entries: tuple[tuple[str, bool, Condition | None], ...]  # point, dense, uncommitted condition
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": self.ok,
-            "points": [
-                {"point": x, "dense": dense, "counterexample": bad}
-                for x, dense, bad in self.entries
-            ],
-        }
-
-
-def check_cover_name(poset: Poset, space: FiniteSpace, name: Name) -> CoverReport:
-    """Validity check: per point, the commitment conditions are dense.
-
-    A failing point comes with the canonically least condition with no
-    commitment below it.
-    """
-    validate_name(poset, name)
-    entries = []
-    ok = True
-    for x in sorted(space.points):
-        committed = commitment_mask(poset, name, x)
-        bad = next(
-            (p for p in poset.elements if poset.down_mask[p] & committed == 0),
-            None,
-        )
-        entries.append((x, bad is None, bad))
-        ok = ok and bad is None
-    return CoverReport(ok, tuple(entries))
-
-
 @dataclass(frozen=True)
 class PointName:
     """Per point data: a maximal antichain of commitment conditions and, for
@@ -123,17 +83,18 @@ class PointName:
 def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[PointName, ...]:
     """Build the per point antichains and committed sets for a valid name.
 
-    The antichain is the greedy canonical scan of the commitment conditions;
-    density of those conditions makes the result maximal in the whole poset,
-    which is verified rather than assumed.
+    Valid means every point's commitment conditions are dense; the first
+    point without raises DataError.  The antichain is the greedy canonical
+    scan of the commitment conditions; density of those conditions makes
+    the result maximal in the whole poset, which is verified rather than
+    assumed.
     """
-    report = check_cover_name(poset, space, name)
-    if not report.ok:
-        bad = next(x for x, dense, _ in report.entries if not dense)
-        raise DataError(f"name is not a valid cover name; point {bad!r} lacks dense commitments")
+    validate_name(poset, name)
     out = []
     for x in sorted(space.points):
-        committed = commitment_mask(poset, name, x)
+        committed = poset.reach(q for q, u in name.pairs if x in u)
+        if not all(poset.down_mask[p] & committed for p in poset.elements):
+            raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
         antichain: list[Condition] = []
         chosen = 0  # union of the chosen members' down masks
         for i, p in enumerate(poset.elements):
@@ -243,6 +204,26 @@ def least_witness(poset: Poset, p: Condition, truth_mask: int) -> Condition | No
     return None
 
 
+def level_witnesses(
+    poset: Poset,
+    strat: Stratification,
+    n: int,
+    masked_sets: Iterable[tuple[frozenset[str], int]],
+) -> tuple[tuple, tuple[tuple[str, ...], Condition] | None]:
+    """The (set key, p, least witness) triples for every (set, truth mask)
+    and level-n condition p, stopping at the first p with no witness, which
+    is returned as (set key, p); a lazy iterable computes no later mask."""
+    level = sorted(strat.at(n), key=poset.sort_key)
+    triples = []
+    for h, mask in masked_sets:
+        for p in level:
+            r = least_witness(poset, p, mask)
+            if r is None:
+                return tuple(triples), (set_key(h), p)
+            triples.append((set_key(h), p, r))
+    return tuple(triples), None
+
+
 def check_approximation(
     poset: Poset,
     strat: Stratification,
@@ -252,16 +233,9 @@ def check_approximation(
     """For every piece V and level condition p, find r <= p forcing that some
     named set contains V.  Negative certificates carry the first failure."""
     validate_name(poset, name)
-    level = sorted(strat.at(approx.level), key=poset.sort_key)
-    triples = []
-    for v in approx.cover:
-        mask = truth(poset, ExistsSupersetInCover(name, v))
-        for p in level:
-            r = least_witness(poset, p, mask)
-            if r is None:
-                return ApproxCertificate(approx.level, False, tuple(triples), (set_key(v), p))
-            triples.append((set_key(v), p, r))
-    return ApproxCertificate(approx.level, True, tuple(triples), None)
+    triples, counterexample = level_witnesses(poset, strat, approx.level, (
+        (v, truth(poset, ExistsSupersetInCover(name, v))) for v in approx.cover))
+    return ApproxCertificate(approx.level, counterexample is None, triples, counterexample)
 
 
 @dataclass(frozen=True)
@@ -327,31 +301,40 @@ def refine_name(
         (a for a in poset.atoms if not statement_holds_at(poset, refine_stmt, a)),
         None,
     )
-    level = sorted(strat.at(n), key=poset.sort_key)
-    triples = []
-    counterexample = None
-    for h, mask in zip(family, masks):
-        for p in level:
-            r = least_witness(poset, p, mask)
-            if r is None:
-                counterexample = (set_key(h), p)
-                break
-            triples.append((set_key(h), p, r))
-        if counterexample is not None:
-            break
-    return refined, RefineCertificate(n, bad_atom is None, bad_atom, tuple(triples), counterexample)
+    triples, counterexample = level_witnesses(poset, strat, n, zip(family, masks))
+    return refined, RefineCertificate(n, bad_atom is None, bad_atom, triples, counterexample)
+
+
+@dataclass(frozen=True)
+class AtomRow:
+    """One certified covering fact: at this atom, this point lies in this
+    evaluated set of the refined name at this level."""
+
+    atom: str
+    point: str
+    level: int | None
+    covering: frozenset[str] | None
+
+    def to_jsonable(self) -> dict:
+        return {
+            "atom": self.atom,
+            "point": self.point,
+            "level": self.level,
+            "set": None if self.covering is None else sorted(self.covering),
+        }
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Per level refined names and certificates, plus the top level covering
-    check at and above the stabilization floor."""
+    """Per level refined names and certificates, plus the closing pass: per
+    level subfamily flags, one row per (atom, point), and the covering check
+    at and above the stabilization floor."""
 
     refined: tuple[RefinedName, ...]
     certificates: tuple[RefineCertificate, ...]
     subfamily_everywhere: tuple[bool, ...]
+    atom_table: tuple[AtomRow, ...]
     union_covers: bool
-    union_counterexample: Condition | None  # atom where covering fails
 
     @property
     def positive(self) -> bool:
@@ -369,11 +352,13 @@ def run_pipeline(
     names: Sequence[Name],
     ground_families: Sequence[Iterable[frozenset[str]]],
 ) -> PipelineResult:
-    """Refine every level and certify the combined covering statement.
+    """Refine every level, then certify the result in one pass over the atoms.
 
-    Requires one ground family per name.  When some point lies in no ground
-    set at or above the stabilization floor, the run completes and reports
-    the covering statement as failed.
+    Requires one ground family per name.  The closing pass evaluates each
+    refined name once per atom, never reading the refinement's masks, so it
+    checks the construction rather than assuming it.  A row names the least
+    level at or above the stabilization floor covering its point, or none;
+    the covering statement holds exactly when every row has a level.
     """
     if len(names) != len(ground_families):
         raise DataError("need exactly one ground family per name")
@@ -383,23 +368,28 @@ def run_pipeline(
     families = [sorted_sets(frozenset(h) for h in fam) for fam in ground_families]
     refined = []
     certificates = []
-    subfamily_flags = []
     for n, name in enumerate(names):
         w, cert = refine_name(poset, strat, n, name, families[n], space)
         refined.append(w)
         certificates.append(cert)
-        stmt = SubfamilyOf(w, families[n])
-        subfamily_flags.append(all(statement_holds_at(poset, stmt, a) for a in poset.atoms))
-    tail = tuple(refined[n] for n in range(floor, len(names)))
-    union_stmt = FamilyUnionCovers(tail, space.points)
-    bad_atom = next(
-        (a for a in poset.atoms if not statement_holds_at(poset, union_stmt, a)),
-        None,
-    ) if tail else (poset.atoms[0] if space.points else None)
+    allowed = [set(fam) for fam in families]
+    subfamily = [True] * len(names)
+    points = sorted(space.points)
+    rows = []
+    for atom in poset.atoms:
+        evaluations = [evaluate_name(poset, w, atom) for w in refined]
+        for n, sets in enumerate(evaluations):
+            subfamily[n] = subfamily[n] and all(u in allowed[n] for u in sets)
+        for x in points:
+            level, covering = next(
+                ((n, h) for n in range(floor, len(names)) for h in evaluations[n] if x in h),
+                (None, None),
+            )
+            rows.append(AtomRow(atom, x, level, covering))
     return PipelineResult(
         tuple(refined),
         tuple(certificates),
-        tuple(subfamily_flags),
-        bad_atom is None,
-        bad_atom,
+        tuple(subfamily),
+        tuple(rows),
+        all(row.level is not None for row in rows),
     )

@@ -361,17 +361,6 @@ class ExistsSupersetInCover:
 
 
 @dataclass(frozen=True)
-class SubfamilyOf:
-    """Holds at an atom when every evaluated set belongs to `family`."""
-
-    name: Name
-    family: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", sorted_sets(self.family))
-
-
-@dataclass(frozen=True)
 class RefinesName:
     """Holds at an atom when each set evaluated from `finer` is contained in
     some set evaluated from `coarser`."""
@@ -380,20 +369,7 @@ class RefinesName:
     coarser: Name
 
 
-@dataclass(frozen=True)
-class FamilyUnionCovers:
-    """Holds at an atom when the evaluations of all names jointly cover
-    `points`."""
-
-    names: tuple[Name, ...]
-    points: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "points", frozenset(self.points))
-
-
-Statement = (ExistsSupersetInCover | SubfamilyOf | RefinesName | FamilyUnionCovers)
+Statement = ExistsSupersetInCover | RefinesName
 
 
 def statement_holds_at(poset: Poset, statement: Statement, atom: Condition) -> bool:
@@ -403,18 +379,9 @@ def statement_holds_at(poset: Poset, statement: Statement, atom: Condition) -> b
     conditions is validated."""
     if isinstance(statement, ExistsSupersetInCover):
         return any(statement.lower <= u for u in evaluate_name(poset, statement.name, atom))
-    if isinstance(statement, SubfamilyOf):
-        allowed = set(statement.family)
-        return all(u in allowed for u in evaluate_name(poset, statement.name, atom))
     if isinstance(statement, RefinesName):
         coarse = evaluate_name(poset, statement.coarser, atom)
         return all(any(u <= v for v in coarse) for u in evaluate_name(poset, statement.finer, atom))
-    if isinstance(statement, FamilyUnionCovers):
-        covered: set[str] = set()
-        for name in statement.names:
-            for u in evaluate_name(poset, name, atom):
-                covered.update(u)
-        return statement.points <= covered
     raise DataError(f"unknown statement type: {type(statement).__name__}")
 
 

@@ -3,8 +3,10 @@
 A scenario packages a poset recipe, a finite space, one cover name per
 level, and a selection mode.  The runner approximates every name on the
 ground, solves the selection problem with the floor at the stabilization
-index, refines every name over the selected ground families, and certifies
-per atom that the refined names cover the space at or above the floor.
+index, and hands the selected ground families to `names.run_pipeline`,
+which refines every name and, in one closing pass over the atoms, tabulates
+for each atom and point the refined set covering it at or above the floor.
+The verdict is positive only when every certificate along the way is.
 The certificate is canonical JSON: replaying the embedded scenario must
 reproduce it byte for byte.
 """
@@ -41,7 +43,6 @@ from .poset import (
     Name,
     Poset,
     Stratification,
-    evaluate_name,
     make_stratification,
 )
 from .selection import MODES, check_selection, make_selection_problem, solve_selection
@@ -129,25 +130,6 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class AtomRow:
-    """One certified covering fact: at this atom, this point lies in this
-    evaluated set of the refined name at this level."""
-
-    atom: str
-    point: str
-    level: int | None
-    covering: frozenset[str] | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "atom": self.atom,
-            "point": self.point,
-            "level": self.level,
-            "set": None if self.covering is None else sorted(self.covering),
-        }
-
-
 def _selection_jsonable(mode: str, solution) -> list:
     if mode == "rothberger":
         return [sorted(u) for u in solution]
@@ -165,7 +147,6 @@ class PreservationCertificate:
     selection_checked: bool
     ground_families: tuple[tuple[frozenset[str], ...], ...]
     pipeline: PipelineResult
-    atom_table: tuple[AtomRow, ...]
     verdict: str
 
     def to_jsonable(self) -> dict:
@@ -187,7 +168,7 @@ class PreservationCertificate:
             "refinement_certificates": [c.to_jsonable() for c in self.pipeline.certificates],
             "subfamily_everywhere": list(self.pipeline.subfamily_everywhere),
             "union_covers": self.pipeline.union_covers,
-            "atom_table": [row.to_jsonable() for row in self.atom_table],
+            "atom_table": [row.to_jsonable() for row in self.pipeline.atom_table],
             "verdict": self.verdict,
         }
 
@@ -228,29 +209,7 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
     else:
         ground_families = tuple(tuple(fam) for fam in solution)
     pipeline = run_pipeline(bundle.poset, bundle.strat, space, names, ground_families)
-    atom_rows = []
-    complete = True
-    for atom in bundle.poset.atoms:
-        evaluations = [
-            evaluate_name(bundle.poset, pipeline.refined[n], atom)
-            for n in range(len(names))
-        ]
-        for x in sorted(space.points):
-            hit = next(
-                ((n, h) for n in range(floor, len(names)) for h in evaluations[n] if x in h),
-                None,
-            )
-            if hit is None:
-                atom_rows.append(AtomRow(atom, x, None, None))
-                complete = False
-            else:
-                atom_rows.append(AtomRow(atom, x, hit[0], hit[1]))
-    positive = (
-        all(c.positive for c in approx_certs)
-        and checked
-        and pipeline.positive
-        and complete
-    )
+    positive = all(c.positive for c in approx_certs) and checked and pipeline.positive
     return PreservationCertificate(
         scenario,
         floor,
@@ -261,7 +220,6 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
         checked,
         ground_families,
         pipeline,
-        tuple(atom_rows),
         "positive" if positive else "negative",
     )
 

@@ -67,6 +67,12 @@ def test_usage_errors_are_exit_64(capsys):
     assert main(["dow", "measure:k=1", "--member", "0", "--n", "0"]) == 64
     assert main(["endow-verify", "cohen:D=4", "--n", "1", "--seeded", "0"]) == 64
     assert main(["endow-verify", "cohen:D=4", "--n", "1", "--seeded", "-3", "--full"]) == 64
+    assert main(["selftest", "--count", "0"]) == 64
+    assert main(["selftest", "--count", "-1"]) == 64
+    assert main(["selftest", "--count", "1", "--jobs", "0"]) == 64
+    assert main(["endow-verify", "cohen:D=1", "--n", "1", "--jobs", "0"]) == 64
+    assert main(["endow-verify", "cohen:D=1", "--n", "1", "--jobs", "-2"]) == 64
+    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--full", "--budget", "-1"]) == 64
     assert "usage error" in capsys.readouterr().err
 
 
@@ -363,6 +369,10 @@ def _replaced(doc, path, value):
     return doc
 
 
+# Each example here takes milliseconds; the generous deadline makes an input
+# that sends a command into an unbounded run fail the fuzz instead of hanging it.
+FUZZ = settings(max_examples=100, deadline=2000)
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.text("xy01:,", max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("kx", max_size=2), inner, max_size=2),
@@ -370,7 +380,7 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@FUZZ
 @given(st.data())
 def test_fuzzed_scenario_or_certificate_exits_with_a_documented_code(data):
     command = data.draw(st.sampled_from(["preserve", "verify"]))
@@ -398,7 +408,7 @@ POSET_FILES = st.lists(st.text("abt", max_size=2), max_size=8, unique=True).flat
     }))
 
 
-@settings(max_examples=100, deadline=None)
+@FUZZ
 @given(POSET_FILES)
 def test_fuzzed_poset_file_exits_with_a_documented_code(payload):
     with tempfile.TemporaryDirectory() as tmp:
@@ -410,7 +420,7 @@ def test_fuzzed_poset_file_exits_with_a_documented_code(payload):
 LIMIT_KEYS = tuple(f.name for f in fields(Limits))
 
 
-@settings(max_examples=100, deadline=None)
+@FUZZ
 @given(
     st.dictionaries(st.sampled_from(LIMIT_KEYS), st.integers(0, 12), max_size=4),
     st.just({}) | st.dictionaries(

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from endowlab.cohen import CohenPoset
 from endowlab.endowment import (
+    DowStage,
+    DowTrace,
     EndowmentFamily,
     EndowmentReport,
     Violation,
@@ -61,6 +63,42 @@ def test_staged_construction_supports_grow():
         supports = [set(stage.support) for stage in trace.stages]
         for lo, hi in zip(supports, supports[1:]):
             assert lo <= hi
+
+
+def reference_dow_construct(cohen, antichain, n):
+    """The stage loop as it was before support masks, copied verbatim: every
+    stage rescans the poset against a set of indices, with no early stop."""
+    poset = cohen.poset
+    items = frozenset(antichain)
+    by_canon = sorted(items, key=poset.sort_key)
+    down = poset.down_mask
+    seed = by_canon[0]
+    chosen = {seed}
+    support = set(cohen.support(seed))
+    stages = [DowStage((), (seed,), tuple(sorted(support)))]
+    for _ in range(1, n + 1):
+        handled = [p for p in poset.elements if cohen.support(p) <= support]
+        added = []
+        for p in handled:
+            pick = next(a for a in by_canon if down[a] & down[p])
+            if pick not in chosen:
+                chosen.add(pick)
+                added.append(pick)
+            support.update(cohen.support(pick))
+        stages.append(DowStage(tuple(handled), tuple(added), tuple(sorted(support))))
+    return DowTrace(seed, tuple(stages), frozenset(chosen))
+
+
+@pytest.mark.parametrize("indices", [[0], [0, 1], [0, 1, 2], [-3, 7]])
+def test_staged_construction_matches_the_stage_loop_reference(indices):
+    # n runs past the stage where the support stops growing, so the repeated
+    # records after the fixed point are compared too; [-3, 7] checks that the
+    # support masks follow the positions of sparse and negative indices
+    c = CohenPoset(indices)
+    for antichain in c.poset.maximal_antichains():
+        for n in range(7):
+            trace = dow_construct(c, antichain, n)
+            assert trace == reference_dow_construct(c, antichain, n), (sorted(antichain), n)
 
 
 def test_hitting_guarantee_exhaustive_small():

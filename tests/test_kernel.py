@@ -17,7 +17,7 @@ from endowlab.poset import (
     ExistsSupersetInCover,
     Name,
     Poset,
-    SubfamilyOf,
+    RefinesName,
     forces,
     forces_dense,
     statement_holds_at,
@@ -80,7 +80,7 @@ def test_forces_matches_the_atom_definition_for_other_statements():
     rng = random.Random(41)
     for poset in kernel_posets(rng):
         name = random_name(rng, poset)
-        stmt = SubfamilyOf(name, tuple(random_subset(rng) for _ in range(3)))
+        stmt = RefinesName(name, random_name(rng, poset))
         for p in poset.elements:
             expected = all(statement_holds_at(poset, stmt, a) for a in poset.atoms_below(p))
             assert forces(poset, p, stmt) == expected

@@ -3,21 +3,26 @@ witness certificate, refinement, and the pipeline."""
 
 import pytest
 
+from endowlab.bounds import DEFAULT_LIMITS
+from endowlab.canon import sorted_sets
+from endowlab.cli import LARGE_BOUNDS
 from endowlab.cohen import CohenPoset
 from endowlab.endowment import cohen_dow_family, maximal_antichain_family, measure_total_family
 from endowlab.errors import DataError
 from endowlab.measure import MeasurePoset
 from endowlab.names import (
     Approximation,
+    AtomRow,
     approximate,
     check_approximation,
-    check_cover_name,
     derive_point_names,
     make_cover_name,
     refine_name,
     run_pipeline,
 )
-from endowlab.poset import evaluate_name, forces, ExistsSupersetInCover
+from endowlab.poset import evaluate_name, forces, ExistsSupersetInCover, Poset
+from endowlab.preservation import build_bundle, generate_scenario, run_preservation
+from endowlab.selection import MODES
 from endowlab.topology import FiniteSpace
 
 
@@ -44,16 +49,22 @@ def test_make_cover_name_validates():
 
 def test_cover_name_validity():
     c, space, name = pair_setup()
-    report = check_cover_name(c.poset, space, name)
-    assert report.ok
-    # dropping the 0 -> 1 side breaks density for both points below 0:1
+    assert len(derive_point_names(c.poset, space, name)) == 2
+    # dropping the 0 -> 1 side breaks density for both points below 0:1;
+    # the first point in sorted order is the one named
     partial = make_cover_name(c.poset, space, [("0:0", {"x"}), ("0:0", {"x", "y"})])
-    report = check_cover_name(c.poset, space, partial)
-    assert not report.ok
-    bad_points = {x for x, dense, _ in report.entries if not dense}
-    assert bad_points == {"x", "y"}
-    counterexamples = {bad for _, dense, bad in report.entries if not dense}
-    assert counterexamples == {"0:1"}
+    with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
+        derive_point_names(c.poset, space, partial)
+    # with x committed everywhere, y is the point that fails
+    only_y = make_cover_name(c.poset, space, [("", {"x"}), ("0:0", {"x", "y"})])
+    with pytest.raises(DataError, match="point 'y' lacks dense commitments"):
+        derive_point_names(c.poset, space, only_y)
+    # two atoms and no top: only the first condition in canonical order lacks
+    # a commitment below it
+    pair = Poset(["a", "b"], [])
+    single = FiniteSpace(["x"], [["x"]])
+    with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
+        derive_point_names(pair, single, make_cover_name(pair, single, [("b", {"x"})]))
 
 
 def test_point_names_on_pair_fixture():
@@ -242,3 +253,84 @@ def test_pipeline_needs_one_family_per_name():
     c, space, name = pair_setup()
     with pytest.raises(DataError):
         run_pipeline(c.poset, c.stratification(), space, [name], [])
+
+
+# -- the closing pass against the separate checks it replaced -----------------
+#
+# `reference_closing_checks` copies the earlier closing code verbatim: the
+# subfamily loop and the union pass of run_pipeline, with the bodies of the
+# subfamily and union statements' atom evaluations inlined, and the atom
+# table loop of run_preservation.  Each evaluates the refined names again.
+
+
+def ref_subfamily_holds(poset, name, family, atom):
+    allowed = set(sorted_sets(family))
+    return all(u in allowed for u in evaluate_name(poset, name, atom))
+
+
+def ref_union_holds(poset, names, points, atom):
+    covered = set()
+    for name in names:
+        for u in evaluate_name(poset, name, atom):
+            covered.update(u)
+    return frozenset(points) <= covered
+
+
+def reference_closing_checks(poset, strat, space, refined, families):
+    floor = strat.stabilization_index
+    subfamily_flags = []
+    for n, w in enumerate(refined):
+        subfamily_flags.append(all(ref_subfamily_holds(poset, w, families[n], a) for a in poset.atoms))
+    tail = tuple(refined[n] for n in range(floor, len(refined)))
+    bad_atom = next(
+        (a for a in poset.atoms if not ref_union_holds(poset, tail, space.points, a)),
+        None,
+    ) if tail else (poset.atoms[0] if space.points else None)
+    atom_rows = []
+    complete = True
+    for atom in poset.atoms:
+        evaluations = [
+            evaluate_name(poset, refined[n], atom)
+            for n in range(len(refined))
+        ]
+        for x in sorted(space.points):
+            hit = next(
+                ((n, h) for n in range(floor, len(refined)) for h in evaluations[n] if x in h),
+                None,
+            )
+            if hit is None:
+                atom_rows.append(AtomRow(atom, x, None, None))
+                complete = False
+            else:
+                atom_rows.append(AtomRow(atom, x, hit[0], hit[1]))
+    return tuple(subfamily_flags), tuple(atom_rows), bad_atom is None, complete
+
+
+def assert_matches_reference(poset, strat, space, result, families):
+    flags, rows, union_ok, complete = reference_closing_checks(
+        poset, strat, space, result.refined, families)
+    assert result.subfamily_everywhere == flags
+    assert result.atom_table == rows
+    assert result.union_covers == union_ok == complete
+    return union_ok
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_LIMITS, LARGE_BOUNDS], ids=["default", "large"])
+@pytest.mark.parametrize("mode", MODES)
+def test_closing_pass_matches_the_separate_checks(mode, bounds):
+    for seed in range(15):
+        scenario = generate_scenario(seed, mode, bounds, bounds)
+        cert = run_preservation(scenario, bounds)
+        bundle = build_bundle(scenario.poset, bounds)
+        space = FiniteSpace(scenario.points, scenario.base, bounds)
+        assert assert_matches_reference(
+            bundle.poset, bundle.strat, space, cert.pipeline, cert.ground_families)
+
+
+def test_closing_pass_matches_the_separate_checks_when_covering_fails():
+    c, space, name = pair_setup()
+    strat = c.stratification()
+    families = [[frozenset({"x", "y"})], [frozenset({"x"})], [frozenset({"x"})]]
+    result = run_pipeline(c.poset, strat, space, [name, name, name], families)
+    assert not assert_matches_reference(c.poset, strat, space, result, families)
+    assert {row.level for row in result.atom_table if row.point == "y"} == {None}

@@ -11,11 +11,9 @@ from endowlab.errors import DataError, ResourceError
 from endowlab.poset import (
     EXHAUSTIVE_LIMIT,
     ExistsSupersetInCover,
-    FamilyUnionCovers,
     Name,
     Poset,
     RefinesName,
-    SubfamilyOf,
     evaluate_name,
     forces,
     forces_dense,
@@ -192,19 +190,13 @@ def test_superset_statements():
     assert not statement_holds_at(v, ExistsSupersetInCover(name, frozenset({"y"})), "a")
 
 
-def test_subfamily_refines_and_union_statements():
+def test_refines_statement():
     v = vee()
     fine = Name((("a", frozenset({"x"})), ("b", frozenset({"y"}))))
     coarse = Name((("t", frozenset({"x", "y"})),))
     assert statement_holds_at(v, RefinesName(fine, coarse), "a")
     assert statement_holds_at(v, RefinesName(fine, coarse), "b")
     assert not statement_holds_at(v, RefinesName(coarse, fine), "a")
-    assert statement_holds_at(v, SubfamilyOf(fine, (frozenset({"x"}), frozenset({"z"}))), "a")
-    assert not statement_holds_at(v, SubfamilyOf(fine, (frozenset({"z"}),)), "a")
-    union = FamilyUnionCovers((fine,), frozenset({"x", "y"}))
-    assert not statement_holds_at(v, union, "a")
-    both = FamilyUnionCovers((fine, coarse), frozenset({"x", "y"}))
-    assert statement_holds_at(v, both, "a")
 
 
 def test_forces_quantifies_over_atoms_below():

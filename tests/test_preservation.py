@@ -29,8 +29,8 @@ def test_cohen_pair_fixture_run():
     for approx in cert.approximations:
         assert approx.cover == (frozenset({"x"}), frozenset({"x", "y"}))
     # 4 atoms, 2 points
-    assert len(cert.atom_table) == 8
-    for row in cert.atom_table:
+    assert len(cert.pipeline.atom_table) == 8
+    for row in cert.pipeline.atom_table:
         assert row.level == 2
         assert row.point in row.covering
 
@@ -40,8 +40,8 @@ def test_measure_pair_fixture_run():
     assert cert.verdict == "positive"
     assert cert.floor == 1
     assert cert.family_label == "measure-total"
-    assert len(cert.atom_table) == 4  # 2 atoms, 2 points
-    levels = {row.level for row in cert.atom_table}
+    assert len(cert.pipeline.atom_table) == 4  # 2 atoms, 2 points
+    levels = {row.level for row in cert.pipeline.atom_table}
     assert levels <= {1, 2}
 
 
