@@ -20,7 +20,7 @@ class Limits:
     max_points: int = 6    # space size
     max_base: int = 12     # subbase size
     max_poset: int = 40    # explicit posets and exhaustive enumeration
-    max_levels: int = 8    # scenario name sequences
+    max_levels: int = 8    # scenario name sequences, and the --n level of endow-verify, dow, approx and refine
 
     @classmethod
     def from_json(cls, text: str) -> "Limits":

@@ -38,7 +38,9 @@ from .instances import (
     fixture_cohen_pair,
     fixture_measure_pair,
     load_instance,
+    parse_json,
     read_json,
+    read_text,
     save_instance,
     wrap_instance,
 )
@@ -171,11 +173,18 @@ def require_at_least(option: str, value: int, least: int) -> None:
         raise UsageError(f"{option} must be at least {least}, got {value}")
 
 
+def require_level_bound(n: int, limits: Limits) -> None:
+    """Reject a level above the level limit before any poset is built."""
+    if n > limits.max_levels:
+        raise ResourceError(f"--n capped at max_levels={limits.max_levels}, got {n}")
+
+
 def cmd_endow_verify(args, limits: Limits) -> int:
     if args.seeded is not None:
         require_at_least("--seeded COUNT", args.seeded, 1)
     require_at_least("--jobs", args.jobs, 1)
     require_at_least("--budget", args.budget, 0)
+    require_level_bound(args.n, limits)
     recipe = parse_poset_spec(args.poset, limits)
     bundle = build_bundle(recipe, limits)
     family = resolve_family(bundle, args.family)
@@ -236,6 +245,7 @@ def cmd_endow_verify(args, limits: Limits) -> int:
 
 
 def cmd_dow(args, limits: Limits) -> int:
+    require_level_bound(args.n, limits)
     recipe = parse_poset_spec(args.poset, limits)
     if recipe["kind"] != "cohen":
         raise UsageError("the staged construction needs a cohen:D=<n> poset")
@@ -255,6 +265,7 @@ def cmd_dow(args, limits: Limits) -> int:
 
 
 def cmd_approx(args, limits: Limits) -> int:
+    require_level_bound(args.n, limits)
     bundle = build_bundle(parse_poset_spec(args.poset, limits), limits)
     space = FiniteSpace.from_jsonable(load_instance(args.space, "space"), limits)
     name = make_cover_name(bundle.poset, space, Name.from_jsonable(load_instance(args.name, "name")).pairs)
@@ -278,6 +289,7 @@ def cmd_approx(args, limits: Limits) -> int:
 
 
 def cmd_refine(args, limits: Limits) -> int:
+    require_level_bound(args.n, limits)
     bundle = build_bundle(parse_poset_spec(args.poset, limits), limits)
     space = FiniteSpace.from_jsonable(load_instance(args.space, "space"), limits)
     name = make_cover_name(bundle.poset, space, Name.from_jsonable(load_instance(args.name, "name")).pairs)
@@ -311,7 +323,8 @@ def cmd_preserve(args, limits: Limits) -> int:
 
 
 def cmd_verify(args, limits: Limits) -> int:
-    report = replay_certificate(read_json(args.cert), limits)
+    text = read_text(args.cert)
+    report = replay_certificate(parse_json(text, args.cert), limits, text)
     lines = [f"replay: {'ok' if report.ok else 'MISMATCH'}"]
     if not report.ok:
         lines.append(f"mismatching sections: {list(report.mismatches)}")

@@ -61,25 +61,34 @@ class CohenPoset:
         if len(idx) > limits.max_indices:
             raise ResourceError(f"index set capped at {limits.max_indices} entries, got {len(idx)}")
         self.indices: tuple[int, ...] = tuple(idx)
+        # an assignment is keyed by its support bits and value bits over the
+        # positions of `indices`; a sub-assignment restricts both to a subset
+        # of the support, so the order pairs come from submask enumeration
+        width = len(idx)
         literals: list[str] = []
         assignments: dict[str, dict[int, int]] = {}
-        for size in range(len(idx) + 1):
-            for support in combinations(idx, size):
+        literal_of: dict[int, str] = {}
+        self.support_mask: dict[str, int] = {}
+        for size in range(width + 1):
+            for support in combinations(range(width), size):
+                support_bits = sum(1 << j for j in support)
                 for values in product((0, 1), repeat=size):
-                    assignment = dict(zip(support, values))
+                    assignment = {idx[j]: v for j, v in zip(support, values)}
                     literal = format_condition(assignment)
+                    value_bits = sum(1 << j for j, v in zip(support, values) if v)
                     literals.append(literal)
                     assignments[literal] = assignment
+                    literal_of[support_bits << width | value_bits] = literal
+                    self.support_mask[literal] = support_bits
         pairs = []
-        for literal, assignment in assignments.items():
-            support = sorted(assignment)
-            for size in range(len(support)):
-                for sub in combinations(support, size):
-                    pairs.append((literal, format_condition({i: assignment[i] for i in sub})))
+        for key, literal in literal_of.items():
+            support_bits, value_bits = key >> width, key & ~(-1 << width)
+            sub = support_bits
+            while sub:
+                sub = (sub - 1) & support_bits
+                pairs.append((literal, literal_of[sub << width | value_bits & sub]))
         self.poset = Poset(literals, pairs)
         self._assignments = assignments
-        bit = {i: 1 << j for j, i in enumerate(idx)}
-        self.support_mask = {p: sum(bit[i] for i in a) for p, a in assignments.items()}
 
     def assignment(self, literal: str) -> dict[int, int]:
         if literal not in self._assignments:

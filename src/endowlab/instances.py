@@ -50,18 +50,27 @@ def validate_instance(data, kind: str | None = None) -> str:
     return actual
 
 
-def read_json(path: str | Path):
-    """Read and parse a JSON file; an unreadable file or bad JSON is a DataError."""
+def read_text(path: str | Path) -> str:
+    """Read a text file; an unreadable or non-UTF-8 file is a DataError."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def parse_json(text: str, path: str | Path):
+    """Parse the text read from `path`; bad JSON is a DataError."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def read_json(path: str | Path):
+    """Read and parse a JSON file; an unreadable file or bad JSON is a DataError."""
+    return parse_json(read_text(path), path)
 
 
 def load_instance(path: str | Path, kind: str | None = None) -> dict:

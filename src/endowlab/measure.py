@@ -52,21 +52,25 @@ class MeasurePoset:
             raise ResourceError(f"measure algebra exponent capped at {limits.max_k}, got {k}")
         self.k = k
         self.points: tuple[str, ...] = tuple("".join(bits) for bits in product("01", repeat=k))
-        cells: list[frozenset[str]] = []
+        # a cell is keyed by its bits over the positions of `points`; the
+        # cells strictly inside it are its nonempty proper submasks
+        literals: list[str] = []
+        self._cells: dict[str, frozenset[str]] = {}
+        literal_of: dict[int, str] = {}
         for size in range(len(self.points), 0, -1):
-            for combo in combinations(self.points, size):
-                cells.append(frozenset(combo))
-        literals = [format_cell(c) for c in cells]
-        cell_of = dict(zip(literals, cells))
-        literal_of = {c: lit for lit, c in cell_of.items()}
+            for combo in combinations(range(len(self.points)), size):
+                cell = frozenset(self.points[i] for i in combo)
+                literal = format_cell(cell)
+                literals.append(literal)
+                self._cells[literal] = cell
+                literal_of[sum(1 << i for i in combo)] = literal
         pairs = []
-        for literal, cell in cell_of.items():
-            members = sorted(cell)
-            for size in range(1, len(members)):
-                for sub in combinations(members, size):
-                    pairs.append((literal_of[frozenset(sub)], literal))
+        for bits, literal in literal_of.items():
+            sub = (bits - 1) & bits
+            while sub:
+                pairs.append((literal_of[sub], literal))
+                sub = (sub - 1) & bits
         self.poset = Poset(literals, pairs)
-        self._cells = cell_of
 
     def cell(self, literal: str) -> frozenset[str]:
         if literal not in self._cells:

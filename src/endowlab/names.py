@@ -6,9 +6,19 @@ point into some value set are dense.  From a valid cover name and an
 endowment family one builds, level by level, a ground model open cover
 approximating the named one, then a refined name whose evaluations land
 inside a chosen ground family.  Certificates record the dense witnesses so
-independent replays can confirm every step.  The pipeline closes with one
-pass that evaluates each refined name once per atom and reads every closing
-fact (subfamily flags, atom rows, covering verdict) off that one table.
+independent replays can confirm every step.
+
+Every step reads names through their value masks (`poset.value_masks`, one
+atom mask per distinct value set).  A name is tabled once per step; the
+atom mask of "some named set contains V" is the union of the masks of the
+values containing V, and its forcing mask marks, by canonical position,
+the conditions whose atoms all lie inside it.  The least witness below p is
+then the lowest bit of `down_mask[p]` and the forcing mask, and the refined
+name pairs each ground set with the conditions of its forcing mask.  The
+pipeline closes with one pass over the refined names' value masks that
+reads every closing fact (subfamily flags, atom rows, covering verdict).
+Per-atom evaluation on frozensets (`poset.evaluate_name`) stays out of
+these steps and serves the tests as their reference.
 """
 
 from __future__ import annotations
@@ -21,16 +31,15 @@ from .endowment import EndowmentFamily
 from .errors import DataError
 from .poset import (
     Condition,
-    ExistsSupersetInCover,
     Name,
     Poset,
     RefinesName,
     Stratification,
-    evaluate_name,
     forces,  # unused here; kept so `names.forces` stays a binding the benchmark tracer rebinds
-    statement_holds_at,
+    superset_mask,
     truth,
     validate_name,
+    value_masks,
 )
 from .topology import FiniteSpace
 
@@ -87,13 +96,17 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
     point without raises DataError.  The antichain is the greedy canonical
     scan of the commitment conditions; density of those conditions makes
     the result maximal in the whole poset, which is verified rather than
-    assumed.
+    assumed.  A member's committed set is the least value of a committing
+    pair whose condition has the member's position bit in its down mask.
     """
     validate_name(poset, name)
+    down_mask = poset.down_mask
     out = []
     for x in sorted(space.points):
-        committed = poset.reach(q for q, u in name.pairs if x in u)
-        if not all(poset.down_mask[p] & committed for p in poset.elements):
+        # the pairs committing x, least value set first
+        pairs = sorted(((q, u) for q, u in name.pairs if x in u), key=lambda pair: set_key(pair[1]))
+        committed = poset.reach(q for q, _ in pairs)
+        if not poset.meets_everything(committed):
             raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
         antichain: list[Condition] = []
         chosen = 0  # union of the chosen members' down masks
@@ -107,11 +120,8 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
             raise DataError(f"point {x!r}: greedy antichain is not maximal")
         values = []
         for p in antichain:
-            committed = sorted(
-                (u for q, u in name.pairs if x in u and poset.leq(p, q)),
-                key=set_key,
-            )
-            values.append((p, committed[0]))
+            bit = 1 << poset.sort_key(p)
+            values.append((p, next(u for q, u in pairs if down_mask[q] & bit)))
         out.append(PointName(x, tuple(antichain), tuple(values)))
     return tuple(out)
 
@@ -186,41 +196,40 @@ class ApproxCertificate:
         }
 
 
-def least_witness(poset: Poset, p: Condition, truth_mask: int) -> Condition | None:
-    """The canonically least r <= p forcing a statement with this truth mask.
-
-    Down mask bits run in canonical order, so the first r whose atoms all
-    lie inside the truth mask is the least one; None when there is none.
-    """
-    poset.require(p)
-    elements, atom_mask = poset.elements, poset.atom_mask
-    below = poset.down_mask[p]
-    while below:
-        low = below & -below
-        r = elements[low.bit_length() - 1]
-        if atom_mask[r] & ~truth_mask == 0:
-            return r
-        below ^= low
-    return None
+def forcing_mask(poset: Poset, truth_mask: int) -> int:
+    """The conditions forcing a statement with this truth mask, by position:
+    bit i is set when every atom below elements[i] lies inside the mask."""
+    atom_mask, outside = poset.atom_mask, ~truth_mask
+    mask = 0
+    for i, p in enumerate(poset.elements):
+        if not atom_mask[p] & outside:
+            mask |= 1 << i
+    return mask
 
 
 def level_witnesses(
     poset: Poset,
     strat: Stratification,
     n: int,
-    masked_sets: Iterable[tuple[frozenset[str], int]],
+    forcing_sets: Iterable[tuple[frozenset[str], int]],
 ) -> tuple[tuple, tuple[tuple[str, ...], Condition] | None]:
-    """The (set key, p, least witness) triples for every (set, truth mask)
+    """The (set key, p, least witness) triples for every (set, forcing mask)
     and level-n condition p, stopping at the first p with no witness, which
-    is returned as (set key, p); a lazy iterable computes no later mask."""
+    is returned as (set key, p); a lazy iterable computes no later mask.
+
+    Position bits run in canonical order, so the least witness below p is
+    the lowest bit of `down_mask[p] & forcing`.
+    """
+    elements, down_mask = poset.elements, poset.down_mask
     level = sorted(strat.at(n), key=poset.sort_key)
     triples = []
-    for h, mask in masked_sets:
+    for h, forcing in forcing_sets:
+        key = set_key(h)
         for p in level:
-            r = least_witness(poset, p, mask)
-            if r is None:
-                return tuple(triples), (set_key(h), p)
-            triples.append((set_key(h), p, r))
+            hits = down_mask[p] & forcing
+            if not hits:
+                return tuple(triples), (key, p)
+            triples.append((key, p, elements[(hits & -hits).bit_length() - 1]))
     return tuple(triples), None
 
 
@@ -232,9 +241,9 @@ def check_approximation(
 ) -> ApproxCertificate:
     """For every piece V and level condition p, find r <= p forcing that some
     named set contains V.  Negative certificates carry the first failure."""
-    validate_name(poset, name)
+    table = value_masks(poset, name)
     triples, counterexample = level_witnesses(poset, strat, approx.level, (
-        (v, truth(poset, ExistsSupersetInCover(name, v))) for v in approx.cover))
+        (v, forcing_mask(poset, superset_mask(table, v))) for v in approx.cover))
     return ApproxCertificate(approx.level, counterexample is None, triples, counterexample)
 
 
@@ -286,22 +295,17 @@ def refine_name(
     """
     if n < 0:
         raise DataError(f"level must be nonnegative, got {n}")
-    validate_name(poset, name)
+    table = value_masks(poset, name)
     family = sorted_sets(frozenset(h) for h in ground_family)
     for h in family:
         if not space.is_open(h):
             raise DataError(f"ground family member {sorted(h)} is not open")
-    masks = [truth(poset, ExistsSupersetInCover(name, h)) for h in family]
+    forcing = [forcing_mask(poset, superset_mask(table, h)) for h in family]
     refined = RefinedName(tuple(
-        (p, h) for h, mask in zip(family, masks)
-        for p in poset.elements if poset.atom_mask[p] & ~mask == 0
-    ))
-    refine_stmt = RefinesName(refined, name)
-    bad_atom = next(
-        (a for a in poset.atoms if not statement_holds_at(poset, refine_stmt, a)),
-        None,
-    )
-    triples, counterexample = level_witnesses(poset, strat, n, zip(family, masks))
+        (p, h) for h, mask in zip(family, forcing) for p in poset.conditions_in(mask)))
+    missed = ~truth(poset, RefinesName(refined, name)) & ((1 << len(poset.atoms)) - 1)
+    bad_atom = poset.atoms[(missed & -missed).bit_length() - 1] if missed else None
+    triples, counterexample = level_witnesses(poset, strat, n, zip(family, forcing))
     return refined, RefineCertificate(n, bad_atom is None, bad_atom, triples, counterexample)
 
 
@@ -354,11 +358,13 @@ def run_pipeline(
 ) -> PipelineResult:
     """Refine every level, then certify the result in one pass over the atoms.
 
-    Requires one ground family per name.  The closing pass evaluates each
-    refined name once per atom, never reading the refinement's masks, so it
-    checks the construction rather than assuming it.  A row names the least
-    level at or above the stabilization floor covering its point, or none;
-    the covering statement holds exactly when every row has a level.
+    Requires one ground family per name.  The closing pass tables each
+    refined name's value masks from its pairs, never from the refinement's
+    forcing masks, so it checks the construction rather than assuming it;
+    the evaluation at atoms[j] is the values whose mask has bit j.  A row
+    names the least level at or above the stabilization floor covering its
+    point, or none; the covering statement holds exactly when every row has
+    a level.
     """
     if len(names) != len(ground_families):
         raise DataError("need exactly one ground family per name")
@@ -372,24 +378,25 @@ def run_pipeline(
         w, cert = refine_name(poset, strat, n, name, families[n], space)
         refined.append(w)
         certificates.append(cert)
-    allowed = [set(fam) for fam in families]
-    subfamily = [True] * len(names)
+    tables = [value_masks(poset, w) for w in refined]
+    # every condition has an atom below it, so every tabled value is evaluated somewhere
+    subfamily = tuple(all(u in fam for u in table) for fam, table in zip(families, tables))
     points = sorted(space.points)
+    # per point, the (level, set, atom mask) candidates in search order
+    candidates = {
+        x: [(n, u, mask) for n in range(floor, len(names)) for u, mask in tables[n].items() if x in u]
+        for x in points
+    }
     rows = []
-    for atom in poset.atoms:
-        evaluations = [evaluate_name(poset, w, atom) for w in refined]
-        for n, sets in enumerate(evaluations):
-            subfamily[n] = subfamily[n] and all(u in allowed[n] for u in sets)
+    for j, atom in enumerate(poset.atoms):
+        bit = 1 << j
         for x in points:
-            level, covering = next(
-                ((n, h) for n in range(floor, len(names)) for h in evaluations[n] if x in h),
-                (None, None),
-            )
+            level, covering = next(((n, u) for n, u, mask in candidates[x] if mask & bit), (None, None))
             rows.append(AtomRow(atom, x, level, covering))
     return PipelineResult(
         tuple(refined),
         tuple(certificates),
-        tuple(subfamily),
+        subfamily,
         tuple(rows),
         all(row.level is not None for row in rows),
     )

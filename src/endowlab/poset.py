@@ -8,29 +8,33 @@ so atoms stand in for generic filters: a condition forces a statement
 exactly when the statement holds in the evaluation determined by every atom
 below it.
 
-The forcing kernel works on integer bitmasks built once per poset.
-`atom_mask[p]` has bit j set when `atoms[j]` lies below p, and
-`down_mask[p]` has bit i set when the condition at canonical position i lies
-below p.  `truth` evaluates a statement once per atom into an atom mask, and
-p forces the statement exactly when `atom_mask[p]` lies inside that mask, so
-a caller with many forcing questions about one statement evaluates it once
-and answers each question with one mask test.
+The forcing kernel works on integer bitmasks built once per poset.  The
+constructor closes the listed order on position masks, so `down_mask[p]`
+has bit i set when the condition at canonical position i lies below p, and
+`atom_mask[p]` has bit j set when `atoms[j]` lies below p.
+Names are read through `value_masks`: one atom mask per distinct value set,
+the union of `atom_mask[q]` over the pairs (q, U).  `truth` combines these
+into the atom mask of a statement, and p forces the statement exactly when
+`atom_mask[p]` lies inside that mask, so a caller with many forcing
+questions about one statement answers each with one mask test.
 The same down masks are the compatibility kernel: p and q are compatible
 exactly when `down_mask[p] & down_mask[q]` is nonzero, and r lies below
 some member of a set L exactly when bit `pos(r)` is set in `reach(L)`, the
 union of the members' down masks.  So a set is an antichain when each
 member's mask misses the union of those before it, and a maximal one when
-every condition's mask meets the union of all of them.
-`forces_dense`, and the `is_dense_below` it rests on, deliberately stay off
-the masks: they decide the superset statement from down-sets as frozensets,
-never evaluate a name at an atom, and so remain an independent oracle for
-the kernel.
+every atom's position lies in the union of all of them.
+`evaluate_name` and `statement_holds_at` evaluate at one atom from
+frozenset down-sets, and `forces_dense`, with the `is_dense_below` it rests
+on, decides the superset statement by density without evaluating at atoms.
+They deliberately stay off the masks, and the down- and up-sets they read
+are built on first use, so they remain independent oracles for the kernel.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .canon import check_shape, set_key, sorted_sets
@@ -62,41 +66,68 @@ class Poset:
         if len(set(elements)) != len(elements):
             raise DataError("duplicate condition identifiers")
         self._elements = tuple(elements)
-        self._pos = {p: i for i, p in enumerate(self._elements)}
-        below: dict[Condition, set[Condition]] = {p: set() for p in self._elements}
+        self._pos = pos = {p: i for i, p in enumerate(self._elements)}
+        # down[i] starts as position i and the positions listed directly below it
+        down = [1 << i for i in range(len(elements))]
         for a, b in leq_pairs:
-            if a not in self._pos or b not in self._pos:
-                raise DataError(f"order pair mentions unknown condition: ({a!r}, {b!r})")
-            below[b].add(a)
-        # down sets by breadth first search; a visited set keeps this safe
-        # even on cyclic input, which antisymmetry then rejects
-        down: dict[Condition, frozenset[Condition]] = {}
-        for p in self._elements:
-            seen = {p}
-            frontier = [p]
-            while frontier:
-                q = frontier.pop()
-                for r in below[q]:
-                    if r not in seen:
-                        seen.add(r)
-                        frontier.append(r)
-            down[p] = frozenset(seen)
-        for p in self._elements:
-            for q in down[p]:
-                if q != p and p in down[q]:
-                    raise DataError(f"order is not antisymmetric: {p!r} and {q!r}")
-        self._down = down
-        up: dict[Condition, set[Condition]] = {p: set() for p in self._elements}
-        for p in self._elements:
-            for q in down[p]:
-                up[q].add(p)
-        self._up = {p: frozenset(s) for p, s in up.items()}
-        self._atoms = tuple(p for p in self._elements if len(down[p]) == 1)
+            try:
+                down[pos[b]] |= 1 << pos[a]
+            except KeyError:
+                raise DataError(f"order pair mentions unknown condition: ({a!r}, {b!r})") from None
+        # close each mask by a search over the masks, in reverse canonical
+        # order: the built-in posets list weaker conditions first, so most
+        # masks a search meets are already closed and settle every position
+        # they cover at once.  A position is expanded at most once, so cyclic
+        # input terminates, and conditions below each other end with equal
+        # masks, which the antisymmetry check below rejects.
+        closed = 0
+        for i in reversed(range(len(down))):
+            reached = down[i]
+            todo = reached & ~(1 << i)
+            while todo:
+                low = todo & -todo
+                below = down[low.bit_length() - 1]
+                if closed & low:
+                    todo &= ~below
+                else:
+                    todo = (todo ^ low) | (below & ~reached)
+                reached |= below
+            down[i] = reached
+            closed |= 1 << i
+        first: dict[int, int] = {}
+        for i, mask in enumerate(down):
+            j = first.setdefault(mask, i)
+            if j != i:
+                raise DataError(f"order is not antisymmetric: {elements[j]!r} and {elements[i]!r}")
+        self.down_mask = dict(zip(self._elements, down))
+        self._atoms = tuple(p for i, p in enumerate(self._elements) if down[i] == 1 << i)
         self._atoms_set = frozenset(self._atoms)
-        self._atoms_below = {p: frozenset(a for a in down[p] if a in self._atoms_set) for p in self._elements}
-        atom_bit = {a: 1 << j for j, a in enumerate(self._atoms)}
-        self.atom_mask = {p: sum(atom_bit[a] for a in self._atoms_below[p]) for p in self._elements}
-        self.down_mask = {p: sum(1 << self._pos[q] for q in down[p]) for p in self._elements}
+        atom_bit = {1 << pos[a]: 1 << j for j, a in enumerate(self._atoms)}
+        self._atom_positions = sum(atom_bit)
+        self.atom_mask = {}
+        for p, mask in self.down_mask.items():
+            rest = mask & self._atom_positions
+            bits = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                bits |= atom_bit[low]
+            self.atom_mask[p] = bits
+
+    @cached_property
+    def _down(self) -> dict[Condition, frozenset[Condition]]:
+        """Down-sets as frozensets, built on first use by the oracles."""
+        return {p: frozenset(self.conditions_in(mask)) for p, mask in self.down_mask.items()}
+
+    @cached_property
+    def _up(self) -> dict[Condition, frozenset[Condition]]:
+        """Up-sets as frozensets, built on first use."""
+        up = dict.fromkeys(self._elements, 0)
+        for p, mask in self.down_mask.items():
+            bit = 1 << self._pos[p]
+            for q in self.conditions_in(mask):
+                up[q] |= bit
+        return {p: frozenset(self.conditions_in(mask)) for p, mask in up.items()}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -121,7 +152,7 @@ class Poset:
         """True when p is stronger than or equal to q."""
         self.require(p)
         self.require(q)
-        return p in self._down[q]
+        return self.down_mask[q] >> self._pos[p] & 1 == 1
 
     def down(self, p: Condition) -> frozenset[Condition]:
         """All conditions at or below p."""
@@ -136,10 +167,8 @@ class Poset:
     @property
     def top(self) -> Condition | None:
         """The maximum condition if one exists."""
-        for p in self._elements:
-            if len(self._down[p]) == len(self._elements):
-                return p
-        return None
+        everything = (1 << len(self._elements)) - 1
+        return next((p for p, mask in self.down_mask.items() if mask == everything), None)
 
     @property
     def atoms(self) -> tuple[Condition, ...]:
@@ -148,7 +177,17 @@ class Poset:
 
     def atoms_below(self, p: Condition) -> frozenset[Condition]:
         self.require(p)
-        return self._atoms_below[p]
+        return frozenset(a for j, a in enumerate(self._atoms) if self.atom_mask[p] >> j & 1)
+
+    def conditions_in(self, mask: int) -> list[Condition]:
+        """The conditions at the set bits of a position mask, in canonical order."""
+        elements = self._elements
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(elements[low.bit_length() - 1])
+            mask ^= low
+        return out
 
     # -- compatibility, antichains, density --------------------------------
 
@@ -166,6 +205,13 @@ class Poset:
             mask |= self.down_mask[q]
         return mask
 
+    def meets_everything(self, reach: int) -> bool:
+        """True when every condition is compatible with some member of a set
+        whose reach this is.  Every condition has an atom below it, and an
+        atom is compatible with a member exactly when it lies in the reach,
+        so this holds exactly when every atom's position is in the mask."""
+        return self._atom_positions & ~reach == 0
+
     def is_antichain(self, conditions: Iterable[Condition]) -> bool:
         items = list(conditions)
         for p in items:
@@ -182,8 +228,7 @@ class Poset:
         items = frozenset(conditions)
         if not self.is_antichain(items):
             return False
-        reach = self.reach(items)
-        return all(self.down_mask[p] & reach for p in self._elements)
+        return self.meets_everything(self.reach(items))
 
     def is_dense(self, conditions: Iterable[Condition]) -> bool:
         """True when every condition has a member of the set below it."""
@@ -244,7 +289,8 @@ class Poset:
     # -- serialization -----------------------------------------------------
 
     def to_jsonable(self) -> dict:
-        pairs = [[a, b] for b in self._elements for a in sorted(self._down[b] - {b}, key=self.sort_key)]
+        pairs = [[a, b] for i, b in enumerate(self._elements)
+                 for a in self.conditions_in(self.down_mask[b] & ~(1 << i))]
         return {"elements": list(self._elements), "leq": pairs}
 
     @classmethod
@@ -385,13 +431,50 @@ def statement_holds_at(poset: Poset, statement: Statement, atom: Condition) -> b
     raise DataError(f"unknown statement type: {type(statement).__name__}")
 
 
+def value_masks(poset: Poset, name: Name) -> dict[frozenset[str], int]:
+    """One atom mask per distinct value set of the name, in canonical order.
+
+    The mask of U is the union of `atom_mask[q]` over the pairs (q, U), so
+    bit j is set exactly when U is among the sets evaluated at atoms[j].
+    The lookup of each pair's condition doubles as validation.
+    """
+    atom_mask = poset.atom_mask
+    masks: dict[frozenset[str], int] = {}
+    try:
+        for q, u in name.pairs:
+            masks[u] = masks.get(u, 0) | atom_mask[q]
+    except KeyError:
+        validate_name(poset, name)  # raises DataError naming the unknown condition
+        raise
+    return {u: masks[u] for u in sorted(masks, key=set_key)}
+
+
+def superset_mask(masks: dict[frozenset[str], int], lower: frozenset[str]) -> int:
+    """The atoms where some value set of a `value_masks` table contains `lower`."""
+    out = 0
+    for u, mask in masks.items():
+        if lower <= u:
+            out |= mask
+    return out
+
+
 def truth(poset: Poset, statement: Statement) -> int:
-    """The atom mask of a statement: bit j is set when it holds at atoms[j]."""
-    mask = 0
-    for j, a in enumerate(poset.atoms):
-        if statement_holds_at(poset, statement, a):
-            mask |= 1 << j
-    return mask
+    """The atom mask of a statement: bit j is set when it holds at atoms[j].
+
+    Read off the names' value masks, never by evaluating at an atom: the
+    superset statement holds where some value containing the lower set is
+    evaluated, and `finer` refines `coarser` where each evaluated finer
+    value has an evaluated coarser superset.
+    """
+    if isinstance(statement, ExistsSupersetInCover):
+        return superset_mask(value_masks(poset, statement.name), statement.lower)
+    if isinstance(statement, RefinesName):
+        coarse = value_masks(poset, statement.coarser)
+        mask = (1 << len(poset.atoms)) - 1
+        for u, present in value_masks(poset, statement.finer).items():
+            mask &= ~present | superset_mask(coarse, u)
+        return mask
+    raise DataError(f"unknown statement type: {type(statement).__name__}")
 
 
 def forces(poset: Poset, p: Condition, statement: Statement) -> bool:

@@ -182,6 +182,40 @@ def test_resource_error_json_carries_the_partial_report(capsys):
     assert data["partial"]["antichains_checked"] > 0
 
 
+LEVEL_COMMANDS = {
+    "endow-verify": lambda files: ["endow-verify", "cohen:D=2"],
+    "dow": lambda files: ["dow", "cohen:D=2", "--member", "0:0", "--member", "0:1"],
+    "approx": lambda files: ["approx", "--poset", "cohen:D=2", "--space", files[0],
+                             "--name", files[1]],
+    "refine": lambda files: ["refine", "--poset", "cohen:D=2", "--space", files[0],
+                             "--name", files[1], "--sets", files[2]],
+}
+
+
+@pytest.fixture
+def level_files(pair_files, tmp_path):
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([["x"]]))
+    return (*pair_files, str(sets))
+
+
+@pytest.mark.parametrize("command", LEVEL_COMMANDS)
+def test_level_above_the_limit_is_70_before_any_poset_is_built(command, level_files, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a poset was built")
+
+    argv = LEVEL_COMMANDS[command](level_files)
+    assert main(argv + ["--n", "8"]) in {0, 3}
+    monkeypatch.setattr(cli, "build_bundle", refuse)
+    monkeypatch.setattr(cli, "CohenPoset", refuse)
+    for n in ("9", "3000000"):
+        capsys.readouterr()
+        assert main(argv + ["--n", n]) == 70
+        assert f"--n capped at max_levels=8, got {n}" in capsys.readouterr().err
+    monkeypatch.setenv("ENDOWLAB_BOUNDS", '{"max_levels": 2}')
+    assert main(argv + ["--n", "3"]) == 70
+
+
 # -- dow -------------------------------------------------------------------------
 
 
@@ -311,6 +345,36 @@ def test_verify_tampered_certificate_is_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--cert", str(cert)]) == 3
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_dumps_the_fresh_certificate_once(tmp_path, monkeypatch, capsys):
+    import endowlab.preservation as preservation
+
+    scenario = tmp_path / "scenario.json"
+    cert = tmp_path / "cert.json"
+    save_instance(scenario, "scenario", fixture_cohen_pair().to_jsonable())
+    assert main(["preserve", "--scenario", str(scenario), "--cert", str(cert)]) == 0
+    dumps = []
+
+    def counting(obj):
+        dumps.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(preservation, "canonical_json", counting)
+    assert main(["verify", "--cert", str(cert)]) == 0
+    assert len(dumps) == 1
+    # the same certificate in other whitespace is still decided by content
+    data = json.loads(cert.read_text())
+    for text in (canonical_json(data), json.dumps(data, indent=2) + "\n"):
+        cert.write_text(text)
+        dumps.clear()
+        assert main(["verify", "--cert", str(cert)]) == 0
+        assert len(dumps) == 2
+    data["floor"] += 1
+    cert.write_text(canonical_json(data) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert)]) == 3
+    assert "mismatching sections: ['floor']" in capsys.readouterr().out
 
 
 def test_verify_missing_cert_is_65(tmp_path):

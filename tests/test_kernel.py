@@ -1,18 +1,20 @@
 """The bitmask kernel against frozenset references.
 
-`forces`, `least_witness` and the compatibility and antichain helpers read
-atom and down-set masks; `forces_dense`, the brute-force witness and the
-pairwise antichain references below read only frozenset down-sets, so they
-share no logic with the kernel."""
+`forces`, the forcing-mask witness lookup of `level_witnesses` and the
+compatibility and antichain helpers read atom and down-set masks;
+`forces_dense`, the brute-force witness and the pairwise antichain
+references below read only frozenset down-sets, so they share no logic with
+the kernel."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
 from endowlab.cohen import CohenPoset
 from endowlab.errors import DataError
 from endowlab.measure import MeasurePoset
-from endowlab.names import least_witness
+from endowlab.names import forcing_mask, level_witnesses
 from endowlab.poset import (
     ExistsSupersetInCover,
     Name,
@@ -20,6 +22,7 @@ from endowlab.poset import (
     RefinesName,
     forces,
     forces_dense,
+    make_stratification,
     statement_holds_at,
     truth,
 )
@@ -58,6 +61,19 @@ def brute_witness(poset: Poset, p, name: Name, lower: frozenset[str]):
                key=poset.sort_key, default=None)
 
 
+def mask_witness(poset: Poset, p, lower: frozenset[str], forcing: int):
+    """The least witness below p that `level_witnesses` reads off the forcing
+    mask, or None when its scan stops at p."""
+    only_p = make_stratification(poset, [[p], poset.elements])
+    triples, missing = level_witnesses(poset, only_p, 0, [(lower, forcing)])
+    if missing is not None:
+        assert missing == (tuple(sorted(lower)), p) and not triples
+        return None
+    [(key, q, r)] = triples
+    assert (key, q) == (tuple(sorted(lower)), p)
+    return r
+
+
 def test_kernel_matches_the_density_oracle():
     rng = random.Random(20260)
     outcomes = set()
@@ -65,11 +81,12 @@ def test_kernel_matches_the_density_oracle():
         for _ in range(6):
             name = random_name(rng, poset)
             lower = random_subset(rng)
-            mask = truth(poset, ExistsSupersetInCover(name, lower))
+            forcing = forcing_mask(poset, truth(poset, ExistsSupersetInCover(name, lower)))
             for p in poset.elements:
                 dense = forces_dense(poset, p, name, lower)
                 assert forces(poset, p, ExistsSupersetInCover(name, lower)) == dense
-                witness = least_witness(poset, p, mask)
+                assert (forcing >> poset.sort_key(p) & 1 == 1) == dense
+                witness = mask_witness(poset, p, lower, forcing)
                 assert witness == brute_witness(poset, p, name, lower)
                 outcomes.add((dense, witness is None))
     # every combination a witness search can meet showed up
@@ -179,3 +196,229 @@ def test_antichain_checks_require_every_item_first():
     for check in (poset.is_antichain, poset.is_maximal_antichain, poset.reach):
         with pytest.raises(DataError, match="unknown condition: 'nope'"):
             check(["t", "a", "nope"])
+
+
+# -- value masks against per-atom evaluation -------------------------------------
+
+
+def statement_posets(rng: random.Random) -> list[Poset]:
+    fixed = [CohenPoset(range(d)).poset for d in (1, 2, 3)]
+    fixed += [MeasurePoset(k).poset for k in (0, 1, 2)]
+    return fixed + [random_explicit_poset(rng) for _ in range(40)]
+
+
+def repeating_name(rng: random.Random, poset: Poset) -> Name:
+    """A name drawing its values from a pool of two, so values repeat across conditions."""
+    pool = [random_subset(rng), random_subset(rng)]
+    return Name(tuple((rng.choice(poset.elements), rng.choice(pool))
+                      for _ in range(rng.randint(0, 6))))
+
+
+def atomwise_truth(poset: Poset, stmt) -> int:
+    return sum(1 << j for j, a in enumerate(poset.atoms) if statement_holds_at(poset, stmt, a))
+
+
+def test_truth_matches_per_atom_evaluation_for_both_statement_kinds():
+    rng = random.Random(7177)
+    kinds = set()
+    for poset in statement_posets(rng):
+        names = [Name(())] + [make(rng, poset) for make in (random_name, repeating_name) for _ in range(3)]
+        for name in names:
+            lower = random_subset(rng)
+            stmt = ExistsSupersetInCover(name, lower)
+            assert truth(poset, stmt) == atomwise_truth(poset, stmt)
+            for other in names:
+                stmt = RefinesName(name, other)
+                mask = truth(poset, stmt)
+                assert mask == atomwise_truth(poset, stmt)
+                kinds.add((len(name.pairs) == 0, mask == (1 << len(poset.atoms)) - 1))
+    # empty finer names, and refinements that hold everywhere and that fail somewhere, all came up
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("stmt", [
+    ExistsSupersetInCover(Name((("ghost", frozenset("x")),)), frozenset()),
+    RefinesName(Name((("a", frozenset("x")),)), Name((("ghost", frozenset("x")),))),
+    RefinesName(Name((("ghost", frozenset("x")),)), Name((("a", frozenset("x")),))),
+])
+def test_truth_rejects_unknown_conditions_in_every_name(stmt):
+    poset = Poset(["t", "a", "b"], [("a", "t"), ("b", "t")])
+    with pytest.raises(DataError, match="unknown condition: 'ghost'"):
+        truth(poset, stmt)
+
+
+# -- the order closure against the breadth-first construction ----------------------
+
+
+def reference_order(elements, leq_pairs) -> dict:
+    """The frozenset breadth-first construction the mask closure replaced, verbatim
+    apart from returning its tables."""
+    elements = list(elements)
+    if not elements:
+        raise DataError("poset needs at least one condition")
+    if len(set(elements)) != len(elements):
+        raise DataError("duplicate condition identifiers")
+    _elements = tuple(elements)
+    _pos = {p: i for i, p in enumerate(_elements)}
+    below = {p: set() for p in _elements}
+    for a, b in leq_pairs:
+        if a not in _pos or b not in _pos:
+            raise DataError(f"order pair mentions unknown condition: ({a!r}, {b!r})")
+        below[b].add(a)
+    down = {}
+    for p in _elements:
+        seen = {p}
+        frontier = [p]
+        while frontier:
+            q = frontier.pop()
+            for r in below[q]:
+                if r not in seen:
+                    seen.add(r)
+                    frontier.append(r)
+        down[p] = frozenset(seen)
+    for p in _elements:
+        for q in down[p]:
+            if q != p and p in down[q]:
+                raise DataError(f"order is not antisymmetric: {p!r} and {q!r}")
+    up = {p: set() for p in _elements}
+    for p in _elements:
+        for q in down[p]:
+            up[q].add(p)
+    _up = {p: frozenset(s) for p, s in up.items()}
+    _atoms = tuple(p for p in _elements if len(down[p]) == 1)
+    _atoms_set = frozenset(_atoms)
+    _atoms_below = {p: frozenset(a for a in down[p] if a in _atoms_set) for p in _elements}
+    atom_bit = {a: 1 << j for j, a in enumerate(_atoms)}
+    atom_mask = {p: sum(atom_bit[a] for a in _atoms_below[p]) for p in _elements}
+    down_mask = {p: sum(1 << _pos[q] for q in down[p]) for p in _elements}
+    return {"down": down, "up": _up, "atoms": _atoms, "atoms_below": _atoms_below,
+            "atom_mask": atom_mask, "down_mask": down_mask}
+
+
+def random_order(rng: random.Random) -> tuple[list[str], list[tuple[str, str]]]:
+    """Acyclic pairs over a hidden order, with repeats and reflexive pairs, in a shuffled
+    canonical order and shuffled pair order."""
+    n = rng.randint(1, 12)
+    hidden = [f"c{i}" for i in range(n)]
+    pairs = [(hidden[j], hidden[i]) for j in range(n) for i in range(j) if rng.random() < 0.3]
+    pairs += [(p, p) for p in hidden if rng.random() < 0.2]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    elements = hidden[:]
+    rng.shuffle(elements)
+    return elements, pairs
+
+
+def assert_same_order(poset: Poset, ref: dict) -> None:
+    assert poset.atoms == ref["atoms"]
+    assert poset.atom_mask == ref["atom_mask"]
+    assert poset.down_mask == ref["down_mask"]
+    for p in poset.elements:
+        assert poset.down(p) == ref["down"][p]
+        assert poset.up(p) == ref["up"][p]
+        assert poset.atoms_below(p) == ref["atoms_below"][p]
+
+
+def test_order_closure_matches_the_breadth_first_reference():
+    rng = random.Random(90210)
+    for _ in range(60):
+        elements, pairs = random_order(rng)
+        assert_same_order(Poset(elements, pairs), reference_order(elements, pairs))
+    for poset in (CohenPoset(range(3)).poset, MeasurePoset(2).poset):
+        pairs = [tuple(pair) for pair in poset.to_jsonable()["leq"]]
+        rng.shuffle(pairs)
+        rebuilt = Poset(poset.elements, pairs)
+        assert_same_order(rebuilt, reference_order(poset.elements, pairs))
+        assert rebuilt.to_jsonable() == poset.to_jsonable()
+
+
+def test_order_closure_rejects_cycles_and_unknown_pairs_like_the_reference():
+    rng = random.Random(5150)
+    cycles = 0
+    for _ in range(60):
+        elements, pairs = random_order(rng)
+        below = [(a, b) for a, b in pairs if a != b]
+        if not below:
+            continue
+        a, b = rng.choice(below)
+        # close a cycle through the chosen pair, directly or via the reversed pair
+        for bad in (pairs + [(b, a)], pairs + [("ghost", rng.choice(elements))]):
+            with pytest.raises(DataError) as ours:
+                Poset(elements, bad)
+            with pytest.raises(DataError) as theirs:
+                reference_order(elements, bad)
+            assert str(ours.value).split(":")[0] == str(theirs.value).split(":")[0]
+        cycles += 1
+    assert cycles > 20
+    with pytest.raises(DataError, match="not antisymmetric: 'a' and 'b'"):
+        Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+# -- generated order pairs against the literal-per-pair construction ---------------
+
+
+def reference_cohen_pairs(indices) -> set:
+    """The parent construction: format one literal per sub-assignment."""
+    from endowlab.cohen import format_condition
+
+    idx = sorted(set(indices))
+    assignments = {}
+    for size in range(len(idx) + 1):
+        for support in combinations(idx, size):
+            for values in product((0, 1), repeat=size):
+                assignment = dict(zip(support, values))
+                assignments[format_condition(assignment)] = assignment
+    pairs = []
+    for literal, assignment in assignments.items():
+        support = sorted(assignment)
+        for size in range(len(support)):
+            for sub in combinations(support, size):
+                pairs.append((literal, format_condition({i: assignment[i] for i in sub})))
+    return set(pairs)
+
+
+def reference_measure_pairs(k: int) -> set:
+    """The parent construction: hash one frozenset cell per pair."""
+    from endowlab.measure import format_cell
+
+    points = tuple("".join(bits) for bits in product("01", repeat=k))
+    cells = [frozenset(c) for size in range(len(points), 0, -1) for c in combinations(points, size)]
+    literal_of = {c: format_cell(c) for c in cells}
+    pairs = []
+    for cell in cells:
+        members = sorted(cell)
+        for size in range(1, len(members)):
+            for sub in combinations(members, size):
+                pairs.append((literal_of[frozenset(sub)], literal_of[cell]))
+    return set(pairs)
+
+
+def recorded_pairs(monkeypatch, module, build) -> set:
+    seen = []
+
+    def recording(elements, pairs):
+        pairs = list(pairs)
+        seen.append(pairs)
+        return Poset(elements, pairs)
+
+    monkeypatch.setattr(module, "Poset", recording)
+    build()
+    [pairs] = seen
+    assert len(set(pairs)) == len(pairs)
+    return set(pairs)
+
+
+@pytest.mark.parametrize("indices", [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (2, 5, 7)])
+def test_cohen_order_pairs_match_the_literal_construction(indices, monkeypatch):
+    import endowlab.cohen as cohen
+
+    got = recorded_pairs(monkeypatch, cohen, lambda: CohenPoset(indices))
+    assert got == reference_cohen_pairs(indices)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_measure_order_pairs_match_the_cell_construction(k, monkeypatch):
+    import endowlab.measure as measure
+
+    got = recorded_pairs(monkeypatch, measure, lambda: MeasurePoset(k))
+    assert got == reference_measure_pairs(k)
