@@ -305,8 +305,7 @@ def cmd_refine(args, limits: Limits) -> int:
 
 
 def cmd_preserve(args, limits: Limits) -> int:
-    payload = load_instance(args.scenario, "scenario")
-    scenario = Scenario.from_jsonable(payload)
+    scenario = Scenario.from_jsonable(load_instance(args.scenario, "scenario"), checked=True)
     if args.property is not None:
         scenario = dataclasses.replace(scenario, mode=args.property)
     cert = run_preservation(scenario, limits)

@@ -49,7 +49,8 @@ class CohenPoset:
     Canonical condition order: by support size, then support tuple, then
     value tuple, so the top condition comes first and atoms come last.
     `support_mask[p]` has bit j set when the j-th entry of `indices` lies in
-    the support of p.
+    the support of p, and `within_mask[s]` marks by canonical position the
+    conditions whose support mask lies inside the support mask s.
     """
 
     def __init__(self, indices: Iterable[int], limits: Limits = DEFAULT_LIMITS):
@@ -69,6 +70,7 @@ class CohenPoset:
         assignments: dict[str, dict[int, int]] = {}
         literal_of: dict[int, str] = {}
         self.support_mask: dict[str, int] = {}
+        within = [0] * (1 << width)  # by exact support first, then unioned over submasks
         for size in range(width + 1):
             for support in combinations(range(width), size):
                 support_bits = sum(1 << j for j in support)
@@ -76,10 +78,17 @@ class CohenPoset:
                     assignment = {idx[j]: v for j, v in zip(support, values)}
                     literal = format_condition(assignment)
                     value_bits = sum(1 << j for j, v in zip(support, values) if v)
+                    within[support_bits] |= 1 << len(literals)
                     literals.append(literal)
                     assignments[literal] = assignment
                     literal_of[support_bits << width | value_bits] = literal
                     self.support_mask[literal] = support_bits
+        for j in range(width):
+            for bits in range(1 << width):
+                if bits >> j & 1:
+                    within[bits] |= within[bits ^ 1 << j]
+        self.within_mask: tuple[int, ...] = tuple(within)
+        self._within: dict[int, tuple[str, ...]] = {}
         pairs = []
         for key, literal in literal_of.items():
             support_bits, value_bits = key >> width, key & ~(-1 << width)
@@ -99,6 +108,14 @@ class CohenPoset:
         if literal not in self._assignments:
             raise DataError(f"unknown condition: {literal!r}")
         return frozenset(self._assignments[literal])
+
+    def within(self, support: int) -> tuple[str, ...]:
+        """The conditions of `within_mask[support]` in canonical order, built
+        once per support mask."""
+        handled = self._within.get(support)
+        if handled is None:
+            handled = self._within[support] = tuple(self.poset.conditions_in(self.within_mask[support]))
+        return handled
 
     def stratification(self) -> Stratification:
         """Level n holds the conditions with support size at most n.

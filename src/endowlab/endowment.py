@@ -71,14 +71,25 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     """Thin a maximal antichain to a small hitting set, in n+1 stages.
 
     Stage 0 keeps the canonically least element; its support opens the
-    support set.  Each later stage scans every condition supported inside
-    the current support set and keeps the canonically least antichain
-    element compatible with it, then widens the support set by the keepers'
-    supports.  The result is compatible with every condition of support
-    size at most n: such a condition misses one of the n+1 disjoint support
-    increments, and the keeper chosen for its restriction to the stage
-    below works.  Once a stage leaves the support set unchanged, each later
-    stage would repeat its scan and add nothing, so its record is copied.
+    support set.  Each later stage handles every condition supported inside
+    the current support set and keeps, for each, the canonically least
+    antichain element compatible with it, then widens the support set by
+    the keepers' supports.  The result is compatible with every condition
+    of support size at most n: such a condition misses one of the n+1
+    disjoint support increments, and the keeper chosen for its restriction
+    to the stage below works.  Once a stage leaves the support set
+    unchanged, each later stage would repeat it and add nothing, so its
+    record is copied.
+
+    The keepers are read off masks.  Before the stages, one pass over the
+    elements in canonical order gives each its *claim*: the positions
+    whose least compatible element it is.  A condition is compatible with
+    an element exactly when it lies above an atom below the element, so
+    the compatible positions are the union of `atom_up` over those atoms,
+    and each claim is what those leave after the earlier claims.  A stage
+    handles `within_mask[support]`; it adds the elements not yet kept
+    whose claim meets that mask, ordered by the lowest such bit, which is
+    the order a scan of the handled conditions would meet them in.
     """
     if n < 0:
         raise DataError(f"stage count must be nonnegative, got {n}")
@@ -87,31 +98,41 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     if not poset.is_maximal_antichain(items):
         raise DataError("staged construction needs a maximal antichain")
     by_canon = sorted(items, key=poset.sort_key)
-    down = poset.down_mask
-    support_mask = cohen.support_mask
+    atom_mask, atom_up = poset.atom_mask, poset.atom_up
+    support_mask, within_mask = cohen.support_mask, cohen.within_mask
 
     def indices(mask: int) -> tuple[int, ...]:
         return tuple(i for j, i in enumerate(cohen.indices) if mask >> j & 1)
 
+    claims: list[tuple[Condition, int]] = []
+    rest = (1 << len(poset)) - 1  # positions not yet claimed
+    for a in by_canon:
+        compatible = 0
+        atoms = atom_mask[a]
+        while atoms:
+            low = atoms & -atoms
+            atoms ^= low
+            compatible |= atom_up[low.bit_length() - 1]
+        claims.append((a, rest & compatible))
+        rest &= ~compatible
     seed = by_canon[0]
-    chosen: set[Condition] = {seed}
+    pending = claims[1:]  # the elements not yet kept, with their claims
     support = support_mask[seed]
     stages = [DowStage((), (seed,), indices(support))]
     for stage in range(1, n + 1):
-        handled = tuple(p for p in poset.elements if support_mask[p] & ~support == 0)
-        added: list[Condition] = []
+        handled = within_mask[support]
+        met = sorted((mine & -mine, a) for a, claim in pending if (mine := claim & handled))
+        added = tuple(a for _, a in met)
         before = support
-        for p in handled:
-            pick = next(a for a in by_canon if down[a] & down[p])
-            if pick not in chosen:
-                chosen.add(pick)
-                added.append(pick)
-            support |= support_mask[pick]
-        stages.append(DowStage(handled, tuple(added), indices(support)))
+        for a in added:
+            support |= support_mask[a]
+        pending = [(a, claim) for a, claim in pending if not claim & handled]
+        stages.append(DowStage(cohen.within(before), added, indices(support)))
         if support == before:
-            stages.extend([DowStage(handled, (), stages[-1].support)] * (n - stage))
+            stages.extend([DowStage(stages[-1].handled, (), stages[-1].support)] * (n - stage))
             break
-    return DowTrace(seed, tuple(stages), frozenset(chosen))
+    chosen = frozenset(by_canon) - {a for a, _ in pending}
+    return DowTrace(seed, tuple(stages), chosen)
 
 
 def hits_level(poset: Poset, level: Iterable[Condition], conditions: Iterable[Condition]) -> bool:

@@ -94,13 +94,18 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
 
     Valid means every point's commitment conditions are dense; the first
     point without raises DataError.  The antichain is the greedy canonical
-    scan of the commitment conditions; density of those conditions makes
-    the result maximal in the whole poset, which is verified rather than
-    assumed.  A member's committed set is the least value of a committing
-    pair whose condition has the member's position bit in its down mask.
+    scan of the commitment conditions: walking the bits of their reach (the
+    commitment mask) from low to high, a condition is kept when its down
+    mask misses those of the conditions kept so far.  Density makes the
+    result maximal in the whole poset, which is verified rather than
+    assumed.  Points with the same commitment mask share one antichain,
+    built and verified once.  A member's committed set is the least value
+    of a committing pair whose condition has the member's position bit in
+    its down mask.
     """
     validate_name(poset, name)
-    down_mask = poset.down_mask
+    elements, down_mask = poset.elements, poset.down_mask
+    greedy: dict[int, tuple[Condition, ...]] = {}  # commitment mask -> verified antichain
     out = []
     for x in sorted(space.points):
         # the pairs committing x, least value set first
@@ -108,21 +113,27 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
         committed = poset.reach(q for q, _ in pairs)
         if not poset.meets_everything(committed):
             raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
-        antichain: list[Condition] = []
-        chosen = 0  # union of the chosen members' down masks
-        for i, p in enumerate(poset.elements):
-            below = poset.down_mask[p]
-            # p is compatible with a chosen member iff their down-sets meet
-            if committed >> i & 1 and below & chosen == 0:
-                antichain.append(p)
-                chosen |= below
-        if not poset.is_maximal_antichain(antichain):
-            raise DataError(f"point {x!r}: greedy antichain is not maximal")
+        antichain = greedy.get(committed)
+        if antichain is None:
+            members: list[Condition] = []
+            chosen = 0  # union of the kept members' down masks
+            rest = committed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                p = elements[low.bit_length() - 1]
+                # p is compatible with a kept member iff their down-sets meet
+                if down_mask[p] & chosen == 0:
+                    members.append(p)
+                    chosen |= down_mask[p]
+            if not poset.is_maximal_antichain(members):
+                raise DataError(f"point {x!r}: greedy antichain is not maximal")
+            antichain = greedy[committed] = tuple(members)
         values = []
         for p in antichain:
             bit = 1 << poset.sort_key(p)
             values.append((p, next(u for q, u in pairs if down_mask[q] & bit)))
-        out.append(PointName(x, tuple(antichain), tuple(values)))
+        out.append(PointName(x, antichain, tuple(values)))
     return tuple(out)
 
 
@@ -155,17 +166,22 @@ def approximate(
     """The level-n cover: for each point, extract a family member from its
     antichain and intersect the committed sets over that member.
 
-    Each piece contains its point, so the result covers the space.
+    Points with the same antichain share one extraction.  Each piece
+    contains its point, so the result covers the space.
     """
     if n < 0:
         raise DataError(f"level must be nonnegative, got {n}")
+    extracted: dict[frozenset[Condition], frozenset[Condition]] = {}
     entries = []
     pieces = []
     for pn in sorted(point_names, key=lambda pn: pn.point):
-        chosen = family.extract(n, frozenset(pn.antichain))
+        antichain = frozenset(pn.antichain)
+        if antichain not in extracted:
+            extracted[antichain] = family.extract(n, antichain)
+        chosen = extracted[antichain]
         if not chosen:
             raise DataError(f"family extraction for point {pn.point!r} is empty")
-        if not chosen <= frozenset(pn.antichain):
+        if not chosen <= antichain:
             raise DataError(f"family extraction for point {pn.point!r} leaves the antichain")
         used = tuple(sorted(chosen, key=poset.sort_key))
         piece = frozenset.intersection(*(pn.value_at(p) for p in used))
@@ -198,13 +214,17 @@ class ApproxCertificate:
 
 def forcing_mask(poset: Poset, truth_mask: int) -> int:
     """The conditions forcing a statement with this truth mask, by position:
-    bit i is set when every atom below elements[i] lies inside the mask."""
-    atom_mask, outside = poset.atom_mask, ~truth_mask
-    mask = 0
-    for i, p in enumerate(poset.elements):
-        if not atom_mask[p] & outside:
-            mask |= 1 << i
-    return mask
+    bit i is set when every atom below elements[i] lies inside the mask,
+    that is, when elements[i] lies above no atom outside it.  So the mask is
+    every position minus the union of `atom_up[j]` over those atoms j."""
+    atom_up = poset.atom_up
+    outside = ~truth_mask & ((1 << len(atom_up)) - 1)
+    above = 0
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        above |= atom_up[low.bit_length() - 1]
+    return ((1 << len(poset)) - 1) & ~above
 
 
 def level_witnesses(

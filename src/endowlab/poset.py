@@ -17,6 +17,10 @@ the union of `atom_mask[q]` over the pairs (q, U).  `truth` combines these
 into the atom mask of a statement, and p forces the statement exactly when
 `atom_mask[p]` lies inside that mask, so a caller with many forcing
 questions about one statement answers each with one mask test.
+`atom_up[j]`, built on first use, marks by position the conditions above
+`atoms[j]`: the conditions forcing a statement are those above no atom
+outside its truth mask, and the conditions compatible with p are those
+above some atom below p.
 The same down masks are the compatibility kernel: p and q are compatible
 exactly when `down_mask[p] & down_mask[q]` is nonzero, and r lies below
 some member of a set L exactly when bit `pos(r)` is set in `reach(L)`, the
@@ -113,6 +117,19 @@ class Poset:
                 rest ^= low
                 bits |= atom_bit[low]
             self.atom_mask[p] = bits
+
+    @cached_property
+    def atom_up(self) -> tuple[int, ...]:
+        """Per atom, in the order of `atoms`, the position mask of the
+        conditions at or above it; built on first use."""
+        up = [0] * len(self._atoms)
+        for i, p in enumerate(self._elements):
+            rest = self.atom_mask[p]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                up[low.bit_length() - 1] |= 1 << i
+        return tuple(up)
 
     @cached_property
     def _down(self) -> dict[Condition, frozenset[Condition]]:
@@ -353,10 +370,9 @@ class Name:
     pairs: tuple[tuple[Condition, frozenset[str]], ...]
 
     def __post_init__(self):
-        norm = tuple(sorted(
-            {(q, frozenset(u)) for q, u in self.pairs},
-            key=lambda pair: (pair[0], set_key(pair[1])),
-        ))
+        pairs = {(q, frozenset(u)) for q, u in self.pairs}
+        keys = {u: set_key(u) for u in {u for _, u in pairs}}  # one sort per distinct value set
+        norm = tuple(sorted(pairs, key=lambda pair: (pair[0], keys[pair[1]])))
         object.__setattr__(self, "pairs", norm)
 
     def conditions(self) -> tuple[Condition, ...]:

@@ -119,14 +119,20 @@ class Scenario:
         }
 
     @classmethod
-    def from_jsonable(cls, data: dict) -> "Scenario":
-        check_shape(data, SCENARIO_SHAPE, "scenario")
+    def from_jsonable(cls, data: dict, *, checked: bool = False) -> "Scenario":
+        """Build from parsed JSON.  SCENARIO_SHAPE covers every name, so the
+        names are built directly; `checked` says the payload has already
+        passed it (as a `load_instance` payload has), so each input is
+        shape-checked once."""
+        if not checked:
+            check_shape(data, SCENARIO_SHAPE, "scenario")
         space = data["space"]
         return cls(
             data["poset"],
             tuple(sorted(space["points"])),
             tuple(frozenset(b) for b in space["base"]),
-            tuple(Name.from_jsonable(entry) for entry in data["names"]),
+            tuple(Name(tuple((e["condition"], frozenset(e["set"])) for e in entry))
+                  for entry in data["names"]),
             data["property"],
         )
 

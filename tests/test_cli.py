@@ -135,9 +135,10 @@ def test_endow_verify_parallel_output_is_canonical_with_violations(capsys):
 
 
 def test_staged_family_fails_the_joint_extension_clause_at_d3(capsys):
-    # Pending ROADMAP 3b: whether the staged family is meant to satisfy the
-    # full clause at D=3 is undecided.  This pins the verifier's current
-    # answer, so a change to the scan cannot move it silently.  Minimal case:
+    # A named negative control: the staged family is verified for the weak
+    # clauses only, and `--full` checks a stronger joint clause that it fails
+    # from D=3 on.  This pins the verifier's answer, so a change to the scan
+    # cannot move it silently.  Minimal case:
     # each of the two extractions meets p = 0:1,2:1 only through one of the
     # incompatible members 0:1,1:0 and 0:1,1:1, so no r <= p serves both.
     assert main(["endow-verify", "cohen:D=3", "--n", "2", "--full", "--json"]) == 3
@@ -281,6 +282,58 @@ def test_refine_malformed_ground_family_is_65(pair_files, tmp_path, capsys):
                "--name", name, "--n", "1", "--sets", str(sets)])
     assert rc == 65
     assert "ground family[0][1] must be a string" in capsys.readouterr().err
+
+
+SCENARIO_FILE_ERRORS = {
+    "set-is-string": (lambda s: s["names"][1][2].update(set="x"),
+                      "scenario.names[1][2].set must be a list"),
+    "unknown-kind": (lambda s: s.update(poset={"kind": "widget"}),
+                     "scenario.poset must be an object with a kind in ['cohen', 'measure', 'explicit']"),
+    "entry-without-set": (lambda s: s["names"][0].append({"condition": "0:0"}),
+                          "scenario.names[0][3] needs key 'set'"),
+    "point-not-string": (lambda s: s["space"]["base"][1].append(7),
+                         "scenario.space.base[1][2] must be a string"),
+    "unknown-property": (lambda s: s.update(property="compact"),
+                         "scenario.property must be one of ['menger', 'rothberger', 'selective-screenability']"),
+}
+
+
+@pytest.mark.parametrize("case", SCENARIO_FILE_ERRORS.values(), ids=SCENARIO_FILE_ERRORS.keys())
+def test_preserve_malformed_scenario_file_names_the_spot(case, tmp_path, capsys):
+    # the payload is shape-checked once, by the loader, with the same
+    # message the scenario parser would give
+    mutate, message = case
+    payload = fixture_cohen_pair().to_jsonable()
+    mutate(payload)
+    scenario = tmp_path / "scenario.json"
+    save_instance(scenario, "scenario", payload)
+    assert main(["preserve", "--scenario", str(scenario), "--cert", str(tmp_path / "c.json")]) == 65
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_malformed_name_space_and_poset_files_name_the_spot(pair_files, tmp_path, capsys):
+    space, name = pair_files
+    bad_name = tmp_path / "bad-name.json"
+    save_instance(bad_name, "name", [{"condition": "0:0", "set": ["x"], "extra": 1}])
+    bad_space = tmp_path / "bad-space.json"
+    save_instance(bad_space, "space", {"points": ["x", "y"], "base": [["x", True]]})
+    bad_pair = tmp_path / "bad-pair.json"
+    save_instance(bad_pair, "poset", {"elements": ["a", "b"], "leq": [["a"]]})
+    bad_element = tmp_path / "bad-element.json"
+    save_instance(bad_element, "poset", {"elements": ["a", 3], "leq": []})
+    runs = [
+        (["approx", "--poset", "cohen:D=2", "--space", space, "--name", str(bad_name), "--n", "1"],
+         "name[0] has unknown key 'extra'"),
+        (["refine", "--poset", "cohen:D=2", "--space", str(bad_space), "--name", name,
+          "--n", "1", "--sets", space],
+         "space.base[0][1] must be a string"),
+        (["endow-verify", f"@{bad_pair}", "--n", "1"], "poset.leq[0] must have 2 entries"),
+        (["approx", "--poset", f"@{bad_element}", "--space", space, "--name", name, "--n", "1"],
+         "poset.elements[1] must be a string"),
+    ]
+    for argv, message in runs:
+        assert main(argv) == 65, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_refine_undominated_set_is_3(tmp_path, capsys):

@@ -101,6 +101,23 @@ def test_staged_construction_matches_the_stage_loop_reference(indices):
             assert trace == reference_dow_construct(c, antichain, n), (sorted(antichain), n)
 
 
+@pytest.mark.parametrize("width", [4, 5])
+def test_staged_construction_matches_the_reference_on_sampled_antichains(width):
+    # the claim masks and within_mask stages against the per-condition scan,
+    # at the sizes the certify path runs; n = 8 lies past every fixed point,
+    # so the copied records are compared too
+    c = CohenPoset(range(width))
+    rng = random.Random(8000 + width)
+    copied = 0
+    for _ in range(12):
+        antichain = c.poset.random_maximal_antichain(rng)
+        for n in range(9):
+            trace = dow_construct(c, antichain, n)
+            assert trace == reference_dow_construct(c, antichain, n), (sorted(antichain), n)
+        copied += trace.stages[-1].added == () and trace.stages[-1] == trace.stages[-2]
+    assert copied
+
+
 def test_hitting_guarantee_exhaustive_small():
     # every maximal antichain, every level up to the index count plus one
     for indices in ([0], [0, 1]):

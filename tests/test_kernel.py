@@ -103,6 +103,31 @@ def test_forces_matches_the_atom_definition_for_other_statements():
             assert forces(poset, p, stmt) == expected
 
 
+def scan_forcing_mask(poset: Poset, truth_mask: int) -> int:
+    """The per-condition scan that forcing_mask replaced, copied verbatim."""
+    atom_mask, outside = poset.atom_mask, ~truth_mask
+    mask = 0
+    for i, p in enumerate(poset.elements):
+        if not atom_mask[p] & outside:
+            mask |= 1 << i
+    return mask
+
+
+def test_forcing_mask_matches_the_per_condition_scan():
+    rng = random.Random(5150)
+    posets = [CohenPoset(range(d)).poset for d in range(1, 6)]
+    posets += [MeasurePoset(k).poset for k in range(4)]
+    posets += [random_explicit_poset(rng) for _ in range(40)]
+    for poset in posets:
+        everything = (1 << len(poset.atoms)) - 1
+        masks = [0, everything] + [rng.getrandbits(len(poset.atoms)) for _ in range(8)]
+        # truth masks of real statements, as check_approximation builds them
+        masks += [truth(poset, ExistsSupersetInCover(random_name(rng, poset), random_subset(rng)))
+                  for _ in range(4)]
+        for mask in masks:
+            assert forcing_mask(poset, mask) == scan_forcing_mask(poset, mask), (poset.elements[:3], mask)
+
+
 @pytest.mark.parametrize("query", [
     lambda poset, stmt: truth(poset, stmt),
     lambda poset, stmt: forces(poset, "t", stmt),

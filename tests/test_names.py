@@ -1,10 +1,13 @@
 """Cover names: validity, point antichains, approximation with its dense
 witness certificate, refinement, and the pipeline."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from endowlab.bounds import DEFAULT_LIMITS
-from endowlab.canon import sorted_sets
+from endowlab.canon import set_key, sorted_sets
 from endowlab.cli import LARGE_BOUNDS
 from endowlab.cohen import CohenPoset
 from endowlab.endowment import cohen_dow_family, maximal_antichain_family, measure_total_family
@@ -13,6 +16,7 @@ from endowlab.measure import MeasurePoset
 from endowlab.names import (
     Approximation,
     AtomRow,
+    PointName,
     approximate,
     check_approximation,
     derive_point_names,
@@ -20,7 +24,7 @@ from endowlab.names import (
     refine_name,
     run_pipeline,
 )
-from endowlab.poset import evaluate_name, forces, ExistsSupersetInCover, Poset
+from endowlab.poset import evaluate_name, forces, ExistsSupersetInCover, Poset, validate_name
 from endowlab.preservation import build_bundle, generate_scenario, run_preservation
 from endowlab.selection import MODES
 from endowlab.topology import FiniteSpace
@@ -90,6 +94,96 @@ def test_point_antichains_are_maximal_and_committed():
             assert pn.point in u
             # the committed set is forced in below p
             assert forces(c.poset, p, ExistsSupersetInCover(name, u))
+
+
+def reference_point_names(poset, space, name):
+    """The per point greedy loop over every position, before points with
+    one commitment mask shared their antichain, copied verbatim."""
+    validate_name(poset, name)
+    down_mask = poset.down_mask
+    out = []
+    for x in sorted(space.points):
+        pairs = sorted(((q, u) for q, u in name.pairs if x in u), key=lambda pair: set_key(pair[1]))
+        committed = poset.reach(q for q, _ in pairs)
+        if not poset.meets_everything(committed):
+            raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
+        antichain = []
+        chosen = 0
+        for i, p in enumerate(poset.elements):
+            below = poset.down_mask[p]
+            if committed >> i & 1 and below & chosen == 0:
+                antichain.append(p)
+                chosen |= below
+        if not poset.is_maximal_antichain(antichain):
+            raise DataError(f"point {x!r}: greedy antichain is not maximal")
+        values = []
+        for p in antichain:
+            bit = 1 << poset.sort_key(p)
+            values.append((p, next(u for q, u in pairs if down_mask[q] & bit)))
+        out.append(PointName(x, tuple(antichain), tuple(values)))
+    return tuple(out)
+
+
+def point_name_cases():
+    """(poset, space, name) triples whose points share one commitment mask,
+    share it in part, or each have their own."""
+    rng = random.Random(77)
+    cases = []
+    for poset in (CohenPoset(range(3)).poset, MeasurePoset(2).poset):
+        space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"], ["x", "y", "z"]])
+        for _ in range(6):
+            a, b = (sorted(poset.random_maximal_antichain(rng), key=poset.sort_key) for _ in range(2))
+            extra = [(rng.choice(poset.elements), {rng.choice("xyz")}) for _ in range(3)]
+            # every point committed to the whole space on one antichain
+            shared = [(q, {"x", "y", "z"}) for q in a]
+            # x and z on one antichain, y on another, each through its singleton
+            split = [(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b]
+            for pairs in (shared, split, shared + extra, split + extra):
+                cases.append((poset, space, make_cover_name(poset, space, pairs)))
+    for seed in range(30):
+        scenario = generate_scenario(seed)
+        bundle = build_bundle(scenario.poset)
+        space = FiniteSpace(scenario.points, scenario.base)
+        cases += [(bundle.poset, space, name) for name in scenario.names]
+    return cases
+
+
+def test_point_names_match_the_per_point_reference():
+    sharing = set()
+    for poset, space, name in point_name_cases():
+        pns = derive_point_names(poset, space, name)
+        assert pns == reference_point_names(poset, space, name)
+        distinct = len({pn.antichain for pn in pns})
+        sharing.add(distinct == 1 if len(pns) > 1 else None)
+    assert {True, False} <= sharing  # shared and unshared commitment masks both ran
+
+
+def test_approximate_extracts_once_per_distinct_antichain():
+    c = CohenPoset(range(3))
+    space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"], ["x", "y", "z"]])
+    rng = random.Random(3)
+    a, b = (sorted(c.poset.random_maximal_antichain(rng), key=c.poset.sort_key) for _ in range(2))
+    assert a != b
+    family = cohen_dow_family(c)
+    calls = []
+
+    def extract(n, antichain):
+        calls.append(antichain)
+        return family.extract(n, antichain)
+
+    counted = replace(family, extract=extract)
+    for pairs, distinct in (
+        ([(q, {"x", "y", "z"}) for q in a], 1),
+        ([(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b], 2),
+        ([(q, {"x"}) for q in a] + [(q, {x}) for q in b for x in "yz"], 2),
+    ):
+        name = make_cover_name(c.poset, space, pairs)
+        pns = derive_point_names(c.poset, space, name)
+        for n in range(4):
+            calls.clear()
+            approx = approximate(c.poset, pns, n, counted)
+            assert len(calls) == len(set(calls)) == distinct
+            assert approx == approximate(c.poset, pns, n, family)
 
 
 def test_derive_rejects_invalid_names():
