@@ -16,7 +16,6 @@ import os
 import random
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bounds import DEFAULT_LIMITS, Limits, limits_from_env
@@ -27,6 +26,7 @@ from .endowment import (
     adversarial_singleton_family,
     cohen_dow_family,
     dow_construct,
+    extract_each,
     hits_level,
     maximal_antichain_family,
     measure_total_family,
@@ -136,16 +136,8 @@ def emit(args, jsonable, text_lines) -> None:
             print(line)
 
 
-# -- multiprocessing workers (top level for pickling) -------------------------
+# -- multiprocessing worker (top level for pickling) ---------------------------
 
-
-def _endow_chunk_worker(payload: dict) -> dict:
-    limits = Limits(**payload["limits"])
-    bundle = build_bundle(payload["poset"], limits)
-    family = resolve_family(bundle, payload["family"])
-    antichains = [frozenset(a) for a in payload["antichains"]]
-    report = verify_weak_endowment(bundle.poset, bundle.strat, family, payload["n"], antichains)
-    return report.to_jsonable()
 
 def _selftest_worker(payload: dict) -> dict:
     """One seed's outcome; an exception becomes a failure record, so one bad
@@ -174,7 +166,9 @@ def require_at_least(option: str, value: int, least: int) -> None:
 
 
 def require_level_bound(n: int, limits: Limits) -> None:
-    """Reject a level above the level limit before any poset is built."""
+    """Reject a negative level as a usage error, and a level above the
+    level limit, before any poset is built."""
+    require_at_least("--n", n, 0)
     if n > limits.max_levels:
         raise ResourceError(f"--n capped at max_levels={limits.max_levels}, got {n}")
 
@@ -182,7 +176,6 @@ def require_level_bound(n: int, limits: Limits) -> None:
 def cmd_endow_verify(args, limits: Limits) -> int:
     if args.seeded is not None:
         require_at_least("--seeded COUNT", args.seeded, 1)
-    require_at_least("--jobs", args.jobs, 1)
     require_at_least("--budget", args.budget, 0)
     require_level_bound(args.n, limits)
     recipe = parse_poset_spec(args.poset, limits)
@@ -193,53 +186,29 @@ def cmd_endow_verify(args, limits: Limits) -> int:
         raise UsageError(
             f"poset has {len(bundle.poset)} conditions; pass --seeded COUNT for sampling")
     antichains = gather_antichains(bundle.poset, exhaustive, args.seeded or 0, args.seed)
-    if args.jobs > 1 and len(antichains) >= 2 * args.jobs:
-        step = -(-len(antichains) // args.jobs)
-        chunks = [list(map(sorted, antichains[i:i + step]))
-                  for i in range(0, len(antichains), step)]
-        payloads = [
-            {
-                "limits": dataclasses.asdict(limits),
-                "poset": recipe,
-                "family": args.family,
-                "n": args.n,
-                "antichains": chunk,
-            }
-            for chunk in chunks if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(_endow_chunk_worker, payloads))
-        weak = {
-            "family": parts[0]["family"],
-            "level": args.n,
-            "antichains_checked": sum(p["antichains_checked"] for p in parts),
-            "violations": [v for p in parts for v in p["violations"]],
-        }
-        weak["ok"] = not weak["violations"]
-    else:
-        weak = verify_weak_endowment(
-            bundle.poset, bundle.strat, family, args.n, antichains).to_jsonable()
+    extractions = extract_each(bundle.poset, family, args.n, antichains)
+    weak = verify_weak_endowment(bundle.poset, bundle.strat, family, args.n, extractions)
     result = {
         "poset": recipe,
         "mode": "exhaustive" if exhaustive else f"seeded:{args.seeded}",
-        "weak": weak,
+        "weak": weak.to_jsonable(),
     }
     lines = [
         f"poset: {args.poset} ({len(bundle.poset)} conditions)",
-        f"family: {weak['family']}  level: {args.n}",
-        f"antichains checked: {weak['antichains_checked']} ({result['mode']})",
-        f"weak endowment: {'ok' if weak['ok'] else 'VIOLATIONS'}",
+        f"family: {weak.family}  level: {args.n}",
+        f"antichains checked: {weak.checked} ({result['mode']})",
+        f"weak endowment: {'ok' if weak.ok else 'VIOLATIONS'}",
     ]
-    ok = weak["ok"]
+    ok = weak.ok
     if args.full:
         full = verify_full_endowment(
-            bundle.poset, bundle.strat, family, args.n, antichains, args.budget).to_jsonable()
-        result["full"] = full
-        lines.append(f"joint extension clause: {'ok' if full['ok'] else 'VIOLATIONS'}")
-        ok = ok and full["ok"]
-    for violation in weak["violations"][:5]:
-        lines.append(f"  clause {violation['clause']}: witness {violation['witness']!r} "
-                     f"in antichain {violation['antichain']}")
+            bundle.poset, bundle.strat, family, args.n, extractions, args.budget)
+        result["full"] = full.to_jsonable()
+        lines.append(f"joint extension clause: {'ok' if full.ok else 'VIOLATIONS'}")
+        ok = ok and full.ok
+    for violation in weak.violations[:5]:
+        lines.append(f"  clause {violation.clause}: witness {violation.witness!r} "
+                     f"in antichain {list(violation.antichain)}")
     emit(args, result, lines)
     return 0 if ok else 3
 
@@ -264,11 +233,20 @@ def cmd_dow(args, limits: Limits) -> int:
     return 0 if hits else 3
 
 
-def cmd_approx(args, limits: Limits) -> int:
+def load_name_inputs(args, limits: Limits):
+    """The poset bundle, space and cover name that `approx` and `refine`
+    read.  `load_instance` shape-checks each payload, so the space and the
+    name are built directly from it."""
     require_level_bound(args.n, limits)
     bundle = build_bundle(parse_poset_spec(args.poset, limits), limits)
-    space = FiniteSpace.from_jsonable(load_instance(args.space, "space"), limits)
-    name = make_cover_name(bundle.poset, space, Name.from_jsonable(load_instance(args.name, "name")).pairs)
+    payload = load_instance(args.space, "space")
+    space = FiniteSpace(payload["points"], payload["base"], limits)
+    pairs = ((entry["condition"], entry["set"]) for entry in load_instance(args.name, "name"))
+    return bundle, space, make_cover_name(bundle.poset, space, pairs)
+
+
+def cmd_approx(args, limits: Limits) -> int:
+    bundle, space, name = load_name_inputs(args, limits)
     family = resolve_family(bundle, args.family)
     point_names = derive_point_names(bundle.poset, space, name)
     approx = approximate(bundle.poset, point_names, args.n, family)
@@ -289,10 +267,7 @@ def cmd_approx(args, limits: Limits) -> int:
 
 
 def cmd_refine(args, limits: Limits) -> int:
-    require_level_bound(args.n, limits)
-    bundle = build_bundle(parse_poset_spec(args.poset, limits), limits)
-    space = FiniteSpace.from_jsonable(load_instance(args.space, "space"), limits)
-    name = make_cover_name(bundle.poset, space, Name.from_jsonable(load_instance(args.name, "name")).pairs)
+    bundle, space, name = load_name_inputs(args, limits)
     raw = read_json(args.sets)
     check_shape(raw, [[str]], "ground family")
     family = [frozenset(s) for s in raw]
@@ -381,33 +356,25 @@ def cmd_selftest(args, limits: Limits) -> int:
         problems.append("forcing oracles disagree")
     lines.append(f"forcing oracles agree: {agree}/{queries}")
 
-    staged_ok = True
-    for size in (1, 2):
-        cohen = CohenPoset(tuple(range(size)), limits)
-        family = cohen_dow_family(cohen)
-        antichains = cohen.poset.maximal_antichains()
-        for n in range(4):
-            report = verify_weak_endowment(
-                cohen.poset, cohen.stratification(), family, n, antichains)
-            staged_ok = staged_ok and report.ok
-    if not staged_ok:
-        problems.append("staged hitting guarantee failed")
-    lines.append(f"staged hitting guarantee (exhaustive D<=2, n<=3): "
-                 f"{'ok' if staged_ok else 'FAILED'}")
-
-    measure_ok = True
-    for k in (1, 2):
-        algebra = MeasurePoset(k, limits)
-        family = measure_total_family(algebra)
-        antichains = algebra.poset.maximal_antichains()
-        for n in range(3):
-            report = verify_weak_endowment(
-                algebra.poset, algebra.stratification(), family, n, antichains)
-            measure_ok = measure_ok and report.ok
-    if not measure_ok:
-        problems.append("measure extraction bound failed")
-    lines.append(f"measure extraction bound (exhaustive k<=2, n<=2): "
-                 f"{'ok' if measure_ok else 'FAILED'}")
+    sweeps = {}
+    for key, label, scope, algebras, levels, make_family in (
+        ("staged_ok", "staged hitting guarantee", "exhaustive D<=2, n<=3",
+         [CohenPoset(tuple(range(size)), limits) for size in (1, 2)], 4, cohen_dow_family),
+        ("measure_ok", "measure extraction bound", "exhaustive k<=2, n<=2",
+         [MeasurePoset(k, limits) for k in (1, 2)], 3, measure_total_family),
+    ):
+        ok = True
+        for algebra in algebras:
+            family = make_family(algebra)
+            strat = algebra.stratification()
+            antichains = algebra.poset.maximal_antichains()
+            for n in range(levels):
+                extractions = extract_each(algebra.poset, family, n, antichains)
+                ok = ok and verify_weak_endowment(algebra.poset, strat, family, n, extractions).ok
+        if not ok:
+            problems.append(f"{label} failed")
+        lines.append(f"{label} ({scope}): {'ok' if ok else 'FAILED'}")
+        sweeps[key] = ok
 
     fixed = [fixture_cohen_pair(mode=mode) for mode in MODES[:2]]
     fixed.append(fixture_measure_pair(mode=MODES[2]))
@@ -430,6 +397,8 @@ def cmd_selftest(args, limits: Limits) -> int:
         for i in range(args.count)
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_selftest_worker, payloads))
     else:
@@ -438,8 +407,7 @@ def cmd_selftest(args, limits: Limits) -> int:
     result = {
         "oracle_agreements": agree,
         "oracle_queries": queries,
-        "staged_ok": staged_ok,
-        "measure_ok": measure_ok,
+        **sweeps,
         "fixed_ok": fixed_ok,
         "scenarios": len(results),
         "failures": failures,
@@ -463,15 +431,15 @@ def build_parser() -> _Parser:
     p.add_argument("poset", help="cohen:D=<n>, measure:k=<n>, or @poset.json")
     p.add_argument("--n", type=int, required=True, help="level to check")
     p.add_argument("--family", default="default", choices=["default", "maximal", "adversarial"])
-    p.add_argument("--exhaustive", action="store_true", help="force exhaustive enumeration")
-    p.add_argument("--seeded", type=int, default=None, metavar="COUNT",
-                   help="sample COUNT random maximal antichains instead")
+    sampling = p.add_mutually_exclusive_group()
+    sampling.add_argument("--exhaustive", action="store_true", help="force exhaustive enumeration")
+    sampling.add_argument("--seeded", type=int, default=None, metavar="COUNT",
+                          help="sample COUNT random maximal antichains instead")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full", action="store_true", help="also check the joint extension clause")
     p.add_argument("--budget", type=int, default=DEFAULT_FULL_BUDGET,
                    help="joint extension step budget: conditions of down(p) examined, "
                         "up to and including the least witness")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_endow_verify)
 

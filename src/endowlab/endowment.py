@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .canon import set_list
 from .cohen import CohenPoset
@@ -245,32 +245,48 @@ class EndowmentReport:
         }
 
 
+Extraction = tuple[frozenset[Condition], frozenset[Condition]]
+
+
+def extract_each(
+    poset: Poset,
+    family: EndowmentFamily,
+    n: int,
+    antichains: Iterable[Iterable[Condition]],
+) -> tuple[Extraction, ...]:
+    """Run the family's extractor once on each antichain.
+
+    Returns (antichain, extraction) pairs in input order, the input both
+    verifiers read.  Every input must be a maximal antichain.
+    """
+    if n < 0:
+        raise DataError(f"level must be nonnegative, got {n}")
+    pairs = []
+    for antichain in antichains:
+        items = frozenset(antichain)
+        if not poset.is_maximal_antichain(items):
+            raise DataError("endowment verification needs maximal antichains")
+        pairs.append((items, frozenset(family.extract(n, items))))
+    return tuple(pairs)
+
+
 def verify_weak_endowment(
     poset: Poset,
     strat: Stratification,
     family: EndowmentFamily,
     n: int,
-    antichains: Iterable[frozenset[Condition]],
+    extractions: Sequence[Extraction],
 ) -> EndowmentReport:
-    """Check the weak property clause by clause over the given antichains.
+    """Check the weak property clause by clause over `extract_each` pairs.
 
-    Every input must be a maximal antichain.  For each one the extractor
-    runs once and the result is checked to be an antichain (clause 1), a
-    family member lying inside the input (clause 2), and compatible with
+    Each extraction is checked to be an antichain (clause 1), a family
+    member lying inside its antichain (clause 2), and compatible with
     every level-n condition (clause 3').
     """
-    if n < 0:
-        raise DataError(f"level must be nonnegative, got {n}")
     level = sorted(strat.at(n), key=poset.sort_key)
     violations: list[Violation] = []
-    checked = 0
-    for antichain in antichains:
-        items = frozenset(antichain)
-        if not poset.is_maximal_antichain(items):
-            raise DataError("weak verification needs maximal antichains")
-        checked += 1
+    for items, chosen in extractions:
         key = tuple(sorted(items, key=poset.sort_key))
-        chosen = frozenset(family.extract(n, items))
         if not poset.is_antichain(chosen):
             violations.append(Violation("1", key, None, "extraction is not an antichain"))
         if not chosen <= items:
@@ -282,7 +298,7 @@ def verify_weak_endowment(
         for p in level:
             if not poset.down_mask[p] & reach:
                 violations.append(Violation("3'", key, p, "level condition incompatible with every member"))
-    return EndowmentReport(family.label, n, checked, tuple(violations))
+    return EndowmentReport(family.label, n, len(extractions), tuple(violations))
 
 
 DEFAULT_FULL_BUDGET = 2_000_000
@@ -293,10 +309,10 @@ def verify_full_endowment(
     strat: Stratification,
     family: EndowmentFamily,
     n: int,
-    antichains: Iterable[frozenset[Condition]],
+    extractions: Sequence[Extraction],
     budget: int = DEFAULT_FULL_BUDGET,
 ) -> EndowmentReport:
-    """Check the joint extension clause over extractions from the antichains.
+    """Check the joint extension clause over the extractions of `extract_each`.
 
     For every level-n condition p and every n-tuple of extraction results
     there must be a common lower bound scheme: some r <= p lying below a
@@ -312,17 +328,9 @@ def verify_full_endowment(
     exceed the budget, the scan raises ResourceError carrying the partial
     report.
     """
-    if n < 0:
-        raise DataError(f"level must be nonnegative, got {n}")
     level = sorted(strat.at(n), key=poset.sort_key)
     reach: dict[frozenset[Condition], int] = {}  # distinct extraction outputs, in first-seen order
-    checked = 0
-    for antichain in antichains:
-        items = frozenset(antichain)
-        if not poset.is_maximal_antichain(items):
-            raise DataError("full verification needs maximal antichains")
-        checked += 1
-        chosen = frozenset(family.extract(n, items))
+    for _, chosen in extractions:
         if chosen not in reach:
             reach[chosen] = poset.reach(chosen)
     violations: list[Violation] = []
@@ -340,9 +348,9 @@ def verify_full_endowment(
             else:
                 steps += below.bit_count()
             if steps > budget:
-                partial = EndowmentReport(family.label, n, checked, tuple(violations))
+                partial = EndowmentReport(family.label, n, len(extractions), tuple(violations))
                 raise ResourceError(f"joint extension scan exceeded budget {budget}", partial=partial)
             if not hits:
                 flat = tuple(sorted(frozenset().union(*combo), key=poset.sort_key)) if combo else ()
                 violations.append(Violation("3", flat, p, "no common extension scheme for tuple"))
-    return EndowmentReport(family.label, n, checked, tuple(violations))
+    return EndowmentReport(family.label, n, len(extractions), tuple(violations))

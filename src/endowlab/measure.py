@@ -96,42 +96,43 @@ class MeasurePoset:
 def measure_endowment_member(algebra: MeasurePoset, n: int, conditions: Iterable[str]) -> bool:
     """Membership test: an antichain whose total measure exceeds 1 - 2^-n.
 
-    The bound is strict.  Any antichain passing it meets every condition of
-    measure at least 2^-n: the cells left uncovered have total measure below
-    2^-n, too small to swallow such a condition.  Non antichain input is
-    rejected.
+    The bound is strict; with the cell sizes summed to `total`, it reads
+    total * 2^n > (2^n - 1) * 2^k in integers.  Any antichain passing it
+    meets every condition of measure at least 2^-n: the cells left
+    uncovered have total measure below 2^-n, too small to swallow such a
+    condition.  Non antichain input is rejected.
     """
     if n < 0:
         raise DataError(f"level must be nonnegative, got {n}")
     items = frozenset(conditions)
     if not algebra.poset.is_antichain(items):
         raise DataError("membership test needs an antichain")
-    total = sum((algebra.measure(p) for p in items), Fraction(0))
-    return total > 1 - Fraction(1, 2 ** n)
+    total = sum(len(algebra.cell(p)) for p in items)
+    return total << n > ((1 << n) - 1) << algebra.k
 
 
 def extract_measure_endowment(algebra: MeasurePoset, n: int, antichain: Iterable[str]) -> frozenset[str]:
     """Greedy member extraction from a maximal antichain.
 
-    Takes cells largest first (canonical order breaks ties) until the total
-    measure strictly exceeds 1 - 2^-n.  A maximal antichain in this algebra
-    partitions the cube, so its total is exactly 1 and the prefix always
-    exists.
+    Takes cells in canonical order (largest first, ties broken by sorted
+    members) until the total measure strictly exceeds 1 - 2^-n, compared
+    in integers as in `measure_endowment_member`.  A maximal antichain in
+    this algebra partitions the cube, so its total is exactly 1 and the
+    prefix always exists.
     """
     if n < 0:
         raise DataError(f"level must be nonnegative, got {n}")
     items = frozenset(antichain)
     if not algebra.poset.is_maximal_antichain(items):
         raise DataError("extraction needs a maximal antichain")
-    ordered = sorted(items, key=lambda p: (-algebra.measure(p), tuple(sorted(algebra.cell(p)))))
     chosen: list[str] = []
-    total = Fraction(0)
-    bound = 1 - Fraction(1, 2 ** n)
-    for p in ordered:
-        if total > bound:
+    total = 0
+    bound = ((1 << n) - 1) << algebra.k
+    for p in sorted(items, key=algebra.poset.sort_key):
+        if total << n > bound:
             break
         chosen.append(p)
-        total += algebra.measure(p)
-    if total <= bound:
+        total += len(algebra.cell(p))
+    if total << n <= bound:
         raise DataError("maximal antichain has total measure at most the bound; not a partition")
     return frozenset(chosen)

@@ -17,6 +17,7 @@ from endowlab.cohen import CohenPoset
 from endowlab.endowment import (
     adversarial_singleton_family,
     cohen_dow_family,
+    extract_each,
     measure_total_family,
     verify_weak_endowment,
 )
@@ -66,7 +67,8 @@ def test_criterion_1_weak_endowment_on_assignment_posets():
         else:
             antichains = _seeded_antichains(cohen.poset, SEEDED_SAMPLES, seed=size)
         for n in range(4):
-            report = verify_weak_endowment(cohen.poset, strat, family, n, antichains)
+            extractions = extract_each(cohen.poset, family, n, antichains)
+            report = verify_weak_endowment(cohen.poset, strat, family, n, extractions)
             assert report.ok, (size, n, report.violations[:1])
             checked += report.checked
     elapsed = time.monotonic() - start
@@ -92,7 +94,8 @@ def test_criterion_2_measure_algebra_endowment():
                 total = sum((algebra.measure(c) for c in member), Fraction(0))
                 assert isinstance(total, Fraction)
                 assert total > bound, (k, n, sorted(antichain))
-            report = verify_weak_endowment(algebra.poset, strat, family, n, antichains)
+            extractions = extract_each(algebra.poset, family, n, antichains)
+            report = verify_weak_endowment(algebra.poset, strat, family, n, extractions)
             assert report.ok, (k, n, report.violations[:1])
             checked += report.checked
     print(f"PASS criterion 2: measure extraction exceeds every level bound exactly "
@@ -226,10 +229,9 @@ def test_criterion_8_negative_controls():
     # (a) the adversarial family violates the compatibility clause with the
     # documented witness on the four-atom antichain
     cohen = CohenPoset([0, 1])
-    atoms = frozenset(cohen.poset.atoms)
-    report = verify_weak_endowment(
-        cohen.poset, cohen.stratification(),
-        adversarial_singleton_family(cohen.poset), 1, [atoms])
+    family = adversarial_singleton_family(cohen.poset)
+    extractions = extract_each(cohen.poset, family, 1, [frozenset(cohen.poset.atoms)])
+    report = verify_weak_endowment(cohen.poset, cohen.stratification(), family, 1, extractions)
     assert not report.ok
     assert any(v.clause == "3'" and v.witness == "0:1" for v in report.violations)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import endowlab
 import endowlab.cli as cli
+import endowlab.endowment as endowment
 from endowlab.bounds import Limits
 from endowlab.canon import canonical_json
 from endowlab.cli import main, parse_bounds, parse_poset_spec
@@ -70,9 +71,14 @@ def test_usage_errors_are_exit_64(capsys):
     assert main(["selftest", "--count", "0"]) == 64
     assert main(["selftest", "--count", "-1"]) == 64
     assert main(["selftest", "--count", "1", "--jobs", "0"]) == 64
-    assert main(["endow-verify", "cohen:D=1", "--n", "1", "--jobs", "0"]) == 64
-    assert main(["endow-verify", "cohen:D=1", "--n", "1", "--jobs", "-2"]) == 64
     assert main(["endow-verify", "cohen:D=2", "--n", "1", "--full", "--budget", "-1"]) == 64
+    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--exhaustive", "--seeded", "5"]) == 64
+    assert main(["endow-verify", "cohen:D=2", "--n", "-1"]) == 64
+    assert main(["dow", "cohen:D=2", "--member", "", "--n", "-1"]) == 64
+    assert main(["approx", "--poset", "cohen:D=2", "--space", "s.json", "--name", "n.json",
+                 "--n", "-1"]) == 64
+    assert main(["refine", "--poset", "cohen:D=2", "--space", "s.json", "--name", "n.json",
+                 "--n", "-2", "--sets", "f.json"]) == 64
     assert "usage error" in capsys.readouterr().err
 
 
@@ -115,23 +121,27 @@ def test_endow_verify_seeded_sampling(capsys):
     assert "seeded:50" in capsys.readouterr().out
 
 
-def test_endow_verify_parallel_jobs_match_serial(capsys):
-    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--jobs", "2", "--json"]) == 0
-    parallel = json.loads(capsys.readouterr().out)
-    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--json"]) == 0
-    serial = json.loads(capsys.readouterr().out)
-    assert parallel["weak"]["ok"] and serial["weak"]["ok"]
-    assert parallel["weak"]["antichains_checked"] == serial["weak"]["antichains_checked"]
+def test_endow_verify_full_extracts_each_antichain_once(monkeypatch, capsys):
+    # the weak and the joint extension clauses read one extraction pass
+    calls = []
+    real = endowment.dow_construct
+
+    def counted(cohen, antichain, n):
+        calls.append(antichain)
+        return real(cohen, antichain, n)
+
+    monkeypatch.setattr(endowment, "dow_construct", counted)
+    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--full"]) == 0
+    out = capsys.readouterr().out
+    assert "antichains checked: 8 (exhaustive)" in out
+    assert "joint extension clause: ok" in out
+    assert len(calls) == len(set(calls)) == 8
 
 
-def test_endow_verify_parallel_output_is_canonical_with_violations(capsys):
-    args = ["endow-verify", "cohen:D=2", "--n", "1", "--family", "adversarial", "--json"]
-    assert main(args + ["--jobs", "2"]) == 3
-    parallel = capsys.readouterr().out
-    assert main(args) == 3
-    serial = capsys.readouterr().out
-    assert parallel == serial
-    assert json.loads(serial)["weak"]["violations"]
+def test_endow_verify_has_no_jobs_option(capsys):
+    # one serial path: a worker pool would only split the weak clauses
+    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--jobs", "2"]) == 64
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_staged_family_fails_the_joint_extension_clause_at_d3(capsys):
@@ -639,5 +649,6 @@ def test_cli_imports_only_the_standard_library():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     loaded = {name.split(".")[0] for name in run.stdout.split()}
-    # multiprocessing registers the main module again under this alias
-    assert loaded - set(sys.stdlib_module_names) - {"__mp_main__"} == {"endowlab"}
+    assert loaded - set(sys.stdlib_module_names) == {"endowlab"}
+    # only `selftest --jobs` above 1 needs a process pool
+    assert "multiprocessing" not in loaded

@@ -19,6 +19,7 @@ from endowlab.endowment import (
     adversarial_singleton_family,
     cohen_dow_family,
     dow_construct,
+    extract_each,
     maximal_antichain_family,
     measure_total_family,
     verify_full_endowment,
@@ -145,8 +146,8 @@ def test_hitting_guarantee_sampled_three_indices(n, seed):
 def test_weak_verifier_accepts_staged_family():
     c = CohenPoset([0, 1])
     family = cohen_dow_family(c)
-    report = verify_weak_endowment(
-        c.poset, c.stratification(), family, 1, c.poset.maximal_antichains())
+    extractions = extract_each(c.poset, family, 1, c.poset.maximal_antichains())
+    report = verify_weak_endowment(c.poset, c.stratification(), family, 1, extractions)
     assert report.ok
     assert report.checked == 8
     assert report.family == "staged-hitting"
@@ -156,24 +157,24 @@ def test_weak_verifier_accepts_measure_family():
     m = MeasurePoset(2)
     family = measure_total_family(m)
     for n in range(3):
-        report = verify_weak_endowment(
-            m.poset, m.stratification(), family, n, m.poset.maximal_antichains())
+        extractions = extract_each(m.poset, family, n, m.poset.maximal_antichains())
+        report = verify_weak_endowment(m.poset, m.stratification(), family, n, extractions)
         assert report.ok, report.violations
 
 
 def test_weak_verifier_accepts_maximal_family():
     m = MeasurePoset(1)
     family = maximal_antichain_family(m.poset)
-    report = verify_weak_endowment(
-        m.poset, m.stratification(), family, 1, m.poset.maximal_antichains())
-    assert report.ok
+    extractions = extract_each(m.poset, family, 1, m.poset.maximal_antichains())
+    assert verify_weak_endowment(m.poset, m.stratification(), family, 1, extractions).ok
 
 
 def test_weak_verifier_flags_adversarial_family():
     c = CohenPoset([0, 1])
     family = adversarial_singleton_family(c.poset)
     atoms = frozenset(c.poset.atoms)
-    report = verify_weak_endowment(c.poset, c.stratification(), family, 1, [atoms])
+    extractions = extract_each(c.poset, family, 1, [atoms])
+    report = verify_weak_endowment(c.poset, c.stratification(), family, 1, extractions)
     assert not report.ok
     # the kept singleton is the least atom; the opposite value at index 0
     # is a level 1 condition incompatible with it
@@ -181,19 +182,40 @@ def test_weak_verifier_flags_adversarial_family():
     assert ("3'", "0:1") in clauses
 
 
-def test_weak_verifier_rejects_non_maximal_input():
+def test_extraction_rejects_non_maximal_input():
     c = CohenPoset([0, 1])
-    family = cohen_dow_family(c)
-    with pytest.raises(DataError):
-        verify_weak_endowment(c.poset, c.stratification(), family, 1, [frozenset({"0:0"})])
+    family = maximal_antichain_family(c.poset)
+    with pytest.raises(DataError, match="needs maximal antichains"):
+        extract_each(c.poset, family, 1, [frozenset({"0:0"})])
+    with pytest.raises(DataError, match="level must be nonnegative"):
+        extract_each(c.poset, family, -1, c.poset.maximal_antichains())
+
+
+def test_weak_and_full_verification_extract_each_antichain_once():
+    c = CohenPoset([0, 1])
+    inner = cohen_dow_family(c)
+    calls = []
+
+    def extract(n, antichain):
+        calls.append(antichain)
+        return inner.extract(n, antichain)
+
+    family = EndowmentFamily(inner.label, inner.member, extract)
+    antichains = c.poset.maximal_antichains()
+    extractions = extract_each(c.poset, family, 2, antichains)
+    assert [items for items, _ in extractions] == list(antichains)
+    weak = verify_weak_endowment(c.poset, c.stratification(), family, 2, extractions)
+    full = verify_full_endowment(c.poset, c.stratification(), family, 2, extractions)
+    assert weak.ok and full.ok
+    assert weak.checked == full.checked == len(antichains) == 8
+    assert calls == list(antichains)
 
 
 def test_weak_report_jsonable_shape():
     c = CohenPoset([0])
     family = adversarial_singleton_family(c.poset)
-    report = verify_weak_endowment(
-        c.poset, c.stratification(), family, 1, [frozenset(c.poset.atoms)])
-    data = report.to_jsonable()
+    extractions = extract_each(c.poset, family, 1, [frozenset(c.poset.atoms)])
+    data = verify_weak_endowment(c.poset, c.stratification(), family, 1, extractions).to_jsonable()
     assert data["ok"] is False
     assert data["antichains_checked"] == 1
     violation = data["violations"][0]
@@ -204,30 +226,28 @@ def test_full_verifier_level_zero_is_vacuous():
     # 0-tuples impose no constraint beyond p extending itself
     c = CohenPoset([0])
     family = cohen_dow_family(c)
-    report = verify_full_endowment(
-        c.poset, c.stratification(), family, 0, c.poset.maximal_antichains())
-    assert report.ok
+    extractions = extract_each(c.poset, family, 0, c.poset.maximal_antichains())
+    assert verify_full_endowment(c.poset, c.stratification(), family, 0, extractions).ok
 
 
 def test_full_verifier_positive_small_cases():
     c = CohenPoset([0, 1])
     family = cohen_dow_family(c)
     for n in (1, 2):
-        report = verify_full_endowment(
-            c.poset, c.stratification(), family, n, c.poset.maximal_antichains())
+        extractions = extract_each(c.poset, family, n, c.poset.maximal_antichains())
+        report = verify_full_endowment(c.poset, c.stratification(), family, n, extractions)
         assert report.ok, report.violations
     m = MeasurePoset(1)
-    report = verify_full_endowment(
-        m.poset, m.stratification(), measure_total_family(m), 1,
-        m.poset.maximal_antichains())
-    assert report.ok
+    family = measure_total_family(m)
+    extractions = extract_each(m.poset, family, 1, m.poset.maximal_antichains())
+    assert verify_full_endowment(m.poset, m.stratification(), family, 1, extractions).ok
 
 
 def test_full_verifier_flags_adversarial_family():
     c = CohenPoset([0, 1])
     family = adversarial_singleton_family(c.poset)
-    report = verify_full_endowment(
-        c.poset, c.stratification(), family, 1, [frozenset(c.poset.atoms)])
+    extractions = extract_each(c.poset, family, 1, [frozenset(c.poset.atoms)])
+    report = verify_full_endowment(c.poset, c.stratification(), family, 1, extractions)
     assert not report.ok
     assert all(v.clause == "3" for v in report.violations)
 
@@ -235,9 +255,9 @@ def test_full_verifier_flags_adversarial_family():
 def test_full_verifier_budget():
     c = CohenPoset([0, 1])
     family = cohen_dow_family(c)
+    extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
     with pytest.raises(ResourceError) as info:
-        verify_full_endowment(
-            c.poset, c.stratification(), family, 2, c.poset.maximal_antichains(), budget=10)
+        verify_full_endowment(c.poset, c.stratification(), family, 2, extractions, budget=10)
     assert info.value.partial is not None
     assert info.value.partial.family == "staged-hitting"
 
@@ -295,9 +315,9 @@ def reference_outcome(label, n, scan, budget):
     return ("report", EndowmentReport(label, n, checked, tuple(violations)))
 
 
-def verifier_outcome(poset, strat, family, n, antichains, budget):
+def verifier_outcome(poset, strat, family, n, extractions, budget):
     try:
-        return ("report", verify_full_endowment(poset, strat, family, n, antichains, budget=budget))
+        return ("report", verify_full_endowment(poset, strat, family, n, extractions, budget=budget))
     except ResourceError as error:
         return ("raise", str(error), error.partial)
 
@@ -364,6 +384,7 @@ def test_full_verifier_matches_the_per_r_scan_at_every_budget(case):
     # extraction runs once per antichain, not once per budget
     family = EndowmentFamily(family.label, family.member, cache(family.extract))
     scan = reference_scan(poset, strat, family, n, antichains)
+    extractions = extract_each(poset, family, n, antichains)
     for budget in budgets_to_check(scan[1]):
         expected = reference_outcome(family.label, n, scan, budget)
-        assert verifier_outcome(poset, strat, family, n, antichains, budget) == expected, budget
+        assert verifier_outcome(poset, strat, family, n, extractions, budget) == expected, budget
