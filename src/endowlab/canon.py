@@ -2,11 +2,17 @@
 
 Every user visible artifact (reports, certificates, instance files) is
 emitted in a fixed canonical order so repeated runs are byte identical.
+Reports and small sections go through `canonical_json`.  A certificate's
+bulk (its names and witness triples) is written straight to the same text
+by its classes' `to_text` methods, with a `TextMemo` that encodes each
+distinct identifier and set once; those classes parse that text when a
+dict is wanted, so each of their layouts is spelled in one place.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .errors import DataError
@@ -47,6 +53,61 @@ def canonical_json(obj) -> str:
 def canonical_json_pretty(obj) -> str:
     """Dump with sorted keys, indented for human reading."""
     return json.dumps(obj, sort_keys=True, indent=2, check_circular=False)
+
+
+# -- writing canonical text directly -------------------------------------------
+#
+# The pieces below produce exactly the bytes `canonical_json` would write for
+# the same values: string literals come from the encoder's own escaping
+# function (`ensure_ascii`), object keys are sorted, and no whitespace is
+# added.
+
+BOOL_TEXT = {False: "false", True: "true"}
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry by calling `make` on its key."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class TextMemo:
+    """Canonical text of identifiers and identifier sets, each made once.
+
+    `quoted[s]` is the JSON string literal of s; `sets[u]` is the JSON list
+    of u's members in sorted order, for a frozenset or a tuple.  One memo
+    serves one certificate, whose conditions, points and sets recur across
+    its sections.
+    """
+
+    __slots__ = ("quoted", "sets")
+
+    def __init__(self):
+        self.quoted = _Memo(encode_basestring_ascii)
+        self.sets = _Memo(self._list)
+
+    def _list(self, members) -> str:
+        quoted = self.quoted
+        return "[" + ",".join([quoted[x] for x in sorted(members)]) + "]"
+
+
+def array_text(items: Iterable[str]) -> str:
+    """A JSON array of item texts, each already canonical."""
+    return "[" + ",".join(items) + "]"
+
+
+def object_text(fields: dict[str, str]) -> str:
+    """A JSON object of field texts, each already canonical, with its keys
+    sorted.  Keys are plain ASCII names that need no escaping."""
+    return "{" + ",".join([f'"{key}":{fields[key]}' for key in sorted(fields)]) + "}"
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer"}

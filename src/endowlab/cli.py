@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import random
 import sys
@@ -19,7 +20,7 @@ import traceback
 from pathlib import Path
 
 from .bounds import DEFAULT_LIMITS, Limits, limits_from_env
-from .canon import canonical_json, canonical_json_pretty, check_shape
+from .canon import canonical_json_pretty, check_shape
 from .cohen import CohenPoset
 from .endowment import (
     DEFAULT_FULL_BUDGET,
@@ -136,6 +137,12 @@ def emit(args, jsonable, text_lines) -> None:
             print(line)
 
 
+def replays(cert, limits: Limits) -> bool:
+    """Whether `cert`, as `preserve` writes it, passes `verify`'s replay."""
+    text = cert.to_text() + "\n"
+    return replay_certificate(json.loads(text), limits, text).ok
+
+
 # -- multiprocessing worker (top level for pickling) ---------------------------
 
 
@@ -150,7 +157,7 @@ def _selftest_worker(payload: dict) -> dict:
         scenario = generate_scenario(payload["seed"], payload["mode"], bounds, limits)
         cert = run_preservation(scenario, limits)
         record["verdict"] = cert.verdict
-        record["replay_ok"] = replay_certificate(cert.to_jsonable(), limits).ok
+        record["replay_ok"] = replays(cert, limits)
     except Exception as exc:  # the batch must keep running
         traceback.print_exc()
         record["error"] = f"{type(exc).__name__}: {exc}"
@@ -284,15 +291,15 @@ def cmd_preserve(args, limits: Limits) -> int:
     if args.property is not None:
         scenario = dataclasses.replace(scenario, mode=args.property)
     cert = run_preservation(scenario, limits)
-    data = cert.to_jsonable()
-    Path(args.cert).write_text(canonical_json(data) + "\n")
+    text = cert.to_text()
+    Path(args.cert).write_text(text + "\n")
     lines = [
         f"property: {scenario.mode}  floor: {cert.floor}  levels: {len(scenario.names)}",
         f"atoms certified: {len({row.atom for row in cert.pipeline.atom_table})}",
         f"verdict: {cert.verdict}",
         f"certificate written to {args.cert}",
     ]
-    emit(args, data, lines)
+    emit(args, json.loads(text) if args.json else None, lines)
     return 0 if cert.verdict == "positive" else 3
 
 
@@ -381,7 +388,7 @@ def cmd_selftest(args, limits: Limits) -> int:
     fixed_ok = 0
     for scenario in fixed:
         cert = run_preservation(scenario, limits)
-        if cert.verdict == "positive" and replay_certificate(cert.to_jsonable(), limits).ok:
+        if cert.verdict == "positive" and replays(cert, limits):
             fixed_ok += 1
     if fixed_ok != len(fixed):
         problems.append("fixed scenario failed")

@@ -32,7 +32,9 @@ class EndowmentFamily:
     """A labeled family given by a membership test and an extractor.
 
     `member(n, L)` decides whether L belongs to level n; `extract(n, A)`
-    picks a candidate member out of a maximal antichain A.
+    picks a candidate member out of a maximal antichain A.  The extractor
+    trusts that A is one: its callers (`extract_each`, and `approximate`
+    on the antichains `derive_point_names` built) have checked it.
     """
 
     label: str
@@ -67,8 +69,13 @@ class DowTrace:
         }
 
 
-def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> DowTrace:
+def dow_construct(
+    cohen: CohenPoset, antichain: Iterable[Condition], n: int, *, checked: bool = False,
+) -> DowTrace:
     """Thin a maximal antichain to a small hitting set, in n+1 stages.
+
+    The antichain is checked to be maximal unless `checked` says the caller
+    has already done so (as the staged family's extractor does).
 
     Stage 0 keeps the canonically least element; its support opens the
     support set.  Each later stage handles every condition supported inside
@@ -95,7 +102,7 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
         raise DataError(f"stage count must be nonnegative, got {n}")
     poset = cohen.poset
     items = frozenset(antichain)
-    if not poset.is_maximal_antichain(items):
+    if not checked and not poset.is_maximal_antichain(items):
         raise DataError("staged construction needs a maximal antichain")
     by_canon = sorted(items, key=poset.sort_key)
     atom_mask, atom_up = poset.atom_mask, poset.atom_up
@@ -160,7 +167,7 @@ def cohen_dow_family(cohen: CohenPoset, strat: Stratification | None = None) -> 
         return hits_level(cohen.poset, strat.at(n), conditions)
 
     def extract(n: int, antichain: frozenset[str]) -> frozenset[str]:
-        return dow_construct(cohen, antichain, n).result
+        return dow_construct(cohen, antichain, n, checked=True).result
 
     return EndowmentFamily("staged-hitting", member, extract)
 
@@ -172,7 +179,7 @@ def measure_total_family(algebra: MeasurePoset) -> EndowmentFamily:
         return measure_endowment_member(algebra, n, conditions)
 
     def extract(n: int, antichain: frozenset[str]) -> frozenset[str]:
-        return extract_measure_endowment(algebra, n, antichain)
+        return extract_measure_endowment(algebra, n, antichain, checked=True)
 
     return EndowmentFamily("measure-total", member, extract)
 

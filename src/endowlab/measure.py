@@ -111,19 +111,22 @@ def measure_endowment_member(algebra: MeasurePoset, n: int, conditions: Iterable
     return total << n > ((1 << n) - 1) << algebra.k
 
 
-def extract_measure_endowment(algebra: MeasurePoset, n: int, antichain: Iterable[str]) -> frozenset[str]:
+def extract_measure_endowment(
+    algebra: MeasurePoset, n: int, antichain: Iterable[str], *, checked: bool = False,
+) -> frozenset[str]:
     """Greedy member extraction from a maximal antichain.
 
     Takes cells in canonical order (largest first, ties broken by sorted
     members) until the total measure strictly exceeds 1 - 2^-n, compared
     in integers as in `measure_endowment_member`.  A maximal antichain in
     this algebra partitions the cube, so its total is exactly 1 and the
-    prefix always exists.
+    prefix always exists.  The antichain is checked to be maximal unless
+    `checked` says the caller has already done so.
     """
     if n < 0:
         raise DataError(f"level must be nonnegative, got {n}")
     items = frozenset(antichain)
-    if not algebra.poset.is_maximal_antichain(items):
+    if not checked and not algebra.poset.is_maximal_antichain(items):
         raise DataError("extraction needs a maximal antichain")
     chosen: list[str] = []
     total = 0

@@ -23,10 +23,11 @@ these steps and serves the tests as their reference.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import set_key, sorted_sets
+from .canon import BOOL_TEXT, TextMemo, array_text, object_text, set_key, sorted_sets
 from .endowment import EndowmentFamily
 from .errors import DataError
 from .poset import (
@@ -36,6 +37,7 @@ from .poset import (
     RefinesName,
     Stratification,
     forces,  # unused here; kept so `names.forces` stays a binding the benchmark tracer rebinds
+    pairs_text,
     superset_mask,
     truth,
     validate_name,
@@ -85,7 +87,7 @@ class PointName:
         return {
             "point": self.point,
             "antichain": list(self.antichain),
-            "values": [{"condition": q, "set": sorted(u)} for q, u in self.values],
+            "values": json.loads(pairs_text(self.values, TextMemo())),
         }
 
 
@@ -167,7 +169,8 @@ def approximate(
     antichain and intersect the committed sets over that member.
 
     Points with the same antichain share one extraction.  Each piece
-    contains its point, so the result covers the space.
+    contains its point, so the result covers the space.  The antichains
+    are trusted to be maximal, as `derive_point_names` verifies them.
     """
     if n < 0:
         raise DataError(f"level must be nonnegative, got {n}")
@@ -200,16 +203,23 @@ class ApproxCertificate:
     triples: tuple[tuple[tuple[str, ...], Condition, Condition], ...]
     counterexample: tuple[tuple[str, ...], Condition] | None
 
+    def to_text(self, memo: TextMemo) -> str:
+        """Canonical JSON text, the one layout of this certificate."""
+        quoted, sets = memo.quoted, memo.sets
+        counter = self.counterexample
+        return object_text({
+            "level": str(self.level),
+            "positive": BOOL_TEXT[self.positive],
+            "triples": array_text([
+                f'{{"condition":{quoted[p]},"piece":{sets[v]},"witness":{quoted[r]}}}'
+                for v, p, r in self.triples
+            ]),
+            "counterexample": "null" if counter is None else
+                f'{{"condition":{quoted[counter[1]]},"piece":{sets[counter[0]]}}}',
+        })
+
     def to_jsonable(self) -> dict:
-        return {
-            "level": self.level,
-            "positive": self.positive,
-            "triples": [
-                {"piece": list(v), "condition": p, "witness": r} for v, p, r in self.triples
-            ],
-            "counterexample": None if self.counterexample is None else
-                {"piece": list(self.counterexample[0]), "condition": self.counterexample[1]},
-        }
+        return json.loads(self.to_text(TextMemo()))
 
 
 def forcing_mask(poset: Poset, truth_mask: int) -> int:
@@ -283,18 +293,25 @@ class RefineCertificate:
     def positive(self) -> bool:
         return self.refines_everywhere and self.counterexample is None
 
+    def to_text(self, memo: TextMemo) -> str:
+        """Canonical JSON text, the one layout of this certificate."""
+        quoted, sets = memo.quoted, memo.sets
+        counter, bad_atom = self.counterexample, self.refine_counterexample
+        return object_text({
+            "level": str(self.level),
+            "positive": BOOL_TEXT[self.positive],
+            "refines_everywhere": BOOL_TEXT[self.refines_everywhere],
+            "refine_counterexample": "null" if bad_atom is None else quoted[bad_atom],
+            "triples": array_text([
+                f'{{"condition":{quoted[p]},"set":{sets[h]},"witness":{quoted[r]}}}'
+                for h, p, r in self.triples
+            ]),
+            "counterexample": "null" if counter is None else
+                f'{{"condition":{quoted[counter[1]]},"set":{sets[counter[0]]}}}',
+        })
+
     def to_jsonable(self) -> dict:
-        return {
-            "level": self.level,
-            "positive": self.positive,
-            "refines_everywhere": self.refines_everywhere,
-            "refine_counterexample": self.refine_counterexample,
-            "triples": [
-                {"set": list(h), "condition": p, "witness": r} for h, p, r in self.triples
-            ],
-            "counterexample": None if self.counterexample is None else
-                {"set": list(self.counterexample[0]), "condition": self.counterexample[1]},
-        }
+        return json.loads(self.to_text(TextMemo()))
 
 
 def refine_name(

@@ -36,12 +36,13 @@ are built on first use, so they remain independent oracles for the kernel.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .canon import check_shape, set_key, sorted_sets
+from .canon import TextMemo, array_text, check_shape, set_key, sorted_sets
 from .errors import DataError, ResourceError
 
 Condition = str
@@ -378,13 +379,23 @@ class Name:
     def conditions(self) -> tuple[Condition, ...]:
         return tuple(q for q, _ in self.pairs)
 
+    def to_text(self, memo: TextMemo) -> str:
+        return pairs_text(self.pairs, memo)
+
     def to_jsonable(self) -> list[dict]:
-        return [{"condition": q, "set": sorted(u)} for q, u in self.pairs]
+        return json.loads(self.to_text(TextMemo()))
 
     @classmethod
     def from_jsonable(cls, data) -> "Name":
         check_shape(data, NAME_SHAPE, "name")
         return cls(tuple((entry["condition"], frozenset(entry["set"])) for entry in data))
+
+
+def pairs_text(pairs: Iterable[tuple[Condition, frozenset[str]]], memo: TextMemo) -> str:
+    """Canonical JSON text of (condition, set) pairs in the given order: one
+    {"condition", "set"} object per pair, the layout of a name."""
+    quoted, sets = memo.quoted, memo.sets
+    return array_text([f'{{"condition":{quoted[q]},"set":{sets[u]}}}' for q, u in pairs])
 
 
 def validate_name(poset: Poset, name: Name) -> None:

@@ -8,16 +8,20 @@ which refines every name and, in one closing pass over the atoms, tabulates
 for each atom and point the refined set covering it at or above the floor.
 The verdict is positive only when every certificate along the way is.
 The certificate is canonical JSON: replaying the embedded scenario must
-reproduce it byte for byte.
+reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
+writer; it writes the scenario, names and witness triples straight to text
+through one `TextMemo`, and the few small sections through
+`canonical_json`.  Its `to_jsonable` parses that text.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, fields
 
 from .bounds import DEFAULT_LIMITS, Limits
-from .canon import canonical_json, check_shape
+from .canon import BOOL_TEXT, TextMemo, array_text, canonical_json, check_shape, object_text
 from .cohen import CohenPoset
 from .endowment import (
     EndowmentFamily,
@@ -110,13 +114,21 @@ class Scenario:
     names: tuple[Name, ...]
     mode: str
 
+    def to_text(self, memo: TextMemo) -> str:
+        """Canonical JSON text, the one layout of a scenario payload."""
+        sets = memo.sets
+        return object_text({
+            "poset": canonical_json(self.poset),
+            "space": object_text({
+                "points": sets[self.points],
+                "base": array_text([sets[b] for b in self.base]),
+            }),
+            "names": array_text([name.to_text(memo) for name in self.names]),
+            "property": memo.quoted[self.mode],
+        })
+
     def to_jsonable(self) -> dict:
-        return {
-            "poset": self.poset,
-            "space": {"points": sorted(self.points), "base": [sorted(b) for b in self.base]},
-            "names": [name.to_jsonable() for name in self.names],
-            "property": self.mode,
-        }
+        return json.loads(self.to_text(TextMemo()))
 
     @classmethod
     def from_jsonable(cls, data: dict, *, checked: bool = False) -> "Scenario":
@@ -156,28 +168,41 @@ class PreservationCertificate:
     pipeline: PipelineResult
     verdict: str
 
-    def to_jsonable(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "preservation-certificate",
-            "scenario": self.scenario.to_jsonable(),
-            "floor": self.floor,
-            "family": self.family_label,
-            "approximations": [a.to_jsonable() for a in self.approximations],
-            "approximation_certificates": [c.to_jsonable() for c in self.approximation_certificates],
-            "selection": {
+    def to_text(self) -> str:
+        """The certificate as canonical JSON, without a trailing newline.
+
+        The scenario, the names and the witness triples, nearly all of the
+        bytes, are written straight to text through one memo; the small
+        sections go through `canonical_json`.
+        """
+        memo = TextMemo()
+        pipeline = self.pipeline
+        return object_text({
+            "format_version": str(FORMAT_VERSION),
+            "kind": memo.quoted["preservation-certificate"],
+            "scenario": self.scenario.to_text(memo),
+            "floor": str(self.floor),
+            "family": memo.quoted[self.family_label],
+            "approximations": canonical_json([a.to_jsonable() for a in self.approximations]),
+            "approximation_certificates": array_text(
+                [c.to_text(memo) for c in self.approximation_certificates]),
+            "selection": canonical_json({
                 "mode": self.scenario.mode,
                 "checked": self.selection_checked,
                 "solution": _selection_jsonable(self.scenario.mode, self.selection),
-            },
-            "ground_families": [[sorted(h) for h in fam] for fam in self.ground_families],
-            "refined_names": [w.to_jsonable() for w in self.pipeline.refined],
-            "refinement_certificates": [c.to_jsonable() for c in self.pipeline.certificates],
-            "subfamily_everywhere": list(self.pipeline.subfamily_everywhere),
-            "union_covers": self.pipeline.union_covers,
-            "atom_table": [row.to_jsonable() for row in self.pipeline.atom_table],
-            "verdict": self.verdict,
-        }
+            }),
+            "ground_families": canonical_json(
+                [[sorted(h) for h in fam] for fam in self.ground_families]),
+            "refined_names": array_text([w.to_text(memo) for w in pipeline.refined]),
+            "refinement_certificates": array_text([c.to_text(memo) for c in pipeline.certificates]),
+            "subfamily_everywhere": canonical_json(list(pipeline.subfamily_everywhere)),
+            "union_covers": BOOL_TEXT[pipeline.union_covers],
+            "atom_table": canonical_json([row.to_jsonable() for row in pipeline.atom_table]),
+            "verdict": memo.quoted[self.verdict],
+        })
+
+    def to_jsonable(self) -> dict:
+        return json.loads(self.to_text())
 
 
 def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> PreservationCertificate:
@@ -245,8 +270,9 @@ def replay_certificate(data: dict, limits: Limits = DEFAULT_LIMITS, text: str | 
 
     `text`, when given, is the file `data` was parsed from: if it is the
     fresh certificate exactly as `preserve` writes it, the replay is ok
-    without dumping `data`.  Otherwise mismatching top level sections are
-    listed by key; an exactly matching replay returns ok.
+    without dumping `data`.  Otherwise `data` is dumped and compared with
+    the fresh text, and on a mismatch the fresh text is parsed to list the
+    differing top level sections by key.
     """
     if not isinstance(data, dict) or data.get("kind") != "preservation-certificate":
         raise DataError("not a preservation certificate")
@@ -255,10 +281,10 @@ def replay_certificate(data: dict, limits: Limits = DEFAULT_LIMITS, text: str | 
     if "scenario" not in data:
         raise DataError("certificate needs an embedded scenario")
     scenario = Scenario.from_jsonable(data["scenario"])
-    fresh = run_preservation(scenario, limits).to_jsonable()
-    fresh_text = canonical_json(fresh)
+    fresh_text = run_preservation(scenario, limits).to_text()
     if text == fresh_text + "\n" or fresh_text == canonical_json(data):
         return ReplayReport(True, ())
+    fresh = json.loads(fresh_text)
     keys = sorted(set(fresh) | set(data))
     mismatches = tuple(
         key for key in keys

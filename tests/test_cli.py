@@ -10,6 +10,7 @@ import time
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import endowlab
 import endowlab.cli as cli
@@ -25,6 +26,7 @@ from endowlab.instances import (
     save_instance,
     wrap_instance,
 )
+from endowlab.poset import Poset
 from endowlab.preservation import generate_scenario, run_preservation
 from endowlab.selection import MODES
 
@@ -126,9 +128,9 @@ def test_endow_verify_full_extracts_each_antichain_once(monkeypatch, capsys):
     calls = []
     real = endowment.dow_construct
 
-    def counted(cohen, antichain, n):
+    def counted(cohen, antichain, n, **options):
         calls.append(antichain)
-        return real(cohen, antichain, n)
+        return real(cohen, antichain, n, **options)
 
     monkeypatch.setattr(endowment, "dow_construct", counted)
     assert main(["endow-verify", "cohen:D=2", "--n", "1", "--full"]) == 0
@@ -136,6 +138,23 @@ def test_endow_verify_full_extracts_each_antichain_once(monkeypatch, capsys):
     assert "antichains checked: 8 (exhaustive)" in out
     assert "joint extension clause: ok" in out
     assert len(calls) == len(set(calls)) == 8
+
+
+@pytest.mark.parametrize("poset,antichains", [("cohen:D=2", 8), ("measure:k=2", 15)])
+def test_endow_verify_checks_each_antichain_for_maximality_once(
+        poset, antichains, monkeypatch, capsys):
+    # `extract_each` checks each antichain; the family's extractor trusts it
+    checks = []
+    real = Poset.is_maximal_antichain
+
+    def counted(self, items):
+        checks.append(frozenset(items))
+        return real(self, items)
+
+    monkeypatch.setattr(Poset, "is_maximal_antichain", counted)
+    assert main(["endow-verify", poset, "--n", "1", "--full"]) == 0
+    assert f"antichains checked: {antichains} (exhaustive)" in capsys.readouterr().out
+    assert len(checks) == len(set(checks)) == antichains
 
 
 def test_endow_verify_has_no_jobs_option(capsys):
@@ -242,7 +261,7 @@ def test_dow_trace(capsys):
 def test_dow_rejects_non_antichain(capsys):
     rc = main(["dow", "cohen:D=1", "--member", "0:0", "--n", "1"])
     assert rc == 65  # not a maximal antichain
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: staged construction needs a maximal antichain\n"
 
 
 # -- approx / refine -------------------------------------------------------------
@@ -411,32 +430,50 @@ def test_verify_tampered_certificate_is_3(tmp_path, capsys):
 
 
 def test_verify_dumps_the_fresh_certificate_once(tmp_path, monkeypatch, capsys):
+    # the fresh certificate is written to text once; the file's parsed data
+    # is dumped only when the file is not that text, and the fresh text is
+    # parsed only to name mismatching sections
     import endowlab.preservation as preservation
 
     scenario = tmp_path / "scenario.json"
     cert = tmp_path / "cert.json"
     save_instance(scenario, "scenario", fixture_cohen_pair().to_jsonable())
     assert main(["preserve", "--scenario", str(scenario), "--cert", str(cert)]) == 0
-    dumps = []
+    writes, dumps, parses = [], [], []
+    write = preservation.PreservationCertificate.to_text
 
-    def counting(obj):
-        dumps.append(obj)
+    def counting_write(certificate):
+        writes.append(certificate)
+        return write(certificate)
+
+    def counting_dump(obj):
+        if isinstance(obj, dict) and obj.get("kind") == "preservation-certificate":
+            dumps.append(obj)
         return canonical_json(obj)
 
-    monkeypatch.setattr(preservation, "canonical_json", counting)
-    assert main(["verify", "--cert", str(cert)]) == 0
-    assert len(dumps) == 1
-    # the same certificate in other whitespace is still decided by content
-    data = json.loads(cert.read_text())
-    for text in (canonical_json(data), json.dumps(data, indent=2) + "\n"):
+    def counting_parse(text):
+        parses.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(preservation.PreservationCertificate, "to_text", counting_write)
+    monkeypatch.setattr(preservation, "canonical_json", counting_dump)
+    monkeypatch.setattr(preservation, "json", SimpleNamespace(loads=counting_parse))
+
+    def verify_counts(text):
         cert.write_text(text)
-        dumps.clear()
-        assert main(["verify", "--cert", str(cert)]) == 0
-        assert len(dumps) == 2
+        for seen in (writes, dumps, parses):
+            seen.clear()
+        code = main(["verify", "--cert", str(cert)])
+        return code, len(writes), len(dumps), len(parses)
+
+    data = json.loads(cert.read_text())
+    assert verify_counts(cert.read_text()) == (0, 1, 0, 0)
+    # the same certificate in other whitespace is still decided by content
+    for text in (canonical_json(data), json.dumps(data, indent=2) + "\n"):
+        assert verify_counts(text) == (0, 1, 1, 0)
     data["floor"] += 1
-    cert.write_text(canonical_json(data) + "\n")
     capsys.readouterr()
-    assert main(["verify", "--cert", str(cert)]) == 3
+    assert verify_counts(canonical_json(data) + "\n") == (3, 1, 1, 1)
     assert "mismatching sections: ['floor']" in capsys.readouterr().out
 
 

@@ -186,6 +186,30 @@ def test_approximate_extracts_once_per_distinct_antichain():
             assert approx == approximate(c.poset, pns, n, family)
 
 
+def test_approximate_trusts_the_point_antichains(monkeypatch):
+    # derive_point_names verifies each antichain; the extractors do not repeat it
+    checks = []
+    real = Poset.is_maximal_antichain
+
+    def counted(self, items):
+        checks.append(frozenset(items))
+        return real(self, items)
+
+    monkeypatch.setattr(Poset, "is_maximal_antichain", counted)
+    c, space, name = pair_setup()
+    m = MeasurePoset(2)
+    measure_name = make_cover_name(m.poset, space, [
+        ("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})])
+    for poset, family, cover_name in ((c.poset, cohen_dow_family(c), name),
+                                      (m.poset, measure_total_family(m), measure_name)):
+        checks.clear()
+        pns = derive_point_names(poset, space, cover_name)
+        assert checks == [frozenset(pn.antichain) for pn in pns[:1]]  # one shared antichain
+        for n in range(3):
+            approximate(poset, pns, n, family)
+        assert len(checks) == 1
+
+
 def test_derive_rejects_invalid_names():
     c, space, _ = pair_setup()
     partial = make_cover_name(c.poset, space, [("0:0", {"x"}), ("0:0", {"x", "y"})])
