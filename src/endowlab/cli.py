@@ -47,7 +47,7 @@ from .instances import (
 )
 from .measure import MeasurePoset
 from .names import approximate, check_approximation, derive_point_names, make_cover_name, refine_name
-from .poset import EXHAUSTIVE_LIMIT, ExistsSupersetInCover, Name, forces, forces_dense
+from .poset import ExistsSupersetInCover, Name, forces, forces_dense
 from .preservation import (
     Scenario,
     _check_bounds,
@@ -113,11 +113,11 @@ def resolve_family(bundle, choice: str):
     raise UsageError(f"unknown family {choice!r}")
 
 
-def gather_antichains(poset, exhaustive: bool, seeded: int, seed: int):
+def gather_antichains(poset, exhaustive: bool, seeded: int, seed: int, limits: Limits):
     """Exhaustive enumeration when asked (or small and unspecified), seeded
     greedy sampling otherwise; duplicates are dropped."""
     if exhaustive:
-        return poset.maximal_antichains()
+        return poset.maximal_antichains(limits)
     rng = random.Random(seed)
     seen = set()
     out = []
@@ -188,11 +188,11 @@ def cmd_endow_verify(args, limits: Limits) -> int:
     recipe = parse_poset_spec(args.poset, limits)
     bundle = build_bundle(recipe, limits)
     family = resolve_family(bundle, args.family)
-    exhaustive = args.exhaustive or (args.seeded is None and len(bundle.poset) <= EXHAUSTIVE_LIMIT)
+    exhaustive = args.exhaustive or (args.seeded is None and len(bundle.poset) <= limits.max_poset)
     if not exhaustive and args.seeded is None:
         raise UsageError(
             f"poset has {len(bundle.poset)} conditions; pass --seeded COUNT for sampling")
-    antichains = gather_antichains(bundle.poset, exhaustive, args.seeded or 0, args.seed)
+    antichains = gather_antichains(bundle.poset, exhaustive, args.seeded or 0, args.seed, limits)
     extractions = extract_each(bundle.poset, family, args.n, antichains)
     weak = verify_weak_endowment(bundle.poset, bundle.strat, family, args.n, extractions)
     result = {
@@ -374,7 +374,7 @@ def cmd_selftest(args, limits: Limits) -> int:
         for algebra in algebras:
             family = make_family(algebra)
             strat = algebra.stratification()
-            antichains = algebra.poset.maximal_antichains()
+            antichains = algebra.poset.maximal_antichains(limits)
             for n in range(levels):
                 extractions = extract_each(algebra.poset, family, n, antichains)
                 ok = ok and verify_weak_endowment(algebra.poset, strat, family, n, extractions).ok

@@ -63,25 +63,28 @@ class CohenPoset:
             raise ResourceError(f"index set capped at {limits.max_indices} entries, got {len(idx)}")
         self.indices: tuple[int, ...] = tuple(idx)
         # an assignment is keyed by its support bits and value bits over the
-        # positions of `indices`; a sub-assignment restricts both to a subset
-        # of the support, so the order pairs come from submask enumeration
+        # positions of `indices`; it lies directly below each restriction
+        # that forgets one index, and those come earlier in canonical order
         width = len(idx)
         literals: list[str] = []
-        assignments: dict[str, dict[int, int]] = {}
-        literal_of: dict[int, str] = {}
+        below: list[int] = []
+        position: dict[int, int] = {}
         self.support_mask: dict[str, int] = {}
         within = [0] * (1 << width)  # by exact support first, then unioned over submasks
         for size in range(width + 1):
             for support in combinations(range(width), size):
                 support_bits = sum(1 << j for j in support)
                 for values in product((0, 1), repeat=size):
-                    assignment = {idx[j]: v for j, v in zip(support, values)}
-                    literal = format_condition(assignment)
+                    literal = format_condition({idx[j]: v for j, v in zip(support, values)})
                     value_bits = sum(1 << j for j, v in zip(support, values) if v)
-                    within[support_bits] |= 1 << len(literals)
+                    bit = 1 << len(literals)
+                    for j in support:
+                        restriction = (support_bits ^ 1 << j) << width | value_bits & ~(1 << j)
+                        below[position[restriction]] |= bit
+                    within[support_bits] |= bit
+                    position[support_bits << width | value_bits] = len(literals)
                     literals.append(literal)
-                    assignments[literal] = assignment
-                    literal_of[support_bits << width | value_bits] = literal
+                    below.append(0)
                     self.support_mask[literal] = support_bits
         for j in range(width):
             for bits in range(1 << width):
@@ -89,25 +92,15 @@ class CohenPoset:
                     within[bits] |= within[bits ^ 1 << j]
         self.within_mask: tuple[int, ...] = tuple(within)
         self._within: dict[int, tuple[str, ...]] = {}
-        pairs = []
-        for key, literal in literal_of.items():
-            support_bits, value_bits = key >> width, key & ~(-1 << width)
-            sub = support_bits
-            while sub:
-                sub = (sub - 1) & support_bits
-                pairs.append((literal, literal_of[sub << width | value_bits & sub]))
-        self.poset = Poset(literals, pairs)
-        self._assignments = assignments
+        self.poset = Poset(literals, below)
 
     def assignment(self, literal: str) -> dict[int, int]:
-        if literal not in self._assignments:
-            raise DataError(f"unknown condition: {literal!r}")
-        return dict(self._assignments[literal])
+        self.poset.require(literal)
+        return parse_condition(literal)
 
     def support(self, literal: str) -> frozenset[int]:
-        if literal not in self._assignments:
-            raise DataError(f"unknown condition: {literal!r}")
-        return frozenset(self._assignments[literal])
+        self.poset.require(literal)
+        return frozenset(parse_condition(literal))
 
     def within(self, support: int) -> tuple[str, ...]:
         """The conditions of `within_mask[support]` in canonical order, built
@@ -123,7 +116,7 @@ class CohenPoset:
         Stabilizes exactly at the size of the index set.
         """
         levels = [
-            [p for p in self.poset.elements if len(self._assignments[p]) <= n]
+            [p for p, support in self.support_mask.items() if support.bit_count() <= n]
             for n in range(len(self.indices) + 1)
         ]
         return make_stratification(self.poset, levels)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .canon import check_shape
 from .errors import DataError
-from .poset import NAME_SHAPE, POSET_SHAPE, Name
+from .poset import NAME_SHAPE, POSET_SHAPE
 from .preservation import SCENARIO_SHAPE, Scenario
 from .topology import SPACE_SHAPE
 
@@ -132,15 +132,3 @@ def fixture_measure_pair(levels: int = 3, mode: str = "rothberger") -> Scenario:
         "property": mode,
     }
     return Scenario.from_jsonable(payload)
-
-
-def fixture_discrete_triple() -> tuple[dict, dict, Name]:
-    """Three point discrete space with a name forced everywhere.
-
-    Used by tamper tests: every singleton is committed at the top, so any
-    candidate piece not contained in a singleton is genuinely undominated.
-    """
-    recipe = {"kind": "cohen", "indices": [0]}
-    space_payload = {"points": ["x", "y", "z"], "base": [["x"], ["y"], ["z"]]}
-    name = Name((("", frozenset({"x"})), ("", frozenset({"y"})), ("", frozenset({"z"}))))
-    return recipe, space_payload, name

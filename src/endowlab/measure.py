@@ -39,10 +39,10 @@ class MeasurePoset:
     """All nonempty cells of the k cube under inclusion, with exact measure.
 
     Canonical condition order: by descending measure, then sorted member
-    tuple, so the top condition comes first and atoms come last.  A dense
-    extensional order table caps k at the configured limit (default 3,
-    already 255 conditions); raise the limit only if you accept the memory
-    cost.
+    tuple, so the top condition comes first and atoms come last.  The cells
+    directly below a cell drop one of its points.  k is capped at the
+    configured limit (default 3, already 255 conditions), since every
+    poset mask holds one bit per cell.
     """
 
     def __init__(self, k: int, limits: Limits = DEFAULT_LIMITS):
@@ -52,25 +52,26 @@ class MeasurePoset:
             raise ResourceError(f"measure algebra exponent capped at {limits.max_k}, got {k}")
         self.k = k
         self.points: tuple[str, ...] = tuple("".join(bits) for bits in product("01", repeat=k))
-        # a cell is keyed by its bits over the positions of `points`; the
-        # cells strictly inside it are its nonempty proper submasks
+        # a cell is keyed by its bits over the positions of `points`; it lies
+        # directly below each cell with one more point, and those come
+        # earlier in canonical order
         literals: list[str] = []
+        below: list[int] = []
         self._cells: dict[str, frozenset[str]] = {}
-        literal_of: dict[int, str] = {}
+        position: dict[int, int] = {}
         for size in range(len(self.points), 0, -1):
             for combo in combinations(range(len(self.points)), size):
+                bits = sum(1 << i for i in combo)
+                for i in range(len(self.points)):
+                    if not bits >> i & 1:
+                        below[position[bits | 1 << i]] |= 1 << len(literals)
                 cell = frozenset(self.points[i] for i in combo)
                 literal = format_cell(cell)
+                position[bits] = len(literals)
                 literals.append(literal)
+                below.append(0)
                 self._cells[literal] = cell
-                literal_of[sum(1 << i for i in combo)] = literal
-        pairs = []
-        for bits, literal in literal_of.items():
-            sub = (bits - 1) & bits
-            while sub:
-                pairs.append((literal_of[sub], literal))
-                sub = (sub - 1) & bits
-        self.poset = Poset(literals, pairs)
+        self.poset = Poset(literals, below)
 
     def cell(self, literal: str) -> frozenset[str]:
         if literal not in self._cells:

@@ -1,17 +1,19 @@
 """Finite forcing posets with exact semantics.
 
-Conditions are opaque string identifiers and the order is given
-extensionally.  `p <= q` means p is stronger than q (p carries at least the
-information of q).  In a finite poset every condition sits above an atom (a
-minimal element), and the upward closure of an atom meets every dense set,
-so atoms stand in for generic filters: a condition forces a statement
-exactly when the statement holds in the evaluation determined by every atom
-below it.
+Conditions are opaque string identifiers.  `p <= q` means p is stronger
+than q (p carries at least the information of q).  In a finite poset every
+condition sits above an atom (a minimal element), and the upward closure of
+an atom meets every dense set, so atoms stand in for generic filters: a
+condition forces a statement exactly when the statement holds in the
+evaluation determined by every atom below it.
 
-The forcing kernel works on integer bitmasks built once per poset.  The
-constructor closes the listed order on position masks, so `down_mask[p]`
-has bit i set when the condition at canonical position i lies below p, and
-`atom_mask[p]` has bit j set when `atoms[j]` lies below p.
+The order comes in as position masks, one per condition, marking the
+conditions directly below it: the built-in posets read them off their
+structure, and only explicit posets list named pairs, which
+`Poset.from_pairs` maps to positions.  The forcing kernel works on integer
+bitmasks built once per poset.  The constructor closes the given masks, so
+`down_mask[p]` has bit i set when the condition at canonical position i
+lies below p, and `atom_mask[p]` has bit j set when `atoms[j]` lies below p.
 Names are read through `value_masks`: one atom mask per distinct value set,
 the union of `atom_mask[q]` over the pairs (q, U).  `truth` combines these
 into the atom mask of a statement, and p forces the statement exactly when
@@ -42,14 +44,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .bounds import DEFAULT_LIMITS, Limits
 from .canon import TextMemo, array_text, check_shape, set_key, sorted_sets
 from .errors import DataError, ResourceError
 
 Condition = str
-
-# Exhaustive antichain enumeration is only offered below this size; larger
-# posets must use seeded sampling.
-EXHAUSTIVE_LIMIT = 40
 
 POSET_SHAPE = {"elements": [str], "leq": [(str, str)]}
 NAME_SHAPE = [{"condition": str, "set": [str]}]
@@ -59,12 +58,14 @@ class Poset:
     """A finite partial order of forcing conditions.
 
     `elements` fixes the canonical enumeration order used for deterministic
-    tie breaking everywhere downstream.  `leq_pairs` lists (a, b) with
-    a <= b; reflexivity and transitivity are completed automatically and
-    antisymmetry is validated.
+    tie breaking everywhere downstream.  `below[i]` is the position mask of
+    conditions known to lie strictly below `elements[i]`, typically its
+    direct lower neighbours; reflexivity and transitivity are completed
+    automatically and antisymmetry is validated.  `from_pairs` builds the
+    masks from named (a, b) pairs with a <= b.
     """
 
-    def __init__(self, elements: Sequence[Condition], leq_pairs: Iterable[tuple[Condition, Condition]]):
+    def __init__(self, elements: Sequence[Condition], below: Sequence[int]):
         elements = list(elements)
         if not elements:
             raise DataError("poset needs at least one condition")
@@ -72,15 +73,9 @@ class Poset:
             raise DataError("duplicate condition identifiers")
         self._elements = tuple(elements)
         self._pos = pos = {p: i for i, p in enumerate(self._elements)}
-        # down[i] starts as position i and the positions listed directly below it
-        down = [1 << i for i in range(len(elements))]
-        for a, b in leq_pairs:
-            try:
-                down[pos[b]] |= 1 << pos[a]
-            except KeyError:
-                raise DataError(f"order pair mentions unknown condition: ({a!r}, {b!r})") from None
+        down = [mask | 1 << i for i, mask in enumerate(below)]
         # close each mask by a search over the masks, in reverse canonical
-        # order: the built-in posets list weaker conditions first, so most
+        # order: the built-in posets list stronger conditions later, so the
         # masks a search meets are already closed and settle every position
         # they cover at once.  A position is expanded at most once, so cyclic
         # input terminates, and conditions below each other end with equal
@@ -91,12 +86,12 @@ class Poset:
             todo = reached & ~(1 << i)
             while todo:
                 low = todo & -todo
-                below = down[low.bit_length() - 1]
+                lower = down[low.bit_length() - 1]
                 if closed & low:
-                    todo &= ~below
+                    todo &= ~lower
                 else:
-                    todo = (todo ^ low) | (below & ~reached)
-                reached |= below
+                    todo = (todo ^ low) | (lower & ~reached)
+                reached |= lower
             down[i] = reached
             closed |= 1 << i
         first: dict[int, int] = {}
@@ -118,6 +113,20 @@ class Poset:
                 rest ^= low
                 bits |= atom_bit[low]
             self.atom_mask[p] = bits
+
+    @classmethod
+    def from_pairs(cls, elements: Sequence[Condition],
+                   leq_pairs: Iterable[tuple[Condition, Condition]]) -> "Poset":
+        """The poset on `elements` whose order is generated by the (a, b)
+        pairs with a <= b; the one place named order pairs become masks."""
+        pos = {p: i for i, p in enumerate(elements)}
+        below = [0] * len(elements)
+        for a, b in leq_pairs:
+            try:
+                below[pos[b]] |= 1 << pos[a]
+            except KeyError:
+                raise DataError(f"order pair mentions unknown condition: ({a!r}, {b!r})") from None
+        return cls(elements, below)
 
     @cached_property
     def atom_up(self) -> tuple[int, ...]:
@@ -263,18 +272,18 @@ class Poset:
         self.require(p)
         return all(not self._down[r].isdisjoint(dset) for r in self._down[p])
 
-    def maximal_antichains(self) -> tuple[frozenset[Condition], ...]:
+    def maximal_antichains(self, limits: Limits = DEFAULT_LIMITS) -> tuple[frozenset[Condition], ...]:
         """All maximal antichains, in canonical order.
 
         Maximal antichains are exactly the maximal cliques of the
         incompatibility graph, enumerated here by pivoted backtracking.
-        Refuses posets above EXHAUSTIVE_LIMIT elements; use
+        Refuses posets above `limits.max_poset` elements; use
         random_maximal_antichain for those.
         """
         n = len(self._elements)
-        if n > EXHAUSTIVE_LIMIT:
+        if n > limits.max_poset:
             raise ResourceError(
-                f"exhaustive antichain enumeration capped at {EXHAUSTIVE_LIMIT} conditions, got {n}")
+                f"exhaustive antichain enumeration capped at max_poset={limits.max_poset} conditions, got {n}")
         masks = [self.down_mask[p] for p in self._elements]
         incompat = [{j for j in range(n) if masks[i] & masks[j] == 0} for i in range(n)]
         found: list[frozenset[Condition]] = []
@@ -310,11 +319,6 @@ class Poset:
         pairs = [[a, b] for i, b in enumerate(self._elements)
                  for a in self.conditions_in(self.down_mask[b] & ~(1 << i))]
         return {"elements": list(self._elements), "leq": pairs}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "Poset":
-        check_shape(data, POSET_SHAPE, "poset")
-        return cls(data["elements"], [tuple(p) for p in data["leq"]])
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ def build_bundle(recipe: dict, limits: Limits = DEFAULT_LIMITS) -> PosetBundle:
         if len(elements) > limits.max_poset:
             raise ResourceError(
                 f"explicit posets capped at {limits.max_poset} conditions, got {len(elements)}")
-        poset = Poset(elements, recipe["leq"])
+        poset = Poset.from_pairs(elements, recipe["leq"])
         strat = make_stratification(poset, [poset.elements])
         return PosetBundle(poset, strat, maximal_antichain_family(poset))
     raise DataError(f"unknown poset kind {kind!r}")

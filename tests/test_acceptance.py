@@ -1,7 +1,8 @@
 """Acceptance gate: the eight headline guarantees, one pass/fail line each.
 
 Run with -s to see the PASS lines; under plain pytest each criterion is one
-test whose pass/fail status is the verdict.
+test whose pass/fail status is the verdict.  The discrete triple fixture of
+the negative controls, with its shape check, lives here too.
 """
 
 import json
@@ -24,8 +25,9 @@ from endowlab.endowment import (
 from endowlab.errors import ScenarioError
 from endowlab.instances import (
     fixture_cohen_pair,
-    fixture_discrete_triple,
     fixture_measure_pair,
+    validate_instance,
+    wrap_instance,
 )
 from endowlab.measure import MeasurePoset, extract_measure_endowment
 from endowlab.names import (
@@ -119,7 +121,7 @@ def _oracle_pool():
             for i in range(j)
             if rng.random() < 0.35
         ]
-        pool.append(Poset(elements, leq))
+        pool.append(Poset.from_pairs(elements, leq))
     return pool
 
 
@@ -261,3 +263,24 @@ def test_criterion_8_negative_controls():
 
     print("PASS criterion 8: adversarial family, tampered approximation, tampered "
           "certificate, and short scenario all rejected")
+
+
+def fixture_discrete_triple() -> tuple[dict, dict, Name]:
+    """Three point discrete space with a name forced everywhere.
+
+    Used by tamper tests: every singleton is committed at the top, so any
+    candidate piece not contained in a singleton is genuinely undominated.
+    """
+    recipe = {"kind": "cohen", "indices": [0]}
+    space_payload = {"points": ["x", "y", "z"], "base": [["x"], ["y"], ["z"]]}
+    name = Name((("", frozenset({"x"})), ("", frozenset({"y"})), ("", frozenset({"z"}))))
+    return recipe, space_payload, name
+
+
+def test_discrete_triple_fixture_shape():
+    recipe, space_payload, name = fixture_discrete_triple()
+    assert recipe["kind"] == "cohen"
+    assert validate_instance(wrap_instance("space", space_payload)) == "space"
+    assert len(name.pairs) == 3
+    assert {u for _, u in name.pairs} == {
+        frozenset({"x"}), frozenset({"y"}), frozenset({"z"})}

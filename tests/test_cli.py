@@ -194,6 +194,18 @@ def test_bounds_env_var_is_honoured(monkeypatch, capsys):
     assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 65
 
 
+def test_max_poset_caps_exhaustive_enumeration(monkeypatch, capsys):
+    monkeypatch.setenv("ENDOWLAB_BOUNDS", '{"max_poset": 5}')
+    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--exhaustive"]) == 70
+    assert "capped at max_poset=5 conditions, got 9" in capsys.readouterr().err
+    assert main(["endow-verify", "cohen:D=2", "--n", "1"]) == 64
+    assert "pass --seeded COUNT" in capsys.readouterr().err
+    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--seeded", "5"]) == 0
+    capsys.readouterr()
+    assert main(["selftest", "--count", "1", "--bounds", '{"max_poset": 5}']) == 70
+    assert "capped at max_poset=5 conditions, got 9" in capsys.readouterr().err
+
+
 def test_huge_cohen_index_count_is_rejected_before_building_it(capsys):
     start = time.perf_counter()
     assert main(["endow-verify", "cohen:D=1000000000000", "--n", "1"]) == 70

@@ -9,7 +9,6 @@ from endowlab.instances import (
     FORMAT_VERSION,
     cohen_pair_name_payload,
     fixture_cohen_pair,
-    fixture_discrete_triple,
     fixture_measure_pair,
     load_instance,
     measure_pair_name_payload,
@@ -108,11 +107,3 @@ def test_fixture_scenarios_roundtrip_through_files(tmp_path):
         payload = load_instance(path, "scenario")
         assert Scenario.from_jsonable(payload) == fixture
 
-
-def test_discrete_triple_fixture_shape():
-    recipe, space_payload, name = fixture_discrete_triple()
-    assert recipe["kind"] == "cohen"
-    assert validate_instance(wrap_instance("space", space_payload)) == "space"
-    assert len(name.pairs) == 3
-    assert {u for _, u in name.pairs} == {
-        frozenset({"x"}), frozenset({"y"}), frozenset({"z"})}

@@ -38,7 +38,7 @@ def random_explicit_poset(rng: random.Random) -> Poset:
     pairs = [(hidden[j], hidden[i]) for j in range(n) for i in range(j) if rng.random() < 0.3]
     elements = hidden[:]
     rng.shuffle(elements)
-    return Poset(elements, pairs)
+    return Poset.from_pairs(elements, pairs)
 
 
 def kernel_posets(rng: random.Random) -> list[Poset]:
@@ -133,7 +133,7 @@ def test_forcing_mask_matches_the_per_condition_scan():
     lambda poset, stmt: forces(poset, "t", stmt),
 ])
 def test_unknown_name_conditions_raise_data_error(query):
-    poset = Poset(["t", "a", "b"], [("a", "t"), ("b", "t")])
+    poset = Poset.from_pairs(["t", "a", "b"], [("a", "t"), ("b", "t")])
     stmt = ExistsSupersetInCover(Name((("a", frozenset("x")), ("nope", frozenset("x")))), "x")
     with pytest.raises(DataError, match="unknown condition: 'nope'"):
         query(poset, stmt)
@@ -216,7 +216,7 @@ def test_antichain_helpers_match_the_pairwise_reference():
 
 
 def test_antichain_checks_require_every_item_first():
-    poset = Poset(["t", "a", "b"], [("a", "t"), ("b", "t")])
+    poset = Poset.from_pairs(["t", "a", "b"], [("a", "t"), ("b", "t")])
     assert poset.compatible("t", "a")
     for check in (poset.is_antichain, poset.is_maximal_antichain, poset.reach):
         with pytest.raises(DataError, match="unknown condition: 'nope'"):
@@ -267,7 +267,7 @@ def test_truth_matches_per_atom_evaluation_for_both_statement_kinds():
     RefinesName(Name((("ghost", frozenset("x")),)), Name((("a", frozenset("x")),))),
 ])
 def test_truth_rejects_unknown_conditions_in_every_name(stmt):
-    poset = Poset(["t", "a", "b"], [("a", "t"), ("b", "t")])
+    poset = Poset.from_pairs(["t", "a", "b"], [("a", "t"), ("b", "t")])
     with pytest.raises(DataError, match="unknown condition: 'ghost'"):
         truth(poset, stmt)
 
@@ -348,11 +348,11 @@ def test_order_closure_matches_the_breadth_first_reference():
     rng = random.Random(90210)
     for _ in range(60):
         elements, pairs = random_order(rng)
-        assert_same_order(Poset(elements, pairs), reference_order(elements, pairs))
+        assert_same_order(Poset.from_pairs(elements, pairs), reference_order(elements, pairs))
     for poset in (CohenPoset(range(3)).poset, MeasurePoset(2).poset):
         pairs = [tuple(pair) for pair in poset.to_jsonable()["leq"]]
         rng.shuffle(pairs)
-        rebuilt = Poset(poset.elements, pairs)
+        rebuilt = Poset.from_pairs(poset.elements, pairs)
         assert_same_order(rebuilt, reference_order(poset.elements, pairs))
         assert rebuilt.to_jsonable() == poset.to_jsonable()
 
@@ -369,17 +369,17 @@ def test_order_closure_rejects_cycles_and_unknown_pairs_like_the_reference():
         # close a cycle through the chosen pair, directly or via the reversed pair
         for bad in (pairs + [(b, a)], pairs + [("ghost", rng.choice(elements))]):
             with pytest.raises(DataError) as ours:
-                Poset(elements, bad)
+                Poset.from_pairs(elements, bad)
             with pytest.raises(DataError) as theirs:
                 reference_order(elements, bad)
             assert str(ours.value).split(":")[0] == str(theirs.value).split(":")[0]
         cycles += 1
     assert cycles > 20
     with pytest.raises(DataError, match="not antisymmetric: 'a' and 'b'"):
-        Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+        Poset.from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
 
-# -- generated order pairs against the literal-per-pair construction ---------------
+# -- structural orders against the literal-per-pair construction -----------------
 
 
 def reference_cohen_pairs(indices) -> set:
@@ -408,42 +408,30 @@ def reference_measure_pairs(k: int) -> set:
 
     points = tuple("".join(bits) for bits in product("01", repeat=k))
     cells = [frozenset(c) for size in range(len(points), 0, -1) for c in combinations(points, size)]
-    literal_of = {c: format_cell(c) for c in cells}
+    literal = {c: format_cell(c) for c in cells}
     pairs = []
     for cell in cells:
         members = sorted(cell)
         for size in range(1, len(members)):
             for sub in combinations(members, size):
-                pairs.append((literal_of[frozenset(sub)], literal_of[cell]))
+                pairs.append((literal[frozenset(sub)], literal[cell]))
     return set(pairs)
 
 
-def recorded_pairs(monkeypatch, module, build) -> set:
-    seen = []
-
-    def recording(elements, pairs):
-        pairs = list(pairs)
-        seen.append(pairs)
-        return Poset(elements, pairs)
-
-    monkeypatch.setattr(module, "Poset", recording)
-    build()
-    [pairs] = seen
-    assert len(set(pairs)) == len(pairs)
-    return set(pairs)
+def assert_same_structure(poset: Poset, reference: Poset) -> None:
+    assert poset.down_mask == reference.down_mask
+    assert poset.atoms == reference.atoms
+    assert poset.atom_mask == reference.atom_mask
 
 
-@pytest.mark.parametrize("indices", [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (2, 5, 7)])
-def test_cohen_order_pairs_match_the_literal_construction(indices, monkeypatch):
-    import endowlab.cohen as cohen
-
-    got = recorded_pairs(monkeypatch, cohen, lambda: CohenPoset(indices))
-    assert got == reference_cohen_pairs(indices)
+@pytest.mark.parametrize("indices", [
+    (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4), (2, 5, 7), (-3, 0, 4)])
+def test_cohen_order_matches_the_literal_construction(indices):
+    poset = CohenPoset(indices).poset
+    assert_same_structure(poset, Poset.from_pairs(poset.elements, reference_cohen_pairs(indices)))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_measure_order_pairs_match_the_cell_construction(k, monkeypatch):
-    import endowlab.measure as measure
-
-    got = recorded_pairs(monkeypatch, measure, lambda: MeasurePoset(k))
-    assert got == reference_measure_pairs(k)
+def test_measure_order_matches_the_cell_construction(k):
+    poset = MeasurePoset(k).poset
+    assert_same_structure(poset, Poset.from_pairs(poset.elements, reference_measure_pairs(k)))

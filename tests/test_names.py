@@ -65,7 +65,7 @@ def test_cover_name_validity():
         derive_point_names(c.poset, space, only_y)
     # two atoms and no top: only the first condition in canonical order lacks
     # a commitment below it
-    pair = Poset(["a", "b"], [])
+    pair = Poset.from_pairs(["a", "b"], [])
     single = FiniteSpace(["x"], [["x"]])
     with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
         derive_point_names(pair, single, make_cover_name(pair, single, [("b", {"x"})]))
@@ -347,7 +347,7 @@ def test_pipeline_positive_on_pair_fixture():
 
 def test_pipeline_single_level_with_trivial_stratification():
     from endowlab.poset import Poset, make_stratification
-    p = Poset(["t"], [])
+    p = Poset.from_pairs(["t"], [])
     strat = make_stratification(p, [["t"]])
     space = FiniteSpace(["x"], [["x"]])
     name = make_cover_name(p, space, [("t", {"x"})])

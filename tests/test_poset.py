@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endowlab.bounds import DEFAULT_LIMITS, Limits
 from endowlab.errors import DataError, ResourceError
 from endowlab.poset import (
-    EXHAUSTIVE_LIMIT,
     ExistsSupersetInCover,
     Name,
     Poset,
@@ -24,16 +24,16 @@ from endowlab.poset import (
 
 def diamond():
     # top above two middles above one bottom
-    return Poset(["t", "a", "b", "z"], [("a", "t"), ("b", "t"), ("z", "a"), ("z", "b")])
+    return Poset.from_pairs(["t", "a", "b", "z"], [("a", "t"), ("b", "t"), ("z", "a"), ("z", "b")])
 
 
 def vee():
     # top above two incomparable atoms
-    return Poset(["t", "a", "b"], [("a", "t"), ("b", "t")])
+    return Poset.from_pairs(["t", "a", "b"], [("a", "t"), ("b", "t")])
 
 
 def test_transitive_closure_and_reflexivity():
-    p = Poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    p = Poset.from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert p.leq("a", "c")
     assert p.leq("a", "a")
     assert not p.leq("c", "a")
@@ -41,16 +41,16 @@ def test_transitive_closure_and_reflexivity():
 
 def test_rejects_cycles():
     with pytest.raises(DataError):
-        Poset(["a", "b"], [("a", "b"), ("b", "a")])
+        Poset.from_pairs(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 def test_rejects_unknown_and_duplicate_elements():
     with pytest.raises(DataError):
-        Poset(["a"], [("a", "b")])
+        Poset.from_pairs(["a"], [("a", "b")])
     with pytest.raises(DataError):
-        Poset(["a", "a"], [])
+        Poset.from_pairs(["a", "a"], [])
     with pytest.raises(DataError):
-        Poset([], [])
+        Poset.from_pairs([], [])
 
 
 def test_atoms_and_top():
@@ -99,7 +99,7 @@ def brute_maximal_antichains(poset):
 
 
 def test_maximal_antichain_enumeration_matches_brute_force():
-    for p in (diamond(), vee(), Poset(list("abcde"), [("b", "a"), ("c", "a"), ("d", "b"), ("e", "c")])):
+    for p in (diamond(), vee(), Poset.from_pairs(list("abcde"), [("b", "a"), ("c", "a"), ("d", "b"), ("e", "c")])):
         assert set(p.maximal_antichains()) == brute_maximal_antichains(p)
 
 
@@ -109,11 +109,15 @@ def test_maximal_antichain_enumeration_is_canonically_sorted():
 
 
 def test_enumeration_refuses_large_posets():
-    n = EXHAUSTIVE_LIMIT + 1
+    n = DEFAULT_LIMITS.max_poset + 1
     elements = [f"e{i}" for i in range(n)]
-    p = Poset(elements, [])
+    p = Poset.from_pairs(elements, [])
     with pytest.raises(ResourceError):
         p.maximal_antichains()
+    d = diamond()
+    with pytest.raises(ResourceError, match="max_poset=3 conditions, got 4"):
+        d.maximal_antichains(Limits(max_poset=3))
+    assert d.maximal_antichains(Limits(max_poset=4)) == d.maximal_antichains()
 
 
 def test_random_maximal_antichain_is_maximal():
@@ -144,7 +148,8 @@ def test_stratification_stabilization_is_least_index():
 
 def test_poset_json_roundtrip():
     d = diamond()
-    rebuilt = Poset.from_jsonable(d.to_jsonable())
+    data = d.to_jsonable()
+    rebuilt = Poset.from_pairs(data["elements"], data["leq"])
     assert rebuilt.elements == d.elements
     for p in d.elements:
         for q in d.elements:
@@ -228,7 +233,7 @@ def random_posets(draw):
         for i in range(j):
             if draw(st.booleans()):
                 pairs.append((elements[j], elements[i]))
-    return Poset(elements, pairs)
+    return Poset.from_pairs(elements, pairs)
 
 
 @st.composite
