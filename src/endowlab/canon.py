@@ -36,11 +36,6 @@ def sorted_sets(family: Iterable[frozenset]) -> tuple[frozenset, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def set_list(s: Iterable[str]) -> list[str]:
-    """JSON friendly form of a set: a sorted list."""
-    return sorted(s)
-
-
 # Both dumps skip the encoder's cycle check: every caller passes a fresh
 # `to_jsonable` tree or parsed JSON, and neither can contain a cycle.
 

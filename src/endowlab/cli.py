@@ -59,10 +59,6 @@ from .preservation import (
 from .selection import MODES
 from .topology import FiniteSpace
 
-LARGE_BOUNDS = Limits(
-    max_indices=6, max_k=4, max_points=12, max_base=24, max_poset=200, max_levels=16)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse hook
         raise UsageError(message)
@@ -94,13 +90,11 @@ def parse_poset_spec(text: str, limits: Limits = DEFAULT_LIMITS) -> dict:
 def parse_bounds(text: str) -> Limits:
     if text == "default":
         return DEFAULT_LIMITS
-    if text == "large":
-        return LARGE_BOUNDS
     try:
         return Limits.from_json(text)
     except DataError as exc:
         raise UsageError(
-            f"bad bounds {text!r}; expected 'default', 'large', or a JSON object: {exc}") from exc
+            f"bad bounds {text!r}; expected 'default' or a JSON object: {exc}") from exc
 
 
 def resolve_family(bundle, choice: str):
@@ -493,14 +487,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--property", choices=list(MODES), default=None)
     p.add_argument("--out", default=None, help="output file (stdout when omitted)")
-    p.add_argument("--bounds", default="default", help="'default', 'large', or JSON")
+    p.add_argument("--bounds", default="default", help="'default' or JSON")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("selftest", help="generate, run, and replay scenarios")
     p.add_argument("--count", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bounds", default="default", help="'default', 'large', or JSON")
+    p.add_argument("--bounds", default="default", help="'default' or JSON")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_selftest)

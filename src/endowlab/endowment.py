@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .canon import set_list
 from .cohen import CohenPoset
 from .errors import DataError, ResourceError
 from .measure import MeasurePoset, extract_measure_endowment, measure_endowment_member
@@ -65,7 +64,7 @@ class DowTrace:
                 {"handled": list(s.handled), "added": list(s.added), "support": list(s.support)}
                 for s in self.stages
             ],
-            "result": set_list(self.result),
+            "result": sorted(self.result),
         }
 
 

@@ -2,7 +2,8 @@
 
 Every instance file is a JSON object {"format_version": 1, "kind": K,
 "payload": P} with K one of poset, space, name, scenario.  Payloads are
-checked against the shape their parser declares before any object is built.
+checked against the `*_SHAPE` declared beside their class before any object
+is built.
 """
 
 from __future__ import annotations

@@ -29,11 +29,12 @@ some member of a set L exactly when bit `pos(r)` is set in `reach(L)`, the
 union of the members' down masks.  So a set is an antichain when each
 member's mask misses the union of those before it, and a maximal one when
 every atom's position lies in the union of all of them.
-`evaluate_name` and `statement_holds_at` evaluate at one atom from
-frozenset down-sets, and `forces_dense`, with the `is_dense_below` it rests
-on, decides the superset statement by density without evaluating at atoms.
-They deliberately stay off the masks, and the down- and up-sets they read
-are built on first use, so they remain independent oracles for the kernel.
+`evaluate_name` and `statement_holds_at` evaluate at one atom, pair by
+pair, from the atom's bit in each pair condition's down mask, and
+`forces_dense`, with the `is_dense_below` it rests on, decides the superset
+statement by density without evaluating at atoms.  None of them reads
+`atom_mask`, `value_masks` or `truth`, so they remain independent oracles
+for the kernel's route from names to forcing.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bounds import DEFAULT_LIMITS, Limits
-from .canon import TextMemo, array_text, check_shape, set_key, sorted_sets
+from .canon import TextMemo, array_text, set_key, sorted_sets
 from .errors import DataError, ResourceError
 
 Condition = str
@@ -101,7 +102,6 @@ class Poset:
                 raise DataError(f"order is not antisymmetric: {elements[j]!r} and {elements[i]!r}")
         self.down_mask = dict(zip(self._elements, down))
         self._atoms = tuple(p for i, p in enumerate(self._elements) if down[i] == 1 << i)
-        self._atoms_set = frozenset(self._atoms)
         atom_bit = {1 << pos[a]: 1 << j for j, a in enumerate(self._atoms)}
         self._atom_positions = sum(atom_bit)
         self.atom_mask = {}
@@ -141,21 +141,6 @@ class Poset:
                 up[low.bit_length() - 1] |= 1 << i
         return tuple(up)
 
-    @cached_property
-    def _down(self) -> dict[Condition, frozenset[Condition]]:
-        """Down-sets as frozensets, built on first use by the oracles."""
-        return {p: frozenset(self.conditions_in(mask)) for p, mask in self.down_mask.items()}
-
-    @cached_property
-    def _up(self) -> dict[Condition, frozenset[Condition]]:
-        """Up-sets as frozensets, built on first use."""
-        up = dict.fromkeys(self._elements, 0)
-        for p, mask in self.down_mask.items():
-            bit = 1 << self._pos[p]
-            for q in self.conditions_in(mask):
-                up[q] |= bit
-        return {p: frozenset(self.conditions_in(mask)) for p, mask in up.items()}
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -184,12 +169,13 @@ class Poset:
     def down(self, p: Condition) -> frozenset[Condition]:
         """All conditions at or below p."""
         self.require(p)
-        return self._down[p]
+        return frozenset(self.conditions_in(self.down_mask[p]))
 
     def up(self, p: Condition) -> frozenset[Condition]:
         """All conditions at or above p."""
         self.require(p)
-        return self._up[p]
+        i = self._pos[p]
+        return frozenset(q for q, mask in self.down_mask.items() if mask >> i & 1)
 
     @property
     def top(self) -> Condition | None:
@@ -201,10 +187,6 @@ class Poset:
     def atoms(self) -> tuple[Condition, ...]:
         """Minimal conditions, in canonical order."""
         return self._atoms
-
-    def atoms_below(self, p: Condition) -> frozenset[Condition]:
-        self.require(p)
-        return frozenset(a for j, a in enumerate(self._atoms) if self.atom_mask[p] >> j & 1)
 
     def conditions_in(self, mask: int) -> list[Condition]:
         """The conditions at the set bits of a position mask, in canonical order."""
@@ -257,20 +239,14 @@ class Poset:
             return False
         return self.meets_everything(self.reach(items))
 
-    def is_dense(self, conditions: Iterable[Condition]) -> bool:
-        """True when every condition has a member of the set below it."""
-        dset = frozenset(conditions)
-        for p in dset:
-            self.require(p)
-        return all(not self._down[p].isdisjoint(dset) for p in self._elements)
-
     def is_dense_below(self, conditions: Iterable[Condition], p: Condition) -> bool:
         """True when every condition below p has a member of the set below it."""
-        dset = frozenset(conditions)
-        for q in dset:
+        members = 0  # position bits of the set
+        for q in conditions:
             self.require(q)
+            members |= 1 << self._pos[q]
         self.require(p)
-        return all(not self._down[r].isdisjoint(dset) for r in self._down[p])
+        return all(self.down_mask[r] & members for r in self.conditions_in(self.down_mask[p]))
 
     def maximal_antichains(self, limits: Limits = DEFAULT_LIMITS) -> tuple[frozenset[Condition], ...]:
         """All maximal antichains, in canonical order.
@@ -312,13 +288,6 @@ class Poset:
                 chosen.append(p)
                 union |= self.down_mask[p]
         return frozenset(chosen)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_jsonable(self) -> dict:
-        pairs = [[a, b] for i, b in enumerate(self._elements)
-                 for a in self.conditions_in(self.down_mask[b] & ~(1 << i))]
-        return {"elements": list(self._elements), "leq": pairs}
 
 
 @dataclass(frozen=True)
@@ -389,11 +358,6 @@ class Name:
     def to_jsonable(self) -> list[dict]:
         return json.loads(self.to_text(TextMemo()))
 
-    @classmethod
-    def from_jsonable(cls, data) -> "Name":
-        check_shape(data, NAME_SHAPE, "name")
-        return cls(tuple((entry["condition"], frozenset(entry["set"])) for entry in data))
-
 
 def pairs_text(pairs: Iterable[tuple[Condition, frozenset[str]]], memo: TextMemo) -> str:
     """Canonical JSON text of (condition, set) pairs in the given order: one
@@ -416,11 +380,12 @@ def evaluate_name(poset: Poset, name: Name, atom: Condition) -> tuple[frozenset[
     atom pays no separate validation pass.
     """
     poset.require(atom)
-    if atom not in poset._atoms_set:
+    down_mask = poset.down_mask
+    bit = 1 << poset.sort_key(atom)
+    if down_mask[atom] != bit:
         raise DataError(f"evaluation point must be an atom, got {atom!r}")
-    down = poset._down
     try:
-        return sorted_sets(u for q, u in name.pairs if atom in down[q])
+        return sorted_sets(u for q, u in name.pairs if down_mask[q] & bit)
     except KeyError:
         validate_name(poset, name)  # raises DataError naming the unknown condition
         raise

@@ -152,11 +152,13 @@ def check_rothberger(problem: SelectionProblem, picks: Sequence[frozenset[str]])
 
 
 def menger_select(problem: SelectionProblem) -> tuple[tuple[frozenset[str], ...], ...] | None:
-    """One finite subfamily per level; total size minimized.
+    """One finite subfamily per level whose union from the floor covers.
 
-    Exact minimum set cover over the pooled (level, member) pairs when the
-    pool has at most EXACT_MENGER_POOL entries, greedy otherwise.  Levels
-    below the floor get the empty family.
+    The total size is minimized exactly, by set cover over the pooled
+    (level, member) pairs, when the pool has at most EXACT_MENGER_POOL
+    entries.  Larger pools are covered greedily, each step taking the entry
+    that covers the most uncovered points, with no minimality guarantee.
+    Levels below the floor get the empty family.
     """
     space, level_covers, floor = problem.space, problem.covers, problem.floor
     n_levels = len(level_covers)

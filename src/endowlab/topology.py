@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .bounds import DEFAULT_LIMITS, Limits
-from .canon import check_shape, sorted_sets
+from .canon import sorted_sets
 from .errors import DataError, ResourceError
 
 SPACE_SHAPE = {"points": [str], "base": [[str]]}
@@ -71,14 +71,6 @@ class FiniteSpace:
             if self.is_open(s):
                 out.append(s)
         return sorted_sets(out)
-
-    def to_jsonable(self) -> dict:
-        return {"points": sorted(self.points), "base": [sorted(b) for b in self.base]}
-
-    @classmethod
-    def from_jsonable(cls, data: dict, limits: Limits = DEFAULT_LIMITS) -> "FiniteSpace":
-        check_shape(data, SPACE_SHAPE, "space")
-        return cls(data["points"], data["base"], limits)
 
 
 def covers(space: FiniteSpace, family: Iterable[frozenset[str]]) -> bool:

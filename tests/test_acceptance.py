@@ -240,7 +240,7 @@ def test_criterion_8_negative_controls():
     # (b) a tampered approximation is rejected at the exact condition
     recipe, space_payload, raw = fixture_discrete_triple()
     bundle = build_bundle(recipe)
-    space = FiniteSpace.from_jsonable(space_payload)
+    space = FiniteSpace(space_payload["points"], space_payload["base"])
     name = make_cover_name(bundle.poset, space, raw.pairs)
     point_names = derive_point_names(bundle.poset, space, name)
     approx = approximate(bundle.poset, point_names, 1, bundle.family)

@@ -21,9 +21,8 @@ from certificate_reference import (
     refine_certificate_jsonable,
     scenario_jsonable,
 )
-from endowlab.bounds import DEFAULT_LIMITS
 from endowlab.canon import canonical_json
-from endowlab.cli import LARGE_BOUNDS, main
+from endowlab.cli import main
 from endowlab.endowment import adversarial_singleton_family
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair, save_instance
 from endowlab.preservation import Scenario, generate_scenario, run_preservation
@@ -67,11 +66,10 @@ def test_goldens_are_the_writer_text(label, fixture, tmp_path):
     assert preserve_then_verify(tmp_path, fixture()) == (0, 0, golden)
 
 
-@pytest.mark.parametrize("bounds", [DEFAULT_LIMITS, LARGE_BOUNDS], ids=["default", "large"])
 @pytest.mark.parametrize("mode", MODES)
-def test_writer_matches_reference_on_generated_scenarios(mode, bounds):
+def test_writer_matches_reference_on_generated_scenarios(mode):
     for seed in range(200):
-        cert = run_preservation(generate_scenario(seed, mode, bounds, bounds), bounds)
+        cert = run_preservation(generate_scenario(seed, mode))
         assert_writer_matches_reference(cert)
 
 

@@ -55,9 +55,8 @@ def test_parse_poset_spec_from_file(tmp_path):
 
 def test_parse_bounds():
     assert parse_bounds("default").max_k == 3
-    assert parse_bounds("large").max_k == 4
     assert parse_bounds('{"max_k": 2}').max_k == 2
-    for bad in ("huge", '{"max_q": 1}', "[1]", '{"max_k": "x"}', '{"max_k": -1}'):
+    for bad in ("large", "huge", '{"max_q": 1}', "[1]", '{"max_k": "x"}', '{"max_k": -1}'):
         with pytest.raises(UsageError):
             parse_bounds(bad)
 
@@ -635,20 +634,6 @@ def test_gen_rejects_bounds_it_cannot_honour(bounds, capsys):
     assert next(iter(bounds)) in capsys.readouterr().err
 
 
-def test_gen_large_bounds_exceed_default_limits(capsys):
-    assert main(["gen", "--seed", "0", "--bounds", "large"]) == 70
-    assert "resource error" in capsys.readouterr().err
-
-
-def test_gen_large_bounds_with_matching_env(monkeypatch, capsys):
-    monkeypatch.setenv(
-        "ENDOWLAB_BOUNDS",
-        json.dumps({"max_indices": 6, "max_k": 4, "max_points": 12,
-                    "max_base": 24, "max_poset": 200, "max_levels": 16}))
-    assert main(["gen", "--seed", "0", "--bounds", "large"]) == 0
-    assert json.loads(capsys.readouterr().out)["kind"] == "scenario"
-
-
 def test_selftest_passes(capsys):
     assert main(["selftest", "--count", "3", "--seed", "2"]) == 0
     out = capsys.readouterr().out
@@ -677,11 +662,6 @@ def test_selftest_reports_a_failing_seed_and_continues(monkeypatch, capsys):
     assert data["problems"] == []
     assert data["failures"] == [{"seed": 3, "mode": MODES[1], "verdict": None,
                                  "replay_ok": False, "error": "RuntimeError: boom"}]
-
-
-def test_selftest_large_bounds_exceed_default_limits(capsys):
-    assert main(["selftest", "--count", "1", "--bounds", "large"]) == 70
-    assert "resource error" in capsys.readouterr().err
 
 
 def test_selftest_parallel(capsys):

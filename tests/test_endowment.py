@@ -285,15 +285,17 @@ def reference_scan(poset, strat, family, n, antichains):
         if chosen not in seen:
             seen.add(chosen)
             outputs.append(chosen)
+    below = {p: sorted(poset.down(p), key=poset.sort_key) for p in level}
+    up = {r: poset.up(r) for r in poset.elements}
     events = []
     violations = []
     steps = 0
     for combo in product(outputs, repeat=n):
         for p in level:
             found = False
-            for r in sorted(poset.down(p), key=poset.sort_key):
+            for r in below[p]:
                 steps += 1
-                if all(not poset.up(r).isdisjoint(part) for part in combo):
+                if all(not up[r].isdisjoint(part) for part in combo):
                     found = True
                     break
             events.append((steps, len(violations)))

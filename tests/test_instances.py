@@ -92,7 +92,7 @@ def test_load_rejects_missing_and_malformed(tmp_path):
 def test_name_payloads_validate():
     for payload in (cohen_pair_name_payload(), measure_pair_name_payload()):
         assert validate_instance(wrap_instance("name", payload)) == "name"
-        assert Name.from_jsonable(payload).pairs  # parses
+        assert Name(tuple((entry["condition"], entry["set"]) for entry in payload)).pairs  # builds
 
 
 def test_fixture_scenarios_run():

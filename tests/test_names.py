@@ -6,9 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from endowlab.bounds import DEFAULT_LIMITS
 from endowlab.canon import set_key, sorted_sets
-from endowlab.cli import LARGE_BOUNDS
 from endowlab.cohen import CohenPoset
 from endowlab.endowment import cohen_dow_family, maximal_antichain_family, measure_total_family
 from endowlab.errors import DataError
@@ -433,14 +431,13 @@ def assert_matches_reference(poset, strat, space, result, families):
     return union_ok
 
 
-@pytest.mark.parametrize("bounds", [DEFAULT_LIMITS, LARGE_BOUNDS], ids=["default", "large"])
 @pytest.mark.parametrize("mode", MODES)
-def test_closing_pass_matches_the_separate_checks(mode, bounds):
+def test_closing_pass_matches_the_separate_checks(mode):
     for seed in range(15):
-        scenario = generate_scenario(seed, mode, bounds, bounds)
-        cert = run_preservation(scenario, bounds)
-        bundle = build_bundle(scenario.poset, bounds)
-        space = FiniteSpace(scenario.points, scenario.base, bounds)
+        scenario = generate_scenario(seed, mode)
+        cert = run_preservation(scenario)
+        bundle = build_bundle(scenario.poset)
+        space = FiniteSpace(scenario.points, scenario.base)
         assert assert_matches_reference(
             bundle.poset, bundle.strat, space, cert.pipeline, cert.ground_families)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from endowlab.canon import family_key
 from endowlab.errors import DataError
 from endowlab.selection import (
+    EXACT_MENGER_POOL,
     _least_selection,
     check_menger,
     check_rothberger,
@@ -195,6 +196,30 @@ def test_menger_exact_minimum_matches_brute_force(data):
     families = menger_select(problem)
     assert families is not None
     assert sum(len(f) for f in families) == brute_menger_minimum(problem)
+    assert check_menger(problem, families) == (True, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_menger_greedy_path_covers_pools_above_the_exact_limit(data):
+    points = "abcde"
+    space = FiniteSpace(points, [[x] for x in points])  # discrete: every set is open
+    opens = [v for v in space.opens if v]
+    floor = data.draw(st.integers(min_value=0, max_value=1))
+    total = data.draw(st.integers(min_value=EXACT_MENGER_POOL + 1, max_value=20))
+    first = data.draw(st.integers(min_value=1, max_value=total - 1))
+    level_covers = [[frozenset(points)]] * floor
+    for size in (first, total - first):
+        members = data.draw(st.lists(st.sampled_from(opens), min_size=size, max_size=size, unique=True))
+        # the last member takes whatever the others leave uncovered, so each
+        # level stays a cover of exactly `size` distinct members
+        missing = frozenset(points).difference(*members[:-1])
+        if missing:
+            members[-1] = missing
+        level_covers.append(members)
+    problem = make_selection_problem(space, level_covers, floor, "menger")
+    assert sum(len(level) for level in problem.covers[floor:]) == total
+    families = menger_select(problem)
     assert check_menger(problem, families) == (True, None)
 
 

@@ -90,9 +90,3 @@ def test_covers():
     assert not covers(s, [frozenset({"x"})])
     assert not covers(s, [])
 
-
-def test_json_roundtrip():
-    s = FiniteSpace(["x", "y"], [["x"], ["x", "y"]])
-    t = FiniteSpace.from_jsonable(s.to_jsonable())
-    assert t.points == s.points
-    assert t.base == s.base
