@@ -21,6 +21,7 @@ from certificate_reference import (
     refine_certificate_jsonable,
     scenario_jsonable,
 )
+from endowlab.bounds import DEFAULT_LIMITS, Limits
 from endowlab.canon import canonical_json
 from endowlab.cli import main
 from endowlab.endowment import adversarial_singleton_family
@@ -66,10 +67,16 @@ def test_goldens_are_the_writer_text(label, fixture, tmp_path):
     assert preserve_then_verify(tmp_path, fixture()) == (0, 0, golden)
 
 
+# Tighter generation bounds draw other scenarios than the defaults (196 of
+# 200 seeds differ per mode): one Cohen index, k = 1, two points.
+SMALL_BOUNDS = Limits(max_indices=1, max_k=1, max_points=2, max_base=3, max_poset=4, max_levels=4)
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_LIMITS, SMALL_BOUNDS], ids=["default", "small"])
 @pytest.mark.parametrize("mode", MODES)
-def test_writer_matches_reference_on_generated_scenarios(mode):
+def test_writer_matches_reference_on_generated_scenarios(mode, bounds):
     for seed in range(200):
-        cert = run_preservation(generate_scenario(seed, mode))
+        cert = run_preservation(generate_scenario(seed, mode, bounds))
         assert_writer_matches_reference(cert)
 
 

@@ -634,6 +634,22 @@ def test_gen_rejects_bounds_it_cannot_honour(bounds, capsys):
     assert next(iter(bounds)) in capsys.readouterr().err
 
 
+# Generation bounds above every default resource limit, as a JSON --bounds value.
+BOUNDS_ABOVE_LIMITS = json.dumps({"max_indices": 6, "max_k": 4, "max_points": 12,
+                                 "max_base": 24, "max_poset": 200, "max_levels": 16})
+
+
+def test_gen_large_bounds_exceed_default_limits(capsys):
+    assert main(["gen", "--seed", "0", "--bounds", BOUNDS_ABOVE_LIMITS]) == 70
+    assert "resource error" in capsys.readouterr().err
+
+
+def test_gen_large_bounds_with_matching_env(monkeypatch, capsys):
+    monkeypatch.setenv("ENDOWLAB_BOUNDS", BOUNDS_ABOVE_LIMITS)
+    assert main(["gen", "--seed", "0", "--bounds", BOUNDS_ABOVE_LIMITS]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "scenario"
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest", "--count", "3", "--seed", "2"]) == 0
     out = capsys.readouterr().out
@@ -662,6 +678,11 @@ def test_selftest_reports_a_failing_seed_and_continues(monkeypatch, capsys):
     assert data["problems"] == []
     assert data["failures"] == [{"seed": 3, "mode": MODES[1], "verdict": None,
                                  "replay_ok": False, "error": "RuntimeError: boom"}]
+
+
+def test_selftest_large_bounds_exceed_default_limits(capsys):
+    assert main(["selftest", "--count", "1", "--bounds", BOUNDS_ABOVE_LIMITS]) == 70
+    assert "resource error" in capsys.readouterr().err
 
 
 def test_selftest_parallel(capsys):

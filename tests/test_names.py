@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from endowlab.bounds import DEFAULT_LIMITS, Limits
 from endowlab.canon import set_key, sorted_sets
 from endowlab.cohen import CohenPoset
 from endowlab.endowment import cohen_dow_family, maximal_antichain_family, measure_total_family
@@ -431,10 +432,15 @@ def assert_matches_reference(poset, strat, space, result, families):
     return union_ok
 
 
+# Tighter generation bounds draw other scenarios than the defaults.
+SMALL_BOUNDS = Limits(max_indices=1, max_k=1, max_points=2, max_base=3, max_poset=4, max_levels=4)
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_LIMITS, SMALL_BOUNDS], ids=["default", "small"])
 @pytest.mark.parametrize("mode", MODES)
-def test_closing_pass_matches_the_separate_checks(mode):
+def test_closing_pass_matches_the_separate_checks(mode, bounds):
     for seed in range(15):
-        scenario = generate_scenario(seed, mode)
+        scenario = generate_scenario(seed, mode, bounds)
         cert = run_preservation(scenario)
         bundle = build_bundle(scenario.poset)
         space = FiniteSpace(scenario.points, scenario.base)

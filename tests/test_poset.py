@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endowlab.bounds import DEFAULT_LIMITS, Limits
+from endowlab.cli import parse_poset_spec
 from endowlab.cohen import CohenPoset
 from endowlab.errors import DataError, ResourceError
+from endowlab.instances import load_instance, save_instance
 from endowlab.measure import MeasurePoset
 from endowlab.poset import (
     ExistsSupersetInCover,
@@ -22,6 +24,7 @@ from endowlab.poset import (
     make_stratification,
     statement_holds_at,
 )
+from endowlab.preservation import build_bundle
 
 
 def diamond():
@@ -151,6 +154,18 @@ def test_stratification_stabilization_is_least_index():
     assert s.stabilization_index == 0
 
 
+def test_poset_json_roundtrip(tmp_path):
+    # an explicit poset file is read by `parse_poset_spec("@...")` and built by `build_bundle`
+    d = diamond()
+    pairs = [[a, b] for b in d.elements for a in d.conditions_in(d.down_mask[b]) if a != b]
+    save_instance(tmp_path / "p.json", "poset", {"elements": list(d.elements), "leq": pairs})
+    rebuilt = build_bundle(parse_poset_spec(f"@{tmp_path / 'p.json'}")).poset
+    assert rebuilt.elements == d.elements
+    for p in d.elements:
+        for q in d.elements:
+            assert rebuilt.leq(p, q) == d.leq(p, q)
+
+
 # -- names and statements -----------------------------------------------------
 
 
@@ -160,6 +175,14 @@ def test_name_normalizes_pairs():
     assert a.pairs == b.pairs
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_name_json_roundtrip(tmp_path):
+    # a name file is shape-checked by `load_instance` and built by the constructor
+    a = Name((("q", frozenset({"x"})), ("p", frozenset({"x", "y"}))))
+    save_instance(tmp_path / "n.json", "name", a.to_jsonable())
+    payload = load_instance(tmp_path / "n.json", "name")
+    assert Name(tuple((e["condition"], frozenset(e["set"])) for e in payload)) == a
 
 
 def test_evaluate_name_collects_sets_above_atom():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from endowlab.bounds import Limits
 from endowlab.errors import DataError, ResourceError
+from endowlab.instances import load_instance, save_instance
 from endowlab.topology import FiniteSpace, covers
 
 
@@ -90,3 +91,13 @@ def test_covers():
     assert not covers(s, [frozenset({"x"})])
     assert not covers(s, [])
 
+
+def test_json_roundtrip(tmp_path):
+    # a space file is shape-checked by `load_instance` and built by the constructor
+    s = FiniteSpace(["x", "y"], [["x"], ["x", "y"]])
+    save_instance(tmp_path / "s.json", "space",
+                  {"points": list(s.points), "base": [sorted(b) for b in s.base]})
+    payload = load_instance(tmp_path / "s.json", "space")
+    t = FiniteSpace(payload["points"], payload["base"])
+    assert t.points == s.points
+    assert t.base == s.base
