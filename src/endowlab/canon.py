@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError
@@ -48,6 +49,14 @@ def canonical_json(obj) -> str:
 def canonical_json_pretty(obj) -> str:
     """Dump with sorted keys, indented for human reading."""
     return json.dumps(obj, sort_keys=True, indent=2, check_circular=False)
+
+
+def parse_json(text: str, path: str | Path):
+    """Parse the text read from `path`; bad JSON is a DataError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
 # -- writing canonical text directly -------------------------------------------

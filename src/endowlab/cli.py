@@ -39,7 +39,6 @@ from .instances import (
     fixture_cohen_pair,
     fixture_measure_pair,
     load_instance,
-    parse_json,
     read_json,
     read_text,
     save_instance,
@@ -133,8 +132,7 @@ def emit(args, jsonable, text_lines) -> None:
 
 def replays(cert, limits: Limits) -> bool:
     """Whether `cert`, as `preserve` writes it, passes `verify`'s replay."""
-    text = cert.to_text() + "\n"
-    return replay_certificate(json.loads(text), limits, text).ok
+    return replay_certificate(cert.to_text() + "\n", limits).ok
 
 
 # -- multiprocessing worker (top level for pickling) ---------------------------
@@ -298,8 +296,7 @@ def cmd_preserve(args, limits: Limits) -> int:
 
 
 def cmd_verify(args, limits: Limits) -> int:
-    text = read_text(args.cert)
-    report = replay_certificate(parse_json(text, args.cert), limits, text)
+    report = replay_certificate(read_text(args.cert), limits, args.cert)
     lines = [f"replay: {'ok' if report.ok else 'MISMATCH'}"]
     if not report.ok:
         lines.append(f"mismatching sections: {list(report.mismatches)}")

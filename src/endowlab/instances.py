@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .canon import check_shape
+from .canon import check_shape, parse_json
 from .errors import DataError
 from .poset import NAME_SHAPE, POSET_SHAPE
 from .preservation import SCENARIO_SHAPE, Scenario
@@ -59,14 +59,6 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
-def parse_json(text: str, path: str | Path):
-    """Parse the text read from `path`; bad JSON is a DataError."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def read_json(path: str | Path):

@@ -11,7 +11,9 @@ The certificate is canonical JSON: replaying the embedded scenario must
 reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
 writer; it writes the scenario, names and witness triples straight to text
 through one `TextMemo`, and the few small sections through
-`canonical_json`.  Its `to_jsonable` parses that text.
+`canonical_json`.  Its `to_jsonable` parses that text.  `replay_certificate`
+decides a canonical file from its embedded scenario alone; any other text
+is parsed whole and compared with the fresh certificate section by section.
 """
 
 from __future__ import annotations
@@ -19,9 +21,18 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .bounds import DEFAULT_LIMITS, Limits
-from .canon import BOOL_TEXT, TextMemo, array_text, canonical_json, check_shape, object_text
+from .canon import (
+    BOOL_TEXT,
+    TextMemo,
+    array_text,
+    canonical_json,
+    check_shape,
+    object_text,
+    parse_json,
+)
 from .cohen import CohenPoset
 from .endowment import (
     EndowmentFamily,
@@ -29,7 +40,7 @@ from .endowment import (
     maximal_antichain_family,
     measure_total_family,
 )
-from .errors import DataError, ResourceError, ScenarioError
+from .errors import DataError, EndowlabError, ResourceError, ScenarioError
 from .measure import MeasurePoset
 from .names import (
     Approximation,
@@ -265,24 +276,65 @@ class ReplayReport:
         return {"ok": self.ok, "mismatches": list(self.mismatches)}
 
 
-def replay_certificate(data: dict, limits: Limits = DEFAULT_LIMITS, text: str | None = None) -> ReplayReport:
-    """Re-run the embedded scenario and compare byte for byte.
+# In the canonical layout only `selection`, `subfamily_everywhere`,
+# `union_covers` and `verdict` sort after the scenario, and none of them can
+# hold this key: an identifier's quotes are escaped in its string literal.
+_SCENARIO_KEY = '"scenario":'
+_DECODER = json.JSONDecoder()
 
-    `text`, when given, is the file `data` was parsed from: if it is the
-    fresh certificate exactly as `preserve` writes it, the replay is ok
-    without dumping `data`.  Otherwise `data` is dumped and compared with
-    the fresh text, and on a mismatch the fresh text is parsed to list the
-    differing top level sections by key.
+
+def _embedded_scenario(text: str):
+    """The JSON value after the last scenario key of `text`, where the
+    canonical layout puts the scenario, or None when there is none."""
+    start = text.rfind(_SCENARIO_KEY)
+    if start < 0:
+        return None
+    try:
+        return _DECODER.raw_decode(text, start + len(_SCENARIO_KEY))[0]
+    except (ValueError, RecursionError):
+        return None
+
+
+def replay_certificate(
+    text: str, limits: Limits = DEFAULT_LIMITS, path: str | Path = "certificate",
+) -> ReplayReport:
+    """Re-run the embedded scenario of the certificate `text`, read from
+    `path`, and compare byte for byte.
+
+    A canonical file, the fresh certificate exactly as `preserve` writes it,
+    is decided from its scenario alone: the scenario is decoded where the
+    writer puts it and replayed, and byte equality with the fresh text
+    proves the kind, the version and the scenario.  Any other text is
+    parsed whole; its kind, version and scenario are checked, it is dumped
+    and compared with the fresh text, and on a mismatch the fresh text is
+    parsed to list the differing top level sections by key.  The replay of
+    the first step, or its error, is reused when the parsed scenario is the
+    decoded one, so the pipeline runs at most once for a file.
     """
+    scenario = fresh_text = failure = None
+    decoded = _embedded_scenario(text)
+    if decoded is not None:
+        try:
+            scenario = Scenario.from_jsonable(decoded)
+            fresh_text = run_preservation(scenario, limits).to_text()
+        except EndowlabError as exc:
+            failure = exc
+        if fresh_text is not None and text == fresh_text + "\n":
+            return ReplayReport(True, ())
+    data = parse_json(text, path)
     if not isinstance(data, dict) or data.get("kind") != "preservation-certificate":
         raise DataError("not a preservation certificate")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported certificate format version {data.get('format_version')!r}")
+    version = data.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DataError(f"unsupported certificate format version {version!r}")
     if "scenario" not in data:
         raise DataError("certificate needs an embedded scenario")
-    scenario = Scenario.from_jsonable(data["scenario"])
-    fresh_text = run_preservation(scenario, limits).to_text()
-    if text == fresh_text + "\n" or fresh_text == canonical_json(data):
+    parsed = Scenario.from_jsonable(data["scenario"])
+    if parsed != scenario:
+        fresh_text = run_preservation(parsed, limits).to_text()
+    elif failure is not None:
+        raise failure
+    if fresh_text == canonical_json(data):
         return ReplayReport(True, ())
     fresh = json.loads(fresh_text)
     keys = sorted(set(fresh) | set(data))

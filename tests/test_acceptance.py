@@ -253,7 +253,7 @@ def test_criterion_8_negative_controls():
     # (c) a tampered certificate fails replay on the edited section
     data = json.loads(canonical_json(run_preservation(fixture_cohen_pair()).to_jsonable()))
     data["verdict"] = "negative"
-    replay = replay_certificate(data)
+    replay = replay_certificate(canonical_json(data) + "\n")
     assert not replay.ok
     assert replay.mismatches == ("verdict",)
 

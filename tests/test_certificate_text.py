@@ -86,16 +86,18 @@ TOP, LEFT, RIGHT, LOW, ASTRAL = '"top"', "a\\b", "b\x1fc", "ü", "\U0001d538"
 X, Y, Z, U, V = 'x"', "y\\", "z\n", "é", "\U0001f600"
 
 
-def hostile_scenario(mode: str) -> Scenario:
-    everything = [X, Y, Z, U, V]
+def hostile_scenario(mode: str, x: str = X) -> Scenario:
+    """A scenario whose identifiers all need escaping; `x` names its first
+    point."""
+    everything = [x, Y, Z, U, V]
     return Scenario.from_jsonable({
         "poset": {"kind": "explicit", "elements": [TOP, LEFT, RIGHT, LOW, ASTRAL],
                   "leq": [[LEFT, TOP], [RIGHT, TOP], [LOW, LEFT], [ASTRAL, LEFT]]},
-        "space": {"points": everything, "base": [[X], [X, Y], [Z, U, V], everything]},
+        "space": {"points": everything, "base": [[x], [x, Y], [Z, U, V], everything]},
         "names": [
-            [{"condition": TOP, "set": everything}, {"condition": LEFT, "set": [X, Y]},
-             {"condition": LOW, "set": [X]}, {"condition": RIGHT, "set": [Z, U, V]}],
-            [{"condition": LEFT, "set": [X, Y]}, {"condition": LEFT, "set": everything},
+            [{"condition": TOP, "set": everything}, {"condition": LEFT, "set": [x, Y]},
+             {"condition": LOW, "set": [x]}, {"condition": RIGHT, "set": [Z, U, V]}],
+            [{"condition": LEFT, "set": [x, Y]}, {"condition": LEFT, "set": everything},
              {"condition": RIGHT, "set": [Z, U, V]}, {"condition": RIGHT, "set": everything}],
         ],
         "property": mode,

@@ -10,7 +10,6 @@ import time
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
-from types import SimpleNamespace
 
 import endowlab
 import endowlab.cli as cli
@@ -441,51 +440,183 @@ def test_verify_tampered_certificate_is_3(tmp_path, capsys):
 
 
 def test_verify_dumps_the_fresh_certificate_once(tmp_path, monkeypatch, capsys):
-    # the fresh certificate is written to text once; the file's parsed data
-    # is dumped only when the file is not that text, and the fresh text is
-    # parsed only to name mismatching sections
+    # the fresh certificate is written to text once and the pipeline runs at
+    # most once; a canonical file is decided from its scenario without
+    # parsing the file, any other text is parsed and dumped once, and the
+    # fresh text is parsed only to name mismatching sections
     import endowlab.preservation as preservation
 
     scenario = tmp_path / "scenario.json"
     cert = tmp_path / "cert.json"
     save_instance(scenario, "scenario", fixture_cohen_pair().to_jsonable())
     assert main(["preserve", "--scenario", str(scenario), "--cert", str(cert)]) == 0
-    writes, dumps, parses = [], [], []
-    write = preservation.PreservationCertificate.to_text
+    writes, dumps, parses, runs = [], [], [], []
 
-    def counting_write(certificate):
-        writes.append(certificate)
-        return write(certificate)
+    def counting(seen, function):
+        def counted(*args):
+            seen.append(args)
+            return function(*args)
+        return counted
 
     def counting_dump(obj):
         if isinstance(obj, dict) and obj.get("kind") == "preservation-certificate":
             dumps.append(obj)
         return canonical_json(obj)
 
-    def counting_parse(text):
-        parses.append(text)
-        return json.loads(text)
-
-    monkeypatch.setattr(preservation.PreservationCertificate, "to_text", counting_write)
+    monkeypatch.setattr(preservation.PreservationCertificate, "to_text",
+                        counting(writes, preservation.PreservationCertificate.to_text))
     monkeypatch.setattr(preservation, "canonical_json", counting_dump)
-    monkeypatch.setattr(preservation, "json", SimpleNamespace(loads=counting_parse))
+    monkeypatch.setattr(json, "loads", counting(parses, json.loads))
+    monkeypatch.setattr(preservation, "run_preservation", counting(runs, preservation.run_preservation))
 
     def verify_counts(text):
+        """Exit code, certificate writes and dumps, parses of the file and
+        of other text, and pipeline runs."""
         cert.write_text(text)
-        for seen in (writes, dumps, parses):
+        for seen in (writes, dumps, parses, runs):
             seen.clear()
         code = main(["verify", "--cert", str(cert)])
-        return code, len(writes), len(dumps), len(parses)
+        file_parses = parses.count((text,))
+        return code, len(writes), len(dumps), file_parses, len(parses) - file_parses, len(runs)
 
     data = json.loads(cert.read_text())
-    assert verify_counts(cert.read_text()) == (0, 1, 0, 0)
+    assert verify_counts(cert.read_text()) == (0, 1, 0, 0, 0, 1)
     # the same certificate in other whitespace is still decided by content
     for text in (canonical_json(data), json.dumps(data, indent=2) + "\n"):
-        assert verify_counts(text) == (0, 1, 1, 0)
-    data["floor"] += 1
+        assert verify_counts(text) == (0, 1, 1, 1, 0, 1)
     capsys.readouterr()
-    assert verify_counts(canonical_json(data) + "\n") == (3, 1, 1, 1)
+    assert verify_counts(canonical_json({**data, "floor": data["floor"] + 1}) + "\n") == (3, 1, 1, 1, 1, 1)
     assert "mismatching sections: ['floor']" in capsys.readouterr().out
+    # a scenario whose pipeline raises is not run again after the parse
+    for recipe, code in ((data["scenario"]["poset"], 2), ({"kind": "measure", "k": 4}, 70)):
+        short = {**data["scenario"], "poset": recipe, "names": data["scenario"]["names"][:2]}
+        assert verify_counts(canonical_json({**data, "scenario": short}) + "\n") == (code, 0, 0, 1, 0, 1)
+
+
+GOLDEN_TEXT = (Path(__file__).parent / "golden" / "cohen-pair.cert.json").read_text()
+
+
+def _edited(edit) -> str:
+    """The cohen-pair golden, edited as parsed data and written canonically."""
+    data = json.loads(GOLDEN_TEXT)
+    edit(data)
+    return canonical_json(data) + "\n"
+
+
+def _json_error(text: str) -> str:
+    """The interpreter's words for why `text` is not JSON."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("valid JSON")
+
+
+def _flip_atom_row(data):
+    row = data["atom_table"][0]
+    row["set"] = ["x"] if row["set"] == ["x", "y"] else ["x", "y"]
+
+
+def _hostile_certificate() -> str:
+    from test_certificate_text import hostile_scenario
+
+    # the point's literal is escaped, so the scenario key still occurs only
+    # once although the point recurs in the selection after the scenario
+    return run_preservation(hostile_scenario("rothberger", '"scenario":{')).to_text() + "\n"
+
+
+FLOOR_ERROR = "scenario error: stabilization floor 2 leaves no usable level among 2 names\n"
+K4_ERROR = "resource error: measure algebra exponent capped at 3, got 4\n"
+NOT_A_CERTIFICATE = "error: not a preservation certificate\n"
+OK = "replay: ok\n"
+
+
+def _mismatch(*sections: str) -> str:
+    return f"replay: MISMATCH\nmismatching sections: {list(sections)}\n"
+
+
+def _short_scenario(recipe=None):
+    def edit(data):
+        scenario = data["scenario"]
+        scenario["names"] = scenario["names"][:2]
+        if recipe is not None:
+            scenario["poset"] = recipe
+    return edit
+
+
+def _both(*edits):
+    def edit(data):
+        for each in edits:
+            each(data)
+    return edit
+
+
+# input -> (exit code, stdout, stderr with the file's path as {path}), as
+# `verify` answered before it read the scenario without parsing the file,
+# except that a format version of true or 1.0 was then a mismatch (exit 3).
+VERIFY_MATRIX = {
+    "canonical": (lambda: GOLDEN_TEXT, 0, OK, ""),
+    "compact-no-newline": (lambda: GOLDEN_TEXT.rstrip("\n"), 0, OK, ""),
+    "indent-2": (lambda: json.dumps(json.loads(GOLDEN_TEXT), indent=2) + "\n", 0, OK, ""),
+    "tampered-floor": (lambda: _edited(lambda d: d.update(floor=3)), 3, _mismatch("floor"), ""),
+    "tampered-verdict": (
+        lambda: _edited(lambda d: d.update(verdict="negative")), 3, _mismatch("verdict"), ""),
+    "tampered-atom-row": (lambda: _edited(_flip_atom_row), 3, _mismatch("atom_table"), ""),
+    "tampered-scenario-name": (
+        lambda: _edited(lambda d: d["scenario"]["names"][-1][0].update(set=["x", "y"])),
+        3, _mismatch("approximation_certificates", "approximations", "scenario"), ""),
+    "wrong-kind": (lambda: _edited(lambda d: d.update(kind="scenario")), 65, "", NOT_A_CERTIFICATE),
+    "wrong-version": (
+        lambda: _edited(lambda d: d.update(format_version=2)),
+        65, "", "error: unsupported certificate format version 2\n"),
+    "version-true": (
+        lambda: _edited(lambda d: d.update(format_version=True)),
+        65, "", "error: unsupported certificate format version True\n"),
+    "version-float": (
+        lambda: _edited(lambda d: d.update(format_version=1.0)),
+        65, "", "error: unsupported certificate format version 1.0\n"),
+    "missing-scenario": (
+        lambda: _edited(lambda d: d.pop("scenario")),
+        65, "", "error: certificate needs an embedded scenario\n"),
+    "scenario-not-object": (
+        lambda: _edited(lambda d: d.update(scenario=[])),
+        65, "", "error: scenario must be an object\n"),
+    "truncated": (
+        lambda: GOLDEN_TEXT[:-5],
+        65, "", f"error: {{path}} is not valid JSON: {_json_error(GOLDEN_TEXT[:-5])}\n"),
+    "deep": (
+        lambda: "[" * 100_000,
+        65, "", f"error: {{path}} is not valid JSON: {_json_error('[' * 100_000)}\n"),
+    "not-utf-8": (
+        lambda: b"\xff\xfe", 65, "",
+        "error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"),
+    "floor-error": (lambda: _edited(_short_scenario()), 2, "", FLOOR_ERROR),
+    "floor-error-wrong-kind": (
+        lambda: _edited(_both(_short_scenario(), lambda d: d.update(kind="scenario"))),
+        65, "", NOT_A_CERTIFICATE),
+    "k4-error": (lambda: _edited(_short_scenario({"kind": "measure", "k": 4})), 70, "", K4_ERROR),
+    "k4-error-wrong-kind": (
+        lambda: _edited(_both(_short_scenario({"kind": "measure", "k": 4}),
+                              lambda d: d.update(kind="scenario"))),
+        65, "", NOT_A_CERTIFICATE),
+    "hostile-identifiers": (_hostile_certificate, 0, OK, ""),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_MATRIX.values(), ids=VERIFY_MATRIX.keys())
+def test_verify_outcome_matrix(case, tmp_path, capsys):
+    make, code, out, err = case
+    content = make()
+    cert = tmp_path / "cert.json"
+    if isinstance(content, bytes):
+        cert.write_bytes(content)
+    else:
+        cert.write_text(content)
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert)]) == code
+    seen = capsys.readouterr()
+    assert (seen.out, seen.err.replace(str(cert), "{path}")) == (out, err)
 
 
 def test_verify_missing_cert_is_65(tmp_path):

@@ -59,23 +59,25 @@ def test_certificates_are_byte_identical_across_runs():
 
 
 def test_replay_accepts_fresh_and_flags_tampered():
-    cert = run_preservation(fixture_cohen_pair()).to_jsonable()
-    assert replay_certificate(cert).ok
-    tampered = json.loads(canonical_json(cert))
+    text = run_preservation(fixture_cohen_pair()).to_text()
+    assert replay_certificate(text + "\n").ok
+    tampered = json.loads(text)
     tampered["atom_table"][0]["set"] = ["x", "y"] \
         if tampered["atom_table"][0]["set"] == ["x"] else ["x"]
-    report = replay_certificate(tampered)
+    report = replay_certificate(canonical_json(tampered))
     assert not report.ok
     assert "atom_table" in report.mismatches
 
 
 def test_replay_rejects_malformed_certificates():
     with pytest.raises(DataError):
-        replay_certificate({"kind": "nope"})
+        replay_certificate('{"kind":"nope"}')
     cert = run_preservation(fixture_cohen_pair()).to_jsonable()
-    cert["format_version"] = 99
-    with pytest.raises(DataError):
-        replay_certificate(cert)
+    # true and 1.0 compare equal to 1 in Python but are not the integer 1
+    for version in (99, True, 1.0):
+        cert["format_version"] = version
+        with pytest.raises(DataError, match=f"unsupported certificate format version {version!r}$"):
+            replay_certificate(canonical_json(cert))
 
 
 def test_scenario_error_when_floor_leaves_no_level():
@@ -133,7 +135,7 @@ def test_explicit_poset_scenario():
     assert cert.floor == 0
     assert cert.family_label == "maximal-antichain"
     assert cert.verdict == "positive"
-    assert replay_certificate(cert.to_jsonable()).ok
+    assert replay_certificate(cert.to_text() + "\n").ok
 
 
 def test_build_bundle_validates():
@@ -172,7 +174,9 @@ def test_generated_scenarios_run_positive():
         s = generate_scenario(seed, MODES[seed % 3])
         cert = run_preservation(s)
         assert cert.verdict == "positive", (seed, s.mode)
-        assert replay_certificate(cert.to_jsonable()).ok
+        # the file as written, and the same certificate without its newline
+        text = cert.to_text()
+        assert replay_certificate(text + "\n").ok and replay_certificate(text).ok
 
 
 def test_generator_bound_validation():
