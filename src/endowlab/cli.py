@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -58,9 +59,17 @@ from .preservation import (
 from .selection import MODES
 from .topology import FiniteSpace
 
+
+class _HelpShown(Exception):
+    """Raised after `--help` has printed, in place of argparse's exit."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse hook
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):  # noqa: A003 - argparse hook, reached only by --help
+        raise _HelpShown
 
 
 def parse_poset_spec(text: str, limits: Limits = DEFAULT_LIMITS) -> dict:
@@ -73,6 +82,7 @@ def parse_poset_spec(text: str, limits: Limits = DEFAULT_LIMITS) -> dict:
             size = int(tail[2:])
         except ValueError:
             raise UsageError(f"bad index count in {text!r}")
+        require_at_least(f"D in {text!r}", size, 1)
         if size > limits.max_indices:
             raise ResourceError(f"index set capped at {limits.max_indices} entries, got {size}")
         return {"kind": "cohen", "indices": list(range(size))}
@@ -81,6 +91,7 @@ def parse_poset_spec(text: str, limits: Limits = DEFAULT_LIMITS) -> dict:
             k = int(tail[2:])
         except ValueError:
             raise UsageError(f"bad exponent in {text!r}")
+        require_at_least(f"k in {text!r}", k, 0)
         return {"kind": "measure", "k": k}
     raise UsageError(
         f"bad poset spec {text!r}; expected cohen:D=<n>, measure:k=<n>, or @file.json")
@@ -439,7 +450,6 @@ def build_parser() -> _Parser:
                    help="joint extension step budget: conditions of down(p) examined, "
                         "up to and including the least witness")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_endow_verify)
 
     p = sub.add_parser("dow", help="run the staged antichain construction")
     p.add_argument("poset", help="cohen:D=<n>")
@@ -447,7 +457,6 @@ def build_parser() -> _Parser:
                    help="maximal antichain member (repeat)")
     p.add_argument("--n", type=int, required=True, help="stage count")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dow)
 
     p = sub.add_parser("approx", help="ground cover approximation of a name")
     p.add_argument("--poset", required=True)
@@ -456,7 +465,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", default="default", choices=["default", "maximal", "adversarial"])
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("refine", help="refine a name over a ground family")
     p.add_argument("--poset", required=True)
@@ -465,7 +473,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sets", required=True, help="JSON list of point lists")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("preserve", help="run a preservation scenario end to end")
     p.add_argument("--scenario", required=True, help="scenario instance file")
@@ -473,12 +480,10 @@ def build_parser() -> _Parser:
                    help="override the scenario's property")
     p.add_argument("--cert", required=True, help="certificate output path")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_preserve)
 
     p = sub.add_parser("verify", help="replay a preservation certificate")
     p.add_argument("--cert", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded scenario")
     p.add_argument("--seed", type=int, required=True)
@@ -486,7 +491,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output file (stdout when omitted)")
     p.add_argument("--bounds", default="default", help="'default' or JSON")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("selftest", help="generate, run, and replay scenarios")
     p.add_argument("--count", type=int, default=24)
@@ -494,18 +498,29 @@ def build_parser() -> _Parser:
     p.add_argument("--bounds", default="default", help="'default' or JSON")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser every `main` call reuses, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; safe to call many times in one process.
+
+    The handler is looked up by name in this module when the command runs,
+    so a rebinding of `cmd_<command>` after the first call takes effect.
+    """
     args = None
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         limits = limits_from_env(os.environ)
-        return args.func(args, limits)
+        return globals()["cmd_" + args.command.replace("-", "_")](args, limits)
+    except _HelpShown:
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -289,7 +289,7 @@ def verify_weak_endowment(
     member lying inside its antichain (clause 2), and compatible with
     every level-n condition (clause 3').
     """
-    level = sorted(strat.at(n), key=poset.sort_key)
+    level = strat.ordered_at(n)
     violations: list[Violation] = []
     for items, chosen in extractions:
         key = tuple(sorted(items, key=poset.sort_key))
@@ -334,7 +334,7 @@ def verify_full_endowment(
     exceed the budget, the scan raises ResourceError carrying the partial
     report.
     """
-    level = sorted(strat.at(n), key=poset.sort_key)
+    level = strat.ordered_at(n)
     reach: dict[frozenset[Condition], int] = {}  # distinct extraction outputs, in first-seen order
     for _, chosen in extractions:
         if chosen not in reach:

@@ -251,7 +251,7 @@ def level_witnesses(
     the lowest bit of `down_mask[p] & forcing`.
     """
     elements, down_mask = poset.elements, poset.down_mask
-    level = sorted(strat.at(n), key=poset.sort_key)
+    level = strat.ordered_at(n)
     triples = []
     for h, forcing in forcing_sets:
         key = set_key(h)

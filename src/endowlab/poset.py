@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -295,16 +295,25 @@ class Stratification:
     """An increasing chain of condition sets that exhausts the poset.
 
     `stabilization_index` is the least level equal to the whole poset.
-    Levels beyond the recorded chain repeat the final one.
+    Levels beyond the recorded chain repeat the final one.  `ordered` holds
+    each level's conditions in canonical order, built once.
     """
 
     levels: tuple[frozenset[Condition], ...]
     stabilization_index: int
+    ordered: tuple[tuple[Condition, ...], ...] = field(compare=False, repr=False)
 
     def at(self, n: int) -> frozenset[Condition]:
+        return self.levels[self._index(n)]
+
+    def ordered_at(self, n: int) -> tuple[Condition, ...]:
+        """Level n in canonical order."""
+        return self.ordered[self._index(n)]
+
+    def _index(self, n: int) -> int:
         if n < 0:
             raise DataError(f"stratification level must be nonnegative, got {n}")
-        return self.levels[min(n, len(self.levels) - 1)]
+        return min(n, len(self.levels) - 1)
 
 
 def make_stratification(poset: Poset, levels: Sequence[Iterable[Condition]]) -> Stratification:
@@ -326,7 +335,8 @@ def make_stratification(poset: Poset, levels: Sequence[Iterable[Condition]]) -> 
     if frozen[-1] != everything:
         raise DataError("final stratification level must contain every condition")
     stabilization = next(i for i, level in enumerate(frozen) if level == everything)
-    return Stratification(tuple(frozen), stabilization)
+    ordered = tuple(tuple(p for p in poset.elements if p in level) for level in frozen)
+    return Stratification(tuple(frozen), stabilization, ordered)
 
 
 # -- names and statements ---------------------------------------------------

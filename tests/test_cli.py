@@ -40,7 +40,9 @@ from hypothesis import strategies as st
 def test_parse_poset_spec():
     assert parse_poset_spec("cohen:D=2") == {"kind": "cohen", "indices": [0, 1]}
     assert parse_poset_spec("measure:k=1") == {"kind": "measure", "k": 1}
-    for bad in ("cohen", "cohen:D=x", "measure:k=", "random:3"):
+    assert parse_poset_spec("measure:k=0") == {"kind": "measure", "k": 0}
+    for bad in ("cohen", "cohen:D=x", "measure:k=", "random:3",
+                "cohen:D=0", "cohen:D=-3", "measure:k=-1"):
         with pytest.raises(UsageError):
             parse_poset_spec(bad)
 
@@ -80,6 +82,101 @@ def test_usage_errors_are_exit_64(capsys):
     assert main(["refine", "--poset", "cohen:D=2", "--space", "s.json", "--name", "n.json",
                  "--n", "-2", "--sets", "f.json"]) == 64
     assert "usage error" in capsys.readouterr().err
+
+
+# -- one parser, many calls ------------------------------------------------------
+
+
+def test_many_main_calls_build_the_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._shared_parser.cache_clear()
+    assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 0
+    once = len(built)
+    assert once > 0
+    for _ in range(5):
+        assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 0
+        assert main(["frobnicate"]) == 64
+        assert main(["--help"]) == 0
+    assert len(built) == once
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse; built = []; real = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: (built.append(1), real(self, *a, **k))[1]; "
+            "import endowlab.cli; print(len(built))")
+    env = {**os.environ, "PYTHONPATH": str(Path(endowlab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0"]
+
+
+def test_repeated_options_do_not_carry_to_the_next_call(monkeypatch, capsys):
+    seen = []
+    real = cli.dow_construct
+
+    def spy(cohen, antichain, n, **options):
+        seen.append(sorted(antichain))
+        return real(cohen, antichain, n, **options)
+
+    monkeypatch.setattr(cli, "dow_construct", spy)
+    assert main(["dow", "cohen:D=1", "--member", "0:0", "--member", "0:1", "--n", "1"]) == 0
+    assert main(["dow", "cohen:D=1", "--member", "", "--n", "1"]) == 0
+    assert seen == [["0:0", "0:1"], [""]]
+
+
+def test_property_override_does_not_carry_to_the_next_call(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    cert = tmp_path / "cert.json"
+    save_instance(scenario, "scenario", fixture_cohen_pair().to_jsonable())
+    argv = ["preserve", "--scenario", str(scenario), "--cert", str(cert)]
+    assert main(argv + ["--property", "menger"]) == 0
+    assert json.loads(cert.read_text())["scenario"]["property"] == "menger"
+    assert main(argv) == 0
+    assert json.loads(cert.read_text())["scenario"]["property"] == fixture_cohen_pair().mode
+
+
+def test_a_usage_error_leaves_the_next_call_working(capsys):
+    assert main(["endow-verify", "cohen:D=1"]) == 64  # missing --n
+    assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 0
+    assert main(["dow", "cohen:D=1", "--n", "1"]) == 64  # missing --member
+    assert main(["dow", "cohen:D=1", "--member", "", "--n", "1"]) == 0
+
+
+def test_handlers_are_looked_up_when_each_command_runs(tmp_path, monkeypatch, capsys):
+    assert main(["verify", "--cert", str(tmp_path / "missing.json")]) == 65
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, limits: 42)
+    assert main(["verify", "--cert", str(tmp_path / "missing.json")]) == 42
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--help"], "usage: endowlab"),
+    (["preserve", "--help"], "--scenario"),
+    (["endow-verify", "-h"], "--budget"),
+])
+def test_help_returns_0_and_leaves_the_parser_working(argv, expected, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert expected in captured.out
+    assert captured.err == ""
+    assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 0
+    assert "weak endowment: ok" in capsys.readouterr().out
+
+
+def test_help_exits_0_in_a_fresh_interpreter():
+    env = {**os.environ, "PYTHONPATH": str(Path(endowlab.__file__).parents[1])}
+    for argv in (["--help"], ["preserve", "--help"]):
+        run = subprocess.run([sys.executable, "-m", "endowlab.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage: endowlab")
 
 
 # -- endow-verify ---------------------------------------------------------------
@@ -254,6 +351,20 @@ def test_level_above_the_limit_is_70_before_any_poset_is_built(command, level_fi
         assert f"--n capped at max_levels=8, got {n}" in capsys.readouterr().err
     monkeypatch.setenv("ENDOWLAB_BOUNDS", '{"max_levels": 2}')
     assert main(argv + ["--n", "3"]) == 70
+
+
+@pytest.mark.parametrize("spec", ["cohen:D=0", "cohen:D=-3", "measure:k=-1"])
+@pytest.mark.parametrize("command", LEVEL_COMMANDS)
+def test_poset_size_out_of_range_is_64_before_any_poset_is_built(
+        command, spec, level_files, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a poset was built")
+
+    monkeypatch.setattr(cli, "build_bundle", refuse)
+    monkeypatch.setattr(cli, "CohenPoset", refuse)
+    argv = [spec if a == "cohen:D=2" else a for a in LEVEL_COMMANDS[command](level_files)]
+    assert main(argv + ["--n", "1"]) == 64
+    assert f"in {spec!r} must be at least" in capsys.readouterr().err
 
 
 # -- dow -------------------------------------------------------------------------

@@ -148,6 +148,28 @@ def test_stratification_validation():
         make_stratification(v, [["t"]])  # never exhausts
 
 
+def _explicit_strat():
+    v = vee()
+    return v, make_stratification(v, [["b", "t"], ["b", "a", "t"]])
+
+
+def _built_in_strat(algebra):
+    return algebra.poset, algebra.stratification()
+
+
+@pytest.mark.parametrize("strat_of", [
+    _explicit_strat,
+    lambda: _built_in_strat(CohenPoset((0, 1, 2))),
+    lambda: _built_in_strat(MeasurePoset(2)),
+], ids=["explicit", "cohen", "measure"])
+def test_stratification_orders_each_level_canonically(strat_of):
+    poset, s = strat_of()
+    for n in range(len(s.levels) + 2):
+        assert s.ordered_at(n) == tuple(sorted(s.at(n), key=poset.sort_key))
+    with pytest.raises(DataError):
+        s.ordered_at(-1)
+
+
 def test_stratification_stabilization_is_least_index():
     v = vee()
     s = make_stratification(v, [list(v.elements), list(v.elements)])
