@@ -25,6 +25,7 @@ from .canon import canonical_json_pretty, check_shape
 from .cohen import CohenPoset
 from .endowment import (
     DEFAULT_FULL_BUDGET,
+    EndowmentReport,
     adversarial_singleton_family,
     cohen_dow_family,
     dow_construct,
@@ -183,6 +184,12 @@ def require_level_bound(n: int, limits: Limits) -> None:
         raise ResourceError(f"--n capped at max_levels={limits.max_levels}, got {n}")
 
 
+def violation_lines(report: EndowmentReport) -> list[str]:
+    """The first five violations of a report, one line each."""
+    return [f"  clause {v.clause}: witness {v.witness!r} in antichain {list(v.antichain)}"
+            for v in report.violations[:5]]
+
+
 def cmd_endow_verify(args, limits: Limits) -> int:
     if args.seeded is not None:
         require_at_least("--seeded COUNT", args.seeded, 1)
@@ -209,16 +216,15 @@ def cmd_endow_verify(args, limits: Limits) -> int:
         f"antichains checked: {weak.checked} ({result['mode']})",
         f"weak endowment: {'ok' if weak.ok else 'VIOLATIONS'}",
     ]
+    lines.extend(violation_lines(weak))
     ok = weak.ok
     if args.full:
         full = verify_full_endowment(
             bundle.poset, bundle.strat, family, args.n, extractions, args.budget)
         result["full"] = full.to_jsonable()
         lines.append(f"joint extension clause: {'ok' if full.ok else 'VIOLATIONS'}")
+        lines.extend(violation_lines(full))
         ok = ok and full.ok
-    for violation in weak.violations[:5]:
-        lines.append(f"  clause {violation.clause}: witness {violation.witness!r} "
-                     f"in antichain {list(violation.antichain)}")
     emit(args, result, lines)
     return 0 if ok else 3
 

@@ -91,8 +91,8 @@ def dow_construct(
     elements in canonical order gives each its *claim*: the positions
     whose least compatible element it is.  A condition is compatible with
     an element exactly when it lies above an atom below the element, so
-    the compatible positions are the union of `atom_up` over those atoms,
-    and each claim is what those leave after the earlier claims.  A stage
+    the compatible positions are `above_atoms` of those atoms, and each
+    claim is what those leave after the earlier claims.  A stage
     handles `within_mask[support]`; it adds the elements not yet kept
     whose claim meets that mask, ordered by the lowest such bit, which is
     the order a scan of the handled conditions would meet them in.
@@ -104,7 +104,7 @@ def dow_construct(
     if not checked and not poset.is_maximal_antichain(items):
         raise DataError("staged construction needs a maximal antichain")
     by_canon = sorted(items, key=poset.sort_key)
-    atom_mask, atom_up = poset.atom_mask, poset.atom_up
+    atom_mask = poset.atom_mask
     support_mask, within_mask = cohen.support_mask, cohen.within_mask
 
     def indices(mask: int) -> tuple[int, ...]:
@@ -113,12 +113,7 @@ def dow_construct(
     claims: list[tuple[Condition, int]] = []
     rest = (1 << len(poset)) - 1  # positions not yet claimed
     for a in by_canon:
-        compatible = 0
-        atoms = atom_mask[a]
-        while atoms:
-            low = atoms & -atoms
-            atoms ^= low
-            compatible |= atom_up[low.bit_length() - 1]
+        compatible = poset.above_atoms(atom_mask[a])
         claims.append((a, rest & compatible))
         rest &= ~compatible
     seed = by_canon[0]
@@ -288,8 +283,16 @@ def verify_weak_endowment(
     Each extraction is checked to be an antichain (clause 1), a family
     member lying inside its antichain (clause 2), and compatible with
     every level-n condition (clause 3').
+
+    Clause 3' is read off atom masks.  The reach of an extraction is down
+    closed, so a condition meets it exactly when some atom of the reach
+    lies below the condition: the failing conditions are the level's
+    positions outside `above_atoms` of the atoms below some member,
+    reported in level order.
     """
     level = strat.ordered_at(n)
+    level_mask = sum(1 << poset.sort_key(p) for p in level)
+    atom_mask = poset.atom_mask
     violations: list[Violation] = []
     for items, chosen in extractions:
         key = tuple(sorted(items, key=poset.sort_key))
@@ -300,10 +303,11 @@ def verify_weak_endowment(
             violations.append(Violation("2", key, stray, "extraction leaves the antichain"))
         if not family.member(n, chosen):
             violations.append(Violation("2", key, None, "extraction is not a family member"))
-        reach = poset.reach(chosen)
-        for p in level:
-            if not poset.down_mask[p] & reach:
-                violations.append(Violation("3'", key, p, "level condition incompatible with every member"))
+        atoms = 0  # the atoms below some member
+        for q in chosen:
+            atoms |= atom_mask[q]
+        for p in poset.conditions_in(level_mask & ~poset.above_atoms(atoms)):
+            violations.append(Violation("3'", key, p, "level condition incompatible with every member"))
     return EndowmentReport(family.label, n, len(extractions), tuple(violations))
 
 
@@ -333,30 +337,60 @@ def verify_full_endowment(
     down(p) would take.  Once the steps summed over all (tuple, p) pairs
     exceed the budget, the scan raises ResourceError carrying the partial
     report.
+
+    Many tuples share an intersection: (a, b) and (b, a) always do, and so
+    do tuples where one reach contains another.  So each distinct `common`
+    is scanned once, and its steps and failing conditions are charged to
+    every tuple that yields it.  A tuple whose charge would pass the budget
+    is scanned again from the running step count, which finds the
+    condition where the budget trips, so the steps, the violations and the
+    partial report are those of a scan of every (tuple, p) pair in turn.
     """
     level = strat.ordered_at(n)
     reach: dict[frozenset[Condition], int] = {}  # distinct extraction outputs, in first-seen order
     for _, chosen in extractions:
         if chosen not in reach:
             reach[chosen] = poset.reach(chosen)
-    violations: list[Violation] = []
-    steps = 0
-    for combo in product(reach, repeat=n):
-        common = -1  # every bit: the empty tuple constrains nothing
-        for part in combo:
-            common &= reach[part]
+
+    def scan(common: int, steps: int) -> tuple[int, list[Condition]]:
+        """The steps after scanning each p of the level against `common`,
+        starting from `steps`, and the failing p in level order; stops at
+        the first p where the steps pass the budget."""
+        down_mask, limit = poset.down_mask, budget
+        failing = []
         for p in level:
-            below = poset.down_mask[p]
+            below = down_mask[p]
             hits = below & common
             if hits:
                 low = hits & -hits
                 steps += (below & (low - 1)).bit_count() + 1
             else:
                 steps += below.bit_count()
-            if steps > budget:
-                partial = EndowmentReport(family.label, n, len(extractions), tuple(violations))
-                raise ResourceError(f"joint extension scan exceeded budget {budget}", partial=partial)
+            if steps > limit:
+                break
             if not hits:
-                flat = tuple(sorted(frozenset().union(*combo), key=poset.sort_key)) if combo else ()
-                violations.append(Violation("3", flat, p, "no common extension scheme for tuple"))
+                failing.append(p)
+        return steps, failing
+
+    scanned: dict[int, tuple[int, list[Condition]]] = {}  # common -> scan from 0
+    violations: list[Violation] = []
+    steps = 0
+    for combo in product(reach, repeat=n):
+        common = -1  # every bit: the empty tuple constrains nothing
+        for part in combo:
+            common &= reach[part]
+        if common not in scanned:
+            scanned[common] = scan(common, 0)
+        spent, failing = scanned[common]
+        tripped = bool(level) and steps + spent > budget  # an empty level checks no budget
+        if tripped:
+            spent, failing = scan(common, steps)
+        else:
+            steps += spent
+        if failing:
+            flat = tuple(sorted(frozenset().union(*combo), key=poset.sort_key)) if combo else ()
+            violations.extend(Violation("3", flat, p, "no common extension scheme for tuple") for p in failing)
+        if tripped:
+            partial = EndowmentReport(family.label, n, len(extractions), tuple(violations))
+            raise ResourceError(f"joint extension scan exceeded budget {budget}", partial=partial)
     return EndowmentReport(family.label, n, len(extractions), tuple(violations))

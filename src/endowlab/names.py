@@ -226,15 +226,9 @@ def forcing_mask(poset: Poset, truth_mask: int) -> int:
     """The conditions forcing a statement with this truth mask, by position:
     bit i is set when every atom below elements[i] lies inside the mask,
     that is, when elements[i] lies above no atom outside it.  So the mask is
-    every position minus the union of `atom_up[j]` over those atoms j."""
-    atom_up = poset.atom_up
-    outside = ~truth_mask & ((1 << len(atom_up)) - 1)
-    above = 0
-    while outside:
-        low = outside & -outside
-        outside ^= low
-        above |= atom_up[low.bit_length() - 1]
-    return ((1 << len(poset)) - 1) & ~above
+    every position minus `above_atoms` of those atoms."""
+    outside = ~truth_mask & ((1 << len(poset.atoms)) - 1)
+    return ((1 << len(poset)) - 1) & ~poset.above_atoms(outside)
 
 
 def level_witnesses(

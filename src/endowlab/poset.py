@@ -20,9 +20,9 @@ into the atom mask of a statement, and p forces the statement exactly when
 `atom_mask[p]` lies inside that mask, so a caller with many forcing
 questions about one statement answers each with one mask test.
 `atom_up[j]`, built on first use, marks by position the conditions above
-`atoms[j]`: the conditions forcing a statement are those above no atom
-outside its truth mask, and the conditions compatible with p are those
-above some atom below p.
+`atoms[j]`, and `above_atoms` unions it over an atom mask: the conditions
+forcing a statement are those above no atom outside its truth mask, and
+the conditions compatible with p are those above some atom below p.
 The same down masks are the compatibility kernel: p and q are compatible
 exactly when `down_mask[p] & down_mask[q]` is nonzero, and r lies below
 some member of a set L exactly when bit `pos(r)` is set in `reach(L)`, the
@@ -140,6 +140,17 @@ class Poset:
                 rest ^= low
                 up[low.bit_length() - 1] |= 1 << i
         return tuple(up)
+
+    def above_atoms(self, atoms: int) -> int:
+        """The position mask of the conditions above some atom of an atom
+        mask; for the atoms below p, the conditions compatible with p."""
+        atom_up = self.atom_up
+        above = 0
+        while atoms:
+            low = atoms & -atoms
+            atoms ^= low
+            above |= atom_up[low.bit_length() - 1]
+        return above
 
     # -- basic accessors ---------------------------------------------------
 
@@ -282,11 +293,12 @@ class Poset:
         order = list(self._elements)
         rng.shuffle(order)
         chosen: list[Condition] = []
+        down_mask = self.down_mask
         union = 0  # reach of the chosen members
         for p in order:
-            if self.down_mask[p] & union == 0:
+            if down_mask[p] & union == 0:
                 chosen.append(p)
-                union |= self.down_mask[p]
+                union |= down_mask[p]
         return frozenset(chosen)
 
 

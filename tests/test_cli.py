@@ -206,6 +206,39 @@ def test_endow_verify_adversarial_family_fails(capsys):
     assert "clause 3'" in out
 
 
+def test_endow_verify_lists_joint_clause_violations(capsys):
+    # the staged family's named negative control: 240 joint clause
+    # violations, of which the text output lists the first five
+    assert main(["endow-verify", "cohen:D=3", "--n", "2", "--full"]) == 3
+    assert capsys.readouterr().out == (
+        "poset: cohen:D=3 (27 conditions)\n"
+        "family: staged-hitting  level: 2\n"
+        "antichains checked: 154 (exhaustive)\n"
+        "weak endowment: ok\n"
+        "joint extension clause: VIOLATIONS\n"
+        "  clause 3: witness '0:1,2:1' in antichain "
+        "['0:0', '0:1,1:0', '0:1,1:1', '0:1,1:0,2:0', '0:1,1:1,2:0']\n"
+        "  clause 3: witness '0:1,1:1' in antichain "
+        "['0:0', '0:1,1:0', '0:1,2:1', '0:1,1:0,2:0', '0:1,1:1,2:0']\n"
+        "  clause 3: witness '1:1,2:1' in antichain "
+        "['0:0', '0:1', '0:0,1:0', '0:1,1:0', '0:0,1:1,2:0', '0:1,1:1,2:0']\n"
+        "  clause 3: witness '1:1,2:1' in antichain "
+        "['0:0', '0:1', '0:1,1:0', '0:0,2:0', '0:0,1:0,2:1', '0:1,1:1,2:0']\n"
+        "  clause 3: witness '1:1,2:1' in antichain "
+        "['0:0', '1:0', '0:1,1:0', '0:1,1:1', '0:0,1:1,2:0', '0:1,1:1,2:0']\n")
+
+
+def test_endow_verify_lists_violations_under_their_clause(capsys):
+    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--full", "--family", "adversarial"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    weak = lines.index("weak endowment: VIOLATIONS")
+    joint = lines.index("joint extension clause: VIOLATIONS")
+    assert joint == weak + 6
+    assert all(line.startswith("  clause 3': ") for line in lines[weak + 1:joint])
+    assert len(lines) == joint + 6
+    assert all(line.startswith("  clause 3: ") for line in lines[joint + 1:])
+
+
 def test_endow_verify_json_output(capsys):
     assert main(["endow-verify", "cohen:D=1", "--n", "1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -2,6 +2,7 @@
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from functools import cache
 from itertools import product
 
@@ -262,6 +263,17 @@ def test_full_verifier_budget():
     assert info.value.partial.family == "staged-hitting"
 
 
+def test_full_verifier_empty_level_checks_no_budget():
+    # the budget is compared after each level condition, so a level with none
+    # returns the report even under a negative budget
+    c = CohenPoset([0])
+    strat = make_stratification(c.poset, [[], c.poset.elements])
+    family = maximal_antichain_family(c.poset)
+    extractions = extract_each(c.poset, family, 0, c.poset.maximal_antichains())
+    report = verify_full_endowment(c.poset, strat, family, 0, extractions, budget=-1)
+    assert report.ok and report.checked == 2
+
+
 # -- the mask scan against the per-r scan it replaced -------------------------
 
 
@@ -390,3 +402,102 @@ def test_full_verifier_matches_the_per_r_scan_at_every_budget(case):
     for budget in budgets_to_check(scan[1]):
         expected = reference_outcome(family.label, n, scan, budget)
         assert verifier_outcome(poset, strat, family, n, extractions, budget) == expected, budget
+
+
+class CountedMasks(dict):
+    """A down mask table that counts the reads of each condition's mask."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.reads = Counter()
+
+    def __getitem__(self, p):
+        self.reads[p] += 1
+        return super().__getitem__(p)
+
+
+def tuple_intersections(poset, n, extractions):
+    """The intersection of the entries' reaches for each n-tuple of distinct
+    extraction outputs, in the order the joint extension scan visits them."""
+    outputs = list(dict.fromkeys(chosen for _, chosen in extractions))
+    commons = []
+    for combo in product(outputs, repeat=n):
+        common = -1
+        for part in combo:
+            common &= poset.reach(part)
+        commons.append(common)
+    return outputs, commons
+
+
+def test_full_verifier_scans_each_distinct_intersection_once(monkeypatch):
+    # (a, b) and (b, a) share an intersection, and so do tuples where one
+    # reach contains the other; each level condition's mask is read once per
+    # distinct intersection, plus once per distinct output it is a member of
+    # (`reach`), not once per tuple
+    c = CohenPoset([0, 1])
+    strat = c.stratification()
+    family = maximal_antichain_family(c.poset)
+    extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
+    outputs, commons = tuple_intersections(c.poset, 2, extractions)
+    assert len(set(commons)) < len(commons) == 64
+    masks = CountedMasks(c.poset.down_mask)
+    monkeypatch.setattr(c.poset, "down_mask", masks)
+    assert verify_full_endowment(c.poset, strat, family, 2, extractions).ok
+    members = Counter(q for chosen in outputs for q in chosen)
+    expected = {p: len(set(commons)) + members[p] for p in strat.ordered_at(2)}
+    assert dict(masks.reads) == expected
+
+
+def test_some_case_trips_the_budget_in_a_tuple_whose_intersection_was_scanned():
+    # the budget check re-scans such a tuple from the running step count;
+    # the per-r comparison above must reach that path at a budget it checks
+    for _, poset, strat, family, n, antichains in joint_extension_cases():
+        level = strat.ordered_at(n)
+        scan = reference_scan(poset, strat, family, n, antichains)
+        extractions = extract_each(poset, family, n, antichains)
+        _, commons = tuple_intersections(poset, n, extractions)
+        steps = [steps for steps, _ in scan[1]]
+        for budget in budgets_to_check(scan[1]):
+            tripped = bisect_right(steps, budget)
+            if tripped < len(steps):
+                at = tripped // len(level)
+                if commons[at] in commons[:at]:
+                    return
+    pytest.fail("no case trips the budget in a tuple with an intersection already scanned")
+
+
+def reference_weak(poset, strat, family, n, extractions):
+    """verify_weak_endowment as it was before it read clause 3' off atom
+    masks: each level condition's down mask is tested against the reach."""
+    level = strat.ordered_at(n)
+    violations = []
+    for items, chosen in extractions:
+        key = tuple(sorted(items, key=poset.sort_key))
+        if not poset.is_antichain(chosen):
+            violations.append(Violation("1", key, None, "extraction is not an antichain"))
+        if not chosen <= items:
+            stray = min(chosen - items, key=poset.sort_key)
+            violations.append(Violation("2", key, stray, "extraction leaves the antichain"))
+        if not family.member(n, chosen):
+            violations.append(Violation("2", key, None, "extraction is not a family member"))
+        reach = poset.reach(chosen)
+        for p in level:
+            if not poset.down_mask[p] & reach:
+                violations.append(Violation("3'", key, p, "level condition incompatible with every member"))
+    return EndowmentReport(family.label, n, len(extractions), tuple(violations))
+
+
+def test_weak_reference_cases_include_clause_three_prime_violations():
+    # the comparison below covers failing level conditions, not only passes
+    assert any(
+        any(v.clause == "3'" for v in reference_weak(poset, strat, family, n,
+                                                   extract_each(poset, family, n, antichains)).violations)
+        for _, poset, strat, family, n, antichains in joint_extension_cases())
+
+
+@pytest.mark.parametrize("case", joint_extension_cases(), ids=lambda case: case[0])
+def test_weak_verifier_matches_the_per_condition_scan(case):
+    _, poset, strat, family, n, antichains = case
+    extractions = extract_each(poset, family, n, antichains)
+    assert (verify_weak_endowment(poset, strat, family, n, extractions)
+            == reference_weak(poset, strat, family, n, extractions))
