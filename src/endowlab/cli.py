@@ -453,8 +453,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full", action="store_true", help="also check the joint extension clause")
     p.add_argument("--budget", type=int, default=DEFAULT_FULL_BUDGET,
-                   help="joint extension step budget: conditions of down(p) examined, "
-                        "up to and including the least witness")
+                   help="joint extension budget in (tuple, level condition) pairs; the clause "
+                        f"needs (distinct extractions)^n * |level| of them (default {DEFAULT_FULL_BUDGET:,})")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("dow", help="run the staged antichain construction")

@@ -138,8 +138,8 @@ def dow_construct(
 
 def hits_level(poset: Poset, level: Iterable[Condition], conditions: Iterable[Condition]) -> bool:
     """True when every condition of the level is compatible with a member."""
-    reach = poset.reach(conditions)
-    return all(poset.down_mask[p] & reach for p in level)
+    atoms, atom_mask = poset.atoms_below(conditions), poset.atom_mask
+    return all(atom_mask[p] & atoms for p in level)
 
 
 # -- concrete families -------------------------------------------------------
@@ -287,12 +287,11 @@ def verify_weak_endowment(
     Clause 3' is read off atom masks.  The reach of an extraction is down
     closed, so a condition meets it exactly when some atom of the reach
     lies below the condition: the failing conditions are the level's
-    positions outside `above_atoms` of the atoms below some member,
+    positions outside `above_atoms` of the extraction's `atoms_below`,
     reported in level order.
     """
     level = strat.ordered_at(n)
     level_mask = sum(1 << poset.sort_key(p) for p in level)
-    atom_mask = poset.atom_mask
     violations: list[Violation] = []
     for items, chosen in extractions:
         key = tuple(sorted(items, key=poset.sort_key))
@@ -303,10 +302,7 @@ def verify_weak_endowment(
             violations.append(Violation("2", key, stray, "extraction leaves the antichain"))
         if not family.member(n, chosen):
             violations.append(Violation("2", key, None, "extraction is not a family member"))
-        atoms = 0  # the atoms below some member
-        for q in chosen:
-            atoms |= atom_mask[q]
-        for p in poset.conditions_in(level_mask & ~poset.above_atoms(atoms)):
+        for p in poset.conditions_in(level_mask & ~poset.above_atoms(poset.atoms_below(chosen))):
             violations.append(Violation("3'", key, p, "level condition incompatible with every member"))
     return EndowmentReport(family.label, n, len(extractions), tuple(violations))
 
@@ -326,71 +322,52 @@ def verify_full_endowment(
 
     For every level-n condition p and every n-tuple of extraction results
     there must be a common lower bound scheme: some r <= p lying below a
-    member of each tuple entry.  With `reach` the down mask of everything
-    below some member, the witnesses below p are the bits of
-    `down_mask[p] & common`, where `common` is the intersection of the
-    tuple entries' reaches, and the least witness is its lowest bit.
+    member of each tuple entry.  The clause is read off atom masks.  Each
+    entry's reach is down closed, and so is the intersection of the
+    entries' reaches, so p meets that intersection exactly when some atom
+    below p lies in it.  The atoms in the intersection are the AND of the
+    entries' `atoms_below` masks, and the failing conditions are the
+    level's positions outside `above_atoms` of that AND, reported in level
+    order.  Many tuples share an AND ((a, b) and (b, a) always do), so the
+    failing list is built once per distinct AND.
 
-    The scan is budgeted.  One step is one condition of down(p) examined
-    in canonical order, up to and including the least witness, or all of
-    down(p) when there is none; the mask test counts the steps a scan of
-    down(p) would take.  Once the steps summed over all (tuple, p) pairs
-    exceed the budget, the scan raises ResourceError carrying the partial
-    report.
-
-    Many tuples share an intersection: (a, b) and (b, a) always do, and so
-    do tuples where one reach contains another.  So each distinct `common`
-    is scanned once, and its steps and failing conditions are charged to
-    every tuple that yields it.  A tuple whose charge would pass the budget
-    is scanned again from the running step count, which finds the
-    condition where the budget trips, so the steps, the violations and the
-    partial report are those of a scan of every (tuple, p) pair in turn.
+    The budget counts (tuple, level condition) pairs, so the clause needs
+    (distinct extractions)^n * |level| of them, known before the scan.
+    Each tuple is charged its |level| pairs in `product` order.  At the
+    tuple that would pass the budget, only its failures among the first
+    `budget - charged` level conditions are kept, and ResourceError is
+    raised carrying that partial report.  A level with no conditions
+    checks no budget.
     """
     level = strat.ordered_at(n)
-    reach: dict[frozenset[Condition], int] = {}  # distinct extraction outputs, in first-seen order
+    level_mask = sum(1 << poset.sort_key(p) for p in level)
+    atoms: dict[frozenset[Condition], int] = {}  # distinct extraction outputs, in first-seen order
     for _, chosen in extractions:
-        if chosen not in reach:
-            reach[chosen] = poset.reach(chosen)
-
-    def scan(common: int, steps: int) -> tuple[int, list[Condition]]:
-        """The steps after scanning each p of the level against `common`,
-        starting from `steps`, and the failing p in level order; stops at
-        the first p where the steps pass the budget."""
-        down_mask, limit = poset.down_mask, budget
-        failing = []
-        for p in level:
-            below = down_mask[p]
-            hits = below & common
-            if hits:
-                low = hits & -hits
-                steps += (below & (low - 1)).bit_count() + 1
-            else:
-                steps += below.bit_count()
-            if steps > limit:
-                break
-            if not hits:
-                failing.append(p)
-        return steps, failing
-
-    scanned: dict[int, tuple[int, list[Condition]]] = {}  # common -> scan from 0
+        if chosen not in atoms:
+            atoms[chosen] = poset.atoms_below(chosen)
+    pairs = len(atoms) ** n * len(level)
+    everything = (1 << len(poset.atoms)) - 1  # the empty tuple constrains nothing
+    failing_at: dict[int, list[Condition]] = {}  # AND of a tuple's atom masks -> failing p
     violations: list[Violation] = []
-    steps = 0
-    for combo in product(reach, repeat=n):
-        common = -1  # every bit: the empty tuple constrains nothing
+    charged = 0
+    for combo in product(atoms, repeat=n):
+        common = everything
         for part in combo:
-            common &= reach[part]
-        if common not in scanned:
-            scanned[common] = scan(common, 0)
-        spent, failing = scanned[common]
-        tripped = bool(level) and steps + spent > budget  # an empty level checks no budget
+            common &= atoms[part]
+        failing = failing_at.get(common)
+        if failing is None:
+            failing = failing_at[common] = poset.conditions_in(level_mask & ~poset.above_atoms(common))
+        tripped = bool(level) and charged + len(level) > budget
         if tripped:
-            spent, failing = scan(common, steps)
-        else:
-            steps += spent
+            first = frozenset(level[:max(budget - charged, 0)])
+            failing = [p for p in failing if p in first]
+        charged += len(level)
         if failing:
             flat = tuple(sorted(frozenset().union(*combo), key=poset.sort_key)) if combo else ()
             violations.extend(Violation("3", flat, p, "no common extension scheme for tuple") for p in failing)
         if tripped:
             partial = EndowmentReport(family.label, n, len(extractions), tuple(violations))
-            raise ResourceError(f"joint extension scan exceeded budget {budget}", partial=partial)
+            raise ResourceError(
+                f"joint extension scan exceeded budget {budget} (the clause needs {pairs} pairs)",
+                partial=partial)
     return EndowmentReport(family.label, n, len(extractions), tuple(violations))

@@ -23,6 +23,8 @@ questions about one statement answers each with one mask test.
 `atoms[j]`, and `above_atoms` unions it over an atom mask: the conditions
 forcing a statement are those above no atom outside its truth mask, and
 the conditions compatible with p are those above some atom below p.
+`atoms_below` unions `atom_mask` over a set, so p is compatible with some
+member of the set exactly when `atom_mask[p]` meets that union.
 The same down masks are the compatibility kernel: p and q are compatible
 exactly when `down_mask[p] & down_mask[q]` is nonzero, and r lies below
 some member of a set L exactly when bit `pos(r)` is set in `reach(L)`, the
@@ -224,6 +226,16 @@ class Poset:
             self.require(q)
             mask |= self.down_mask[q]
         return mask
+
+    def atoms_below(self, conditions: Iterable[Condition]) -> int:
+        """Atom mask of the atoms below some member of the set.  The reach of
+        the set is down closed, so these are the atoms in its reach, and p is
+        compatible with some member exactly when `atom_mask[p]` meets it."""
+        atoms = 0
+        for q in conditions:
+            self.require(q)
+            atoms |= self.atom_mask[q]
+        return atoms
 
     def meets_everything(self, reach: int) -> bool:
         """True when every condition is compatible with some member of a set

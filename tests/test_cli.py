@@ -347,9 +347,11 @@ def test_resource_error_json_carries_the_partial_report(capsys):
     captured = capsys.readouterr()
     assert "resource error" in captured.err
     data = json.loads(captured.out)
-    assert data["error"] == "joint extension scan exceeded budget 10"
+    # 8 distinct extractions, so 8^2 tuples of the 9 level-2 conditions
+    assert data["error"] == "joint extension scan exceeded budget 10 (the clause needs 576 pairs)"
     assert data["partial"]["family"] == "staged-hitting"
-    assert data["partial"]["antichains_checked"] > 0
+    assert data["partial"]["antichains_checked"] == 8
+    assert data["partial"]["violations"] == []
 
 
 LEVEL_COMMANDS = {

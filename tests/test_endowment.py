@@ -21,6 +21,7 @@ from endowlab.endowment import (
     cohen_dow_family,
     dow_construct,
     extract_each,
+    hits_level,
     maximal_antichain_family,
     measure_total_family,
     verify_full_endowment,
@@ -144,6 +145,35 @@ def test_hitting_guarantee_sampled_three_indices(n, seed):
         assert any(c.poset.compatible(p, q) for q in result)
 
 
+@pytest.mark.parametrize("poset, strat", [
+    (c.poset, c.stratification()) for c in (CohenPoset([0, 1]), MeasurePoset(2))])
+def test_hits_level_agrees_with_pairwise_compatibility(poset, strat):
+    # every subset of every maximal antichain, so both answers occur
+    answers = set()
+    for antichain in poset.maximal_antichains():
+        members = sorted(antichain, key=poset.sort_key)
+        for picked in product((False, True), repeat=len(members)):
+            subset = [q for q, keep in zip(members, picked) if keep]
+            for n in range(strat.stabilization_index + 1):
+                level = strat.at(n)
+                expected = all(any(poset.compatible(p, q) for q in subset) for p in level)
+                assert hits_level(poset, level, subset) == expected, (subset, n)
+                answers.add(expected)
+    assert answers == {False, True}
+
+
+def test_a_member_outside_the_poset_is_a_data_error_in_each_atoms_below_user():
+    c = CohenPoset([0])
+    strat = c.stratification()
+    with pytest.raises(DataError, match="unknown condition"):
+        hits_level(c.poset, strat.at(1), ["0:0", "nowhere"])
+    family = EndowmentFamily("stray", lambda n, chosen: True, lambda n, antichain: antichain | {"nowhere"})
+    extractions = extract_each(c.poset, family, 1, c.poset.maximal_antichains())
+    for verify in (verify_weak_endowment, verify_full_endowment):
+        with pytest.raises(DataError, match="unknown condition"):
+            verify(c.poset, strat, family, 1, extractions)
+
+
 def test_weak_verifier_accepts_staged_family():
     c = CohenPoset([0, 1])
     family = cohen_dow_family(c)
@@ -254,18 +284,47 @@ def test_full_verifier_flags_adversarial_family():
 
 
 def test_full_verifier_budget():
+    # 8 antichains give 8 distinct extractions; level 2 is all 9 conditions
     c = CohenPoset([0, 1])
     family = cohen_dow_family(c)
     extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
     with pytest.raises(ResourceError) as info:
         verify_full_endowment(c.poset, c.stratification(), family, 2, extractions, budget=10)
-    assert info.value.partial is not None
-    assert info.value.partial.family == "staged-hitting"
+    assert str(info.value) == "joint extension scan exceeded budget 10 (the clause needs 576 pairs)"
+    assert info.value.partial == EndowmentReport("staged-hitting", 2, 8, ())
+
+
+def test_full_verifier_budget_trips_at_the_exact_pair():
+    # the singleton family at n=2 on Cohen D=2: 6 distinct extractions, the
+    # first two {''} and {'0:0'}, and 9 level conditions, so 36 * 9 pairs
+    c = CohenPoset([0, 1])
+    strat = c.stratification()
+    level = strat.ordered_at(2)
+    family = adversarial_singleton_family(c.poset)
+    extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
+
+    def tripped(budget):
+        with pytest.raises(ResourceError) as info:
+            verify_full_endowment(c.poset, strat, family, 2, extractions, budget=budget)
+        assert str(info.value) == f"joint extension scan exceeded budget {budget} (the clause needs 324 pairs)"
+        return info.value.partial.violations
+
+    violations = verify_full_endowment(c.poset, strat, family, 2, extractions, budget=324).violations
+    assert len(violations) == 183
+    # the last pair, (the last tuple, the last level condition), fails
+    assert tripped(323) == violations[:182]
+    # tuple 6, ({'0:0'}, {''}), has the AND that tuple 1, ({''}, {'0:0'}),
+    # built; it fails at level[2], level[7] and level[8], so a budget 4 pairs
+    # into it keeps only the first of those
+    assert violations[17:20] == tuple(
+        Violation("3", ("", "0:0"), level[i], "no common extension scheme for tuple") for i in (2, 7, 8))
+    assert tripped(6 * 9 + 4) == violations[:18]
+    assert tripped(6 * 9) == violations[:17]
 
 
 def test_full_verifier_empty_level_checks_no_budget():
-    # the budget is compared after each level condition, so a level with none
-    # returns the report even under a negative budget
+    # a level with no conditions has no pairs to charge, so it returns the
+    # report even under a negative budget
     c = CohenPoset([0])
     strat = make_stratification(c.poset, [[], c.poset.elements])
     family = maximal_antichain_family(c.poset)
@@ -279,13 +338,13 @@ def test_full_verifier_empty_level_checks_no_budget():
 
 def reference_scan(poset, strat, family, n, antichains):
     """The joint extension scan as verify_full_endowment ran it before it used
-    down masks: for each tuple and level condition p, walk down(p) in
-    canonical order until some r lies below a member of every tuple entry.
+    masks: for each tuple and level condition p, walk down(p) in canonical
+    order until some r lies below a member of every tuple entry.
 
-    Where that code compared its steps with the budget, this records the steps
-    so far and the number of violations found before, so one run answers
-    every budget (see `reference_outcome`).  Inputs are trusted to be maximal
-    antichains.
+    Each (tuple, p) pair is one unit of budget.  Where the verifier compares
+    its charged pairs with the budget, this records the pairs so far and the
+    number of violations found before, so one run answers every budget (see
+    `reference_outcome`).  Inputs are trusted to be maximal antichains.
     """
     level = sorted(strat.at(n), key=poset.sort_key)
     outputs = []
@@ -305,8 +364,8 @@ def reference_scan(poset, strat, family, n, antichains):
     for combo in product(outputs, repeat=n):
         for p in level:
             found = False
+            steps += 1
             for r in below[p]:
-                steps += 1
                 if all(not up[r].isdisjoint(part) for part in combo):
                     found = True
                     break
@@ -319,13 +378,14 @@ def reference_scan(poset, strat, family, n, antichains):
 
 def reference_outcome(label, n, scan, budget):
     """The per-r scan's answer under `budget`: its report, or the message and
-    partial report of the ResourceError it raised at the first budget check
-    whose steps exceeded the budget."""
+    partial report of the ResourceError it raised at the first pair that
+    passed the budget."""
     checked, events, violations = scan
     i = bisect_right([steps for steps, _ in events], budget)
     if i < len(events):
         partial = EndowmentReport(label, n, checked, tuple(violations[:events[i][1]]))
-        return ("raise", f"joint extension scan exceeded budget {budget}", partial)
+        message = f"joint extension scan exceeded budget {budget} (the clause needs {len(events)} pairs)"
+        return ("raise", message, partial)
     return ("report", EndowmentReport(label, n, checked, tuple(violations)))
 
 
@@ -343,7 +403,7 @@ EVERY_BUDGET_UP_TO = 1200
 
 def budgets_to_check(events):
     """Budgets 0..total+1 for small scans.  For large ones: 0..59, and each
-    budget s-1 and s where s is the step count at which the partial report
+    budget s-1 and s where s is the pair count at which the partial report
     would next grow (or the scan finish), thinned to about a dozen.
 
     Between two such points the reference's answer is constant, and the
@@ -404,18 +464,6 @@ def test_full_verifier_matches_the_per_r_scan_at_every_budget(case):
         assert verifier_outcome(poset, strat, family, n, extractions, budget) == expected, budget
 
 
-class CountedMasks(dict):
-    """A down mask table that counts the reads of each condition's mask."""
-
-    def __init__(self, masks):
-        super().__init__(masks)
-        self.reads = Counter()
-
-    def __getitem__(self, p):
-        self.reads[p] += 1
-        return super().__getitem__(p)
-
-
 def tuple_intersections(poset, n, extractions):
     """The intersection of the entries' reaches for each n-tuple of distinct
     extraction outputs, in the order the joint extension scan visits them."""
@@ -429,41 +477,48 @@ def tuple_intersections(poset, n, extractions):
     return outputs, commons
 
 
-def test_full_verifier_scans_each_distinct_intersection_once(monkeypatch):
+def test_full_verifier_builds_each_distinct_failing_list_once(monkeypatch):
     # (a, b) and (b, a) share an intersection, and so do tuples where one
-    # reach contains the other; each level condition's mask is read once per
-    # distinct intersection, plus once per distinct output it is a member of
-    # (`reach`), not once per tuple
+    # reach contains the other; the failing conditions (one `above_atoms`
+    # call) are built once per distinct AND of atom masks, not once per
+    # tuple, and that AND marks the atoms in the tuple's reach intersection
     c = CohenPoset([0, 1])
     strat = c.stratification()
     family = maximal_antichain_family(c.poset)
     extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
-    outputs, commons = tuple_intersections(c.poset, 2, extractions)
-    assert len(set(commons)) < len(commons) == 64
-    masks = CountedMasks(c.poset.down_mask)
-    monkeypatch.setattr(c.poset, "down_mask", masks)
+    _, commons = tuple_intersections(c.poset, 2, extractions)
+    atoms = [c.poset.sort_key(a) for a in c.poset.atoms]
+    ands = [sum(1 << j for j, i in enumerate(atoms) if common >> i & 1) for common in commons]
+    assert len(set(ands)) < len(ands) == 64
+    built = Counter()
+    above_atoms = c.poset.above_atoms
+
+    def counted(mask):
+        built[mask] += 1
+        return above_atoms(mask)
+
+    monkeypatch.setattr(c.poset, "above_atoms", counted)
     assert verify_full_endowment(c.poset, strat, family, 2, extractions).ok
-    members = Counter(q for chosen in outputs for q in chosen)
-    expected = {p: len(set(commons)) + members[p] for p in strat.ordered_at(2)}
-    assert dict(masks.reads) == expected
+    assert built == Counter(set(ands))
 
 
-def test_some_case_trips_the_budget_in_a_tuple_whose_intersection_was_scanned():
-    # the budget check re-scans such a tuple from the running step count;
-    # the per-r comparison above must reach that path at a budget it checks
+def test_some_case_trips_the_budget_mid_tuple_on_an_and_already_built():
+    # such a trip filters a memoized failing list down to the tuple's first
+    # pairs; the per-r comparison above must reach that path at a budget it
+    # checks
     for _, poset, strat, family, n, antichains in joint_extension_cases():
         level = strat.ordered_at(n)
         scan = reference_scan(poset, strat, family, n, antichains)
         extractions = extract_each(poset, family, n, antichains)
         _, commons = tuple_intersections(poset, n, extractions)
-        steps = [steps for steps, _ in scan[1]]
+        pairs = [pairs for pairs, _ in scan[1]]
         for budget in budgets_to_check(scan[1]):
-            tripped = bisect_right(steps, budget)
-            if tripped < len(steps):
+            tripped = bisect_right(pairs, budget)
+            if tripped < len(pairs) and tripped % len(level):
                 at = tripped // len(level)
                 if commons[at] in commons[:at]:
                     return
-    pytest.fail("no case trips the budget in a tuple with an intersection already scanned")
+    pytest.fail("no case trips the budget mid-tuple on an intersection already built")
 
 
 def reference_weak(poset, strat, family, n, extractions):
