@@ -22,17 +22,14 @@ from pathlib import Path
 
 from .bounds import DEFAULT_LIMITS, Limits, limits_from_env
 from .canon import canonical_json_pretty, check_shape
-from .cohen import CohenPoset
 from .endowment import (
     DEFAULT_FULL_BUDGET,
     EndowmentReport,
     adversarial_singleton_family,
-    cohen_dow_family,
     dow_construct,
     extract_each,
     hits_level,
     maximal_antichain_family,
-    measure_total_family,
     verify_full_endowment,
     verify_weak_endowment,
 )
@@ -46,13 +43,13 @@ from .instances import (
     save_instance,
     wrap_instance,
 )
-from .measure import MeasurePoset
 from .names import approximate, check_approximation, derive_point_names, make_cover_name, refine_name
 from .poset import ExistsSupersetInCover, Name, forces, forces_dense
 from .preservation import (
     Scenario,
     _check_bounds,
     build_bundle,
+    built_in_structure,
     generate_scenario,
     replay_certificate,
     run_preservation,
@@ -234,9 +231,9 @@ def cmd_dow(args, limits: Limits) -> int:
     recipe = parse_poset_spec(args.poset, limits)
     if recipe["kind"] != "cohen":
         raise UsageError("the staged construction needs a cohen:D=<n> poset")
-    cohen = CohenPoset(recipe["indices"], limits)
+    cohen, strat = built_in_structure(recipe, limits)
     trace = dow_construct(cohen, args.member, args.n)
-    hits = hits_level(cohen.poset, cohen.stratification().at(args.n), trace.result)
+    hits = hits_level(cohen.poset, strat.at(args.n), trace.result)
     lines = [f"seed: {trace.seed!r}"]
     for i, stage in enumerate(trace.stages):
         lines.append(
@@ -335,11 +332,11 @@ def cmd_gen(args, limits: Limits) -> int:
 
 def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
     """Count agreements between the two forcing oracles on random queries."""
-    pool = [
-        CohenPoset((0,), limits).poset,
-        CohenPoset((0, 1), limits).poset,
-        MeasurePoset(1, limits).poset,
-    ]
+    pool = [built_in_structure(recipe, limits)[0].poset for recipe in (
+        {"kind": "cohen", "indices": [0]},
+        {"kind": "cohen", "indices": [0, 1]},
+        {"kind": "measure", "k": 1},
+    )]
     agree = 0
     for _ in range(queries):
         poset = pool[rng.randrange(len(pool))]
@@ -372,20 +369,20 @@ def cmd_selftest(args, limits: Limits) -> int:
     lines.append(f"forcing oracles agree: {agree}/{queries}")
 
     sweeps = {}
-    for key, label, scope, algebras, levels, make_family in (
+    for key, label, scope, recipes, levels in (
         ("staged_ok", "staged hitting guarantee", "exhaustive D<=2, n<=3",
-         [CohenPoset(tuple(range(size)), limits) for size in (1, 2)], 4, cohen_dow_family),
+         [{"kind": "cohen", "indices": list(range(size))} for size in (1, 2)], 4),
         ("measure_ok", "measure extraction bound", "exhaustive k<=2, n<=2",
-         [MeasurePoset(k, limits) for k in (1, 2)], 3, measure_total_family),
+         [{"kind": "measure", "k": k} for k in (1, 2)], 3),
     ):
         ok = True
-        for algebra in algebras:
-            family = make_family(algebra)
-            strat = algebra.stratification()
-            antichains = algebra.poset.maximal_antichains(limits)
+        for recipe in recipes:
+            bundle = build_bundle(recipe, limits)
+            poset, family = bundle.poset, bundle.family
+            antichains = poset.maximal_antichains(limits)
             for n in range(levels):
-                extractions = extract_each(algebra.poset, family, n, antichains)
-                ok = ok and verify_weak_endowment(algebra.poset, strat, family, n, extractions).ok
+                extractions = extract_each(poset, family, n, antichains)
+                ok = ok and verify_weak_endowment(poset, bundle.strat, family, n, extractions).ok
         if not ok:
             problems.append(f"{label} failed")
         lines.append(f"{label} ({scope}): {'ok' if ok else 'FAILED'}")

@@ -54,11 +54,12 @@ class CohenPoset:
     """
 
     def __init__(self, indices: Iterable[int], limits: Limits = DEFAULT_LIMITS):
-        idx = sorted(set(indices))
+        given = list(indices)
+        if any(type(i) is not int for i in given):  # a boolean is not an index
+            raise DataError("indices must be integers")
+        idx = sorted(set(given))
         if not idx:
             raise DataError("index set must be nonempty")
-        if any(not isinstance(i, int) for i in idx):
-            raise DataError("indices must be integers")
         if len(idx) > limits.max_indices:
             raise ResourceError(f"index set capped at {limits.max_indices} entries, got {len(idx)}")
         self.indices: tuple[int, ...] = tuple(idx)

@@ -46,7 +46,7 @@ class MeasurePoset:
     """
 
     def __init__(self, k: int, limits: Limits = DEFAULT_LIMITS):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:  # a boolean is not an exponent
             raise DataError(f"k must be a nonnegative integer, got {k!r}")
         if k > limits.max_k:
             raise ResourceError(f"measure algebra exponent capped at {limits.max_k}, got {k}")

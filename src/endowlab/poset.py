@@ -37,6 +37,11 @@ pair, from the atom's bit in each pair condition's down mask, and
 statement by density without evaluating at atoms.  None of them reads
 `atom_mask`, `value_masks` or `truth`, so they remain independent oracles
 for the kernel's route from names to forcing.
+
+A `Poset` is read-only after construction: no caller writes its masks, so
+one built-in poset can be shared by every command of a process.  Its one
+lazy member, `atom_up`, is a pure function of the closed masks, so when it
+is built makes no difference to any result.
 """
 
 from __future__ import annotations

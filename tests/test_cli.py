@@ -26,7 +26,7 @@ from endowlab.instances import (
     wrap_instance,
 )
 from endowlab.poset import Poset
-from endowlab.preservation import generate_scenario, run_preservation
+from endowlab.preservation import built_in_structure, generate_scenario, run_preservation
 from endowlab.selection import MODES
 
 import pytest
@@ -322,6 +322,16 @@ def test_bounds_env_var_is_honoured(monkeypatch, capsys):
     assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 65
 
 
+def test_a_shared_poset_is_not_served_under_other_bounds(monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    argv = ["endow-verify", "cohen:D=2", "--n", "1"]
+    assert main(argv) == 0
+    monkeypatch.setenv("ENDOWLAB_BOUNDS", '{"max_indices": 1}')
+    assert main(argv) == 70
+    monkeypatch.delenv("ENDOWLAB_BOUNDS")
+    assert main(argv) == 0
+
+
 def test_max_poset_caps_exhaustive_enumeration(monkeypatch, capsys):
     monkeypatch.setenv("ENDOWLAB_BOUNDS", '{"max_poset": 5}')
     assert main(["endow-verify", "cohen:D=2", "--n", "1", "--exhaustive"]) == 70
@@ -379,7 +389,7 @@ def test_level_above_the_limit_is_70_before_any_poset_is_built(command, level_fi
     argv = LEVEL_COMMANDS[command](level_files)
     assert main(argv + ["--n", "8"]) in {0, 3}
     monkeypatch.setattr(cli, "build_bundle", refuse)
-    monkeypatch.setattr(cli, "CohenPoset", refuse)
+    monkeypatch.setattr(cli, "built_in_structure", refuse)
     for n in ("9", "3000000"):
         capsys.readouterr()
         assert main(argv + ["--n", n]) == 70
@@ -396,7 +406,7 @@ def test_poset_size_out_of_range_is_64_before_any_poset_is_built(
         raise AssertionError("a poset was built")
 
     monkeypatch.setattr(cli, "build_bundle", refuse)
-    monkeypatch.setattr(cli, "CohenPoset", refuse)
+    monkeypatch.setattr(cli, "built_in_structure", refuse)
     argv = [spec if a == "cohen:D=2" else a for a in LEVEL_COMMANDS[command](level_files)]
     assert main(argv + ["--n", "1"]) == 64
     assert f"in {spec!r} must be at least" in capsys.readouterr().err
@@ -967,6 +977,41 @@ def test_selftest_parallel(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["scenarios"] == 4
     assert data["failures"] == []
+
+
+def shared_snapshot(recipe):
+    """Copies of every table of a shared built-in structure, `atom_up` included."""
+    structure, strat = built_in_structure(recipe)
+    poset = structure.poset
+    tables = [poset.elements, dict(poset.down_mask), dict(poset.atom_mask), poset.atom_up,
+              strat.levels, strat.ordered]
+    if recipe["kind"] == "cohen":
+        tables += [dict(structure.support_mask), structure.within_mask]
+    return tables
+
+
+def test_commands_never_write_a_shared_poset(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    measure_name = [
+        {"condition": "00,01", "set": ["x"]},
+        {"condition": "00,01", "set": ["x", "y"]},
+        {"condition": "10,11", "set": ["x", "y"]},
+    ]
+    cases = [
+        ({"kind": "cohen", "indices": [0, 1, 2]}, "cohen:D=3", cohen_pair_name_payload(), 4),
+        ({"kind": "measure", "k": 2}, "measure:k=2", measure_name, 3),
+    ]
+    before = [shared_snapshot(recipe) for recipe, *_ in cases]
+    for recipe, spec, name, levels in cases:
+        scenario, cert = tmp_path / "scenario.json", tmp_path / "cert.json"
+        save_instance(scenario, "scenario", {
+            "poset": recipe, "space": pair_space_payload(), "names": [name] * levels,
+            "property": "rothberger"})
+        assert main(["preserve", "--scenario", str(scenario), "--cert", str(cert)]) == 0
+        assert main(["verify", "--cert", str(cert)]) == 0
+        assert main(["endow-verify", spec, "--n", "1", "--full", "--seeded", "20"]) == 0
+    assert main(["dow", "cohen:D=3", "--member", "0:0", "--member", "0:1", "--n", "2"]) == 0
+    assert [shared_snapshot(recipe) for recipe, *_ in cases] == before
 
 
 def test_cli_imports_only_the_standard_library():

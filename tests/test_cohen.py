@@ -83,6 +83,19 @@ def test_index_set_validation():
     assert len(CohenPoset(range(6), Limits(max_indices=6)).poset) == 3 ** 6
 
 
+def test_mixed_index_types_are_a_data_error():
+    # checked before sorting, which would raise a bare TypeError
+    with pytest.raises(DataError, match="indices must be integers"):
+        CohenPoset([0, "a"])
+
+
+def test_boolean_index_is_a_data_error():
+    # a boolean is not an integer here, as in check_shape
+    for indices in ([True], [0, False]):
+        with pytest.raises(DataError, match="indices must be integers"):
+            CohenPoset(indices)
+
+
 def test_nonconsecutive_indices_are_fine():
     c = CohenPoset([3, 7])
     assert "3:0,7:1" in c.poset

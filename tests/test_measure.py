@@ -77,6 +77,13 @@ def test_k_bound():
         MeasurePoset(-1)
 
 
+def test_boolean_exponent_is_a_data_error():
+    # a boolean is not an integer here, as in check_shape
+    for k in (True, False):
+        with pytest.raises(DataError, match="k must be a nonnegative integer"):
+            MeasurePoset(k)
+
+
 def test_maximal_antichains_are_partitions():
     m = MeasurePoset(2)
     for antichain in m.poset.maximal_antichains():

@@ -5,13 +5,16 @@ import json
 
 import pytest
 
-from endowlab.bounds import Limits
+import endowlab.preservation as preservation
+from endowlab.bounds import Limits, limits_from_env
 from endowlab.canon import canonical_json
 from endowlab.errors import DataError, ResourceError, ScenarioError
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair
 from endowlab.preservation import (
     Scenario,
+    MAX_SHARED,
     build_bundle,
+    built_in_structure,
     generate_scenario,
     replay_certificate,
     run_preservation,
@@ -144,6 +147,70 @@ def test_build_bundle_validates():
     big = {"kind": "explicit", "elements": [f"e{i}" for i in range(41)], "leq": []}
     with pytest.raises(ResourceError):
         build_bundle(big)
+
+
+# -- shared built-in structures -------------------------------------------------
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty cache of built-in structures for the test's duration."""
+    monkeypatch.setattr(preservation, "_SHARED", {})
+    return preservation._SHARED
+
+
+@pytest.mark.parametrize("recipe", [{"kind": "cohen", "indices": [0, 1, 2]}, {"kind": "measure", "k": 2}])
+def test_equal_recipes_and_limits_share_one_structure(recipe):
+    first = build_bundle(json.loads(json.dumps(recipe)))
+    again = build_bundle(dict(recipe))
+    assert again.poset is first.poset and again.strat is first.strat
+    assert built_in_structure(dict(recipe))[1] is first.strat
+    # limits parsed from equal bounds JSON are equal keys
+    a = limits_from_env({"ENDOWLAB_BOUNDS": '{"max_k": 3, "max_indices": 4}'})
+    b = limits_from_env({"ENDOWLAB_BOUNDS": '{ "max_indices":4,"max_k":3 }'})
+    assert a is not b
+    assert build_bundle(dict(recipe), a).poset is build_bundle(dict(recipe), b).poset
+    assert build_bundle(dict(recipe), a).poset is not first.poset
+
+
+def test_families_and_explicit_posets_are_fresh_on_each_call():
+    for recipe in ({"kind": "cohen", "indices": [0]}, {"kind": "measure", "k": 1}):
+        assert build_bundle(recipe).family is not build_bundle(recipe).family
+    explicit = {"kind": "explicit", "elements": ["t", "a", "b"], "leq": [["a", "t"], ["b", "t"]]}
+    first, again = build_bundle(explicit), build_bundle(explicit)
+    assert first.poset is not again.poset and first.strat is not again.strat
+    assert first.poset.elements == again.poset.elements
+
+
+def test_a_build_that_raises_stores_nothing(fresh_cache):
+    for _ in range(2):
+        with pytest.raises(ResourceError):
+            build_bundle({"kind": "cohen", "indices": [0, 1]}, Limits(max_indices=1))
+        with pytest.raises(DataError):
+            build_bundle({"kind": "measure", "k": -1})
+    assert fresh_cache == {}
+
+
+@pytest.mark.parametrize("order", [([1], [True]), ([True], [1])])
+def test_true_never_aliases_one(order, fresh_cache):
+    for indices in order + order:
+        recipe = {"kind": "cohen", "indices": indices}
+        if indices[0] is True:  # [True] == [1] as Python values
+            with pytest.raises(DataError, match="indices must be integers"):
+                build_bundle(recipe)
+        else:
+            assert build_bundle(recipe).poset.elements == ("", "1:0", "1:1")
+    assert list(fresh_cache) == [('{"indices":[1],"kind":"cohen"}', Limits())]
+
+
+def test_the_cache_keeps_at_most_its_bound(fresh_cache):
+    recipes = [{"kind": "cohen", "indices": [i]} for i in range(MAX_SHARED + 1)]
+    first = build_bundle(recipes[0]).poset
+    for recipe in recipes[1:]:
+        build_bundle(recipe)
+    assert len(fresh_cache) == MAX_SHARED
+    # the oldest entry made way, so it is built again
+    assert build_bundle(recipes[0]).poset is not first
 
 
 # -- generator ----------------------------------------------------------------
