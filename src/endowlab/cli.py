@@ -139,32 +139,6 @@ def emit(args, jsonable, text_lines) -> None:
             print(line)
 
 
-def replays(cert, limits: Limits) -> bool:
-    """Whether `cert`, as `preserve` writes it, passes `verify`'s replay."""
-    return replay_certificate(cert.to_text() + "\n", limits).ok
-
-
-# -- multiprocessing worker (top level for pickling) ---------------------------
-
-
-def _selftest_worker(payload: dict) -> dict:
-    """One seed's outcome; an exception becomes a failure record, so one bad
-    seed does not abort the batch."""
-    record = {"seed": payload["seed"], "mode": payload["mode"],
-              "verdict": None, "replay_ok": False, "error": None}
-    try:
-        limits = Limits(**payload["limits"])
-        bounds = Limits(**payload["bounds"])
-        scenario = generate_scenario(payload["seed"], payload["mode"], bounds, limits)
-        cert = run_preservation(scenario, limits)
-        record["verdict"] = cert.verdict
-        record["replay_ok"] = replays(cert, limits)
-    except Exception as exc:  # the batch must keep running
-        traceback.print_exc()
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    return record
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -354,9 +328,29 @@ def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
     return agree
 
 
+def _check_scenario(make, limits: Limits, seed: int | None = None, mode: str | None = None) -> dict:
+    """Build the scenario `make()` returns, run it and replay its certificate
+    as `preserve` writes it.  An exception becomes the record's `error`, so
+    one bad scenario does not abort the batch; only an exception that is not
+    an `EndowlabError` is a program fault and prints its traceback."""
+    record = {"seed": seed, "mode": mode, "verdict": None, "replay_ok": False, "error": None}
+    try:
+        cert = run_preservation(make(), limits)
+        record["verdict"] = cert.verdict
+        record["replay_ok"] = replay_certificate(cert.to_text() + "\n", limits).ok
+    except Exception as exc:  # the batch must keep running
+        if not isinstance(exc, EndowlabError):
+            traceback.print_exc()
+        record["error"] = f"{type(exc).__name__}: {exc}"
+    return record
+
+
+def _passed(record: dict) -> bool:
+    return record["verdict"] == "positive" and record["replay_ok"]
+
+
 def cmd_selftest(args, limits: Limits) -> int:
     require_at_least("--count", args.count, 1)
-    require_at_least("--jobs", args.jobs, 1)
     bounds = parse_bounds(args.bounds)
     _check_bounds(bounds, limits)
     problems: list[str] = []
@@ -388,34 +382,19 @@ def cmd_selftest(args, limits: Limits) -> int:
         lines.append(f"{label} ({scope}): {'ok' if ok else 'FAILED'}")
         sweeps[key] = ok
 
-    fixed = [fixture_cohen_pair(mode=mode) for mode in MODES[:2]]
-    fixed.append(fixture_measure_pair(mode=MODES[2]))
-    fixed_ok = 0
-    for scenario in fixed:
-        cert = run_preservation(scenario, limits)
-        if cert.verdict == "positive" and replays(cert, limits):
-            fixed_ok += 1
+    fixed = [functools.partial(fixture_cohen_pair, mode=mode) for mode in MODES[:2]]
+    fixed.append(functools.partial(fixture_measure_pair, mode=MODES[2]))
+    fixed_ok = sum(_passed(_check_scenario(make, limits)) for make in fixed)
     if fixed_ok != len(fixed):
         problems.append("fixed scenario failed")
     lines.append(f"fixed scenarios positive and replayed: {fixed_ok}/{len(fixed)}")
 
-    payloads = [
-        {
-            "limits": dataclasses.asdict(limits),
-            "bounds": dataclasses.asdict(bounds),
-            "seed": args.seed + i,
-            "mode": MODES[i % len(MODES)],
-        }
-        for i in range(args.count)
-    ]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_selftest_worker, payloads))
-    else:
-        results = [_selftest_worker(p) for p in payloads]
-    failures = [r for r in results if r["verdict"] != "positive" or not r["replay_ok"]]
+    results = []
+    for i in range(args.count):
+        seed, mode = args.seed + i, MODES[i % len(MODES)]
+        make = functools.partial(generate_scenario, seed, mode, bounds, limits)
+        results.append(_check_scenario(make, limits, seed, mode))
+    failures = [r for r in results if not _passed(r)]
     result = {
         "oracle_agreements": agree,
         "oracle_queries": queries,
@@ -499,7 +478,6 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bounds", default="default", help="'default' or JSON")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     return parser

@@ -145,16 +145,13 @@ def hits_level(poset: Poset, level: Iterable[Condition], conditions: Iterable[Co
 # -- concrete families -------------------------------------------------------
 
 
-def cohen_dow_family(cohen: CohenPoset, strat: Stratification | None = None) -> EndowmentFamily:
+def cohen_dow_family(cohen: CohenPoset, strat: Stratification) -> EndowmentFamily:
     """Level n: antichains hitting every condition of support size at most n.
 
     The extractor runs the staged construction; the membership test checks
     the hitting property directly, so the two sides stay independent.
-    `strat` is the poset's stratification, built here when not passed in.
+    `strat` is the poset's stratification.
     """
-    if strat is None:
-        strat = cohen.stratification()
-
     def member(n: int, conditions: frozenset[str]) -> bool:
         if not cohen.poset.is_antichain(conditions):
             return False

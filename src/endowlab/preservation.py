@@ -392,11 +392,24 @@ POINT_LETTERS = ("x", "y", "z", "u", "v", "w")
 
 
 def _check_bounds(bounds: Limits, limits: Limits) -> None:
+    """Reject generation bounds that no seed can meet: a bound above the
+    resource limits, a space below two points, a subbase cap below one set
+    per drawn point, or no poset kind to draw from."""
     for f in fields(Limits):
         if getattr(bounds, f.name) > getattr(limits, f.name):
             raise ResourceError(
                 f"generation bound {f.name}={getattr(bounds, f.name)} exceeds the "
                 f"resource limit {getattr(limits, f.name)}")
+    if bounds.max_points < 2:
+        raise DataError(
+            f"generation bound max_points={bounds.max_points} is below 2, the smallest space drawn")
+    # a drawn space has up to 3 points, and covering it can take one set per point
+    if bounds.max_base < min(3, bounds.max_points):
+        raise DataError(
+            f"generation bound max_base={bounds.max_base} is below "
+            f"{min(3, bounds.max_points)}, one subbase set per drawn point")
+    if bounds.max_indices < 1 and bounds.max_k < 1 and bounds.max_poset < 3:
+        raise DataError("generation bounds leave no poset kind available")
 
 
 def _random_base(rng: random.Random, points: tuple[str, ...], cap: int) -> tuple[frozenset[str], ...]:
@@ -458,14 +471,6 @@ def generate_scenario(
     same seed always yields the same scenario.
     """
     _check_bounds(bounds, limits)
-    if bounds.max_points < 2:
-        raise DataError(
-            f"generation bound max_points={bounds.max_points} is below 2, the smallest space drawn")
-    # a drawn space has up to 3 points, and covering it can take one set per point
-    if bounds.max_base < min(3, bounds.max_points):
-        raise DataError(
-            f"generation bound max_base={bounds.max_base} is below "
-            f"{min(3, bounds.max_points)}, one subbase set per drawn point")
     rng = random.Random(seed)
     if mode is None:
         mode = rng.choice(MODES)
@@ -482,8 +487,6 @@ def generate_scenario(
         kinds.append({"kind": "measure", "k": 2})
     if bounds.max_poset >= 3:
         kinds.append(_random_explicit(rng, bounds.max_poset))
-    if not kinds:
-        raise DataError("generation bounds leave no poset kind available")
     recipe = rng.choice(kinds)
     bundle = build_bundle(recipe, limits)
     floor = bundle.strat.stabilization_index

@@ -63,7 +63,7 @@ def test_criterion_1_weak_endowment_on_assignment_posets():
     for size in (1, 2, 3):
         cohen = CohenPoset(range(size))
         strat = cohen.stratification()
-        family = cohen_dow_family(cohen)
+        family = cohen_dow_family(cohen, strat)
         if size <= 2:
             antichains = cohen.poset.maximal_antichains()
         else:

@@ -21,6 +21,7 @@ from endowlab.errors import UsageError
 from endowlab.instances import (
     cohen_pair_name_payload,
     fixture_cohen_pair,
+    fixture_measure_pair,
     pair_space_payload,
     save_instance,
     wrap_instance,
@@ -72,7 +73,6 @@ def test_usage_errors_are_exit_64(capsys):
     assert main(["endow-verify", "cohen:D=4", "--n", "1", "--seeded", "-3", "--full"]) == 64
     assert main(["selftest", "--count", "0"]) == 64
     assert main(["selftest", "--count", "-1"]) == 64
-    assert main(["selftest", "--count", "1", "--jobs", "0"]) == 64
     assert main(["endow-verify", "cohen:D=2", "--n", "1", "--full", "--budget", "-1"]) == 64
     assert main(["endow-verify", "cohen:D=2", "--n", "1", "--exhaustive", "--seeded", "5"]) == 64
     assert main(["endow-verify", "cohen:D=2", "--n", "-1"]) == 64
@@ -285,9 +285,13 @@ def test_endow_verify_checks_each_antichain_for_maximality_once(
     assert len(checks) == len(set(checks)) == antichains
 
 
-def test_endow_verify_has_no_jobs_option(capsys):
-    # one serial path: a worker pool would only split the weak clauses
-    assert main(["endow-verify", "cohen:D=2", "--n", "1", "--jobs", "2"]) == 64
+@pytest.mark.parametrize("argv", [
+    ["endow-verify", "cohen:D=2", "--n", "1", "--jobs", "2"],
+    ["selftest", "--count", "1", "--jobs", "2"],
+])
+def test_no_command_has_a_jobs_option(argv, capsys):
+    # one serial path per command: no command starts a worker pool
+    assert main(argv) == 64
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
@@ -959,7 +963,7 @@ def test_selftest_reports_a_failing_seed_and_continues(monkeypatch, capsys):
         return real(scenario, limits)
 
     monkeypatch.setattr(cli, "run_preservation", flaky)
-    assert main(["selftest", "--count", "3", "--seed", "2", "--jobs", "1", "--json"]) == 3
+    assert main(["selftest", "--count", "3", "--seed", "2", "--json"]) == 3
     data = json.loads(capsys.readouterr().out)
     assert data["scenarios"] == 3
     assert data["problems"] == []
@@ -972,11 +976,49 @@ def test_selftest_large_bounds_exceed_default_limits(capsys):
     assert "resource error" in capsys.readouterr().err
 
 
-def test_selftest_parallel(capsys):
-    assert main(["selftest", "--count", "4", "--seed", "5", "--jobs", "2", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["scenarios"] == 4
-    assert data["failures"] == []
+def test_selftest_continues_past_a_failing_fixture(monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    bad = fixture_measure_pair(mode=MODES[2])
+    real = cli.run_preservation
+
+    def flaky(scenario, limits):
+        if scenario == bad:
+            raise RuntimeError("boom")
+        return real(scenario, limits)
+
+    monkeypatch.setattr(cli, "run_preservation", flaky)
+    assert main(["selftest", "--count", "3", "--seed", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "fixed scenarios positive and replayed: 2/3" in captured.out
+    assert "scenarios run: 3" in captured.out
+    assert "failures: 0" in captured.out
+    assert "RuntimeError: boom" in captured.err  # a program fault keeps its traceback
+
+
+def test_selftest_rejects_unusable_bounds_before_any_sweep(monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    monkeypatch.setattr(cli, "_oracle_sweep", lambda *args: pytest.fail("a sweep ran"))
+    bounds = '{"max_points": 1}'
+    assert main(["selftest", "--count", "3", "--bounds", bounds]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert main(["gen", "--seed", "0", "--bounds", bounds]) == 65
+    assert capsys.readouterr().err == captured.err
+    assert captured.err == "error: generation bound max_points=1 is below 2, the smallest space drawn\n"
+
+
+def test_selftest_reports_a_seed_without_headroom_without_a_traceback(monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    assert main(["selftest", "--count", "6", "--bounds", '{"max_levels": 1}', "--json"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    assert data["problems"] == []
+    assert data["failures"] == [
+        {"seed": seed, "mode": MODES[seed % 3], "verdict": None, "replay_ok": False,
+         "error": "DataError: generation bounds leave no room for the headroom guarantee"}
+        for seed in range(6)]
 
 
 def shared_snapshot(recipe):
@@ -1022,5 +1064,5 @@ def test_cli_imports_only_the_standard_library():
     assert run.returncode == 0, run.stderr
     loaded = {name.split(".")[0] for name in run.stdout.split()}
     assert loaded - set(sys.stdlib_module_names) == {"endowlab"}
-    # only `selftest --jobs` above 1 needs a process pool
+    # every command runs in one process, so nothing needs a process pool
     assert "multiprocessing" not in loaded

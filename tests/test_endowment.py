@@ -176,7 +176,7 @@ def test_a_member_outside_the_poset_is_a_data_error_in_each_atoms_below_user():
 
 def test_weak_verifier_accepts_staged_family():
     c = CohenPoset([0, 1])
-    family = cohen_dow_family(c)
+    family = cohen_dow_family(c, c.stratification())
     extractions = extract_each(c.poset, family, 1, c.poset.maximal_antichains())
     report = verify_weak_endowment(c.poset, c.stratification(), family, 1, extractions)
     assert report.ok
@@ -224,7 +224,7 @@ def test_extraction_rejects_non_maximal_input():
 
 def test_weak_and_full_verification_extract_each_antichain_once():
     c = CohenPoset([0, 1])
-    inner = cohen_dow_family(c)
+    inner = cohen_dow_family(c, c.stratification())
     calls = []
 
     def extract(n, antichain):
@@ -256,14 +256,14 @@ def test_weak_report_jsonable_shape():
 def test_full_verifier_level_zero_is_vacuous():
     # 0-tuples impose no constraint beyond p extending itself
     c = CohenPoset([0])
-    family = cohen_dow_family(c)
+    family = cohen_dow_family(c, c.stratification())
     extractions = extract_each(c.poset, family, 0, c.poset.maximal_antichains())
     assert verify_full_endowment(c.poset, c.stratification(), family, 0, extractions).ok
 
 
 def test_full_verifier_positive_small_cases():
     c = CohenPoset([0, 1])
-    family = cohen_dow_family(c)
+    family = cohen_dow_family(c, c.stratification())
     for n in (1, 2):
         extractions = extract_each(c.poset, family, n, c.poset.maximal_antichains())
         report = verify_full_endowment(c.poset, c.stratification(), family, n, extractions)
@@ -286,7 +286,7 @@ def test_full_verifier_flags_adversarial_family():
 def test_full_verifier_budget():
     # 8 antichains give 8 distinct extractions; level 2 is all 9 conditions
     c = CohenPoset([0, 1])
-    family = cohen_dow_family(c)
+    family = cohen_dow_family(c, c.stratification())
     extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
     with pytest.raises(ResourceError) as info:
         verify_full_endowment(c.poset, c.stratification(), family, 2, extractions, budget=10)
@@ -428,7 +428,7 @@ def joint_extension_cases():
     for d in (1, 2, 3):
         c = CohenPoset(list(range(d)))
         antichains = c.poset.maximal_antichains()
-        for family in (cohen_dow_family(c), maximal_antichain_family(c.poset),
+        for family in (cohen_dow_family(c, c.stratification()), maximal_antichain_family(c.poset),
                        adversarial_singleton_family(c.poset)):
             for n in (0, 1, 2):
                 # the maximal family's 154^2 tuples at D=3 would take the

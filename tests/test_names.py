@@ -163,7 +163,7 @@ def test_approximate_extracts_once_per_distinct_antichain():
     rng = random.Random(3)
     a, b = (sorted(c.poset.random_maximal_antichain(rng), key=c.poset.sort_key) for _ in range(2))
     assert a != b
-    family = cohen_dow_family(c)
+    family = cohen_dow_family(c, c.stratification())
     calls = []
 
     def extract(n, antichain):
@@ -199,7 +199,7 @@ def test_approximate_trusts_the_point_antichains(monkeypatch):
     m = MeasurePoset(2)
     measure_name = make_cover_name(m.poset, space, [
         ("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})])
-    for poset, family, cover_name in ((c.poset, cohen_dow_family(c), name),
+    for poset, family, cover_name in ((c.poset, cohen_dow_family(c, c.stratification()), name),
                                       (m.poset, measure_total_family(m), measure_name)):
         checks.clear()
         pns = derive_point_names(poset, space, cover_name)
@@ -219,7 +219,7 @@ def test_derive_rejects_invalid_names():
 def test_approximation_on_pair_fixture():
     c, space, name = pair_setup()
     pns = derive_point_names(c.poset, space, name)
-    family = cohen_dow_family(c)
+    family = cohen_dow_family(c, c.stratification())
     approx = approximate(c.poset, pns, 1, family)
     assert approx.level == 1
     # x uses both sides: {x} meet {x,y} = {x}; y gets {x,y}
@@ -246,7 +246,7 @@ def test_approximation_pieces_contain_their_points():
 def test_approximation_certificate_positive_with_witness_counts():
     c, space, name = pair_setup()
     pns = derive_point_names(c.poset, space, name)
-    approx = approximate(c.poset, pns, 1, cohen_dow_family(c))
+    approx = approximate(c.poset, pns, 1, cohen_dow_family(c, c.stratification()))
     cert = check_approximation(c.poset, c.stratification(), name, approx)
     assert cert.positive
     # 2 cover pieces, 5 level-1 conditions: one witness each
@@ -285,7 +285,7 @@ def test_approximation_certificate_flags_undominated_piece():
 def test_refined_name_evaluation_law():
     c, space, name = pair_setup()
     pns = derive_point_names(c.poset, space, name)
-    approx = approximate(c.poset, pns, 1, cohen_dow_family(c))
+    approx = approximate(c.poset, pns, 1, cohen_dow_family(c, c.stratification()))
     refined, cert = refine_name(c.poset, c.stratification(), 1, name, approx.cover, space)
     assert cert.positive
     for atom in c.poset.atoms:
@@ -301,7 +301,7 @@ def test_refinement_certificate_clauses():
     c, space, name = pair_setup()
     strat = c.stratification()
     pns = derive_point_names(c.poset, space, name)
-    approx = approximate(c.poset, pns, 1, cohen_dow_family(c))
+    approx = approximate(c.poset, pns, 1, cohen_dow_family(c, strat))
     refined, cert = refine_name(c.poset, strat, 1, name, approx.cover, space)
     assert cert.refines_everywhere
     assert cert.counterexample is None
@@ -332,7 +332,7 @@ def test_refinement_requires_open_ground_sets():
 def test_pipeline_positive_on_pair_fixture():
     c, space, name = pair_setup()
     strat = c.stratification()
-    family = cohen_dow_family(c)
+    family = cohen_dow_family(c, strat)
     names = [name, name, name]
     approxes = [
         approximate(c.poset, derive_point_names(c.poset, space, nm), n, family)
