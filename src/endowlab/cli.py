@@ -49,7 +49,6 @@ from .preservation import (
     Scenario,
     _check_bounds,
     build_bundle,
-    built_in_structure,
     generate_scenario,
     replay_certificate,
     run_preservation,
@@ -147,6 +146,19 @@ def require_at_least(option: str, value: int, least: int) -> None:
         raise UsageError(f"{option} must be at least {least}, got {value}")
 
 
+# The largest `selftest --count` and `endow-verify --seeded COUNT`, so that
+# no batch runs unbounded.
+MAX_BATCH = 10_000
+
+
+def require_batch_size(option: str, count: int) -> None:
+    """Reject a batch count below 1 as a usage error, and one above
+    `MAX_BATCH`, before any work is done."""
+    require_at_least(option, count, 1)
+    if count > MAX_BATCH:
+        raise ResourceError(f"{option} capped at {MAX_BATCH}, got {count}")
+
+
 def require_level_bound(n: int, limits: Limits) -> None:
     """Reject a negative level as a usage error, and a level above the
     level limit, before any poset is built."""
@@ -163,7 +175,7 @@ def violation_lines(report: EndowmentReport) -> list[str]:
 
 def cmd_endow_verify(args, limits: Limits) -> int:
     if args.seeded is not None:
-        require_at_least("--seeded COUNT", args.seeded, 1)
+        require_batch_size("--seeded COUNT", args.seeded)
     require_at_least("--budget", args.budget, 0)
     require_level_bound(args.n, limits)
     recipe = parse_poset_spec(args.poset, limits)
@@ -205,9 +217,9 @@ def cmd_dow(args, limits: Limits) -> int:
     recipe = parse_poset_spec(args.poset, limits)
     if recipe["kind"] != "cohen":
         raise UsageError("the staged construction needs a cohen:D=<n> poset")
-    cohen, strat = built_in_structure(recipe, limits)
-    trace = dow_construct(cohen, args.member, args.n)
-    hits = hits_level(cohen.poset, strat.at(args.n), trace.result)
+    bundle = build_bundle(recipe, limits)
+    trace = dow_construct(bundle.structure, args.member, args.n)
+    hits = hits_level(bundle.poset, bundle.strat.at(args.n), trace.result)
     lines = [f"seed: {trace.seed!r}"]
     for i, stage in enumerate(trace.stages):
         lines.append(
@@ -306,7 +318,7 @@ def cmd_gen(args, limits: Limits) -> int:
 
 def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
     """Count agreements between the two forcing oracles on random queries."""
-    pool = [built_in_structure(recipe, limits)[0].poset for recipe in (
+    pool = [build_bundle(recipe, limits).poset for recipe in (
         {"kind": "cohen", "indices": [0]},
         {"kind": "cohen", "indices": [0, 1]},
         {"kind": "measure", "k": 1},
@@ -350,7 +362,7 @@ def _passed(record: dict) -> bool:
 
 
 def cmd_selftest(args, limits: Limits) -> int:
-    require_at_least("--count", args.count, 1)
+    require_batch_size("--count", args.count)
     bounds = parse_bounds(args.bounds)
     _check_bounds(bounds, limits)
     problems: list[str] = []

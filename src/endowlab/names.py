@@ -46,20 +46,12 @@ from .poset import (
 from .topology import FiniteSpace
 
 
-class CoverName(Name):
-    """A name whose pairs commit basic open sets."""
-
-
-class RefinedName(Name):
-    """A name produced by the refinement step; pairs commit ground sets."""
-
-
-def make_cover_name(poset: Poset, space: FiniteSpace, pairs: Iterable[tuple[Condition, Iterable[str]]]) -> CoverName:
+def make_cover_name(poset: Poset, space: FiniteSpace, pairs: Iterable[tuple[Condition, Iterable[str]]]) -> Name:
     """Package and validate a cover name's raw pairs.
 
     Conditions must belong to the poset and value sets to the subbase.
     """
-    name = CoverName(tuple((q, frozenset(u)) for q, u in pairs))
+    name = Name(tuple((q, frozenset(u)) for q, u in pairs))
     validate_name(poset, name)
     basic = set(space.base)
     for _, u in name.pairs:
@@ -315,7 +307,7 @@ def refine_name(
     name: Name,
     ground_family: Iterable[frozenset[str]],
     space: FiniteSpace,
-) -> tuple[RefinedName, RefineCertificate]:
+) -> tuple[Name, RefineCertificate]:
     """Build the definable refined name over a ground family of open sets.
 
     The refined name pairs every condition with every ground set it forces
@@ -332,7 +324,7 @@ def refine_name(
         if not space.is_open(h):
             raise DataError(f"ground family member {sorted(h)} is not open")
     forcing = [forcing_mask(poset, superset_mask(table, h)) for h in family]
-    refined = RefinedName(tuple(
+    refined = Name(tuple(
         (p, h) for h, mask in zip(family, forcing) for p in poset.conditions_in(mask)))
     missed = ~truth(poset, RefinesName(refined, name)) & ((1 << len(poset.atoms)) - 1)
     bad_atom = poset.atoms[(missed & -missed).bit_length() - 1] if missed else None
@@ -365,7 +357,7 @@ class PipelineResult:
     level subfamily flags, one row per (atom, point), and the covering check
     at and above the stabilization floor."""
 
-    refined: tuple[RefinedName, ...]
+    refined: tuple[Name, ...]
     certificates: tuple[RefineCertificate, ...]
     subfamily_everywhere: tuple[bool, ...]
     atom_table: tuple[AtomRow, ...]

@@ -1,23 +1,23 @@
 """End to end preservation runs with replayable certificates.
 
 A scenario packages a poset recipe, a finite space, one cover name per
-level, and a selection mode.  `build_bundle` materializes the recipe: a
-built-in Cohen or measure poset, with its stratification, is built once
-per process for each (recipe, limits) and shared read-only by every later
-run, replay and command; an explicit poset is not cached.  The runner
-approximates every name on the ground, solves the selection problem with
-the floor at the stabilization index, and hands the selected ground
-families to `names.run_pipeline`, which refines every name and, in one
-closing pass over the atoms, tabulates for each atom and point the refined
-set covering it at or above the floor.  The verdict is positive only when
-every certificate along the way is.  The certificate is canonical JSON:
-replaying the embedded scenario must reproduce it byte for byte.
-`PreservationCertificate.to_text` is its one writer; it writes the
-scenario, names and witness triples straight to text through one
-`TextMemo`, and the few small sections through `canonical_json`.  Its
-`to_jsonable` parses that text.  `replay_certificate` decides a canonical
-file from its embedded scenario alone; any other text is parsed whole and
-compared with the fresh certificate section by section.
+level, and a selection mode.  `build_bundle` materializes a recipe of any
+kind: its poset, stratification and default family are built once per
+process for each (recipe, limits) and shared read-only by every later run,
+replay and command.  The runner approximates every name on the ground,
+solves the selection problem with the floor at the stabilization index,
+and hands the selected ground families to `names.run_pipeline`, which
+refines every name and, in one closing pass over the atoms, tabulates for
+each atom and point the refined set covering it at or above the floor.
+The verdict is positive only when every certificate along the way is.
+The certificate is canonical JSON: replaying the embedded scenario must
+reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
+writer; it writes the scenario, names and witness triples straight to text
+through one `TextMemo`, and the few small sections through
+`canonical_json`.  Its `to_jsonable` parses that text.
+`replay_certificate` decides a canonical file from its embedded scenario
+alone; any other text is parsed whole and compared with the fresh
+certificate section by section.
 """
 
 from __future__ import annotations
@@ -97,65 +97,52 @@ class PosetBundle:
     poset: Poset
     strat: Stratification
     family: EndowmentFamily
+    structure: CohenPoset | MeasurePoset | None  # None for an explicit poset
 
 
-# Built-in structures by (canonical recipe text, limits), oldest first.  The
+# Bundles by (canonical recipe text, limits), least recently used first.  The
 # text keeps `true` apart from `1`, which compare equal as Python values.
-_SHARED: dict[tuple[str, Limits], tuple[CohenPoset | MeasurePoset, Stratification]] = {}
+_SHARED: dict[tuple[str, Limits], PosetBundle] = {}
 MAX_SHARED = 8
 
 
-def built_in_structure(
-    recipe: dict, limits: Limits = DEFAULT_LIMITS,
-) -> tuple[CohenPoset | MeasurePoset, Stratification]:
-    """The `CohenPoset` or `MeasurePoset` of a checked cohen or measure
-    recipe, with its stratification.
+def build_bundle(recipe: dict, limits: Limits = DEFAULT_LIMITS) -> PosetBundle:
+    """Materialize a checked poset recipe: its poset, stratification and
+    default family, with the `CohenPoset` or `MeasurePoset` it came from.
 
-    Each is built at most once per process for each (recipe, limits) pair,
-    keyed by the recipe's canonical JSON text and the limits, and shared
-    read-only with every later caller; the oldest of `MAX_SHARED` entries
-    makes way for a new one.  A build that raises stores nothing, so its
-    error comes back on every call.
+    This is the one place a recipe becomes a structure.  Each bundle is
+    built at most once per process for each (recipe, limits) pair, keyed by
+    the recipe's canonical JSON text and the limits, and shared read-only
+    with every later caller.  A hit moves its entry to the end, so the
+    least recently used of `MAX_SHARED` entries makes way for a new one.  A
+    build that raises stores nothing, so its error comes back on every call.
     """
     key = canonical_json(recipe), limits
-    shared = _SHARED.get(key)
-    if shared is None:
+    bundle = _SHARED.pop(key, None)
+    if bundle is None:
         kind = recipe["kind"]
-        if kind == "cohen":
-            structure = CohenPoset(recipe["indices"], limits)
+        if kind == "explicit":
+            elements = recipe["elements"]
+            if len(elements) > limits.max_poset:
+                raise ResourceError(
+                    f"explicit posets capped at {limits.max_poset} conditions, got {len(elements)}")
+            poset = Poset.from_pairs(elements, recipe["leq"])
+            bundle = PosetBundle(poset, make_stratification(poset, [poset.elements]),
+                                 maximal_antichain_family(poset), None)
+        elif kind == "cohen":
+            cohen = CohenPoset(recipe["indices"], limits)
+            strat = cohen.stratification()
+            bundle = PosetBundle(cohen.poset, strat, cohen_dow_family(cohen, strat), cohen)
         elif kind == "measure":
-            structure = MeasurePoset(recipe["k"], limits)
+            algebra = MeasurePoset(recipe["k"], limits)
+            bundle = PosetBundle(algebra.poset, algebra.stratification(),
+                                 measure_total_family(algebra), algebra)
         else:
             raise DataError(f"unknown built-in poset kind {kind!r}")
-        shared = structure, structure.stratification()
         if len(_SHARED) >= MAX_SHARED:
             del _SHARED[next(iter(_SHARED))]
-        _SHARED[key] = shared
-    return shared
-
-
-def build_bundle(recipe: dict, limits: Limits = DEFAULT_LIMITS) -> PosetBundle:
-    """Materialize a checked poset recipe with its stratification and
-    default family.
-
-    A cohen or measure poset comes from `built_in_structure`, so it is
-    built once per process for each (recipe, limits) and shared read-only;
-    an explicit poset is built on every call.  The family is made on every
-    call.
-    """
-    kind = recipe["kind"]
-    if kind == "explicit":
-        elements = recipe["elements"]
-        if len(elements) > limits.max_poset:
-            raise ResourceError(
-                f"explicit posets capped at {limits.max_poset} conditions, got {len(elements)}")
-        poset = Poset.from_pairs(elements, recipe["leq"])
-        strat = make_stratification(poset, [poset.elements])
-        return PosetBundle(poset, strat, maximal_antichain_family(poset))
-    structure, strat = built_in_structure(recipe, limits)
-    if kind == "cohen":
-        return PosetBundle(structure.poset, strat, cohen_dow_family(structure, strat))
-    return PosetBundle(structure.poset, strat, measure_total_family(structure))
+    _SHARED[key] = bundle
+    return bundle
 
 
 @dataclass(frozen=True)
@@ -262,8 +249,12 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
 
     Raises ScenarioError when the name sequence is too short for the
     stabilization floor or the selection problem has no solution; malformed
-    scenarios raise DataError.
+    scenarios raise DataError, and more names than `max_levels` raise
+    ResourceError before any poset is built.
     """
+    if len(scenario.names) > limits.max_levels:
+        raise ResourceError(
+            f"scenario names capped at max_levels={limits.max_levels}, got {len(scenario.names)}")
     bundle = build_bundle(scenario.poset, limits)
     space = FiniteSpace(scenario.points, scenario.base, limits)
     if scenario.mode not in MODES:

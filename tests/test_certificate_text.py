@@ -132,6 +132,9 @@ def negative_scenario() -> Scenario:
 
 def test_negative_certificate_round_trip(tmp_path, monkeypatch):
     assert run_preservation(negative_scenario()).verdict == "positive"
+    # an empty cache, so that the bundle built with the patched family is
+    # the one stored, and is thrown away with the cache afterwards
+    monkeypatch.setattr(preservation, "_SHARED", {})
     monkeypatch.setattr(preservation, "cohen_dow_family",
                         lambda cohen, strat: adversarial_singleton_family(cohen.poset))
     cert = run_preservation(negative_scenario())

@@ -14,6 +14,7 @@ from pathlib import Path
 import endowlab
 import endowlab.cli as cli
 import endowlab.endowment as endowment
+import endowlab.preservation as preservation
 from endowlab.bounds import Limits
 from endowlab.canon import canonical_json
 from endowlab.cli import main, parse_bounds, parse_poset_spec
@@ -27,7 +28,7 @@ from endowlab.instances import (
     wrap_instance,
 )
 from endowlab.poset import Poset
-from endowlab.preservation import built_in_structure, generate_scenario, run_preservation
+from endowlab.preservation import build_bundle, generate_scenario, run_preservation
 from endowlab.selection import MODES
 
 import pytest
@@ -393,7 +394,6 @@ def test_level_above_the_limit_is_70_before_any_poset_is_built(command, level_fi
     argv = LEVEL_COMMANDS[command](level_files)
     assert main(argv + ["--n", "8"]) in {0, 3}
     monkeypatch.setattr(cli, "build_bundle", refuse)
-    monkeypatch.setattr(cli, "built_in_structure", refuse)
     for n in ("9", "3000000"):
         capsys.readouterr()
         assert main(argv + ["--n", n]) == 70
@@ -410,7 +410,6 @@ def test_poset_size_out_of_range_is_64_before_any_poset_is_built(
         raise AssertionError("a poset was built")
 
     monkeypatch.setattr(cli, "build_bundle", refuse)
-    monkeypatch.setattr(cli, "built_in_structure", refuse)
     argv = [spec if a == "cohen:D=2" else a for a in LEVEL_COMMANDS[command](level_files)]
     assert main(argv + ["--n", "1"]) == 64
     assert f"in {spec!r} must be at least" in capsys.readouterr().err
@@ -584,6 +583,29 @@ def test_preserve_short_name_sequence_is_2(tmp_path, capsys):
                str(tmp_path / "cert.json")])
     assert rc == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+def test_more_scenario_names_than_max_levels_is_70_before_any_poset_is_built(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    scenario, cert = tmp_path / "scenario.json", tmp_path / "cert.json"
+    preserve = ["preserve", "--scenario", str(scenario), "--cert", str(cert)]
+    verify = ["verify", "--cert", str(cert)]
+    save_instance(scenario, "scenario", fixture_cohen_pair(levels=8).to_jsonable())
+    assert main(preserve) == 0
+    assert "levels: 8" in capsys.readouterr().out
+    save_instance(scenario, "scenario", fixture_cohen_pair(levels=9).to_jsonable())
+    monkeypatch.setenv("ENDOWLAB_BOUNDS", '{"max_levels": 9}')
+    assert main(preserve) == 0
+    assert "levels: 9" in capsys.readouterr().out
+    assert main(verify) == 0
+    monkeypatch.delenv("ENDOWLAB_BOUNDS")
+    capsys.readouterr()
+    monkeypatch.setattr(preservation, "build_bundle", lambda *args: pytest.fail("a poset was built"))
+    for argv in (preserve, verify):
+        assert main(argv) == 70
+        assert capsys.readouterr().err == (
+            "resource error: scenario names capped at max_levels=8, got 9\n")
 
 
 def test_verify_tampered_certificate_is_3(tmp_path, capsys):
@@ -1008,6 +1030,28 @@ def test_selftest_rejects_unusable_bounds_before_any_sweep(monkeypatch, capsys):
     assert captured.err == "error: generation bound max_points=1 is below 2, the smallest space drawn\n"
 
 
+class _WorkStarted(Exception):
+    """Raised by a spy in place of the first sweep or poset build."""
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["selftest", "--count"], "--count"),
+    (["endow-verify", "cohen:D=2", "--n", "1", "--seeded"], "--seeded COUNT"),
+])
+def test_batch_counts_above_the_cap_are_70_before_any_work(argv, option, monkeypatch, capsys):
+    def start(*args):
+        raise _WorkStarted
+
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    monkeypatch.setattr(cli, "_oracle_sweep", start)
+    monkeypatch.setattr(cli, "build_bundle", start)
+    assert cli.MAX_BATCH == 10_000
+    assert main(argv + ["10001"]) == 70
+    assert capsys.readouterr().err == f"resource error: {option} capped at 10000, got 10001\n"
+    with pytest.raises(_WorkStarted):  # the cap itself is allowed
+        main(argv + ["10000"])
+
+
 def test_selftest_reports_a_seed_without_headroom_without_a_traceback(monkeypatch, capsys):
     monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
     assert main(["selftest", "--count", "6", "--bounds", '{"max_levels": 1}', "--json"]) == 3
@@ -1022,11 +1066,11 @@ def test_selftest_reports_a_seed_without_headroom_without_a_traceback(monkeypatc
 
 
 def shared_snapshot(recipe):
-    """Copies of every table of a shared built-in structure, `atom_up` included."""
-    structure, strat = built_in_structure(recipe)
-    poset = structure.poset
+    """Copies of every table of a shared bundle, `atom_up` included."""
+    bundle = build_bundle(recipe)
+    poset, strat, structure = bundle.poset, bundle.strat, bundle.structure
     tables = [poset.elements, dict(poset.down_mask), dict(poset.atom_mask), poset.atom_up,
-              strat.levels, strat.ordered]
+              strat.levels, strat.ordered, bundle.family]
     if recipe["kind"] == "cohen":
         tables += [dict(structure.support_mask), structure.within_mask]
     return tables
@@ -1039,9 +1083,18 @@ def test_commands_never_write_a_shared_poset(tmp_path, monkeypatch, capsys):
         {"condition": "00,01", "set": ["x", "y"]},
         {"condition": "10,11", "set": ["x", "y"]},
     ]
+    explicit_poset = {"elements": ["t", "a", "b"], "leq": [["a", "t"], ["b", "t"]]}
+    explicit_name = [
+        {"condition": "a", "set": ["x"]},
+        {"condition": "a", "set": ["x", "y"]},
+        {"condition": "b", "set": ["x", "y"]},
+    ]
+    poset_file = tmp_path / "poset.json"
+    save_instance(poset_file, "poset", explicit_poset)
     cases = [
         ({"kind": "cohen", "indices": [0, 1, 2]}, "cohen:D=3", cohen_pair_name_payload(), 4),
         ({"kind": "measure", "k": 2}, "measure:k=2", measure_name, 3),
+        ({"kind": "explicit", **explicit_poset}, f"@{poset_file}", explicit_name, 2),
     ]
     before = [shared_snapshot(recipe) for recipe, *_ in cases]
     for recipe, spec, name, levels in cases:

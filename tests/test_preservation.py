@@ -14,7 +14,6 @@ from endowlab.preservation import (
     Scenario,
     MAX_SHARED,
     build_bundle,
-    built_in_structure,
     generate_scenario,
     replay_certificate,
     run_preservation,
@@ -149,37 +148,39 @@ def test_build_bundle_validates():
         build_bundle(big)
 
 
-# -- shared built-in structures -------------------------------------------------
+# -- shared bundles -------------------------------------------------------------
 
 
 @pytest.fixture
 def fresh_cache(monkeypatch):
-    """An empty cache of built-in structures for the test's duration."""
+    """An empty cache of bundles for the test's duration."""
     monkeypatch.setattr(preservation, "_SHARED", {})
     return preservation._SHARED
 
 
-@pytest.mark.parametrize("recipe", [{"kind": "cohen", "indices": [0, 1, 2]}, {"kind": "measure", "k": 2}])
+EXPLICIT = {"kind": "explicit", "elements": ["t", "a", "b"], "leq": [["a", "t"], ["b", "t"]]}
+
+
+@pytest.mark.parametrize("recipe", [{"kind": "cohen", "indices": [0, 1, 2]}, {"kind": "measure", "k": 2},
+                                    EXPLICIT])
 def test_equal_recipes_and_limits_share_one_structure(recipe):
     first = build_bundle(json.loads(json.dumps(recipe)))
     again = build_bundle(dict(recipe))
-    assert again.poset is first.poset and again.strat is first.strat
-    assert built_in_structure(dict(recipe))[1] is first.strat
+    assert again is first
     # limits parsed from equal bounds JSON are equal keys
     a = limits_from_env({"ENDOWLAB_BOUNDS": '{"max_k": 3, "max_indices": 4}'})
     b = limits_from_env({"ENDOWLAB_BOUNDS": '{ "max_indices":4,"max_k":3 }'})
     assert a is not b
-    assert build_bundle(dict(recipe), a).poset is build_bundle(dict(recipe), b).poset
+    assert build_bundle(dict(recipe), a) is build_bundle(dict(recipe), b)
     assert build_bundle(dict(recipe), a).poset is not first.poset
 
 
-def test_families_and_explicit_posets_are_fresh_on_each_call():
-    for recipe in ({"kind": "cohen", "indices": [0]}, {"kind": "measure", "k": 1}):
-        assert build_bundle(recipe).family is not build_bundle(recipe).family
-    explicit = {"kind": "explicit", "elements": ["t", "a", "b"], "leq": [["a", "t"], ["b", "t"]]}
-    first, again = build_bundle(explicit), build_bundle(explicit)
-    assert first.poset is not again.poset and first.strat is not again.strat
-    assert first.poset.elements == again.poset.elements
+def test_only_a_built_in_bundle_has_a_structure():
+    assert build_bundle(EXPLICIT).structure is None
+    cohen = build_bundle({"kind": "cohen", "indices": [0]})
+    assert cohen.structure.poset is cohen.poset and cohen.structure.indices == (0,)
+    measure = build_bundle({"kind": "measure", "k": 1})
+    assert measure.structure.poset is measure.poset and measure.structure.k == 1
 
 
 def test_a_build_that_raises_stores_nothing(fresh_cache):
@@ -188,6 +189,21 @@ def test_a_build_that_raises_stores_nothing(fresh_cache):
             build_bundle({"kind": "cohen", "indices": [0, 1]}, Limits(max_indices=1))
         with pytest.raises(DataError):
             build_bundle({"kind": "measure", "k": -1})
+    assert fresh_cache == {}
+
+
+@pytest.mark.parametrize("recipe,error,message", [
+    ({"kind": "explicit", "elements": [f"e{i}" for i in range(41)], "leq": []},
+     ResourceError, "explicit posets capped at 40 conditions, got 41"),
+    ({"kind": "explicit", "elements": ["a", "b"], "leq": [["a", "c"]]},
+     DataError, "order pair mentions unknown condition"),
+    ({"kind": "explicit", "elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]},
+     DataError, "order is not antisymmetric"),
+])
+def test_an_explicit_build_that_raises_stores_nothing(recipe, error, message, fresh_cache):
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            build_bundle(recipe)
     assert fresh_cache == {}
 
 
@@ -211,6 +227,17 @@ def test_the_cache_keeps_at_most_its_bound(fresh_cache):
     assert len(fresh_cache) == MAX_SHARED
     # the oldest entry made way, so it is built again
     assert build_bundle(recipes[0]).poset is not first
+
+
+def test_a_hit_entry_outlives_a_newer_one(fresh_cache):
+    recipes = [{"kind": "cohen", "indices": [i]} for i in range(MAX_SHARED + 1)]
+    bundles = [build_bundle(recipe) for recipe in recipes[:MAX_SHARED]]
+    assert build_bundle(recipes[0]) is bundles[0]  # the hit moves the oldest entry to the end
+    build_bundle(recipes[MAX_SHARED])
+    assert len(fresh_cache) == MAX_SHARED
+    assert build_bundle(recipes[0]) is bundles[0]
+    # the entry built second was the oldest unused one, so it made way
+    assert build_bundle(recipes[1]) is not bundles[1]
 
 
 # -- generator ----------------------------------------------------------------
