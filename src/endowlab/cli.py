@@ -115,8 +115,9 @@ def resolve_family(bundle, choice: str):
 
 
 def gather_antichains(poset, exhaustive: bool, seeded: int, seed: int, limits: Limits):
-    """Exhaustive enumeration when asked (or small and unspecified), seeded
-    greedy sampling otherwise; duplicates are dropped."""
+    """Every maximal antichain when `exhaustive` is set.  Otherwise `seeded`
+    greedy samples drawn in a row from one `random.Random(seed)`, keeping
+    the first copy of each antichain in draw order."""
     if exhaustive:
         return poset.maximal_antichains(limits)
     rng = random.Random(seed)

@@ -306,16 +306,40 @@ class Poset:
         return tuple(sorted(found, key=lambda a: (len(a), sorted(self._pos[p] for p in a))))
 
     def random_maximal_antichain(self, rng: random.Random) -> frozenset[Condition]:
-        """Greedy maximal antichain over a shuffled enumeration order."""
-        order = list(self._elements)
-        rng.shuffle(order)
+        """Greedy maximal antichain over a shuffled enumeration order.
+
+        The result and the state `rng` is left in are exactly those of
+        `rng.shuffle(list(self.elements))` followed by a greedy pass that
+        keeps each condition incompatible with every member kept so far.
+        The shuffle runs here on canonical positions with the swaps of
+        `random.Random.shuffle` (Durstenfeld's Fisher–Yates): for i from
+        n−1 down to 1 it draws `getrandbits((i+1).bit_length())` until the
+        draw is at most i, as `Random._randbelow_with_getrandbits` does, so
+        it consumes the same bits.  The greedy pass runs over the down masks
+        in that order and stops once the reach of the kept members holds
+        every atom's position (`meets_everything`).  That stop is exact:
+        every later condition has an atom below it, that atom lies in the
+        reach, so the condition is compatible with a kept member and the
+        pass would skip it anyway.
+        """
+        n = len(self._elements)
+        order = list(range(n))
+        getrandbits = rng.getrandbits
+        for i in range(n - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        masks = list(self.down_mask.values())
         chosen: list[Condition] = []
-        down_mask = self.down_mask
         union = 0  # reach of the chosen members
-        for p in order:
-            if down_mask[p] & union == 0:
-                chosen.append(p)
-                union |= down_mask[p]
+        for i in order:
+            if masks[i] & union == 0:
+                chosen.append(self._elements[i])
+                union |= masks[i]
+                if self.meets_everything(union):
+                    break
         return frozenset(chosen)
 
 

@@ -1,6 +1,7 @@
 """Command line behaviour: subcommands, exit codes, files, and bounds."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -250,6 +251,31 @@ def test_endow_verify_json_output(capsys):
 def test_endow_verify_seeded_sampling(capsys):
     assert main(["endow-verify", "cohen:D=2", "--n", "1", "--seeded", "50", "--seed", "9"]) == 0
     assert "seeded:50" in capsys.readouterr().out
+
+
+# Exit code and stdout digest of each command, taken before antichain sampling
+# moved onto canonical positions.  Seeded sampling and `gen` draw maximal
+# antichains in a row from one generator, so a sampler that changes any draw
+# or the generator's state after it changes these outputs.
+PINNED_DRAWS = {
+    "endow-verify measure:k=3 --n 1 --seeded 150 --seed 0 --full --json":
+        (0, "305d4df1e73af07a3be63325898122e6822772c17ec786ca13ae568cb0af62d6"),
+    "endow-verify cohen:D=4 --n 2 --seeded 40 --seed 0 --full --json":
+        (3, "27c41a8034135f87c93f463cf383c4e33ae5740a5296948c09b5559c5a057eff"),
+    "gen --seed 0": (0, "d219d28fd99d2280bca6e034eb5d73078f16d1602e2cc5415e7ebb7159fe0712"),
+    "gen --seed 1": (0, "3dd20413dfc12507579796727f9d2df22d9feaab19eebba8666ecf58ddc08a90"),
+    "gen --seed 2": (0, "c8537c2db43fde60d84abab3a872c90ef20f190a8b79d0f65d3f18213241880e"),
+    "gen --seed 3": (0, "955254e824728ca9ad4863543fafdf8f0c35cb2d75e7677b1eaa78f3081f1a71"),
+    "gen --seed 4": (0, "ca7d47e1585e3f6a9e9bec180931216f54b2a699374adc44e770653d22f77575"),
+    "gen --seed 5": (0, "f554909e7bb0a98e89a767809c7301a9652e32aa5ebfc467ffa29bec952f1943"),
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_DRAWS)
+def test_sampled_antichains_keep_their_pinned_draws(argv, capsys):
+    code, digest = PINNED_DRAWS[argv]
+    assert main(argv.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_endow_verify_full_extracts_each_antichain_once(monkeypatch, capsys):

@@ -215,6 +215,29 @@ def test_antichain_helpers_match_the_pairwise_reference():
     assert seen == {(False, False), (True, False), (True, True)}
 
 
+def test_sampled_antichains_keep_the_shuffle_draws():
+    # gather_antichains and generate_scenario draw many antichains in a row
+    # from one generator, so each antichain and the state after it must be
+    # those of rng.shuffle plus the greedy pass
+    posets = [CohenPoset(range(d)).poset for d in range(1, 6)]
+    posets += [MeasurePoset(k).poset for k in (1, 2, 3)]
+    posets += [Poset.from_pairs(["only"], []),
+               Poset.from_pairs(["c0", "c1", "c2", "c3"], [("c0", "c1"), ("c1", "c2"), ("c2", "c3")]),
+               Poset.from_pairs(["a0", "a1", "a2", "a3", "a4"], [])]
+    for poset in posets:
+        for seed in range(4):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                sample = poset.random_maximal_antichain(rng)
+                assert sample == ref_random_maximal_antichain(poset, ref_rng)
+                assert rng.getstate() == ref_rng.getstate()
+    # any chain member meets everything, so the stop fires after the first
+    # member; with atoms only, every condition is kept
+    chain, atoms = posets[-2:]
+    assert all(len(chain.random_maximal_antichain(random.Random(s))) == 1 for s in range(5))
+    assert atoms.random_maximal_antichain(random.Random(0)) == frozenset(atoms.elements)
+
+
 def test_antichain_checks_require_every_item_first():
     poset = Poset.from_pairs(["t", "a", "b"], [("a", "t"), ("b", "t")])
     assert poset.compatible("t", "a")
