@@ -5,8 +5,11 @@ emitted in a fixed canonical order so repeated runs are byte identical.
 Reports and small sections go through `canonical_json`.  A certificate's
 bulk (its names and witness triples) is written straight to the same text
 by its classes' `to_text` methods, with a `TextMemo` that encodes each
-distinct identifier and set once; those classes parse that text when a
-dict is wanted, so each of their layouts is spelled in one place.
+distinct identifier and set once.  The memo also holds the fragments of a
+witness triple: the opening of its condition and the closing of its
+witness, so a triple is three joined fragments, the middle one (its set)
+made once per run of triples.  Those classes parse their text when a dict
+is wanted, so each of their layouts is spelled in one place.
 """
 
 from __future__ import annotations
@@ -87,16 +90,21 @@ class TextMemo:
     """Canonical text of identifiers and identifier sets, each made once.
 
     `quoted[s]` is the JSON string literal of s; `sets[u]` is the JSON list
-    of u's members in sorted order, for a frozenset or a tuple.  One memo
-    serves one certificate, whose conditions, points and sets recur across
-    its sections.
+    of u's members in sorted order, for a frozenset or a tuple.  A witness
+    triple object {"condition", <set field>, "witness"} is written from
+    three fragments: `condition_heads[p]`, the opening `{"condition":"p"`;
+    the set field, made once per run of triples; and `witness_tails[r]`,
+    the closing `,"witness":"r"}`.  One memo serves one certificate, whose
+    conditions, points and sets recur across its sections.
     """
 
-    __slots__ = ("quoted", "sets")
+    __slots__ = ("quoted", "sets", "condition_heads", "witness_tails")
 
     def __init__(self):
-        self.quoted = _Memo(encode_basestring_ascii)
+        quoted = self.quoted = _Memo(encode_basestring_ascii)
         self.sets = _Memo(self._list)
+        self.condition_heads = _Memo(lambda p: '{"condition":' + quoted[p])
+        self.witness_tails = _Memo(lambda r: ',"witness":' + quoted[r] + "}")
 
     def _list(self, members) -> str:
         quoted = self.quoted

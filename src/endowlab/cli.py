@@ -18,7 +18,6 @@ import os
 import random
 import sys
 import traceback
-from pathlib import Path
 
 from .bounds import DEFAULT_LIMITS, Limits, limits_from_env
 from .canon import canonical_json_pretty, check_shape
@@ -38,12 +37,21 @@ from .instances import (
     fixture_cohen_pair,
     fixture_measure_pair,
     load_instance,
+    check_writable,
     read_json,
     read_text,
     save_instance,
     wrap_instance,
+    write_text,
 )
-from .names import approximate, check_approximation, derive_point_names, make_cover_name, refine_name
+from .names import (
+    WitnessTable,
+    approximate,
+    check_approximation,
+    derive_point_names,
+    make_cover_name,
+    refine_name,
+)
 from .poset import ExistsSupersetInCover, Name, forces, forces_dense
 from .preservation import (
     Scenario,
@@ -250,7 +258,7 @@ def cmd_approx(args, limits: Limits) -> int:
     family = resolve_family(bundle, args.family)
     point_names = derive_point_names(bundle.poset, space, name)
     approx = approximate(bundle.poset, point_names, args.n, family)
-    cert = check_approximation(bundle.poset, bundle.strat, name, approx)
+    cert = check_approximation(WitnessTable(bundle.poset, bundle.strat, args.n, name), approx)
     result = {
         "point_names": [pn.to_jsonable() for pn in point_names],
         "approximation": approx.to_jsonable(),
@@ -271,7 +279,7 @@ def cmd_refine(args, limits: Limits) -> int:
     raw = read_json(args.sets)
     check_shape(raw, [[str]], "ground family")
     family = [frozenset(s) for s in raw]
-    refined, cert = refine_name(bundle.poset, bundle.strat, args.n, name, family, space)
+    refined, cert = refine_name(WitnessTable(bundle.poset, bundle.strat, args.n, name), family, space)
     result = {"refined_name": refined.to_jsonable(), "certificate": cert.to_jsonable()}
     lines = [f"refined name: {len(refined.pairs)} pairs",
              f"certificate: {'positive' if cert.positive else 'NEGATIVE'}"]
@@ -283,9 +291,10 @@ def cmd_preserve(args, limits: Limits) -> int:
     scenario = Scenario.from_jsonable(load_instance(args.scenario, "scenario"), checked=True)
     if args.property is not None:
         scenario = dataclasses.replace(scenario, mode=args.property)
+    check_writable(args.cert)
     cert = run_preservation(scenario, limits)
     text = cert.to_text()
-    Path(args.cert).write_text(text + "\n")
+    write_text(args.cert, text + "\n")
     lines = [
         f"property: {scenario.mode}  floor: {cert.floor}  levels: {len(scenario.names)}",
         f"atoms certified: {len({row.atom for row in cert.pipeline.atom_table})}",
@@ -307,6 +316,8 @@ def cmd_verify(args, limits: Limits) -> int:
 
 def cmd_gen(args, limits: Limits) -> int:
     bounds = parse_bounds(args.bounds)
+    if args.out:
+        check_writable(args.out)
     scenario = generate_scenario(args.seed, args.property, bounds, limits)
     payload = scenario.to_jsonable()
     if args.out:

@@ -3,7 +3,8 @@
 Every instance file is a JSON object {"format_version": 1, "kind": K,
 "payload": P} with K one of poset, space, name, scenario.  Payloads are
 checked against the `*_SHAPE` declared beside their class before any object
-is built.
+is built.  Files are read through `read_text` and written through
+`write_text`, which turn an unreadable or unwritable path into a DataError.
 """
 
 from __future__ import annotations
@@ -61,6 +62,24 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def check_writable(path: str | Path) -> None:
+    """Reject an output path that names a directory or whose directory does
+    not exist, as a DataError, before any work is spent on its contents."""
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise DataError(f"cannot write {path}: {path.parent} is not an existing directory")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write a text file; an unwritable path is a DataError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def read_json(path: str | Path):
     """Read and parse a JSON file; an unreadable file or bad JSON is a DataError."""
     return parse_json(read_text(path), path)
@@ -75,7 +94,7 @@ def load_instance(path: str | Path, kind: str | None = None) -> dict:
 
 def save_instance(path: str | Path, kind: str, payload) -> None:
     data = wrap_instance(kind, payload)
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 # -- fixtures ----------------------------------------------------------------

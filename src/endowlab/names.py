@@ -9,22 +9,32 @@ inside a chosen ground family.  Certificates record the dense witnesses so
 independent replays can confirm every step.
 
 Every step reads names through their value masks (`poset.value_masks`, one
-atom mask per distinct value set).  A name is tabled once per step; the
-atom mask of "some named set contains V" is the union of the masks of the
-values containing V, and its forcing mask marks, by canonical position,
-the conditions whose atoms all lie inside it.  The least witness below p is
-then the lowest bit of `down_mask[p]` and the forcing mask, and the refined
-name pairs each ground set with the conditions of its forcing mask.  The
-pipeline closes with one pass over the refined names' value masks that
-reads every closing fact (subfamily flags, atom rows, covering verdict).
-Per-atom evaluation on frozensets (`poset.evaluate_name`) stays out of
-these steps and serves the tests as their reference.
+atom mask per distinct value set).  The atom mask of "some named set
+contains V" is the union of the masks of the values containing V, and its
+forcing mask marks, by canonical position, the conditions whose atoms all
+lie inside it.  The least witness below p is then the lowest bit of
+`down_mask[p]` and the forcing mask.  Each level has one `WitnessTable`,
+built from its name: it tables the name's value masks once and, for each
+set asked about, computes its forcing mask and its run of least witnesses
+over the level's conditions the first time the set is asked for.  Both
+certificates of a level read the same table, the approximation for its
+cover pieces and the refinement for its ground sets, so a set that is both
+gets one search; a ground set outside the cover gets its run from the same
+table.  The certificates keep the runs, and derive their (set, condition,
+witness) `triples` on demand; `to_text` writes each triple from memoized
+fragments (see `canon.TextMemo`).  The refined name pairs each ground set
+with the conditions of its forcing mask.  The pipeline closes with one
+pass over the refined names' value masks that reads every closing fact
+(subfamily flags, atom rows, covering verdict).  Per-atom evaluation on
+frozensets (`poset.evaluate_name`) stays out of these steps and serves the
+tests as their reference.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .canon import BOOL_TEXT, TextMemo, array_text, object_text, set_key, sorted_sets
@@ -34,12 +44,11 @@ from .poset import (
     Condition,
     Name,
     Poset,
-    RefinesName,
     Stratification,
     forces,  # unused here; kept so `names.forces` stays a binding the benchmark tracer rebinds
     pairs_text,
+    refinement_mask,
     superset_mask,
-    truth,
     validate_name,
     value_masks,
 )
@@ -185,35 +194,6 @@ def approximate(
     return Approximation(n, tuple(entries), sorted_sets(pieces))
 
 
-@dataclass(frozen=True)
-class ApproxCertificate:
-    """Dense domination witnesses: for each piece and each level condition,
-    the canonically least extension forcing the piece into the named cover."""
-
-    level: int
-    positive: bool
-    triples: tuple[tuple[tuple[str, ...], Condition, Condition], ...]
-    counterexample: tuple[tuple[str, ...], Condition] | None
-
-    def to_text(self, memo: TextMemo) -> str:
-        """Canonical JSON text, the one layout of this certificate."""
-        quoted, sets = memo.quoted, memo.sets
-        counter = self.counterexample
-        return object_text({
-            "level": str(self.level),
-            "positive": BOOL_TEXT[self.positive],
-            "triples": array_text([
-                f'{{"condition":{quoted[p]},"piece":{sets[v]},"witness":{quoted[r]}}}'
-                for v, p, r in self.triples
-            ]),
-            "counterexample": "null" if counter is None else
-                f'{{"condition":{quoted[counter[1]]},"piece":{sets[counter[0]]}}}',
-        })
-
-    def to_jsonable(self) -> dict:
-        return json.loads(self.to_text(TextMemo()))
-
-
 def forcing_mask(poset: Poset, truth_mask: int) -> int:
     """The conditions forcing a statement with this truth mask, by position:
     bit i is set when every atom below elements[i] lies inside the mask,
@@ -223,57 +203,153 @@ def forcing_mask(poset: Poset, truth_mask: int) -> int:
     return ((1 << len(poset)) - 1) & ~poset.above_atoms(outside)
 
 
-def level_witnesses(
-    poset: Poset,
-    strat: Stratification,
-    n: int,
-    forcing_sets: Iterable[tuple[frozenset[str], int]],
-) -> tuple[tuple, tuple[tuple[str, ...], Condition] | None]:
-    """The (set key, p, least witness) triples for every (set, forcing mask)
-    and level-n condition p, stopping at the first p with no witness, which
-    is returned as (set key, p); a lazy iterable computes no later mask.
+class WitnessTable:
+    """One level's witness data, shared by its two certificates.
 
-    Position bits run in canonical order, so the least witness below p is
-    the lowest bit of `down_mask[p] & forcing`.
+    Built from the level's name, whose value masks it tables once.  For a
+    set h, `forcing(h)` is the forcing mask of "some named set contains h",
+    and `run(h)` the least witnesses of h below the level's conditions, in
+    canonical order, up to the first condition without one.  Each is
+    computed the first time h is asked for, so a set that is both a cover
+    piece and a ground set gets one search.  A table serves one level of
+    one run.
     """
-    elements, down_mask = poset.elements, poset.down_mask
-    level = strat.ordered_at(n)
-    triples = []
-    for h, forcing in forcing_sets:
-        key = set_key(h)
-        for p in level:
-            hits = down_mask[p] & forcing
-            if not hits:
-                return tuple(triples), (key, p)
-            triples.append((key, p, elements[(hits & -hits).bit_length() - 1]))
-    return tuple(triples), None
+
+    __slots__ = ("poset", "level", "conditions", "masks", "_forcing", "_runs")
+
+    def __init__(self, poset: Poset, strat: Stratification, n: int, name: Name):
+        if n < 0:
+            raise DataError(f"level must be nonnegative, got {n}")
+        self.poset = poset
+        self.level = n
+        self.conditions = strat.ordered_at(n)
+        self.masks = value_masks(poset, name)
+        self._forcing: dict[frozenset[str], int] = {}
+        self._runs: dict[frozenset[str], tuple[Condition, ...]] = {}
+
+    def forcing(self, h: frozenset[str]) -> int:
+        mask = self._forcing.get(h)
+        if mask is None:
+            mask = self._forcing[h] = forcing_mask(self.poset, superset_mask(self.masks, h))
+        return mask
+
+    def run(self, h: frozenset[str]) -> tuple[Condition, ...]:
+        """Position bits run in canonical order, so the least witness below p
+        is the lowest bit of `down_mask[p]` and the forcing mask."""
+        run = self._runs.get(h)
+        if run is None:
+            elements, down_mask = self.poset.elements, self.poset.down_mask
+            forcing = self.forcing(h)
+            witnesses = []
+            for p in self.conditions:
+                hits = down_mask[p] & forcing
+                if not hits:
+                    break
+                witnesses.append(elements[(hits & -hits).bit_length() - 1])
+            run = self._runs[h] = tuple(witnesses)
+        return run
 
 
-def check_approximation(
-    poset: Poset,
-    strat: Stratification,
-    name: Name,
-    approx: Approximation,
-) -> ApproxCertificate:
-    """For every piece V and level condition p, find r <= p forcing that some
-    named set contains V.  Negative certificates carry the first failure."""
-    table = value_masks(poset, name)
-    triples, counterexample = level_witnesses(poset, strat, approx.level, (
-        (v, forcing_mask(poset, superset_mask(table, v))) for v in approx.cover))
-    return ApproxCertificate(approx.level, counterexample is None, triples, counterexample)
+# a set and its run of least witnesses, one per level condition in turn
+Run = tuple[frozenset[str], tuple[Condition, ...]]
+
+
+def level_witnesses(
+    table: WitnessTable, sets: Iterable[frozenset[str]],
+) -> tuple[tuple[Run, ...], tuple[tuple[str, ...], Condition] | None]:
+    """The (set, run) pairs of the table for the given sets in order,
+    stopping after the first set whose run misses a level condition p,
+    which is returned as (set key, p); a lazy iterable asks for no later
+    set."""
+    conditions = table.conditions
+    runs = []
+    for h in sets:
+        run = table.run(h)
+        runs.append((h, run))
+        if len(run) < len(conditions):
+            return tuple(runs), (set_key(h), conditions[len(run)])
+    return tuple(runs), None
 
 
 @dataclass(frozen=True)
-class RefineCertificate:
+class LevelWitnesses:
+    """Dense witnesses at one level: for each set of `runs`, the least
+    witness below each of the level's `conditions` in turn, as
+    `level_witnesses` returns them."""
+
+    level: int
+    conditions: tuple[Condition, ...]
+    runs: tuple[Run, ...]
+    counterexample: tuple[tuple[str, ...], Condition] | None
+
+    @property
+    def triples(self) -> tuple[tuple[tuple[str, ...], Condition, Condition], ...]:
+        """One (set key, condition, witness) triple per witness, run by run."""
+        conditions = self.conditions
+        return tuple(chain.from_iterable(
+            zip(repeat(set_key(h)), conditions, run) for h, run in self.runs))
+
+    def _triples_text(self, memo: TextMemo, field: str) -> str:
+        """The JSON array of the triples, the set under `field`.  A triple
+        is the head of its condition, its run's set fragment and the tail
+        of its witness, each made once."""
+        heads, tails, sets = memo.condition_heads, memo.witness_tails, memo.sets
+        level_heads = [heads[p] for p in self.conditions]
+        items = []
+        for h, run in self.runs:
+            middle = f',"{field}":{sets[h]}'
+            items += [head + middle + tails[r] for head, r in zip(level_heads, run)]
+        return array_text(items)
+
+    def _counterexample_text(self, memo: TextMemo, field: str) -> str:
+        counter = self.counterexample
+        if counter is None:
+            return "null"
+        return f'{memo.condition_heads[counter[1]]},"{field}":{memo.sets[counter[0]]}}}'
+
+
+@dataclass(frozen=True)
+class ApproxCertificate(LevelWitnesses):
+    """Dense domination witnesses: for each piece and each level condition,
+    the canonically least extension forcing the piece into the named cover."""
+
+    @property
+    def positive(self) -> bool:
+        return self.counterexample is None
+
+    def to_text(self, memo: TextMemo) -> str:
+        """Canonical JSON text, the one layout of this certificate."""
+        return object_text({
+            "level": str(self.level),
+            "positive": BOOL_TEXT[self.positive],
+            "triples": self._triples_text(memo, "piece"),
+            "counterexample": self._counterexample_text(memo, "piece"),
+        })
+
+    def to_jsonable(self) -> dict:
+        return json.loads(self.to_text(TextMemo()))
+
+
+def check_approximation(table: WitnessTable, approx: Approximation) -> ApproxCertificate:
+    """For every piece V and level condition p, find r <= p forcing that some
+    named set contains V.  Negative certificates carry the first failure."""
+    if approx.level != table.level:
+        raise DataError(f"level {approx.level} approximation checked against level {table.level}")
+    runs, counterexample = level_witnesses(table, approx.cover)
+    return ApproxCertificate(table.level, table.conditions, runs, counterexample)
+
+
+@dataclass(frozen=True)
+class RefineCertificate(LevelWitnesses):
     """Witnesses for the two refinement clauses: evaluations refine the
     source name at every atom, and every ground set is forced in densely
     below the level."""
 
-    level: int
-    refines_everywhere: bool
     refine_counterexample: Condition | None  # atom where refinement fails
-    triples: tuple[tuple[tuple[str, ...], Condition, Condition], ...]
-    counterexample: tuple[tuple[str, ...], Condition] | None
+
+    @property
+    def refines_everywhere(self) -> bool:
+        return self.refine_counterexample is None
 
     @property
     def positive(self) -> bool:
@@ -281,19 +357,14 @@ class RefineCertificate:
 
     def to_text(self, memo: TextMemo) -> str:
         """Canonical JSON text, the one layout of this certificate."""
-        quoted, sets = memo.quoted, memo.sets
-        counter, bad_atom = self.counterexample, self.refine_counterexample
+        bad_atom = self.refine_counterexample
         return object_text({
             "level": str(self.level),
             "positive": BOOL_TEXT[self.positive],
             "refines_everywhere": BOOL_TEXT[self.refines_everywhere],
-            "refine_counterexample": "null" if bad_atom is None else quoted[bad_atom],
-            "triples": array_text([
-                f'{{"condition":{quoted[p]},"set":{sets[h]},"witness":{quoted[r]}}}'
-                for h, p, r in self.triples
-            ]),
-            "counterexample": "null" if counter is None else
-                f'{{"condition":{quoted[counter[1]]},"set":{sets[counter[0]]}}}',
+            "refine_counterexample": "null" if bad_atom is None else memo.quoted[bad_atom],
+            "triples": self._triples_text(memo, "set"),
+            "counterexample": self._counterexample_text(memo, "set"),
         })
 
     def to_jsonable(self) -> dict:
@@ -301,35 +372,30 @@ class RefineCertificate:
 
 
 def refine_name(
-    poset: Poset,
-    strat: Stratification,
-    n: int,
-    name: Name,
+    table: WitnessTable,
     ground_family: Iterable[frozenset[str]],
     space: FiniteSpace,
 ) -> tuple[Name, RefineCertificate]:
     """Build the definable refined name over a ground family of open sets.
 
     The refined name pairs every condition with every ground set it forces
-    into the named cover.  Its evaluation at an atom is exactly the ground
+    into the table's name.  Its evaluation at an atom is exactly the ground
     sets dominated there, so it refines the source name at every atom by
     construction; the certificate checks this rather than assuming it, and
     also records the dense witnesses for every ground set at the level.
     """
-    if n < 0:
-        raise DataError(f"level must be nonnegative, got {n}")
-    table = value_masks(poset, name)
+    poset = table.poset
     family = sorted_sets(frozenset(h) for h in ground_family)
     for h in family:
         if not space.is_open(h):
             raise DataError(f"ground family member {sorted(h)} is not open")
-    forcing = [forcing_mask(poset, superset_mask(table, h)) for h in family]
     refined = Name(tuple(
-        (p, h) for h, mask in zip(family, forcing) for p in poset.conditions_in(mask)))
-    missed = ~truth(poset, RefinesName(refined, name)) & ((1 << len(poset.atoms)) - 1)
+        (p, h) for h in family for p in poset.conditions_in(table.forcing(h))))
+    missed = ~refinement_mask(poset, value_masks(poset, refined), table.masks)
+    missed &= (1 << len(poset.atoms)) - 1
     bad_atom = poset.atoms[(missed & -missed).bit_length() - 1] if missed else None
-    triples, counterexample = level_witnesses(poset, strat, n, zip(family, forcing))
-    return refined, RefineCertificate(n, bad_atom is None, bad_atom, triples, counterexample)
+    runs, counterexample = level_witnesses(table, family)
+    return refined, RefineCertificate(table.level, table.conditions, runs, counterexample, bad_atom)
 
 
 @dataclass(frozen=True)
@@ -376,38 +442,42 @@ def run_pipeline(
     poset: Poset,
     strat: Stratification,
     space: FiniteSpace,
-    names: Sequence[Name],
+    tables: Sequence[WitnessTable],
     ground_families: Sequence[Iterable[frozenset[str]]],
 ) -> PipelineResult:
     """Refine every level, then certify the result in one pass over the atoms.
 
-    Requires one ground family per name.  The closing pass tables each
-    refined name's value masks from its pairs, never from the refinement's
-    forcing masks, so it checks the construction rather than assuming it;
-    the evaluation at atoms[j] is the values whose mask has bit j.  A row
-    names the least level at or above the stabilization floor covering its
-    point, or none; the covering statement holds exactly when every row has
-    a level.
+    Requires one witness table per level, levels 0, 1, ... in order, and
+    one ground family per table.  The closing pass tables each refined
+    name's value masks from its pairs, never from the refinement's forcing
+    masks, so it checks the construction rather than assuming it; the
+    evaluation at atoms[j] is the values whose mask has bit j.  A row names
+    the least level at or above the stabilization floor covering its point,
+    or none; the covering statement holds exactly when every row has a
+    level.
     """
-    if len(names) != len(ground_families):
+    if len(tables) != len(ground_families):
         raise DataError("need exactly one ground family per name")
-    if not names:
+    if not tables:
         raise DataError("pipeline needs at least one level")
+    if any(table.level != n for n, table in enumerate(tables)):
+        raise DataError("pipeline tables must run over levels 0, 1, ... in order")
     floor = strat.stabilization_index
     families = [sorted_sets(frozenset(h) for h in fam) for fam in ground_families]
     refined = []
     certificates = []
-    for n, name in enumerate(names):
-        w, cert = refine_name(poset, strat, n, name, families[n], space)
+    for table, family in zip(tables, families):
+        w, cert = refine_name(table, family, space)
         refined.append(w)
         certificates.append(cert)
-    tables = [value_masks(poset, w) for w in refined]
+    refined_masks = [value_masks(poset, w) for w in refined]
     # every condition has an atom below it, so every tabled value is evaluated somewhere
-    subfamily = tuple(all(u in fam for u in table) for fam, table in zip(families, tables))
+    subfamily = tuple(all(u in fam for u in table) for fam, table in zip(families, refined_masks))
     points = sorted(space.points)
     # per point, the (level, set, atom mask) candidates in search order
     candidates = {
-        x: [(n, u, mask) for n in range(floor, len(names)) for u, mask in tables[n].items() if x in u]
+        x: [(n, u, mask) for n in range(floor, len(tables))
+            for u, mask in refined_masks[n].items() if x in u]
         for x in points
     }
     rows = []

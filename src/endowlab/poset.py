@@ -517,6 +517,18 @@ def superset_mask(masks: dict[frozenset[str], int], lower: frozenset[str]) -> in
     return out
 
 
+def refinement_mask(
+    poset: Poset, finer: dict[frozenset[str], int], coarser: dict[frozenset[str], int],
+) -> int:
+    """The atoms where the name of the `finer` value masks refines the name
+    of the `coarser` ones: each evaluated finer value has an evaluated
+    coarser superset."""
+    mask = (1 << len(poset.atoms)) - 1
+    for u, present in finer.items():
+        mask &= ~present | superset_mask(coarser, u)
+    return mask
+
+
 def truth(poset: Poset, statement: Statement) -> int:
     """The atom mask of a statement: bit j is set when it holds at atoms[j].
 
@@ -528,11 +540,8 @@ def truth(poset: Poset, statement: Statement) -> int:
     if isinstance(statement, ExistsSupersetInCover):
         return superset_mask(value_masks(poset, statement.name), statement.lower)
     if isinstance(statement, RefinesName):
-        coarse = value_masks(poset, statement.coarser)
-        mask = (1 << len(poset.atoms)) - 1
-        for u, present in value_masks(poset, statement.finer).items():
-            mask &= ~present | superset_mask(coarse, u)
-        return mask
+        return refinement_mask(
+            poset, value_masks(poset, statement.finer), value_masks(poset, statement.coarser))
     raise DataError(f"unknown statement type: {type(statement).__name__}")
 
 

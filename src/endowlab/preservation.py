@@ -9,12 +9,16 @@ solves the selection problem with the floor at the stabilization index,
 and hands the selected ground families to `names.run_pipeline`, which
 refines every name and, in one closing pass over the atoms, tabulates for
 each atom and point the refined set covering it at or above the floor.
+Each level has one `names.WitnessTable`, built from its name: the
+approximation check reads the runs of its cover pieces from it, and the
+pipeline's refinement those of its ground sets, so no witness search runs
+twice in a level.
 The verdict is positive only when every certificate along the way is.
 The certificate is canonical JSON: replaying the embedded scenario must
 reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
 writer; it writes the scenario, names and witness triples straight to text
-through one `TextMemo`, and the few small sections through
-`canonical_json`.  Its `to_jsonable` parses that text.
+through one `TextMemo`, each triple from its memoized fragments, and the
+few small sections through `canonical_json`.  Its `to_jsonable` parses that text.
 `replay_certificate` decides a canonical file from its embedded scenario
 alone; any other text is parsed whole and compared with the fresh
 certificate section by section.
@@ -50,6 +54,7 @@ from .names import (
     Approximation,
     ApproxCertificate,
     PipelineResult,
+    WitnessTable,
     approximate,
     check_approximation,
     derive_point_names,
@@ -268,11 +273,14 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
             f"stabilization floor {floor} leaves no usable level among {len(names)} names")
     approximations = []
     approx_certs = []
+    tables = []
     for n, name in enumerate(names):
         point_names = derive_point_names(bundle.poset, space, name)
         approx = approximate(bundle.poset, point_names, n, bundle.family)
+        table = WitnessTable(bundle.poset, bundle.strat, n, name)
         approximations.append(approx)
-        approx_certs.append(check_approximation(bundle.poset, bundle.strat, name, approx))
+        approx_certs.append(check_approximation(table, approx))
+        tables.append(table)
     problem = make_selection_problem(
         space, [a.cover for a in approximations], floor, scenario.mode)
     solution = solve_selection(problem)
@@ -283,7 +291,7 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
         ground_families = tuple((u,) for u in solution)
     else:
         ground_families = tuple(tuple(fam) for fam in solution)
-    pipeline = run_pipeline(bundle.poset, bundle.strat, space, names, ground_families)
+    pipeline = run_pipeline(bundle.poset, bundle.strat, space, tables, ground_families)
     positive = all(c.positive for c in approx_certs) and checked and pipeline.positive
     return PreservationCertificate(
         scenario,

@@ -32,6 +32,7 @@ from endowlab.instances import (
 from endowlab.measure import MeasurePoset, extract_measure_endowment
 from endowlab.names import (
     Approximation,
+    WitnessTable,
     approximate,
     check_approximation,
     derive_point_names,
@@ -157,7 +158,7 @@ def test_criterion_4_approximation_replays():
             name = make_cover_name(bundle.poset, space, raw.pairs)
             point_names = derive_point_names(bundle.poset, space, name)
             approx = approximate(bundle.poset, point_names, n, bundle.family)
-            cert = check_approximation(bundle.poset, bundle.strat, name, approx)
+            cert = check_approximation(WitnessTable(bundle.poset, bundle.strat, n, name), approx)
             assert cert.positive, (seed, n, cert.counterexample)
             positives += 1
     print(f"PASS criterion 4: {positives} positive approximation certificates "
@@ -184,7 +185,7 @@ def test_criterion_5_refinement_replays():
             else:
                 inside = [o for o in space.opens if o and o <= piece]
                 ground.append(inside[rng.randrange(len(inside))])
-        refined, cert = refine_name(bundle.poset, bundle.strat, n, name, ground, space)
+        refined, cert = refine_name(WitnessTable(bundle.poset, bundle.strat, n, name), ground, space)
         assert cert.refines_everywhere, (seed - 1, n, cert.refine_counterexample)
         assert cert.positive, (seed - 1, n, cert.counterexample)
         assert refined.pairs
@@ -246,7 +247,7 @@ def test_criterion_8_negative_controls():
     approx = approximate(bundle.poset, point_names, 1, bundle.family)
     tampered = Approximation(
         approx.level, approx.entries, approx.cover + (frozenset({"y", "z"}),))
-    cert = check_approximation(bundle.poset, bundle.strat, name, tampered)
+    cert = check_approximation(WitnessTable(bundle.poset, bundle.strat, 1, name), tampered)
     assert not cert.positive
     assert cert.counterexample == (("y", "z"), "")
 

@@ -22,12 +22,15 @@ from certificate_reference import (
     scenario_jsonable,
 )
 from endowlab.bounds import DEFAULT_LIMITS, Limits
-from endowlab.canon import canonical_json
+from endowlab.canon import TextMemo, canonical_json
 from endowlab.cli import main
 from endowlab.endowment import adversarial_singleton_family
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair, save_instance
+from endowlab.names import WitnessTable, check_approximation, make_cover_name, refine_name
+from endowlab.poset import forces_dense
 from endowlab.preservation import Scenario, generate_scenario, run_preservation
 from endowlab.selection import MODES
+from endowlab.topology import FiniteSpace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -145,3 +148,65 @@ def test_negative_certificate_round_trip(tmp_path, monkeypatch):
     text = assert_writer_matches_reference(cert)
     assert '"set":null' in text
     assert preserve_then_verify(tmp_path, negative_scenario()) == (3, 0, text + "\n")
+
+
+# -- one witness table per level ------------------------------------------------
+#
+# `run_preservation` asks one table per level for the runs of both
+# certificates.  Built standalone, each certificate gets a fresh table, so
+# nothing is shared; the texts must not change.  In selective-screenability
+# mode a ground set need not be a cover piece, so the refinement asks the
+# table for runs the approximation never did.
+SHARED_TABLE_SCENARIOS = {
+    "cohen-pair": fixture_cohen_pair,
+    "measure-pair": fixture_measure_pair,
+    "screenability-8": lambda: generate_scenario(8, "selective-screenability"),
+    "screenability-146": lambda: generate_scenario(146, "selective-screenability"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SHARED_TABLE_SCENARIOS))
+def test_shared_witness_table_changes_no_certificate(label):
+    scenario = SHARED_TABLE_SCENARIOS[label]()
+    cert = run_preservation(scenario)
+    sections = json.loads(cert.to_text())
+    bundle = preservation.build_bundle(scenario.poset)
+    space = FiniteSpace(scenario.points, scenario.base)
+    for n, raw in enumerate(scenario.names):
+        name = make_cover_name(bundle.poset, space, raw.pairs)
+        approx_cert = check_approximation(
+            WitnessTable(bundle.poset, bundle.strat, n, name), cert.approximations[n])
+        assert approx_cert.to_text(TextMemo()) == canonical_json(
+            sections["approximation_certificates"][n])
+        refined, refine_cert = refine_name(
+            WitnessTable(bundle.poset, bundle.strat, n, name), cert.ground_families[n], space)
+        assert refine_cert.to_text(TextMemo()) == canonical_json(
+            sections["refinement_certificates"][n])
+        assert refined == cert.pipeline.refined[n]
+
+
+def test_a_ground_set_outside_the_cover_gets_its_own_run():
+    cert = run_preservation(generate_scenario(8, "selective-screenability"))
+    assert frozenset({"y"}) in cert.ground_families[4]
+    assert frozenset({"y"}) not in cert.approximations[4].cover
+    assert (("y",), "", "") in cert.pipeline.certificates[4].triples
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_shared_run_is_the_density_oracles(mode):
+    """Each run in both certificates of a level, read from the level's one
+    table, lists for each level condition p the canonically least r <= p at
+    which the density oracle says the named cover contains the set, and
+    stops exactly at the first p without one."""
+    for seed in range(40):
+        scenario = generate_scenario(seed, mode)
+        cert = run_preservation(scenario)
+        poset = preservation.build_bundle(scenario.poset).poset
+        for n, name in enumerate(scenario.names):
+            for witnessed in (cert.approximation_certificates[n], cert.pipeline.certificates[n]):
+                for h, run in witnessed.runs:
+                    least = [min((r for r in poset.down(p) if forces_dense(poset, r, name, h)),
+                                 key=poset.sort_key, default=None)
+                             for p in witnessed.conditions]
+                    stop = least.index(None) if None in least else len(least)
+                    assert run == tuple(least[:stop]), (seed, n, sorted(h))

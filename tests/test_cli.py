@@ -508,6 +508,40 @@ def test_refine_malformed_ground_family_is_65(pair_files, tmp_path, capsys):
     assert "ground family[0][1] must be a string" in capsys.readouterr().err
 
 
+def test_approx_counts_the_derived_triples(pair_files, capsys):
+    space, name = pair_files
+    rc = main(["approx", "--poset", "cohen:D=2", "--space", space, "--name", name, "--n", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1] == "certificate: positive (10 dense witnesses)"
+
+
+# Exit code and stdout digest of `approx` and `refine --json` on the pair
+# files, taken while each certificate still stored one tuple per triple.
+# The certificates now keep runs of witnesses and write the triples from
+# fragments, which must not change a byte.
+PINNED_NAME_COMMANDS = {
+    ("approx", 1, ""): (0, "70d79b14d0ce80c2891cf0550baaec89f0b3a28aceda2024926efc10aa38708e"),
+    ("refine", 1, '[["x"]]'): (0, "941711cc351146b2de89c041ab06921736e71d85c371d566d43b3a4d1967441a"),
+    ("refine", 0, '[["x"], ["x", "y"]]'):
+        (0, "5741d2a2827350e5bb2add48759a0cf5330d2631548fb1b4dcce6402ab680b8c"),
+    ("refine", 2, '[["x", "y"], ["x"]]'):
+        (0, "f857ffa955e915a2f7d253c4daad7f314ea09445a6e6830b7731bc31a7faf92c"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_NAME_COMMANDS))
+def test_approx_and_refine_json_are_unchanged(command, pair_files, tmp_path, capsys):
+    verb, n, sets = command
+    space, name = pair_files
+    argv = [verb, "--poset", "cohen:D=2", "--space", space, "--name", name, "--n", str(n), "--json"]
+    if sets:
+        (tmp_path / "sets.json").write_text(sets)
+        argv += ["--sets", str(tmp_path / "sets.json")]
+    code, digest = PINNED_NAME_COMMANDS[command]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 SCENARIO_FILE_ERRORS = {
     "set-is-string": (lambda s: s["names"][1][2].update(set="x"),
                       "scenario.names[1][2].set must be a list"),
@@ -576,6 +610,20 @@ def test_refine_undominated_set_is_3(tmp_path, capsys):
                "--name", str(name), "--n", "1", "--sets", str(sets)])
     assert rc == 3
     assert "NEGATIVE" in capsys.readouterr().out
+
+
+def test_refine_json_with_a_counterexample_is_unchanged(tmp_path, capsys):
+    # the digest was taken while the certificate stored one tuple per triple;
+    # the run of {y,z} stops at the first level condition, {x} is never asked
+    space, name, sets = tmp_path / "space.json", tmp_path / "name.json", tmp_path / "sets.json"
+    save_instance(space, "space", {"points": ["x", "y", "z"], "base": [["x"], ["y"], ["z"]]})
+    save_instance(name, "name", [{"condition": "", "set": [x]} for x in "xyz"])
+    sets.write_text(json.dumps([["y", "z"], ["x"]]))
+    rc = main(["refine", "--poset", "cohen:D=1", "--space", str(space),
+               "--name", str(name), "--n", "1", "--sets", str(sets), "--json"])
+    assert rc == 3
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "eabe036437d6a6023e00a67966adcf256fb2c5b1a37de254a648e1b851971c79")
 
 
 # -- preserve / verify / gen / selftest -------------------------------------------
@@ -959,6 +1007,48 @@ def test_gen_writes_valid_deterministic_scenarios(tmp_path, capsys):
     capsys.readouterr()
     assert main(["preserve", "--scenario", str(a), "--cert", str(cert)]) == 0
     assert "verdict: positive" in capsys.readouterr().out
+
+
+def test_unwritable_output_paths_are_65_before_any_work(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "scenario.json"
+    save_instance(scenario, "scenario", fixture_cohen_pair().to_jsonable())
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_preservation", no_work)
+    monkeypatch.setattr(cli, "generate_scenario", no_work)
+    missing = tmp_path / "missing"
+    cases = [
+        (["preserve", "--scenario", str(scenario), "--cert", str(missing / "x.cert.json")],
+         f"cannot write {missing / 'x.cert.json'}: {missing} is not an existing directory"),
+        (["preserve", "--scenario", str(scenario), "--cert", str(tmp_path)],
+         f"cannot write {tmp_path}: it is a directory"),
+        (["preserve", "--scenario", str(scenario), "--cert", str(scenario / "x.cert.json")],
+         f"cannot write {scenario / 'x.cert.json'}: {scenario} is not an existing directory"),
+        (["gen", "--seed", "0", "--out", str(missing / "s.json")],
+         f"cannot write {missing / 's.json'}: {missing} is not an existing directory"),
+        (["gen", "--seed", "0", "--out", str(tmp_path)],
+         f"cannot write {tmp_path}: it is a directory"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 65, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_a_failed_write_is_65(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "scenario.json"
+    save_instance(scenario, "scenario", fixture_cohen_pair().to_jsonable())
+    cert = tmp_path / "cert.json"
+
+    def refuse(self, text):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main(["preserve", "--scenario", str(scenario), "--cert", str(cert)]) == 65
+    assert capsys.readouterr().err == (
+        f"error: cannot write {cert}: [Errno 13] Permission denied: '{cert}'\n")
 
 
 def test_gen_to_stdout(capsys):

@@ -14,7 +14,7 @@ import pytest
 from endowlab.cohen import CohenPoset
 from endowlab.errors import DataError
 from endowlab.measure import MeasurePoset
-from endowlab.names import forcing_mask, level_witnesses
+from endowlab.names import WitnessTable, forcing_mask, level_witnesses
 from endowlab.poset import (
     ExistsSupersetInCover,
     Name,
@@ -61,16 +61,20 @@ def brute_witness(poset: Poset, p, name: Name, lower: frozenset[str]):
                key=poset.sort_key, default=None)
 
 
-def mask_witness(poset: Poset, p, lower: frozenset[str], forcing: int):
-    """The least witness below p that `level_witnesses` reads off the forcing
-    mask, or None when its scan stops at p."""
+def mask_witness(poset: Poset, p, name: Name, lower: frozenset[str], forcing: int):
+    """The least witness below p that `level_witnesses` reads off a witness
+    table of the name, whose forcing mask for `lower` must be `forcing`, or
+    None when the run of `lower` stops at p."""
     only_p = make_stratification(poset, [[p], poset.elements])
-    triples, missing = level_witnesses(poset, only_p, 0, [(lower, forcing)])
+    table = WitnessTable(poset, only_p, 0, name)
+    assert table.forcing(lower) == forcing
+    runs, missing = level_witnesses(table, [lower])
+    [(h, run)] = runs
+    assert h == lower
     if missing is not None:
-        assert missing == (tuple(sorted(lower)), p) and not triples
+        assert missing == (tuple(sorted(lower)), p) and run == ()
         return None
-    [(key, q, r)] = triples
-    assert (key, q) == (tuple(sorted(lower)), p)
+    [r] = run
     return r
 
 
@@ -86,7 +90,7 @@ def test_kernel_matches_the_density_oracle():
                 dense = forces_dense(poset, p, name, lower)
                 assert forces(poset, p, ExistsSupersetInCover(name, lower)) == dense
                 assert (forcing >> poset.sort_key(p) & 1 == 1) == dense
-                witness = mask_witness(poset, p, lower, forcing)
+                witness = mask_witness(poset, p, name, lower, forcing)
                 assert witness == brute_witness(poset, p, name, lower)
                 outcomes.add((dense, witness is None))
     # every combination a witness search can meet showed up

@@ -16,6 +16,7 @@ from endowlab.names import (
     Approximation,
     AtomRow,
     PointName,
+    WitnessTable,
     approximate,
     check_approximation,
     derive_point_names,
@@ -40,6 +41,11 @@ def pair_setup():
         ("0:1", {"x", "y"}),
     ])
     return c, space, name
+
+
+def level_tables(poset, strat, names):
+    """One witness table per name, levels 0, 1, ... in order."""
+    return [WitnessTable(poset, strat, n, name) for n, name in enumerate(names)]
 
 
 def test_make_cover_name_validates():
@@ -247,7 +253,7 @@ def test_approximation_certificate_positive_with_witness_counts():
     c, space, name = pair_setup()
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, cohen_dow_family(c, c.stratification()))
-    cert = check_approximation(c.poset, c.stratification(), name, approx)
+    cert = check_approximation(WitnessTable(c.poset, c.stratification(), 1, name), approx)
     assert cert.positive
     # 2 cover pieces, 5 level-1 conditions: one witness each
     assert len(cert.triples) == 10
@@ -268,14 +274,14 @@ def test_approximation_certificate_flags_undominated_piece():
     ])
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, maximal_antichain_family(c.poset))
-    cert = check_approximation(c.poset, c.stratification(), name, approx)
+    cert = check_approximation(WitnessTable(c.poset, c.stratification(), 1, name), approx)
     assert cert.positive
     tampered = Approximation(
         approx.level,
         approx.entries,
         approx.cover + (frozenset({"y", "z"}),),
     )
-    cert = check_approximation(c.poset, c.stratification(), name, tampered)
+    cert = check_approximation(WitnessTable(c.poset, c.stratification(), 1, name), tampered)
     assert not cert.positive
     piece, p = cert.counterexample
     assert frozenset(piece) == frozenset({"y", "z"})
@@ -286,7 +292,7 @@ def test_refined_name_evaluation_law():
     c, space, name = pair_setup()
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, cohen_dow_family(c, c.stratification()))
-    refined, cert = refine_name(c.poset, c.stratification(), 1, name, approx.cover, space)
+    refined, cert = refine_name(WitnessTable(c.poset, c.stratification(), 1, name), approx.cover, space)
     assert cert.positive
     for atom in c.poset.atoms:
         got = set(evaluate_name(c.poset, refined, atom))
@@ -302,7 +308,7 @@ def test_refinement_certificate_clauses():
     strat = c.stratification()
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, cohen_dow_family(c, strat))
-    refined, cert = refine_name(c.poset, strat, 1, name, approx.cover, space)
+    refined, cert = refine_name(WitnessTable(c.poset, strat, 1, name), approx.cover, space)
     assert cert.refines_everywhere
     assert cert.counterexample is None
     # every (ground set, level condition) pair has a dense witness
@@ -317,7 +323,7 @@ def test_refinement_flags_undominated_ground_set():
     space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"]])
     name = make_cover_name(c.poset, space, [("", {"x"}), ("", {"y"}), ("", {"z"})])
     refined, cert = refine_name(
-        c.poset, c.stratification(), 0, name, [frozenset({"y", "z"})], space)
+        WitnessTable(c.poset, c.stratification(), 0, name), [frozenset({"y", "z"})], space)
     assert not cert.positive
     assert cert.counterexample == (("y", "z"), "")
     assert refined.pairs == ()
@@ -326,7 +332,7 @@ def test_refinement_flags_undominated_ground_set():
 def test_refinement_requires_open_ground_sets():
     c, space, name = pair_setup()
     with pytest.raises(DataError):
-        refine_name(c.poset, c.stratification(), 1, name, [frozenset({"y"})], space)
+        refine_name(WitnessTable(c.poset, c.stratification(), 1, name), [frozenset({"y"})], space)
 
 
 def test_pipeline_positive_on_pair_fixture():
@@ -338,7 +344,8 @@ def test_pipeline_positive_on_pair_fixture():
         approximate(c.poset, derive_point_names(c.poset, space, nm), n, family)
         for n, nm in enumerate(names)
     ]
-    result = run_pipeline(c.poset, strat, space, names, [a.cover for a in approxes])
+    result = run_pipeline(c.poset, strat, space, level_tables(c.poset, strat, names),
+                          [a.cover for a in approxes])
     assert result.positive
     assert all(result.subfamily_everywhere)
     assert result.union_covers
@@ -350,7 +357,7 @@ def test_pipeline_single_level_with_trivial_stratification():
     strat = make_stratification(p, [["t"]])
     space = FiniteSpace(["x"], [["x"]])
     name = make_cover_name(p, space, [("t", {"x"})])
-    result = run_pipeline(p, strat, space, [name], [[frozenset({"x"})]])
+    result = run_pipeline(p, strat, space, level_tables(p, strat, [name]), [[frozenset({"x"})]])
     assert result.positive
 
 
@@ -361,7 +368,7 @@ def test_pipeline_horizon_precondition():
     # y only appears below the stabilization floor (level 0 < 2)
     families = [[frozenset({"x", "y"})], [frozenset({"x"})], [frozenset({"x"})]]
     # the run completes and honestly fails to cover
-    result = run_pipeline(c.poset, strat, space, names, families)
+    result = run_pipeline(c.poset, strat, space, level_tables(c.poset, strat, names), families)
     assert not result.positive
     assert not result.union_covers
 
@@ -369,7 +376,21 @@ def test_pipeline_horizon_precondition():
 def test_pipeline_needs_one_family_per_name():
     c, space, name = pair_setup()
     with pytest.raises(DataError):
-        run_pipeline(c.poset, c.stratification(), space, [name], [])
+        run_pipeline(c.poset, c.stratification(), space,
+                     level_tables(c.poset, c.stratification(), [name]), [])
+
+
+def test_witness_tables_must_match_their_levels():
+    c, space, name = pair_setup()
+    strat = c.stratification()
+    with pytest.raises(DataError, match="levels 0, 1, ... in order"):
+        run_pipeline(c.poset, strat, space, [WitnessTable(c.poset, strat, 1, name)], [[]])
+    approx = approximate(c.poset, derive_point_names(c.poset, space, name), 1,
+                         cohen_dow_family(c, strat))
+    with pytest.raises(DataError, match="level 1 approximation checked against level 0"):
+        check_approximation(WitnessTable(c.poset, strat, 0, name), approx)
+    with pytest.raises(DataError, match="level must be nonnegative"):
+        WitnessTable(c.poset, strat, -1, name)
 
 
 # -- the closing pass against the separate checks it replaced -----------------
@@ -452,6 +473,7 @@ def test_closing_pass_matches_the_separate_checks_when_covering_fails():
     c, space, name = pair_setup()
     strat = c.stratification()
     families = [[frozenset({"x", "y"})], [frozenset({"x"})], [frozenset({"x"})]]
-    result = run_pipeline(c.poset, strat, space, [name, name, name], families)
+    result = run_pipeline(
+        c.poset, strat, space, level_tables(c.poset, strat, [name, name, name]), families)
     assert not assert_matches_reference(c.poset, strat, space, result, families)
     assert {row.level for row in result.atom_table if row.point == "y"} == {None}
