@@ -5,11 +5,11 @@ emitted in a fixed canonical order so repeated runs are byte identical.
 Reports and small sections go through `canonical_json`.  A certificate's
 bulk (its names and witness triples) is written straight to the same text
 by its classes' `to_text` methods, with a `TextMemo` that encodes each
-distinct identifier and set once.  The memo also holds the fragments of a
-witness triple: the opening of its condition and the closing of its
-witness, so a triple is three joined fragments, the middle one (its set)
-made once per run of triples.  Those classes parse their text when a dict
-is wanted, so each of their layouts is spelled in one place.
+distinct identifier and set once.  The memo also holds one text skeleton
+per distinct run of witness triples: the run's triples with their set
+fields left out, so the run's text for any set is one join with that set's
+field, made once per (set, run).  Those classes parse their text when a
+dict is wanted, so each of their layouts is spelled in one place.
 """
 
 from __future__ import annotations
@@ -90,25 +90,35 @@ class TextMemo:
     """Canonical text of identifiers and identifier sets, each made once.
 
     `quoted[s]` is the JSON string literal of s; `sets[u]` is the JSON list
-    of u's members in sorted order, for a frozenset or a tuple.  A witness
-    triple object {"condition", <set field>, "witness"} is written from
-    three fragments: `condition_heads[p]`, the opening `{"condition":"p"`;
-    the set field, made once per run of triples; and `witness_tails[r]`,
-    the closing `,"witness":"r"}`.  One memo serves one certificate, whose
-    conditions, points and sets recur across its sections.
+    of u's members in sorted order, for a frozenset or a tuple.
+    `skeletons[conditions, run]` is a nonempty run's witness triples
+    {"condition", <set field>, "witness"}, the i-th witness with the i-th
+    condition, cut where the set field goes: `[head(c0), tail(r0) + "," +
+    head(c1), ..., tail(r_last)]`, with head(c) `{"condition":"c"` and
+    tail(r) `,"witness":"r"}`.  A run may stop short of the conditions.
+    Joined with a set field, it is the run's triples for that set.  One memo
+    serves one certificate, whose identifiers, sets and runs recur across
+    its sections.
     """
 
-    __slots__ = ("quoted", "sets", "condition_heads", "witness_tails")
+    __slots__ = ("quoted", "sets", "skeletons")
 
     def __init__(self):
-        quoted = self.quoted = _Memo(encode_basestring_ascii)
+        self.quoted = _Memo(encode_basestring_ascii)
         self.sets = _Memo(self._list)
-        self.condition_heads = _Memo(lambda p: '{"condition":' + quoted[p])
-        self.witness_tails = _Memo(lambda r: ',"witness":' + quoted[r] + "}")
+        self.skeletons = _Memo(self._skeleton)
 
     def _list(self, members) -> str:
         quoted = self.quoted
         return "[" + ",".join([quoted[x] for x in sorted(members)]) + "]"
+
+    def _skeleton(self, key) -> list[str]:
+        conditions, run = key
+        quoted = self.quoted
+        glue = [',"witness":' + quoted[r] + '},{"condition":' + quoted[c]
+                for r, c in zip(run, conditions[1:len(run)])]
+        return ['{"condition":' + quoted[conditions[0]], *glue,
+                ',"witness":' + quoted[run[-1]] + "}"]
 
 
 def array_text(items: Iterable[str]) -> str:

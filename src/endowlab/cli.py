@@ -279,7 +279,7 @@ def cmd_refine(args, limits: Limits) -> int:
     raw = read_json(args.sets)
     check_shape(raw, [[str]], "ground family")
     family = [frozenset(s) for s in raw]
-    refined, cert = refine_name(WitnessTable(bundle.poset, bundle.strat, args.n, name), family, space)
+    refined, cert, _ = refine_name(WitnessTable(bundle.poset, bundle.strat, args.n, name), family, space)
     result = {"refined_name": refined.to_jsonable(), "certificate": cert.to_jsonable()}
     lines = [f"refined name: {len(refined.pairs)} pairs",
              f"certificate: {'positive' if cert.positive else 'NEGATIVE'}"]

@@ -14,17 +14,21 @@ contains V" is the union of the masks of the values containing V, and its
 forcing mask marks, by canonical position, the conditions whose atoms all
 lie inside it.  The least witness below p is then the lowest bit of
 `down_mask[p]` and the forcing mask.  Each level has one `WitnessTable`,
-built from its name: it tables the name's value masks once and, for each
-set asked about, computes its forcing mask and its run of least witnesses
-over the level's conditions the first time the set is asked for.  Both
-certificates of a level read the same table, the approximation for its
-cover pieces and the refinement for its ground sets, so a set that is both
-gets one search; a ground set outside the cover gets its run from the same
-table.  The certificates keep the runs, and derive their (set, condition,
-witness) `triples` on demand; `to_text` writes each triple from memoized
-fragments (see `canon.TextMemo`).  The refined name pairs each ground set
-with the conditions of its forcing mask.  The pipeline closes with one
-pass over the refined names' value masks that reads every closing fact
+built from its name: it tables the name's value masks once, computes each
+asked set's forcing mask once, and searches for a run of least witnesses
+over the level's conditions once per distinct forcing mask, since the run
+depends on nothing else.  Both certificates of a level read the same
+table, the approximation for its cover pieces and the refinement for its
+ground sets, so sets with equal masks, and a set that is both, share one
+search and one run; a ground set outside the cover gets its run from the
+same table.  The certificates keep the runs, and derive their (set,
+condition, witness) `triples` on demand; `to_text` writes each distinct
+run's triples once as a text skeleton and joins it with each set's field
+(see `canon.TextMemo`).  Point names read each value set's reach (the
+union of its conditions' down masks) from one pass over the name.  The
+refined name pairs each ground set with the conditions of its forcing
+mask, and the refinement check tables its value masks.  The pipeline
+closes with one pass over those masks that reads every closing fact
 (subfamily flags, atom rows, covering verdict).  Per-atom evaluation on
 frozensets (`poset.evaluate_name`) stays out of these steps and serves the
 tests as their reference.
@@ -95,48 +99,56 @@ class PointName:
 def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[PointName, ...]:
     """Build the per point antichains and committed sets for a valid name.
 
-    Valid means every point's commitment conditions are dense; the first
-    point without raises DataError.  The antichain is the greedy canonical
-    scan of the commitment conditions: walking the bits of their reach (the
-    commitment mask) from low to high, a condition is kept when its down
-    mask misses those of the conditions kept so far.  Density makes the
-    result maximal in the whole poset, which is verified rather than
-    assumed.  Points with the same commitment mask share one antichain,
-    built and verified once.  A member's committed set is the least value
-    of a committing pair whose condition has the member's position bit in
-    its down mask.
+    One pass over the name's pairs tables each value set's reach, the union
+    of its conditions' down masks; a point's commitment mask is the union of
+    the reaches of the values containing it.  Valid means every point's
+    commitment mask is dense; the first point without raises DataError.  The
+    antichain is the greedy canonical scan of that mask: keep the lowest
+    remaining position, then drop every condition above an atom of it, which
+    are exactly the conditions compatible with it.  Density makes the result
+    maximal in the whole poset, which is verified rather than assumed.
+    Points with the same commitment mask share one antichain, built and
+    verified once.  A member's committed set is the least value, in
+    `set_key` order, whose reach holds the member's position bit.
     """
-    validate_name(poset, name)
-    elements, down_mask = poset.elements, poset.down_mask
-    greedy: dict[int, tuple[Condition, ...]] = {}  # commitment mask -> verified antichain
+    elements, down_mask, atom_mask = poset.elements, poset.down_mask, poset.atom_mask
+    reach: dict[frozenset[str], int] = {}
+    try:
+        for q, u in name.pairs:
+            reach[u] = reach.get(u, 0) | down_mask[q]
+    except KeyError:
+        validate_name(poset, name)  # raises DataError naming the unknown condition
+        raise
+    ordered = sorted(reach.items(), key=lambda item: set_key(item[0]))
+    # commitment mask -> verified antichain and its members' position bits
+    greedy: dict[int, tuple[tuple[Condition, ...], list[int]]] = {}
     out = []
     for x in sorted(space.points):
-        # the pairs committing x, least value set first
-        pairs = sorted(((q, u) for q, u in name.pairs if x in u), key=lambda pair: set_key(pair[1]))
-        committed = poset.reach(q for q, _ in pairs)
+        values = [(u, mask) for u, mask in ordered if x in u]
+        committed = 0
+        for _, mask in values:
+            committed |= mask
         if not poset.meets_everything(committed):
             raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
-        antichain = greedy.get(committed)
-        if antichain is None:
-            members: list[Condition] = []
-            chosen = 0  # union of the kept members' down masks
+        if committed not in greedy:
+            bits = []
             rest = committed
             while rest:
                 low = rest & -rest
-                rest ^= low
-                p = elements[low.bit_length() - 1]
-                # p is compatible with a kept member iff their down-sets meet
-                if down_mask[p] & chosen == 0:
-                    members.append(p)
-                    chosen |= down_mask[p]
+                bits.append(low)
+                rest &= ~poset.above_atoms(atom_mask[elements[low.bit_length() - 1]])
+            members = tuple(elements[low.bit_length() - 1] for low in bits)
             if not poset.is_maximal_antichain(members):
                 raise DataError(f"point {x!r}: greedy antichain is not maximal")
-            antichain = greedy[committed] = tuple(members)
-        values = []
-        for p in antichain:
-            bit = 1 << poset.sort_key(p)
-            values.append((p, next(u for q, u in pairs if down_mask[q] & bit)))
-        out.append(PointName(x, antichain, tuple(values)))
+            greedy[committed] = members, bits
+        antichain, bits = greedy[committed]
+        chosen = []
+        for p, bit in zip(antichain, bits):
+            for u, mask in values:
+                if mask & bit:
+                    chosen.append((p, u))
+                    break
+        out.append(PointName(x, antichain, tuple(chosen)))
     return tuple(out)
 
 
@@ -208,11 +220,12 @@ class WitnessTable:
 
     Built from the level's name, whose value masks it tables once.  For a
     set h, `forcing(h)` is the forcing mask of "some named set contains h",
-    and `run(h)` the least witnesses of h below the level's conditions, in
-    canonical order, up to the first condition without one.  Each is
-    computed the first time h is asked for, so a set that is both a cover
-    piece and a ground set gets one search.  A table serves one level of
-    one run.
+    computed the first time h is asked for, and `run(h)` the least
+    witnesses of h below the level's conditions, in canonical order, up to
+    the first condition without one.  A run depends on the set only through
+    its forcing mask, so runs are keyed by mask: sets with equal masks, and
+    a set that is both a cover piece and a ground set, share one search and
+    one run tuple.  A table serves one level of one run.
     """
 
     __slots__ = ("poset", "level", "conditions", "masks", "_forcing", "_runs")
@@ -225,7 +238,7 @@ class WitnessTable:
         self.conditions = strat.ordered_at(n)
         self.masks = value_masks(poset, name)
         self._forcing: dict[frozenset[str], int] = {}
-        self._runs: dict[frozenset[str], tuple[Condition, ...]] = {}
+        self._runs: dict[int, tuple[Condition, ...]] = {}  # forcing mask -> run
 
     def forcing(self, h: frozenset[str]) -> int:
         mask = self._forcing.get(h)
@@ -236,17 +249,17 @@ class WitnessTable:
     def run(self, h: frozenset[str]) -> tuple[Condition, ...]:
         """Position bits run in canonical order, so the least witness below p
         is the lowest bit of `down_mask[p]` and the forcing mask."""
-        run = self._runs.get(h)
+        forcing = self.forcing(h)
+        run = self._runs.get(forcing)
         if run is None:
             elements, down_mask = self.poset.elements, self.poset.down_mask
-            forcing = self.forcing(h)
             witnesses = []
             for p in self.conditions:
                 hits = down_mask[p] & forcing
                 if not hits:
                     break
                 witnesses.append(elements[(hits & -hits).bit_length() - 1])
-            run = self._runs[h] = tuple(witnesses)
+            run = self._runs[forcing] = tuple(witnesses)
         return run
 
 
@@ -290,22 +303,18 @@ class LevelWitnesses:
             zip(repeat(set_key(h)), conditions, run) for h, run in self.runs))
 
     def _triples_text(self, memo: TextMemo, field: str) -> str:
-        """The JSON array of the triples, the set under `field`.  A triple
-        is the head of its condition, its run's set fragment and the tail
-        of its witness, each made once."""
-        heads, tails, sets = memo.condition_heads, memo.witness_tails, memo.sets
-        level_heads = [heads[p] for p in self.conditions]
-        items = []
-        for h, run in self.runs:
-            middle = f',"{field}":{sets[h]}'
-            items += [head + middle + tails[r] for head, r in zip(level_heads, run)]
-        return array_text(items)
+        """The JSON array of the triples, the set under `field`.  A run's
+        triples are its skeleton (see `TextMemo.skeletons`) joined by the
+        set's field; an empty run writes nothing."""
+        skeletons, sets, conditions = memo.skeletons, memo.sets, self.conditions
+        return array_text([f',"{field}":{sets[h]}'.join(skeletons[conditions, run])
+                           for h, run in self.runs if run])
 
     def _counterexample_text(self, memo: TextMemo, field: str) -> str:
         counter = self.counterexample
         if counter is None:
             return "null"
-        return f'{memo.condition_heads[counter[1]]},"{field}":{memo.sets[counter[0]]}}}'
+        return f'{{"condition":{memo.quoted[counter[1]]},"{field}":{memo.sets[counter[0]]}}}'
 
 
 @dataclass(frozen=True)
@@ -375,7 +384,7 @@ def refine_name(
     table: WitnessTable,
     ground_family: Iterable[frozenset[str]],
     space: FiniteSpace,
-) -> tuple[Name, RefineCertificate]:
+) -> tuple[Name, RefineCertificate, dict[frozenset[str], int]]:
     """Build the definable refined name over a ground family of open sets.
 
     The refined name pairs every condition with every ground set it forces
@@ -383,6 +392,8 @@ def refine_name(
     sets dominated there, so it refines the source name at every atom by
     construction; the certificate checks this rather than assuming it, and
     also records the dense witnesses for every ground set at the level.
+    The refined name's value masks, tabled from its pairs for that check,
+    come back with the name and the certificate.
     """
     poset = table.poset
     family = sorted_sets(frozenset(h) for h in ground_family)
@@ -391,11 +402,13 @@ def refine_name(
             raise DataError(f"ground family member {sorted(h)} is not open")
     refined = Name(tuple(
         (p, h) for h in family for p in poset.conditions_in(table.forcing(h))))
-    missed = ~refinement_mask(poset, value_masks(poset, refined), table.masks)
+    masks = value_masks(poset, refined)
+    missed = ~refinement_mask(poset, masks, table.masks)
     missed &= (1 << len(poset.atoms)) - 1
     bad_atom = poset.atoms[(missed & -missed).bit_length() - 1] if missed else None
     runs, counterexample = level_witnesses(table, family)
-    return refined, RefineCertificate(table.level, table.conditions, runs, counterexample, bad_atom)
+    cert = RefineCertificate(table.level, table.conditions, runs, counterexample, bad_atom)
+    return refined, cert, masks
 
 
 @dataclass(frozen=True)
@@ -448,10 +461,12 @@ def run_pipeline(
     """Refine every level, then certify the result in one pass over the atoms.
 
     Requires one witness table per level, levels 0, 1, ... in order, and
-    one ground family per table.  The closing pass tables each refined
-    name's value masks from its pairs, never from the refinement's forcing
-    masks, so it checks the construction rather than assuming it; the
-    evaluation at atoms[j] is the values whose mask has bit j.  A row names
+    one ground family per table.  The closing pass reads the refined
+    names' value masks that `refine_name` tabled for its refinement check.
+    They are built from each refined name's pairs, never from the
+    refinement's forcing masks, so the pass checks the construction rather
+    than assuming it; the evaluation at atoms[j] is the values whose mask
+    has bit j.  A row names
     the least level at or above the stabilization floor covering its point,
     or none; the covering statement holds exactly when every row has a
     level.
@@ -464,13 +479,8 @@ def run_pipeline(
         raise DataError("pipeline tables must run over levels 0, 1, ... in order")
     floor = strat.stabilization_index
     families = [sorted_sets(frozenset(h) for h in fam) for fam in ground_families]
-    refined = []
-    certificates = []
-    for table, family in zip(tables, families):
-        w, cert = refine_name(table, family, space)
-        refined.append(w)
-        certificates.append(cert)
-    refined_masks = [value_masks(poset, w) for w in refined]
+    refined, certificates, refined_masks = zip(
+        *(refine_name(table, family, space) for table, family in zip(tables, families)))
     # every condition has an atom below it, so every tabled value is evaluated somewhere
     subfamily = tuple(all(u in fam for u in table) for fam, table in zip(families, refined_masks))
     points = sorted(space.points)
@@ -487,8 +497,8 @@ def run_pipeline(
             level, covering = next(((n, u) for n, u, mask in candidates[x] if mask & bit), (None, None))
             rows.append(AtomRow(atom, x, level, covering))
     return PipelineResult(
-        tuple(refined),
-        tuple(certificates),
+        refined,
+        certificates,
         subfamily,
         tuple(rows),
         all(row.level is not None for row in rows),

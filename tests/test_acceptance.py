@@ -185,7 +185,7 @@ def test_criterion_5_refinement_replays():
             else:
                 inside = [o for o in space.opens if o and o <= piece]
                 ground.append(inside[rng.randrange(len(inside))])
-        refined, cert = refine_name(WitnessTable(bundle.poset, bundle.strat, n, name), ground, space)
+        refined, cert, _ = refine_name(WitnessTable(bundle.poset, bundle.strat, n, name), ground, space)
         assert cert.refines_everywhere, (seed - 1, n, cert.refine_counterexample)
         assert cert.positive, (seed - 1, n, cert.counterexample)
         assert refined.pairs

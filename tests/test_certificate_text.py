@@ -26,7 +26,14 @@ from endowlab.canon import TextMemo, canonical_json
 from endowlab.cli import main
 from endowlab.endowment import adversarial_singleton_family
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair, save_instance
-from endowlab.names import WitnessTable, check_approximation, make_cover_name, refine_name
+from endowlab.names import (
+    ApproxCertificate,
+    RefineCertificate,
+    WitnessTable,
+    check_approximation,
+    make_cover_name,
+    refine_name,
+)
 from endowlab.poset import forces_dense
 from endowlab.preservation import Scenario, generate_scenario, run_preservation
 from endowlab.selection import MODES
@@ -178,7 +185,7 @@ def test_shared_witness_table_changes_no_certificate(label):
             WitnessTable(bundle.poset, bundle.strat, n, name), cert.approximations[n])
         assert approx_cert.to_text(TextMemo()) == canonical_json(
             sections["approximation_certificates"][n])
-        refined, refine_cert = refine_name(
+        refined, refine_cert, _ = refine_name(
             WitnessTable(bundle.poset, bundle.strat, n, name), cert.ground_families[n], space)
         assert refine_cert.to_text(TextMemo()) == canonical_json(
             sections["refinement_certificates"][n])
@@ -210,3 +217,92 @@ def test_every_shared_run_is_the_density_oracles(mode):
                              for p in witnessed.conditions]
                     stop = least.index(None) if None in least else len(least)
                     assert run == tuple(least[:stop]), (seed, n, sorted(h))
+
+
+class RecordedTable(WitnessTable):
+    """A witness table that lists every set its run was asked for."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def run(self, h):
+        self.asked.append(h)
+        return super().run(h)
+
+
+def reference_run(table: WitnessTable, h: frozenset) -> tuple:
+    """Per level condition p, the least position in `down_mask[p]` and the
+    forcing mask, up to the first condition without one."""
+    poset, forcing = table.poset, table.forcing(h)
+    run = []
+    for p in table.conditions:
+        hits = [r for r in poset.down(p) if forcing >> poset.sort_key(r) & 1]
+        if not hits:
+            break
+        run.append(min(hits, key=poset.sort_key))
+    return tuple(run)
+
+
+def test_one_search_per_distinct_forcing_mask(monkeypatch):
+    tables = []
+
+    def recorded(*args):
+        tables.append(RecordedTable(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(preservation, "WitnessTable", recorded)
+    shared = 0
+    for label in sorted(SHARED_TABLE_SCENARIOS):
+        tables.clear()
+        scenario = SHARED_TABLE_SCENARIOS[label]()
+        run_preservation(scenario)
+        assert len(tables) == len(scenario.names)
+        for table in tables:
+            asked = set(table.asked)
+            runs = {}
+            for h in asked:
+                run = runs.setdefault(table.forcing(h), table.run(h))
+                assert table.run(h) is run, (label, table.level, sorted(h))
+                assert run == reference_run(table, h), (label, table.level, sorted(h))
+            shared += len(asked) - len(runs)
+    assert shared  # some sets did share a mask, and so a run
+
+
+# -- the writer on hand-built runs ----------------------------------------------
+#
+# One level's conditions with a hostile identifier among them, and runs of
+# length 0, 1, 2 (partial) and 3 (full), the full one shared by two sets.
+# A second level with other conditions reuses the full run's tuple, so a
+# skeleton must be keyed by the conditions as well as the run.
+HAND_CONDITIONS = ("p", TOP, "q")
+FULL = ("r", LEFT, "s")
+HAND_RUNS = (
+    (frozenset({X}), ()),
+    (frozenset({"a"}), ("r",)),
+    (frozenset({"a", Y}), ("r", ASTRAL)),
+    (frozenset({"b"}), FULL),
+    (frozenset({"c", V}), FULL),
+)
+
+
+def hand_certificates():
+    partial = (("a", Y), "q")
+    yield ApproxCertificate(3, HAND_CONDITIONS, HAND_RUNS, partial)
+    yield RefineCertificate(3, HAND_CONDITIONS, HAND_RUNS, partial, LOW)
+    yield ApproxCertificate(4, ("s", "t", RIGHT), ((frozenset({"b"}), FULL),), None)
+    yield RefineCertificate(4, ("s", "t", RIGHT), ((frozenset({"b"}), FULL),), None, None)
+    yield ApproxCertificate(5, HAND_CONDITIONS, ((frozenset({"a"}), ()),), ((X,), "p"))
+    yield RefineCertificate(5, (), (), None, None)
+
+
+def test_writer_on_short_partial_and_shared_runs():
+    memo = TextMemo()  # one memo for all, as a certificate's sections share one
+    for cert in hand_certificates():
+        reference = (approx_certificate_jsonable if isinstance(cert, ApproxCertificate)
+                     else refine_certificate_jsonable)(cert)
+        text = cert.to_text(memo)
+        assert text == canonical_json(reference) == cert.to_text(TextMemo())
+        assert len(reference["triples"]) == sum(len(run) for _, run in cert.runs)

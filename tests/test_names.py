@@ -24,7 +24,15 @@ from endowlab.names import (
     refine_name,
     run_pipeline,
 )
-from endowlab.poset import evaluate_name, forces, ExistsSupersetInCover, Poset, validate_name
+from endowlab.poset import (
+    ExistsSupersetInCover,
+    Name,
+    Poset,
+    evaluate_name,
+    forces,
+    validate_name,
+    value_masks,
+)
 from endowlab.preservation import build_bundle, generate_scenario, run_preservation
 from endowlab.selection import MODES
 from endowlab.topology import FiniteSpace
@@ -129,12 +137,35 @@ def reference_point_names(poset, space, name):
     return tuple(out)
 
 
+def random_explicit_poset(rng: random.Random) -> Poset:
+    """Edges run from a later to an earlier index of a hidden order, so the
+    relation is acyclic; the listed (canonical) order is an independent
+    shuffle.  Most draws are not separative."""
+    n = rng.randint(1, 12)
+    hidden = [f"c{i}" for i in range(n)]
+    pairs = [(hidden[j], hidden[i]) for j in range(n) for i in range(j) if rng.random() < 0.3]
+    elements = hidden[:]
+    rng.shuffle(elements)
+    return Poset.from_pairs(elements, pairs)
+
+
+def is_separative(poset: Poset) -> bool:
+    """Whether p <= q whenever every atom below p lies below q: if p is not
+    below q, some atom below p is then incompatible with q."""
+    atoms = poset.atom_mask
+    return all(poset.leq(p, q) for p in poset.elements for q in poset.elements
+               if atoms[p] & ~atoms[q] == 0)
+
+
 def point_name_cases():
     """(poset, space, name) triples whose points share one commitment mask,
-    share it in part, or each have their own."""
+    share it in part, or each have their own, on the Cohen and measure
+    orders and on seeded explicit ones."""
     rng = random.Random(77)
+    explicit = random.Random(78)
     cases = []
-    for poset in (CohenPoset(range(3)).poset, MeasurePoset(2).poset):
+    for poset in (CohenPoset(range(3)).poset, MeasurePoset(2).poset,
+                  *(random_explicit_poset(explicit) for _ in range(24))):
         space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"], ["x", "y", "z"]])
         for _ in range(6):
             a, b = (sorted(poset.random_maximal_antichain(rng), key=poset.sort_key) for _ in range(2))
@@ -155,12 +186,21 @@ def point_name_cases():
 
 def test_point_names_match_the_per_point_reference():
     sharing = set()
+    separative = set()
     for poset, space, name in point_name_cases():
         pns = derive_point_names(poset, space, name)
         assert pns == reference_point_names(poset, space, name)
         distinct = len({pn.antichain for pn in pns})
         sharing.add(distinct == 1 if len(pns) > 1 else None)
+        separative.add(is_separative(poset))
     assert {True, False} <= sharing  # shared and unshared commitment masks both ran
+    assert {True, False} <= separative  # separative orders and others both ran
+
+
+def test_point_names_reject_an_unknown_condition():
+    c, space, _ = pair_setup()
+    with pytest.raises(DataError, match="unknown condition: 'nope'"):
+        derive_point_names(c.poset, space, Name((("nope", frozenset({"x"})),)))
 
 
 def test_approximate_extracts_once_per_distinct_antichain():
@@ -292,8 +332,9 @@ def test_refined_name_evaluation_law():
     c, space, name = pair_setup()
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, cohen_dow_family(c, c.stratification()))
-    refined, cert = refine_name(WitnessTable(c.poset, c.stratification(), 1, name), approx.cover, space)
+    refined, cert, masks = refine_name(WitnessTable(c.poset, c.stratification(), 1, name), approx.cover, space)
     assert cert.positive
+    assert masks == value_masks(c.poset, refined)  # tabled from the refined pairs
     for atom in c.poset.atoms:
         got = set(evaluate_name(c.poset, refined, atom))
         expect = {
@@ -308,7 +349,7 @@ def test_refinement_certificate_clauses():
     strat = c.stratification()
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, cohen_dow_family(c, strat))
-    refined, cert = refine_name(WitnessTable(c.poset, strat, 1, name), approx.cover, space)
+    refined, cert, _ = refine_name(WitnessTable(c.poset, strat, 1, name), approx.cover, space)
     assert cert.refines_everywhere
     assert cert.counterexample is None
     # every (ground set, level condition) pair has a dense witness
@@ -318,11 +359,31 @@ def test_refinement_certificate_clauses():
         assert (r, frozenset(h_key)) in set(refined.pairs)
 
 
+def test_witness_runs_are_keyed_by_forcing_mask():
+    # each singleton is forced in below its own atom only, and no named set
+    # contains {x,y}: three sets, three masks, three runs of three lengths
+    c = CohenPoset([0])
+    space = FiniteSpace(["x", "y"], [["x"], ["y"], ["x", "y"]])
+    name = make_cover_name(c.poset, space, [("0:0", {"x"}), ("0:1", {"y"})])
+    table = WitnessTable(c.poset, c.stratification(), 1, name)
+    x, y, both = frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})
+    assert len({table.forcing(h) for h in (x, y, both)}) == 3
+    assert table.run(x) == ("0:0", "0:0")
+    assert table.run(y) == ("0:1",)
+    assert table.run(both) == ()
+    assert table.run(frozenset({"x"})) is table.run(x)
+    # {x} is forced in exactly where {y} is, so the two sets share one run
+    twin = make_cover_name(c.poset, space, [("", {"x", "y"})])
+    table = WitnessTable(c.poset, c.stratification(), 1, twin)
+    assert table.forcing(x) == table.forcing(y)
+    assert table.run(x) is table.run(y) == ("", "0:0", "0:1")
+
+
 def test_refinement_flags_undominated_ground_set():
     c = CohenPoset([0])
     space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"]])
     name = make_cover_name(c.poset, space, [("", {"x"}), ("", {"y"}), ("", {"z"})])
-    refined, cert = refine_name(
+    refined, cert, _ = refine_name(
         WitnessTable(c.poset, c.stratification(), 0, name), [frozenset({"y", "z"})], space)
     assert not cert.positive
     assert cert.counterexample == (("y", "z"), "")
