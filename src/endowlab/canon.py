@@ -146,30 +146,50 @@ def check_shape(value, shape, where) -> None:
     `where` is the name of the value, such as "scenario".  Inside the
     recursion it is a (parent, key or index) pair, spelled out as
     "scenario.names[0]" only when a message or a function shape needs it.
+    Object fields and list items of a `str` or `int` shape are checked in
+    place rather than by a call each.
     """
-    if isinstance(shape, type):
-        if type(value) is not shape:
-            raise DataError(f"{_spell(where)} must be {_TYPE_NAMES[shape]}")
-    elif isinstance(shape, frozenset):
-        if type(value) is not str or value not in shape:
-            raise DataError(f"{_spell(where)} must be one of {sorted(shape)}")
-    elif isinstance(shape, dict):
+    kind = type(shape)
+    if kind is dict:
         if type(value) is not dict:
             raise DataError(f"{_spell(where)} must be an object")
-        unknown = sorted(value.keys() - shape.keys())
-        if unknown:
-            raise DataError(f"{_spell(where)} has unknown key {unknown[0]!r}")
+        complete = value.keys() == shape.keys()
+        if not complete:
+            unknown = sorted(value.keys() - shape.keys())
+            if unknown:
+                raise DataError(f"{_spell(where)} has unknown key {unknown[0]!r}")
         for key, item in shape.items():
-            if key not in value:
+            if not complete and key not in value:
                 raise DataError(f"{_spell(where)} needs key {key!r}")
-            check_shape(value[key], item, (where, key))
-    elif isinstance(shape, (list, tuple)):
+            if type(item) is type:
+                if type(value[key]) is not item:
+                    raise DataError(f"{_spell((where, key))} must be {_TYPE_NAMES[item]}")
+            else:
+                check_shape(value[key], item, (where, key))
+    elif kind is list:
         if type(value) is not list:
             raise DataError(f"{_spell(where)} must be a list")
-        if isinstance(shape, tuple) and len(value) != len(shape):
+        item = shape[0]
+        if type(item) is type:
+            if not {item}.issuperset(map(type, value)):
+                i = next(i for i, x in enumerate(value) if type(x) is not item)
+                raise DataError(f"{_spell((where, i))} must be {_TYPE_NAMES[item]}")
+        else:
+            for i, x in enumerate(value):
+                check_shape(x, item, (where, i))
+    elif kind is type:
+        if type(value) is not shape:
+            raise DataError(f"{_spell(where)} must be {_TYPE_NAMES[shape]}")
+    elif kind is tuple:
+        if type(value) is not list:
+            raise DataError(f"{_spell(where)} must be a list")
+        if len(value) != len(shape):
             raise DataError(f"{_spell(where)} must have {len(shape)} entries")
-        for i, item in enumerate(value):
-            check_shape(item, shape[0] if isinstance(shape, list) else shape[i], (where, i))
+        for i, (x, item) in enumerate(zip(value, shape)):
+            check_shape(x, item, (where, i))
+    elif kind is frozenset:
+        if type(value) is not str or value not in shape:
+            raise DataError(f"{_spell(where)} must be one of {sorted(shape)}")
     else:
         shape(value, _spell(where))
 

@@ -64,7 +64,7 @@ def make_cover_name(poset: Poset, space: FiniteSpace, pairs: Iterable[tuple[Cond
 
     Conditions must belong to the poset and value sets to the subbase.
     """
-    name = Name(tuple((q, frozenset(u)) for q, u in pairs))
+    name = Name(tuple(pairs))
     validate_name(poset, name)
     basic = set(space.base)
     for _, u in name.pairs:
@@ -400,8 +400,10 @@ def refine_name(
     for h in family:
         if not space.is_open(h):
             raise DataError(f"ground family member {sorted(h)} is not open")
-    refined = Name(tuple(
-        (p, h) for h in family for p in poset.conditions_in(table.forcing(h))))
+    # `family` is in set_key order, so (condition, index) order is the
+    # name's canonical order and the constructor keeps the pairs as given
+    refined = Name(tuple((p, family[i]) for p, i in sorted(
+        (p, i) for i, h in enumerate(family) for p in poset.conditions_in(table.forcing(h)))))
     masks = value_masks(poset, refined)
     missed = ~refinement_mask(poset, masks, table.masks)
     missed &= (1 << len(poset.atoms)) - 1

@@ -50,6 +50,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Sequence
 
 from .bounds import DEFAULT_LIMITS, Limits
@@ -400,17 +401,21 @@ class Name:
     """A condition indexed family of value sets.
 
     A pair (q, U) contributes U to the evaluation at every atom below q.
-    Pairs are stored deduplicated in a fixed order so names compare and
-    hash structurally.
+    Pairs are stored deduplicated in a fixed order, by (q, set_key(U)), so
+    names compare and hash structurally.  Pairs already in that order, as
+    every name read back from canonical text is, are kept as given after
+    one pass that sees their keys strictly increase.
     """
 
     pairs: tuple[tuple[Condition, frozenset[str]], ...]
 
     def __post_init__(self):
-        pairs = {(q, frozenset(u)) for q, u in self.pairs}
+        pairs = [(q, frozenset(u)) for q, u in self.pairs]
         keys = {u: set_key(u) for u in {u for _, u in pairs}}  # one sort per distinct value set
-        norm = tuple(sorted(pairs, key=lambda pair: (pair[0], keys[pair[1]])))
-        object.__setattr__(self, "pairs", norm)
+        order = [(q, keys[u]) for q, u in pairs]
+        if not all(map(lt, order, order[1:])):  # out of order or duplicated
+            pairs = sorted(set(pairs), key=lambda pair: (pair[0], keys[pair[1]]))
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     def conditions(self) -> tuple[Condition, ...]:
         return tuple(q for q, _ in self.pairs)

@@ -187,8 +187,7 @@ class Scenario:
             data["poset"],
             tuple(sorted(space["points"])),
             tuple(frozenset(b) for b in space["base"]),
-            tuple(Name(tuple((e["condition"], frozenset(e["set"])) for e in entry))
-                  for entry in data["names"]),
+            tuple(Name(tuple((e["condition"], e["set"]) for e in entry)) for entry in data["names"]),
             data["property"],
         )
 

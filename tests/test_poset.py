@@ -1,6 +1,7 @@
 """Core poset semantics: order closure, atoms, antichains, density, names,
 statements, and the two independent forcing routes."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endowlab.bounds import DEFAULT_LIMITS, Limits
+from endowlab.canon import set_key
 from endowlab.cli import parse_poset_spec
 from endowlab.cohen import CohenPoset
 from endowlab.errors import DataError, ResourceError
@@ -129,7 +131,6 @@ def test_enumeration_refuses_large_posets():
 
 
 def test_random_maximal_antichain_is_maximal():
-    import random
     p = diamond()
     for seed in range(20):
         a = p.random_maximal_antichain(random.Random(seed))
@@ -197,6 +198,23 @@ def test_name_normalizes_pairs():
     assert a.pairs == b.pairs
     assert a == b
     assert hash(a) == hash(b)
+    # seeded pair lists, canonical or not: shuffled, with duplicates, sets
+    # given as list, tuple, set or frozenset, and identifiers that need
+    # escaping in JSON; the pairs always come out in the reference order
+    rng = random.Random(23)
+    ids = ["", "a", "b", "0:1", '"', "\\", "\n", "é", "\x00", "a,b", "z" * 3]
+    kinds = (list, tuple, set, frozenset)
+    for _ in range(300):
+        given = [(rng.choice(ids), rng.sample(ids, rng.randint(0, 3)))
+                 for _ in range(rng.randint(0, 12))]
+        given += rng.sample(given, rng.randint(0, len(given)))
+        reference = tuple(sorted({(q, frozenset(u)) for q, u in given},
+                                 key=lambda pair: (pair[0], set_key(pair[1]))))
+        for ordered in (rng.sample(given, len(given)), reference):
+            name = Name(tuple((q, rng.choice(kinds)(u)) for q, u in ordered))
+            assert name.pairs == reference
+            assert all(type(u) is frozenset for _, u in name.pairs)
+            assert Name(name.pairs).pairs == name.pairs
 
 
 def test_name_json_roundtrip(tmp_path):
