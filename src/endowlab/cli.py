@@ -48,8 +48,8 @@ from .names import (
     WitnessTable,
     approximate,
     check_approximation,
+    check_cover_name,
     derive_point_names,
-    make_cover_name,
     refine_name,
 )
 from .poset import ExistsSupersetInCover, Name, forces, forces_dense
@@ -227,6 +227,8 @@ def cmd_dow(args, limits: Limits) -> int:
     if recipe["kind"] != "cohen":
         raise UsageError("the staged construction needs a cohen:D=<n> poset")
     bundle = build_bundle(recipe, limits)
+    if not bundle.poset.is_maximal_antichain(args.member):
+        raise DataError("staged construction needs a maximal antichain")
     trace = dow_construct(bundle.structure, args.member, args.n)
     hits = hits_level(bundle.poset, bundle.strat.at(args.n), trace.result)
     lines = [f"seed: {trace.seed!r}"]
@@ -244,13 +246,15 @@ def cmd_dow(args, limits: Limits) -> int:
 def load_name_inputs(args, limits: Limits):
     """The poset bundle, space and cover name that `approx` and `refine`
     read.  `load_instance` shape-checks each payload, so the space and the
-    name are built directly from it."""
+    name are built directly from it; `check_cover_name` then checks the
+    name against the poset and the space."""
     require_level_bound(args.n, limits)
     bundle = build_bundle(parse_poset_spec(args.poset, limits), limits)
     payload = load_instance(args.space, "space")
     space = FiniteSpace(payload["points"], payload["base"], limits)
-    pairs = ((entry["condition"], entry["set"]) for entry in load_instance(args.name, "name"))
-    return bundle, space, make_cover_name(bundle.poset, space, pairs)
+    name = Name(tuple((entry["condition"], entry["set"]) for entry in load_instance(args.name, "name")))
+    check_cover_name(bundle.poset, space, name)
+    return bundle, space, name
 
 
 def cmd_approx(args, limits: Limits) -> int:
@@ -288,7 +292,7 @@ def cmd_refine(args, limits: Limits) -> int:
 
 
 def cmd_preserve(args, limits: Limits) -> int:
-    scenario = Scenario.from_jsonable(load_instance(args.scenario, "scenario"), checked=True)
+    scenario = Scenario.from_jsonable(load_instance(args.scenario, "scenario"))
     if args.property is not None:
         scenario = dataclasses.replace(scenario, mode=args.property)
     check_writable(args.cert)

@@ -68,13 +68,11 @@ class DowTrace:
         }
 
 
-def dow_construct(
-    cohen: CohenPoset, antichain: Iterable[Condition], n: int, *, checked: bool = False,
-) -> DowTrace:
+def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> DowTrace:
     """Thin a maximal antichain to a small hitting set, in n+1 stages.
 
-    The antichain is checked to be maximal unless `checked` says the caller
-    has already done so (as the staged family's extractor does).
+    The antichain is trusted to be maximal, as an extractor's is (see
+    `EndowmentFamily`); `cmd_dow` checks the one that comes from outside.
 
     Stage 0 keeps the canonically least element; its support opens the
     support set.  Each later stage handles every condition supported inside
@@ -100,10 +98,7 @@ def dow_construct(
     if n < 0:
         raise DataError(f"stage count must be nonnegative, got {n}")
     poset = cohen.poset
-    items = frozenset(antichain)
-    if not checked and not poset.is_maximal_antichain(items):
-        raise DataError("staged construction needs a maximal antichain")
-    by_canon = sorted(items, key=poset.sort_key)
+    by_canon = sorted(frozenset(antichain), key=poset.sort_key)
     atom_mask = poset.atom_mask
     support_mask, within_mask = cohen.support_mask, cohen.within_mask
 
@@ -158,7 +153,7 @@ def cohen_dow_family(cohen: CohenPoset, strat: Stratification) -> EndowmentFamil
         return hits_level(cohen.poset, strat.at(n), conditions)
 
     def extract(n: int, antichain: frozenset[str]) -> frozenset[str]:
-        return dow_construct(cohen, antichain, n, checked=True).result
+        return dow_construct(cohen, antichain, n).result
 
     return EndowmentFamily("staged-hitting", member, extract)
 
@@ -170,7 +165,7 @@ def measure_total_family(algebra: MeasurePoset) -> EndowmentFamily:
         return measure_endowment_member(algebra, n, conditions)
 
     def extract(n: int, antichain: frozenset[str]) -> frozenset[str]:
-        return extract_measure_endowment(algebra, n, antichain, checked=True)
+        return extract_measure_endowment(algebra, n, antichain)
 
     return EndowmentFamily("measure-total", member, extract)
 

@@ -9,10 +9,9 @@ is built.  Files are read through `read_text` and written through
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from .canon import check_shape, parse_json
+from .canon import canonical_json_pretty, check_shape, parse_json
 from .errors import DataError
 from .poset import NAME_SHAPE, POSET_SHAPE
 from .preservation import SCENARIO_SHAPE, Scenario
@@ -93,8 +92,7 @@ def load_instance(path: str | Path, kind: str | None = None) -> dict:
 
 
 def save_instance(path: str | Path, kind: str, payload) -> None:
-    data = wrap_instance(kind, payload)
-    write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+    write_text(path, canonical_json_pretty(wrap_instance(kind, payload)) + "\n")
 
 
 # -- fixtures ----------------------------------------------------------------

@@ -59,18 +59,16 @@ from .poset import (
 from .topology import FiniteSpace
 
 
-def make_cover_name(poset: Poset, space: FiniteSpace, pairs: Iterable[tuple[Condition, Iterable[str]]]) -> Name:
-    """Package and validate a cover name's raw pairs.
-
-    Conditions must belong to the poset and value sets to the subbase.
-    """
-    name = Name(tuple(pairs))
+def check_cover_name(poset: Poset, space: FiniteSpace, name: Name) -> None:
+    """Check a name in place as a cover name's input: every condition must
+    belong to the poset, checked first, and every value set to the
+    subbase.  Raises DataError at the first failure.  Density, the rest of
+    being a cover name, is checked by `derive_point_names`."""
     validate_name(poset, name)
     basic = set(space.base)
     for _, u in name.pairs:
         if u not in basic:
             raise DataError(f"cover name value {sorted(u)} is not a basic open set")
-    return name
 
 
 @dataclass(frozen=True)

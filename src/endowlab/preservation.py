@@ -57,8 +57,8 @@ from .names import (
     WitnessTable,
     approximate,
     check_approximation,
+    check_cover_name,
     derive_point_names,
-    make_cover_name,
     run_pipeline,
 )
 from .poset import (
@@ -175,13 +175,10 @@ class Scenario:
         return json.loads(self.to_text(TextMemo()))
 
     @classmethod
-    def from_jsonable(cls, data: dict, *, checked: bool = False) -> "Scenario":
-        """Build from parsed JSON.  SCENARIO_SHAPE covers every name, so the
-        names are built directly; `checked` says the payload has already
-        passed it (as a `load_instance` payload has), so each input is
-        shape-checked once."""
-        if not checked:
-            check_shape(data, SCENARIO_SHAPE, "scenario")
+    def from_jsonable(cls, data: dict) -> "Scenario":
+        """Build from a payload that has passed SCENARIO_SHAPE, as every
+        `load_instance` payload has.  The shape covers every name, so the
+        names are built directly."""
         space = data["space"]
         return cls(
             data["poset"],
@@ -265,15 +262,16 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
         raise DataError(f"unknown property {scenario.mode!r}; expected one of {MODES}")
     if not scenario.names:
         raise DataError("scenario needs at least one name")
-    names = [make_cover_name(bundle.poset, space, name.pairs) for name in scenario.names]
+    for name in scenario.names:
+        check_cover_name(bundle.poset, space, name)
     floor = bundle.strat.stabilization_index
-    if floor >= len(names):
+    if floor >= len(scenario.names):
         raise ScenarioError(
-            f"stabilization floor {floor} leaves no usable level among {len(names)} names")
+            f"stabilization floor {floor} leaves no usable level among {len(scenario.names)} names")
     approximations = []
     approx_certs = []
     tables = []
-    for n, name in enumerate(names):
+    for n, name in enumerate(scenario.names):
         point_names = derive_point_names(bundle.poset, space, name)
         approx = approximate(bundle.poset, point_names, n, bundle.family)
         table = WitnessTable(bundle.poset, bundle.strat, n, name)
@@ -354,6 +352,7 @@ def replay_certificate(
     decoded = _embedded_scenario(text)
     if decoded is not None:
         try:
+            check_shape(decoded, SCENARIO_SHAPE, "scenario")
             scenario = Scenario.from_jsonable(decoded)
             fresh_text = run_preservation(scenario, limits).to_text()
         except EndowlabError as exc:
@@ -368,6 +367,7 @@ def replay_certificate(
         raise DataError(f"unsupported certificate format version {version!r}")
     if "scenario" not in data:
         raise DataError("certificate needs an embedded scenario")
+    check_shape(data["scenario"], SCENARIO_SHAPE, "scenario")
     parsed = Scenario.from_jsonable(data["scenario"])
     if parsed != scenario:
         fresh_text = run_preservation(parsed, limits).to_text()

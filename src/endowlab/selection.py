@@ -38,8 +38,6 @@ from .canon import family_key, sorted_sets
 from .errors import DataError
 from .topology import FiniteSpace, covers
 
-MODES = ("rothberger", "menger", "selective-screenability")
-
 EXACT_MENGER_POOL = 12
 
 
@@ -260,23 +258,20 @@ def check_screenability(problem: SelectionProblem, families: Sequence[Sequence[f
     return _covered_from_floor(problem, families)
 
 
+# mode -> (solver, checker); `make_selection_problem` admits only these modes
+_BY_MODE = {
+    "rothberger": (rothberger_select, check_rothberger),
+    "menger": (menger_select, check_menger),
+    "selective-screenability": (screenability_select, check_screenability),
+}
+MODES = tuple(_BY_MODE)
+
+
 def solve_selection(problem: SelectionProblem):
     """Dispatch to the mode's solver."""
-    if problem.mode == "rothberger":
-        return rothberger_select(problem)
-    if problem.mode == "menger":
-        return menger_select(problem)
-    if problem.mode == "selective-screenability":
-        return screenability_select(problem)
-    raise DataError(f"unknown mode {problem.mode!r}")
+    return _BY_MODE[problem.mode][0](problem)
 
 
 def check_selection(problem: SelectionProblem, solution) -> tuple[bool, str | None]:
     """Independent validity check for a solver output."""
-    if problem.mode == "rothberger":
-        return check_rothberger(problem, solution)
-    if problem.mode == "menger":
-        return check_menger(problem, solution)
-    if problem.mode == "selective-screenability":
-        return check_screenability(problem, solution)
-    raise DataError(f"unknown mode {problem.mode!r}")
+    return _BY_MODE[problem.mode][1](problem, solution)

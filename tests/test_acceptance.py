@@ -35,8 +35,8 @@ from endowlab.names import (
     WitnessTable,
     approximate,
     check_approximation,
+    check_cover_name,
     derive_point_names,
-    make_cover_name,
     refine_name,
 )
 from endowlab.poset import ExistsSupersetInCover, Name, Poset, forces, forces_dense
@@ -154,8 +154,8 @@ def test_criterion_4_approximation_replays():
         scenario = generate_scenario(seed)
         bundle = build_bundle(scenario.poset)
         space = FiniteSpace(scenario.points, scenario.base)
-        for n, raw in enumerate(scenario.names):
-            name = make_cover_name(bundle.poset, space, raw.pairs)
+        for n, name in enumerate(scenario.names):
+            check_cover_name(bundle.poset, space, name)
             point_names = derive_point_names(bundle.poset, space, name)
             approx = approximate(bundle.poset, point_names, n, bundle.family)
             cert = check_approximation(WitnessTable(bundle.poset, bundle.strat, n, name), approx)
@@ -175,7 +175,8 @@ def test_criterion_5_refinement_replays():
         bundle = build_bundle(scenario.poset)
         space = FiniteSpace(scenario.points, scenario.base)
         n = rng.randrange(len(scenario.names))
-        name = make_cover_name(bundle.poset, space, scenario.names[n].pairs)
+        name = scenario.names[n]
+        check_cover_name(bundle.poset, space, name)
         point_names = derive_point_names(bundle.poset, space, name)
         approx = approximate(bundle.poset, point_names, n, bundle.family)
         ground = []
@@ -239,10 +240,10 @@ def test_criterion_8_negative_controls():
     assert any(v.clause == "3'" and v.witness == "0:1" for v in report.violations)
 
     # (b) a tampered approximation is rejected at the exact condition
-    recipe, space_payload, raw = fixture_discrete_triple()
+    recipe, space_payload, name = fixture_discrete_triple()
     bundle = build_bundle(recipe)
     space = FiniteSpace(space_payload["points"], space_payload["base"])
-    name = make_cover_name(bundle.poset, space, raw.pairs)
+    check_cover_name(bundle.poset, space, name)
     point_names = derive_point_names(bundle.poset, space, name)
     approx = approximate(bundle.poset, point_names, 1, bundle.family)
     tampered = Approximation(

@@ -31,7 +31,7 @@ from endowlab.names import (
     RefineCertificate,
     WitnessTable,
     check_approximation,
-    make_cover_name,
+    check_cover_name,
     refine_name,
 )
 from endowlab.poset import forces_dense
@@ -179,8 +179,8 @@ def test_shared_witness_table_changes_no_certificate(label):
     sections = json.loads(cert.to_text())
     bundle = preservation.build_bundle(scenario.poset)
     space = FiniteSpace(scenario.points, scenario.base)
-    for n, raw in enumerate(scenario.names):
-        name = make_cover_name(bundle.poset, space, raw.pairs)
+    for n, name in enumerate(scenario.names):
+        check_cover_name(bundle.poset, space, name)
         approx_cert = check_approximation(
             WitnessTable(bundle.poset, bundle.strat, n, name), cert.approximations[n])
         assert approx_cert.to_text(TextMemo()) == canonical_json(

@@ -460,6 +460,25 @@ def test_dow_rejects_non_antichain(capsys):
     assert capsys.readouterr().err == "error: staged construction needs a maximal antichain\n"
 
 
+@pytest.mark.parametrize("members, message", [
+    (["0:0"], "staged construction needs a maximal antichain"),
+    (["0:0", "0:0"], "staged construction needs a maximal antichain"),
+    (["0:0", "0:1", ""], "staged construction needs a maximal antichain"),
+    (["0:0", "nowhere"], "unknown condition: 'nowhere'"),
+])
+def test_dow_checks_its_members_before_the_construction(members, message, monkeypatch, capsys):
+    # `dow` is where an outside antichain enters; the construction trusts it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(cli, "dow_construct", refuse)
+    argv = ["dow", "cohen:D=2", "--n", "1"]
+    for m in members:
+        argv += ["--member", m]
+    assert main(argv) == 65
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- approx / refine -------------------------------------------------------------
 
 
@@ -650,6 +669,21 @@ def test_refine_json_with_a_counterexample_is_unchanged(tmp_path, capsys):
 
 
 # -- preserve / verify / gen / selftest -------------------------------------------
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("condition", "9:9", "unknown condition: '9:9'"),
+    ("set", ["y"], "cover name value ['y'] is not a basic open set"),
+])
+def test_bad_name_among_too_few_names_is_65_not_2(field, value, message, tmp_path, capsys):
+    # the names are checked before the stabilization floor: one name is
+    # below the floor of 2, yet the bad name is what is reported
+    payload = fixture_cohen_pair(levels=1).to_jsonable()
+    payload["names"][0][0][field] = value
+    path = tmp_path / "scenario.json"
+    save_instance(path, "scenario", payload)
+    assert main(["preserve", "--scenario", str(path), "--cert", str(tmp_path / "c.json")]) == 65
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_preserve_verify_roundtrip(tmp_path, capsys):

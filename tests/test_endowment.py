@@ -51,11 +51,10 @@ def test_staged_construction_zero_stages_keeps_only_seed():
     assert len(trace.stages) == 1
 
 
-def test_staged_construction_requires_maximal_antichain():
+def test_staged_construction_rejects_negative_stage_count():
+    # the antichain is trusted; `dow` checks the one it reads (test_cli)
     c = CohenPoset([0, 1])
-    with pytest.raises(DataError):
-        dow_construct(c, ["0:0"], 1)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="stage count must be nonnegative, got -1"):
         dow_construct(c, ["0:0", "0:1"], -1)
 
 

@@ -21,8 +21,8 @@ from endowlab.names import (
     WitnessTable,
     approximate,
     check_approximation,
+    check_cover_name,
     derive_point_names,
-    make_cover_name,
     refine_name,
     run_pipeline,
 )
@@ -45,11 +45,11 @@ def pair_setup():
     the 0 -> 0 side commits {x} and {x,y}; the 0 -> 1 side commits {x,y}."""
     c = CohenPoset([0, 1])
     space = FiniteSpace(["x", "y"], [["x"], ["x", "y"]])
-    name = make_cover_name(c.poset, space, [
+    name = Name((
         ("0:0", {"x"}),
         ("0:0", {"x", "y"}),
         ("0:1", {"x", "y"}),
-    ])
+    ))
     return c, space, name
 
 
@@ -58,12 +58,17 @@ def level_tables(poset, strat, names):
     return [WitnessTable(poset, strat, n, name) for n, name in enumerate(names)]
 
 
-def test_make_cover_name_validates():
-    c, space, _ = pair_setup()
-    with pytest.raises(DataError):
-        make_cover_name(c.poset, space, [("5:0", {"x"})])
-    with pytest.raises(DataError):
-        make_cover_name(c.poset, space, [("0:0", {"y"})])  # not a basic open set
+def test_check_cover_name_validates():
+    c, space, name = pair_setup()
+    assert check_cover_name(c.poset, space, name) is None
+    with pytest.raises(DataError, match="unknown condition: '5:0'"):
+        check_cover_name(c.poset, space, Name((("5:0", frozenset({"x"})),)))
+    with pytest.raises(DataError, match=r"cover name value \['y'\] is not a basic open set"):
+        check_cover_name(c.poset, space, Name((("0:0", frozenset({"y"})),)))
+    # conditions are checked before values, whatever the pair order
+    both = Name((("0:0", frozenset({"y"})), ("5:0", frozenset({"x"}))))
+    with pytest.raises(DataError, match="unknown condition: '5:0'"):
+        check_cover_name(c.poset, space, both)
 
 
 def test_cover_name_validity():
@@ -71,11 +76,11 @@ def test_cover_name_validity():
     assert len(derive_point_names(c.poset, space, name)) == 2
     # dropping the 0 -> 1 side breaks density for both points below 0:1;
     # the first point in sorted order is the one named
-    partial = make_cover_name(c.poset, space, [("0:0", {"x"}), ("0:0", {"x", "y"})])
+    partial = Name((("0:0", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
         derive_point_names(c.poset, space, partial)
     # with x committed everywhere, y is the point that fails
-    only_y = make_cover_name(c.poset, space, [("", {"x"}), ("0:0", {"x", "y"})])
+    only_y = Name((("", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError, match="point 'y' lacks dense commitments"):
         derive_point_names(c.poset, space, only_y)
     # two atoms and no top: only the first condition in canonical order lacks
@@ -83,7 +88,7 @@ def test_cover_name_validity():
     pair = Poset.from_pairs(["a", "b"], [])
     single = FiniteSpace(["x"], [["x"]])
     with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
-        derive_point_names(pair, single, make_cover_name(pair, single, [("b", {"x"})]))
+        derive_point_names(pair, single, Name((("b", {"x"}),)))
 
 
 def test_point_names_on_pair_fixture():
@@ -177,7 +182,7 @@ def point_name_cases():
             # x and z on one antichain, y on another, each through its singleton
             split = [(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b]
             for pairs in (shared, split, shared + extra, split + extra):
-                cases.append((poset, space, make_cover_name(poset, space, pairs)))
+                cases.append((poset, space, Name(tuple(pairs))))
     for seed in range(30):
         scenario = generate_scenario(seed)
         bundle = build_bundle(scenario.poset)
@@ -224,7 +229,7 @@ def test_approximate_extracts_once_per_distinct_antichain():
         ([(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b], 2),
         ([(q, {"x"}) for q in a] + [(q, {x}) for q in b for x in "yz"], 2),
     ):
-        name = make_cover_name(c.poset, space, pairs)
+        name = Name(tuple(pairs))
         pns = derive_point_names(c.poset, space, name)
         for n in range(4):
             calls.clear()
@@ -245,8 +250,8 @@ def test_approximate_trusts_the_point_antichains(monkeypatch):
     monkeypatch.setattr(Poset, "is_maximal_antichain", counted)
     c, space, name = pair_setup()
     m = MeasurePoset(2)
-    measure_name = make_cover_name(m.poset, space, [
-        ("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})])
+    measure_name = Name((
+        ("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
     for poset, family, cover_name in ((c.poset, cohen_dow_family(c, c.stratification()), name),
                                       (m.poset, measure_total_family(m), measure_name)):
         checks.clear()
@@ -259,7 +264,7 @@ def test_approximate_trusts_the_point_antichains(monkeypatch):
 
 def test_derive_rejects_invalid_names():
     c, space, _ = pair_setup()
-    partial = make_cover_name(c.poset, space, [("0:0", {"x"}), ("0:0", {"x", "y"})])
+    partial = Name((("0:0", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError):
         derive_point_names(c.poset, space, partial)
 
@@ -279,11 +284,11 @@ def test_approximation_on_pair_fixture():
 def test_approximation_pieces_contain_their_points():
     m = MeasurePoset(2)
     space = FiniteSpace(["x", "y"], [["x"], ["x", "y"]])
-    name = make_cover_name(m.poset, space, [
+    name = Name((
         ("00,01", {"x"}),
         ("00,01", {"x", "y"}),
         ("10,11", {"x", "y"}),
-    ])
+    ))
     pns = derive_point_names(m.poset, space, name)
     for n in range(3):
         approx = approximate(m.poset, pns, n, measure_total_family(m))
@@ -311,9 +316,9 @@ def test_approximation_certificate_flags_undominated_piece():
     # committed at the top, so a two point piece is never dominated
     c = CohenPoset([0])
     space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"]])
-    name = make_cover_name(c.poset, space, [
+    name = Name((
         ("", {"x"}), ("", {"y"}), ("", {"z"}),
-    ])
+    ))
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, maximal_antichain_family(c.poset))
     cert = check_approximation(WitnessTable(c.poset, c.stratification(), 1, name), approx)
@@ -366,7 +371,7 @@ def test_witness_runs_are_keyed_by_forcing_mask():
     # contains {x,y}: three sets, three masks, three runs of three lengths
     c = CohenPoset([0])
     space = FiniteSpace(["x", "y"], [["x"], ["y"], ["x", "y"]])
-    name = make_cover_name(c.poset, space, [("0:0", {"x"}), ("0:1", {"y"})])
+    name = Name((("0:0", {"x"}), ("0:1", {"y"})))
     table = WitnessTable(c.poset, c.stratification(), 1, name)
     x, y, both = frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})
     assert len({table.forcing(h) for h in (x, y, both)}) == 3
@@ -375,7 +380,7 @@ def test_witness_runs_are_keyed_by_forcing_mask():
     assert table.run(both) == ()
     assert table.run(frozenset({"x"})) is table.run(x)
     # {x} is forced in exactly where {y} is, so the two sets share one run
-    twin = make_cover_name(c.poset, space, [("", {"x", "y"})])
+    twin = Name((("", {"x", "y"}),))
     table = WitnessTable(c.poset, c.stratification(), 1, twin)
     assert table.forcing(x) == table.forcing(y)
     assert table.run(x) is table.run(y) == ("", "0:0", "0:1")
@@ -384,7 +389,7 @@ def test_witness_runs_are_keyed_by_forcing_mask():
 def test_refinement_flags_undominated_ground_set():
     c = CohenPoset([0])
     space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"]])
-    name = make_cover_name(c.poset, space, [("", {"x"}), ("", {"y"}), ("", {"z"})])
+    name = Name((("", {"x"}), ("", {"y"}), ("", {"z"})))
     refined, cert, _ = refine_name(
         WitnessTable(c.poset, c.stratification(), 0, name), [frozenset({"y", "z"})], space)
     assert not cert.positive
@@ -450,7 +455,7 @@ def test_pipeline_single_level_with_trivial_stratification():
     p = Poset.from_pairs(["t"], [])
     strat = make_stratification(p, [["t"]])
     space = FiniteSpace(["x"], [["x"]])
-    name = make_cover_name(p, space, [("t", {"x"})])
+    name = Name((("t", {"x"}),))
     result = run_pipeline(p, strat, space, level_tables(p, strat, [name]), [[frozenset({"x"})]])
     assert result.positive
 

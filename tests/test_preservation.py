@@ -2,6 +2,7 @@
 seeded generator."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from endowlab.bounds import Limits, limits_from_env
 from endowlab.canon import canonical_json
 from endowlab.errors import DataError, ResourceError, ScenarioError
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair
+from endowlab.poset import Name
 from endowlab.preservation import (
     Scenario,
     MAX_SHARED,
@@ -112,6 +114,25 @@ def test_invalid_cover_name_is_data_error():
     payload["names"][0] = [{"condition": "0:0", "set": ["x", "y"]}]  # not dense below 0:1
     with pytest.raises(DataError):
         run_preservation(Scenario.from_jsonable(payload))
+
+
+@pytest.mark.parametrize("golden", sorted((Path(__file__).parent / "golden").glob("*.cert.json")),
+                         ids=lambda path: path.name)
+def test_run_builds_only_the_refined_names(golden, monkeypatch):
+    # the scenario's names are checked as given, so the only names a run
+    # builds are the refined ones, one per level
+    scenario = Scenario.from_jsonable(json.loads(golden.read_text())["scenario"])
+    built = []
+    post_init = Name.__post_init__
+
+    def record(name):
+        post_init(name)
+        built.append(name)
+
+    monkeypatch.setattr(Name, "__post_init__", record)
+    cert = run_preservation(scenario)
+    assert len(built) == len(scenario.names)
+    assert all(a is b for a, b in zip(built, cert.pipeline.refined))
 
 
 def test_scenario_roundtrip():
