@@ -20,7 +20,7 @@ import sys
 import traceback
 
 from .bounds import DEFAULT_LIMITS, Limits, limits_from_env
-from .canon import canonical_json_pretty, check_shape
+from .canon import canonical_json_pretty, check_shape, sorted_sets
 from .endowment import (
     DEFAULT_FULL_BUDGET,
     EndowmentReport,
@@ -282,7 +282,10 @@ def cmd_refine(args, limits: Limits) -> int:
     bundle, space, name = load_name_inputs(args, limits)
     raw = read_json(args.sets)
     check_shape(raw, [[str]], "ground family")
-    family = [frozenset(s) for s in raw]
+    family = sorted_sets(frozenset(s) for s in raw)
+    for h in family:
+        if not space.is_open(h):
+            raise DataError(f"ground family member {sorted(h)} is not open")
     refined, cert, _ = refine_name(WitnessTable(bundle.poset, bundle.strat, args.n, name), family, space)
     result = {"refined_name": refined.to_jsonable(), "certificate": cert.to_jsonable()}
     lines = [f"refined name: {len(refined.pairs)} pairs",

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .cohen import CohenPoset
-from .errors import DataError, ResourceError
+from .errors import ResourceError
 from .measure import MeasurePoset, extract_measure_endowment, measure_endowment_member
 from .poset import Condition, Poset, Stratification
 
@@ -32,8 +32,9 @@ class EndowmentFamily:
 
     `member(n, L)` decides whether L belongs to level n; `extract(n, A)`
     picks a candidate member out of a maximal antichain A.  The extractor
-    trusts that A is one: its callers (`extract_each`, and `approximate`
-    on the antichains `derive_point_names` built) have checked it.
+    trusts that A is one: `extract_each` hands it the antichains that the
+    enumerators built, and `approximate` those that `derive_point_names`
+    verified.  Its output is not trusted; the endowment verifiers check it.
     """
 
     label: str
@@ -95,8 +96,6 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     whose claim meets that mask, ordered by the lowest such bit, which is
     the order a scan of the handled conditions would meet them in.
     """
-    if n < 0:
-        raise DataError(f"stage count must be nonnegative, got {n}")
     poset = cohen.poset
     by_canon = sorted(frozenset(antichain), key=poset.sort_key)
     atom_mask = poset.atom_mask
@@ -250,17 +249,12 @@ def extract_each(
     """Run the family's extractor once on each antichain.
 
     Returns (antichain, extraction) pairs in input order, the input both
-    verifiers read.  Every input must be a maximal antichain.
+    verifiers read.  The antichains are trusted to be maximal: in the
+    program they come from `Poset.maximal_antichains` or
+    `random_maximal_antichain`, which build maximal ones.
     """
-    if n < 0:
-        raise DataError(f"level must be nonnegative, got {n}")
-    pairs = []
-    for antichain in antichains:
-        items = frozenset(antichain)
-        if not poset.is_maximal_antichain(items):
-            raise DataError("endowment verification needs maximal antichains")
-        pairs.append((items, frozenset(family.extract(n, items))))
-    return tuple(pairs)
+    return tuple((items, frozenset(family.extract(n, items)))
+                 for items in map(frozenset, antichains))
 
 
 def verify_weak_endowment(

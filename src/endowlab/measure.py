@@ -103,8 +103,6 @@ def measure_endowment_member(algebra: MeasurePoset, n: int, conditions: Iterable
     uncovered have total measure below 2^-n, too small to swallow such a
     condition.  Non antichain input is rejected.
     """
-    if n < 0:
-        raise DataError(f"level must be nonnegative, got {n}")
     items = frozenset(conditions)
     if not algebra.poset.is_antichain(items):
         raise DataError("membership test needs an antichain")
@@ -122,8 +120,6 @@ def extract_measure_endowment(algebra: MeasurePoset, n: int, antichain: Iterable
     prefix always exists.  The antichain is trusted to be maximal, as an
     extractor's is (see `endowment.EndowmentFamily`).
     """
-    if n < 0:
-        raise DataError(f"level must be nonnegative, got {n}")
     chosen: list[str] = []
     total = 0
     bound = ((1 << n) - 1) << algebra.k

@@ -95,7 +95,8 @@ class PointName:
 
 
 def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[PointName, ...]:
-    """Build the per point antichains and committed sets for a valid name.
+    """Build the per point antichains and committed sets for a valid name,
+    whose conditions `check_cover_name` has checked.
 
     One pass over the name's pairs tables each value set's reach, the union
     of its conditions' down masks; a point's commitment mask is the union of
@@ -111,12 +112,8 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
     """
     elements, down_mask, atom_mask = poset.elements, poset.down_mask, poset.atom_mask
     reach: dict[frozenset[str], int] = {}
-    try:
-        for q, u in name.pairs:
-            reach[u] = reach.get(u, 0) | down_mask[q]
-    except KeyError:
-        validate_name(poset, name)  # raises DataError naming the unknown condition
-        raise
+    for q, u in name.pairs:
+        reach[u] = reach.get(u, 0) | down_mask[q]
     ordered = sorted(reach.items(), key=lambda item: set_key(item[0]))
     # commitment mask -> verified antichain and its members' position bits
     greedy: dict[int, tuple[tuple[Condition, ...], list[int]]] = {}
@@ -183,8 +180,6 @@ def approximate(
     contains its point, so the result covers the space.  The antichains
     are trusted to be maximal, as `derive_point_names` verifies them.
     """
-    if n < 0:
-        raise DataError(f"level must be nonnegative, got {n}")
     extracted: dict[frozenset[Condition], frozenset[Condition]] = {}
     entries = []
     pieces = []
@@ -229,8 +224,6 @@ class WitnessTable:
     __slots__ = ("poset", "level", "conditions", "masks", "_forcing", "_runs")
 
     def __init__(self, poset: Poset, strat: Stratification, n: int, name: Name):
-        if n < 0:
-            raise DataError(f"level must be nonnegative, got {n}")
         self.poset = poset
         self.level = n
         self.conditions = strat.ordered_at(n)
@@ -385,6 +378,11 @@ def refine_name(
 ) -> tuple[Name, RefineCertificate, dict[frozenset[str], int]]:
     """Build the definable refined name over a ground family of open sets.
 
+    The ground sets are trusted to be open in `space`: `cli.cmd_refine`
+    checks the ones read from `--sets`, and `run_preservation` takes them
+    from its selection: cover members that `make_selection_problem`
+    checked, or members of `space.opens`.
+
     The refined name pairs every condition with every ground set it forces
     into the table's name.  Its evaluation at an atom is exactly the ground
     sets dominated there, so it refines the source name at every atom by
@@ -395,9 +393,6 @@ def refine_name(
     """
     poset = table.poset
     family = sorted_sets(frozenset(h) for h in ground_family)
-    for h in family:
-        if not space.is_open(h):
-            raise DataError(f"ground family member {sorted(h)} is not open")
     # `family` is in set_key order, so (condition, index) order is the
     # name's canonical order and the constructor keeps the pairs as given
     refined = Name(tuple((p, family[i]) for p, i in sorted(

@@ -59,6 +59,11 @@ from .errors import DataError, ResourceError
 
 Condition = str
 
+# The most maximal antichains `Poset.maximal_antichains` enumerates.  Their
+# number can be exponential in the conditions (4^g for g groups of a
+# condition below three others), so `max_poset` alone does not bound it.
+MAX_ANTICHAINS = 100_000
+
 POSET_SHAPE = {"elements": [str], "leq": [(str, str)]}
 NAME_SHAPE = [{"condition": str, "set": [str]}]
 
@@ -283,7 +288,8 @@ class Poset:
         Maximal antichains are exactly the maximal cliques of the
         incompatibility graph, enumerated here by pivoted backtracking.
         Refuses posets above `limits.max_poset` elements; use
-        random_maximal_antichain for those.
+        random_maximal_antichain for those.  Raises ResourceError once the
+        enumeration passes `MAX_ANTICHAINS`.
         """
         n = len(self._elements)
         if n > limits.max_poset:
@@ -296,6 +302,9 @@ class Poset:
         def extend(clique: list[int], cand: set[int], excl: set[int]) -> None:
             if not cand and not excl:
                 found.append(frozenset(self._elements[i] for i in clique))
+                if len(found) > MAX_ANTICHAINS:
+                    raise ResourceError(f"exhaustive antichain enumeration capped at "
+                                        f"{MAX_ANTICHAINS} maximal antichains, reached {len(found)}")
                 return
             pivot = max(cand | excl, key=lambda v: len(incompat[v] & cand))
             for v in sorted(cand - incompat[pivot]):
@@ -500,16 +509,14 @@ def value_masks(poset: Poset, name: Name) -> dict[frozenset[str], int]:
 
     The mask of U is the union of `atom_mask[q]` over the pairs (q, U), so
     bit j is set exactly when U is among the sets evaluated at atoms[j].
-    The lookup of each pair's condition doubles as validation.
+    The name's conditions are trusted to belong to the poset: a name from
+    outside has passed `names.check_cover_name`, and the program builds
+    the others from the poset's own conditions.
     """
     atom_mask = poset.atom_mask
     masks: dict[frozenset[str], int] = {}
-    try:
-        for q, u in name.pairs:
-            masks[u] = masks.get(u, 0) | atom_mask[q]
-    except KeyError:
-        validate_name(poset, name)  # raises DataError naming the unknown condition
-        raise
+    for q, u in name.pairs:
+        masks[u] = masks.get(u, 0) | atom_mask[q]
     return {u: masks[u] for u in sorted(masks, key=set_key)}
 
 

@@ -258,8 +258,6 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
             f"scenario names capped at max_levels={limits.max_levels}, got {len(scenario.names)}")
     bundle = build_bundle(scenario.poset, limits)
     space = FiniteSpace(scenario.points, scenario.base, limits)
-    if scenario.mode not in MODES:
-        raise DataError(f"unknown property {scenario.mode!r}; expected one of {MODES}")
     if not scenario.names:
         raise DataError("scenario needs at least one name")
     for name in scenario.names:
@@ -472,8 +470,6 @@ def generate_scenario(
     rng = random.Random(seed)
     if mode is None:
         mode = rng.choice(MODES)
-    if mode not in MODES:
-        raise DataError(f"unknown property {mode!r}; expected one of {MODES}")
     kinds = []
     if bounds.max_indices >= 1:
         kinds.append({"kind": "cohen", "indices": [0]})

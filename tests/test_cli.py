@@ -15,6 +15,7 @@ from pathlib import Path
 import endowlab
 import endowlab.cli as cli
 import endowlab.endowment as endowment
+import endowlab.poset as poset_module
 import endowlab.preservation as preservation
 from endowlab.bounds import Limits
 from endowlab.canon import canonical_json
@@ -297,9 +298,10 @@ def test_endow_verify_full_extracts_each_antichain_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("poset,antichains", [("cohen:D=2", 8), ("measure:k=2", 15)])
-def test_endow_verify_checks_each_antichain_for_maximality_once(
+def test_endow_verify_runs_no_maximality_test_on_enumerated_antichains(
         poset, antichains, monkeypatch, capsys):
-    # `extract_each` checks each antichain; the family's extractor trusts it
+    # the enumerator builds maximal antichains; `extract_each` and the
+    # family's extractor trust them
     checks = []
     real = Poset.is_maximal_antichain
 
@@ -310,7 +312,7 @@ def test_endow_verify_checks_each_antichain_for_maximality_once(
     monkeypatch.setattr(Poset, "is_maximal_antichain", counted)
     assert main(["endow-verify", poset, "--n", "1", "--full"]) == 0
     assert f"antichains checked: {antichains} (exhaustive)" in capsys.readouterr().out
-    assert len(checks) == len(set(checks)) == antichains
+    assert checks == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -374,6 +376,37 @@ def test_max_poset_caps_exhaustive_enumeration(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["selftest", "--count", "1", "--bounds", '{"max_poset": 5}']) == 70
     assert "capped at max_poset=5 conditions, got 9" in capsys.readouterr().err
+
+
+def grouped_poset_file(tmp_path, groups: int) -> str:
+    """An explicit poset of `groups` groups, each a condition b_i below three
+    conditions a_i_j: 4 * groups conditions and 4^groups maximal antichains."""
+    elements, leq = [], []
+    for i in range(groups):
+        elements.append(f"b{i}")
+        for j in range(3):
+            elements.append(f"a{i}_{j}")
+            leq.append([f"b{i}", f"a{i}_{j}"])
+    path = tmp_path / f"groups{groups}.json"
+    save_instance(path, "poset", {"elements": elements, "leq": leq})
+    return f"@{path}"
+
+
+def test_exhaustive_enumeration_stops_at_the_antichain_cap(tmp_path, monkeypatch, capsys):
+    # 8 groups: 32 conditions, within max_poset, but 65,536 maximal antichains
+    monkeypatch.setattr(poset_module, "MAX_ANTICHAINS", 1000)
+    assert main(["endow-verify", grouped_poset_file(tmp_path, 8), "--n", "1"]) == 70
+    assert capsys.readouterr().err == (
+        "resource error: exhaustive antichain enumeration capped at 1000 maximal antichains, "
+        "reached 1001\n")
+    # 5 groups: exactly 1,024 antichains, so the cap is reached but not passed
+    small = grouped_poset_file(tmp_path, 5)
+    monkeypatch.setattr(poset_module, "MAX_ANTICHAINS", 1024)
+    assert main(["endow-verify", small, "--n", "1"]) == 0
+    assert "antichains checked: 1024 (exhaustive)" in capsys.readouterr().out
+    monkeypatch.setattr(poset_module, "MAX_ANTICHAINS", 1023)
+    assert main(["endow-verify", small, "--n", "1"]) == 70
+    assert "capped at 1023 maximal antichains, reached 1024" in capsys.readouterr().err
 
 
 def test_huge_cohen_index_count_is_rejected_before_building_it(capsys):
@@ -526,6 +559,22 @@ def test_refine_malformed_ground_family_is_65(pair_files, tmp_path, capsys):
                "--name", name, "--n", "1", "--sets", str(sets)])
     assert rc == 65
     assert "ground family[0][1] must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets,message", [
+    ([["y"]], "ground family member ['y'] is not open"),
+    ([["x", "z"]], "set ['x', 'z'] leaves the point set"),
+    # members are checked in canonical order, not in file order
+    ([["z"], ["y"]], "ground family member ['y'] is not open"),
+])
+def test_refine_checks_its_ground_sets_are_open(sets, message, pair_files, tmp_path, capsys):
+    space, name = pair_files
+    path = tmp_path / "sets.json"
+    path.write_text(json.dumps(sets))
+    rc = main(["refine", "--poset", "cohen:D=2", "--space", space,
+               "--name", name, "--n", "1", "--sets", str(path)])
+    assert rc == 65
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_approx_counts_the_derived_triples(pair_files, capsys):

@@ -132,17 +132,6 @@ def test_forcing_mask_matches_the_per_condition_scan():
             assert forcing_mask(poset, mask) == scan_forcing_mask(poset, mask), (poset.elements[:3], mask)
 
 
-@pytest.mark.parametrize("query", [
-    lambda poset, stmt: truth(poset, stmt),
-    lambda poset, stmt: forces(poset, "t", stmt),
-])
-def test_unknown_name_conditions_raise_data_error(query):
-    poset = Poset.from_pairs(["t", "a", "b"], [("a", "t"), ("b", "t")])
-    stmt = ExistsSupersetInCover(Name((("a", frozenset("x")), ("nope", frozenset("x")))), "x")
-    with pytest.raises(DataError, match="unknown condition: 'nope'"):
-        query(poset, stmt)
-
-
 # -- compatibility and antichains on the down masks ------------------------------
 #
 # The references below read only frozenset down-sets and test pairs one by one.
@@ -286,17 +275,6 @@ def test_truth_matches_per_atom_evaluation_for_both_statement_kinds():
                 kinds.add((len(name.pairs) == 0, mask == (1 << len(poset.atoms)) - 1))
     # empty finer names, and refinements that hold everywhere and that fail somewhere, all came up
     assert kinds == {(True, True), (False, True), (False, False)}
-
-
-@pytest.mark.parametrize("stmt", [
-    ExistsSupersetInCover(Name((("ghost", frozenset("x")),)), frozenset()),
-    RefinesName(Name((("a", frozenset("x")),)), Name((("ghost", frozenset("x")),))),
-    RefinesName(Name((("ghost", frozenset("x")),)), Name((("a", frozenset("x")),))),
-])
-def test_truth_rejects_unknown_conditions_in_every_name(stmt):
-    poset = Poset.from_pairs(["t", "a", "b"], [("a", "t"), ("b", "t")])
-    with pytest.raises(DataError, match="unknown condition: 'ghost'"):
-        truth(poset, stmt)
 
 
 # -- the order closure against the breadth-first construction ----------------------

@@ -301,8 +301,3 @@ def test_generator_bound_validation():
     # but fine when the resource limits are raised to match
     s = generate_scenario(0, bounds=big, limits=big)
     assert s is not None
-
-
-def test_generator_rejects_unknown_mode():
-    with pytest.raises(DataError):
-        generate_scenario(0, "banach-mazur")
