@@ -756,6 +756,19 @@ def test_preserve_property_override(tmp_path, capsys):
     assert json.loads(cert.read_text())["scenario"]["property"] == "menger"
 
 
+def test_preserve_unknown_property_is_64(tmp_path, capsys):
+    # argparse `choices` is the boundary for `--property`
+    scenario = tmp_path / "scenario.json"
+    save_instance(scenario, "scenario", fixture_cohen_pair().to_jsonable())
+    rc = main(["preserve", "--scenario", str(scenario), "--cert", str(tmp_path / "cert.json"),
+               "--property", "banach-mazur"])
+    assert rc == 64
+    assert capsys.readouterr().err == (
+        "usage error: argument --property: invalid choice: 'banach-mazur' "
+        "(choose from 'rothberger', 'menger', 'selective-screenability')\n")
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_preserve_short_name_sequence_is_2(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     save_instance(scenario, "scenario", fixture_cohen_pair(levels=2).to_jsonable())

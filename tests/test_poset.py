@@ -12,6 +12,7 @@ from endowlab.bounds import DEFAULT_LIMITS, Limits
 from endowlab.canon import set_key
 from endowlab.cli import parse_poset_spec
 from endowlab.cohen import CohenPoset
+import endowlab.poset as poset_module
 from endowlab.errors import DataError, ResourceError
 from endowlab.instances import load_instance, save_instance
 from endowlab.measure import MeasurePoset
@@ -128,6 +129,24 @@ def test_enumeration_refuses_large_posets():
     with pytest.raises(ResourceError, match="max_poset=3 conditions, got 4"):
         d.maximal_antichains(Limits(max_poset=3))
     assert d.maximal_antichains(Limits(max_poset=4)) == d.maximal_antichains()
+
+
+def test_enumeration_stops_once_it_passes_the_antichain_cap(monkeypatch):
+    # two groups of a condition below three others: 4^2 maximal antichains
+    elements, pairs = [], []
+    for i in range(2):
+        elements.append(f"b{i}")
+        for j in range(3):
+            elements.append(f"a{i}_{j}")
+            pairs.append((f"b{i}", f"a{i}_{j}"))
+    p = Poset.from_pairs(elements, pairs)
+    monkeypatch.setattr(poset_module, "MAX_ANTICHAINS", 16)
+    assert len(p.maximal_antichains()) == 16
+    monkeypatch.setattr(poset_module, "MAX_ANTICHAINS", 15)
+    with pytest.raises(ResourceError) as exc:
+        p.maximal_antichains()
+    assert str(exc.value) == (
+        "exhaustive antichain enumeration capped at 15 maximal antichains, reached 16")
 
 
 def test_random_maximal_antichain_is_maximal():
@@ -273,6 +292,15 @@ def test_forces_dense_matches_forces_on_examples():
     for p in v.elements:
         for lower in (frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})):
             assert forces(v, p, ExistsSupersetInCover(name, lower)) == forces_dense(v, p, name, lower)
+
+
+def test_forces_dense_rejects_unknown_conditions():
+    # the oracle validates the names it gets; `forces` trusts its caller
+    v = vee()
+    with pytest.raises(DataError, match="unknown condition: 'nope'"):
+        forces_dense(v, "t", Name((("a", frozenset({"x"})), ("nope", frozenset({"x"})))), {"x"})
+    with pytest.raises(DataError, match="unknown condition: 'nope'"):
+        forces_dense(v, "nope", Name((("a", frozenset({"x"})),)), {"x"})
 
 
 # Random posets: build a DAG on indices (edges only from higher to lower

@@ -1,6 +1,7 @@
 """End to end runs: fixtures, determinism, replay, scenario errors, and the
 seeded generator."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -301,3 +302,25 @@ def test_generator_bound_validation():
     # but fine when the resource limits are raised to match
     s = generate_scenario(0, bounds=big, limits=big)
     assert s is not None
+
+
+def test_an_unknown_mode_is_rejected_by_the_selection_problem():
+    # a scenario file's mode passes SCENARIO_SHAPE and `--property` passes
+    # argparse; in process, `make_selection_problem` is the one mode check
+    scenario = dataclasses.replace(fixture_cohen_pair(), mode="banach-mazur")
+    with pytest.raises(DataError, match="unknown mode 'banach-mazur'"):
+        run_preservation(scenario)
+
+
+def test_names_are_checked_before_point_names_are_derived(monkeypatch):
+    # `derive_point_names` trusts its name, so an unknown condition at the
+    # last level must be caught before the first level is derived
+    def refuse(*args):
+        raise AssertionError("point names derived from an unchecked name")
+
+    monkeypatch.setattr(preservation, "derive_point_names", refuse)
+    scenario = fixture_cohen_pair()
+    bad = Name((("9:9", frozenset({"x"})),))
+    scenario = dataclasses.replace(scenario, names=scenario.names[:-1] + (bad,))
+    with pytest.raises(DataError, match="unknown condition: '9:9'"):
+        run_preservation(scenario)
