@@ -195,7 +195,7 @@ def cmd_endow_verify(args, limits: Limits) -> int:
         raise UsageError(
             f"poset has {len(bundle.poset)} conditions; pass --seeded COUNT for sampling")
     antichains = gather_antichains(bundle.poset, exhaustive, args.seeded or 0, args.seed, limits)
-    extractions = extract_each(bundle.poset, family, args.n, antichains)
+    extractions = extract_each(family, args.n, antichains)
     weak = verify_weak_endowment(bundle.poset, bundle.strat, family, args.n, extractions)
     result = {
         "poset": recipe,
@@ -286,7 +286,7 @@ def cmd_refine(args, limits: Limits) -> int:
     for h in family:
         if not space.is_open(h):
             raise DataError(f"ground family member {sorted(h)} is not open")
-    refined, cert, _ = refine_name(WitnessTable(bundle.poset, bundle.strat, args.n, name), family, space)
+    refined, cert, _ = refine_name(WitnessTable(bundle.poset, bundle.strat, args.n, name), family)
     result = {"refined_name": refined.to_jsonable(), "certificate": cert.to_jsonable()}
     lines = [f"refined name: {len(refined.pairs)} pairs",
              f"certificate: {'positive' if cert.positive else 'NEGATIVE'}"]
@@ -406,7 +406,7 @@ def cmd_selftest(args, limits: Limits) -> int:
             poset, family = bundle.poset, bundle.family
             antichains = poset.maximal_antichains(limits)
             for n in range(levels):
-                extractions = extract_each(poset, family, n, antichains)
+                extractions = extract_each(family, n, antichains)
                 ok = ok and verify_weak_endowment(poset, bundle.strat, family, n, extractions).ok
         if not ok:
             problems.append(f"{label} failed")

@@ -241,7 +241,6 @@ Extraction = tuple[frozenset[Condition], frozenset[Condition]]
 
 
 def extract_each(
-    poset: Poset,
     family: EndowmentFamily,
     n: int,
     antichains: Iterable[Iterable[Condition]],
@@ -274,22 +273,25 @@ def verify_weak_endowment(
     closed, so a condition meets it exactly when some atom of the reach
     lies below the condition: the failing conditions are the level's
     positions outside `above_atoms` of the extraction's `atoms_below`,
-    reported in level order.
+    reported in level order.  An antichain is sorted into canonical order,
+    the order its violations report it in, only when it has one.
     """
     level = strat.ordered_at(n)
     level_mask = sum(1 << poset.sort_key(p) for p in level)
     violations: list[Violation] = []
     for items, chosen in extractions:
-        key = tuple(sorted(items, key=poset.sort_key))
+        found = []  # (clause, witness, detail) in report order
         if not poset.is_antichain(chosen):
-            violations.append(Violation("1", key, None, "extraction is not an antichain"))
+            found.append(("1", None, "extraction is not an antichain"))
         if not chosen <= items:
-            stray = min(chosen - items, key=poset.sort_key)
-            violations.append(Violation("2", key, stray, "extraction leaves the antichain"))
+            found.append(("2", min(chosen - items, key=poset.sort_key), "extraction leaves the antichain"))
         if not family.member(n, chosen):
-            violations.append(Violation("2", key, None, "extraction is not a family member"))
+            found.append(("2", None, "extraction is not a family member"))
         for p in poset.conditions_in(level_mask & ~poset.above_atoms(poset.atoms_below(chosen))):
-            violations.append(Violation("3'", key, p, "level condition incompatible with every member"))
+            found.append(("3'", p, "level condition incompatible with every member"))
+        if found:
+            key = tuple(sorted(items, key=poset.sort_key))
+            violations.extend(Violation(clause, key, witness, detail) for clause, witness, detail in found)
     return EndowmentReport(family.label, n, len(extractions), tuple(violations))
 
 

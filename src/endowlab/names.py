@@ -104,8 +104,10 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
     commitment mask is dense; the first point without raises DataError.  The
     antichain is the greedy canonical scan of that mask: keep the lowest
     remaining position, then drop every condition above an atom of it, which
-    are exactly the conditions compatible with it.  Density makes the result
-    maximal in the whole poset, which is verified rather than assumed.
+    are exactly the conditions compatible with it.  The scan drops the kept
+    position itself too, so it ends whatever `above_atoms` returns.  Density
+    makes the result maximal in the whole poset, which is verified rather
+    than assumed.
     Points with the same commitment mask share one antichain, built and
     verified once.  A member's committed set is the least value, in
     `set_key` order, whose reach holds the member's position bit.
@@ -131,7 +133,7 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
             while rest:
                 low = rest & -rest
                 bits.append(low)
-                rest &= ~poset.above_atoms(atom_mask[elements[low.bit_length() - 1]])
+                rest &= ~(low | poset.above_atoms(atom_mask[elements[low.bit_length() - 1]]))
             members = tuple(elements[low.bit_length() - 1] for low in bits)
             if not poset.is_maximal_antichain(members):
                 raise DataError(f"point {x!r}: greedy antichain is not maximal")
@@ -374,11 +376,10 @@ class RefineCertificate(LevelWitnesses):
 def refine_name(
     table: WitnessTable,
     ground_family: Iterable[frozenset[str]],
-    space: FiniteSpace,
 ) -> tuple[Name, RefineCertificate, dict[frozenset[str], int]]:
     """Build the definable refined name over a ground family of open sets.
 
-    The ground sets are trusted to be open in `space`: `cli.cmd_refine`
+    The ground sets are trusted to be open in the space: `cli.cmd_refine`
     checks the ones read from `--sets`, and `run_preservation` takes them
     from its selection: cover members that `make_selection_problem`
     checked, or members of `space.opens`.
@@ -475,7 +476,7 @@ def run_pipeline(
     floor = strat.stabilization_index
     families = [sorted_sets(frozenset(h) for h in fam) for fam in ground_families]
     refined, certificates, refined_masks = zip(
-        *(refine_name(table, family, space) for table, family in zip(tables, families)))
+        *(refine_name(table, family) for table, family in zip(tables, families)))
     # every condition has an atom below it, so every tabled value is evaluated somewhere
     subfamily = tuple(all(u in fam for u in table) for fam, table in zip(families, refined_masks))
     points = sorted(space.points)

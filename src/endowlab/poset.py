@@ -30,7 +30,13 @@ exactly when `down_mask[p] & down_mask[q]` is nonzero, and r lies below
 some member of a set L exactly when bit `pos(r)` is set in `reach(L)`, the
 union of the members' down masks.  So a set is an antichain when each
 member's mask misses the union of those before it, and a maximal one when
-every atom's position lies in the union of all of them.
+every atom's position lies in the union of all of them.  Every common lower
+bound has an atom below it, so the atom masks answer the same questions
+with fewer bits: p and q are compatible exactly when `atom_mask[p] &
+atom_mask[q]` is nonzero, and a set is a maximal antichain exactly when the
+members' atom masks are disjoint and together hold every atom.
+`random_maximal_antichain` builds its sample this way, after a shuffle that
+makes exactly the draws of `random.Random.shuffle`.
 `evaluate_name` and `statement_holds_at` evaluate at one atom, pair by
 pair, from the atom's bit in each pair condition's down mask, and
 `forces_dense`, with the `is_dense_below` it rests on, decides the superset
@@ -325,30 +331,39 @@ class Poset:
         `random.Random.shuffle` (Durstenfeld's Fisher–Yates): for i from
         n−1 down to 1 it draws `getrandbits((i+1).bit_length())` until the
         draw is at most i, as `Random._randbelow_with_getrandbits` does, so
-        it consumes the same bits.  The greedy pass runs over the down masks
-        in that order and stops once the reach of the kept members holds
-        every atom's position (`meets_everything`).  That stop is exact:
-        every later condition has an atom below it, that atom lies in the
-        reach, so the condition is compatible with a kept member and the
-        pass would skip it anyway.
+        it consumes the same bits.  That width is k for every i from
+        2^(k−1)−1 to 2^k−2, so the steps run in blocks of one width each,
+        widest first, and no step computes its own.  The greedy pass runs
+        over the atom masks in the shuffled order: p and q are compatible
+        exactly when some atom lies below both, so p is kept when its atom
+        mask misses the union of the kept members' masks.  The pass stops
+        once that union holds every atom.  The stop is exact: every later
+        condition has an atom below it, that atom lies below a kept member,
+        so the pass would skip the condition anyway.
         """
-        n = len(self._elements)
+        elements = self._elements
+        n = len(elements)
         order = list(range(n))
         getrandbits = rng.getrandbits
-        for i in range(n - 1, 0, -1):
-            k = (i + 1).bit_length()
-            j = getrandbits(k)
-            while j > i:
+        hi = n - 1
+        for k in range(n.bit_length(), 1, -1):
+            lo = (1 << (k - 1)) - 1  # the least i drawn with k bits
+            for i in range(hi, lo - 1, -1):
                 j = getrandbits(k)
-            order[i], order[j] = order[j], order[i]
-        masks = list(self.down_mask.values())
+                while j > i:
+                    j = getrandbits(k)
+                order[i], order[j] = order[j], order[i]
+            hi = lo - 1
+        masks = list(self.atom_mask.values())
+        everything = (1 << len(self._atoms)) - 1
         chosen: list[Condition] = []
-        union = 0  # reach of the chosen members
+        union = 0  # atoms below the chosen members
         for i in order:
-            if masks[i] & union == 0:
-                chosen.append(self._elements[i])
-                union |= masks[i]
-                if self.meets_everything(union):
+            mask = masks[i]
+            if mask & union == 0:
+                chosen.append(elements[i])
+                union |= mask
+                if union == everything:
                     break
         return frozenset(chosen)
 

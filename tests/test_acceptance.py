@@ -70,7 +70,7 @@ def test_criterion_1_weak_endowment_on_assignment_posets():
         else:
             antichains = _seeded_antichains(cohen.poset, SEEDED_SAMPLES, seed=size)
         for n in range(4):
-            extractions = extract_each(cohen.poset, family, n, antichains)
+            extractions = extract_each(family, n, antichains)
             report = verify_weak_endowment(cohen.poset, strat, family, n, extractions)
             assert report.ok, (size, n, report.violations[:1])
             checked += report.checked
@@ -97,7 +97,7 @@ def test_criterion_2_measure_algebra_endowment():
                 total = sum((algebra.measure(c) for c in member), Fraction(0))
                 assert isinstance(total, Fraction)
                 assert total > bound, (k, n, sorted(antichain))
-            extractions = extract_each(algebra.poset, family, n, antichains)
+            extractions = extract_each(family, n, antichains)
             report = verify_weak_endowment(algebra.poset, strat, family, n, extractions)
             assert report.ok, (k, n, report.violations[:1])
             checked += report.checked
@@ -186,7 +186,7 @@ def test_criterion_5_refinement_replays():
             else:
                 inside = [o for o in space.opens if o and o <= piece]
                 ground.append(inside[rng.randrange(len(inside))])
-        refined, cert, _ = refine_name(WitnessTable(bundle.poset, bundle.strat, n, name), ground, space)
+        refined, cert, _ = refine_name(WitnessTable(bundle.poset, bundle.strat, n, name), ground)
         assert cert.refines_everywhere, (seed - 1, n, cert.refine_counterexample)
         assert cert.positive, (seed - 1, n, cert.counterexample)
         assert refined.pairs
@@ -234,7 +234,7 @@ def test_criterion_8_negative_controls():
     # documented witness on the four-atom antichain
     cohen = CohenPoset([0, 1])
     family = adversarial_singleton_family(cohen.poset)
-    extractions = extract_each(cohen.poset, family, 1, [frozenset(cohen.poset.atoms)])
+    extractions = extract_each(family, 1, [frozenset(cohen.poset.atoms)])
     report = verify_weak_endowment(cohen.poset, cohen.stratification(), family, 1, extractions)
     assert not report.ok
     assert any(v.clause == "3'" and v.witness == "0:1" for v in report.violations)

@@ -186,7 +186,7 @@ def test_shared_witness_table_changes_no_certificate(label):
         assert approx_cert.to_text(TextMemo()) == canonical_json(
             sections["approximation_certificates"][n])
         refined, refine_cert, _ = refine_name(
-            WitnessTable(bundle.poset, bundle.strat, n, name), cert.ground_families[n], space)
+            WitnessTable(bundle.poset, bundle.strat, n, name), cert.ground_families[n])
         assert refine_cert.to_text(TextMemo()) == canonical_json(
             sections["refinement_certificates"][n])
         assert refined == cert.pipeline.refined[n]

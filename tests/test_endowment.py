@@ -160,7 +160,7 @@ def test_a_member_outside_the_poset_is_a_data_error_in_each_atoms_below_user():
     with pytest.raises(DataError, match="unknown condition"):
         hits_level(c.poset, strat.at(1), ["0:0", "nowhere"])
     family = EndowmentFamily("stray", lambda n, chosen: True, lambda n, antichain: antichain | {"nowhere"})
-    extractions = extract_each(c.poset, family, 1, c.poset.maximal_antichains())
+    extractions = extract_each(family, 1, c.poset.maximal_antichains())
     for verify in (verify_weak_endowment, verify_full_endowment):
         with pytest.raises(DataError, match="unknown condition"):
             verify(c.poset, strat, family, 1, extractions)
@@ -169,7 +169,7 @@ def test_a_member_outside_the_poset_is_a_data_error_in_each_atoms_below_user():
 def test_weak_verifier_accepts_staged_family():
     c = CohenPoset([0, 1])
     family = cohen_dow_family(c, c.stratification())
-    extractions = extract_each(c.poset, family, 1, c.poset.maximal_antichains())
+    extractions = extract_each(family, 1, c.poset.maximal_antichains())
     report = verify_weak_endowment(c.poset, c.stratification(), family, 1, extractions)
     assert report.ok
     assert report.checked == 8
@@ -180,7 +180,7 @@ def test_weak_verifier_accepts_measure_family():
     m = MeasurePoset(2)
     family = measure_total_family(m)
     for n in range(3):
-        extractions = extract_each(m.poset, family, n, m.poset.maximal_antichains())
+        extractions = extract_each(family, n, m.poset.maximal_antichains())
         report = verify_weak_endowment(m.poset, m.stratification(), family, n, extractions)
         assert report.ok, report.violations
 
@@ -188,7 +188,7 @@ def test_weak_verifier_accepts_measure_family():
 def test_weak_verifier_accepts_maximal_family():
     m = MeasurePoset(1)
     family = maximal_antichain_family(m.poset)
-    extractions = extract_each(m.poset, family, 1, m.poset.maximal_antichains())
+    extractions = extract_each(family, 1, m.poset.maximal_antichains())
     assert verify_weak_endowment(m.poset, m.stratification(), family, 1, extractions).ok
 
 
@@ -196,7 +196,7 @@ def test_weak_verifier_flags_adversarial_family():
     c = CohenPoset([0, 1])
     family = adversarial_singleton_family(c.poset)
     atoms = frozenset(c.poset.atoms)
-    extractions = extract_each(c.poset, family, 1, [atoms])
+    extractions = extract_each(family, 1, [atoms])
     report = verify_weak_endowment(c.poset, c.stratification(), family, 1, extractions)
     assert not report.ok
     # the kept singleton is the least atom; the opposite value at index 0
@@ -204,6 +204,24 @@ def test_weak_verifier_flags_adversarial_family():
     clauses = {(v.clause, v.witness) for v in report.violations}
     assert ("3'", "0:1") in clauses
 
+
+
+def test_weak_violations_report_the_canonically_sorted_antichain():
+    # the verifier sorts an antichain only when it has a violation to report
+    for built in (CohenPoset([0, 1]), MeasurePoset(2)):
+        poset, strat = built.poset, built.stratification()
+        family = adversarial_singleton_family(poset)
+        antichains = poset.maximal_antichains()
+        extractions = extract_each(family, 1, antichains)
+        report = verify_weak_endowment(poset, strat, family, 1, extractions)
+        assert report.violations
+        canonical = {frozenset(a): tuple(sorted(a, key=poset.sort_key)) for a in antichains}
+        for v in report.violations:
+            assert v.antichain == canonical[frozenset(v.antichain)]
+        # violations come in extraction order, each antichain's in one run
+        runs = [v.antichain for i, v in enumerate(report.violations)
+                if i == 0 or report.violations[i - 1].antichain != v.antichain]
+        assert runs == [canonical[a] for a in antichains if canonical[a] in set(runs)]
 
 def test_weak_and_full_verification_extract_each_antichain_once():
     c = CohenPoset([0, 1])
@@ -216,7 +234,7 @@ def test_weak_and_full_verification_extract_each_antichain_once():
 
     family = EndowmentFamily(inner.label, inner.member, extract)
     antichains = c.poset.maximal_antichains()
-    extractions = extract_each(c.poset, family, 2, antichains)
+    extractions = extract_each(family, 2, antichains)
     assert [items for items, _ in extractions] == list(antichains)
     weak = verify_weak_endowment(c.poset, c.stratification(), family, 2, extractions)
     full = verify_full_endowment(c.poset, c.stratification(), family, 2, extractions)
@@ -228,7 +246,7 @@ def test_weak_and_full_verification_extract_each_antichain_once():
 def test_weak_report_jsonable_shape():
     c = CohenPoset([0])
     family = adversarial_singleton_family(c.poset)
-    extractions = extract_each(c.poset, family, 1, [frozenset(c.poset.atoms)])
+    extractions = extract_each(family, 1, [frozenset(c.poset.atoms)])
     data = verify_weak_endowment(c.poset, c.stratification(), family, 1, extractions).to_jsonable()
     assert data["ok"] is False
     assert data["antichains_checked"] == 1
@@ -240,7 +258,7 @@ def test_full_verifier_level_zero_is_vacuous():
     # 0-tuples impose no constraint beyond p extending itself
     c = CohenPoset([0])
     family = cohen_dow_family(c, c.stratification())
-    extractions = extract_each(c.poset, family, 0, c.poset.maximal_antichains())
+    extractions = extract_each(family, 0, c.poset.maximal_antichains())
     assert verify_full_endowment(c.poset, c.stratification(), family, 0, extractions).ok
 
 
@@ -248,19 +266,19 @@ def test_full_verifier_positive_small_cases():
     c = CohenPoset([0, 1])
     family = cohen_dow_family(c, c.stratification())
     for n in (1, 2):
-        extractions = extract_each(c.poset, family, n, c.poset.maximal_antichains())
+        extractions = extract_each(family, n, c.poset.maximal_antichains())
         report = verify_full_endowment(c.poset, c.stratification(), family, n, extractions)
         assert report.ok, report.violations
     m = MeasurePoset(1)
     family = measure_total_family(m)
-    extractions = extract_each(m.poset, family, 1, m.poset.maximal_antichains())
+    extractions = extract_each(family, 1, m.poset.maximal_antichains())
     assert verify_full_endowment(m.poset, m.stratification(), family, 1, extractions).ok
 
 
 def test_full_verifier_flags_adversarial_family():
     c = CohenPoset([0, 1])
     family = adversarial_singleton_family(c.poset)
-    extractions = extract_each(c.poset, family, 1, [frozenset(c.poset.atoms)])
+    extractions = extract_each(family, 1, [frozenset(c.poset.atoms)])
     report = verify_full_endowment(c.poset, c.stratification(), family, 1, extractions)
     assert not report.ok
     assert all(v.clause == "3" for v in report.violations)
@@ -270,7 +288,7 @@ def test_full_verifier_budget():
     # 8 antichains give 8 distinct extractions; level 2 is all 9 conditions
     c = CohenPoset([0, 1])
     family = cohen_dow_family(c, c.stratification())
-    extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
+    extractions = extract_each(family, 2, c.poset.maximal_antichains())
     with pytest.raises(ResourceError) as info:
         verify_full_endowment(c.poset, c.stratification(), family, 2, extractions, budget=10)
     assert str(info.value) == "joint extension scan exceeded budget 10 (the clause needs 576 pairs)"
@@ -284,7 +302,7 @@ def test_full_verifier_budget_trips_at_the_exact_pair():
     strat = c.stratification()
     level = strat.ordered_at(2)
     family = adversarial_singleton_family(c.poset)
-    extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
+    extractions = extract_each(family, 2, c.poset.maximal_antichains())
 
     def tripped(budget):
         with pytest.raises(ResourceError) as info:
@@ -311,7 +329,7 @@ def test_full_verifier_empty_level_checks_no_budget():
     c = CohenPoset([0])
     strat = make_stratification(c.poset, [[], c.poset.elements])
     family = maximal_antichain_family(c.poset)
-    extractions = extract_each(c.poset, family, 0, c.poset.maximal_antichains())
+    extractions = extract_each(family, 0, c.poset.maximal_antichains())
     report = verify_full_endowment(c.poset, strat, family, 0, extractions, budget=-1)
     assert report.ok and report.checked == 2
 
@@ -441,7 +459,7 @@ def test_full_verifier_matches_the_per_r_scan_at_every_budget(case):
     # extraction runs once per antichain, not once per budget
     family = EndowmentFamily(family.label, family.member, cache(family.extract))
     scan = reference_scan(poset, strat, family, n, antichains)
-    extractions = extract_each(poset, family, n, antichains)
+    extractions = extract_each(family, n, antichains)
     for budget in budgets_to_check(scan[1]):
         expected = reference_outcome(family.label, n, scan, budget)
         assert verifier_outcome(poset, strat, family, n, extractions, budget) == expected, budget
@@ -468,7 +486,7 @@ def test_full_verifier_builds_each_distinct_failing_list_once(monkeypatch):
     c = CohenPoset([0, 1])
     strat = c.stratification()
     family = maximal_antichain_family(c.poset)
-    extractions = extract_each(c.poset, family, 2, c.poset.maximal_antichains())
+    extractions = extract_each(family, 2, c.poset.maximal_antichains())
     _, commons = tuple_intersections(c.poset, 2, extractions)
     atoms = [c.poset.sort_key(a) for a in c.poset.atoms]
     ands = [sum(1 << j for j, i in enumerate(atoms) if common >> i & 1) for common in commons]
@@ -492,7 +510,7 @@ def test_some_case_trips_the_budget_mid_tuple_on_an_and_already_built():
     for _, poset, strat, family, n, antichains in joint_extension_cases():
         level = strat.ordered_at(n)
         scan = reference_scan(poset, strat, family, n, antichains)
-        extractions = extract_each(poset, family, n, antichains)
+        extractions = extract_each(family, n, antichains)
         _, commons = tuple_intersections(poset, n, extractions)
         pairs = [pairs for pairs, _ in scan[1]]
         for budget in budgets_to_check(scan[1]):
@@ -529,13 +547,13 @@ def test_weak_reference_cases_include_clause_three_prime_violations():
     # the comparison below covers failing level conditions, not only passes
     assert any(
         any(v.clause == "3'" for v in reference_weak(poset, strat, family, n,
-                                                   extract_each(poset, family, n, antichains)).violations)
+                                                   extract_each(family, n, antichains)).violations)
         for _, poset, strat, family, n, antichains in joint_extension_cases())
 
 
 @pytest.mark.parametrize("case", joint_extension_cases(), ids=lambda case: case[0])
 def test_weak_verifier_matches_the_per_condition_scan(case):
     _, poset, strat, family, n, antichains = case
-    extractions = extract_each(poset, family, n, antichains)
+    extractions = extract_each(family, n, antichains)
     assert (verify_weak_endowment(poset, strat, family, n, extractions)
             == reference_weak(poset, strat, family, n, extractions))

@@ -229,6 +229,23 @@ def test_sampled_antichains_keep_the_shuffle_draws():
     chain, atoms = posets[-2:]
     assert all(len(chain.random_maximal_antichain(random.Random(s))) == 1 for s in range(5))
     assert atoms.random_maximal_antichain(random.Random(0)) == frozenset(atoms.elements)
+    # the draw width k = (i+1).bit_length() holds for i from 2^(k-1)-1 to
+    # 2^k-2, so the sampler walks the steps in blocks of one width; every
+    # size up to 20 and the sizes around each power of two put the first
+    # step at, just below and just above a block edge.  Each poset is a
+    # binary tree with its leaves at the bottom: from two conditions on, its
+    # root alone and its leaves are two different maximal antichains
+    sizes = sorted(set(range(1, 21)) | {(1 << m) + d for m in range(1, 9) for d in (-1, 0, 1)})
+    for n in sizes:
+        names = [f"t{i}" for i in range(n)]
+        tree = Poset.from_pairs(names, [(names[i], names[(i - 1) // 2]) for i in range(1, n)])
+        if n > 1:
+            assert tree.is_maximal_antichain(["t0"]) and tree.is_maximal_antichain(tree.atoms)
+        for seed in range(3):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert tree.random_maximal_antichain(rng) == ref_random_maximal_antichain(tree, ref_rng), (n, seed)
+                assert rng.getstate() == ref_rng.getstate(), (n, seed)
 
 
 def test_antichain_checks_require_every_item_first():

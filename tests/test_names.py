@@ -116,6 +116,34 @@ def test_point_antichains_are_maximal_and_committed():
             assert forces(c.poset, p, ExistsSupersetInCover(name, u))
 
 
+
+def test_point_name_scan_ends_when_above_atoms_drops_an_atom(monkeypatch):
+    # the scan drops the position it keeps, so it does not rest on
+    # above_atoms returning that position: with a kernel that drops the last
+    # atom of every mask it ends, and the maximality check reports the fault.
+    # Each case has one commitment mask, so a scan that ends keeps at most
+    # one member per condition; a call past that fails instead of hanging
+    real = Poset.above_atoms
+    calls = []
+
+    def drops_last_atom(self, atoms):
+        calls.append(atoms)
+        if len(calls) > len(self):
+            pytest.fail("the greedy scan called above_atoms once per condition and went on")
+        return real(self, atoms & ~(1 << atoms.bit_length() >> 1))  # the last atom, if any
+
+    monkeypatch.setattr(Poset, "above_atoms", drops_last_atom)
+    c, space, name = pair_setup()
+    m = MeasurePoset(2)
+    measure_name = Name((("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
+    for poset, cover_name in ((c.poset, name), (m.poset, measure_name)):
+        calls.clear()
+        try:
+            derive_point_names(poset, space, cover_name)
+        except DataError as exc:
+            assert "greedy antichain is not maximal" in str(exc)
+        assert calls
+
 def reference_point_names(poset, space, name):
     """The per point greedy loop over every position, before points with
     one commitment mask shared their antichain, copied verbatim."""
@@ -333,7 +361,7 @@ def test_refined_name_evaluation_law():
     c, space, name = pair_setup()
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, cohen_dow_family(c, c.stratification()))
-    refined, cert, masks = refine_name(WitnessTable(c.poset, c.stratification(), 1, name), approx.cover, space)
+    refined, cert, masks = refine_name(WitnessTable(c.poset, c.stratification(), 1, name), approx.cover)
     assert cert.positive
     assert masks == value_masks(c.poset, refined)  # tabled from the refined pairs
     for atom in c.poset.atoms:
@@ -350,7 +378,7 @@ def test_refinement_certificate_clauses():
     strat = c.stratification()
     pns = derive_point_names(c.poset, space, name)
     approx = approximate(c.poset, pns, 1, cohen_dow_family(c, strat))
-    refined, cert, _ = refine_name(WitnessTable(c.poset, strat, 1, name), approx.cover, space)
+    refined, cert, _ = refine_name(WitnessTable(c.poset, strat, 1, name), approx.cover)
     assert cert.refines_everywhere
     assert cert.counterexample is None
     # every (ground set, level condition) pair has a dense witness
@@ -382,10 +410,9 @@ def test_witness_runs_are_keyed_by_forcing_mask():
 
 def test_refinement_flags_undominated_ground_set():
     c = CohenPoset([0])
-    space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"]])
     name = Name((("", {"x"}), ("", {"y"}), ("", {"z"})))
     refined, cert, _ = refine_name(
-        WitnessTable(c.poset, c.stratification(), 0, name), [frozenset({"y", "z"})], space)
+        WitnessTable(c.poset, c.stratification(), 0, name), [frozenset({"y", "z"})])
     assert not cert.positive
     assert cert.counterexample == (("y", "z"), "")
     assert refined.pairs == ()
