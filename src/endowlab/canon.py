@@ -2,14 +2,14 @@
 
 Every user visible artifact (reports, certificates, instance files) is
 emitted in a fixed canonical order so repeated runs are byte identical.
-Reports and small sections go through `canonical_json`.  A certificate's
-bulk (its names and witness triples) is written straight to the same text
-by its classes' `to_text` methods, with a `TextMemo` that encodes each
-distinct identifier and set once.  The memo also holds one text skeleton
-per distinct run of witness triples: the run's triples with their set
-fields left out, so the run's text for any set is one join with that set's
-field, made once per (set, run).  Those classes parse their text when a
-dict is wanted, so each of their layouts is spelled in one place.
+Reports and plain dicts go through `canonical_json`.  A certificate is
+written straight to the same text by its classes' `to_text` methods, with
+a `TextMemo` that encodes each distinct identifier and set once.  The
+memo also holds one text skeleton per distinct run of witness triples:
+the run's triples with their set fields left out, so the run's text for
+any set is one join with that set's field, made once per (set, run).
+Those classes parse their text when a dict is wanted, so each of their
+layouts is spelled in one place.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ def check_shape(value, shape, where) -> None:
     recursion it is a (parent, key or index) pair, spelled out as
     "scenario.names[0]" only when a message or a function shape needs it.
     Object fields and list items of a `str` or `int` shape are checked in
-    place rather than by a call each.
+    place rather than by a call each, and a list of flat objects (see
+    `_flat_items_fit`) one field at a time, with a call per item only on a fault.
     """
     kind = type(shape)
     if kind is dict:
@@ -174,7 +175,7 @@ def check_shape(value, shape, where) -> None:
             if not {item}.issuperset(map(type, value)):
                 i = next(i for i, x in enumerate(value) if type(x) is not item)
                 raise DataError(f"{_spell((where, i))} must be {_TYPE_NAMES[item]}")
-        else:
+        elif type(item) is not dict or not _flat_items_fit(value, item):
             for i, x in enumerate(value):
                 check_shape(x, item, (where, i))
     elif kind is type:
@@ -192,6 +193,24 @@ def check_shape(value, shape, where) -> None:
             raise DataError(f"{_spell(where)} must be one of {sorted(shape)}")
     else:
         shape(value, _spell(where))
+
+
+def _flat_items_fit(items: list, shape: dict) -> bool:
+    """True when every item fits an object shape whose fields are all `str`,
+    `int` or a one-item list of either, checked one field at a time over
+    all the items.  False, for any other shape too, leaves the items to the
+    item by item check."""
+    keys = shape.keys()
+    if not {type(x) for x in items} <= {dict} or not all([x.keys() == keys for x in items]):
+        return False
+    for key, leaf in shape.items():
+        column = {type(x[key]) for x in items}
+        if type(leaf) is list and len(leaf) == 1 and type(leaf[0]) is type:
+            if column - {list} or {type(m) for x in items for m in x[key]} - {leaf[0]}:
+                return False
+        elif type(leaf) is not type or column - {leaf}:
+            return False
+    return True
 
 
 def _spell(where) -> str:

@@ -27,11 +27,12 @@ run's triples once as a text skeleton and joins it with each set's field
 (see `canon.TextMemo`).  Point names read each value set's reach (the
 union of its conditions' down masks) from one pass over the name.  The
 refined name pairs each ground set with the conditions of its forcing
-mask, and the refinement check tables its value masks.  The pipeline
-closes with one pass over those masks that reads every closing fact
-(subfamily flags, atom rows, covering verdict).  Per-atom evaluation on
-frozensets (`poset.evaluate_name`) stays out of these steps and serves the
-tests as their reference.
+mask, emitted in the name's canonical order by a walk over the poset's
+`identifier_order`, and the refinement check tables its value masks.  The
+pipeline closes with one pass over those masks that reads every closing
+fact (subfamily flags, atom rows, covering verdict).  Per-atom evaluation
+on frozensets (`poset.evaluate_name`) stays out of these steps and serves
+the tests as their reference.
 """
 
 from __future__ import annotations
@@ -79,12 +80,6 @@ class PointName:
     point: str
     antichain: tuple[Condition, ...]
     values: tuple[tuple[Condition, frozenset[str]], ...]
-
-    def value_at(self, p: Condition) -> frozenset[str]:
-        for q, u in self.values:
-            if q == p:
-                return u
-        raise DataError(f"condition {p!r} is not in the point antichain")
 
     def to_jsonable(self) -> dict:
         return {
@@ -158,15 +153,21 @@ class Approximation:
     entries: tuple[tuple[str, tuple[Condition, ...], frozenset[str]], ...]
     cover: tuple[frozenset[str], ...]
 
+    def to_text(self, memo: TextMemo) -> str:
+        """Canonical JSON text, the one layout of an approximation; `used`
+        keeps its canonical poset order."""
+        quoted, sets = memo.quoted, memo.sets
+        return object_text({
+            "level": str(self.level),
+            "entries": array_text([
+                f'{{"piece":{sets[v]},"point":{quoted[x]},'
+                f'"used":[{",".join([quoted[p] for p in used])}]}}'
+                for x, used, v in self.entries]),
+            "cover": array_text([sets[v] for v in self.cover]),
+        })
+
     def to_jsonable(self) -> dict:
-        return {
-            "level": self.level,
-            "entries": [
-                {"point": x, "used": list(used), "piece": sorted(v)}
-                for x, used, v in self.entries
-            ],
-            "cover": [sorted(v) for v in self.cover],
-        }
+        return json.loads(self.to_text(TextMemo()))
 
 
 def approximate(
@@ -195,7 +196,8 @@ def approximate(
         if not chosen <= antichain:
             raise DataError(f"family extraction for point {pn.point!r} leaves the antichain")
         used = tuple(sorted(chosen, key=poset.sort_key))
-        piece = frozenset.intersection(*(pn.value_at(p) for p in used))
+        values = dict(pn.values)
+        piece = frozenset.intersection(*(values[p] for p in used))
         entries.append((pn.point, used, piece))
         pieces.append(piece)
     return Approximation(n, tuple(entries), sorted_sets(pieces))
@@ -393,11 +395,13 @@ def refine_name(
     come back with the name and the certificate.
     """
     poset = table.poset
+    elements = poset.elements
     family = sorted_sets(frozenset(h) for h in ground_family)
-    # `family` is in set_key order, so (condition, index) order is the
-    # name's canonical order and the constructor keeps the pairs as given
-    refined = Name(tuple((p, family[i]) for p, i in sorted(
-        (p, i) for i, h in enumerate(family) for p in poset.conditions_in(table.forcing(h)))))
+    forcing = [(h, table.forcing(h)) for h in family]
+    # positions in identifier order, and at each the family in set_key
+    # order: the name's canonical order, so the constructor keeps the pairs
+    refined = Name(tuple((elements[i], h) for i in poset.identifier_order
+                         for h, mask in forcing if mask >> i & 1))
     masks = value_masks(poset, refined)
     missed = ~refinement_mask(poset, masks, table.masks)
     missed &= (1 << len(poset.atoms)) - 1
@@ -416,14 +420,6 @@ class AtomRow:
     point: str
     level: int | None
     covering: frozenset[str] | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "atom": self.atom,
-            "point": self.point,
-            "level": self.level,
-            "set": None if self.covering is None else sorted(self.covering),
-        }
 
 
 @dataclass(frozen=True)

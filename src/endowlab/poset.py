@@ -45,9 +45,9 @@ statement by density without evaluating at atoms.  None of them reads
 for the kernel's route from names to forcing.
 
 A `Poset` is read-only after construction: no caller writes its masks, so
-one built-in poset can be shared by every command of a process.  Its one
-lazy member, `atom_up`, is a pure function of the closed masks, so when it
-is built makes no difference to any result.
+one built-in poset can be shared by every command of a process.  Its two
+lazy members, `atom_up` and `identifier_order` (the positions sorted by
+identifier), are pure functions of the poset: building them changes no result.
 """
 
 from __future__ import annotations
@@ -69,6 +69,18 @@ Condition = str
 # number can be exponential in the conditions (4^g for g groups of a
 # condition below three others), so `max_poset` alone does not bound it.
 MAX_ANTICHAINS = 100_000
+
+
+@dataclass(frozen=True)
+class AntichainCapReport:
+    """The partial report of an enumeration stopped past `MAX_ANTICHAINS`."""
+
+    reached: int
+    cap: int
+
+    def to_jsonable(self) -> dict:
+        return {"antichains_reached": self.reached, "cap": self.cap}
+
 
 POSET_SHAPE = {"elements": [str], "leq": [(str, str)]}
 NAME_SHAPE = [{"condition": str, "set": [str]}]
@@ -159,6 +171,12 @@ class Poset:
                 rest ^= low
                 up[low.bit_length() - 1] |= 1 << i
         return tuple(up)
+
+    @cached_property
+    def identifier_order(self) -> tuple[int, ...]:
+        """The positions sorted by condition identifier, the order a name's
+        pairs take by condition; built on first use."""
+        return tuple(sorted(range(len(self._elements)), key=self._elements.__getitem__))
 
     def above_atoms(self, atoms: int) -> int:
         """The position mask of the conditions above some atom of an atom
@@ -294,8 +312,8 @@ class Poset:
         Maximal antichains are exactly the maximal cliques of the
         incompatibility graph, enumerated here by pivoted backtracking.
         Refuses posets above `limits.max_poset` elements; use
-        random_maximal_antichain for those.  Raises ResourceError once the
-        enumeration passes `MAX_ANTICHAINS`.
+        random_maximal_antichain for those.  Past `MAX_ANTICHAINS` it raises
+        ResourceError with an `AntichainCapReport` as its partial report.
         """
         n = len(self._elements)
         if n > limits.max_poset:
@@ -310,7 +328,8 @@ class Poset:
                 found.append(frozenset(self._elements[i] for i in clique))
                 if len(found) > MAX_ANTICHAINS:
                     raise ResourceError(f"exhaustive antichain enumeration capped at "
-                                        f"{MAX_ANTICHAINS} maximal antichains, reached {len(found)}")
+                                        f"{MAX_ANTICHAINS} maximal antichains, reached {len(found)}",
+                                        AntichainCapReport(len(found), MAX_ANTICHAINS))
                 return
             pivot = max(cand | excl, key=lambda v: len(incompat[v] & cand))
             for v in sorted(cand - incompat[pivot]):
@@ -428,17 +447,18 @@ class Name:
     Pairs are stored deduplicated in a fixed order, by (q, set_key(U)), so
     names compare and hash structurally.  Pairs already in that order, as
     every name read back from canonical text is, are kept as given after
-    one pass that sees their keys strictly increase.
+    one pass that sees their (q, rank of U) keys strictly increase, U ranked
+    among the name's distinct value sets in `set_key` order.
     """
 
     pairs: tuple[tuple[Condition, frozenset[str]], ...]
 
     def __post_init__(self):
         pairs = [(q, frozenset(u)) for q, u in self.pairs]
-        keys = {u: set_key(u) for u in {u for _, u in pairs}}  # one sort per distinct value set
-        order = [(q, keys[u]) for q, u in pairs]
+        rank = {u: r for r, u in enumerate(sorted({u for _, u in pairs}, key=set_key))}
+        order = [(q, rank[u]) for q, u in pairs]
         if not all(map(lt, order, order[1:])):  # out of order or duplicated
-            pairs = sorted(set(pairs), key=lambda pair: (pair[0], keys[pair[1]]))
+            pairs = sorted(set(pairs), key=lambda pair: (pair[0], rank[pair[1]]))
         object.__setattr__(self, "pairs", tuple(pairs))
 
     def conditions(self) -> tuple[Condition, ...]:

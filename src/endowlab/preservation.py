@@ -16,9 +16,9 @@ twice in a level.
 The verdict is positive only when every certificate along the way is.
 The certificate is canonical JSON: replaying the embedded scenario must
 reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
-writer; it writes the scenario, names and witness triples straight to text
-through one `TextMemo`, each triple from its memoized fragments, and the
-few small sections through `canonical_json`.  Its `to_jsonable` parses that text.
+writer; it writes every section straight to text through one `TextMemo`,
+each triple from its memoized fragments, and only the poset recipe through
+`canonical_json`.  Its `to_jsonable` parses that text.
 `replay_certificate` decides a canonical file from its embedded scenario
 alone; any other text is parsed whole and compared with the fresh
 certificate section by section.
@@ -189,12 +189,6 @@ class Scenario:
         )
 
 
-def _selection_jsonable(mode: str, solution) -> list:
-    if mode == "rothberger":
-        return [sorted(u) for u in solution]
-    return [[sorted(u) for u in fam] for fam in solution]
-
-
 @dataclass(frozen=True)
 class PreservationCertificate:
     scenario: Scenario
@@ -211,34 +205,44 @@ class PreservationCertificate:
     def to_text(self) -> str:
         """The certificate as canonical JSON, without a trailing newline.
 
-        The scenario, the names and the witness triples, nearly all of the
-        bytes, are written straight to text through one memo; the small
-        sections go through `canonical_json`.
+        Every section is written straight to text through one memo; only
+        the scenario's poset recipe, a plain dict, goes through
+        `canonical_json`.
         """
         memo = TextMemo()
+        quoted, sets = memo.quoted, memo.sets
         pipeline = self.pipeline
+        mode = self.scenario.mode
+
+        def families_text(families) -> str:
+            return array_text([array_text([sets[h] for h in fam]) for fam in families])
+
         return object_text({
             "format_version": str(FORMAT_VERSION),
-            "kind": memo.quoted["preservation-certificate"],
+            "kind": quoted["preservation-certificate"],
             "scenario": self.scenario.to_text(memo),
             "floor": str(self.floor),
-            "family": memo.quoted[self.family_label],
-            "approximations": canonical_json([a.to_jsonable() for a in self.approximations]),
+            "family": quoted[self.family_label],
+            "approximations": array_text([a.to_text(memo) for a in self.approximations]),
             "approximation_certificates": array_text(
                 [c.to_text(memo) for c in self.approximation_certificates]),
-            "selection": canonical_json({
-                "mode": self.scenario.mode,
-                "checked": self.selection_checked,
-                "solution": _selection_jsonable(self.scenario.mode, self.selection),
+            "selection": object_text({
+                "mode": quoted[mode],
+                "checked": BOOL_TEXT[self.selection_checked],
+                "solution": (array_text([sets[u] for u in self.selection]) if mode == "rothberger"
+                             else families_text(self.selection)),
             }),
-            "ground_families": canonical_json(
-                [[sorted(h) for h in fam] for fam in self.ground_families]),
+            "ground_families": families_text(self.ground_families),
             "refined_names": array_text([w.to_text(memo) for w in pipeline.refined]),
             "refinement_certificates": array_text([c.to_text(memo) for c in pipeline.certificates]),
-            "subfamily_everywhere": canonical_json(list(pipeline.subfamily_everywhere)),
+            "subfamily_everywhere": array_text([BOOL_TEXT[b] for b in pipeline.subfamily_everywhere]),
             "union_covers": BOOL_TEXT[pipeline.union_covers],
-            "atom_table": canonical_json([row.to_jsonable() for row in pipeline.atom_table]),
-            "verdict": memo.quoted[self.verdict],
+            "atom_table": array_text([
+                f'{{"atom":{quoted[row.atom]},"level":{"null" if row.level is None else row.level},'
+                f'"point":{quoted[row.point]},'
+                f'"set":{"null" if row.covering is None else sets[row.covering]}}}'
+                for row in pipeline.atom_table]),
+            "verdict": quoted[self.verdict],
         })
 
     def to_jsonable(self) -> dict:

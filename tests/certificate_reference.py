@@ -3,12 +3,13 @@
 The program writes these classes straight to canonical text (`to_text`)
 and parses that text for `to_jsonable`.  The builders below lay the same
 values out as plain dicts, field by field, so the tests can check the
-writer against `canonical_json` of an independently built tree.
+writer against `canonical_json` of an independently built tree.  They call
+no `to_jsonable` or `to_text` of the program.
 """
 
 from __future__ import annotations
 
-from endowlab.preservation import FORMAT_VERSION, _selection_jsonable
+from endowlab.preservation import FORMAT_VERSION
 
 
 def name_jsonable(name) -> list[dict]:
@@ -21,6 +22,35 @@ def scenario_jsonable(scenario) -> dict:
         "space": {"points": sorted(scenario.points), "base": [sorted(b) for b in scenario.base]},
         "names": [name_jsonable(name) for name in scenario.names],
         "property": scenario.mode,
+    }
+
+
+def approximation_jsonable(approx) -> dict:
+    return {
+        "level": approx.level,
+        "entries": [
+            {"point": x, "used": list(used), "piece": sorted(v)} for x, used, v in approx.entries
+        ],
+        "cover": [sorted(v) for v in approx.cover],
+    }
+
+
+def selection_jsonable(mode: str, checked: bool, solution) -> dict:
+    """A Rothberger solution is one set per level; the other modes pick one
+    family of sets per level."""
+    if mode == "rothberger":
+        picks = [sorted(u) for u in solution]
+    else:
+        picks = [[sorted(u) for u in fam] for fam in solution]
+    return {"mode": mode, "checked": checked, "solution": picks}
+
+
+def atom_row_jsonable(row) -> dict:
+    return {
+        "atom": row.atom,
+        "point": row.point,
+        "level": row.level,
+        "set": None if row.covering is None else sorted(row.covering),
     }
 
 
@@ -57,20 +87,16 @@ def certificate_jsonable(cert) -> dict:
         "scenario": scenario_jsonable(cert.scenario),
         "floor": cert.floor,
         "family": cert.family_label,
-        "approximations": [a.to_jsonable() for a in cert.approximations],
+        "approximations": [approximation_jsonable(a) for a in cert.approximations],
         "approximation_certificates": [
             approx_certificate_jsonable(c) for c in cert.approximation_certificates],
-        "selection": {
-            "mode": cert.scenario.mode,
-            "checked": cert.selection_checked,
-            "solution": _selection_jsonable(cert.scenario.mode, cert.selection),
-        },
+        "selection": selection_jsonable(cert.scenario.mode, cert.selection_checked, cert.selection),
         "ground_families": [[sorted(h) for h in fam] for fam in cert.ground_families],
         "refined_names": [name_jsonable(w) for w in cert.pipeline.refined],
         "refinement_certificates": [
             refine_certificate_jsonable(c) for c in cert.pipeline.certificates],
         "subfamily_everywhere": list(cert.pipeline.subfamily_everywhere),
         "union_covers": cert.pipeline.union_covers,
-        "atom_table": [row.to_jsonable() for row in cert.pipeline.atom_table],
+        "atom_table": [atom_row_jsonable(row) for row in cert.pipeline.atom_table],
         "verdict": cert.verdict,
     }

@@ -16,6 +16,7 @@ import pytest
 import endowlab.preservation as preservation
 from certificate_reference import (
     approx_certificate_jsonable,
+    approximation_jsonable,
     certificate_jsonable,
     name_jsonable,
     refine_certificate_jsonable,
@@ -50,6 +51,8 @@ def assert_writer_matches_reference(cert) -> str:
     assert cert.scenario.to_jsonable() == scenario_jsonable(cert.scenario)
     for name in cert.scenario.names + cert.pipeline.refined:
         assert name.to_jsonable() == name_jsonable(name)
+    for approx in cert.approximations:
+        assert approx.to_jsonable() == approximation_jsonable(approx)
     for approx_cert in cert.approximation_certificates:
         assert approx_cert.to_jsonable() == approx_certificate_jsonable(approx_cert)
     for refine_cert in cert.pipeline.certificates:
@@ -75,6 +78,21 @@ def test_goldens_are_the_writer_text(label, fixture, tmp_path):
     cert = run_preservation(fixture())
     assert assert_writer_matches_reference(cert) + "\n" == golden
     assert preserve_then_verify(tmp_path, fixture()) == (0, 0, golden)
+
+
+def test_the_writer_dumps_only_the_poset_recipe(monkeypatch):
+    # every other section goes through the memo, so `canonical_json` sees
+    # the recipe alone
+    cert = run_preservation(fixture_cohen_pair(mode="menger"))
+    dumped = []
+
+    def recorded(obj):
+        dumped.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(preservation, "canonical_json", recorded)
+    assert cert.to_text() == canonical_json(certificate_jsonable(cert))
+    assert dumped == [cert.scenario.poset]
 
 
 # Tighter generation bounds draw other scenarios than the defaults (196 of
@@ -153,7 +171,7 @@ def test_negative_certificate_round_trip(tmp_path, monkeypatch):
     assert any(c.counterexample is not None for c in cert.pipeline.certificates)
     assert any(row.covering is None for row in cert.pipeline.atom_table)
     text = assert_writer_matches_reference(cert)
-    assert '"set":null' in text
+    assert '"level":null,' in text and '"set":null}' in text
     assert preserve_then_verify(tmp_path, negative_scenario()) == (3, 0, text + "\n")
 
 

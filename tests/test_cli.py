@@ -409,6 +409,22 @@ def test_exhaustive_enumeration_stops_at_the_antichain_cap(tmp_path, monkeypatch
     assert "capped at 1023 maximal antichains, reached 1024" in capsys.readouterr().err
 
 
+def test_antichain_cap_json_carries_the_count_reached(tmp_path, capsys):
+    # 10 groups: 40 conditions and 4^10 maximal antichains, past the default cap
+    assert main(["endow-verify", grouped_poset_file(tmp_path, 10), "--n", "1", "--json"]) == 70
+    captured = capsys.readouterr()
+    message = "exhaustive antichain enumeration capped at 100000 maximal antichains, reached 100001"
+    assert captured.err == f"resource error: {message}\n"
+    assert captured.out == (
+        "{\n"
+        f'  "error": "{message}",\n'
+        '  "partial": {\n'
+        '    "antichains_reached": 100001,\n'
+        '    "cap": 100000\n'
+        "  }\n"
+        "}\n")
+
+
 def test_huge_cohen_index_count_is_rejected_before_building_it(capsys):
     start = time.perf_counter()
     assert main(["endow-verify", "cohen:D=1000000000000", "--n", "1"]) == 70

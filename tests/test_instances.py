@@ -17,7 +17,8 @@ from endowlab.instances import (
     validate_instance,
     wrap_instance,
 )
-from endowlab.poset import Name
+from endowlab.canon import check_shape
+from endowlab.poset import NAME_SHAPE, Name
 from endowlab.preservation import Scenario, run_preservation
 
 
@@ -60,6 +61,41 @@ def test_validate_rejects_bad_shapes():
     for data in bad:
         with pytest.raises(DataError):
             validate_instance(data)
+
+
+# A list of flat objects is checked one field at a time over all its items;
+# a fault sends it back to the item by item check, whose messages these are.
+FLAT_ITEM_FAULTS = {
+    "not-an-object": (["0:0", "x"], "name[2] must be an object"),
+    "missing-key": ({"condition": "0:0"}, "name[2] needs key 'set'"),
+    "unknown-key": ({"condition": "0:0", "set": ["x"], "extra": 1}, "name[2] has unknown key 'extra'"),
+    "wrong-leaf-type": ({"condition": 0, "set": ["x"]}, "name[2].condition must be a string"),
+    "set-not-a-list": ({"condition": "0:0", "set": "x"}, "name[2].set must be a list"),
+    "non-string-member": ({"condition": "0:0", "set": ["x", True]}, "name[2].set[1] must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", FLAT_ITEM_FAULTS.values(), ids=FLAT_ITEM_FAULTS.keys())
+def test_flat_object_list_faults_name_the_item(case):
+    bad, message = case
+    good = {"condition": "0:1", "set": ["x", "y"]}
+    with pytest.raises(DataError) as info:
+        check_shape([good, good, bad, good], NAME_SHAPE, "name")
+    assert str(info.value) == message
+    # a later fault waits for the first
+    with pytest.raises(DataError) as info:
+        check_shape([good, good, bad, {}], NAME_SHAPE, "name")
+    assert str(info.value) == message
+
+
+def test_flat_object_list_checks_integer_fields():
+    shape = [{"n": int, "ks": [int]}]
+    check_shape([{"n": 1, "ks": []}, {"n": 2, "ks": [3, 4]}], shape, "rows")
+    for bad, message in (({"n": True, "ks": []}, "rows[1].n must be an integer"),
+                         ({"n": 2, "ks": [3, "4"]}, "rows[1].ks[1] must be an integer")):
+        with pytest.raises(DataError) as info:
+            check_shape([{"n": 1, "ks": []}, bad], shape, "rows")
+        assert str(info.value) == message
 
 
 def test_scenario_payload_validates():

@@ -100,10 +100,8 @@ def test_point_names_on_pair_fixture():
     assert by_point["x"].antichain == ("0:0", "0:1")
     assert by_point["y"].antichain == ("0:0", "0:1")
     # least committed set per side
-    assert by_point["x"].value_at("0:0") == frozenset({"x"})
-    assert by_point["x"].value_at("0:1") == frozenset({"x", "y"})
-    assert by_point["y"].value_at("0:0") == frozenset({"x", "y"})
-    assert by_point["y"].value_at("0:1") == frozenset({"x", "y"})
+    assert dict(by_point["x"].values) == {"0:0": frozenset({"x"}), "0:1": frozenset({"x", "y"})}
+    assert dict(by_point["y"].values) == {"0:0": frozenset({"x", "y"}), "0:1": frozenset({"x", "y"})}
 
 
 def test_point_antichains_are_maximal_and_committed():
@@ -418,17 +416,60 @@ def test_refinement_flags_undominated_ground_set():
     assert refined.pairs == ()
 
 
+# ten conditions listed against identifier order, "e9" first and "e0" last,
+# with e_j <= e_i for some j > i
+REVERSED_EXPLICIT = {
+    "kind": "explicit",
+    "elements": [f"e{i}" for i in reversed(range(10))],
+    "leq": [[f"e{j}", f"e{i}"] for i in range(10) for j in range(i + 1, 10) if (7 * i + j) % 3 == 0],
+}
+
+
+def _drawn_scenario(recipe: dict, seed: int, mode: str) -> Scenario:
+    """A scenario on the recipe's poset over {x, y}, with floor + 2 levels:
+    each name pairs every member of a drawn maximal antichain with a drawn
+    set holding each point, plus three drawn pairs, so it is a cover name."""
+    rng = random.Random(seed)
+    bundle = build_bundle(recipe)
+    poset = bundle.poset
+    base = (frozenset("x"), frozenset("y"), frozenset("xy"))
+    names = []
+    for _ in range(bundle.strat.stabilization_index + 2):
+        antichain = sorted(poset.random_maximal_antichain(rng), key=poset.sort_key)
+        pairs = [(q, rng.choice([b for b in base if x in b])) for q in antichain for x in "xy"]
+        pairs += [(rng.choice(poset.elements), rng.choice(base)) for _ in range(3)]
+        names.append(Name(tuple(pairs)))
+    return Scenario(recipe, ("x", "y"), base, tuple(names), mode)
+
+
+# The drawn scenarios' posets list their conditions in an order other than
+# identifier order, so pairs collected by position would come out of order.
+DRAWN_ORDER_SCENARIOS = {
+    f"{label}-{mode}": (lambda recipe=recipe, mode=mode: _drawn_scenario(recipe, 5, mode))
+    for label, recipe in (("cohen-D2", {"kind": "cohen", "indices": [0, 1]}),
+                          ("measure-k2", {"kind": "measure", "k": 2}),
+                          ("explicit-reversed", REVERSED_EXPLICIT))
+    for mode in MODES
+}
 REFINE_ORDER_SCENARIOS = {
     "cohen-golden": lambda: _golden_scenario("cohen-pair"),
     "measure-golden": lambda: _golden_scenario("measure-pair"),
     "generated-8": lambda: generate_scenario(8, "selective-screenability"),
     "generated-146": lambda: generate_scenario(146, "selective-screenability"),
+    **DRAWN_ORDER_SCENARIOS,
 }
 
 
 def _golden_scenario(stem):
     text = (Path(__file__).parent / "golden" / f"{stem}.cert.json").read_text()
     return Scenario.from_jsonable(json.loads(text)["scenario"])
+
+
+@pytest.mark.parametrize("make", DRAWN_ORDER_SCENARIOS.values(), ids=DRAWN_ORDER_SCENARIOS.keys())
+def test_drawn_order_scenarios_list_conditions_against_identifier_order(make):
+    poset = build_bundle(make().poset).poset
+    assert list(poset.elements) != sorted(poset.elements)
+    assert [poset.elements[i] for i in poset.identifier_order] == sorted(poset.elements)
 
 
 @pytest.mark.parametrize("make", REFINE_ORDER_SCENARIOS.values(), ids=REFINE_ORDER_SCENARIOS.keys())
@@ -443,10 +484,11 @@ def test_refine_name_hands_its_pairs_over_in_canonical_order(make, monkeypatch):
         return Name(pairs)
 
     monkeypatch.setattr("endowlab.names.Name", spy)
-    run_preservation(make())
+    assert run_preservation(make()).verdict == "positive"
     assert any(handed)
     for pairs in handed:
-        assert pairs == tuple(sorted(set(pairs), key=lambda pair: (pair[0], set_key(pair[1]))))
+        keys = [(q, set_key(u)) for q, u in pairs]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly increasing
 
 
 def test_pipeline_positive_on_pair_fixture():

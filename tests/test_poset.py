@@ -147,6 +147,7 @@ def test_enumeration_stops_once_it_passes_the_antichain_cap(monkeypatch):
         p.maximal_antichains()
     assert str(exc.value) == (
         "exhaustive antichain enumeration capped at 15 maximal antichains, reached 16")
+    assert exc.value.partial.to_jsonable() == {"antichains_reached": 16, "cap": 15}
 
 
 def test_random_maximal_antichain_is_maximal():
