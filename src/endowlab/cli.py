@@ -1,8 +1,9 @@
 """The endowlab command line tool.
 
-Exit codes: 0 success, 2 scenario error (theorem hypotheses unmet), 3
-verification failure (violations, negative certificate, replay mismatch),
-64 usage error, 65 malformed data, 70 resource bound exceeded.
+Exit codes: 0 success, 1 program fault (an uncaught exception, with its
+traceback), 2 scenario error (theorem hypotheses unmet), 3 verification
+failure (violations, negative certificate, replay mismatch), 64 usage
+error, 65 malformed data, 70 resource bound exceeded.
 
 The ENDOWLAB_BOUNDS environment variable (a JSON object) overrides any
 subset of the resource limits, for example '{"max_k": 4}'.
@@ -50,9 +51,10 @@ from .names import (
     check_approximation,
     check_cover_name,
     derive_point_names,
+    forcing_mask,
     refine_name,
 )
-from .poset import ExistsSupersetInCover, Name, forces, forces_dense
+from .poset import Name, RefinesName, forces, forces_dense, refinement_mask, superset_mask, value_masks
 from .preservation import (
     Scenario,
     _check_bounds,
@@ -270,7 +272,7 @@ def cmd_approx(args, limits: Limits) -> int:
     }
     lines = [f"level {args.n} cover: {[sorted(v) for v in approx.cover]}",
              f"certificate: {'positive' if cert.positive else 'NEGATIVE'} "
-             f"({len(cert.triples)} dense witnesses)"]
+             f"({sum(len(run) for _, run in cert.runs)} dense witnesses)"]
     if cert.counterexample is not None:
         lines.append(f"counterexample: piece {list(cert.counterexample[0])} "
                      f"at condition {cert.counterexample[1]!r}")
@@ -336,25 +338,36 @@ def cmd_gen(args, limits: Limits) -> int:
 
 
 def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
-    """Count agreements between the two forcing oracles on random queries."""
+    """Count the random queries on which the pipeline's masks agree with
+    the frozenset oracles.  A query agrees when the forcing mask of "some
+    value of the name contains `lower`" holds p exactly when `forces_dense`
+    does, and the refinement mask of the name over a second one holds every
+    atom below p exactly when `forces` says the name refines the other."""
     pool = [build_bundle(recipe, limits).poset for recipe in (
         {"kind": "cohen", "indices": [0]},
         {"kind": "cohen", "indices": [0, 1]},
         {"kind": "measure", "k": 1},
     )]
-    agree = 0
-    for _ in range(queries):
-        poset = pool[rng.randrange(len(pool))]
-        pairs = tuple(
+
+    def random_name(poset) -> Name:
+        return Name(tuple(
             (poset.elements[rng.randrange(len(poset))],
              frozenset(x for x in "xy" if rng.random() < 0.5))
             for _ in range(rng.randint(0, 4))
-        )
-        name = Name(pairs)
+        ))
+
+    agree = 0
+    for _ in range(queries):
+        poset = pool[rng.randrange(len(pool))]
+        name = random_name(poset)
         p = poset.elements[rng.randrange(len(poset))]
         lower = frozenset(x for x in "xy" if rng.random() < 0.5)
-        direct = forces(poset, p, ExistsSupersetInCover(name, lower))
-        if direct == forces_dense(poset, p, name, lower):
+        other = random_name(poset)
+        masks = value_masks(poset, name)
+        superset = forcing_mask(poset, superset_mask(masks, lower)) >> poset.sort_key(p) & 1 == 1
+        refines = poset.atom_mask[p] & ~refinement_mask(poset, masks, value_masks(poset, other)) == 0
+        if (superset == forces_dense(poset, p, name, lower)
+                and refines == forces(poset, p, RefinesName(name, other))):
             agree += 1
     return agree
 

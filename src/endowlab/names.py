@@ -25,14 +25,16 @@ same table.  The certificates keep the runs, and derive their (set,
 condition, witness) `triples` on demand; `to_text` writes each distinct
 run's triples once as a text skeleton and joins it with each set's field
 (see `canon.TextMemo`).  Point names read each value set's reach (the
-union of its conditions' down masks) from one pass over the name.  The
-refined name pairs each ground set with the conditions of its forcing
-mask, emitted in the name's canonical order by a walk over the poset's
-`identifier_order`, and the refinement check tables its value masks.  The
-pipeline closes with one pass over those masks that reads every closing
-fact (subfamily flags, atom rows, covering verdict).  Per-atom evaluation
-on frozensets (`poset.evaluate_name`) stays out of these steps and serves
-the tests as their reference.
+union of its conditions' down masks) from one pass over the name, and
+each point's density from the value masks.  The refined name pairs each
+ground set with the conditions of its forcing mask, emitted in the name's
+canonical order by a walk over the poset's `identifier_order`, and the
+refinement check tables its value masks.  The pipeline closes with one
+pass over those masks that reads every closing fact (subfamily flags,
+atom rows, covering verdict).  The frozenset oracles of `poset`
+(`evaluate_name`, `forces`, `forces_dense`) stay out of these steps; they
+serve the tests, and `selftest`'s oracle sweep, which checks this
+module's forcing masks and `poset.refinement_mask` against them.
 """
 
 from __future__ import annotations
@@ -96,13 +98,14 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
     One pass over the name's pairs tables each value set's reach, the union
     of its conditions' down masks; a point's commitment mask is the union of
     the reaches of the values containing it.  Valid means every point's
-    commitment mask is dense; the first point without raises DataError.  The
-    antichain is the greedy canonical scan of that mask: keep the lowest
-    remaining position, then drop every condition above an atom of it, which
-    are exactly the conditions compatible with it.  The scan drops the kept
-    position itself too, so it ends whatever `above_atoms` returns.  Density
-    makes the result maximal in the whole poset, which is verified rather
-    than assumed.
+    commitment mask is dense, that is, the values containing the point hold
+    every atom between them (`value_masks`); the first point without raises
+    DataError.  The antichain is the greedy canonical scan of that mask:
+    keep the lowest remaining position, then drop every condition above an
+    atom of it, which are exactly the conditions compatible with it.  The
+    scan drops the kept position itself too, so it ends whatever
+    `above_atoms` returns.  Density makes the result maximal in the whole
+    poset, which is verified rather than assumed.
     Points with the same commitment mask share one antichain, built and
     verified once.  A member's committed set is the least value, in
     `set_key` order, whose reach holds the member's position bit.
@@ -111,16 +114,18 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
     reach: dict[frozenset[str], int] = {}
     for q, u in name.pairs:
         reach[u] = reach.get(u, 0) | down_mask[q]
-    ordered = sorted(reach.items(), key=lambda item: set_key(item[0]))
+    masks = value_masks(poset, name)  # in set_key order
+    everything = (1 << len(poset.atoms)) - 1
     # commitment mask -> verified antichain and its members' position bits
     greedy: dict[int, tuple[tuple[Condition, ...], list[int]]] = {}
     out = []
     for x in sorted(space.points):
-        values = [(u, mask) for u, mask in ordered if x in u]
-        committed = 0
-        for _, mask in values:
+        values = [(u, reach[u]) for u in masks if x in u]
+        committed = atoms = 0
+        for u, mask in values:
             committed |= mask
-        if not poset.meets_everything(committed):
+            atoms |= masks[u]
+        if atoms != everything:
             raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
         if committed not in greedy:
             bits = []

@@ -10,39 +10,33 @@ evaluation determined by every atom below it.
 The order comes in as position masks, one per condition, marking the
 conditions directly below it: the built-in posets read them off their
 structure, and only explicit posets list named pairs, which
-`Poset.from_pairs` maps to positions.  The forcing kernel works on integer
-bitmasks built once per poset.  The constructor closes the given masks, so
-`down_mask[p]` has bit i set when the condition at canonical position i
-lies below p, and `atom_mask[p]` has bit j set when `atoms[j]` lies below p.
-Names are read through `value_masks`: one atom mask per distinct value set,
-the union of `atom_mask[q]` over the pairs (q, U).  `truth` combines these
-into the atom mask of a statement, and p forces the statement exactly when
-`atom_mask[p]` lies inside that mask, so a caller with many forcing
-questions about one statement answers each with one mask test.
+`Poset.from_pairs` maps to positions.  The constructor closes the given
+masks, so `down_mask[p]` has bit i set when the condition at canonical
+position i lies below p, and `atom_mask[p]` has bit j set when `atoms[j]`
+lies below p.  Down masks carry the order, the positions of witnesses and
+the oracles below.
+
+Atom masks are the one compatibility kernel.  Every common lower bound has
+an atom below it, so p and q are compatible exactly when `atom_mask[p] &
+atom_mask[q]` is nonzero, and a set is a maximal antichain exactly when
+its members' atom masks are disjoint and together hold every atom
+(`atoms_below`).  `compatible`, `is_antichain`, `is_maximal_antichain`,
+`maximal_antichains` and `random_maximal_antichain` all read them;
+the last makes exactly the draws of `random.Random.shuffle` first.
 `atom_up[j]`, built on first use, marks by position the conditions above
-`atoms[j]`, and `above_atoms` unions it over an atom mask: the conditions
-forcing a statement are those above no atom outside its truth mask, and
-the conditions compatible with p are those above some atom below p.
-`atoms_below` unions `atom_mask` over a set, so p is compatible with some
-member of the set exactly when `atom_mask[p]` meets that union.
-The same down masks are the compatibility kernel: p and q are compatible
-exactly when `down_mask[p] & down_mask[q]` is nonzero, and r lies below
-some member of a set L exactly when bit `pos(r)` is set in `reach(L)`, the
-union of the members' down masks.  So a set is an antichain when each
-member's mask misses the union of those before it, and a maximal one when
-every atom's position lies in the union of all of them.  Every common lower
-bound has an atom below it, so the atom masks answer the same questions
-with fewer bits: p and q are compatible exactly when `atom_mask[p] &
-atom_mask[q]` is nonzero, and a set is a maximal antichain exactly when the
-members' atom masks are disjoint and together hold every atom.
-`random_maximal_antichain` builds its sample this way, after a shuffle that
-makes exactly the draws of `random.Random.shuffle`.
-`evaluate_name` and `statement_holds_at` evaluate at one atom, pair by
-pair, from the atom's bit in each pair condition's down mask, and
-`forces_dense`, with the `is_dense_below` it rests on, decides the superset
-statement by density without evaluating at atoms.  None of them reads
-`atom_mask`, `value_masks` or `truth`, so they remain independent oracles
-for the kernel's route from names to forcing.
+`atoms[j]`, and `above_atoms` unions it over an atom mask, so the
+conditions compatible with p are `above_atoms(atom_mask[p])`.
+
+Names are read through `value_masks`: one atom mask per distinct value
+set, the union of `atom_mask[q]` over the pairs (q, U).  `superset_mask`
+and `refinement_mask` combine these into the atoms where a statement
+holds, and `names.forcing_mask` turns such a mask into the conditions
+forcing it; this is the route the pipeline takes.  Beside it stand the
+frozenset oracles, which read no atom mask: `evaluate_name` evaluates a
+name at one atom, pair by pair, `statement_holds_at` a statement, and
+`forces`, the definition, checks the statement at every atom below p.
+`forces_dense`, with the `is_dense_below` it rests on, decides the
+superset statement by density without evaluating at atoms.
 
 A `Poset` is read-only after construction: no caller writes its masks, so
 one built-in poset can be shared by every command of a process.  Its two
@@ -134,10 +128,10 @@ class Poset:
         self.down_mask = dict(zip(self._elements, down))
         self._atoms = tuple(p for i, p in enumerate(self._elements) if down[i] == 1 << i)
         atom_bit = {1 << pos[a]: 1 << j for j, a in enumerate(self._atoms)}
-        self._atom_positions = sum(atom_bit)
+        atom_positions = sum(atom_bit)
         self.atom_mask = {}
         for p, mask in self.down_mask.items():
-            rest = mask & self._atom_positions
+            rest = mask & atom_positions
             bits = 0
             while rest:
                 low = rest & -rest
@@ -249,22 +243,14 @@ class Poset:
     # -- compatibility, antichains, density --------------------------------
 
     def compatible(self, p: Condition, q: Condition) -> bool:
-        """True when p and q have a common lower bound."""
+        """True when p and q have a common lower bound, that is, when some
+        atom lies below both."""
         self.require(p)
         self.require(q)
-        return self.down_mask[p] & self.down_mask[q] != 0
-
-    def reach(self, conditions: Iterable[Condition]) -> int:
-        """Down mask of everything at or below some member of the set."""
-        mask = 0
-        for q in conditions:
-            self.require(q)
-            mask |= self.down_mask[q]
-        return mask
+        return self.atom_mask[p] & self.atom_mask[q] != 0
 
     def atoms_below(self, conditions: Iterable[Condition]) -> int:
-        """Atom mask of the atoms below some member of the set.  The reach of
-        the set is down closed, so these are the atoms in its reach, and p is
+        """Atom mask of the atoms below some member of the set, so p is
         compatible with some member exactly when `atom_mask[p]` meets it."""
         atoms = 0
         for q in conditions:
@@ -272,30 +258,23 @@ class Poset:
             atoms |= self.atom_mask[q]
         return atoms
 
-    def meets_everything(self, reach: int) -> bool:
-        """True when every condition is compatible with some member of a set
-        whose reach this is.  Every condition has an atom below it, and an
-        atom is compatible with a member exactly when it lies in the reach,
-        so this holds exactly when every atom's position is in the mask."""
-        return self._atom_positions & ~reach == 0
-
     def is_antichain(self, conditions: Iterable[Condition]) -> bool:
         items = list(conditions)
         for p in items:
             self.require(p)
-        union = 0  # reach of the items before p
+        union = 0  # atoms below the items before p
         for p in items:
-            if self.down_mask[p] & union:
+            if self.atom_mask[p] & union:
                 return False
-            union |= self.down_mask[p]
+            union |= self.atom_mask[p]
         return True
 
     def is_maximal_antichain(self, conditions: Iterable[Condition]) -> bool:
-        """Antichain such that every condition is compatible with a member."""
+        """Antichain such that every condition is compatible with a member:
+        every condition has an atom below it, so this holds exactly when
+        the members' atoms are every atom."""
         items = frozenset(conditions)
-        if not self.is_antichain(items):
-            return False
-        return self.meets_everything(self.reach(items))
+        return self.is_antichain(items) and self.atoms_below(items) == (1 << len(self._atoms)) - 1
 
     def is_dense_below(self, conditions: Iterable[Condition], p: Condition) -> bool:
         """True when every condition below p has a member of the set below it."""
@@ -319,7 +298,7 @@ class Poset:
         if n > limits.max_poset:
             raise ResourceError(
                 f"exhaustive antichain enumeration capped at max_poset={limits.max_poset} conditions, got {n}")
-        masks = [self.down_mask[p] for p in self._elements]
+        masks = list(self.atom_mask.values())
         incompat = [{j for j in range(n) if masks[i] & masks[j] == 0} for i in range(n)]
         found: list[frozenset[Condition]] = []
 
@@ -576,26 +555,11 @@ def refinement_mask(
     return mask
 
 
-def truth(poset: Poset, statement: Statement) -> int:
-    """The atom mask of a statement: bit j is set when it holds at atoms[j].
-
-    Read off the names' value masks, never by evaluating at an atom: the
-    superset statement holds where some value containing the lower set is
-    evaluated, and `finer` refines `coarser` where each evaluated finer
-    value has an evaluated coarser superset.
-    """
-    if isinstance(statement, ExistsSupersetInCover):
-        return superset_mask(value_masks(poset, statement.name), statement.lower)
-    if isinstance(statement, RefinesName):
-        return refinement_mask(
-            poset, value_masks(poset, statement.finer), value_masks(poset, statement.coarser))
-    raise DataError(f"unknown statement type: {type(statement).__name__}")
-
-
 def forces(poset: Poset, p: Condition, statement: Statement) -> bool:
-    """True when the statement holds at every atom below p."""
-    poset.require(p)
-    return poset.atom_mask[p] & ~truth(poset, statement) == 0
+    """True when the statement holds at every atom below p: the definition,
+    evaluated atom by atom, with no mask read."""
+    below = poset.down(p)
+    return all(statement_holds_at(poset, statement, a) for a in poset.atoms if a in below)
 
 
 def forces_dense(poset: Poset, p: Condition, name: Name, lower: Iterable[str]) -> bool:
@@ -604,7 +568,8 @@ def forces_dense(poset: Poset, p: Condition, name: Name, lower: Iterable[str]) -
     p forces that some evaluated set contains `lower` exactly when the set
     of witnessing conditions {s : some pair (q, U) has s <= q and lower a
     subset of U} is dense below p.  This route never evaluates the name at
-    an atom, so it cross checks `forces`.
+    an atom and reads no atom mask, so it cross checks both `forces` and
+    the pipeline's forcing masks.
     """
     validate_name(poset, name)
     poset.require(p)

@@ -13,8 +13,9 @@ argument for a negative, huge or non-integer one, repeats an option, drops
 one, or, for `dow`, adds a `--member` that is unknown, a duplicate, or
 breaks maximality.  Runs start in a scratch directory, so an output path
 a mutation makes up lands there.  A run is a finding when its exit code is
-not in the README's exit-code table, when an exception escapes `main`,
-when "Traceback" appears on stderr, or when it outlives the cap.
+not in the README's exit-code table or is 1 (a program fault), when an
+exception escapes `main`, when "Traceback" appears on stderr, or when it
+outlives the cap.
 
 The tests run a few hundred mutations; for a longer run:
 
@@ -45,7 +46,7 @@ from endowlab.instances import (
 )
 from endowlab.preservation import generate_scenario
 
-EXIT_CODES = frozenset({0, 2, 3, 64, 65, 70})  # the README's exit-code table
+EXIT_CODES = frozenset({0, 2, 3, 64, 65, 70})  # the README's exit-code table less 1
 GOLDEN = Path(__file__).parent / "golden"
 CAP_S = 10.0  # seconds allowed per run
 LEAVES = (None, True, False, -2, -1, 0, 1, 6, 10**30, 1.5, "", "x", "1", "0:0", "0:1,1:0", "x,y")

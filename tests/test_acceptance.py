@@ -37,9 +37,18 @@ from endowlab.names import (
     check_approximation,
     check_cover_name,
     derive_point_names,
+    forcing_mask,
     refine_name,
 )
-from endowlab.poset import ExistsSupersetInCover, Name, Poset, forces, forces_dense
+from endowlab.poset import (
+    ExistsSupersetInCover,
+    Name,
+    Poset,
+    forces,
+    forces_dense,
+    superset_mask,
+    value_masks,
+)
 from endowlab.preservation import (
     build_bundle,
     generate_scenario,
@@ -142,7 +151,9 @@ def test_criterion_3_forcing_oracles_agree():
         lower = frozenset(x for x in "xyz" if rng.random() < 0.4)
         direct = forces(poset, p, ExistsSupersetInCover(name, lower))
         dense = forces_dense(poset, p, name, lower)
-        assert direct == dense, (p, sorted(lower), name.pairs)
+        forcing = forcing_mask(poset, superset_mask(value_masks(poset, name), lower))
+        masked = forcing >> poset.sort_key(p) & 1 == 1
+        assert direct == dense == masked, (p, sorted(lower), name.pairs)
         agreements += 1
     print(f"PASS criterion 3: atom and density forcing oracles agree on "
           f"{agreements}/1000 seeded quadruples")

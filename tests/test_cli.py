@@ -15,6 +15,7 @@ from pathlib import Path
 import endowlab
 import endowlab.cli as cli
 import endowlab.endowment as endowment
+import endowlab.names as names_module
 import endowlab.poset as poset_module
 import endowlab.preservation as preservation
 from endowlab.bounds import Limits
@@ -1177,6 +1178,38 @@ def test_selftest_passes(capsys):
     assert "fixed scenarios positive and replayed: 3/3" in out
     assert "scenarios run: 3" in out
     assert "failures: 0" in out
+
+
+def forcing_mask_with_atom_0_true(poset, truth_mask):
+    """Mutant (e): the forcing mask treats atom 0 as true everywhere."""
+    return names_module.forcing_mask(poset, truth_mask | 1)
+
+
+def refinement_mask_without_absent_values(poset, finer, coarser):
+    """Mutant (b): the refinement mask drops `~present`, so a finer value
+    that is not evaluated at an atom still needs a coarser superset there."""
+    mask = (1 << len(poset.atoms)) - 1
+    for u in finer:
+        mask &= poset_module.superset_mask(coarser, u)
+    return mask
+
+
+@pytest.mark.parametrize("attr,mutant", [
+    ("forcing_mask", forcing_mask_with_atom_0_true),
+    ("refinement_mask", refinement_mask_without_absent_values),
+])
+def test_selftest_sweep_kills_the_pipeline_mask_mutants(attr, mutant, monkeypatch, capsys):
+    # the sweep checks the masks the pipeline reads, so a wrong one
+    # disagrees with the frozenset oracles
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    monkeypatch.setattr(cli, attr, mutant)
+    assert main(["selftest", "--count", "1", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["problems"] == ["forcing oracles disagree"]
+    assert data["oracle_agreements"] < data["oracle_queries"] == 200
+    assert main(["selftest", "--count", "1"]) == 3
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == f"forcing oracles agree: {data['oracle_agreements']}/200"
 
 
 def test_selftest_reports_a_failing_seed_and_continues(monkeypatch, capsys):

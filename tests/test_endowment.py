@@ -471,9 +471,9 @@ def tuple_intersections(poset, n, extractions):
     outputs = list(dict.fromkeys(chosen for _, chosen in extractions))
     commons = []
     for combo in product(outputs, repeat=n):
-        common = -1
+        common = frozenset(poset.elements)
         for part in combo:
-            common &= poset.reach(part)
+            common &= frozenset().union(*map(poset.down, part))
         commons.append(common)
     return outputs, commons
 
@@ -488,8 +488,7 @@ def test_full_verifier_builds_each_distinct_failing_list_once(monkeypatch):
     family = maximal_antichain_family(c.poset)
     extractions = extract_each(family, 2, c.poset.maximal_antichains())
     _, commons = tuple_intersections(c.poset, 2, extractions)
-    atoms = [c.poset.sort_key(a) for a in c.poset.atoms]
-    ands = [sum(1 << j for j, i in enumerate(atoms) if common >> i & 1) for common in commons]
+    ands = [sum(1 << j for j, a in enumerate(c.poset.atoms) if a in common) for common in commons]
     assert len(set(ands)) < len(ands) == 64
     built = Counter()
     above_atoms = c.poset.above_atoms
@@ -524,7 +523,8 @@ def test_some_case_trips_the_budget_mid_tuple_on_an_and_already_built():
 
 def reference_weak(poset, strat, family, n, extractions):
     """verify_weak_endowment as it was before it read clause 3' off atom
-    masks: each level condition's down mask is tested against the reach."""
+    masks: each level condition's down set is tested against the reach, the
+    union of the members' down sets."""
     level = strat.ordered_at(n)
     violations = []
     for items, chosen in extractions:
@@ -536,9 +536,9 @@ def reference_weak(poset, strat, family, n, extractions):
             violations.append(Violation("2", key, stray, "extraction leaves the antichain"))
         if not family.member(n, chosen):
             violations.append(Violation("2", key, None, "extraction is not a family member"))
-        reach = poset.reach(chosen)
+        reach = frozenset().union(*map(poset.down, chosen))
         for p in level:
-            if not poset.down_mask[p] & reach:
+            if reach.isdisjoint(poset.down(p)):
                 violations.append(Violation("3'", key, p, "level condition incompatible with every member"))
     return EndowmentReport(family.label, n, len(extractions), tuple(violations))
 

@@ -1,10 +1,11 @@
 """The bitmask kernel against frozenset references.
 
-`forces`, the forcing-mask witness lookup of `level_witnesses` and the
+The pipeline's forcing masks (`superset_mask`, `refinement_mask`,
+`forcing_mask`), the witness lookup of `level_witnesses` and the
 compatibility and antichain helpers read atom and down-set masks;
-`forces_dense`, the brute-force witness and the pairwise antichain
-references below read only frozenset down-sets, so they share no logic with
-the kernel."""
+`forces`, `forces_dense`, the brute-force witness and the pairwise
+antichain references below read only frozenset down-sets, so they share no
+logic with the kernel."""
 
 import random
 from itertools import combinations, product
@@ -23,8 +24,10 @@ from endowlab.poset import (
     forces,
     forces_dense,
     make_stratification,
+    refinement_mask,
     statement_holds_at,
-    truth,
+    superset_mask,
+    value_masks,
 )
 
 UNIVERSE = "xyz"
@@ -85,7 +88,7 @@ def test_kernel_matches_the_density_oracle():
         for _ in range(6):
             name = random_name(rng, poset)
             lower = random_subset(rng)
-            forcing = forcing_mask(poset, truth(poset, ExistsSupersetInCover(name, lower)))
+            forcing = forcing_mask(poset, superset_mask(value_masks(poset, name), lower))
             for p in poset.elements:
                 dense = forces_dense(poset, p, name, lower)
                 assert forces(poset, p, ExistsSupersetInCover(name, lower)) == dense
@@ -97,14 +100,16 @@ def test_kernel_matches_the_density_oracle():
     assert outcomes == {(True, False), (False, False), (False, True)}
 
 
-def test_forces_matches_the_atom_definition_for_other_statements():
+def test_refinement_mask_matches_the_atom_definition_of_forcing():
     rng = random.Random(41)
     for poset in kernel_posets(rng):
-        name = random_name(rng, poset)
-        stmt = RefinesName(name, random_name(rng, poset))
+        name, other = random_name(rng, poset), random_name(rng, poset)
+        stmt = RefinesName(name, other)
+        mask = refinement_mask(poset, value_masks(poset, name), value_masks(poset, other))
         for p in poset.elements:
             expected = all(statement_holds_at(poset, stmt, a) for a in poset.atoms if poset.leq(a, p))
             assert forces(poset, p, stmt) == expected
+            assert (poset.atom_mask[p] & ~mask == 0) == expected
 
 
 def scan_forcing_mask(poset: Poset, truth_mask: int) -> int:
@@ -126,13 +131,13 @@ def test_forcing_mask_matches_the_per_condition_scan():
         everything = (1 << len(poset.atoms)) - 1
         masks = [0, everything] + [rng.getrandbits(len(poset.atoms)) for _ in range(8)]
         # truth masks of real statements, as check_approximation builds them
-        masks += [truth(poset, ExistsSupersetInCover(random_name(rng, poset), random_subset(rng)))
+        masks += [superset_mask(value_masks(poset, random_name(rng, poset)), random_subset(rng))
                   for _ in range(4)]
         for mask in masks:
             assert forcing_mask(poset, mask) == scan_forcing_mask(poset, mask), (poset.elements[:3], mask)
 
 
-# -- compatibility and antichains on the down masks ------------------------------
+# -- compatibility and antichains on the atom masks ------------------------------
 #
 # The references below read only frozenset down-sets and test pairs one by one.
 
@@ -251,7 +256,7 @@ def test_sampled_antichains_keep_the_shuffle_draws():
 def test_antichain_checks_require_every_item_first():
     poset = Poset.from_pairs(["t", "a", "b"], [("a", "t"), ("b", "t")])
     assert poset.compatible("t", "a")
-    for check in (poset.is_antichain, poset.is_maximal_antichain, poset.reach):
+    for check in (poset.is_antichain, poset.is_maximal_antichain, poset.atoms_below):
         with pytest.raises(DataError, match="unknown condition: 'nope'"):
             check(["t", "a", "nope"])
 
@@ -276,18 +281,19 @@ def atomwise_truth(poset: Poset, stmt) -> int:
     return sum(1 << j for j, a in enumerate(poset.atoms) if statement_holds_at(poset, stmt, a))
 
 
-def test_truth_matches_per_atom_evaluation_for_both_statement_kinds():
+def test_statement_masks_match_per_atom_evaluation_for_both_statement_kinds():
     rng = random.Random(7177)
     kinds = set()
     for poset in statement_posets(rng):
         names = [Name(())] + [make(rng, poset) for make in (random_name, repeating_name) for _ in range(3)]
         for name in names:
             lower = random_subset(rng)
+            masks = value_masks(poset, name)
             stmt = ExistsSupersetInCover(name, lower)
-            assert truth(poset, stmt) == atomwise_truth(poset, stmt)
+            assert superset_mask(masks, lower) == atomwise_truth(poset, stmt)
             for other in names:
                 stmt = RefinesName(name, other)
-                mask = truth(poset, stmt)
+                mask = refinement_mask(poset, masks, value_masks(poset, other))
                 assert mask == atomwise_truth(poset, stmt)
                 kinds.add((len(name.pairs) == 0, mask == (1 << len(poset.atoms)) - 1))
     # empty finer names, and refinements that hold everywhere and that fail somewhere, all came up

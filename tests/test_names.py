@@ -144,20 +144,21 @@ def test_point_name_scan_ends_when_above_atoms_drops_an_atom(monkeypatch):
 
 def reference_point_names(poset, space, name):
     """The per point greedy loop over every position, before points with
-    one commitment mask shared their antichain, copied verbatim."""
+    one commitment mask shared their antichain, copied verbatim apart from
+    reading the commitment set as a union of down sets."""
     validate_name(poset, name)
     down_mask = poset.down_mask
     out = []
     for x in sorted(space.points):
         pairs = sorted(((q, u) for q, u in name.pairs if x in u), key=lambda pair: set_key(pair[1]))
-        committed = poset.reach(q for q, _ in pairs)
-        if not poset.meets_everything(committed):
+        committed = frozenset().union(*(poset.down(q) for q, _ in pairs))
+        if not committed.issuperset(poset.atoms):
             raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
         antichain = []
         chosen = 0
-        for i, p in enumerate(poset.elements):
+        for p in poset.elements:
             below = poset.down_mask[p]
-            if committed >> i & 1 and below & chosen == 0:
+            if p in committed and below & chosen == 0:
                 antichain.append(p)
                 chosen |= below
         if not poset.is_maximal_antichain(antichain):

@@ -296,7 +296,7 @@ def test_forces_dense_matches_forces_on_examples():
 
 
 def test_forces_dense_rejects_unknown_conditions():
-    # the oracle validates the names it gets; `forces` trusts its caller
+    # the oracles validate the names they get; the mask route trusts its caller
     v = vee()
     with pytest.raises(DataError, match="unknown condition: 'nope'"):
         forces_dense(v, "t", Name((("a", frozenset({"x"})), ("nope", frozenset({"x"})))), {"x"})

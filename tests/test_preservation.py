@@ -324,3 +324,58 @@ def test_names_are_checked_before_point_names_are_derived(monkeypatch):
     scenario = dataclasses.replace(scenario, names=scenario.names[:-1] + (bad,))
     with pytest.raises(DataError, match="unknown condition: '9:9'"):
         run_preservation(scenario)
+
+
+# -- metamorphic relations ---------------------------------------------------------
+
+
+def metamorphic_inputs() -> list[Scenario]:
+    goldens = sorted((Path(__file__).parent / "golden").glob("*.cert.json"))
+    scenarios = [Scenario.from_jsonable(json.loads(g.read_text())["scenario"]) for g in goldens]
+    return scenarios + [generate_scenario(seed) for seed in range(60)]
+
+
+def certificate_shape(scenario: Scenario) -> tuple:
+    """The verdict, the floor and the length of every list section."""
+    data = run_preservation(scenario).to_jsonable()
+    return data["verdict"], data["floor"], {k: len(v) for k, v in data.items() if isinstance(v, list)}
+
+
+def renamed(scenario: Scenario) -> Scenario:
+    """The scenario with its points renamed so that their order reverses,
+    and its base and each name's pairs listed in reverse."""
+    points = sorted(scenario.points)
+    new = dict(zip(points, [f"p{i}" for i in reversed(range(len(points)))]))
+
+    def rename(u):
+        return frozenset(new[x] for x in u)
+
+    return Scenario(
+        scenario.poset,
+        tuple(sorted(new.values())),
+        tuple(rename(b) for b in reversed(scenario.base)),
+        tuple(Name(tuple((q, rename(u)) for q, u in reversed(name.pairs))) for name in scenario.names),
+        scenario.mode,
+    )
+
+
+def explicit_copy(scenario: Scenario) -> Scenario:
+    """The scenario over an explicit poset with the same conditions and order."""
+    poset = build_bundle(scenario.poset).poset
+    leq = [[a, b] for b in poset.elements for a in sorted(poset.down(b), key=poset.sort_key) if a != b]
+    recipe = {"kind": "explicit", "elements": list(poset.elements), "leq": leq}
+    return dataclasses.replace(scenario, poset=recipe)
+
+
+def test_renaming_points_and_reordering_entries_keeps_the_certificate_shape():
+    for scenario in metamorphic_inputs():
+        assert certificate_shape(renamed(scenario)) == certificate_shape(scenario), scenario
+
+
+def test_an_explicit_copy_of_a_built_in_poset_keeps_the_verdict():
+    verdicts = []
+    for scenario in metamorphic_inputs():
+        if scenario.poset["kind"] != "explicit":
+            verdicts.append(run_preservation(scenario).verdict)
+            assert run_preservation(explicit_copy(scenario)).verdict == verdicts[-1], scenario
+    assert len(verdicts) == 52 and "positive" in verdicts
