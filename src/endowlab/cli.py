@@ -262,9 +262,10 @@ def load_name_inputs(args, limits: Limits):
 def cmd_approx(args, limits: Limits) -> int:
     bundle, space, name = load_name_inputs(args, limits)
     family = resolve_family(bundle, args.family)
-    point_names = derive_point_names(bundle.poset, space, name)
-    approx = approximate(bundle.poset, point_names, args.n, family)
-    cert = check_approximation(WitnessTable(bundle.poset, bundle.strat, args.n, name), approx)
+    table = WitnessTable(bundle.poset, bundle.strat, args.n, name)
+    point_names = derive_point_names(table, space)
+    approx = approximate(table, point_names, family)
+    cert = check_approximation(table, approx.cover)
     result = {
         "point_names": [pn.to_jsonable() for pn in point_names],
         "approximation": approx.to_jsonable(),

@@ -1,6 +1,7 @@
 """Error types shared across the package.
 
-Each class carries the process exit code the command line tool maps it to.
+Each `EndowlabError` class carries the process exit code the command line
+tool maps it to; `InvariantError` is a program fault and carries none.
 """
 
 from __future__ import annotations
@@ -45,3 +46,7 @@ class ScenarioError(EndowlabError):
 
     exit_code = 2
 
+
+class InvariantError(Exception):
+    """A check that only a program fault can trip failed.  Outside the
+    `EndowlabError` family, so it escapes `cli.main` with its traceback."""

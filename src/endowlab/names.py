@@ -14,7 +14,8 @@ contains V" is the union of the masks of the values containing V, and its
 forcing mask marks, by canonical position, the conditions whose atoms all
 lie inside it.  The least witness below p is then the lowest bit of
 `down_mask[p]` and the forcing mask.  Each level has one `WitnessTable`,
-built from its name: it tables the name's value masks once, computes each
+built first from its name: every step of the level reads its inputs from
+it.  It tables the name's value masks once, computes each
 asked set's forcing mask once, and searches for a run of least witnesses
 over the level's conditions once per distinct forcing mask, since the run
 depends on nothing else.  Both certificates of a level read the same
@@ -26,7 +27,7 @@ condition, witness) `triples` on demand; `to_text` writes each distinct
 run's triples once as a text skeleton and joins it with each set's field
 (see `canon.TextMemo`).  Point names read each value set's reach (the
 union of its conditions' down masks) from one pass over the name, and
-each point's density from the value masks.  The refined name pairs each
+each point's density from the table's masks.  The refined name pairs each
 ground set with the conditions of its forcing mask, emitted in the name's
 canonical order by a walk over the poset's `identifier_order`, and the
 refinement check tables its value masks.  The pipeline closes with one
@@ -34,7 +35,8 @@ pass over those masks that reads every closing fact (subfamily flags,
 atom rows, covering verdict).  The frozenset oracles of `poset`
 (`evaluate_name`, `forces`, `forces_dense`) stay out of these steps; they
 serve the tests, and `selftest`'s oracle sweep, which checks this
-module's forcing masks and `poset.refinement_mask` against them.
+module's forcing masks and `poset.refinement_mask` against them.  A
+check that only a program fault can trip raises `errors.InvariantError`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Iterable, Sequence
 
 from .canon import BOOL_TEXT, TextMemo, array_text, object_text, set_key, sorted_sets
 from .endowment import EndowmentFamily
-from .errors import DataError
+from .errors import DataError, InvariantError
 from .poset import (
     Condition,
     Name,
@@ -91,30 +93,32 @@ class PointName:
         }
 
 
-def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[PointName, ...]:
-    """Build the per point antichains and committed sets for a valid name,
-    whose conditions `check_cover_name` has checked.
+def derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointName, ...]:
+    """Build the per point antichains and committed sets for the table's
+    name, a valid name whose conditions `check_cover_name` has checked.
 
     One pass over the name's pairs tables each value set's reach, the union
     of its conditions' down masks; a point's commitment mask is the union of
     the reaches of the values containing it.  Valid means every point's
     commitment mask is dense, that is, the values containing the point hold
-    every atom between them (`value_masks`); the first point without raises
+    every atom between them (`table.masks`); the first point without raises
     DataError.  The antichain is the greedy canonical scan of that mask:
     keep the lowest remaining position, then drop every condition above an
     atom of it, which are exactly the conditions compatible with it.  The
     scan drops the kept position itself too, so it ends whatever
     `above_atoms` returns.  Density makes the result maximal in the whole
-    poset, which is verified rather than assumed.
+    poset, which is verified rather than assumed; an antichain that is not
+    maximal is a program fault and raises InvariantError.
     Points with the same commitment mask share one antichain, built and
     verified once.  A member's committed set is the least value, in
     `set_key` order, whose reach holds the member's position bit.
     """
+    poset = table.poset
     elements, down_mask, atom_mask = poset.elements, poset.down_mask, poset.atom_mask
     reach: dict[frozenset[str], int] = {}
-    for q, u in name.pairs:
+    for q, u in table.name.pairs:
         reach[u] = reach.get(u, 0) | down_mask[q]
-    masks = value_masks(poset, name)  # in set_key order
+    masks = table.masks  # in set_key order
     everything = (1 << len(poset.atoms)) - 1
     # commitment mask -> verified antichain and its members' position bits
     greedy: dict[int, tuple[tuple[Condition, ...], list[int]]] = {}
@@ -136,7 +140,7 @@ def derive_point_names(poset: Poset, space: FiniteSpace, name: Name) -> tuple[Po
                 rest &= ~(low | poset.above_atoms(atom_mask[elements[low.bit_length() - 1]]))
             members = tuple(elements[low.bit_length() - 1] for low in bits)
             if not poset.is_maximal_antichain(members):
-                raise DataError(f"point {x!r}: greedy antichain is not maximal")
+                raise InvariantError(f"point {x!r}: greedy antichain is not maximal")
             greedy[committed] = members, bits
         antichain, bits = greedy[committed]
         chosen = []
@@ -176,18 +180,18 @@ class Approximation:
 
 
 def approximate(
-    poset: Poset,
-    point_names: Sequence[PointName],
-    n: int,
-    family: EndowmentFamily,
+    table: WitnessTable, point_names: Sequence[PointName], family: EndowmentFamily,
 ) -> Approximation:
-    """The level-n cover: for each point, extract a family member from its
-    antichain and intersect the committed sets over that member.
+    """The cover at the table's level: for each point, extract a family
+    member from its antichain and intersect the committed sets over it.
 
     Points with the same antichain share one extraction.  Each piece
     contains its point, so the result covers the space.  The antichains
-    are trusted to be maximal, as `derive_point_names` verifies them.
+    are trusted to be maximal, as `derive_point_names` verifies them; an
+    extraction that is empty or leaves its antichain is a program fault
+    and raises InvariantError.
     """
+    n = table.level
     extracted: dict[frozenset[Condition], frozenset[Condition]] = {}
     entries = []
     pieces = []
@@ -197,10 +201,10 @@ def approximate(
             extracted[antichain] = family.extract(n, antichain)
         chosen = extracted[antichain]
         if not chosen:
-            raise DataError(f"family extraction for point {pn.point!r} is empty")
+            raise InvariantError(f"family extraction for point {pn.point!r} is empty")
         if not chosen <= antichain:
-            raise DataError(f"family extraction for point {pn.point!r} leaves the antichain")
-        used = tuple(sorted(chosen, key=poset.sort_key))
+            raise InvariantError(f"family extraction for point {pn.point!r} leaves the antichain")
+        used = tuple(sorted(chosen, key=table.poset.sort_key))
         values = dict(pn.values)
         piece = frozenset.intersection(*(values[p] for p in used))
         entries.append((pn.point, used, piece))
@@ -218,7 +222,7 @@ def forcing_mask(poset: Poset, truth_mask: int) -> int:
 
 
 class WitnessTable:
-    """One level's witness data, shared by its two certificates.
+    """One level's inputs and witness data, read by every step of the level.
 
     Built from the level's name, whose value masks it tables once.  For a
     set h, `forcing(h)` is the forcing mask of "some named set contains h",
@@ -230,11 +234,12 @@ class WitnessTable:
     one run tuple.  A table serves one level of one run.
     """
 
-    __slots__ = ("poset", "level", "conditions", "masks", "_forcing", "_runs")
+    __slots__ = ("poset", "level", "name", "conditions", "masks", "_forcing", "_runs")
 
     def __init__(self, poset: Poset, strat: Stratification, n: int, name: Name):
         self.poset = poset
         self.level = n
+        self.name = name
         self.conditions = strat.ordered_at(n)
         self.masks = value_masks(poset, name)
         self._forcing: dict[frozenset[str], int] = {}
@@ -339,12 +344,11 @@ class ApproxCertificate(LevelWitnesses):
         return json.loads(self.to_text(TextMemo()))
 
 
-def check_approximation(table: WitnessTable, approx: Approximation) -> ApproxCertificate:
-    """For every piece V and level condition p, find r <= p forcing that some
-    named set contains V.  Negative certificates carry the first failure."""
-    if approx.level != table.level:
-        raise DataError(f"level {approx.level} approximation checked against level {table.level}")
-    runs, counterexample = level_witnesses(table, approx.cover)
+def check_approximation(table: WitnessTable, cover: Iterable[frozenset[str]]) -> ApproxCertificate:
+    """For every piece V of the cover and level condition p, find r <= p
+    forcing that some named set contains V.  Negative certificates carry the
+    first failure."""
+    runs, counterexample = level_witnesses(table, cover)
     return ApproxCertificate(table.level, table.conditions, runs, counterexample)
 
 
@@ -449,16 +453,16 @@ class PipelineResult:
 
 
 def run_pipeline(
-    poset: Poset,
-    strat: Stratification,
-    space: FiniteSpace,
     tables: Sequence[WitnessTable],
     ground_families: Sequence[Iterable[frozenset[str]]],
+    space: FiniteSpace,
+    floor: int,
 ) -> PipelineResult:
     """Refine every level, then certify the result in one pass over the atoms.
 
-    Requires one witness table per level, levels 0, 1, ... in order, and
-    one ground family per table.  The closing pass reads the refined
+    Takes one witness table per level, levels 0, 1, ... in order, and one
+    ground family per table; a count that differs, or none, is a program
+    fault and raises ValueError.  The closing pass reads the refined
     names' value masks that `refine_name` tabled for its refinement check.
     They are built from each refined name's pairs, never from the
     refinement's forcing masks, so the pass checks the construction rather
@@ -468,16 +472,9 @@ def run_pipeline(
     or none; the covering statement holds exactly when every row has a
     level.
     """
-    if len(tables) != len(ground_families):
-        raise DataError("need exactly one ground family per name")
-    if not tables:
-        raise DataError("pipeline needs at least one level")
-    if any(table.level != n for n, table in enumerate(tables)):
-        raise DataError("pipeline tables must run over levels 0, 1, ... in order")
-    floor = strat.stabilization_index
     families = [sorted_sets(frozenset(h) for h in fam) for fam in ground_families]
     refined, certificates, refined_masks = zip(
-        *(refine_name(table, family) for table, family in zip(tables, families)))
+        *(refine_name(table, family) for table, family in zip(tables, families, strict=True)))
     # every condition has an atom below it, so every tabled value is evaluated somewhere
     subfamily = tuple(all(u in fam for u in table) for fam, table in zip(families, refined_masks))
     points = sorted(space.points)
@@ -488,7 +485,7 @@ def run_pipeline(
         for x in points
     }
     rows = []
-    for j, atom in enumerate(poset.atoms):
+    for j, atom in enumerate(tables[0].poset.atoms):
         bit = 1 << j
         for x in points:
             level, covering = next(((n, u) for n, u, mask in candidates[x] if mask & bit), (None, None))

@@ -9,10 +9,10 @@ solves the selection problem with the floor at the stabilization index,
 and hands the selected ground families to `names.run_pipeline`, which
 refines every name and, in one closing pass over the atoms, tabulates for
 each atom and point the refined set covering it at or above the floor.
-Each level has one `names.WitnessTable`, built from its name: the
-approximation check reads the runs of its cover pieces from it, and the
-pipeline's refinement those of its ground sets, so no witness search runs
-twice in a level.
+Each level has one `names.WitnessTable`, built first from its name and
+taken by every step of the level: point names read its value masks, the
+approximation check the runs of its cover pieces, and the refinement those
+of its ground sets; no level tables a name or searches a set twice.
 The verdict is positive only when every certificate along the way is.
 The certificate is canonical JSON: replaying the embedded scenario must
 reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
@@ -274,11 +274,10 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
     approx_certs = []
     tables = []
     for n, name in enumerate(scenario.names):
-        point_names = derive_point_names(bundle.poset, space, name)
-        approx = approximate(bundle.poset, point_names, n, bundle.family)
         table = WitnessTable(bundle.poset, bundle.strat, n, name)
+        approx = approximate(table, derive_point_names(table, space), bundle.family)
         approximations.append(approx)
-        approx_certs.append(check_approximation(table, approx))
+        approx_certs.append(check_approximation(table, approx.cover))
         tables.append(table)
     problem = make_selection_problem(
         space, [a.cover for a in approximations], floor, scenario.mode)
@@ -290,7 +289,7 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
         ground_families = tuple((u,) for u in solution)
     else:
         ground_families = tuple(tuple(fam) for fam in solution)
-    pipeline = run_pipeline(bundle.poset, bundle.strat, space, tables, ground_families)
+    pipeline = run_pipeline(tables, ground_families, space, floor)
     positive = all(c.positive for c in approx_certs) and checked and pipeline.positive
     return PreservationCertificate(
         scenario,

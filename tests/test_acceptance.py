@@ -31,7 +31,6 @@ from endowlab.instances import (
 )
 from endowlab.measure import MeasurePoset, extract_measure_endowment
 from endowlab.names import (
-    Approximation,
     WitnessTable,
     approximate,
     check_approximation,
@@ -167,9 +166,9 @@ def test_criterion_4_approximation_replays():
         space = FiniteSpace(scenario.points, scenario.base)
         for n, name in enumerate(scenario.names):
             check_cover_name(bundle.poset, space, name)
-            point_names = derive_point_names(bundle.poset, space, name)
-            approx = approximate(bundle.poset, point_names, n, bundle.family)
-            cert = check_approximation(WitnessTable(bundle.poset, bundle.strat, n, name), approx)
+            table = WitnessTable(bundle.poset, bundle.strat, n, name)
+            approx = approximate(table, derive_point_names(table, space), bundle.family)
+            cert = check_approximation(table, approx.cover)
             assert cert.positive, (seed, n, cert.counterexample)
             positives += 1
     print(f"PASS criterion 4: {positives} positive approximation certificates "
@@ -188,8 +187,8 @@ def test_criterion_5_refinement_replays():
         n = rng.randrange(len(scenario.names))
         name = scenario.names[n]
         check_cover_name(bundle.poset, space, name)
-        point_names = derive_point_names(bundle.poset, space, name)
-        approx = approximate(bundle.poset, point_names, n, bundle.family)
+        table = WitnessTable(bundle.poset, bundle.strat, n, name)
+        approx = approximate(table, derive_point_names(table, space), bundle.family)
         ground = []
         for piece in approx.cover:
             if rng.random() < 0.7:
@@ -197,7 +196,7 @@ def test_criterion_5_refinement_replays():
             else:
                 inside = [o for o in space.opens if o and o <= piece]
                 ground.append(inside[rng.randrange(len(inside))])
-        refined, cert, _ = refine_name(WitnessTable(bundle.poset, bundle.strat, n, name), ground)
+        refined, cert, _ = refine_name(table, ground)
         assert cert.refines_everywhere, (seed - 1, n, cert.refine_counterexample)
         assert cert.positive, (seed - 1, n, cert.counterexample)
         assert refined.pairs
@@ -255,11 +254,9 @@ def test_criterion_8_negative_controls():
     bundle = build_bundle(recipe)
     space = FiniteSpace(space_payload["points"], space_payload["base"])
     check_cover_name(bundle.poset, space, name)
-    point_names = derive_point_names(bundle.poset, space, name)
-    approx = approximate(bundle.poset, point_names, 1, bundle.family)
-    tampered = Approximation(
-        approx.level, approx.entries, approx.cover + (frozenset({"y", "z"}),))
-    cert = check_approximation(WitnessTable(bundle.poset, bundle.strat, 1, name), tampered)
+    table = WitnessTable(bundle.poset, bundle.strat, 1, name)
+    approx = approximate(table, derive_point_names(table, space), bundle.family)
+    cert = check_approximation(table, approx.cover + (frozenset({"y", "z"}),))
     assert not cert.positive
     assert cert.counterexample == (("y", "z"), "")
 

@@ -200,7 +200,7 @@ def test_shared_witness_table_changes_no_certificate(label):
     for n, name in enumerate(scenario.names):
         check_cover_name(bundle.poset, space, name)
         approx_cert = check_approximation(
-            WitnessTable(bundle.poset, bundle.strat, n, name), cert.approximations[n])
+            WitnessTable(bundle.poset, bundle.strat, n, name), cert.approximations[n].cover)
         assert approx_cert.to_text(TextMemo()) == canonical_json(
             sections["approximation_certificates"][n])
         refined, refine_cert, _ = refine_name(

@@ -21,7 +21,7 @@ import endowlab.preservation as preservation
 from endowlab.bounds import Limits
 from endowlab.canon import canonical_json
 from endowlab.cli import main, parse_bounds, parse_poset_spec
-from endowlab.errors import UsageError
+from endowlab.errors import InvariantError, UsageError
 from endowlab.instances import (
     cohen_pair_name_payload,
     fixture_cohen_pair,
@@ -1009,6 +1009,20 @@ def test_verify_outcome_matrix(case, tmp_path, capsys):
     assert main(["verify", "--cert", str(cert)]) == code
     seen = capsys.readouterr()
     assert (seen.out, seen.err.replace(str(cert), "{path}")) == (out, err)
+
+
+def test_a_tripped_invariant_escapes_main(monkeypatch, tmp_path):
+    # a kernel that drops the last atom of each mask (mutant f) leaves a point
+    # antichain that is not maximal: a program fault, so no exit code of the
+    # table but 1, through the exception escaping `main`
+    cert = tmp_path / "cert.json"
+    cert.write_text(GOLDEN_TEXT)
+    run_preservation(fixture_cohen_pair())  # the shared bundle, built by the real kernel
+    real = Poset.above_atoms
+    monkeypatch.setattr(Poset, "above_atoms",
+                        lambda self, atoms: real(self, atoms & ~(1 << atoms.bit_length() >> 1)))
+    with pytest.raises(InvariantError, match="point 'x': greedy antichain is not maximal"):
+        main(["verify", "--cert", str(cert)])
 
 
 def test_verify_missing_cert_is_65(tmp_path):

@@ -12,10 +12,9 @@ from endowlab.bounds import DEFAULT_LIMITS, Limits
 from endowlab.canon import set_key, sorted_sets
 from endowlab.cohen import CohenPoset
 from endowlab.endowment import cohen_dow_family, maximal_antichain_family, measure_total_family
-from endowlab.errors import DataError
+from endowlab.errors import DataError, InvariantError
 from endowlab.measure import MeasurePoset
 from endowlab.names import (
-    Approximation,
     AtomRow,
     PointName,
     WitnessTable,
@@ -32,6 +31,7 @@ from endowlab.poset import (
     Poset,
     evaluate_name,
     forces,
+    make_stratification,
     validate_name,
     value_masks,
 )
@@ -58,6 +58,13 @@ def level_tables(poset, strat, names):
     return [WitnessTable(poset, strat, n, name) for n, name in enumerate(names)]
 
 
+def table_at(poset, name, n=0):
+    """The level-n witness table of the name over the one-level
+    stratification: point names and approximations read only the table's
+    poset, level and name."""
+    return WitnessTable(poset, make_stratification(poset, [poset.elements]), n, name)
+
+
 def test_check_cover_name_validates():
     c, space, name = pair_setup()
     assert check_cover_name(c.poset, space, name) is None
@@ -73,27 +80,27 @@ def test_check_cover_name_validates():
 
 def test_cover_name_validity():
     c, space, name = pair_setup()
-    assert len(derive_point_names(c.poset, space, name)) == 2
+    assert len(derive_point_names(table_at(c.poset, name), space)) == 2
     # dropping the 0 -> 1 side breaks density for both points below 0:1;
     # the first point in sorted order is the one named
     partial = Name((("0:0", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
-        derive_point_names(c.poset, space, partial)
+        derive_point_names(table_at(c.poset, partial), space)
     # with x committed everywhere, y is the point that fails
     only_y = Name((("", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError, match="point 'y' lacks dense commitments"):
-        derive_point_names(c.poset, space, only_y)
+        derive_point_names(table_at(c.poset, only_y), space)
     # two atoms and no top: only the first condition in canonical order lacks
     # a commitment below it
     pair = Poset.from_pairs(["a", "b"], [])
     single = FiniteSpace(["x"], [["x"]])
     with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
-        derive_point_names(pair, single, Name((("b", {"x"}),)))
+        derive_point_names(table_at(pair, Name((("b", {"x"}),))), single)
 
 
 def test_point_names_on_pair_fixture():
     c, space, name = pair_setup()
-    pns = derive_point_names(c.poset, space, name)
+    pns = derive_point_names(table_at(c.poset, name), space)
     by_point = {pn.point: pn for pn in pns}
     assert set(by_point) == {"x", "y"}
     # both points split along index 0
@@ -106,7 +113,7 @@ def test_point_names_on_pair_fixture():
 
 def test_point_antichains_are_maximal_and_committed():
     c, space, name = pair_setup()
-    for pn in derive_point_names(c.poset, space, name):
+    for pn in derive_point_names(table_at(c.poset, name), space):
         assert c.poset.is_maximal_antichain(pn.antichain)
         for p, u in pn.values:
             assert pn.point in u
@@ -114,11 +121,11 @@ def test_point_antichains_are_maximal_and_committed():
             assert forces(c.poset, p, ExistsSupersetInCover(name, u))
 
 
-
 def test_point_name_scan_ends_when_above_atoms_drops_an_atom(monkeypatch):
     # the scan drops the position it keeps, so it does not rest on
     # above_atoms returning that position: with a kernel that drops the last
-    # atom of every mask it ends, and the maximality check reports the fault.
+    # atom of every mask it ends, and the maximality check reports the fault
+    # as a program fault, not as bad input.
     # Each case has one commitment mask, so a scan that ends keeps at most
     # one member per condition; a call past that fails instead of hanging
     real = Poset.above_atoms
@@ -136,11 +143,10 @@ def test_point_name_scan_ends_when_above_atoms_drops_an_atom(monkeypatch):
     measure_name = Name((("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
     for poset, cover_name in ((c.poset, name), (m.poset, measure_name)):
         calls.clear()
-        try:
-            derive_point_names(poset, space, cover_name)
-        except DataError as exc:
-            assert "greedy antichain is not maximal" in str(exc)
+        with pytest.raises(InvariantError, match="greedy antichain is not maximal"):
+            derive_point_names(table_at(poset, cover_name), space)
         assert calls
+
 
 def reference_point_names(poset, space, name):
     """The per point greedy loop over every position, before points with
@@ -222,7 +228,7 @@ def test_point_names_match_the_per_point_reference():
     sharing = set()
     separative = set()
     for poset, space, name in point_name_cases():
-        pns = derive_point_names(poset, space, name)
+        pns = derive_point_names(table_at(poset, name), space)
         assert pns == reference_point_names(poset, space, name)
         distinct = len({pn.antichain for pn in pns})
         sharing.add(distinct == 1 if len(pns) > 1 else None)
@@ -251,12 +257,12 @@ def test_approximate_extracts_once_per_distinct_antichain():
         ([(q, {"x"}) for q in a] + [(q, {x}) for q in b for x in "yz"], 2),
     ):
         name = Name(tuple(pairs))
-        pns = derive_point_names(c.poset, space, name)
+        pns = derive_point_names(table_at(c.poset, name), space)
         for n in range(4):
             calls.clear()
-            approx = approximate(c.poset, pns, n, counted)
+            approx = approximate(table_at(c.poset, name, n), pns, counted)
             assert len(calls) == len(set(calls)) == distinct
-            assert approx == approximate(c.poset, pns, n, family)
+            assert approx == approximate(table_at(c.poset, name, n), pns, family)
 
 
 def test_approximate_trusts_the_point_antichains(monkeypatch):
@@ -276,25 +282,42 @@ def test_approximate_trusts_the_point_antichains(monkeypatch):
     for poset, family, cover_name in ((c.poset, cohen_dow_family(c, c.stratification()), name),
                                       (m.poset, measure_total_family(m), measure_name)):
         checks.clear()
-        pns = derive_point_names(poset, space, cover_name)
+        pns = derive_point_names(table_at(poset, cover_name), space)
         assert checks == [frozenset(pn.antichain) for pn in pns[:1]]  # one shared antichain
         for n in range(3):
-            approximate(poset, pns, n, family)
+            approximate(table_at(poset, cover_name, n), pns, family)
         assert len(checks) == 1
+
+
+def test_faulty_extractions_are_program_faults():
+    # an endowment family extracts a nonempty subset of the antichain it is
+    # given; one that does not is a program fault, not a rejection of input
+    c, space, name = pair_setup()
+    table = table_at(c.poset, name, 1)
+    pns = derive_point_names(table, space)
+    family = cohen_dow_family(c, c.stratification())
+    for extract, message in (
+        (lambda n, antichain: frozenset(), "family extraction for point 'x' is empty"),
+        (lambda n, antichain: frozenset({""}),
+         "family extraction for point 'x' leaves the antichain"),
+    ):
+        with pytest.raises(InvariantError, match=message) as caught:
+            approximate(table, pns, replace(family, extract=extract))
+        assert not isinstance(caught.value, DataError)
 
 
 def test_derive_rejects_invalid_names():
     c, space, _ = pair_setup()
     partial = Name((("0:0", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError):
-        derive_point_names(c.poset, space, partial)
+        derive_point_names(table_at(c.poset, partial), space)
 
 
 def test_approximation_on_pair_fixture():
     c, space, name = pair_setup()
-    pns = derive_point_names(c.poset, space, name)
+    table = table_at(c.poset, name, 1)
     family = cohen_dow_family(c, c.stratification())
-    approx = approximate(c.poset, pns, 1, family)
+    approx = approximate(table, derive_point_names(table, space), family)
     assert approx.level == 1
     # x uses both sides: {x} meet {x,y} = {x}; y gets {x,y}
     assert {x: v for x, _, v in approx.entries} == {
@@ -310,18 +333,19 @@ def test_approximation_pieces_contain_their_points():
         ("00,01", {"x", "y"}),
         ("10,11", {"x", "y"}),
     ))
-    pns = derive_point_names(m.poset, space, name)
+    pns = derive_point_names(table_at(m.poset, name), space)
     for n in range(3):
-        approx = approximate(m.poset, pns, n, measure_total_family(m))
+        approx = approximate(table_at(m.poset, name, n), pns, measure_total_family(m))
         for x, _, piece in approx.entries:
             assert x in piece
 
 
 def test_approximation_certificate_positive_with_witness_counts():
     c, space, name = pair_setup()
-    pns = derive_point_names(c.poset, space, name)
-    approx = approximate(c.poset, pns, 1, cohen_dow_family(c, c.stratification()))
-    cert = check_approximation(WitnessTable(c.poset, c.stratification(), 1, name), approx)
+    strat = c.stratification()
+    table = WitnessTable(c.poset, strat, 1, name)
+    approx = approximate(table, derive_point_names(table, space), cohen_dow_family(c, strat))
+    cert = check_approximation(table, approx.cover)
     assert cert.positive
     # 2 cover pieces, 5 level-1 conditions: one witness each
     assert len(cert.triples) == 10
@@ -340,16 +364,11 @@ def test_approximation_certificate_flags_undominated_piece():
     name = Name((
         ("", {"x"}), ("", {"y"}), ("", {"z"}),
     ))
-    pns = derive_point_names(c.poset, space, name)
-    approx = approximate(c.poset, pns, 1, maximal_antichain_family(c.poset))
-    cert = check_approximation(WitnessTable(c.poset, c.stratification(), 1, name), approx)
+    table = WitnessTable(c.poset, c.stratification(), 1, name)
+    approx = approximate(table, derive_point_names(table, space), maximal_antichain_family(c.poset))
+    cert = check_approximation(table, approx.cover)
     assert cert.positive
-    tampered = Approximation(
-        approx.level,
-        approx.entries,
-        approx.cover + (frozenset({"y", "z"}),),
-    )
-    cert = check_approximation(WitnessTable(c.poset, c.stratification(), 1, name), tampered)
+    cert = check_approximation(table, approx.cover + (frozenset({"y", "z"}),))
     assert not cert.positive
     piece, p = cert.counterexample
     assert frozenset(piece) == frozenset({"y", "z"})
@@ -358,9 +377,10 @@ def test_approximation_certificate_flags_undominated_piece():
 
 def test_refined_name_evaluation_law():
     c, space, name = pair_setup()
-    pns = derive_point_names(c.poset, space, name)
-    approx = approximate(c.poset, pns, 1, cohen_dow_family(c, c.stratification()))
-    refined, cert, masks = refine_name(WitnessTable(c.poset, c.stratification(), 1, name), approx.cover)
+    strat = c.stratification()
+    table = WitnessTable(c.poset, strat, 1, name)
+    approx = approximate(table, derive_point_names(table, space), cohen_dow_family(c, strat))
+    refined, cert, masks = refine_name(table, approx.cover)
     assert cert.positive
     assert masks == value_masks(c.poset, refined)  # tabled from the refined pairs
     for atom in c.poset.atoms:
@@ -375,9 +395,9 @@ def test_refined_name_evaluation_law():
 def test_refinement_certificate_clauses():
     c, space, name = pair_setup()
     strat = c.stratification()
-    pns = derive_point_names(c.poset, space, name)
-    approx = approximate(c.poset, pns, 1, cohen_dow_family(c, strat))
-    refined, cert, _ = refine_name(WitnessTable(c.poset, strat, 1, name), approx.cover)
+    table = WitnessTable(c.poset, strat, 1, name)
+    approx = approximate(table, derive_point_names(table, space), cohen_dow_family(c, strat))
+    refined, cert, _ = refine_name(table, approx.cover)
     assert cert.refines_everywhere
     assert cert.counterexample is None
     # every (ground set, level condition) pair has a dense witness
@@ -496,25 +516,20 @@ def test_pipeline_positive_on_pair_fixture():
     c, space, name = pair_setup()
     strat = c.stratification()
     family = cohen_dow_family(c, strat)
-    names = [name, name, name]
-    approxes = [
-        approximate(c.poset, derive_point_names(c.poset, space, nm), n, family)
-        for n, nm in enumerate(names)
-    ]
-    result = run_pipeline(c.poset, strat, space, level_tables(c.poset, strat, names),
-                          [a.cover for a in approxes])
+    tables = level_tables(c.poset, strat, [name, name, name])
+    approxes = [approximate(table, derive_point_names(table, space), family) for table in tables]
+    result = run_pipeline(tables, [a.cover for a in approxes], space, strat.stabilization_index)
     assert result.positive
     assert all(result.subfamily_everywhere)
     assert result.union_covers
 
 
 def test_pipeline_single_level_with_trivial_stratification():
-    from endowlab.poset import Poset, make_stratification
     p = Poset.from_pairs(["t"], [])
     strat = make_stratification(p, [["t"]])
     space = FiniteSpace(["x"], [["x"]])
     name = Name((("t", {"x"}),))
-    result = run_pipeline(p, strat, space, level_tables(p, strat, [name]), [[frozenset({"x"})]])
+    result = run_pipeline(level_tables(p, strat, [name]), [[frozenset({"x"})]], space, 0)
     assert result.positive
 
 
@@ -525,27 +540,21 @@ def test_pipeline_horizon_precondition():
     # y only appears below the stabilization floor (level 0 < 2)
     families = [[frozenset({"x", "y"})], [frozenset({"x"})], [frozenset({"x"})]]
     # the run completes and honestly fails to cover
-    result = run_pipeline(c.poset, strat, space, level_tables(c.poset, strat, names), families)
+    result = run_pipeline(
+        level_tables(c.poset, strat, names), families, space, strat.stabilization_index)
     assert not result.positive
     assert not result.union_covers
 
 
 def test_pipeline_needs_one_family_per_name():
-    c, space, name = pair_setup()
-    with pytest.raises(DataError):
-        run_pipeline(c.poset, c.stratification(), space,
-                     level_tables(c.poset, c.stratification(), [name]), [])
-
-
-def test_witness_tables_must_match_their_levels():
+    # only a program fault can hand the pipeline a count that differs, so it
+    # is a ValueError (exit 1), not a DataError
     c, space, name = pair_setup()
     strat = c.stratification()
-    with pytest.raises(DataError, match="levels 0, 1, ... in order"):
-        run_pipeline(c.poset, strat, space, [WitnessTable(c.poset, strat, 1, name)], [[]])
-    approx = approximate(c.poset, derive_point_names(c.poset, space, name), 1,
-                         cohen_dow_family(c, strat))
-    with pytest.raises(DataError, match="level 1 approximation checked against level 0"):
-        check_approximation(WitnessTable(c.poset, strat, 0, name), approx)
+    with pytest.raises(ValueError):
+        run_pipeline(level_tables(c.poset, strat, [name]), [], space, 0)
+    with pytest.raises(ValueError):
+        run_pipeline([], [], space, 0)
 
 
 # -- the closing pass against the separate checks it replaced -----------------
@@ -628,7 +637,7 @@ def test_closing_pass_matches_the_separate_checks_when_covering_fails():
     c, space, name = pair_setup()
     strat = c.stratification()
     families = [[frozenset({"x", "y"})], [frozenset({"x"})], [frozenset({"x"})]]
-    result = run_pipeline(
-        c.poset, strat, space, level_tables(c.poset, strat, [name, name, name]), families)
+    result = run_pipeline(level_tables(c.poset, strat, [name, name, name]), families, space,
+                          strat.stabilization_index)
     assert not assert_matches_reference(c.poset, strat, space, result, families)
     assert {row.level for row in result.atom_table if row.point == "y"} == {None}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import endowlab.names as names
 import endowlab.preservation as preservation
 from endowlab.bounds import Limits, limits_from_env
 from endowlab.canon import canonical_json
@@ -324,6 +325,24 @@ def test_names_are_checked_before_point_names_are_derived(monkeypatch):
     scenario = dataclasses.replace(scenario, names=scenario.names[:-1] + (bad,))
     with pytest.raises(DataError, match="unknown condition: '9:9'"):
         run_preservation(scenario)
+
+
+def test_each_level_tables_value_masks_twice(monkeypatch):
+    # once for the cover name, in the level's witness table, which the point
+    # names read too, and once for the refined name, in the refinement check
+    tabled = []
+    real = names.value_masks
+
+    def counted(poset, name):
+        tabled.append(name)
+        return real(poset, name)
+
+    monkeypatch.setattr(names, "value_masks", counted)
+    for scenario in (fixture_cohen_pair(), fixture_measure_pair(),
+                     generate_scenario(8, "selective-screenability")):
+        tabled.clear()
+        cert = run_preservation(scenario)
+        assert tabled == [*scenario.names, *cert.pipeline.refined]
 
 
 # -- metamorphic relations ---------------------------------------------------------
