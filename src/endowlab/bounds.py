@@ -8,13 +8,12 @@ overriding any subset of the fields).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_indices: int = 5   # Cohen style index sets
     max_k: int = 3         # measure algebra exponent; 2^(2^k)-1 conditions
     max_points: int = 6    # space size
@@ -31,7 +30,7 @@ class Limits:
             raise DataError(f"not valid JSON: {exc}") from exc
         if type(data) is not dict:
             raise DataError("must be a JSON object")
-        known = {f.name for f in fields(cls)}
+        known = set(cls._fields)
         unknown = sorted(set(data) - known)
         if unknown:
             raise DataError(f"unknown keys: {unknown}")

@@ -12,13 +12,11 @@ subset of the resource limits, for example '{"max_k": 4}'.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import random
 import sys
-import traceback
 
 from .bounds import DEFAULT_LIMITS, Limits, limits_from_env
 from .canon import canonical_json_pretty, check_shape, sorted_sets
@@ -300,7 +298,7 @@ def cmd_refine(args, limits: Limits) -> int:
 def cmd_preserve(args, limits: Limits) -> int:
     scenario = Scenario.from_jsonable(load_instance(args.scenario, "scenario"))
     if args.property is not None:
-        scenario = dataclasses.replace(scenario, mode=args.property)
+        scenario = scenario._replace(mode=args.property)
     check_writable(args.cert)
     cert = run_preservation(scenario, limits)
     text = cert.to_text()
@@ -385,6 +383,8 @@ def _check_scenario(make, limits: Limits, seed: int | None = None, mode: str | N
         record["replay_ok"] = replay_certificate(cert.to_text() + "\n", limits).ok
     except Exception as exc:  # the batch must keep running
         if not isinstance(exc, EndowlabError):
+            import traceback  # loaded only on a program fault, off the start-up path
+
             traceback.print_exc()
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record

@@ -16,9 +16,8 @@ family used as a negative control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cohen import CohenPoset
 from .errors import ResourceError
@@ -26,8 +25,7 @@ from .measure import MeasurePoset, extract_measure_endowment, measure_endowment_
 from .poset import Condition, Poset, Stratification
 
 
-@dataclass(frozen=True)
-class EndowmentFamily:
+class EndowmentFamily(NamedTuple):
     """A labeled family given by a membership test and an extractor.
 
     `member(n, L)` decides whether L belongs to level n; `extract(n, A)`
@@ -42,8 +40,7 @@ class EndowmentFamily:
     extract: Callable[[int, frozenset[str]], frozenset[str]]
 
 
-@dataclass(frozen=True)
-class DowStage:
+class DowStage(NamedTuple):
     """One stage of the staged construction: the conditions whose chosen
     antichain elements were added, the elements, and the support so far."""
 
@@ -52,8 +49,7 @@ class DowStage:
     support: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DowTrace:
+class DowTrace(NamedTuple):
     seed: Condition
     stages: tuple[DowStage, ...]
     result: frozenset[Condition]
@@ -200,8 +196,7 @@ def adversarial_singleton_family(poset: Poset) -> EndowmentFamily:
 # -- verification ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     clause: str
     antichain: tuple[Condition, ...]
     witness: Condition | None
@@ -216,8 +211,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class EndowmentReport:
+class EndowmentReport(NamedTuple):
     family: str
     level: int
     checked: int

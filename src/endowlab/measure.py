@@ -2,14 +2,13 @@
 
 A condition is a nonempty subset of the 2^k point cube, ordered by
 inclusion (smaller set = stronger condition); the full cube is the top and
-the singletons are the atoms.  The measure of a cell is its size over 2^k,
-kept exact as a Fraction.  Cell literals list the member bit strings sorted
-and comma separated, for example "00,01".
+the singletons are the atoms.  The measure of a cell is its size over 2^k.
+Cell literals list the member bit strings sorted and comma separated, for
+example "00,01".
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable
 
@@ -77,9 +76,6 @@ class MeasurePoset:
         if literal not in self._cells:
             raise DataError(f"unknown condition: {literal!r}")
         return self._cells[literal]
-
-    def measure(self, literal: str) -> Fraction:
-        return Fraction(len(self.cell(literal)), 2 ** self.k)
 
     def stratification(self) -> Stratification:
         """Level n holds the cells of measure at least 2^-n, that is of

@@ -42,9 +42,8 @@ check that only a program fault can trip raises `errors.InvariantError`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .canon import BOOL_TEXT, TextMemo, array_text, object_text, set_key, sorted_sets
 from .endowment import EndowmentFamily
@@ -76,8 +75,7 @@ def check_cover_name(poset: Poset, space: FiniteSpace, name: Name) -> None:
             raise DataError(f"cover name value {sorted(u)} is not a basic open set")
 
 
-@dataclass(frozen=True)
-class PointName:
+class PointName(NamedTuple):
     """Per point data: a maximal antichain of commitment conditions and, for
     each of its members, the canonically least value set committed below it."""
 
@@ -153,8 +151,7 @@ def derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointNa
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Approximation:
+class Approximation(NamedTuple):
     """A level-n ground cover: per point, the family members used and the
     intersection of their committed sets."""
 
@@ -289,16 +286,14 @@ def level_witnesses(
     return tuple(runs), None
 
 
-@dataclass(frozen=True)
 class LevelWitnesses:
     """Dense witnesses at one level: for each set of `runs`, the least
     witness below each of the level's `conditions` in turn, as
-    `level_witnesses` returns them."""
+    `level_witnesses` returns them.  A mixin over each certificate's own
+    fields, which start with `level`, `conditions`, `runs` and
+    `counterexample`."""
 
-    level: int
-    conditions: tuple[Condition, ...]
-    runs: tuple[Run, ...]
-    counterexample: tuple[tuple[str, ...], Condition] | None
+    __slots__ = ()
 
     @property
     def triples(self) -> tuple[tuple[tuple[str, ...], Condition, Condition], ...]:
@@ -322,10 +317,18 @@ class LevelWitnesses:
         return f'{{"condition":{memo.quoted[counter[1]]},"{field}":{memo.sets[counter[0]]}}}'
 
 
-@dataclass(frozen=True)
-class ApproxCertificate(LevelWitnesses):
+class _ApproxFields(NamedTuple):
+    level: int
+    conditions: tuple[Condition, ...]
+    runs: tuple[Run, ...]
+    counterexample: tuple[tuple[str, ...], Condition] | None
+
+
+class ApproxCertificate(LevelWitnesses, _ApproxFields):
     """Dense domination witnesses: for each piece and each level condition,
     the canonically least extension forcing the piece into the named cover."""
+
+    __slots__ = ()
 
     @property
     def positive(self) -> bool:
@@ -352,13 +355,20 @@ def check_approximation(table: WitnessTable, cover: Iterable[frozenset[str]]) ->
     return ApproxCertificate(table.level, table.conditions, runs, counterexample)
 
 
-@dataclass(frozen=True)
-class RefineCertificate(LevelWitnesses):
+class _RefineFields(NamedTuple):
+    level: int
+    conditions: tuple[Condition, ...]
+    runs: tuple[Run, ...]
+    counterexample: tuple[tuple[str, ...], Condition] | None
+    refine_counterexample: Condition | None  # atom where refinement fails
+
+
+class RefineCertificate(LevelWitnesses, _RefineFields):
     """Witnesses for the two refinement clauses: evaluations refine the
     source name at every atom, and every ground set is forced in densely
     below the level."""
 
-    refine_counterexample: Condition | None  # atom where refinement fails
+    __slots__ = ()
 
     @property
     def refines_everywhere(self) -> bool:
@@ -420,8 +430,7 @@ def refine_name(
     return refined, cert, masks
 
 
-@dataclass(frozen=True)
-class AtomRow:
+class AtomRow(NamedTuple):
     """One certified covering fact: at this atom, this point lies in this
     evaluated set of the refined name at this level."""
 
@@ -431,8 +440,7 @@ class AtomRow:
     covering: frozenset[str] | None
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Per level refined names and certificates, plus the closing pass: per
     level subfamily flags, one row per (atom, point), and the covering check
     at and above the stabilization floor."""

@@ -48,10 +48,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import lt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import DEFAULT_LIMITS, Limits
 from .canon import TextMemo, array_text, set_key, sorted_sets
@@ -65,8 +64,7 @@ Condition = str
 MAX_ANTICHAINS = 100_000
 
 
-@dataclass(frozen=True)
-class AntichainCapReport:
+class AntichainCapReport(NamedTuple):
     """The partial report of an enumeration stopped past `MAX_ANTICHAINS`."""
 
     reached: int
@@ -366,8 +364,7 @@ class Poset:
         return frozenset(chosen)
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(NamedTuple):
     """An increasing chain of condition sets that exhausts the poset.
 
     `stabilization_index` is the least level equal to the whole poset.
@@ -377,7 +374,7 @@ class Stratification:
 
     levels: tuple[frozenset[Condition], ...]
     stabilization_index: int
-    ordered: tuple[tuple[Condition, ...], ...] = field(compare=False, repr=False)
+    ordered: tuple[tuple[Condition, ...], ...]
 
     def at(self, n: int) -> frozenset[Condition]:
         return self.levels[self._index(n)]
@@ -418,8 +415,11 @@ def make_stratification(poset: Poset, levels: Sequence[Iterable[Condition]]) -> 
 # -- names and statements ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Name:
+class _NameFields(NamedTuple):
+    pairs: tuple[tuple[Condition, frozenset[str]], ...]
+
+
+class Name(_NameFields):
     """A condition indexed family of value sets.
 
     A pair (q, U) contributes U to the evaluation at every atom below q.
@@ -430,15 +430,15 @@ class Name:
     among the name's distinct value sets in `set_key` order.
     """
 
-    pairs: tuple[tuple[Condition, frozenset[str]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pairs = [(q, frozenset(u)) for q, u in self.pairs]
+    def __new__(cls, pairs: Iterable[tuple[Condition, Iterable[str]]]):
+        pairs = [(q, frozenset(u)) for q, u in pairs]
         rank = {u: r for r, u in enumerate(sorted({u for _, u in pairs}, key=set_key))}
         order = [(q, rank[u]) for q, u in pairs]
         if not all(map(lt, order, order[1:])):  # out of order or duplicated
             pairs = sorted(set(pairs), key=lambda pair: (pair[0], rank[pair[1]]))
-        object.__setattr__(self, "pairs", tuple(pairs))
+        return super().__new__(cls, tuple(pairs))
 
     def conditions(self) -> tuple[Condition, ...]:
         return tuple(q for q, _ in self.pairs)
@@ -482,19 +482,21 @@ def evaluate_name(poset: Poset, name: Name, atom: Condition) -> tuple[frozenset[
         raise
 
 
-@dataclass(frozen=True)
-class ExistsSupersetInCover:
-    """Holds at an atom when some evaluated set contains `lower`."""
-
+class _ExistsFields(NamedTuple):
     name: Name
     lower: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", frozenset(self.lower))
+
+class ExistsSupersetInCover(_ExistsFields):
+    """Holds at an atom when some evaluated set contains `lower`."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: Name, lower: Iterable[str]):
+        return super().__new__(cls, name, frozenset(lower))
 
 
-@dataclass(frozen=True)
-class RefinesName:
+class RefinesName(NamedTuple):
     """Holds at an atom when each set evaluated from `finer` is contained in
     some set evaluated from `coarser`."""
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .bounds import DEFAULT_LIMITS, Limits
 from .canon import (
@@ -97,8 +97,7 @@ SCENARIO_SHAPE = {
 }
 
 
-@dataclass(frozen=True)
-class PosetBundle:
+class PosetBundle(NamedTuple):
     poset: Poset
     strat: Stratification
     family: EndowmentFamily
@@ -150,8 +149,7 @@ def build_bundle(recipe: dict, limits: Limits = DEFAULT_LIMITS) -> PosetBundle:
     return bundle
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     poset: dict  # a recipe that passed check_recipe
     points: tuple[str, ...]
     base: tuple[frozenset[str], ...]
@@ -189,8 +187,7 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class PreservationCertificate:
+class PreservationCertificate(NamedTuple):
     scenario: Scenario
     floor: int
     family_label: str
@@ -283,7 +280,10 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
         space, [a.cover for a in approximations], floor, scenario.mode)
     solution = solve_selection(problem)
     if solution is None:
-        raise ScenarioError("selection problem has no solution at or above the floor")
+        raise ScenarioError(
+            f"selection problem has no solution at or above the floor: property {scenario.mode}, "
+            f"floor {floor}, usable levels {list(range(floor, len(scenario.names)))}, "
+            f"points {sorted(space.points)}")
     checked, _ = check_selection(problem, solution)
     if scenario.mode == "rothberger":
         ground_families = tuple((u,) for u in solution)
@@ -305,8 +305,7 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
     )
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(NamedTuple):
     ok: bool
     mismatches: tuple[str, ...]
 
@@ -394,11 +393,10 @@ def _check_bounds(bounds: Limits, limits: Limits) -> None:
     """Reject generation bounds that no seed can meet: a bound above the
     resource limits, a space below two points, a subbase cap below one set
     per drawn point, or no poset kind to draw from."""
-    for f in fields(Limits):
-        if getattr(bounds, f.name) > getattr(limits, f.name):
+    for key, bound, limit in zip(Limits._fields, bounds, limits):
+        if bound > limit:
             raise ResourceError(
-                f"generation bound {f.name}={getattr(bounds, f.name)} exceeds the "
-                f"resource limit {getattr(limits, f.name)}")
+                f"generation bound {key}={bound} exceeds the resource limit {limit}")
     if bounds.max_points < 2:
         raise DataError(
             f"generation bound max_points={bounds.max_points} is below 2, the smallest space drawn")

@@ -30,9 +30,8 @@ three checkers share one test that the picks at or above the floor cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .canon import family_key, sorted_sets
 from .errors import DataError
@@ -41,8 +40,7 @@ from .topology import FiniteSpace, covers
 EXACT_MENGER_POOL = 12
 
 
-@dataclass(frozen=True)
-class SelectionProblem:
+class SelectionProblem(NamedTuple):
     space: FiniteSpace
     covers: tuple[tuple[frozenset[str], ...], ...]
     floor: int

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -21,6 +20,7 @@ import endowlab.preservation as preservation
 from endowlab.bounds import Limits
 from endowlab.canon import canonical_json
 from endowlab.cli import main, parse_bounds, parse_poset_spec
+from endowlab.cohen import CohenPoset
 from endowlab.errors import InvariantError, UsageError
 from endowlab.instances import (
     cohen_pair_name_payload,
@@ -146,6 +146,23 @@ def test_property_override_does_not_carry_to_the_next_call(tmp_path, capsys):
     assert json.loads(cert.read_text())["scenario"]["property"] == "menger"
     assert main(argv) == 0
     assert json.loads(cert.read_text())["scenario"]["property"] == fixture_cohen_pair().mode
+
+
+def test_preserve_says_why_a_selection_has_no_solution(tmp_path, capsys):
+    # every level's approximation is {x}, {y}: one pick at the floor cannot cover both points
+    atoms = CohenPoset([0, 1]).poset.atoms
+    name = [{"condition": a, "set": [x]} for a in atoms for x in "xy"]
+    scenario = tmp_path / "scenario.json"
+    save_instance(scenario, "scenario", {
+        "poset": {"kind": "cohen", "indices": [0, 1]},
+        "space": {"points": ["x", "y"], "base": [["x"], ["y"], ["x", "y"]]},
+        "names": [name] * 3,
+        "property": "rothberger"})
+    argv = ["preserve", "--scenario", str(scenario), "--cert", str(tmp_path / "cert.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "scenario error: selection problem has no solution at or above the floor: "
+        "property rothberger, floor 2, usable levels [2], points ['x', 'y']\n")
 
 
 def test_a_usage_error_leaves_the_next_call_working(capsys):
@@ -1083,7 +1100,7 @@ def test_fuzzed_poset_file_exits_with_a_documented_code(payload):
         assert main(["endow-verify", f"@{source}", "--n", "1"]) in EXIT_CODES
 
 
-LIMIT_KEYS = tuple(f.name for f in fields(Limits))
+LIMIT_KEYS = Limits._fields
 
 
 @FUZZ
@@ -1361,13 +1378,27 @@ def test_commands_never_write_a_shared_poset(tmp_path, monkeypatch, capsys):
     assert [shared_snapshot(recipe) for recipe, *_ in cases] == before
 
 
-def test_cli_imports_only_the_standard_library():
+@cache
+def modules_added_by_importing_the_cli() -> frozenset[str]:
+    """The modules `import endowlab.cli` adds to a fresh interpreter's."""
     code = ("import sys; before = set(sys.modules); import endowlab.cli; "
             "print(*sorted(set(sys.modules) - before))")
     env = {**os.environ, "PYTHONPATH": str(Path(endowlab.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    loaded = {name.split(".")[0] for name in run.stdout.split()}
+    return frozenset(run.stdout.split())
+
+
+def test_cli_imports_only_the_standard_library():
+    loaded = {name.split(".")[0] for name in modules_added_by_importing_the_cli()}
     assert loaded - set(sys.stdlib_module_names) == {"endowlab"}
     # every command runs in one process, so nothing needs a process pool
     assert "multiprocessing" not in loaded
+
+
+def test_cli_import_skips_the_slow_standard_modules():
+    # each command runs in a fresh interpreter, so these would be paid by
+    # every command: `dataclasses` (with `inspect` behind it), `fractions`
+    # (with `decimal`), and `traceback`, needed only to report a program fault
+    slow = {"dataclasses", "inspect", "fractions", "decimal", "traceback"}
+    assert modules_added_by_importing_the_cli() & slow == set()

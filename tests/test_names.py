@@ -3,7 +3,6 @@ witness certificate, refinement, and the pipeline."""
 
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -250,7 +249,7 @@ def test_approximate_extracts_once_per_distinct_antichain():
         calls.append(antichain)
         return family.extract(n, antichain)
 
-    counted = replace(family, extract=extract)
+    counted = family._replace(extract=extract)
     for pairs, distinct in (
         ([(q, {"x", "y", "z"}) for q in a], 1),
         ([(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b], 2),
@@ -302,7 +301,7 @@ def test_faulty_extractions_are_program_faults():
          "family extraction for point 'x' leaves the antichain"),
     ):
         with pytest.raises(InvariantError, match=message) as caught:
-            approximate(table, pns, replace(family, extract=extract))
+            approximate(table, pns, family._replace(extract=extract))
         assert not isinstance(caught.value, DataError)
 
 

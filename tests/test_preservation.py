@@ -1,7 +1,6 @@
 """End to end runs: fixtures, determinism, replay, scenario errors, and the
 seeded generator."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -107,8 +106,11 @@ def test_scenario_error_when_selection_unsolvable():
         ] * 2,
         "property": "rothberger",
     }
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as raised:
         run_preservation(Scenario.from_jsonable(payload))
+    assert str(raised.value) == (
+        "selection problem has no solution at or above the floor: property rothberger, "
+        "floor 1, usable levels [1], points ['x', 'y', 'z']")
 
 
 def test_invalid_cover_name_is_data_error():
@@ -125,13 +127,13 @@ def test_run_builds_only_the_refined_names(golden, monkeypatch):
     # builds are the refined ones, one per level
     scenario = Scenario.from_jsonable(json.loads(golden.read_text())["scenario"])
     built = []
-    post_init = Name.__post_init__
+    new = Name.__new__
 
-    def record(name):
-        post_init(name)
-        built.append(name)
+    def record(cls, pairs):
+        built.append(new(cls, pairs))
+        return built[-1]
 
-    monkeypatch.setattr(Name, "__post_init__", record)
+    monkeypatch.setattr(Name, "__new__", record)
     cert = run_preservation(scenario)
     assert len(built) == len(scenario.names)
     assert all(a is b for a, b in zip(built, cert.pipeline.refined))
@@ -308,7 +310,7 @@ def test_generator_bound_validation():
 def test_an_unknown_mode_is_rejected_by_the_selection_problem():
     # a scenario file's mode passes SCENARIO_SHAPE and `--property` passes
     # argparse; in process, `make_selection_problem` is the one mode check
-    scenario = dataclasses.replace(fixture_cohen_pair(), mode="banach-mazur")
+    scenario = fixture_cohen_pair()._replace(mode="banach-mazur")
     with pytest.raises(DataError, match="unknown mode 'banach-mazur'"):
         run_preservation(scenario)
 
@@ -322,7 +324,7 @@ def test_names_are_checked_before_point_names_are_derived(monkeypatch):
     monkeypatch.setattr(preservation, "derive_point_names", refuse)
     scenario = fixture_cohen_pair()
     bad = Name((("9:9", frozenset({"x"})),))
-    scenario = dataclasses.replace(scenario, names=scenario.names[:-1] + (bad,))
+    scenario = scenario._replace(names=scenario.names[:-1] + (bad,))
     with pytest.raises(DataError, match="unknown condition: '9:9'"):
         run_preservation(scenario)
 
@@ -383,7 +385,7 @@ def explicit_copy(scenario: Scenario) -> Scenario:
     poset = build_bundle(scenario.poset).poset
     leq = [[a, b] for b in poset.elements for a in sorted(poset.down(b), key=poset.sort_key) if a != b]
     recipe = {"kind": "explicit", "elements": list(poset.elements), "leq": leq}
-    return dataclasses.replace(scenario, poset=recipe)
+    return scenario._replace(poset=recipe)
 
 
 def test_renaming_points_and_reordering_entries_keeps_the_certificate_shape():
