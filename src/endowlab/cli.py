@@ -245,14 +245,14 @@ def cmd_dow(args, limits: Limits) -> int:
 
 def load_name_inputs(args, limits: Limits):
     """The poset bundle, space and cover name that `approx` and `refine`
-    read.  `load_instance` shape-checks each payload, so the space and the
-    name are built directly from it; `check_cover_name` then checks the
-    name against the poset and the space."""
+    read.  `load_instance` shape-checks each payload, so the space is built
+    directly from it and the name by `Name.canonical`; `check_cover_name`
+    then checks the name against the poset and the space."""
     require_level_bound(args.n, limits)
     bundle = build_bundle(parse_poset_spec(args.poset, limits), limits)
     payload = load_instance(args.space, "space")
     space = FiniteSpace(payload["points"], payload["base"], limits)
-    name = Name(tuple((entry["condition"], entry["set"]) for entry in load_instance(args.name, "name")))
+    name = Name.canonical((entry["condition"], entry["set"]) for entry in load_instance(args.name, "name"))
     check_cover_name(bundle.poset, space, name)
     return bundle, space, name
 
@@ -349,11 +349,11 @@ def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
     )]
 
     def random_name(poset) -> Name:
-        return Name(tuple(
+        return Name.canonical(
             (poset.elements[rng.randrange(len(poset))],
              frozenset(x for x in "xy" if rng.random() < 0.5))
             for _ in range(rng.randint(0, 4))
-        ))
+        )
 
     agree = 0
     for _ in range(queries):

@@ -95,14 +95,6 @@ class CohenPoset:
         self._within: dict[int, tuple[str, ...]] = {}
         self.poset = Poset(literals, below)
 
-    def assignment(self, literal: str) -> dict[int, int]:
-        self.poset.require(literal)
-        return parse_condition(literal)
-
-    def support(self, literal: str) -> frozenset[int]:
-        self.poset.require(literal)
-        return frozenset(parse_condition(literal))
-
     def within(self, support: int) -> tuple[str, ...]:
         """The conditions of `within_mask[support]` in canonical order, built
         once per support mask."""

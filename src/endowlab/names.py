@@ -418,7 +418,7 @@ def refine_name(
     family = sorted_sets(frozenset(h) for h in ground_family)
     forcing = [(h, table.forcing(h)) for h in family]
     # positions in identifier order, and at each the family in set_key
-    # order: the name's canonical order, so the constructor keeps the pairs
+    # order: the name's canonical order, which `Name` takes as given
     refined = Name(tuple((elements[i], h) for i in poset.identifier_order
                          for h, mask in forcing if mask >> i & 1))
     masks = value_masks(poset, refined)

@@ -218,12 +218,6 @@ class Poset:
         return frozenset(q for q, mask in self.down_mask.items() if mask >> i & 1)
 
     @property
-    def top(self) -> Condition | None:
-        """The maximum condition if one exists."""
-        everything = (1 << len(self._elements)) - 1
-        return next((p for p, mask in self.down_mask.items() if mask == everything), None)
-
-    @property
     def atoms(self) -> tuple[Condition, ...]:
         """Minimal conditions, in canonical order."""
         return self._atoms
@@ -415,30 +409,32 @@ def make_stratification(poset: Poset, levels: Sequence[Iterable[Condition]]) -> 
 # -- names and statements ---------------------------------------------------
 
 
-class _NameFields(NamedTuple):
-    pairs: tuple[tuple[Condition, frozenset[str]], ...]
-
-
-class Name(_NameFields):
+class Name(NamedTuple):
     """A condition indexed family of value sets.
 
     A pair (q, U) contributes U to the evaluation at every atom below q.
-    Pairs are stored deduplicated in a fixed order, by (q, set_key(U)), so
-    names compare and hash structurally.  Pairs already in that order, as
-    every name read back from canonical text is, are kept as given after
-    one pass that sees their (q, rank of U) keys strictly increase, U ranked
-    among the name's distinct value sets in `set_key` order.
+    A canonical name holds its pairs without duplicates, ordered by (q,
+    set_key(U)), each U a frozenset, so names compare and hash structurally.
+    The constructor, `_make` and `_replace` take the pairs as given:
+    `canonical` builds a name from pairs in any order where names enter the
+    program, and the program builds its own names in canonical order.
     """
 
-    __slots__ = ()
+    pairs: tuple[tuple[Condition, frozenset[str]], ...]
 
-    def __new__(cls, pairs: Iterable[tuple[Condition, Iterable[str]]]):
+    @classmethod
+    def canonical(cls, pairs: Iterable[tuple[Condition, Iterable[str]]]) -> "Name":
+        """The name of the pairs in canonical order.  Pairs already in that
+        order, as every name read back from canonical text is, are kept as
+        given after one pass that sees their (q, rank of U) keys strictly
+        increase, U ranked among the name's distinct value sets in `set_key`
+        order."""
         pairs = [(q, frozenset(u)) for q, u in pairs]
         rank = {u: r for r, u in enumerate(sorted({u for _, u in pairs}, key=set_key))}
         order = [(q, rank[u]) for q, u in pairs]
         if not all(map(lt, order, order[1:])):  # out of order or duplicated
             pairs = sorted(set(pairs), key=lambda pair: (pair[0], rank[pair[1]]))
-        return super().__new__(cls, tuple(pairs))
+        return cls(tuple(pairs))
 
     def conditions(self) -> tuple[Condition, ...]:
         return tuple(q for q, _ in self.pairs)
@@ -482,18 +478,11 @@ def evaluate_name(poset: Poset, name: Name, atom: Condition) -> tuple[frozenset[
         raise
 
 
-class _ExistsFields(NamedTuple):
-    name: Name
-    lower: frozenset[str]
-
-
-class ExistsSupersetInCover(_ExistsFields):
+class ExistsSupersetInCover(NamedTuple):
     """Holds at an atom when some evaluated set contains `lower`."""
 
-    __slots__ = ()
-
-    def __new__(cls, name: Name, lower: Iterable[str]):
-        return super().__new__(cls, name, frozenset(lower))
+    name: Name
+    lower: frozenset[str]
 
 
 class RefinesName(NamedTuple):

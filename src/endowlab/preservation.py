@@ -18,7 +18,7 @@ The certificate is canonical JSON: replaying the embedded scenario must
 reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
 writer; it writes every section straight to text through one `TextMemo`,
 each triple from its memoized fragments, and only the poset recipe through
-`canonical_json`.  Its `to_jsonable` parses that text.
+`canonical_json`.
 `replay_certificate` decides a canonical file from its embedded scenario
 alone; any other text is parsed whole and compared with the fresh
 certificate section by section.
@@ -175,14 +175,14 @@ class Scenario(NamedTuple):
     @classmethod
     def from_jsonable(cls, data: dict) -> "Scenario":
         """Build from a payload that has passed SCENARIO_SHAPE, as every
-        `load_instance` payload has.  The shape covers every name, so the
-        names are built directly."""
+        `load_instance` payload has.  The shape covers every name; this is
+        where scenario names enter, so each is built by `Name.canonical`."""
         space = data["space"]
         return cls(
             data["poset"],
             tuple(sorted(space["points"])),
             tuple(frozenset(b) for b in space["base"]),
-            tuple(Name(tuple((e["condition"], e["set"]) for e in entry)) for entry in data["names"]),
+            tuple(Name.canonical((e["condition"], e["set"]) for e in entry) for entry in data["names"]),
             data["property"],
         )
 
@@ -241,9 +241,6 @@ class PreservationCertificate(NamedTuple):
                 for row in pipeline.atom_table]),
             "verdict": quoted[self.verdict],
         })
-
-    def to_jsonable(self) -> dict:
-        return json.loads(self.to_text())
 
 
 def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> PreservationCertificate:
@@ -505,5 +502,5 @@ def generate_scenario(
         if rng.random() < 0.5:
             extra_q = rng.choice(bundle.poset.elements)
             pairs.append((extra_q, rng.choice(base)))
-        names.append(Name(tuple(pairs)))
+        names.append(Name.canonical(pairs))
     return Scenario(recipe, points, base, tuple(names), mode)

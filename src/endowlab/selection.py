@@ -177,9 +177,8 @@ def menger_select(problem: SelectionProblem) -> tuple[tuple[frozenset[str], ...]
         uncovered = set(space.points)
         chosen = []
         while uncovered:
+            # the pool covers every point, so the best entry meets `uncovered`
             best = max(pool, key=lambda entry: (len(uncovered & entry[1]), ))
-            if not uncovered & best[1]:
-                return None
             chosen.append(best)
             uncovered -= best[1]
     families: list[tuple[frozenset[str], ...]] = [() for _ in range(n_levels)]

@@ -46,7 +46,7 @@ def split_names(recipe: dict) -> tuple[list[Name], list[Name], int]:
     for chosen in chain.from_iterable(combinations(pairs, r) for r in range(1, len(pairs) + 1)):
         committed = {x: {q for q, u in chosen if x in u} for x in POINTS}
         dense = all(top in qs or set(poset.atoms) <= qs for qs in committed.values())
-        (cover if dense else other).append(Name(chosen))
+        (cover if dense else other).append(Name.canonical(chosen))
     return cover, other, bundle.strat.stabilization_index + len(POINTS)
 
 

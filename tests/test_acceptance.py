@@ -144,7 +144,7 @@ def test_criterion_3_forcing_oracles_agree():
              frozenset(x for x in "xyz" if rng.random() < 0.5))
             for _ in range(rng.randint(0, 5))
         )
-        name = Name(pairs)
+        name = Name.canonical(pairs)
         p = poset.elements[rng.randrange(len(poset))]
         lower = frozenset(x for x in "xyz" if rng.random() < 0.4)
         direct = forces(poset, p, ExistsSupersetInCover(name, lower))
@@ -226,8 +226,8 @@ def test_criterion_7_fixture_certificates_match_goldens():
     }
     for label, (fixture, floor) in expectations.items():
         golden = (GOLDEN / f"{label}.cert.json").read_text()
-        first = canonical_json(run_preservation(fixture()).to_jsonable()) + "\n"
-        second = canonical_json(run_preservation(fixture()).to_jsonable()) + "\n"
+        first = canonical_json(json.loads(run_preservation(fixture()).to_text())) + "\n"
+        second = canonical_json(json.loads(run_preservation(fixture()).to_text())) + "\n"
         assert first == golden, f"{label} differs from the checked-in certificate"
         assert second == first, f"{label} not deterministic across runs"
         data = json.loads(golden)
@@ -260,7 +260,7 @@ def test_criterion_8_negative_controls():
     assert cert.counterexample == (("y", "z"), "")
 
     # (c) a tampered certificate fails replay on the edited section
-    data = json.loads(canonical_json(run_preservation(fixture_cohen_pair()).to_jsonable()))
+    data = json.loads(run_preservation(fixture_cohen_pair()).to_text())
     data["verdict"] = "negative"
     replay = replay_certificate(canonical_json(data) + "\n")
     assert not replay.ok

@@ -165,6 +165,17 @@ def test_preserve_says_why_a_selection_has_no_solution(tmp_path, capsys):
         "property rothberger, floor 2, usable levels [2], points ['x', 'y']\n")
 
 
+def test_preserve_refuses_a_scenario_without_names(tmp_path, capsys):
+    payload = fixture_cohen_pair().to_jsonable()
+    payload["names"] = []
+    scenario = tmp_path / "scenario.json"
+    save_instance(scenario, "scenario", payload)
+    cert = tmp_path / "cert.json"
+    assert main(["preserve", "--scenario", str(scenario), "--cert", str(cert)]) == 65
+    assert capsys.readouterr().err == "error: scenario needs at least one name\n"
+    assert not cert.exists()
+
+
 def test_a_usage_error_leaves_the_next_call_working(capsys):
     assert main(["endow-verify", "cohen:D=1"]) == 64  # missing --n
     assert main(["endow-verify", "cohen:D=1", "--n", "1"]) == 0
@@ -566,6 +577,25 @@ def test_approx_positive(pair_files, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["certificate"]["positive"] is True
     assert data["approximation"]["cover"] == [["x"], ["x", "y"]]
+
+
+def test_name_files_are_normalised_where_they_enter(pair_files, tmp_path, capsys):
+    # a name file may list its pairs in any order and repeat one: the name is
+    # built by `Name.canonical`, so `approx` and `refine` answer as for the
+    # canonical file
+    space, name = pair_files
+    payload = cohen_pair_name_payload()
+    reordered = tmp_path / "reordered.json"
+    save_instance(reordered, "name", payload[::-1] + payload[:1])
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([["x"]]))
+    for command in (["approx"], ["refine", "--sets", str(sets)]):
+        outs = []
+        for path in (name, str(reordered)):
+            assert main(command + ["--poset", "cohen:D=2", "--space", space, "--name", path,
+                                   "--n", "1", "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 def test_approx_missing_file_is_65(tmp_path, pair_files, capsys):
@@ -1054,7 +1084,7 @@ def test_verify_missing_cert_is_65(tmp_path):
 
 @cache
 def _pair_certificate() -> dict:
-    return run_preservation(fixture_cohen_pair()).to_jsonable()
+    return json.loads(run_preservation(fixture_cohen_pair()).to_text())
 
 
 SCENARIO_MUTATIONS = {

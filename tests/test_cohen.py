@@ -33,7 +33,7 @@ def test_canonical_order_weakest_first():
     c = CohenPoset([0, 1])
     assert c.poset.elements[0] == ""
     assert c.poset.elements[1:5] == ("0:0", "0:1", "1:0", "1:1")
-    assert c.poset.top == ""
+    assert c.poset.down_mask[""] == (1 << len(c.poset)) - 1  # the empty assignment is the top
     assert c.poset.atoms == ("0:0,1:0", "0:0,1:1", "0:1,1:0", "0:1,1:1")
 
 
@@ -65,14 +65,6 @@ def test_stabilization_equals_index_count():
     for indices in ([0], [0, 1], [0, 1, 2]):
         c = CohenPoset(indices)
         assert c.stratification().stabilization_index == len(indices)
-
-
-def test_support_and_assignment_accessors():
-    c = CohenPoset([0, 1])
-    assert c.support("0:1") == frozenset({0})
-    assert c.assignment("0:1,1:0") == {0: 1, 1: 0}
-    with pytest.raises(DataError):
-        c.support("2:0")
 
 
 def test_index_set_validation():
@@ -108,6 +100,6 @@ def test_leq_iff_extension(indices, data):
     c = CohenPoset(indices)
     p = data.draw(st.sampled_from(c.poset.elements))
     q = data.draw(st.sampled_from(c.poset.elements))
-    pa, qa = c.assignment(p), c.assignment(q)
+    pa, qa = parse_condition(p), parse_condition(q)
     extends = all(i in pa and pa[i] == v for i, v in qa.items())
     assert c.poset.leq(p, q) == extends

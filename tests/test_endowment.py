@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endowlab.cohen import CohenPoset
+from endowlab.cohen import CohenPoset, parse_condition
 from endowlab.endowment import (
     DowStage,
     DowTrace,
@@ -60,6 +60,10 @@ def test_staged_construction_supports_grow():
             assert lo <= hi
 
 
+def support_of(literal):
+    return frozenset(parse_condition(literal))
+
+
 def reference_dow_construct(cohen, antichain, n):
     """The stage loop as it was before support masks, copied verbatim: every
     stage rescans the poset against a set of indices, with no early stop."""
@@ -69,17 +73,17 @@ def reference_dow_construct(cohen, antichain, n):
     down = poset.down_mask
     seed = by_canon[0]
     chosen = {seed}
-    support = set(cohen.support(seed))
+    support = set(support_of(seed))
     stages = [DowStage((), (seed,), tuple(sorted(support)))]
     for _ in range(1, n + 1):
-        handled = [p for p in poset.elements if cohen.support(p) <= support]
+        handled = [p for p in poset.elements if support_of(p) <= support]
         added = []
         for p in handled:
             pick = next(a for a in by_canon if down[a] & down[p])
             if pick not in chosen:
                 chosen.add(pick)
                 added.append(pick)
-            support.update(cohen.support(pick))
+            support.update(support_of(pick))
         stages.append(DowStage(tuple(handled), tuple(added), tuple(sorted(support))))
     return DowTrace(seed, tuple(stages), frozenset(chosen))
 
@@ -204,6 +208,53 @@ def test_weak_verifier_flags_adversarial_family():
     clauses = {(v.clause, v.witness) for v in report.violations}
     assert ("3'", "0:1") in clauses
 
+
+
+NOT_ANTICHAIN = "extraction is not an antichain"
+LEAVES = "extraction leaves the antichain"
+NOT_MEMBER = "extraction is not a family member"
+
+# Faulty families on Cohen D=2 and measure k=1 at level 1, one per weak
+# clause 1 and 2 violation: (poset, antichain, faulty extractor or None,
+# faulty membership test or None, the exact violations).  Each antichain
+# is maximal and already in canonical order.
+WEAK_FAULTS = {
+    "cohen-not-antichain": (
+        lambda: CohenPoset([0, 1]), ("0:0", "0:1"), lambda n, a: frozenset({"", "0:0"}), None,
+        [("1", None, NOT_ANTICHAIN), ("2", "", LEAVES), ("2", None, NOT_MEMBER)]),
+    "cohen-leaves": (
+        lambda: CohenPoset([0, 1]), ("0:0", "0:1"),
+        lambda n, a: frozenset({"0:0,1:0", "0:0,1:1", "0:1,1:0", "0:1,1:1"}), None,
+        [("2", "0:0,1:0", LEAVES)]),
+    "cohen-not-member": (
+        lambda: CohenPoset([0, 1]), ("0:0", "0:1"), None, lambda n, c: False,
+        [("2", None, NOT_MEMBER)]),
+    "measure-not-antichain": (
+        lambda: MeasurePoset(1), ("0", "1"), lambda n, a: frozenset({"0,1", "0"}), None,
+        [("1", None, NOT_ANTICHAIN), ("2", "0,1", LEAVES), ("2", None, NOT_MEMBER)]),
+    "measure-leaves": (
+        lambda: MeasurePoset(1), ("0", "1"), lambda n, a: frozenset({"0,1"}), None,
+        [("2", "0,1", LEAVES)]),
+    "measure-not-member": (
+        lambda: MeasurePoset(1), ("0", "1"), None, lambda n, c: False,
+        [("2", None, NOT_MEMBER)]),
+}
+
+
+@pytest.mark.parametrize("case", WEAK_FAULTS.values(), ids=WEAK_FAULTS.keys())
+def test_weak_verifier_reports_faulty_extractions(case):
+    # a faulty extraction is reported clause by clause, never raised: the
+    # measure family's membership test answers False on a set that is not
+    # an antichain, as the Cohen family's does
+    make, antichain, extract, member, expected = case
+    built = make()
+    poset, strat = built.poset, built.stratification()
+    assert poset.is_maximal_antichain(antichain)
+    real = cohen_dow_family(built, strat) if isinstance(built, CohenPoset) else measure_total_family(built)
+    family = EndowmentFamily("faulty", member or real.member, extract or real.extract)
+    report = verify_weak_endowment(poset, strat, family, 1, extract_each(family, 1, [antichain]))
+    assert report.violations == tuple(Violation(clause, antichain, witness, detail)
+                                      for clause, witness, detail in expected)
 
 
 def test_weak_violations_report_the_canonically_sorted_antichain():

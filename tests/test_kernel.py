@@ -55,8 +55,8 @@ def random_subset(rng: random.Random) -> frozenset[str]:
 
 
 def random_name(rng: random.Random, poset: Poset) -> Name:
-    return Name(tuple((rng.choice(poset.elements), random_subset(rng))
-                      for _ in range(rng.randint(0, 5))))
+    return Name.canonical((rng.choice(poset.elements), random_subset(rng))
+                          for _ in range(rng.randint(0, 5)))
 
 
 def brute_witness(poset: Poset, p, name: Name, lower: frozenset[str]):
@@ -273,8 +273,8 @@ def statement_posets(rng: random.Random) -> list[Poset]:
 def repeating_name(rng: random.Random, poset: Poset) -> Name:
     """A name drawing its values from a pool of two, so values repeat across conditions."""
     pool = [random_subset(rng), random_subset(rng)]
-    return Name(tuple((rng.choice(poset.elements), rng.choice(pool))
-                      for _ in range(rng.randint(0, 6))))
+    return Name.canonical((rng.choice(poset.elements), rng.choice(pool))
+                          for _ in range(rng.randint(0, 6)))
 
 
 def atomwise_truth(poset: Poset, stmt) -> int:

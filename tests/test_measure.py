@@ -35,7 +35,7 @@ def test_condition_counts():
 def test_canonical_order_weakest_first():
     m = MeasurePoset(1)
     assert m.poset.elements == ("0,1", "0", "1")
-    assert m.poset.top == "0,1"
+    assert m.poset.down_mask["0,1"] == (1 << len(m.poset)) - 1  # the whole cube is the top
     assert m.poset.atoms == ("0", "1")
 
 
@@ -109,9 +109,11 @@ def test_membership_strict_total_measure_bound():
 
 
 def test_membership_rejects_non_antichains():
+    # overlapping cells of total size 4 would pass the measure bound, but a
+    # set that is not an antichain is not a member: the test answers False,
+    # as the Cohen family's does, so the weak verifier reports the extraction
     m = MeasurePoset(2)
-    with pytest.raises(DataError):
-        measure_endowment_member(m, 1, ["00,01", "01,10"])
+    assert not measure_endowment_member(m, 1, ["00,01", "01,10"])
 
 
 def test_extraction_takes_largest_cells_first():

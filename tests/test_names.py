@@ -44,7 +44,7 @@ def pair_setup():
     the 0 -> 0 side commits {x} and {x,y}; the 0 -> 1 side commits {x,y}."""
     c = CohenPoset([0, 1])
     space = FiniteSpace(["x", "y"], [["x"], ["x", "y"]])
-    name = Name((
+    name = Name.canonical((
         ("0:0", {"x"}),
         ("0:0", {"x", "y"}),
         ("0:1", {"x", "y"}),
@@ -82,11 +82,11 @@ def test_cover_name_validity():
     assert len(derive_point_names(table_at(c.poset, name), space)) == 2
     # dropping the 0 -> 1 side breaks density for both points below 0:1;
     # the first point in sorted order is the one named
-    partial = Name((("0:0", {"x"}), ("0:0", {"x", "y"})))
+    partial = Name.canonical((("0:0", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
         derive_point_names(table_at(c.poset, partial), space)
     # with x committed everywhere, y is the point that fails
-    only_y = Name((("", {"x"}), ("0:0", {"x", "y"})))
+    only_y = Name.canonical((("", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError, match="point 'y' lacks dense commitments"):
         derive_point_names(table_at(c.poset, only_y), space)
     # two atoms and no top: only the first condition in canonical order lacks
@@ -94,7 +94,7 @@ def test_cover_name_validity():
     pair = Poset.from_pairs(["a", "b"], [])
     single = FiniteSpace(["x"], [["x"]])
     with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
-        derive_point_names(table_at(pair, Name((("b", {"x"}),))), single)
+        derive_point_names(table_at(pair, Name.canonical((("b", {"x"}),))), single)
 
 
 def test_point_names_on_pair_fixture():
@@ -139,7 +139,7 @@ def test_point_name_scan_ends_when_above_atoms_drops_an_atom(monkeypatch):
     monkeypatch.setattr(Poset, "above_atoms", drops_last_atom)
     c, space, name = pair_setup()
     m = MeasurePoset(2)
-    measure_name = Name((("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
+    measure_name = Name.canonical((("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
     for poset, cover_name in ((c.poset, name), (m.poset, measure_name)):
         calls.clear()
         with pytest.raises(InvariantError, match="greedy antichain is not maximal"):
@@ -214,7 +214,7 @@ def point_name_cases():
             # x and z on one antichain, y on another, each through its singleton
             split = [(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b]
             for pairs in (shared, split, shared + extra, split + extra):
-                cases.append((poset, space, Name(tuple(pairs))))
+                cases.append((poset, space, Name.canonical(pairs)))
     for seed in range(30):
         scenario = generate_scenario(seed)
         bundle = build_bundle(scenario.poset)
@@ -255,7 +255,7 @@ def test_approximate_extracts_once_per_distinct_antichain():
         ([(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b], 2),
         ([(q, {"x"}) for q in a] + [(q, {x}) for q in b for x in "yz"], 2),
     ):
-        name = Name(tuple(pairs))
+        name = Name.canonical(pairs)
         pns = derive_point_names(table_at(c.poset, name), space)
         for n in range(4):
             calls.clear()
@@ -276,7 +276,7 @@ def test_approximate_trusts_the_point_antichains(monkeypatch):
     monkeypatch.setattr(Poset, "is_maximal_antichain", counted)
     c, space, name = pair_setup()
     m = MeasurePoset(2)
-    measure_name = Name((
+    measure_name = Name.canonical((
         ("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
     for poset, family, cover_name in ((c.poset, cohen_dow_family(c, c.stratification()), name),
                                       (m.poset, measure_total_family(m), measure_name)):
@@ -307,7 +307,7 @@ def test_faulty_extractions_are_program_faults():
 
 def test_derive_rejects_invalid_names():
     c, space, _ = pair_setup()
-    partial = Name((("0:0", {"x"}), ("0:0", {"x", "y"})))
+    partial = Name.canonical((("0:0", {"x"}), ("0:0", {"x", "y"})))
     with pytest.raises(DataError):
         derive_point_names(table_at(c.poset, partial), space)
 
@@ -327,7 +327,7 @@ def test_approximation_on_pair_fixture():
 def test_approximation_pieces_contain_their_points():
     m = MeasurePoset(2)
     space = FiniteSpace(["x", "y"], [["x"], ["x", "y"]])
-    name = Name((
+    name = Name.canonical((
         ("00,01", {"x"}),
         ("00,01", {"x", "y"}),
         ("10,11", {"x", "y"}),
@@ -360,7 +360,7 @@ def test_approximation_certificate_flags_undominated_piece():
     # committed at the top, so a two point piece is never dominated
     c = CohenPoset([0])
     space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"]])
-    name = Name((
+    name = Name.canonical((
         ("", {"x"}), ("", {"y"}), ("", {"z"}),
     ))
     table = WitnessTable(c.poset, c.stratification(), 1, name)
@@ -411,7 +411,7 @@ def test_witness_runs_are_keyed_by_forcing_mask():
     # contains {x,y}: three sets, three masks, three runs of three lengths
     c = CohenPoset([0])
     space = FiniteSpace(["x", "y"], [["x"], ["y"], ["x", "y"]])
-    name = Name((("0:0", {"x"}), ("0:1", {"y"})))
+    name = Name.canonical((("0:0", {"x"}), ("0:1", {"y"})))
     table = WitnessTable(c.poset, c.stratification(), 1, name)
     x, y, both = frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})
     assert len({table.forcing(h) for h in (x, y, both)}) == 3
@@ -420,7 +420,7 @@ def test_witness_runs_are_keyed_by_forcing_mask():
     assert table.run(both) == ()
     assert table.run(frozenset({"x"})) is table.run(x)
     # {x} is forced in exactly where {y} is, so the two sets share one run
-    twin = Name((("", {"x", "y"}),))
+    twin = Name.canonical((("", {"x", "y"}),))
     table = WitnessTable(c.poset, c.stratification(), 1, twin)
     assert table.forcing(x) == table.forcing(y)
     assert table.run(x) is table.run(y) == ("", "0:0", "0:1")
@@ -428,7 +428,7 @@ def test_witness_runs_are_keyed_by_forcing_mask():
 
 def test_refinement_flags_undominated_ground_set():
     c = CohenPoset([0])
-    name = Name((("", {"x"}), ("", {"y"}), ("", {"z"})))
+    name = Name.canonical((("", {"x"}), ("", {"y"}), ("", {"z"})))
     refined, cert, _ = refine_name(
         WitnessTable(c.poset, c.stratification(), 0, name), [frozenset({"y", "z"})])
     assert not cert.positive
@@ -458,7 +458,7 @@ def _drawn_scenario(recipe: dict, seed: int, mode: str) -> Scenario:
         antichain = sorted(poset.random_maximal_antichain(rng), key=poset.sort_key)
         pairs = [(q, rng.choice([b for b in base if x in b])) for q in antichain for x in "xy"]
         pairs += [(rng.choice(poset.elements), rng.choice(base)) for _ in range(3)]
-        names.append(Name(tuple(pairs)))
+        names.append(Name.canonical(pairs))
     return Scenario(recipe, ("x", "y"), base, tuple(names), mode)
 
 
@@ -494,9 +494,8 @@ def test_drawn_order_scenarios_list_conditions_against_identifier_order(make):
 
 @pytest.mark.parametrize("make", REFINE_ORDER_SCENARIOS.values(), ids=REFINE_ORDER_SCENARIOS.keys())
 def test_refine_name_hands_its_pairs_over_in_canonical_order(make, monkeypatch):
-    # out-of-order pairs would still normalize to the same name and only cost
-    # a sort, so the pairs reaching the constructor are checked directly: the
-    # refined names, and the cover names rebuilt from the scenario's names
+    # `Name` takes its pairs as given, so a refined name is canonical only if
+    # `refine_name` hands its pairs over in canonical order
     handed = []
 
     def spy(pairs):
@@ -527,7 +526,7 @@ def test_pipeline_single_level_with_trivial_stratification():
     p = Poset.from_pairs(["t"], [])
     strat = make_stratification(p, [["t"]])
     space = FiniteSpace(["x"], [["x"]])
-    name = Name((("t", {"x"}),))
+    name = Name.canonical((("t", {"x"}),))
     result = run_pipeline(level_tables(p, strat, [name]), [[frozenset({"x"})]], space, 0)
     assert result.positive
 

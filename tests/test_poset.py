@@ -64,7 +64,7 @@ def test_rejects_unknown_and_duplicate_elements():
 def test_atoms_and_top():
     p = diamond()
     assert p.atoms == ("z",)
-    assert p.top == "t"
+    assert p.down_mask["t"] == (1 << len(p)) - 1  # the top
     v = vee()
     assert v.atoms == ("a", "b")
     assert v.atom_mask == {"t": 0b11, "a": 0b01, "b": 0b10}
@@ -213,8 +213,8 @@ def test_poset_json_roundtrip(tmp_path):
 
 
 def test_name_normalizes_pairs():
-    a = Name((("q", frozenset({"x"})), ("p", frozenset({"x", "y"})), ("q", frozenset({"x"}))))
-    b = Name((("p", frozenset({"y", "x"})), ("q", frozenset({"x"}))))
+    a = Name.canonical((("q", frozenset({"x"})), ("p", frozenset({"x", "y"})), ("q", frozenset({"x"}))))
+    b = Name.canonical((("p", frozenset({"y", "x"})), ("q", frozenset({"x"}))))
     assert a.pairs == b.pairs
     assert a == b
     assert hash(a) == hash(b)
@@ -231,23 +231,23 @@ def test_name_normalizes_pairs():
         reference = tuple(sorted({(q, frozenset(u)) for q, u in given},
                                  key=lambda pair: (pair[0], set_key(pair[1]))))
         for ordered in (rng.sample(given, len(given)), reference):
-            name = Name(tuple((q, rng.choice(kinds)(u)) for q, u in ordered))
+            name = Name.canonical((q, rng.choice(kinds)(u)) for q, u in ordered)
             assert name.pairs == reference
             assert all(type(u) is frozenset for _, u in name.pairs)
-            assert Name(name.pairs).pairs == name.pairs
+            assert Name.canonical(name.pairs).pairs == name.pairs
 
 
 def test_name_json_roundtrip(tmp_path):
-    # a name file is shape-checked by `load_instance` and built by the constructor
-    a = Name((("q", frozenset({"x"})), ("p", frozenset({"x", "y"}))))
+    # a name file is shape-checked by `load_instance` and built by `Name.canonical`
+    a = Name.canonical((("q", frozenset({"x"})), ("p", frozenset({"x", "y"}))))
     save_instance(tmp_path / "n.json", "name", a.to_jsonable())
     payload = load_instance(tmp_path / "n.json", "name")
-    assert Name(tuple((e["condition"], frozenset(e["set"])) for e in payload)) == a
+    assert Name.canonical((e["condition"], e["set"]) for e in payload) == a
 
 
 def test_evaluate_name_collects_sets_above_atom():
     v = vee()
-    name = Name((("t", frozenset({"u"})), ("a", frozenset({"v"})), ("b", frozenset({"w"}))))
+    name = Name.canonical((("t", frozenset({"u"})), ("a", frozenset({"v"})), ("b", frozenset({"w"}))))
     assert evaluate_name(v, name, "a") == (frozenset({"u"}), frozenset({"v"}))
     assert evaluate_name(v, name, "b") == (frozenset({"u"}), frozenset({"w"}))
 
@@ -328,7 +328,7 @@ def poset_with_name(draw):
         q = draw(st.sampled_from(poset.elements))
         u = frozenset(draw(st.sets(st.sampled_from(universe), max_size=3)))
         pairs.append((q, u))
-    return poset, Name(tuple(pairs))
+    return poset, Name.canonical(pairs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -377,8 +377,8 @@ def oracle_posets(draw):
 @given(oracle_posets(), st.data())
 def test_oracles_match_their_definitions_through_leq(poset, data):
     elements = poset.elements
-    name = Name(tuple(data.draw(st.lists(
-        st.tuples(st.sampled_from(elements), st.frozensets(st.sampled_from("xyz"))), max_size=5))))
+    name = Name.canonical(data.draw(st.lists(
+        st.tuples(st.sampled_from(elements), st.frozensets(st.sampled_from("xyz"))), max_size=5)))
     members = data.draw(st.sets(st.sampled_from(elements)))
     for p in elements:
         below = {r for r in elements if poset.leq(r, p)}

@@ -58,8 +58,8 @@ def test_modes_all_positive_on_fixtures():
 
 
 def test_certificates_are_byte_identical_across_runs():
-    a = canonical_json(run_preservation(fixture_cohen_pair()).to_jsonable())
-    b = canonical_json(run_preservation(fixture_cohen_pair()).to_jsonable())
+    a = canonical_json(json.loads(run_preservation(fixture_cohen_pair()).to_text()))
+    b = canonical_json(json.loads(run_preservation(fixture_cohen_pair()).to_text()))
     assert a == b
 
 
@@ -77,7 +77,7 @@ def test_replay_accepts_fresh_and_flags_tampered():
 def test_replay_rejects_malformed_certificates():
     with pytest.raises(DataError):
         replay_certificate('{"kind":"nope"}')
-    cert = run_preservation(fixture_cohen_pair()).to_jsonable()
+    cert = json.loads(run_preservation(fixture_cohen_pair()).to_text())
     # true and 1.0 compare equal to 1 in Python but are not the integer 1
     for version in (99, True, 1.0):
         cert["format_version"] = version
@@ -123,8 +123,9 @@ def test_invalid_cover_name_is_data_error():
 @pytest.mark.parametrize("golden", sorted((Path(__file__).parent / "golden").glob("*.cert.json")),
                          ids=lambda path: path.name)
 def test_run_builds_only_the_refined_names(golden, monkeypatch):
-    # the scenario's names are checked as given, so the only names a run
-    # builds are the refined ones, one per level
+    # the scenario's names were normalised where they entered, in
+    # `Scenario.from_jsonable`, so a run normalises no name, and the only
+    # names it builds are the refined ones, one per level
     scenario = Scenario.from_jsonable(json.loads(golden.read_text())["scenario"])
     built = []
     new = Name.__new__
@@ -133,15 +134,48 @@ def test_run_builds_only_the_refined_names(golden, monkeypatch):
         built.append(new(cls, pairs))
         return built[-1]
 
+    def refuse(pairs):
+        raise AssertionError("a run normalised a name")
+
     monkeypatch.setattr(Name, "__new__", record)
+    monkeypatch.setattr(Name, "canonical", refuse)
     cert = run_preservation(scenario)
     assert len(built) == len(scenario.names)
     assert all(a is b for a, b in zip(built, cert.pipeline.refined))
 
 
+def assert_names_canonical(cert) -> None:
+    """Every name the certificate writes, the scenario's and the refined
+    ones, is canonical: `Name` takes its pairs as given, so this checks the
+    names that entered and the names the pipeline built."""
+    for name in cert.scenario.names + cert.pipeline.refined:
+        assert name.pairs == Name.canonical(name.pairs).pairs, name
+        assert all(type(u) is frozenset for _, u in name.pairs), name
+
+
+@pytest.mark.parametrize("golden", sorted((Path(__file__).parent / "golden").glob("*.cert.json")),
+                         ids=lambda path: path.name)
+def test_golden_certificates_write_canonical_names(golden):
+    assert_names_canonical(run_preservation(
+        Scenario.from_jsonable(json.loads(golden.read_text())["scenario"])))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_generated_certificates_write_canonical_names(mode):
+    for seed in range(60):
+        assert_names_canonical(run_preservation(generate_scenario(seed, mode)))
+
+
 def test_scenario_roundtrip():
     s = fixture_cohen_pair()
     assert Scenario.from_jsonable(s.to_jsonable()) == s
+
+
+def test_scenario_names_are_normalised_where_they_enter():
+    # each name's pairs reversed, with its first pair repeated
+    payload = fixture_cohen_pair().to_jsonable()
+    payload["names"] = [entry[::-1] + entry[:1] for entry in payload["names"]]
+    assert Scenario.from_jsonable(payload) == fixture_cohen_pair()
 
 
 def test_explicit_poset_scenario():
@@ -307,6 +341,23 @@ def test_generator_bound_validation():
     assert s is not None
 
 
+@pytest.mark.parametrize("bounds", [{"max_base": 3}, {"max_points": 2, "max_base": 2}],
+                         ids=["base-3", "points-2-base-2"])
+def test_generator_caps_the_subbase(bounds):
+    # the base is drawn before the cap is applied, with the same draws for
+    # any cap, so the same seed under the default cap shows the drawn size
+    capped, uncapped = Limits(**bounds), Limits(**{**bounds, "max_base": Limits().max_base})
+    over = 0
+    for seed in range(100):
+        for mode in MODES:
+            s = generate_scenario(seed, mode, bounds=capped)
+            assert len(s.base) <= capped.max_base, (seed, mode)
+            assert frozenset().union(*s.base) == frozenset(s.points), (seed, mode)
+            assert run_preservation(s).verdict == "positive", (seed, mode)
+            over += len(generate_scenario(seed, mode, bounds=uncapped).base) > capped.max_base
+    assert over  # the cap branch ran
+
+
 def test_an_unknown_mode_is_rejected_by_the_selection_problem():
     # a scenario file's mode passes SCENARIO_SHAPE and `--property` passes
     # argparse; in process, `make_selection_problem` is the one mode check
@@ -358,7 +409,7 @@ def metamorphic_inputs() -> list[Scenario]:
 
 def certificate_shape(scenario: Scenario) -> tuple:
     """The verdict, the floor and the length of every list section."""
-    data = run_preservation(scenario).to_jsonable()
+    data = json.loads(run_preservation(scenario).to_text())
     return data["verdict"], data["floor"], {k: len(v) for k, v in data.items() if isinstance(v, list)}
 
 
@@ -375,7 +426,7 @@ def renamed(scenario: Scenario) -> Scenario:
         scenario.poset,
         tuple(sorted(new.values())),
         tuple(rename(b) for b in reversed(scenario.base)),
-        tuple(Name(tuple((q, rename(u)) for q, u in reversed(name.pairs))) for name in scenario.names),
+        tuple(Name.canonical((q, rename(u)) for q, u in reversed(name.pairs)) for name in scenario.names),
         scenario.mode,
     )
 

@@ -1,6 +1,6 @@
 """Value records: every immutable record class of the package compares,
-hashes and refuses assignment by value, and the two that normalise their
-input still do."""
+hashes and refuses assignment by value, and takes its fields as given;
+`Name.canonical` is the one normaliser of names."""
 
 import importlib
 import pkgutil
@@ -25,16 +25,8 @@ def record_classes() -> list[type]:
 
 RECORDS = record_classes()
 
-# Field values for the records whose constructor reads its input; any other
-# record takes one plain string per field.
-SAMPLE_FIELDS = {
-    Name: ((("q", frozenset({"x"})),),),
-    ExistsSupersetInCover: (Name((("q", {"x"}),)), frozenset({"x"})),
-}
-
-
 def sample(cls):
-    return cls(*SAMPLE_FIELDS.get(cls, [f"{field}-value" for field in cls._fields]))
+    return cls(*[f"{field}-value" for field in cls._fields])
 
 
 def test_every_record_is_found():
@@ -63,16 +55,43 @@ def test_records_refuse_assignment(cls):
     assert record == sample(cls)
 
 
-def test_name_normalises_its_pairs():
-    name = Name([("b", ["x"]), ("a", {"y"}), ("b", ("x",))])
+# out of order, with a duplicate: not canonical
+RAW_PAIRS = (("b", frozenset({"x"})), ("a", frozenset({"y"})), ("b", frozenset({"x"})))
+
+
+def test_name_takes_its_pairs_as_given():
+    empty = Name(())
+    for name in (Name(RAW_PAIRS), Name(pairs=RAW_PAIRS), Name._make([RAW_PAIRS]),
+                 empty._replace(pairs=RAW_PAIRS)):
+        assert name.pairs is RAW_PAIRS
+    assert empty.pairs == ()
+
+
+def test_name_canonical_sorts_deduplicates_and_freezes():
+    name = Name.canonical([("b", ["x"]), ("a", {"y"}), ("b", ("x",))])
+    assert type(name) is Name
     assert name.pairs == (("a", frozenset({"y"})), ("b", frozenset({"x"})))
     assert all(type(u) is frozenset for _, u in name.pairs)
-    assert name == Name((("a", frozenset({"y"})), ("b", frozenset({"x"}))))
-    assert Name(pairs=[("b", ["x"]), ("a", ["y"])]) == name
+    assert Name.canonical(RAW_PAIRS) == name
+    assert Name.canonical(iter(RAW_PAIRS)) == name
+    assert Name.canonical(name.pairs) == name
+    assert Name.canonical(()) == Name(())
 
 
-def test_exists_superset_normalises_its_lower_set():
-    name = Name([("q", ["x"])])
-    statement = ExistsSupersetInCover(name, ["y", "x", "y"])
-    assert type(statement.lower) is frozenset
-    assert statement == ExistsSupersetInCover(name=name, lower=frozenset({"x", "y"}))
+def test_exists_superset_takes_its_fields_as_given():
+    name = Name.canonical([("q", ["x"])])
+    lower = frozenset({"x", "y"})
+    statement = ExistsSupersetInCover(name, lower)
+    assert statement.name is name and statement.lower is lower
+    assert ExistsSupersetInCover._make([name, lower]) == statement
+    assert statement._replace(lower=frozenset()).lower == frozenset()
+
+
+def test_no_record_overrides_its_constructor():
+    # the class that defines a record's `__new__` is the one `NamedTuple`
+    # generated with its fields, so the constructor, `_make` and `_replace`
+    # all take the fields as given
+    for cls in RECORDS:
+        owner = next(k for k in cls.__mro__ if "__new__" in vars(k))
+        assert "_fields" in vars(owner), cls
+    assert Name.__bases__ == ExistsSupersetInCover.__bases__ == (tuple,)
