@@ -50,7 +50,9 @@ class CohenPoset:
     value tuple, so the top condition comes first and atoms come last.
     `support_mask[p]` has bit j set when the j-th entry of `indices` lies in
     the support of p, and `within_mask[s]` marks by canonical position the
-    conditions whose support mask lies inside the support mask s.
+    conditions whose support mask lies inside the support mask s.  `within`
+    and `indices_in` list a support mask's conditions and indices, each
+    built once per mask.
     """
 
     def __init__(self, indices: Iterable[int], limits: Limits = DEFAULT_LIMITS):
@@ -93,6 +95,7 @@ class CohenPoset:
                     within[bits] |= within[bits ^ 1 << j]
         self.within_mask: tuple[int, ...] = tuple(within)
         self._within: dict[int, tuple[str, ...]] = {}
+        self._indices_in: dict[int, tuple[int, ...]] = {}
         self.poset = Poset(literals, below)
 
     def within(self, support: int) -> tuple[str, ...]:
@@ -102,6 +105,15 @@ class CohenPoset:
         if handled is None:
             handled = self._within[support] = tuple(self.poset.conditions_in(self.within_mask[support]))
         return handled
+
+    def indices_in(self, support: int) -> tuple[int, ...]:
+        """The entries of `indices` at the set bits of a support mask, in
+        order, built once per support mask."""
+        found = self._indices_in.get(support)
+        if found is None:
+            found = self._indices_in[support] = tuple(
+                i for j, i in enumerate(self.indices) if support >> j & 1)
+        return found
 
     def stratification(self) -> Stratification:
         """Level n holds the conditions with support size at most n.

@@ -16,7 +16,7 @@ family used as a negative control.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, count, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cohen import CohenPoset
@@ -88,42 +88,57 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     an element exactly when it lies above an atom below the element, so
     the compatible positions are `above_atoms` of those atoms, and each
     claim is what those leave after the earlier claims.  A stage
-    handles `within_mask[support]`; it adds the elements not yet kept
-    whose claim meets that mask, ordered by the lowest such bit, which is
-    the order a scan of the handled conditions would meet them in.
+    handles `within_mask[support]`.  One pass over the elements not yet
+    kept splits them into those whose claim meets that mask, which the
+    stage adds, and the rest, which wait.  The added elements are ordered
+    by the lowest such bit, the order a scan of the handled conditions
+    would meet them in; the claims are disjoint, so those bits differ.
+    The result is the seed and every added element, so a repeated element,
+    whose later copies claim nothing, changes nothing.  The handled
+    conditions and the support tuple of a stage are read from
+    `CohenPoset.within` and `CohenPoset.indices_in`, built once per support
+    mask.
     """
     poset = cohen.poset
-    by_canon = sorted(frozenset(antichain), key=poset.sort_key)
-    atom_mask = poset.atom_mask
+    by_canon = sorted(antichain, key=poset.sort_key)
+    atom_mask, above_atoms = poset.atom_mask, poset.above_atoms
     support_mask, within_mask = cohen.support_mask, cohen.within_mask
-
-    def indices(mask: int) -> tuple[int, ...]:
-        return tuple(i for j, i in enumerate(cohen.indices) if mask >> j & 1)
 
     claims: list[tuple[Condition, int]] = []
     rest = (1 << len(poset)) - 1  # positions not yet claimed
     for a in by_canon:
-        compatible = poset.above_atoms(atom_mask[a])
+        compatible = above_atoms(atom_mask[a])
         claims.append((a, rest & compatible))
         rest &= ~compatible
     seed = by_canon[0]
+    chosen = [seed]
     pending = claims[1:]  # the elements not yet kept, with their claims
     support = support_mask[seed]
-    stages = [DowStage((), (seed,), indices(support))]
+    stages = [DowStage((), (seed,), cohen.indices_in(support))]
     for stage in range(1, n + 1):
         handled = within_mask[support]
-        met = sorted((mine & -mine, a) for a, claim in pending if (mine := claim & handled))
-        added = tuple(a for _, a in met)
+        met: list[tuple[int, Condition]] = []
+        waiting: list[tuple[Condition, int]] = []
+        for a, claim in pending:
+            if mine := claim & handled:
+                met.append((mine & -mine, a))
+            else:
+                waiting.append((a, claim))
+        pending = waiting
         before = support
-        for a in added:
-            support |= support_mask[a]
-        pending = [(a, claim) for a, claim in pending if not claim & handled]
-        stages.append(DowStage(cohen.within(before), added, indices(support)))
+        if met:
+            met.sort()
+            added = tuple(a for _, a in met)
+            chosen.extend(added)
+            for a in added:
+                support |= support_mask[a]
+        else:
+            added = ()
+        stages.append(DowStage(cohen.within(before), added, cohen.indices_in(support)))
         if support == before:
             stages.extend([DowStage(stages[-1].handled, (), stages[-1].support)] * (n - stage))
             break
-    chosen = frozenset(by_canon) - {a for a, _ in pending}
-    return DowTrace(seed, tuple(stages), chosen)
+    return DowTrace(seed, tuple(stages), frozenset(chosen))
 
 
 def hits_level(poset: Poset, level: Iterable[Condition], conditions: Iterable[Condition]) -> bool:
@@ -310,16 +325,24 @@ def verify_full_endowment(
     below p lies in it.  The atoms in the intersection are the AND of the
     entries' `atoms_below` masks, and the failing conditions are the
     level's positions outside `above_atoms` of that AND, reported in level
-    order.  Many tuples share an AND ((a, b) and (b, a) always do), so the
-    failing list is built once per distinct AND.
+    order.
+
+    The tuples are scanned in rows, in `product` order: a row holds the
+    tuples that share their first n-1 entries, whose AND is taken once,
+    and one list comprehension ANDs it with each last entry.  Many tuples
+    share an AND ((a, b) and (b, a) always do), so the failing list is
+    built once per distinct AND, and the row's failing tuples are picked
+    out by `compress` over those lists.  The empty tuple of n = 0 is a row
+    of one entry that constrains nothing.
 
     The budget counts (tuple, level condition) pairs, so the clause needs
     (distinct extractions)^n * |level| of them, known before the scan.
-    Each tuple is charged its |level| pairs in `product` order.  At the
-    tuple that would pass the budget, only its failures among the first
-    `budget - charged` level conditions are kept, and ResourceError is
-    raised carrying that partial report.  A level with no conditions
-    checks no budget.
+    When they pass the budget, the tuple that trips it is known too: the
+    first whose pairs end past the budget, tuple `budget // |level|` in
+    `product` order.  The scan stops there, keeps only that tuple's
+    failures among the level conditions still within the budget, and
+    raises ResourceError carrying that partial report.  A level with no
+    conditions checks no budget.
     """
     level = strat.ordered_at(n)
     level_mask = sum(1 << poset.sort_key(p) for p in level)
@@ -328,24 +351,31 @@ def verify_full_endowment(
         if chosen not in atoms:
             atoms[chosen] = poset.atoms_below(chosen)
     pairs = len(atoms) ** n * len(level)
-    everything = (1 << len(poset.atoms)) - 1  # the empty tuple constrains nothing
+    everything = (1 << len(poset.atoms)) - 1
+    trip = max(budget // len(level), 0) if level and pairs > budget else -1  # tuple index, or none
+    lasts = atoms if n else {frozenset(): everything}  # the empty tuple constrains nothing
+    parts, masks = list(lasts), list(lasts.values())
+    width = len(parts)
     failing_at: dict[int, list[Condition]] = {}  # AND of a tuple's atom masks -> failing p
     violations: list[Violation] = []
-    charged = 0
-    for combo in product(atoms, repeat=n):
+    for start, prefix in zip(count(0, width), product(atoms, repeat=max(n - 1, 0))):
         common = everything
-        for part in combo:
+        for part in prefix:
             common &= atoms[part]
-        failing = failing_at.get(common)
-        if failing is None:
-            failing = failing_at[common] = poset.conditions_in(level_mask & ~poset.above_atoms(common))
-        tripped = bool(level) and charged + len(level) > budget
+        row = [common & mask for mask in masks]
+        stop = trip - start  # the tripping tuple's place in this row
+        tripped = 0 <= stop < width
         if tripped:
-            first = frozenset(level[:max(budget - charged, 0)])
-            failing = [p for p in failing if p in first]
-        charged += len(level)
-        if failing:
-            flat = tuple(sorted(frozenset().union(*combo), key=poset.sort_key)) if combo else ()
+            del row[stop + 1:]
+        for new in set(row).difference(failing_at):
+            failing_at[new] = poset.conditions_in(level_mask & ~poset.above_atoms(new))
+        union = frozenset().union(*prefix)
+        for j in compress(range(len(row)), map(failing_at.__getitem__, row)):
+            failing = failing_at[row[j]]
+            if j == stop:
+                first = frozenset(level[:max(budget - trip * len(level), 0)])
+                failing = [p for p in failing if p in first]
+            flat = tuple(sorted(union | parts[j], key=poset.sort_key))
             violations.extend(Violation("3", flat, p, "no common extension scheme for tuple") for p in failing)
         if tripped:
             partial = EndowmentReport(family.label, n, len(extractions), tuple(violations))

@@ -127,15 +127,17 @@ class Poset:
         self._atoms = tuple(p for i, p in enumerate(self._elements) if down[i] == 1 << i)
         atom_bit = {1 << pos[a]: 1 << j for j, a in enumerate(self._atoms)}
         atom_positions = sum(atom_bit)
-        self.atom_mask = {}
-        for p, mask in self.down_mask.items():
+        masks = []
+        for mask in down:
             rest = mask & atom_positions
             bits = 0
             while rest:
                 low = rest & -rest
                 rest ^= low
                 bits |= atom_bit[low]
-            self.atom_mask[p] = bits
+            masks.append(bits)
+        self._atom_masks = tuple(masks)  # `atom_mask` by canonical position
+        self.atom_mask = dict(zip(self._elements, masks))
 
     @classmethod
     def from_pairs(cls, elements: Sequence[Condition],
@@ -156,8 +158,7 @@ class Poset:
         """Per atom, in the order of `atoms`, the position mask of the
         conditions at or above it; built on first use."""
         up = [0] * len(self._atoms)
-        for i, p in enumerate(self._elements):
-            rest = self.atom_mask[p]
+        for i, rest in enumerate(self._atom_masks):
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -290,7 +291,7 @@ class Poset:
         if n > limits.max_poset:
             raise ResourceError(
                 f"exhaustive antichain enumeration capped at max_poset={limits.max_poset} conditions, got {n}")
-        masks = list(self.atom_mask.values())
+        masks = self._atom_masks
         incompat = [{j for j in range(n) if masks[i] & masks[j] == 0} for i in range(n)]
         found: list[frozenset[Condition]] = []
 
@@ -329,7 +330,9 @@ class Poset:
         mask misses the union of the kept members' masks.  The pass stops
         once that union holds every atom.  The stop is exact: every later
         condition has an atom below it, that atom lies below a kept member,
-        so the pass would skip the condition anyway.
+        so the pass would skip the condition anyway.  It reads the masks by
+        position from a tuple the constructor builds, so a draw copies no
+        mask table.
         """
         elements = self._elements
         n = len(elements)
@@ -344,7 +347,7 @@ class Poset:
                     j = getrandbits(k)
                 order[i], order[j] = order[j], order[i]
             hi = lo - 1
-        masks = list(self.atom_mask.values())
+        masks = self._atom_masks
         everything = (1 << len(self._atoms)) - 1
         chosen: list[Condition] = []
         union = 0  # atoms below the chosen members

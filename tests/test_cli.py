@@ -28,7 +28,6 @@ from endowlab.instances import (
     fixture_measure_pair,
     pair_space_payload,
     save_instance,
-    wrap_instance,
 )
 from endowlab.poset import Poset
 from endowlab.preservation import build_bundle, generate_scenario, run_preservation
@@ -287,12 +286,25 @@ def test_endow_verify_seeded_sampling(capsys):
 # Exit code and stdout digest of each command, taken before antichain sampling
 # moved onto canonical positions.  Seeded sampling and `gen` draw maximal
 # antichains in a row from one generator, so a sampler that changes any draw
-# or the generator's state after it changes these outputs.
+# or the generator's state after it changes these outputs.  The adversarial,
+# budget and n = 3 entries were taken before the joint extension clause
+# scanned its tuples row by row: they pin a scan with many violations, trips
+# in mid-row, and rows with a two-entry prefix.
 PINNED_DRAWS = {
     "endow-verify measure:k=3 --n 1 --seeded 150 --seed 0 --full --json":
         (0, "305d4df1e73af07a3be63325898122e6822772c17ec786ca13ae568cb0af62d6"),
     "endow-verify cohen:D=4 --n 2 --seeded 40 --seed 0 --full --json":
         (3, "27c41a8034135f87c93f463cf383c4e33ae5740a5296948c09b5559c5a057eff"),
+    "endow-verify cohen:D=4 --n 2 --seeded 40 --seed 0 --family adversarial --full --json":
+        (3, "4bfaf79356efff218d302dc11a27ba744ee2734c0bb9b12da2aaf152c33d9160"),
+    # 40 distinct extractions, 33 level conditions: the budget trips at tuple
+    # 606 = 20000 // 33, the seventh of the sixteenth row
+    "endow-verify cohen:D=4 --n 2 --seeded 40 --seed 0 --full --budget 20000 --json":
+        (70, "2223f0683fad9951b72de52bb632e30261ec4027178930b7d5d9c1d373d9164c"),
+    "endow-verify cohen:D=2 --n 3 --full --budget 100 --json":
+        (70, "3668c4c66841485bef523acb0cb70ec349590495917844bac2d737bb62502fac"),
+    "endow-verify measure:k=2 --n 3 --full --family adversarial --json":
+        (3, "ab8ae8c216359ab27825367135e733f84e0bf9a41f975f79d3ce8ffba9b828c3"),
     "gen --seed 0": (0, "d219d28fd99d2280bca6e034eb5d73078f16d1602e2cc5415e7ebb7159fe0712"),
     "gen --seed 1": (0, "3dd20413dfc12507579796727f9d2df22d9feaab19eebba8666ecf58ddc08a90"),
     "gen --seed 2": (0, "c8537c2db43fde60d84abab3a872c90ef20f190a8b79d0f65d3f18213241880e"),

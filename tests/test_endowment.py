@@ -92,12 +92,15 @@ def reference_dow_construct(cohen, antichain, n):
 def test_staged_construction_matches_the_stage_loop_reference(indices):
     # n runs past the stage where the support stops growing, so the repeated
     # records after the fixed point are compared too; [-3, 7] checks that the
-    # support masks follow the positions of sparse and negative indices
+    # support masks follow the positions of sparse and negative indices.  A
+    # list naming each member twice, as repeated `dow --member` options do,
+    # gives the same trace
     c = CohenPoset(indices)
     for antichain in c.poset.maximal_antichains():
         for n in range(7):
             trace = dow_construct(c, antichain, n)
             assert trace == reference_dow_construct(c, antichain, n), (sorted(antichain), n)
+            assert dow_construct(c, [*antichain, *antichain], n) == trace, (sorted(antichain), n)
 
 
 @pytest.mark.parametrize("width", [4, 5])
@@ -482,9 +485,10 @@ def joint_extension_cases():
         antichains = c.poset.maximal_antichains()
         for family in (cohen_dow_family(c, c.stratification()), maximal_antichain_family(c.poset),
                        adversarial_singleton_family(c.poset)):
-            for n in (0, 1, 2):
-                # the maximal family's 154^2 tuples at D=3 would take the
-                # reference seconds and add no new kind of step
+            # n = 3 gives each row a two-entry prefix; the maximal family's
+            # 154^2 tuples at D=3 would take the reference seconds and add
+            # no new kind of step
+            for n in (0, 1, 2, 3) if d < 3 else (0, 1, 2):
                 if (d, n, family.label) != (3, 2, "maximal-antichain"):
                     yield f"cohen-D{d}-{family.label}-n{n}", c.poset, c.stratification(), family, n, antichains
     for k in (1, 2):
@@ -493,7 +497,7 @@ def joint_extension_cases():
         antichains = [m.poset.random_maximal_antichain(rng) for _ in range(20)]
         for family in (measure_total_family(m), maximal_antichain_family(m.poset),
                        adversarial_singleton_family(m.poset)):
-            for n in (0, 1, 2):
+            for n in (0, 1, 2, 3) if k == 1 else (0, 1, 2):
                 yield f"measure-k{k}-{family.label}-n{n}", m.poset, m.stratification(), family, n, antichains
     rng = random.Random(4)
     for i in range(4):
