@@ -3,18 +3,22 @@
 Every user visible artifact (reports, certificates, instance files) is
 emitted in a fixed canonical order so repeated runs are byte identical.
 Reports and plain dicts go through `canonical_json`.  A certificate is
-written straight to the same text by its classes' `to_text` methods, with
-a `TextMemo` that encodes each distinct identifier and set once.  The
-memo also holds one text skeleton per distinct run of witness triples:
-the run's triples with their set fields left out, so the run's text for
-any set is one join with that set's field, made once per (set, run).
-Those classes parse their text when a dict is wanted, so each of their
-layouts is spelled in one place.
+written straight to the same text: each of its records has one writer,
+`write(out, memo)`, which appends its fragments to one list with its keys
+spelled as literals in sorted order, and the certificate joins that list
+once.  The `TextMemo` encodes each distinct identifier and set once per
+certificate, and holds one text skeleton per distinct run of witness
+triples: the run's triples with their set fields left out, so the run's
+text for any set is one join with that set's field, made once per (set,
+run).  A record's own `to_text` joins a fresh list through the same
+writer, and its `to_jsonable` parses that text, so each layout is spelled
+in one place.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
@@ -66,8 +70,8 @@ def parse_json(text: str, path: str | Path):
 #
 # The pieces below produce exactly the bytes `canonical_json` would write for
 # the same values: string literals come from the encoder's own escaping
-# function (`ensure_ascii`), object keys are sorted, and no whitespace is
-# added.
+# function (`ensure_ascii`), each writer spells its object keys in sorted
+# order, and no whitespace is added.
 
 BOOL_TEXT = {False: "false", True: "true"}
 
@@ -121,15 +125,37 @@ class TextMemo:
                 ',"witness":' + quoted[run[-1]] + "}"]
 
 
-def array_text(items: Iterable[str]) -> str:
-    """A JSON array of item texts, each already canonical."""
-    return "[" + ",".join(items) + "]"
+def write_array(out: list[str], texts: Iterable[str]) -> None:
+    """Append a JSON array of item texts, each already canonical, to the
+    fragment list `out`: a comma before each item, the first one turned
+    into the opening bracket.  The items are not joined here."""
+    start = len(out)
+    out += chain.from_iterable(zip(repeat(","), texts))
+    if len(out) == start:
+        out.append("[]")
+    else:
+        out[start] = "["
+        out.append("]")
 
 
-def object_text(fields: dict[str, str]) -> str:
-    """A JSON object of field texts, each already canonical, with its keys
-    sorted.  Keys are plain ASCII names that need no escaping."""
-    return "{" + ",".join([f'"{key}":{fields[key]}' for key in sorted(fields)]) + "}"
+def write_records(out: list[str], records, memo: TextMemo) -> None:
+    """Append a JSON array of records to `out`, each laid out by its own
+    `write(out, memo)`."""
+    if not records:
+        out.append("[]")
+        return
+    out.append("[")
+    for record in records:
+        record.write(out, memo)
+        out.append(",")
+    out[-1] = "]"
+
+
+def joined(write, memo: TextMemo) -> str:
+    """The text that `write(out, memo)` lays out, joined once."""
+    out: list[str] = []
+    write(out, memo)
+    return "".join(out)
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer"}

@@ -302,7 +302,7 @@ def cmd_preserve(args, limits: Limits) -> int:
     check_writable(args.cert)
     cert = run_preservation(scenario, limits)
     text = cert.to_text()
-    write_text(args.cert, text + "\n")
+    write_text(args.cert, text)
     lines = [
         f"property: {scenario.mode}  floor: {cert.floor}  levels: {len(scenario.names)}",
         f"atoms certified: {len({row.atom for row in cert.pipeline.atom_table})}",

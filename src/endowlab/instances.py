@@ -4,7 +4,8 @@ Every instance file is a JSON object {"format_version": 1, "kind": K,
 "payload": P} with K one of poset, space, name, scenario.  Payloads are
 checked against the `*_SHAPE` declared beside their class before any object
 is built.  Files are read through `read_text` and written through
-`write_text`, which turn an unreadable or unwritable path into a DataError.
+`write_text`, which turn an unreadable or unwritable path into a DataError;
+`write_text` ends each file with a newline.
 """
 
 from __future__ import annotations
@@ -72,9 +73,12 @@ def check_writable(path: str | Path) -> None:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write a text file; an unwritable path is a DataError."""
+    """Write `text` and then the newline that ends every file the program
+    writes, without joining the two; an unwritable path is a DataError."""
     try:
-        Path(path).write_text(text)
+        with Path(path).open("w") as file:
+            file.write(text)
+            file.write("\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
@@ -92,7 +96,7 @@ def load_instance(path: str | Path, kind: str | None = None) -> dict:
 
 
 def save_instance(path: str | Path, kind: str, payload) -> None:
-    write_text(path, canonical_json_pretty(wrap_instance(kind, payload)) + "\n")
+    write_text(path, canonical_json_pretty(wrap_instance(kind, payload)))
 
 
 # -- fixtures ----------------------------------------------------------------

@@ -23,9 +23,9 @@ table, the approximation for its cover pieces and the refinement for its
 ground sets, so sets with equal masks, and a set that is both, share one
 search and one run; a ground set outside the cover gets its run from the
 same table.  The certificates keep the runs, and derive their (set,
-condition, witness) `triples` on demand; `to_text` writes each distinct
-run's triples once as a text skeleton and joins it with each set's field
-(see `canon.TextMemo`).  Point names read each value set's reach (the
+condition, witness) `triples` on demand; their writers lay each distinct
+run's triples out once as a text skeleton and join it with each set's
+field (see `canon.TextMemo`).  Point names read each value set's reach (the
 union of its conditions' down masks) from one pass over the name, and
 each point's density from the table's masks.  The refined name pairs each
 ground set with the conditions of its forcing mask, emitted in the name's
@@ -45,7 +45,7 @@ import json
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .canon import BOOL_TEXT, TextMemo, array_text, object_text, set_key, sorted_sets
+from .canon import BOOL_TEXT, TextMemo, joined, set_key, sorted_sets, write_array
 from .endowment import EndowmentFamily
 from .errors import DataError, InvariantError
 from .poset import (
@@ -54,7 +54,6 @@ from .poset import (
     Poset,
     Stratification,
     forces,  # unused here; kept so `names.forces` stays a binding the benchmark tracer rebinds
-    pairs_text,
     refinement_mask,
     superset_mask,
     validate_name,
@@ -87,7 +86,7 @@ class PointName(NamedTuple):
         return {
             "point": self.point,
             "antichain": list(self.antichain),
-            "values": json.loads(pairs_text(self.values, TextMemo())),
+            "values": Name(self.values).to_jsonable(),
         }
 
 
@@ -159,18 +158,21 @@ class Approximation(NamedTuple):
     entries: tuple[tuple[str, tuple[Condition, ...], frozenset[str]], ...]
     cover: tuple[frozenset[str], ...]
 
-    def to_text(self, memo: TextMemo) -> str:
-        """Canonical JSON text, the one layout of an approximation; `used`
-        keeps its canonical poset order."""
+    def write(self, out: list[str], memo: TextMemo) -> None:
+        """Append the canonical JSON text, the one layout of an
+        approximation; `used` keeps its canonical poset order."""
         quoted, sets = memo.quoted, memo.sets
-        return object_text({
-            "level": str(self.level),
-            "entries": array_text([
-                f'{{"piece":{sets[v]},"point":{quoted[x]},'
-                f'"used":[{",".join([quoted[p] for p in used])}]}}'
-                for x, used, v in self.entries]),
-            "cover": array_text([sets[v] for v in self.cover]),
-        })
+        out.append('{"cover":')
+        write_array(out, [sets[v] for v in self.cover])
+        out.append(',"entries":')
+        write_array(out, [
+            f'{{"piece":{sets[v]},"point":{quoted[x]},'
+            f'"used":[{",".join([quoted[p] for p in used])}]}}'
+            for x, used, v in self.entries])
+        out.append(f',"level":{self.level}}}')
+
+    def to_text(self, memo: TextMemo) -> str:
+        return joined(self.write, memo)
 
     def to_jsonable(self) -> dict:
         return json.loads(self.to_text(TextMemo()))
@@ -291,7 +293,7 @@ class LevelWitnesses:
     witness below each of the level's `conditions` in turn, as
     `level_witnesses` returns them.  A mixin over each certificate's own
     fields, which start with `level`, `conditions`, `runs` and
-    `counterexample`."""
+    `counterexample`, and its own `write`."""
 
     __slots__ = ()
 
@@ -302,19 +304,27 @@ class LevelWitnesses:
         return tuple(chain.from_iterable(
             zip(repeat(set_key(h)), conditions, run) for h, run in self.runs))
 
-    def _triples_text(self, memo: TextMemo, field: str) -> str:
-        """The JSON array of the triples, the set under `field`.  A run's
-        triples are its skeleton (see `TextMemo.skeletons`) joined by the
-        set's field; an empty run writes nothing."""
+    def _write_triples(self, out: list[str], memo: TextMemo, field: str) -> None:
+        """Append the JSON array of the triples, the set under `field`.  A
+        run's triples are its skeleton (see `TextMemo.skeletons`) joined by
+        the set's field; an empty run writes nothing."""
         skeletons, sets, conditions = memo.skeletons, memo.sets, self.conditions
-        return array_text([f',"{field}":{sets[h]}'.join(skeletons[conditions, run])
-                           for h, run in self.runs if run])
+        key = f',"{field}":'
+        write_array(out, [(key + sets[h]).join(skeletons[conditions, run])
+                          for h, run in self.runs if run])
 
     def _counterexample_text(self, memo: TextMemo, field: str) -> str:
         counter = self.counterexample
         if counter is None:
             return "null"
         return f'{{"condition":{memo.quoted[counter[1]]},"{field}":{memo.sets[counter[0]]}}}'
+
+    def to_text(self, memo: TextMemo) -> str:
+        """Canonical JSON text, laid out by the certificate's `write`."""
+        return joined(self.write, memo)
+
+    def to_jsonable(self) -> dict:
+        return json.loads(self.to_text(TextMemo()))
 
 
 class _ApproxFields(NamedTuple):
@@ -334,17 +344,12 @@ class ApproxCertificate(LevelWitnesses, _ApproxFields):
     def positive(self) -> bool:
         return self.counterexample is None
 
-    def to_text(self, memo: TextMemo) -> str:
-        """Canonical JSON text, the one layout of this certificate."""
-        return object_text({
-            "level": str(self.level),
-            "positive": BOOL_TEXT[self.positive],
-            "triples": self._triples_text(memo, "piece"),
-            "counterexample": self._counterexample_text(memo, "piece"),
-        })
-
-    def to_jsonable(self) -> dict:
-        return json.loads(self.to_text(TextMemo()))
+    def write(self, out: list[str], memo: TextMemo) -> None:
+        """Append the canonical JSON text, the one layout of this certificate."""
+        out.append(f'{{"counterexample":{self._counterexample_text(memo, "piece")},'
+                   f'"level":{self.level},"positive":{BOOL_TEXT[self.positive]},"triples":')
+        self._write_triples(out, memo, "piece")
+        out.append("}")
 
 
 def check_approximation(table: WitnessTable, cover: Iterable[frozenset[str]]) -> ApproxCertificate:
@@ -378,20 +383,15 @@ class RefineCertificate(LevelWitnesses, _RefineFields):
     def positive(self) -> bool:
         return self.refines_everywhere and self.counterexample is None
 
-    def to_text(self, memo: TextMemo) -> str:
-        """Canonical JSON text, the one layout of this certificate."""
+    def write(self, out: list[str], memo: TextMemo) -> None:
+        """Append the canonical JSON text, the one layout of this certificate."""
         bad_atom = self.refine_counterexample
-        return object_text({
-            "level": str(self.level),
-            "positive": BOOL_TEXT[self.positive],
-            "refines_everywhere": BOOL_TEXT[self.refines_everywhere],
-            "refine_counterexample": "null" if bad_atom is None else memo.quoted[bad_atom],
-            "triples": self._triples_text(memo, "set"),
-            "counterexample": self._counterexample_text(memo, "set"),
-        })
-
-    def to_jsonable(self) -> dict:
-        return json.loads(self.to_text(TextMemo()))
+        out.append(f'{{"counterexample":{self._counterexample_text(memo, "set")},'
+                   f'"level":{self.level},"positive":{BOOL_TEXT[self.positive]},'
+                   f'"refine_counterexample":{"null" if bad_atom is None else memo.quoted[bad_atom]},'
+                   f'"refines_everywhere":{BOOL_TEXT[self.refines_everywhere]},"triples":')
+        self._write_triples(out, memo, "set")
+        out.append("}")
 
 
 def refine_name(

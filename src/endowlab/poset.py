@@ -53,7 +53,7 @@ from operator import lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import DEFAULT_LIMITS, Limits
-from .canon import TextMemo, array_text, set_key, sorted_sets
+from .canon import TextMemo, joined, set_key, sorted_sets, write_array
 from .errors import DataError, ResourceError
 
 Condition = str
@@ -442,18 +442,17 @@ class Name(NamedTuple):
     def conditions(self) -> tuple[Condition, ...]:
         return tuple(q for q, _ in self.pairs)
 
+    def write(self, out: list[str], memo: TextMemo) -> None:
+        """Append the canonical JSON text, the one layout of a name: one
+        {"condition", "set"} object per pair, in the pairs' order."""
+        quoted, sets = memo.quoted, memo.sets
+        write_array(out, [f'{{"condition":{quoted[q]},"set":{sets[u]}}}' for q, u in self.pairs])
+
     def to_text(self, memo: TextMemo) -> str:
-        return pairs_text(self.pairs, memo)
+        return joined(self.write, memo)
 
     def to_jsonable(self) -> list[dict]:
         return json.loads(self.to_text(TextMemo()))
-
-
-def pairs_text(pairs: Iterable[tuple[Condition, frozenset[str]]], memo: TextMemo) -> str:
-    """Canonical JSON text of (condition, set) pairs in the given order: one
-    {"condition", "set"} object per pair, the layout of a name."""
-    quoted, sets = memo.quoted, memo.sets
-    return array_text([f'{{"condition":{quoted[q]},"set":{sets[u]}}}' for q, u in pairs])
 
 
 def validate_name(poset: Poset, name: Name) -> None:

@@ -16,12 +16,14 @@ of its ground sets; no level tables a name or searches a set twice.
 The verdict is positive only when every certificate along the way is.
 The certificate is canonical JSON: replaying the embedded scenario must
 reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
-writer; it writes every section straight to text through one `TextMemo`,
-each triple from its memoized fragments, and only the poset recipe through
-`canonical_json`.
-`replay_certificate` decides a canonical file from its embedded scenario
-alone; any other text is parsed whole and compared with the fresh
-certificate section by section.
+writer: every section appends its fragments, keys in sorted order, to one
+list through one `TextMemo`, each triple from its memoized fragments and
+only the poset recipe through `canonical_json`, and the list is joined
+once.  `replay_certificate` decides a canonical file from its embedded
+scenario alone, comparing the file's length, prefix and final newline with
+the fresh text rather than building the fresh text plus a newline; any
+other text is parsed whole and compared with the fresh certificate section
+by section.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ from .bounds import DEFAULT_LIMITS, Limits
 from .canon import (
     BOOL_TEXT,
     TextMemo,
-    array_text,
     canonical_json,
     check_shape,
-    object_text,
+    joined,
     parse_json,
+    write_array,
+    write_records,
 )
 from .cohen import CohenPoset
 from .endowment import (
@@ -156,18 +159,18 @@ class Scenario(NamedTuple):
     names: tuple[Name, ...]
     mode: str
 
-    def to_text(self, memo: TextMemo) -> str:
-        """Canonical JSON text, the one layout of a scenario payload."""
+    def write(self, out: list[str], memo: TextMemo) -> None:
+        """Append the canonical JSON text, the one layout of a scenario payload."""
         sets = memo.sets
-        return object_text({
-            "poset": canonical_json(self.poset),
-            "space": object_text({
-                "points": sets[self.points],
-                "base": array_text([sets[b] for b in self.base]),
-            }),
-            "names": array_text([name.to_text(memo) for name in self.names]),
-            "property": memo.quoted[self.mode],
-        })
+        out.append('{"names":')
+        write_records(out, self.names, memo)
+        out.append(f',"poset":{canonical_json(self.poset)},"property":{memo.quoted[self.mode]},'
+                   '"space":{"base":')
+        write_array(out, [sets[b] for b in self.base])
+        out.append(f',"points":{sets[self.points]}}}}}')
+
+    def to_text(self, memo: TextMemo) -> str:
+        return joined(self.write, memo)
 
     def to_jsonable(self) -> dict:
         return json.loads(self.to_text(TextMemo()))
@@ -202,45 +205,64 @@ class PreservationCertificate(NamedTuple):
     def to_text(self) -> str:
         """The certificate as canonical JSON, without a trailing newline.
 
-        Every section is written straight to text through one memo; only
-        the scenario's poset recipe, a plain dict, goes through
-        `canonical_json`.
+        Every section appends its fragments to one list, with one memo, and
+        the list is joined once; only the scenario's poset recipe, a plain
+        dict, goes through `canonical_json`.
         """
         memo = TextMemo()
-        quoted, sets = memo.quoted, memo.sets
+        quoted = memo.quoted
         pipeline = self.pipeline
+        out = ['{"approximation_certificates":']
+        write_records(out, self.approximation_certificates, memo)
+        out.append(',"approximations":')
+        write_records(out, self.approximations, memo)
+        out.append(',"atom_table":')
+        write_atom_table(out, pipeline.atom_table, memo)
+        out.append(f',"family":{quoted[self.family_label]},"floor":{self.floor},'
+                   f'"format_version":{FORMAT_VERSION},"ground_families":')
+        write_families(out, self.ground_families, memo)
+        out.append(',"kind":"preservation-certificate","refined_names":')
+        write_records(out, pipeline.refined, memo)
+        out.append(',"refinement_certificates":')
+        write_records(out, pipeline.certificates, memo)
+        out.append(',"scenario":')
+        self.scenario.write(out, memo)
+        out.append(',"selection":')
+        self._write_selection(out, memo)
+        out.append(',"subfamily_everywhere":')
+        write_array(out, [BOOL_TEXT[b] for b in pipeline.subfamily_everywhere])
+        out.append(f',"union_covers":{BOOL_TEXT[pipeline.union_covers]},'
+                   f'"verdict":{quoted[self.verdict]}}}')
+        return "".join(out)
+
+    def _write_selection(self, out: list[str], memo: TextMemo) -> None:
+        """A Rothberger solution is one set per level; the other modes pick
+        one family of sets per level."""
         mode = self.scenario.mode
+        out.append(f'{{"checked":{BOOL_TEXT[self.selection_checked]},'
+                   f'"mode":{memo.quoted[mode]},"solution":')
+        if mode == "rothberger":
+            write_array(out, [memo.sets[u] for u in self.selection])
+        else:
+            write_families(out, self.selection, memo)
+        out.append("}")
 
-        def families_text(families) -> str:
-            return array_text([array_text([sets[h] for h in fam]) for fam in families])
 
-        return object_text({
-            "format_version": str(FORMAT_VERSION),
-            "kind": quoted["preservation-certificate"],
-            "scenario": self.scenario.to_text(memo),
-            "floor": str(self.floor),
-            "family": quoted[self.family_label],
-            "approximations": array_text([a.to_text(memo) for a in self.approximations]),
-            "approximation_certificates": array_text(
-                [c.to_text(memo) for c in self.approximation_certificates]),
-            "selection": object_text({
-                "mode": quoted[mode],
-                "checked": BOOL_TEXT[self.selection_checked],
-                "solution": (array_text([sets[u] for u in self.selection]) if mode == "rothberger"
-                             else families_text(self.selection)),
-            }),
-            "ground_families": families_text(self.ground_families),
-            "refined_names": array_text([w.to_text(memo) for w in pipeline.refined]),
-            "refinement_certificates": array_text([c.to_text(memo) for c in pipeline.certificates]),
-            "subfamily_everywhere": array_text([BOOL_TEXT[b] for b in pipeline.subfamily_everywhere]),
-            "union_covers": BOOL_TEXT[pipeline.union_covers],
-            "atom_table": array_text([
-                f'{{"atom":{quoted[row.atom]},"level":{"null" if row.level is None else row.level},'
-                f'"point":{quoted[row.point]},'
-                f'"set":{"null" if row.covering is None else sets[row.covering]}}}'
-                for row in pipeline.atom_table]),
-            "verdict": quoted[self.verdict],
-        })
+def write_families(out: list[str], families, memo: TextMemo) -> None:
+    """Append a JSON array of families, each an array of sets."""
+    sets = memo.sets
+    write_array(out, [f'[{",".join([sets[h] for h in fam])}]' for fam in families])
+
+
+def write_atom_table(out: list[str], rows, memo: TextMemo) -> None:
+    """Append the atom table: one {"atom", "level", "point", "set"} object
+    per row, null where no refined set covers the point."""
+    quoted, sets = memo.quoted, memo.sets
+    write_array(out, [
+        f'{{"atom":{quoted[row.atom]},"level":{"null" if row.level is None else row.level},'
+        f'"point":{quoted[row.point]},'
+        f'"set":{"null" if row.covering is None else sets[row.covering]}}}'
+        for row in rows])
 
 
 def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> PreservationCertificate:
@@ -354,7 +376,8 @@ def replay_certificate(
             fresh_text = run_preservation(scenario, limits).to_text()
         except EndowlabError as exc:
             failure = exc
-        if fresh_text is not None and text == fresh_text + "\n":
+        if (fresh_text is not None and len(text) == len(fresh_text) + 1
+                and text.endswith("\n") and text.startswith(fresh_text)):
             return ReplayReport(True, ())
     data = parse_json(text, path)
     if not isinstance(data, dict) or data.get("kind") != "preservation-certificate":

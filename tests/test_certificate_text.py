@@ -25,7 +25,6 @@ from certificate_reference import (
 from endowlab.bounds import DEFAULT_LIMITS, Limits
 from endowlab.canon import TextMemo, canonical_json
 from endowlab.cli import main
-from endowlab.endowment import adversarial_singleton_family
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair, save_instance
 from endowlab.names import (
     ApproxCertificate,
@@ -39,6 +38,7 @@ from endowlab.poset import forces_dense
 from endowlab.preservation import Scenario, generate_scenario, run_preservation
 from endowlab.selection import MODES
 from endowlab.topology import FiniteSpace
+from negative_corpus import NEGATIVES, SEEDS, failing_sections, use_adversarial_families
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,11 +159,7 @@ def negative_scenario() -> Scenario:
 
 def test_negative_certificate_round_trip(tmp_path, monkeypatch):
     assert run_preservation(negative_scenario()).verdict == "positive"
-    # an empty cache, so that the bundle built with the patched family is
-    # the one stored, and is thrown away with the cache afterwards
-    monkeypatch.setattr(preservation, "_SHARED", {})
-    monkeypatch.setattr(preservation, "cohen_dow_family",
-                        lambda cohen, strat: adversarial_singleton_family(cohen.poset))
+    use_adversarial_families(monkeypatch)
     cert = run_preservation(negative_scenario())
     assert cert.verdict == "negative"
     assert any(c.counterexample is not None for c in cert.approximation_certificates)
@@ -172,6 +168,35 @@ def test_negative_certificate_round_trip(tmp_path, monkeypatch):
     text = assert_writer_matches_reference(cert)
     assert '"level":null,' in text and '"set":null}' in text
     assert preserve_then_verify(tmp_path, negative_scenario()) == (3, 0, text + "\n")
+
+
+def test_the_natural_negatives_are_the_corpus(monkeypatch):
+    use_adversarial_families(monkeypatch)
+    found = {}
+    for seed in SEEDS:
+        for mode in MODES:
+            scenario = generate_scenario(seed, mode)
+            cert = run_preservation(scenario)
+            if cert.verdict == "negative":
+                found[seed, mode] = scenario.poset["kind"], failing_sections(cert)
+            else:
+                assert failing_sections(cert) == (), (seed, mode)
+    assert found == NEGATIVES
+
+
+@pytest.mark.parametrize("seed,mode", sorted(NEGATIVES))
+def test_natural_negative_round_trip(seed, mode, tmp_path, monkeypatch):
+    use_adversarial_families(monkeypatch)
+    scenario = generate_scenario(seed, mode)
+    cert = run_preservation(scenario)
+    assert cert.verdict == "negative"
+    assert failing_sections(cert) == NEGATIVES[seed, mode][1]
+    assert all(c.refine_counterexample is None for c in cert.pipeline.certificates)
+    text = assert_writer_matches_reference(cert)
+    # the writer's null branches: a counterexample, and a row no set covers
+    assert '"counterexample":{"condition":' in text
+    assert ('"level":null,' in text) == ('"set":null}' in text) == (not cert.pipeline.union_covers)
+    assert preserve_then_verify(tmp_path, scenario) == (3, 0, text + "\n")
 
 
 # -- one witness table per level ------------------------------------------------

@@ -932,6 +932,11 @@ def test_verify_dumps_the_fresh_certificate_once(tmp_path, monkeypatch, capsys):
 
     data = json.loads(cert.read_text())
     assert verify_counts(cert.read_text()) == (0, 1, 0, 0, 0, 1)
+    # the fast path checks the length, the prefix and the final newline: a
+    # second newline, or an X of the same length in place of the newline,
+    # sends the file to the parse
+    assert verify_counts(cert.read_text() + "\n") == (0, 1, 1, 1, 0, 1)
+    assert verify_counts(cert.read_text()[:-1] + "X") == (65, 1, 0, 1, 0, 1)
     # the same certificate in other whitespace is still decided by content
     for text in (canonical_json(data), json.dumps(data, indent=2) + "\n"):
         assert verify_counts(text) == (0, 1, 1, 1, 0, 1)
@@ -1008,6 +1013,14 @@ def _both(*edits):
 VERIFY_MATRIX = {
     "canonical": (lambda: GOLDEN_TEXT, 0, OK, ""),
     "compact-no-newline": (lambda: GOLDEN_TEXT.rstrip("\n"), 0, OK, ""),
+    "two-newlines": (lambda: GOLDEN_TEXT + "\n", 0, OK, ""),
+    "crlf": (lambda: GOLDEN_TEXT[:-1] + "\r\n", 0, OK, ""),
+    "trailing-x": (
+        lambda: GOLDEN_TEXT[:-1] + "X",
+        65, "", f"error: {{path}} is not valid JSON: {_json_error(GOLDEN_TEXT[:-1] + 'X')}\n"),
+    "witness-changed": (
+        lambda: GOLDEN_TEXT.replace('"witness":""', '"witness":"0:0"', 1),
+        3, _mismatch("approximation_certificates"), ""),
     "indent-2": (lambda: json.dumps(json.loads(GOLDEN_TEXT), indent=2) + "\n", 0, OK, ""),
     "tampered-floor": (lambda: _edited(lambda d: d.update(floor=3)), 3, _mismatch("floor"), ""),
     "tampered-verdict": (
@@ -1205,10 +1218,15 @@ def test_a_failed_write_is_65(tmp_path, monkeypatch, capsys):
     save_instance(scenario, "scenario", fixture_cohen_pair().to_jsonable())
     cert = tmp_path / "cert.json"
 
-    def refuse(self, text):
-        raise PermissionError(13, "Permission denied", str(self))
+    real_open = Path.open
 
-    monkeypatch.setattr(Path, "write_text", refuse)
+    def refuse(self, mode="r", *args, **kwargs):
+        # every write, by `Path.write_text` or `Path.open`, opens for writing
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuse)
     assert main(["preserve", "--scenario", str(scenario), "--cert", str(cert)]) == 65
     assert capsys.readouterr().err == (
         f"error: cannot write {cert}: [Errno 13] Permission denied: '{cert}'\n")

@@ -10,6 +10,7 @@ import endowlab.names as names
 import endowlab.preservation as preservation
 from endowlab.bounds import Limits, limits_from_env
 from endowlab.canon import canonical_json
+from endowlab.cli import main
 from endowlab.errors import DataError, ResourceError, ScenarioError
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair
 from endowlab.poset import Name
@@ -297,6 +298,34 @@ def test_a_hit_entry_outlives_a_newer_one(fresh_cache):
     assert build_bundle(recipes[0]) is bundles[0]
     # the entry built second was the oldest unused one, so it made way
     assert build_bundle(recipes[1]) is not bundles[1]
+
+
+def test_every_bundle_key_is_recipe_text_and_limits(fresh_cache, capsys):
+    # records compare equal to any tuple with equal fields, so the one
+    # record used as a key, `Limits`, sits beside the recipe's text, which
+    # no record equals (see "Records as keys" in the README)
+    seen = set()
+
+    def check_keys():
+        for key in fresh_cache:
+            assert type(key) is tuple and len(key) == 2, key
+            text, limits = key
+            assert type(text) is str and type(limits) is Limits, key
+            seen.add((json.loads(text)["kind"], limits))
+
+    wider = Limits(max_levels=9)
+    for seed in range(12):
+        for limits in (Limits(), wider):
+            scenario = generate_scenario(seed, limits=limits)
+            assert replay_certificate(run_preservation(scenario, limits).to_text() + "\n", limits).ok
+            check_keys()
+    for argv in (["endow-verify", "cohen:D=2", "--n", "1"], ["dow", "cohen:D=1", "--member", "0:0",
+                 "--member", "0:1", "--n", "1"], ["endow-verify", "measure:k=1", "--n", "1"]):
+        assert main(argv) == 0
+        check_keys()
+    capsys.readouterr()
+    assert {kind for kind, _ in seen} == {"cohen", "measure", "explicit"}
+    assert {limits for _, limits in seen} == {Limits(), wider}
 
 
 # -- generator ----------------------------------------------------------------
