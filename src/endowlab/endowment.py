@@ -285,8 +285,7 @@ def verify_weak_endowment(
     reported in level order.  An antichain is sorted into canonical order,
     the order its violations report it in, only when it has one.
     """
-    level = strat.ordered_at(n)
-    level_mask = sum(1 << poset.sort_key(p) for p in level)
+    level_mask = strat.mask_at(n)
     violations: list[Violation] = []
     for items, chosen in extractions:
         found = []  # (clause, witness, detail) in report order
@@ -344,8 +343,7 @@ def verify_full_endowment(
     raises ResourceError carrying that partial report.  A level with no
     conditions checks no budget.
     """
-    level = strat.ordered_at(n)
-    level_mask = sum(1 << poset.sort_key(p) for p in level)
+    level, level_mask = strat.ordered_at(n), strat.mask_at(n)
     atoms: dict[frozenset[Condition], int] = {}  # distinct extraction outputs, in first-seen order
     for _, chosen in extractions:
         if chosen not in atoms:

@@ -13,12 +13,17 @@ atom mask per distinct value set).  The atom mask of "some named set
 contains V" is the union of the masks of the values containing V, and its
 forcing mask marks, by canonical position, the conditions whose atoms all
 lie inside it.  The least witness below p is then the lowest bit of
-`down_mask[p]` and the forcing mask.  Each level has one `WitnessTable`,
-built first from its name: every step of the level reads its inputs from
-it.  It tables the name's value masks once, computes each
-asked set's forcing mask once, and searches for a run of least witnesses
-over the level's conditions once per distinct forcing mask, since the run
-depends on nothing else.  Both certificates of a level read the same
+`down_mask[p]` and the forcing mask.  A condition that forces and is
+self-least (`poset.self_least`: no stronger condition comes before it) is
+its own least witness; every condition of a built-in poset is self-least.
+Each level has one `WitnessTable`, built first from its name: every step
+of the level reads its inputs from it.  It tables the name's value masks
+once, computes each asked set's forcing mask once, and builds a run of
+least witnesses over the level's conditions once per distinct forcing
+mask, since the run depends on nothing else.  The run searches only the
+level conditions, read off the level's position mask
+(`Stratification.mask_at`), that are not self-least forcing ones; the
+others are their own entries.  Both certificates of a level read the same
 table, the approximation for its cover pieces and the refinement for its
 ground sets, so sets with equal masks, and a set that is both, share one
 search and one run; a ground set outside the cover gets its run from the
@@ -28,9 +33,11 @@ run's triples out once as a text skeleton and join it with each set's
 field (see `canon.TextMemo`).  Point names read each value set's reach (the
 union of its conditions' down masks) from one pass over the name, and
 each point's density from the table's masks.  The refined name pairs each
-ground set with the conditions of its forcing mask, emitted in the name's
-canonical order by a walk over the poset's `identifier_order`, and the
-refinement check tables its value masks.  The pipeline closes with one
+ground set with the conditions of its forcing mask.  Each set's mask
+becomes 0/1 bytes in identifier order (`poset.identifier_order`), and
+`compress` picks the pairs out of (condition, set) in the name's canonical
+order, so no condition is tested bit by bit; the refinement check tables
+its value masks.  The pipeline closes with one
 pass over those masks that reads every closing fact (subfamily flags,
 atom rows, covering verdict).  The frozenset oracles of `poset`
 (`evaluate_name`, `forces`, `forces_dense`) stay out of these steps; they
@@ -42,7 +49,8 @@ check that only a program fault can trip raises `errors.InvariantError`.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain, compress, product, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .canon import BOOL_TEXT, TextMemo, joined, set_key, sorted_sets, write_array
@@ -233,13 +241,14 @@ class WitnessTable:
     one run tuple.  A table serves one level of one run.
     """
 
-    __slots__ = ("poset", "level", "name", "conditions", "masks", "_forcing", "_runs")
+    __slots__ = ("poset", "level", "name", "conditions", "level_mask", "masks", "_forcing", "_runs")
 
     def __init__(self, poset: Poset, strat: Stratification, n: int, name: Name):
         self.poset = poset
         self.level = n
         self.name = name
         self.conditions = strat.ordered_at(n)
+        self.level_mask = strat.mask_at(n)
         self.masks = value_masks(poset, name)
         self._forcing: dict[frozenset[str], int] = {}
         self._runs: dict[int, tuple[Condition, ...]] = {}  # forcing mask -> run
@@ -252,18 +261,30 @@ class WitnessTable:
 
     def run(self, h: frozenset[str]) -> tuple[Condition, ...]:
         """Position bits run in canonical order, so the least witness below p
-        is the lowest bit of `down_mask[p]` and the forcing mask."""
+        is the lowest bit of `down_mask[p]` and the forcing mask.  A level
+        condition in the forcing mask and in `poset.self_least` is its own
+        least witness, so only the other level conditions are searched, in
+        canonical order.  The first of them without a witness ends the run
+        at its index in the level; otherwise the run is the level's
+        conditions with the searched ones replaced by their witnesses."""
         forcing = self.forcing(h)
         run = self._runs.get(forcing)
         if run is None:
-            elements, down_mask = self.poset.elements, self.poset.down_mask
-            witnesses = []
-            for p in self.conditions:
+            poset, level_mask = self.poset, self.level_mask
+            elements, down_mask = poset.elements, poset.down_mask
+            found: dict[Condition, Condition] = {}  # searched condition -> its witness
+            head = self.conditions
+            rest = level_mask & ~(forcing & poset.self_least)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = elements[bit.bit_length() - 1]
                 hits = down_mask[p] & forcing
                 if not hits:
+                    head = head[:(level_mask & (bit - 1)).bit_count()]
                     break
-                witnesses.append(elements[(hits & -hits).bit_length() - 1])
-            run = self._runs[forcing] = tuple(witnesses)
+                found[p] = elements[(hits & -hits).bit_length() - 1]
+            run = self._runs[forcing] = tuple(map(found.get, head, head)) if found else head
         return run
 
 
@@ -394,6 +415,9 @@ class RefineCertificate(LevelWitnesses, _RefineFields):
         out.append("}")
 
 
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits to 0/1 bytes
+
+
 def refine_name(
     table: WitnessTable,
     ground_family: Iterable[frozenset[str]],
@@ -414,13 +438,20 @@ def refine_name(
     come back with the name and the certificate.
     """
     poset = table.poset
-    elements = poset.elements
     family = sorted_sets(frozenset(h) for h in ground_family)
-    forcing = [(h, table.forcing(h)) for h in family]
-    # positions in identifier order, and at each the family in set_key
-    # order: the name's canonical order, which `Name` takes as given
-    refined = Name(tuple((elements[i], h) for i in poset.identifier_order
-                         for h, mask in forcing if mask >> i & 1))
+    # the pairs run over the positions in identifier order and, at each,
+    # over the family in set_key order: the name's canonical order, which
+    # `Name` takes as given.  Set j's forcing mask, as 0/1 bytes in
+    # identifier order, fills every width-th selector from j.  `pick` puts
+    # a sequence by position into identifier order; with one position that
+    # is the identity, and `itemgetter` of one index would return a bare item
+    size, width = len(poset), len(family)
+    pick = itemgetter(*poset.identifier_order) if size > 1 else tuple
+    selectors = bytearray(size * width)
+    for j, h in enumerate(family):
+        flags = bin(table.forcing(h))[:1:-1].ljust(size, "0").encode().translate(_FLAG_BYTES)
+        selectors[j::width] = pick(flags)
+    refined = Name(tuple(compress(product(pick(poset.elements), family), selectors)))
     masks = value_masks(poset, refined)
     missed = ~refinement_mask(poset, masks, table.masks)
     missed &= (1 << len(poset.atoms)) - 1

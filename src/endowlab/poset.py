@@ -14,7 +14,13 @@ structure, and only explicit posets list named pairs, which
 masks, so `down_mask[p]` has bit i set when the condition at canonical
 position i lies below p, and `atom_mask[p]` has bit j set when `atoms[j]`
 lies below p.  Down masks carry the order, the positions of witnesses and
-the oracles below.
+the oracles below.  `self_least` marks the self-least positions, those
+whose own bit is the lowest bit of their down mask: a self-least condition
+that forces a statement is its own least witness.  The built-in posets list
+stronger conditions later, so every position of theirs is self-least; an
+explicit poset that lists a stronger condition first has fewer.  A
+`Stratification` keeps each level's position mask beside its conditions in
+canonical order, built once with the stratification.
 
 Atom masks are the one compatibility kernel.  Every common lower bound has
 an atom below it, so p and q are compatible exactly when `atom_mask[p] &
@@ -124,6 +130,9 @@ class Poset:
             if j != i:
                 raise DataError(f"order is not antisymmetric: {elements[j]!r} and {elements[i]!r}")
         self.down_mask = dict(zip(self._elements, down))
+        # the self-least positions: those whose own bit is the lowest bit of
+        # their down mask, so no stronger condition is listed before them
+        self.self_least = sum(1 << i for i, mask in enumerate(down) if not mask & ((1 << i) - 1))
         self._atoms = tuple(p for i, p in enumerate(self._elements) if down[i] == 1 << i)
         atom_bit = {1 << pos[a]: 1 << j for j, a in enumerate(self._atoms)}
         atom_positions = sum(atom_bit)
@@ -366,12 +375,14 @@ class Stratification(NamedTuple):
 
     `stabilization_index` is the least level equal to the whole poset.
     Levels beyond the recorded chain repeat the final one.  `ordered` holds
-    each level's conditions in canonical order, built once.
+    each level's conditions in canonical order and `masks` each level's
+    position mask, both built once.
     """
 
     levels: tuple[frozenset[Condition], ...]
     stabilization_index: int
     ordered: tuple[tuple[Condition, ...], ...]
+    masks: tuple[int, ...]
 
     def at(self, n: int) -> frozenset[Condition]:
         return self.levels[self._index(n)]
@@ -379,6 +390,10 @@ class Stratification(NamedTuple):
     def ordered_at(self, n: int) -> tuple[Condition, ...]:
         """Level n in canonical order."""
         return self.ordered[self._index(n)]
+
+    def mask_at(self, n: int) -> int:
+        """Level n's position mask."""
+        return self.masks[self._index(n)]
 
     def _index(self, n: int) -> int:
         if n < 0:
@@ -406,7 +421,8 @@ def make_stratification(poset: Poset, levels: Sequence[Iterable[Condition]]) -> 
         raise DataError("final stratification level must contain every condition")
     stabilization = next(i for i, level in enumerate(frozen) if level == everything)
     ordered = tuple(tuple(p for p in poset.elements if p in level) for level in frozen)
-    return Stratification(tuple(frozen), stabilization, ordered)
+    masks = tuple(sum(1 << poset.sort_key(p) for p in level) for level in frozen)
+    return Stratification(tuple(frozen), stabilization, ordered, masks)
 
 
 # -- names and statements ---------------------------------------------------

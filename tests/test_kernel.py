@@ -5,7 +5,9 @@ The pipeline's forcing masks (`superset_mask`, `refinement_mask`,
 compatibility and antichain helpers read atom and down-set masks;
 `forces`, `forces_dense`, the brute-force witness and the pairwise
 antichain references below read only frozenset down-sets, so they share no
-logic with the kernel."""
+logic with the kernel.  The witness runs and refined names, read off the
+self-least and level masks, are checked against verbatim copies of the
+per-condition scans they replaced."""
 
 import random
 from itertools import combinations, product
@@ -15,7 +17,8 @@ import pytest
 from endowlab.cohen import CohenPoset
 from endowlab.errors import DataError
 from endowlab.measure import MeasurePoset
-from endowlab.names import WitnessTable, forcing_mask, level_witnesses
+from endowlab.canon import sorted_sets
+from endowlab.names import WitnessTable, forcing_mask, level_witnesses, refine_name
 from endowlab.poset import (
     ExistsSupersetInCover,
     Name,
@@ -135,6 +138,107 @@ def test_forcing_mask_matches_the_per_condition_scan():
                   for _ in range(4)]
         for mask in masks:
             assert forcing_mask(poset, mask) == scan_forcing_mask(poset, mask), (poset.elements[:3], mask)
+
+
+# -- witness runs and refined names against the per-condition scans --------------
+
+
+def scan_run(table: WitnessTable, h: frozenset[str]) -> tuple:
+    """The per-condition scan that `WitnessTable.run` replaced, copied verbatim."""
+    forcing = table.forcing(h)
+    elements, down_mask = table.poset.elements, table.poset.down_mask
+    witnesses = []
+    for p in table.conditions:
+        hits = down_mask[p] & forcing
+        if not hits:
+            break
+        witnesses.append(elements[(hits & -hits).bit_length() - 1])
+    return tuple(witnesses)
+
+
+def scan_refined_pairs(table: WitnessTable, family) -> tuple:
+    """The `identifier_order` x family scan that `refine_name` replaced,
+    copied verbatim over a family already in `set_key` order."""
+    poset = table.poset
+    elements = poset.elements
+    forcing = [(h, table.forcing(h)) for h in family]
+    return tuple((elements[i], h) for i in poset.identifier_order
+                 for h, mask in forcing if mask >> i & 1)
+
+
+def ref_self_least(poset: Poset) -> int:
+    """The definition, on frozenset down-sets: p is self-least when no
+    condition below it comes before it in canonical order."""
+    return sum(1 << poset.sort_key(p) for p in poset.elements
+               if min(poset.down(p), key=poset.sort_key) == p)
+
+
+def random_stratification(rng: random.Random, poset: Poset):
+    """Two to four increasing levels, each adding a random sample of the
+    conditions not yet in, the last holding every condition."""
+    rest = list(poset.elements)
+    rng.shuffle(rest)
+    levels, level = [], []
+    for _ in range(rng.randint(1, 3)):
+        cut = rng.randint(0, len(rest))
+        level, rest = level + rest[:cut], rest[cut:]
+        levels.append(level)
+    return make_stratification(poset, levels + [poset.elements])
+
+
+ALL_SETS = [frozenset(c) for r in range(len(UNIVERSE) + 1) for c in combinations(UNIVERSE, r)]
+
+
+def test_self_least_mask_is_every_built_in_position_and_its_definition():
+    for poset in [CohenPoset(range(d)).poset for d in range(1, 6)] + [MeasurePoset(k).poset for k in range(4)]:
+        assert poset.self_least == (1 << len(poset)) - 1
+    rng = random.Random(3141)
+    strict = 0
+    for _ in range(60):
+        poset = random_explicit_poset(rng)
+        assert poset.self_least == ref_self_least(poset)
+        strict += poset.self_least != (1 << len(poset)) - 1
+    assert strict > 10
+    # a chain listed strongest first: only its atom, at position 0, is self-least
+    chain = Poset.from_pairs(["bot", "mid", "top"], [("bot", "mid"), ("mid", "top")])
+    assert chain.self_least == 0b001
+
+
+def test_witness_runs_match_the_per_condition_scan():
+    rng = random.Random(2718)
+    cases = [(c.poset, c.stratification()) for c in map(CohenPoset, (range(d) for d in range(1, 4)))]
+    cases += [(m.poset, m.stratification()) for m in map(MeasurePoset, range(3))]
+    explicit = [random_explicit_poset(rng) for _ in range(40)]
+    cases += [(poset, random_stratification(rng, poset)) for poset in explicit]
+    assert sum(poset.self_least != (1 << len(poset)) - 1 for poset in explicit) > 5
+    stops = 0
+    for poset, strat in cases:
+        for n in range(len(strat.levels)):
+            assert strat.mask_at(n) == sum(1 << poset.sort_key(p) for p in strat.ordered_at(n))
+            for _ in range(3):
+                table = WitnessTable(poset, strat, n, random_name(rng, poset))
+                for h in ALL_SETS:
+                    run = table.run(h)
+                    assert run == scan_run(table, h), (poset.elements, n, h)
+                    stops += 0 < len(run) < len(table.conditions)
+    assert stops > 0  # some runs end in mid-level
+
+
+def test_refined_pairs_match_the_identifier_order_scan():
+    rng = random.Random(1618)
+    posets = [Poset.from_pairs(["only"], []), CohenPoset((0, 1)).poset, MeasurePoset(2).poset]
+    posets += [random_explicit_poset(rng) for _ in range(30)]
+    seen = set()
+    for poset in posets:
+        strat = make_stratification(poset, [poset.elements])
+        for _ in range(4):
+            table = WitnessTable(poset, strat, 0, random_name(rng, poset))
+            for size in range(4):
+                family = sorted_sets(rng.sample(ALL_SETS, size))
+                refined, _, _ = refine_name(table, family)
+                assert refined.pairs == scan_refined_pairs(table, family), (poset.elements, family)
+                seen.add((size, bool(refined.pairs)))
+    assert seen == {(0, False)} | {(size, found) for size in (1, 2, 3) for found in (False, True)}
 
 
 # -- compatibility and antichains on the atom masks ------------------------------
