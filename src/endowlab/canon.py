@@ -10,16 +10,23 @@ once.  The `TextMemo` encodes each distinct identifier and set once per
 certificate, and holds one text skeleton per distinct run of witness
 triples: the run's triples with their set fields left out, so the run's
 text for any set is one join with that set's field, made once per (set,
-run).  A record's own `to_text` joins a fresh list through the same
-writer, and its `to_jsonable` parses that text, so each layout is spelled
-in one place.
+run).  Text that depends on the poset alone lives longer, in a
+`TextTable`: each condition's string literal and each level's identity
+skeleton, the skeleton of the run whose every witness is its own
+condition.  A poset builds its table on first use (`Poset.text_table`),
+every certificate over the poset shares it, and a memo makes each run's
+skeleton by patching a slice of the identity skeleton where the run's
+witnesses differ from their conditions.  A record's own `to_text` joins a
+fresh list through the same writer, with a fresh table, and its
+`to_jsonable` parses that text, so each layout is spelled in one place.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
+from operator import ne
 from pathlib import Path
 from typing import Iterable
 
@@ -77,12 +84,13 @@ BOOL_TEXT = {False: "false", True: "true"}
 
 
 class _Memo(dict):
-    """A dict that fills a missing entry by calling `make` on its key."""
+    """A dict that fills a missing entry by calling `make` on its key,
+    starting from the entries of `items`."""
 
     __slots__ = ("make",)
 
-    def __init__(self, make):
-        super().__init__()
+    def __init__(self, make, items=()):
+        super().__init__(items)
         self.make = make
 
     def __missing__(self, key):
@@ -90,25 +98,63 @@ class _Memo(dict):
         return value
 
 
+class TextTable:
+    """Canonical text of conditions that does not depend on a certificate.
+
+    `quoted[c]` is the JSON string literal of condition c, made at once for
+    the conditions given and on first use for any other.
+    `identity[conditions]` is the identity skeleton of a nonempty
+    conditions tuple, the skeleton (see `TextMemo`) of the run that is the
+    conditions themselves: `[head(c0), tail(c0) + "," + head(c1), ...,
+    tail(c_last)]`.  A poset's table (`Poset.text_table`) holds its
+    conditions and one identity skeleton per level it is asked for, and is
+    shared read-only by every certificate over the poset: no entry is
+    changed once made.
+    """
+
+    __slots__ = ("quoted", "identity")
+
+    def __init__(self, conditions: Iterable[str] = ()):
+        self.quoted = _Memo(encode_basestring_ascii,
+                            {c: encode_basestring_ascii(c) for c in conditions})
+        self.identity = _Memo(self._identity)
+
+    def _identity(self, conditions: tuple[str, ...]) -> list[str]:
+        literals = [self.quoted[c] for c in conditions]
+        return ['{"condition":' + literals[0],
+                *[',"witness":' + c + '},{"condition":' + d for c, d in zip(literals, literals[1:])],
+                ',"witness":' + literals[-1] + "}"]
+
+
 class TextMemo:
     """Canonical text of identifiers and identifier sets, each made once.
 
-    `quoted[s]` is the JSON string literal of s; `sets[u]` is the JSON list
-    of u's members in sorted order, for a frozenset or a tuple.
-    `skeletons[conditions, run]` is a nonempty run's witness triples
-    {"condition", <set field>, "witness"}, the i-th witness with the i-th
-    condition, cut where the set field goes: `[head(c0), tail(r0) + "," +
-    head(c1), ..., tail(r_last)]`, with head(c) `{"condition":"c"` and
-    tail(r) `,"witness":"r"}`.  A run may stop short of the conditions.
-    Joined with a set field, it is the run's triples for that set.  One memo
-    serves one certificate, whose identifiers, sets and runs recur across
-    its sections.
+    `quoted[s]` is the JSON string literal of s, starting from the table's
+    literals; `sets[u]` is the JSON list of u's members in sorted order,
+    for a frozenset or a tuple.  `skeletons[conditions, run]` is a
+    nonempty run's witness triples {"condition", <set field>, "witness"},
+    the i-th witness with the i-th condition, cut where the set field goes:
+    `[head(c0), tail(r0) + "," + head(c1), ..., tail(r_last)]`, with
+    head(c) `{"condition":"c"` and tail(r) `,"witness":"r"}`.  A run may
+    stop short of the conditions.  Joined with a set field, it is the run's
+    triples for that set.
+
+    Every skeleton is made one way, from the table's identity skeleton of
+    the conditions: a run that is the conditions tuple itself, as
+    `WitnessTable.run` returns it when no witness was searched, takes that
+    skeleton as it is; any other takes a slice up to its length, rewrites
+    the entries that follow a witness other than its condition, and ends
+    with its last witness's tail.  Identity skeletons come from the table
+    given, a poset's, shared by every certificate over it, or from a fresh
+    one; the literals, sets and patched skeletons are kept for one
+    certificate, whose identifiers, sets and runs recur across its sections.
     """
 
-    __slots__ = ("quoted", "sets", "skeletons")
+    __slots__ = ("table", "quoted", "sets", "skeletons")
 
-    def __init__(self):
-        self.quoted = _Memo(encode_basestring_ascii)
+    def __init__(self, table: TextTable | None = None):
+        self.table = TextTable() if table is None else table
+        self.quoted = _Memo(encode_basestring_ascii, self.table.quoted)
         self.sets = _Memo(self._list)
         self.skeletons = _Memo(self._skeleton)
 
@@ -118,11 +164,16 @@ class TextMemo:
 
     def _skeleton(self, key) -> list[str]:
         conditions, run = key
-        quoted = self.quoted
-        glue = [',"witness":' + quoted[r] + '},{"condition":' + quoted[c]
-                for r, c in zip(run, conditions[1:len(run)])]
-        return ['{"condition":' + quoted[conditions[0]], *glue,
-                ',"witness":' + quoted[run[-1]] + "}"]
+        identity = self.table.identity[conditions]
+        if run is conditions:
+            return identity
+        quoted, n = self.quoted, len(run)
+        skeleton = identity[:n]
+        # entry i follows witness i - 1; the last witness's tail ends the skeleton
+        for i in compress(range(1, n), map(ne, run, conditions)):
+            skeleton[i] = ',"witness":' + quoted[run[i - 1]] + '},{"condition":' + quoted[conditions[i]]
+        skeleton.append(',"witness":' + quoted[run[-1]] + "}")
+        return skeleton
 
 
 def write_array(out: list[str], texts: Iterable[str]) -> None:

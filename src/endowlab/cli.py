@@ -336,16 +336,28 @@ def cmd_gen(args, limits: Limits) -> int:
     return 0
 
 
+# An explicit poset that lists stronger conditions first: "m" lies below
+# "t" and above "a0" and "a1", and "a2" lies below "t".  Only the atoms are
+# self-least, so a witness run has to search below "m" and "t".
+_LISTED_STRONGER_FIRST = {"kind": "explicit", "elements": ["a0", "a1", "m", "a2", "t"],
+                          "leq": [["a0", "m"], ["a1", "m"], ["m", "t"], ["a2", "t"]]}
+
+
 def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
     """Count the random queries on which the pipeline's masks agree with
     the frozenset oracles.  A query agrees when the forcing mask of "some
     value of the name contains `lower`" holds p exactly when `forces_dense`
-    does, and the refinement mask of the name over a second one holds every
-    atom below p exactly when `forces` says the name refines the other."""
-    pool = [build_bundle(recipe, limits).poset for recipe in (
+    does, the refinement mask of the name over a second one holds every
+    atom below p exactly when `forces` says the name refines the other, and
+    the name's witness run over the whole poset is the oracle's: its entry
+    for p, when the run reaches p, is the first r in `down(p)`, in
+    canonical order, at which `forces_dense` holds, and the condition where
+    a shorter run stops has no such r."""
+    pool = [build_bundle(recipe, limits) for recipe in (
         {"kind": "cohen", "indices": [0]},
         {"kind": "cohen", "indices": [0, 1]},
         {"kind": "measure", "k": 1},
+        _LISTED_STRONGER_FIRST,
     )]
 
     def random_name(poset) -> Name:
@@ -355,18 +367,30 @@ def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
             for _ in range(rng.randint(0, 4))
         )
 
+    def least_witness(poset, p, name, lower):
+        return next((r for r in sorted(poset.down(p), key=poset.sort_key)
+                     if forces_dense(poset, r, name, lower)), None)
+
     agree = 0
     for _ in range(queries):
-        poset = pool[rng.randrange(len(pool))]
+        bundle = pool[rng.randrange(len(pool))]
+        poset, strat = bundle.poset, bundle.strat
         name = random_name(poset)
-        p = poset.elements[rng.randrange(len(poset))]
+        i = rng.randrange(len(poset))
+        p = poset.elements[i]
         lower = frozenset(x for x in "xy" if rng.random() < 0.5)
         other = random_name(poset)
         masks = value_masks(poset, name)
-        superset = forcing_mask(poset, superset_mask(masks, lower)) >> poset.sort_key(p) & 1 == 1
+        superset = forcing_mask(poset, superset_mask(masks, lower)) >> i & 1 == 1
         refines = poset.atom_mask[p] & ~refinement_mask(poset, masks, value_masks(poset, other)) == 0
+        # the top level holds every condition, so p's entry is at index i
+        run = WitnessTable(poset, strat, strat.stabilization_index, name).run(lower)
+        if i < len(run):
+            witnessed = run[i] == least_witness(poset, p, name, lower)
+        else:
+            witnessed = least_witness(poset, poset.elements[len(run)], name, lower) is None
         if (superset == forces_dense(poset, p, name, lower)
-                and refines == forces(poset, p, RefinesName(name, other))):
+                and refines == forces(poset, p, RefinesName(name, other)) and witnessed):
             agree += 1
     return agree
 

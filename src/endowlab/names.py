@@ -29,11 +29,13 @@ ground sets, so sets with equal masks, and a set that is both, share one
 search and one run; a ground set outside the cover gets its run from the
 same table.  The certificates keep the runs, and derive their (set,
 condition, witness) `triples` on demand; their writers lay each distinct
-run's triples out once as a text skeleton and join it with each set's
-field (see `canon.TextMemo`).  Point names read each value set's reach (the
-union of its conditions' down masks) from one pass over the name, and
-each point's density from the table's masks.  The refined name pairs each
-ground set with the conditions of its forcing mask.  Each set's mask
+run's triples out once as a text skeleton, patched from the level's
+identity skeleton where a witness differs from its condition, and join it
+with each set's field (see `canon.TextMemo`).  Point names read each
+value set's reach (the union of its conditions' down masks) from one pass
+over the name, and each point's density from the table's masks.  The
+refined name pairs each ground set with the conditions of its forcing
+mask.  Each set's mask
 becomes 0/1 bytes in identifier order (`poset.identifier_order`), and
 `compress` picks the pairs out of (condition, set) in the name's canonical
 order, so no condition is tested bit by bit; the refinement check tables

@@ -45,9 +45,11 @@ name at one atom, pair by pair, `statement_holds_at` a statement, and
 superset statement by density without evaluating at atoms.
 
 A `Poset` is read-only after construction: no caller writes its masks, so
-one built-in poset can be shared by every command of a process.  Its two
-lazy members, `atom_up` and `identifier_order` (the positions sorted by
-identifier), are pure functions of the poset: building them changes no result.
+one built-in poset can be shared by every command of a process.  Its three
+lazy members, `atom_up`, `identifier_order` (the positions sorted by
+identifier) and `text_table` (its conditions' canonical text, see
+`canon.TextTable`), are pure functions of the poset: building them changes
+no result.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from operator import lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import DEFAULT_LIMITS, Limits
-from .canon import TextMemo, joined, set_key, sorted_sets, write_array
+from .canon import TextMemo, TextTable, joined, set_key, sorted_sets, write_array
 from .errors import DataError, ResourceError
 
 Condition = str
@@ -179,6 +181,13 @@ class Poset:
         """The positions sorted by condition identifier, the order a name's
         pairs take by condition; built on first use."""
         return tuple(sorted(range(len(self._elements)), key=self._elements.__getitem__))
+
+    @cached_property
+    def text_table(self) -> TextTable:
+        """The canonical text of the conditions, shared by every certificate
+        over the poset: each condition's string literal, and each level's
+        identity skeleton once it is asked for; built on first use."""
+        return TextTable(self._elements)
 
     def above_atoms(self, atoms: int) -> int:
         """The position mask of the conditions above some atom of an atom

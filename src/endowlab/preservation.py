@@ -19,11 +19,14 @@ reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
 writer: every section appends its fragments, keys in sorted order, to one
 list through one `TextMemo`, each triple from its memoized fragments and
 only the poset recipe through `canonical_json`, and the list is joined
-once.  `replay_certificate` decides a canonical file from its embedded
-scenario alone, comparing the file's length, prefix and final newline with
-the fresh text rather than building the fresh text plus a newline; any
-other text is parsed whole and compared with the fresh certificate section
-by section.
+once.  The memo starts from the poset's text table (`Poset.text_table`),
+which `run_preservation` hands over in the certificate, so the writer
+looks no bundle up and every certificate over a poset shares its
+condition literals and identity skeletons.  `replay_certificate` decides
+a canonical file from its embedded scenario alone, comparing the file's
+length, prefix and final newline with the fresh text rather than building
+the fresh text plus a newline; any other text is parsed whole and
+compared with the fresh certificate section by section.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .bounds import DEFAULT_LIMITS, Limits
 from .canon import (
     BOOL_TEXT,
     TextMemo,
+    TextTable,
     canonical_json,
     check_shape,
     joined,
@@ -201,15 +205,16 @@ class PreservationCertificate(NamedTuple):
     ground_families: tuple[tuple[frozenset[str], ...], ...]
     pipeline: PipelineResult
     verdict: str
+    text_table: TextTable  # the poset's, which the writer reads; not a section
 
     def to_text(self) -> str:
         """The certificate as canonical JSON, without a trailing newline.
 
-        Every section appends its fragments to one list, with one memo, and
-        the list is joined once; only the scenario's poset recipe, a plain
-        dict, goes through `canonical_json`.
+        Every section appends its fragments to one list, with one memo over
+        the poset's text table, and the list is joined once; only the
+        scenario's poset recipe, a plain dict, goes through `canonical_json`.
         """
-        memo = TextMemo()
+        memo = TextMemo(self.text_table)
         quoted = memo.quoted
         pipeline = self.pipeline
         out = ['{"approximation_certificates":']
@@ -321,6 +326,7 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
         ground_families,
         pipeline,
         "positive" if positive else "negative",
+        bundle.poset.text_table,
     )
 
 

@@ -11,9 +11,17 @@ poset kind and the sections of the certificate that fail, as
 counterexample (an atom where the refined name fails to refine) or a
 failed selection check; every one whose covering check fails has an atom
 table row with a null level and set.
+
+Beside them stand the tampered certificates: one positive certificate,
+`generate_scenario(*TAMPER_BASE)`, edited as parsed data so that one
+claim of it is false.  `verify` must name the edited section, and each
+entry records the path of the false claim, the one an independent checker
+of the certificate's own witnesses reports.
 """
 
 from __future__ import annotations
+
+import re
 
 import endowlab.preservation as preservation
 from endowlab.endowment import adversarial_singleton_family
@@ -114,3 +122,64 @@ def failing_sections(cert) -> tuple[str, ...]:
         "union_covers": not pipeline.union_covers,
     }
     return tuple(section for section, failing in failed.items() if failing)
+
+
+# -- tampered certificates -----------------------------------------------------
+#
+# The base is positive: the measure algebra k=2, floor 2, six levels.  Its
+# approximation run for the piece {x,y,z} at level 1 is patched: at 7 of
+# its 11 conditions the condition does not force the piece and a stronger
+# one is the witness.  Its refined name at level 0 leaves out the pair
+# ("00,01,11", {x,y,z}), which that condition does not force.
+TAMPER_BASE = (10, "rothberger")
+
+
+def _drop_triple(data) -> None:
+    # the triple of the piece {x,y} below "00,01": that condition is left uncovered
+    del data["approximation_certificates"][3]["triples"][5]
+
+
+def _change_patched_witness(data) -> None:
+    # "00,01" was the witness below "00,01,11"; "10" is no cell inside it
+    data["approximation_certificates"][1]["triples"][13]["witness"] = "10"
+
+
+def _swap_picks(data) -> None:
+    # level 3's cover is {x,y} and {x,y,z}, so the pick {x} leaves it
+    picks = data["selection"]["solution"]
+    picks[3], picks[4] = picks[4], picks[3]
+
+
+def _add_unforced_pair(data) -> None:
+    # in canonical (condition, set) order, after "00,01,10"
+    data["refined_names"][0].insert(3, {"condition": "00,01,11", "set": ["x", "y", "z"]})
+
+
+def _lower_atom_row(data) -> None:
+    # from level 2, the floor, to level 1, below it
+    data["atom_table"][0]["level"] = 1
+
+
+def _flip_verdict(data) -> None:
+    data["verdict"] = "negative"
+
+
+# label: (the section `verify` names, the path of the false claim, the edit)
+TAMPERED = {
+    "dropped-triple": ("approximation_certificates", "approximation_certificates[3].triples",
+                       _drop_triple),
+    "changed-patched-witness": ("approximation_certificates",
+                                "approximation_certificates[1].triples[13]",
+                                _change_patched_witness),
+    "swapped-pick": ("selection", "selection.solution[3]", _swap_picks),
+    "unforced-refined-pair": ("refined_names", "refined_names[0][3]", _add_unforced_pair),
+    "atom-row-wrong-level": ("atom_table", "atom_table[0]", _lower_atom_row),
+    "flipped-verdict": ("verdict", "verdict", _flip_verdict),
+}
+
+
+def at_path(data, path: str):
+    """The value at a path such as "selection.solution[3]"."""
+    for key, index in re.findall(r"(\w+)|\[(\d+)\]", path):
+        data = data[key] if key else data[int(index)]
+    return data

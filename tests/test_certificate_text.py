@@ -5,7 +5,11 @@ test here compares that text byte for byte with `canonical_json` of the
 trees that `certificate_reference` builds field by field: on the goldens,
 on seeded scenarios, and on certificates whose identifiers need escaping or
 whose sections are negative.  The CLI round trips check that `preserve`
-writes exactly that text plus a newline and that `verify` replays it.
+writes exactly that text plus a newline and that `verify` replays it, and
+that `verify` names the section of every tampered certificate.  The runs
+are checked where a skeleton is patched: hand-built runs patched at every
+place, an explicit poset whose witness runs are searched, and posets whose
+text tables come and go with the bundle cache.
 """
 
 import json
@@ -23,8 +27,8 @@ from certificate_reference import (
     scenario_jsonable,
 )
 from endowlab.bounds import DEFAULT_LIMITS, Limits
-from endowlab.canon import TextMemo, canonical_json
-from endowlab.cli import main
+from endowlab.canon import TextMemo, TextTable, canonical_json
+from endowlab.cli import _LISTED_STRONGER_FIRST, main
 from endowlab.instances import fixture_cohen_pair, fixture_measure_pair, save_instance
 from endowlab.names import (
     ApproxCertificate,
@@ -35,10 +39,24 @@ from endowlab.names import (
     refine_name,
 )
 from endowlab.poset import forces_dense
-from endowlab.preservation import Scenario, generate_scenario, run_preservation
+from endowlab.preservation import (
+    MAX_SHARED,
+    Scenario,
+    build_bundle,
+    generate_scenario,
+    run_preservation,
+)
 from endowlab.selection import MODES
 from endowlab.topology import FiniteSpace
-from negative_corpus import NEGATIVES, SEEDS, failing_sections, use_adversarial_families
+from negative_corpus import (
+    NEGATIVES,
+    SEEDS,
+    TAMPER_BASE,
+    TAMPERED,
+    at_path,
+    failing_sections,
+    use_adversarial_families,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -348,3 +366,143 @@ def test_writer_on_short_partial_and_shared_runs():
         text = cert.to_text(memo)
         assert text == canonical_json(reference) == cert.to_text(TextMemo())
         assert len(reference["triples"]) == sum(len(run) for _, run in cert.runs)
+
+
+# -- patched skeletons ------------------------------------------------------------
+#
+# Every skeleton is a slice of the identity skeleton of the level's
+# conditions with the entries after a differing witness rewritten.  These
+# runs differ at the first, a middle and the last index, at all of them, or
+# nowhere; some stop short.  One run is the conditions tuple itself, one
+# only equal to it.
+PATCH_CONDITIONS = ("p", TOP, "q", LOW, "s")
+PATCH_RUNS = (
+    (frozenset({"a"}), PATCH_CONDITIONS),
+    (frozenset({"b"}), tuple(list(PATCH_CONDITIONS))),
+    (frozenset({X}), ("r", TOP, "q", LOW, "s")),
+    (frozenset({"c"}), ("p", TOP, ASTRAL, LOW, "s")),
+    (frozenset({"d"}), ("p", TOP, "q", LOW, RIGHT)),
+    (frozenset({"e", Y}), ("r", LEFT, ASTRAL, RIGHT, "t")),
+    (frozenset({"f"}), ("p", TOP)),
+    (frozenset({"g"}), ("p", ASTRAL, "q")),
+    (frozenset({"h"}), ("p", TOP, RIGHT)),
+    (frozenset({V}), (LEFT,)),
+    (frozenset({"i"}), ()),
+)
+
+
+def patch_certificates(level: int, conditions=PATCH_CONDITIONS):
+    yield ApproxCertificate(level, conditions, PATCH_RUNS, (("f",), "q"))
+    yield RefineCertificate(level, conditions, PATCH_RUNS, (("f",), "q"), None)
+
+
+def reference_of(cert) -> dict:
+    return (approx_certificate_jsonable if isinstance(cert, ApproxCertificate)
+            else refine_certificate_jsonable)(cert)
+
+
+def test_writer_on_runs_patched_everywhere():
+    table = TextTable(PATCH_CONDITIONS)
+    memo = TextMemo(table)
+    for cert in patch_certificates(2):
+        text = canonical_json(reference_of(cert))
+        assert cert.to_text(memo) == text
+        assert cert.to_text(TextMemo()) == text  # a record on its own, with a fresh table
+        assert cert.to_jsonable() == reference_of(cert)
+    # the run that is the conditions tuple takes the identity skeleton as it is
+    assert memo.skeletons[PATCH_CONDITIONS, PATCH_CONDITIONS] is table.identity[PATCH_CONDITIONS]
+    assert list(table.identity) == [PATCH_CONDITIONS]
+
+
+def test_levels_that_share_a_conditions_tuple_share_one_identity_skeleton():
+    table = TextTable(PATCH_CONDITIONS)
+    memo = TextMemo(table)
+    for level in (5, 6, 7):
+        for cert in patch_certificates(level):
+            assert cert.to_text(memo) == canonical_json(reference_of(cert))
+    assert len(table.identity) == 1
+    # a generated certificate's levels at and above the floor share one tuple
+    cert = run_preservation(generate_scenario(10, "rothberger"))
+    upper = [c.conditions for c in cert.approximation_certificates[cert.floor:]]
+    assert len(upper) > 1 and all(conditions is upper[0] for conditions in upper)
+    assert_writer_matches_reference(cert)
+    strat = build_bundle(cert.scenario.poset).strat
+    assert set(cert.text_table.identity) <= set(strat.ordered)
+
+
+def stronger_first_scenario(mode: str) -> Scenario:
+    """A scenario over an explicit poset that lists stronger conditions
+    first, so only its atoms are self-least and its runs are searched."""
+    return Scenario.from_jsonable({
+        "poset": _LISTED_STRONGER_FIRST,
+        "space": {"points": ["x", "y"], "base": [["x"], ["y"], ["x", "y"]]},
+        "names": [
+            [{"condition": "t", "set": ["x", "y"]}],
+            [{"condition": "m", "set": ["x"]}, {"condition": "m", "set": ["y"]},
+             {"condition": "a2", "set": ["x", "y"]}],
+            [{"condition": "a0", "set": ["x"]}, {"condition": "a0", "set": ["y"]},
+             {"condition": "a1", "set": ["x", "y"]}, {"condition": "a2", "set": ["x"]},
+             {"condition": "a2", "set": ["y"]}],
+        ],
+        "property": mode,
+    })
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_writer_on_a_poset_with_a_strict_self_least_mask(mode, tmp_path):
+    scenario = stronger_first_scenario(mode)
+    poset = build_bundle(scenario.poset).poset
+    assert poset.self_least == 0b01011  # the atoms a0, a1 and a2
+    cert = run_preservation(scenario)
+    witnessed = cert.approximation_certificates + cert.pipeline.certificates
+    assert any(run != c.conditions[:len(run)] for c in witnessed for _, run in c.runs)
+    text = assert_writer_matches_reference(cert)
+    sections = json.loads(text)
+    for key, certs in (("approximation_certificates", cert.approximation_certificates),
+                       ("refinement_certificates", cert.pipeline.certificates)):
+        for n, level_cert in enumerate(certs):
+            assert level_cert.to_text(TextMemo()) == canonical_json(sections[key][n])
+    assert preserve_then_verify(tmp_path, scenario) == (0, 0, text + "\n")
+
+
+def test_text_tables_of_two_posets_past_bundle_evictions(monkeypatch):
+    monkeypatch.setattr(preservation, "_SHARED", {})
+    goldens = {label: (GOLDEN / f"{label}.cert.json").read_text()
+               for label in ("cohen-pair", "measure-pair")}
+    made = []
+    for _ in range(3):
+        for label, fixture in (("cohen-pair", fixture_cohen_pair), ("measure-pair", fixture_measure_pair)):
+            cert = run_preservation(fixture())
+            assert cert.text_table is build_bundle(cert.scenario.poset).poset.text_table
+            assert all(cert.text_table is not old.text_table for _, old in made)
+            made.append((label, cert))
+            assert assert_writer_matches_reference(cert) + "\n" == goldens[label]
+        for i in range(MAX_SHARED):  # evicts both bundles
+            build_bundle({"kind": "cohen", "indices": [i + 2]})
+
+    def no_lookup(*args):
+        raise AssertionError("the writer looked a bundle up")
+
+    monkeypatch.setattr(preservation, "build_bundle", no_lookup)
+    for label, cert in made:  # each keeps the table of its own poset
+        assert cert.to_text() + "\n" == goldens[label]
+
+
+# -- tampered certificates --------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", sorted(TAMPERED))
+def test_verify_names_the_section_of_a_tampered_certificate(label, tmp_path, capsys):
+    section, path, edit = TAMPERED[label]
+    text = run_preservation(generate_scenario(*TAMPER_BASE)).to_text()
+    base, data = json.loads(text), json.loads(text)
+    assert base["verdict"] == "positive"
+    edit(data)
+    at_path(data, path)  # the recorded path names a spot of the tampered file
+    if label == "changed-patched-witness":
+        original = at_path(base, path)
+        assert original["witness"] != original["condition"]
+    cert_file = tmp_path / "tampered.cert.json"
+    cert_file.write_text(canonical_json(data) + "\n")
+    assert main(["verify", "--cert", str(cert_file)]) == 3
+    assert capsys.readouterr().out == f"replay: MISMATCH\nmismatching sections: {[section]}\n"

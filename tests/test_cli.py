@@ -1303,6 +1303,25 @@ def test_selftest_sweep_kills_the_pipeline_mask_mutants(attr, mutant, monkeypatc
     assert line == f"forcing oracles agree: {data['oracle_agreements']}/200"
 
 
+def test_selftest_sweep_kills_an_everywhere_self_least_mask(monkeypatch, capsys):
+    # mutant (g): every position is self-least, so a forcing condition is
+    # its own witness even when a stronger one is listed before it, as in
+    # the sweep's explicit poset; the witness runs disagree with the oracle
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    monkeypatch.setattr(preservation, "_SHARED", {})
+    init = Poset.__init__
+
+    def everywhere(self, elements, below):
+        init(self, elements, below)
+        self.self_least = (1 << len(self)) - 1
+
+    monkeypatch.setattr(Poset, "__init__", everywhere)
+    assert main(["selftest", "--count", "1", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["problems"] == ["forcing oracles disagree"]
+    assert data["oracle_agreements"] < data["oracle_queries"] == 200
+
+
 def test_selftest_reports_a_failing_seed_and_continues(monkeypatch, capsys):
     monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
     bad = generate_scenario(3, MODES[1])
