@@ -112,14 +112,12 @@ def parse_bounds(text: str) -> Limits:
             f"bad bounds {text!r}; expected 'default' or a JSON object: {exc}") from exc
 
 
-def resolve_family(bundle, choice: str):
-    if choice == "default":
-        return bundle.family
-    if choice == "maximal":
-        return maximal_antichain_family(bundle.poset)
-    if choice == "adversarial":
-        return adversarial_singleton_family(bundle.poset)
-    raise UsageError(f"unknown family {choice!r}")
+# `--family` choice -> the endowment family it names for a poset bundle
+FAMILIES = {
+    "default": lambda bundle: bundle.family,
+    "maximal": lambda bundle: maximal_antichain_family(bundle.poset),
+    "adversarial": lambda bundle: adversarial_singleton_family(bundle.poset),
+}
 
 
 def gather_antichains(poset, exhaustive: bool, seeded: int, seed: int, limits: Limits):
@@ -189,7 +187,7 @@ def cmd_endow_verify(args, limits: Limits) -> int:
     require_level_bound(args.n, limits)
     recipe = parse_poset_spec(args.poset, limits)
     bundle = build_bundle(recipe, limits)
-    family = resolve_family(bundle, args.family)
+    family = FAMILIES[args.family](bundle)
     exhaustive = args.exhaustive or (args.seeded is None and len(bundle.poset) <= limits.max_poset)
     if not exhaustive and args.seeded is None:
         raise UsageError(
@@ -259,7 +257,7 @@ def load_name_inputs(args, limits: Limits):
 
 def cmd_approx(args, limits: Limits) -> int:
     bundle, space, name = load_name_inputs(args, limits)
-    family = resolve_family(bundle, args.family)
+    family = FAMILIES[args.family](bundle)
     table = WitnessTable(bundle.poset, bundle.strat, args.n, name)
     point_names = derive_point_names(table, space)
     approx = approximate(table, point_names, family)
@@ -396,15 +394,15 @@ def _oracle_sweep(rng: random.Random, limits: Limits, queries: int) -> int:
 
 
 def _check_scenario(make, limits: Limits, seed: int | None = None, mode: str | None = None) -> dict:
-    """Build the scenario `make()` returns, run it and replay its certificate
-    as `preserve` writes it.  An exception becomes the record's `error`, so
+    """Build the scenario `make()` returns, run it and replay the writer's
+    text of its certificate.  An exception becomes the record's `error`, so
     one bad scenario does not abort the batch; only an exception that is not
     an `EndowlabError` is a program fault and prints its traceback."""
     record = {"seed": seed, "mode": mode, "verdict": None, "replay_ok": False, "error": None}
     try:
         cert = run_preservation(make(), limits)
         record["verdict"] = cert.verdict
-        record["replay_ok"] = replay_certificate(cert.to_text() + "\n", limits).ok
+        record["replay_ok"] = replay_certificate(cert.to_text(), limits).ok
     except Exception as exc:  # the batch must keep running
         if not isinstance(exc, EndowlabError):
             import traceback  # loaded only on a program fault, off the start-up path
@@ -490,7 +488,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("endow-verify", help="check the weak endowment clauses")
     p.add_argument("poset", help="cohen:D=<n>, measure:k=<n>, or @poset.json")
     p.add_argument("--n", type=int, required=True, help="level to check")
-    p.add_argument("--family", default="default", choices=["default", "maximal", "adversarial"])
+    p.add_argument("--family", default="default", choices=list(FAMILIES))
     sampling = p.add_mutually_exclusive_group()
     sampling.add_argument("--exhaustive", action="store_true", help="force exhaustive enumeration")
     sampling.add_argument("--seeded", type=int, default=None, metavar="COUNT",
@@ -514,7 +512,7 @@ def build_parser() -> _Parser:
     p.add_argument("--space", required=True, help="space instance file")
     p.add_argument("--name", required=True, help="name instance file")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", default="default", choices=["default", "maximal", "adversarial"])
+    p.add_argument("--family", default="default", choices=list(FAMILIES))
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("refine", help="refine a name over a ground family")

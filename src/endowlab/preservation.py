@@ -24,9 +24,9 @@ which `run_preservation` hands over in the certificate, so the writer
 looks no bundle up and every certificate over a poset shares its
 condition literals and identity skeletons.  `replay_certificate` decides
 a canonical file from its embedded scenario alone, comparing the file's
-length, prefix and final newline with the fresh text rather than building
-the fresh text plus a newline; any other text is parsed whole and
-compared with the fresh certificate section by section.
+prefix with the fresh text and allowing one final newline after it, rather
+than building the fresh text plus a newline; any other text is parsed
+whole and compared with the fresh certificate section by section.
 """
 
 from __future__ import annotations
@@ -364,14 +364,15 @@ def replay_certificate(
     `path`, and compare byte for byte.
 
     A canonical file, the fresh certificate exactly as `preserve` writes it,
-    is decided from its scenario alone: the scenario is decoded where the
-    writer puts it and replayed, and byte equality with the fresh text
-    proves the kind, the version and the scenario.  Any other text is
-    parsed whole; its kind, version and scenario are checked, it is dumped
-    and compared with the fresh text, and on a mismatch the fresh text is
-    parsed to list the differing top level sections by key.  The replay of
-    the first step, or its error, is reused when the parsed scenario is the
-    decoded one, so the pipeline runs at most once for a file.
+    with or without its final newline, is decided from its scenario alone:
+    the scenario is decoded where the writer puts it and replayed, and byte
+    equality with the fresh text proves the kind, the version and the
+    scenario.  Any other text is parsed whole; its kind, version and
+    scenario are checked, it is dumped and compared with the fresh text,
+    and on a mismatch the fresh text is parsed to list the differing top
+    level sections by key.  The replay of the first step, or its error, is
+    reused when the parsed scenario is the decoded one, so the pipeline
+    runs at most once for a file.
     """
     scenario = fresh_text = failure = None
     decoded = _embedded_scenario(text)
@@ -382,8 +383,7 @@ def replay_certificate(
             fresh_text = run_preservation(scenario, limits).to_text()
         except EndowlabError as exc:
             failure = exc
-        if (fresh_text is not None and len(text) == len(fresh_text) + 1
-                and text.endswith("\n") and text.startswith(fresh_text)):
+        if fresh_text is not None and text.startswith(fresh_text) and text[len(fresh_text):] in ("", "\n"):
             return ReplayReport(True, ())
     data = parse_json(text, path)
     if not isinstance(data, dict) or data.get("kind") != "preservation-certificate":

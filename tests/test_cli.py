@@ -10,6 +10,7 @@ import tempfile
 import time
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import endowlab
 import endowlab.cli as cli
@@ -30,8 +31,9 @@ from endowlab.instances import (
     save_instance,
 )
 from endowlab.poset import Poset
-from endowlab.preservation import build_bundle, generate_scenario, run_preservation
+from endowlab.preservation import ReplayReport, build_bundle, generate_scenario, run_preservation
 from endowlab.selection import MODES
+import cli_contract
 from input_fuzz import EXIT_CODES, run_fuzz
 
 import pytest
@@ -202,13 +204,28 @@ def test_help_returns_0_and_leaves_the_parser_working(argv, expected, capsys):
     assert "weak endowment: ok" in capsys.readouterr().out
 
 
-def test_help_exits_0_in_a_fresh_interpreter():
-    env = {**os.environ, "PYTHONPATH": str(Path(endowlab.__file__).parents[1])}
-    for argv in (["--help"], ["preserve", "--help"]):
-        run = subprocess.run([sys.executable, "-m", "endowlab.cli", *argv],
-                             env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.startswith("usage: endowlab")
+def test_cli_contract_table_is_well_formed():
+    # every case expects an exit of the README's table under a cap, and every
+    # mutant case a failing exit on a text that occurs exactly once in src/
+    mutants = []
+    for case in cli_contract.CASES:
+        assert case.code in EXIT_CODES | {1}
+        assert case.argv and all(type(arg) is str for arg in case.argv)
+        assert 0 < case.cap <= 60
+        assert case.env is None or len(case.env) == 2
+        if case.mutant is not None:
+            assert case.code != 0
+            mutants.append(case.mutant)
+    assert len(mutants) == 6
+    for file, text, replacement in mutants:
+        assert (cli_contract.SRC / "endowlab" / file).read_text().count(text) == 1
+        assert replacement != text
+
+
+def test_cli_contract_cases_without_a_mutant(tmp_path):
+    # the table's plain cases, `--help` among them, each in a fresh interpreter
+    plain = [case for case in cli_contract.CASES if case.mutant is None]
+    assert cli_contract.run_table(plain, cli_contract.SRC, tmp_path) == []
 
 
 # -- endow-verify ---------------------------------------------------------------
@@ -660,6 +677,32 @@ def test_approx_counts_the_derived_triples(pair_files, capsys):
     assert capsys.readouterr().out.splitlines()[1] == "certificate: positive (10 dense witnesses)"
 
 
+def test_approx_prints_the_counterexample_of_a_negative_certificate(tmp_path, capsys):
+    # level 4 of `gen --seed 10` (measure k=2) approximates positively with
+    # the default family, but the adversarial family leaves a piece undecided
+    scenario = generate_scenario(10).to_jsonable()
+    space, name = tmp_path / "space.json", tmp_path / "name.json"
+    save_instance(space, "space", scenario["space"])
+    save_instance(name, "name", scenario["names"][4])
+    argv = ["approx", "--poset", "measure:k=2", "--space", str(space), "--name", str(name), "--n", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "certificate: positive (45 dense witnesses)"
+    assert main(argv + ["--family", "adversarial"]) == 3
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "certificate: NEGATIVE (42 dense witnesses)",
+        "counterexample: piece ['x', 'y', 'z'] at condition '01'",
+    ]
+
+
+def test_family_choices_come_from_one_table(capsys):
+    assert list(cli.FAMILIES) == ["default", "maximal", "adversarial"]
+    for command in ("endow-verify", "approx"):
+        assert main([command, "--help"]) == 0
+        assert "--family {default,maximal,adversarial}" in capsys.readouterr().out
+        assert main([command, "--family", "widest"]) == 64
+        assert "argument --family: invalid choice: 'widest'" in capsys.readouterr().err
+
+
 # Exit code and stdout digest of `approx` and `refine --json` on the pair
 # files, taken while each certificate still stored one tuple per triple.
 # The certificates now keep runs of witnesses and write the triples from
@@ -930,16 +973,17 @@ def test_verify_dumps_the_fresh_certificate_once(tmp_path, monkeypatch, capsys):
         file_parses = parses.count((text,))
         return code, len(writes), len(dumps), file_parses, len(parses) - file_parses, len(runs)
 
-    data = json.loads(cert.read_text())
-    assert verify_counts(cert.read_text()) == (0, 1, 0, 0, 0, 1)
-    # the fast path checks the length, the prefix and the final newline: a
-    # second newline, or an X of the same length in place of the newline,
-    # sends the file to the parse
-    assert verify_counts(cert.read_text() + "\n") == (0, 1, 1, 1, 0, 1)
-    assert verify_counts(cert.read_text()[:-1] + "X") == (65, 1, 0, 1, 0, 1)
+    written = cert.read_text()
+    data = json.loads(written)
+    assert verify_counts(written) == (0, 1, 0, 0, 0, 1)
+    # the fast path takes the fresh text with at most one final newline, so
+    # also the text `selftest` hands over; a second newline, or an X in place
+    # of the newline, sends the file to the parse
+    assert verify_counts(canonical_json(data)) == (0, 1, 0, 0, 0, 1)
+    assert verify_counts(written + "\n") == (0, 1, 1, 1, 0, 1)
+    assert verify_counts(written[:-1] + "X") == (65, 1, 0, 1, 0, 1)
     # the same certificate in other whitespace is still decided by content
-    for text in (canonical_json(data), json.dumps(data, indent=2) + "\n"):
-        assert verify_counts(text) == (0, 1, 1, 1, 0, 1)
+    assert verify_counts(json.dumps(data, indent=2) + "\n") == (0, 1, 1, 1, 0, 1)
     capsys.readouterr()
     assert verify_counts(canonical_json({**data, "floor": data["floor"] + 1}) + "\n") == (3, 1, 1, 1, 1, 1)
     assert "mismatching sections: ['floor']" in capsys.readouterr().out
@@ -1376,6 +1420,44 @@ def test_selftest_rejects_unusable_bounds_before_any_sweep(monkeypatch, capsys):
     assert main(["gen", "--seed", "0", "--bounds", bounds]) == 65
     assert capsys.readouterr().err == captured.err
     assert captured.err == "error: generation bound max_points=1 is below 2, the smallest space drawn\n"
+
+
+def test_gen_and_selftest_reject_bounds_with_no_poset_kind(monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    bounds = '{"max_indices":0,"max_k":0,"max_poset":2}'
+    for argv in (["gen", "--seed", "0"], ["selftest", "--count", "3"]):
+        assert main(argv + ["--bounds", bounds]) == 65
+        assert capsys.readouterr() == ("", "error: generation bounds leave no poset kind available\n")
+
+
+def test_selftest_reports_failed_sweeps_and_runs_every_seed(monkeypatch, capsys):
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    monkeypatch.setattr(cli, "verify_weak_endowment", lambda *args: SimpleNamespace(ok=False))
+    assert main(["selftest", "--count", "3", "--seed", "2"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:3] == ["staged hitting guarantee (exhaustive D<=2, n<=3): FAILED",
+                        "measure extraction bound (exhaustive k<=2, n<=2): FAILED"]
+    assert out[-2:] == ["scenarios run: 3", "failures: 0"]
+    assert main(["selftest", "--count", "3", "--seed", "2", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert (data["staged_ok"], data["measure_ok"]) == (False, False)
+    assert data["problems"] == ["staged hitting guarantee failed", "measure extraction bound failed"]
+
+
+def test_selftest_reports_a_failed_replay_without_an_error(monkeypatch, capsys):
+    # a scenario that certifies positive but does not replay fails with no
+    # error; every seed still runs
+    monkeypatch.delenv("ENDOWLAB_BOUNDS", raising=False)
+    monkeypatch.setattr(cli, "replay_certificate", lambda text, limits: ReplayReport(False, ("floor",)))
+    assert main(["selftest", "--count", "3", "--seed", "2"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:] == [
+        "fixed scenarios positive and replayed: 0/3",
+        "scenarios run: 3",
+        "failures: 3",
+        *(f"  seed {seed} mode {mode}: verdict positive, replay_ok False"
+          for seed, mode in zip((2, 3, 4), MODES)),
+    ]
 
 
 class _WorkStarted(Exception):

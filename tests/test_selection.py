@@ -319,6 +319,25 @@ def test_check_screenability_rejects_overlap_and_empty():
     assert not ok and "empty" in reason
 
 
+X, Y, XY = frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})
+
+
+@pytest.mark.parametrize("check,solution,reason", [
+    (check_rothberger, (XY,), "expected 2 picks, got 1"),
+    (check_rothberger, (XY, Y), "level 1 pick is not a cover member"),
+    (check_menger, ((XY,),), "expected 2 families, got 1"),
+    (check_menger, ((), (X, Y)), "level 1 family member is not a cover member"),
+    (check_screenability, ((),), "expected 2 families, got 1"),
+    (check_screenability, ((), (Y,)), "level 1 member ['y'] is not open"),
+], ids=["rothberger-length", "rothberger-pick", "menger-length", "menger-member",
+        "screenability-length", "screenability-not-open"])
+def test_checkers_reject_a_wrong_length_or_a_member_outside_its_level(check, solution, reason):
+    # the checkers are the independent check on a solver's output; {y} is
+    # neither open in the pair space nor a member of either level's cover
+    problem = make_selection_problem(pair_space(), [[XY], [X, XY]], 0, "rothberger")
+    assert check(problem, solution) == (False, reason)
+
+
 def test_solver_dispatch_and_check_dispatch():
     s = pair_space()
     cover = [frozenset({"x"}), frozenset({"x", "y"})]
