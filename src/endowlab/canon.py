@@ -24,6 +24,7 @@ fresh list through the same writer, with a fresh table, and its
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import ne
@@ -131,13 +132,15 @@ class TextMemo:
 
     `quoted[s]` is the JSON string literal of s, starting from the table's
     literals; `sets[u]` is the JSON list of u's members in sorted order,
-    for a frozenset or a tuple.  `skeletons[conditions, run]` is a
+    for a frozenset or a tuple.  `skeletons[conditions][run]` is a
     nonempty run's witness triples {"condition", <set field>, "witness"},
     the i-th witness with the i-th condition, cut where the set field goes:
     `[head(c0), tail(r0) + "," + head(c1), ..., tail(r_last)]`, with
     head(c) `{"condition":"c"` and tail(r) `,"witness":"r"}`.  A run may
     stop short of the conditions.  Joined with a set field, it is the run's
-    triples for that set.
+    triples for that set.  The memo is keyed by level conditions, then by
+    run, so a writer looks its level up once and hashes the conditions
+    tuple once per certificate record rather than once per run.
 
     Every skeleton is made one way, from the table's identity skeleton of
     the conditions: a run that is the conditions tuple itself, as
@@ -156,15 +159,18 @@ class TextMemo:
         self.table = TextTable() if table is None else table
         self.quoted = _Memo(encode_basestring_ascii, self.table.quoted)
         self.sets = _Memo(self._list)
-        self.skeletons = _Memo(self._skeleton)
+        self.skeletons = _Memo(self._level_skeletons)
 
     def _list(self, members) -> str:
         quoted = self.quoted
         return "[" + ",".join([quoted[x] for x in sorted(members)]) + "]"
 
-    def _skeleton(self, key) -> list[str]:
-        conditions, run = key
-        identity = self.table.identity[conditions]
+    def _level_skeletons(self, conditions: tuple[str, ...]) -> _Memo:
+        # no run over empty conditions is nonempty, so their identity is never read
+        identity = self.table.identity[conditions] if conditions else []
+        return _Memo(partial(self._skeleton, conditions, identity))
+
+    def _skeleton(self, conditions: tuple[str, ...], identity: list[str], run) -> list[str]:
         if run is conditions:
             return identity
         quoted, n = self.quoted, len(run)

@@ -83,11 +83,10 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     record is copied.
 
     The keepers are read off masks.  Before the stages, one pass over the
-    elements in canonical order gives each its *claim*: the positions
-    whose least compatible element it is.  A condition is compatible with
-    an element exactly when it lies above an atom below the element, so
-    the compatible positions are `above_atoms` of those atoms, and each
-    claim is what those leave after the earlier claims.  A stage
+    elements' positions, sorted as integers, gives each element its
+    *claim*: the positions whose least compatible element it is.  The
+    compatible positions are the element's row of `poset.compatible_masks`,
+    and each claim is what that row leaves after the earlier claims.  A stage
     handles `within_mask[support]`.  One pass over the elements not yet
     kept splits them into those whose claim meets that mask, which the
     stage adds, and the rest, which wait.  The added elements are ordered
@@ -100,17 +99,15 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     mask.
     """
     poset = cohen.poset
-    by_canon = sorted(antichain, key=poset.sort_key)
-    atom_mask, above_atoms = poset.atom_mask, poset.above_atoms
+    elements, compatible = poset.elements, poset.compatible_masks
     support_mask, within_mask = cohen.support_mask, cohen.within_mask
 
     claims: list[tuple[Condition, int]] = []
     rest = (1 << len(poset)) - 1  # positions not yet claimed
-    for a in by_canon:
-        compatible = above_atoms(atom_mask[a])
-        claims.append((a, rest & compatible))
-        rest &= ~compatible
-    seed = by_canon[0]
+    for i in sorted(map(poset.sort_key, antichain)):
+        claims.append((elements[i], rest & compatible[i]))
+        rest &= ~compatible[i]
+    seed = claims[0][0]
     chosen = [seed]
     pending = claims[1:]  # the elements not yet kept, with their claims
     support = support_mask[seed]

@@ -4,8 +4,8 @@ Every instance file is a JSON object {"format_version": 1, "kind": K,
 "payload": P} with K one of poset, space, name, scenario.  Payloads are
 checked against the `*_SHAPE` declared beside their class before any object
 is built.  Files are read through `read_text` and written through
-`write_text`, which turn an unreadable or unwritable path into a DataError;
-`write_text` ends each file with a newline.
+`write_text`, which use UTF-8 whatever the locale and turn an unreadable or
+unwritable path into a DataError; `write_text` ends each file with a newline.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ def validate_instance(data, kind: str | None = None) -> str:
 
 
 def read_text(path: str | Path) -> str:
-    """Read a text file; an unreadable or non-UTF-8 file is a DataError."""
+    """Read a UTF-8 text file, whatever the locale; an unreadable or
+    non-UTF-8 file is a DataError."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -74,9 +75,10 @@ def check_writable(path: str | Path) -> None:
 
 def write_text(path: str | Path, text: str) -> None:
     """Write `text` and then the newline that ends every file the program
-    writes, without joining the two; an unwritable path is a DataError."""
+    writes, without joining the two, as UTF-8 whatever the locale; an
+    unwritable path is a DataError."""
     try:
-        with Path(path).open("w") as file:
+        with Path(path).open("w", encoding="utf-8") as file:
             file.write(text)
             file.write("\n")
     except OSError as exc:

@@ -33,7 +33,9 @@ run's triples out once as a text skeleton, patched from the level's
 identity skeleton where a witness differs from its condition, and join it
 with each set's field (see `canon.TextMemo`).  Point names read each
 value set's reach (the union of its conditions' down masks) from one pass
-over the name, and each point's density from the table's masks.  The
+over the name, each point's density from the table's masks, and the
+conditions their greedy scan drops from `poset.compatible_masks`; the
+approximation extracts and checks once per distinct point antichain.  The
 refined name pairs each ground set with the conditions of its forcing
 mask.  Each set's mask
 becomes 0/1 bytes in identifier order (`poset.identifier_order`), and
@@ -110,10 +112,10 @@ def derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointNa
     commitment mask is dense, that is, the values containing the point hold
     every atom between them (`table.masks`); the first point without raises
     DataError.  The antichain is the greedy canonical scan of that mask:
-    keep the lowest remaining position, then drop every condition above an
-    atom of it, which are exactly the conditions compatible with it.  The
-    scan drops the kept position itself too, so it ends whatever
-    `above_atoms` returns.  Density makes the result maximal in the whole
+    keep the lowest remaining position, then drop the conditions compatible
+    with it, read by position from `poset.compatible_masks`.  The scan drops
+    the kept position itself too, so it ends whatever the table holds.
+    Density makes the result maximal in the whole
     poset, which is verified rather than assumed; an antichain that is not
     maximal is a program fault and raises InvariantError.
     Points with the same commitment mask share one antichain, built and
@@ -121,7 +123,7 @@ def derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointNa
     `set_key` order, whose reach holds the member's position bit.
     """
     poset = table.poset
-    elements, down_mask, atom_mask = poset.elements, poset.down_mask, poset.atom_mask
+    elements, down_mask, compatible = poset.elements, poset.down_mask, poset.compatible_masks
     reach: dict[frozenset[str], int] = {}
     for q, u in table.name.pairs:
         reach[u] = reach.get(u, 0) | down_mask[q]
@@ -144,7 +146,7 @@ def derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointNa
             while rest:
                 low = rest & -rest
                 bits.append(low)
-                rest &= ~(low | poset.above_atoms(atom_mask[elements[low.bit_length() - 1]]))
+                rest &= ~(low | compatible[low.bit_length() - 1])
             members = tuple(elements[low.bit_length() - 1] for low in bits)
             if not poset.is_maximal_antichain(members):
                 raise InvariantError(f"point {x!r}: greedy antichain is not maximal")
@@ -194,26 +196,31 @@ def approximate(
     """The cover at the table's level: for each point, extract a family
     member from its antichain and intersect the committed sets over it.
 
-    Points with the same antichain share one extraction.  Each piece
-    contains its point, so the result covers the space.  The antichains
-    are trusted to be maximal, as `derive_point_names` verifies them; an
-    extraction that is empty or leaves its antichain is a program fault
-    and raises InvariantError.
+    The extraction, its two checks and the members used, in canonical
+    order, are worked out once per distinct antichain, the first time a
+    point brings it; `derive_point_names` lists each antichain in
+    canonical order, so equal antichains are equal tuples.  Each point
+    then only intersects its committed sets over the members used.  Each
+    piece contains its point, so the result covers the space.  The
+    antichains are trusted to be maximal, as `derive_point_names` verifies
+    them; an extraction that is empty or leaves its antichain is a program
+    fault and raises InvariantError, naming the first point with that
+    antichain.
     """
-    n = table.level
-    extracted: dict[frozenset[Condition], frozenset[Condition]] = {}
+    n, sort_key = table.level, table.poset.sort_key
+    used_by: dict[tuple[Condition, ...], tuple[Condition, ...]] = {}  # antichain -> members used
     entries = []
     pieces = []
     for pn in sorted(point_names, key=lambda pn: pn.point):
-        antichain = frozenset(pn.antichain)
-        if antichain not in extracted:
-            extracted[antichain] = family.extract(n, antichain)
-        chosen = extracted[antichain]
-        if not chosen:
-            raise InvariantError(f"family extraction for point {pn.point!r} is empty")
-        if not chosen <= antichain:
-            raise InvariantError(f"family extraction for point {pn.point!r} leaves the antichain")
-        used = tuple(sorted(chosen, key=table.poset.sort_key))
+        used = used_by.get(pn.antichain)
+        if used is None:
+            antichain = frozenset(pn.antichain)
+            chosen = family.extract(n, antichain)
+            if not chosen:
+                raise InvariantError(f"family extraction for point {pn.point!r} is empty")
+            if not chosen <= antichain:
+                raise InvariantError(f"family extraction for point {pn.point!r} leaves the antichain")
+            used = used_by[pn.antichain] = tuple(sorted(chosen, key=sort_key))
         values = dict(pn.values)
         piece = frozenset.intersection(*(values[p] for p in used))
         entries.append((pn.point, used, piece))
@@ -330,11 +337,11 @@ class LevelWitnesses:
     def _write_triples(self, out: list[str], memo: TextMemo, field: str) -> None:
         """Append the JSON array of the triples, the set under `field`.  A
         run's triples are its skeleton (see `TextMemo.skeletons`) joined by
-        the set's field; an empty run writes nothing."""
-        skeletons, sets, conditions = memo.skeletons, memo.sets, self.conditions
+        the set's field; an empty run writes nothing.  The level's
+        skeletons are looked up once."""
+        skeletons, sets = memo.skeletons[self.conditions], memo.sets
         key = f',"{field}":'
-        write_array(out, [(key + sets[h]).join(skeletons[conditions, run])
-                          for h, run in self.runs if run])
+        write_array(out, [(key + sets[h]).join(skeletons[run]) for h, run in self.runs if run])
 
     def _counterexample_text(self, memo: TextMemo, field: str) -> str:
         counter = self.counterexample

@@ -31,7 +31,10 @@ its members' atom masks are disjoint and together hold every atom
 the last makes exactly the draws of `random.Random.shuffle` first.
 `atom_up[j]`, built on first use, marks by position the conditions above
 `atoms[j]`, and `above_atoms` unions it over an atom mask, so the
-conditions compatible with p are `above_atoms(atom_mask[p])`.
+conditions compatible with p are `above_atoms(atom_mask[p])`.  Those are
+tabled once per poset, by position, in `compatible_masks`, which point
+names' greedy scan and the staged construction read; `above_atoms` serves
+arbitrary atom masks, such as forcing masks and the endowment clauses.
 
 Names are read through `value_masks`: one atom mask per distinct value
 set, the union of `atom_mask[q]` over the pairs (q, U).  `superset_mask`
@@ -45,11 +48,11 @@ name at one atom, pair by pair, `statement_holds_at` a statement, and
 superset statement by density without evaluating at atoms.
 
 A `Poset` is read-only after construction: no caller writes its masks, so
-one built-in poset can be shared by every command of a process.  Its three
-lazy members, `atom_up`, `identifier_order` (the positions sorted by
-identifier) and `text_table` (its conditions' canonical text, see
-`canon.TextTable`), are pure functions of the poset: building them changes
-no result.
+one built-in poset can be shared by every command of a process.  Its four
+lazy members, `atom_up`, `compatible_masks`, `identifier_order` (the
+positions sorted by identifier) and `text_table` (its conditions' canonical
+text, see `canon.TextTable`), are pure functions of the poset: building
+them changes no result.
 """
 
 from __future__ import annotations
@@ -175,6 +178,13 @@ class Poset:
                 rest ^= low
                 up[low.bit_length() - 1] |= 1 << i
         return tuple(up)
+
+    @cached_property
+    def compatible_masks(self) -> tuple[int, ...]:
+        """Per canonical position i, the position mask of the conditions
+        compatible with `elements[i]`, `above_atoms` of its atom mask;
+        built on first use."""
+        return tuple(map(self.above_atoms, self._atom_masks))
 
     @cached_property
     def identifier_order(self) -> tuple[int, ...]:
@@ -456,12 +466,14 @@ class Name(NamedTuple):
         order, as every name read back from canonical text is, are kept as
         given after one pass that sees their (q, rank of U) keys strictly
         increase, U ranked among the name's distinct value sets in `set_key`
-        order."""
+        order.  Other pairs are put in that order by sorting the distinct
+        keys themselves and mapping each rank back to its set."""
         pairs = [(q, frozenset(u)) for q, u in pairs]
-        rank = {u: r for r, u in enumerate(sorted({u for _, u in pairs}, key=set_key))}
+        ranked = sorted({u for _, u in pairs}, key=set_key)
+        rank = {u: r for r, u in enumerate(ranked)}
         order = [(q, rank[u]) for q, u in pairs]
         if not all(map(lt, order, order[1:])):  # out of order or duplicated
-            pairs = sorted(set(pairs), key=lambda pair: (pair[0], rank[pair[1]]))
+            pairs = [(q, ranked[r]) for q, r in sorted(set(order))]
         return cls(tuple(pairs))
 
     def conditions(self) -> tuple[Condition, ...]:

@@ -2,8 +2,8 @@
 
 `CASES` is one table, run in order in one scratch directory.  Each case
 runs `python -m endowlab.cli ARGV`, or `python ARGV` when ARGV starts with
-`-c` or `-m`, in a new interpreter, and checks its exit code under a time
-cap.  A case may also set one environment entry, write its derived inputs
+`-c`, `-m` or `-X`, in a new interpreter, and checks its exit code under a
+time cap.  A case may also set one environment entry, write its derived inputs
 first (`setup`), require texts on stderr, check its stdout or the files it
 wrote (`check`), and run against a copy of `src/` in which one text, found
 exactly once, is replaced: a mutant, which its case must kill.  Every case
@@ -13,7 +13,7 @@ PYTHONPATH set to the source directory under test and ENDOWLAB_BOUNDS
 removed unless the case sets it.
 
 Tier-1 checks the table's shape and runs the cases that need no mutant
-(`tests/test_cli.py`).  The whole table takes about 11 s on a shared
+(`tests/test_cli.py`).  The whole table takes about 11–16 s on a shared
 2-core machine:
 
     PYTHONPATH=src python tests/cli_contract.py
@@ -110,6 +110,14 @@ def derived_inputs(work: Path) -> None:
         "leq": [[f"b{i}", f"a{i}_{j}"] for i in g for j in range(3)]})
 
 
+def accented(work: Path) -> None:
+    """The pair fixture's scenario with point x renamed to é, written as
+    UTF-8 bytes rather than as a JSON escape."""
+    text = json.dumps({"format_version": 1, "kind": "scenario", "payload": fixture_cohen_pair().to_jsonable()},
+                      ensure_ascii=False)
+    (work / "accented.json").write_text(text.replace('"x"', '"é"'), encoding="utf-8")
+
+
 def reordered(work: Path) -> None:
     """`s.json` with every name's pairs reversed and its first pair repeated."""
     data = json.loads((work / "s.json").read_text())
@@ -145,6 +153,10 @@ CASES = [
     case(0, "preserve", "--scenario", "reordered.json", "--cert", "reordered.cert.json",
          setup=reordered, check=same_bytes("s.cert.json", "reordered.cert.json")),
     case(0, "verify", "--cert", "reordered.cert.json"),
+    # instance files are UTF-8 whatever the locale: the C locale, with UTF-8
+    # mode off, would read them as ASCII
+    case(0, "-X", "utf8=0", "-m", "endowlab.cli", "preserve", "--scenario", "accented.json",
+         "--cert", "accented.cert.json", env=("LC_ALL", "C"), setup=accented),
     case(65, "preserve", "--scenario", "s.json", "--cert", "missing/x.cert.json"),
     case(65, "gen", "--seed", "0", "--out", "."),
     case(65, "gen", "--seed", "0", "--bounds", '{"max_indices":0,"max_k":0,"max_poset":2}',
@@ -173,6 +185,12 @@ CASES = [
     *(case(code, *argv, mutant=("poset.py", "if not mask & ((1 << i) - 1)", "if mask"))
       for code, argv in ((3, ("selftest", "--count", "24", "--seed", "0")),
                          (1, (*PYTEST, f"{ROOT}/tests/test_kernel.py")))),
+    # claims that overlap (i) let dow_construct keep an element for a
+    # position an earlier element claimed; the kernel tests kill it, while
+    # selftest's Cohen posets are too small to show it
+    case(1, *PYTEST, f"{ROOT}/tests/test_kernel.py",
+         mutant=("endowment.py", "claims.append((elements[i], rest & compatible[i]))",
+                 "claims.append((elements[i], compatible[i]))")),
     # a patched witness written into its own skeleton entry (h) breaks the
     # certificate text wherever a witness differs from its condition
     case(1, *PYTEST, f"{ROOT}/tests/test_certificate_text.py",
@@ -233,7 +251,7 @@ def run_case(case: Case, src: Path, work: Path) -> str | None:
     env["PYTHONPATH"] = str(src)
     if case.env is not None:
         env[case.env[0]] = case.env[1]
-    argv = case.argv if case.argv[0] in ("-c", "-m") else ("-m", "endowlab.cli", *case.argv)
+    argv = case.argv if case.argv[0] in ("-c", "-m", "-X") else ("-m", "endowlab.cli", *case.argv)
     try:
         run = subprocess.run([sys.executable, *argv], cwd=work, env=env,
                              capture_output=True, text=True, timeout=case.cap)

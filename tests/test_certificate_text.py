@@ -410,7 +410,7 @@ def test_writer_on_runs_patched_everywhere():
         assert cert.to_text(TextMemo()) == text  # a record on its own, with a fresh table
         assert cert.to_jsonable() == reference_of(cert)
     # the run that is the conditions tuple takes the identity skeleton as it is
-    assert memo.skeletons[PATCH_CONDITIONS, PATCH_CONDITIONS] is table.identity[PATCH_CONDITIONS]
+    assert memo.skeletons[PATCH_CONDITIONS][PATCH_CONDITIONS] is table.identity[PATCH_CONDITIONS]
     assert list(table.identity) == [PATCH_CONDITIONS]
 
 

@@ -216,7 +216,7 @@ def test_cli_contract_table_is_well_formed():
         if case.mutant is not None:
             assert case.code != 0
             mutants.append(case.mutant)
-    assert len(mutants) == 6
+    assert len(mutants) == 7
     for file, text, replacement in mutants:
         assert (cli_contract.SRC / "endowlab" / file).read_text().count(text) == 1
         assert replacement != text
@@ -1130,13 +1130,15 @@ def test_verify_outcome_matrix(case, tmp_path, capsys):
 def test_a_tripped_invariant_escapes_main(monkeypatch, tmp_path):
     # a kernel that drops the last atom of each mask (mutant f) leaves a point
     # antichain that is not maximal: a program fault, so no exit code of the
-    # table but 1, through the exception escaping `main`
+    # table but 1, through the exception escaping `main`.  The kernel is
+    # patched before the shared bundles are emptied, so the poset and its
+    # compatibility table are built under it, as in a fresh interpreter
     cert = tmp_path / "cert.json"
     cert.write_text(GOLDEN_TEXT)
-    run_preservation(fixture_cohen_pair())  # the shared bundle, built by the real kernel
     real = Poset.above_atoms
     monkeypatch.setattr(Poset, "above_atoms",
                         lambda self, atoms: real(self, atoms & ~(1 << atoms.bit_length() >> 1)))
+    monkeypatch.setattr(preservation, "_SHARED", {})
     with pytest.raises(InvariantError, match="point 'x': greedy antichain is not maximal"):
         main(["verify", "--cert", str(cert)])
 

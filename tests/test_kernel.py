@@ -7,19 +7,45 @@ compatibility and antichain helpers read atom and down-set masks;
 antichain references below read only frozenset down-sets, so they share no
 logic with the kernel.  The witness runs and refined names, read off the
 self-least and level masks, are checked against verbatim copies of the
-per-condition scans they replaced."""
+per-condition scans they replaced.  The compatibility table
+(`Poset.compatible_masks`) is checked against `above_atoms` and the
+pairwise definition, and the cover-name steps that read it
+(`derive_point_names`, `approximate`, `dow_construct`) against verbatim
+copies of the code they replaced."""
 
 import random
+import re
 from itertools import combinations, product
+from typing import Iterable, Sequence
 
 import pytest
 
 from endowlab.cohen import CohenPoset
-from endowlab.errors import DataError
+from endowlab.endowment import (
+    DowStage,
+    DowTrace,
+    EndowmentFamily,
+    adversarial_singleton_family,
+    cohen_dow_family,
+    dow_construct,
+    maximal_antichain_family,
+    measure_total_family,
+)
+from endowlab.errors import DataError, InvariantError
 from endowlab.measure import MeasurePoset
 from endowlab.canon import sorted_sets
-from endowlab.names import WitnessTable, forcing_mask, level_witnesses, refine_name
+from endowlab.names import (
+    Approximation,
+    PointName,
+    WitnessTable,
+    approximate,
+    derive_point_names,
+    forcing_mask,
+    level_witnesses,
+    refine_name,
+)
 from endowlab.poset import (
+    Condition,
     ExistsSupersetInCover,
     Name,
     Poset,
@@ -32,6 +58,7 @@ from endowlab.poset import (
     superset_mask,
     value_masks,
 )
+from endowlab.topology import FiniteSpace
 
 UNIVERSE = "xyz"
 
@@ -566,3 +593,250 @@ def test_cohen_order_matches_the_literal_construction(indices):
 def test_measure_order_matches_the_cell_construction(k):
     poset = MeasurePoset(k).poset
     assert_same_structure(poset, Poset.from_pairs(poset.elements, reference_measure_pairs(k)))
+
+
+# -- the compatibility table and its readers against the code they replaced -------
+
+
+def test_compatible_masks_match_above_atoms_and_the_pairwise_definition():
+    rng = random.Random(5772)
+    explicit = [random_explicit_poset(rng) for _ in range(40)]
+    assert sum(poset.self_least != (1 << len(poset)) - 1 for poset in explicit) > 5
+    posets = [CohenPoset(range(d)).poset for d in range(1, 6)]
+    posets += [MeasurePoset(k).poset for k in range(4)] + explicit
+    for poset in posets:
+        atom_mask = poset.atom_mask
+        assert len(poset.compatible_masks) == len(poset)
+        for p, row in zip(poset.elements, poset.compatible_masks):
+            pairwise = sum(1 << j for j, q in enumerate(poset.elements) if atom_mask[p] & atom_mask[q])
+            assert row == poset.above_atoms(atom_mask[p]) == pairwise, (poset.elements, p)
+        assert poset.compatible_masks is poset.compatible_masks  # built once
+
+
+def ref_derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointName, ...]:
+    """`derive_point_names` before it read `compatible_masks`, copied verbatim."""
+    poset = table.poset
+    elements, down_mask, atom_mask = poset.elements, poset.down_mask, poset.atom_mask
+    reach: dict[frozenset[str], int] = {}
+    for q, u in table.name.pairs:
+        reach[u] = reach.get(u, 0) | down_mask[q]
+    masks = table.masks  # in set_key order
+    everything = (1 << len(poset.atoms)) - 1
+    # commitment mask -> verified antichain and its members' position bits
+    greedy: dict[int, tuple[tuple[Condition, ...], list[int]]] = {}
+    out = []
+    for x in sorted(space.points):
+        values = [(u, reach[u]) for u in masks if x in u]
+        committed = atoms = 0
+        for u, mask in values:
+            committed |= mask
+            atoms |= masks[u]
+        if atoms != everything:
+            raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
+        if committed not in greedy:
+            bits = []
+            rest = committed
+            while rest:
+                low = rest & -rest
+                bits.append(low)
+                rest &= ~(low | poset.above_atoms(atom_mask[elements[low.bit_length() - 1]]))
+            members = tuple(elements[low.bit_length() - 1] for low in bits)
+            if not poset.is_maximal_antichain(members):
+                raise InvariantError(f"point {x!r}: greedy antichain is not maximal")
+            greedy[committed] = members, bits
+        antichain, bits = greedy[committed]
+        chosen = []
+        for p, bit in zip(antichain, bits):
+            for u, mask in values:
+                if mask & bit:
+                    chosen.append((p, u))
+                    break
+        out.append(PointName(x, antichain, tuple(chosen)))
+    return tuple(out)
+
+
+def ref_approximate(
+    table: WitnessTable, point_names: Sequence[PointName], family: EndowmentFamily,
+) -> Approximation:
+    """`approximate` before its per antichain work was done once per
+    antichain, copied verbatim."""
+    n = table.level
+    extracted: dict[frozenset[Condition], frozenset[Condition]] = {}
+    entries = []
+    pieces = []
+    for pn in sorted(point_names, key=lambda pn: pn.point):
+        antichain = frozenset(pn.antichain)
+        if antichain not in extracted:
+            extracted[antichain] = family.extract(n, antichain)
+        chosen = extracted[antichain]
+        if not chosen:
+            raise InvariantError(f"family extraction for point {pn.point!r} is empty")
+        if not chosen <= antichain:
+            raise InvariantError(f"family extraction for point {pn.point!r} leaves the antichain")
+        used = tuple(sorted(chosen, key=table.poset.sort_key))
+        values = dict(pn.values)
+        piece = frozenset.intersection(*(values[p] for p in used))
+        entries.append((pn.point, used, piece))
+        pieces.append(piece)
+    return Approximation(n, tuple(entries), sorted_sets(pieces))
+
+
+def ref_dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> DowTrace:
+    """`dow_construct` before its claims pass read `compatible_masks`,
+    copied verbatim."""
+    poset = cohen.poset
+    by_canon = sorted(antichain, key=poset.sort_key)
+    atom_mask, above_atoms = poset.atom_mask, poset.above_atoms
+    support_mask, within_mask = cohen.support_mask, cohen.within_mask
+
+    claims: list[tuple[Condition, int]] = []
+    rest = (1 << len(poset)) - 1  # positions not yet claimed
+    for a in by_canon:
+        compatible = above_atoms(atom_mask[a])
+        claims.append((a, rest & compatible))
+        rest &= ~compatible
+    seed = by_canon[0]
+    chosen = [seed]
+    pending = claims[1:]  # the elements not yet kept, with their claims
+    support = support_mask[seed]
+    stages = [DowStage((), (seed,), cohen.indices_in(support))]
+    for stage in range(1, n + 1):
+        handled = within_mask[support]
+        met: list[tuple[int, Condition]] = []
+        waiting: list[tuple[Condition, int]] = []
+        for a, claim in pending:
+            if mine := claim & handled:
+                met.append((mine & -mine, a))
+            else:
+                waiting.append((a, claim))
+        pending = waiting
+        before = support
+        if met:
+            met.sort()
+            added = tuple(a for _, a in met)
+            chosen.extend(added)
+            for a in added:
+                support |= support_mask[a]
+        else:
+            added = ()
+        stages.append(DowStage(cohen.within(before), added, cohen.indices_in(support)))
+        if support == before:
+            stages.extend([DowStage(stages[-1].handled, (), stages[-1].support)] * (n - stage))
+            break
+    return DowTrace(seed, tuple(stages), frozenset(chosen))
+
+
+LIMIT_LEVELS = 8
+
+
+def limit_names(rng: random.Random, poset: Poset, points: str) -> tuple[list[frozenset[str]], list[Name]]:
+    """A subbase of random sets over the points, the whole space among them,
+    and one cover name per level, at the program's default limits: every
+    member of a random maximal antichain commits every point into a random
+    subbase set holding it."""
+    base = {frozenset(points)} | {frozenset(x for x in points if rng.random() < 0.5) for _ in range(11)}
+    base = sorted_sets(b for b in base if b)
+    names = []
+    for _ in range(LIMIT_LEVELS):
+        antichain = sorted(poset.random_maximal_antichain(rng), key=poset.sort_key)
+        names.append(Name.canonical(
+            (q, rng.choice([b for b in base if x in b])) for q in antichain for x in points))
+    return list(base), names
+
+
+def counting(family: EndowmentFamily, calls: list) -> EndowmentFamily:
+    def extract(n, antichain):
+        calls.append(antichain)
+        return family.extract(n, antichain)
+    return family._replace(extract=extract)
+
+
+def assert_cover_steps_match(poset, strat, space, name, families, n) -> list[PointName]:
+    """The point names and, under each family, the approximation at level n
+    equal the references', with the same extractor calls."""
+    table = WitnessTable(poset, strat, n, name)
+    pns = derive_point_names(table, space)
+    assert pns == ref_derive_point_names(table, space)
+    for family in families:
+        calls, ref_calls = [], []
+        assert (approximate(table, pns, counting(family, calls))
+                == ref_approximate(table, pns, counting(family, ref_calls)))
+        assert calls == ref_calls
+    return pns
+
+
+@pytest.mark.parametrize("kind", ["cohen", "measure"])
+def test_cover_name_steps_match_the_replaced_code_on_limit_scenarios(kind):
+    if kind == "cohen":
+        model, points = CohenPoset(range(5)), "xyz"
+        strat = model.stratification()
+        family = cohen_dow_family(model, strat)
+    else:
+        model, points = MeasurePoset(3), "xyzuv"
+        strat = model.stratification()
+        family = measure_total_family(model)
+    poset = model.poset
+    space_rng = random.Random(kind)
+    traces = 0
+    for index in range(6):
+        rng = random.Random(f"{kind}:{index}")
+        base, names = limit_names(rng, poset, points)
+        space = FiniteSpace(list(points), base)
+        for n, name in enumerate(names):
+            pns = assert_cover_steps_match(poset, strat, space, name, [family], n)
+            if kind == "cohen":
+                antichains = {pn.antichain for pn in pns}
+                antichains.add(tuple(poset.random_maximal_antichain(space_rng)))
+                for antichain in antichains:
+                    for stage in range(7):
+                        assert dow_construct(model, antichain, stage) == ref_dow_construct(model, antichain, stage)
+                        traces += 1
+    if kind == "cohen":
+        assert traces > 6 * LIMIT_LEVELS * 7  # a point antichain and a drawn one per level
+
+
+def test_cover_name_steps_match_the_replaced_code_on_explicit_posets():
+    rng = random.Random(1414)
+    space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"], ["x", "y"], ["x", "y", "z"]])
+    base = [frozenset(b) for b in space.base]
+    explicit = [random_explicit_poset(rng) for _ in range(40)]
+    assert sum(poset.self_least != (1 << len(poset)) - 1 for poset in explicit) > 5
+    invalid = 0
+    for poset in explicit:
+        strat = random_stratification(rng, poset)
+        families = [maximal_antichain_family(poset), adversarial_singleton_family(poset)]
+        for n in range(len(strat.levels)):
+            a, b = (sorted(poset.random_maximal_antichain(rng), key=poset.sort_key) for _ in range(2))
+            cover = [(q, rng.choice([u for u in base if x in u])) for q in a for x in "xyz"]
+            split = [(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b]
+            for pairs in (cover, split, cover[:-1]):
+                name = Name.canonical(pairs)
+                try:
+                    ref_derive_point_names(WitnessTable(poset, strat, n, name), space)
+                except DataError as exc:
+                    invalid += 1
+                    with pytest.raises(DataError, match=re.escape(str(exc))):
+                        derive_point_names(WitnessTable(poset, strat, n, name), space)
+                else:
+                    assert_cover_steps_match(poset, strat, space, name, families, n)
+    assert invalid > 0  # some names dropped a needed pair
+
+
+def test_approximate_extracts_once_per_distinct_antichain_whatever_the_tuple_objects():
+    c = CohenPoset(range(3))
+    space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"], ["x", "y", "z"]])
+    a, b = (sorted(c.poset.random_maximal_antichain(random.Random(seed)), key=c.poset.sort_key)
+            for seed in (3, 4))
+    assert a != b
+    name = Name.canonical([(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b])
+    table = WitnessTable(c.poset, c.stratification(), 2, name)
+    pns = derive_point_names(table, space)
+    # the same antichains as fresh tuple objects
+    copies = [pn._replace(antichain=tuple(list(pn.antichain))) for pn in pns]
+    assert copies[0].antichain == copies[2].antichain and copies[0].antichain is not copies[2].antichain
+    family = cohen_dow_family(c, c.stratification())
+    for given in (pns, copies):
+        calls = []
+        approx = approximate(table, given, counting(family, calls))
+        assert len(calls) == 2 and set(calls) == {frozenset(a), frozenset(b)}
+        assert approx == ref_approximate(table, given, family)

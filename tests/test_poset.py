@@ -3,6 +3,7 @@ statements, and the two independent forcing routes."""
 
 import random
 from itertools import combinations
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,34 @@ def test_name_normalizes_pairs():
             assert name.pairs == reference
             assert all(type(u) is frozenset for _, u in name.pairs)
             assert Name.canonical(name.pairs).pairs == name.pairs
+
+
+def ref_canonical(pairs) -> Name:
+    """`Name.canonical` before it sorted the (condition, rank) keys
+    themselves, copied verbatim."""
+    pairs = [(q, frozenset(u)) for q, u in pairs]
+    rank = {u: r for r, u in enumerate(sorted({u for _, u in pairs}, key=set_key))}
+    order = [(q, rank[u]) for q, u in pairs]
+    if not all(map(lt, order, order[1:])):  # out of order or duplicated
+        pairs = sorted(set(pairs), key=lambda pair: (pair[0], rank[pair[1]]))
+    return Name(tuple(pairs))
+
+
+def test_name_canonical_matches_the_lambda_sort_it_replaced():
+    rng = random.Random(29)
+    ids = ["", "a", "b", "0:1", "é", "a,b"]
+    kinds = set()
+    for _ in range(300):
+        given = [(rng.choice(ids), frozenset(rng.sample(ids, rng.randint(0, 3))))
+                 for _ in range(rng.randint(0, 12))]
+        canonical = ref_canonical(given).pairs
+        duplicated = given + given[:rng.randint(1, 3)]
+        for pairs in (rng.sample(given, len(given)), duplicated, list(canonical)):
+            name = Name.canonical(pairs)
+            assert name == ref_canonical(pairs)
+            assert all(type(u) is frozenset for _, u in name.pairs)
+            kinds.add((len(set(pairs)) < len(pairs), list(name.pairs) == pairs))
+    assert kinds >= {(True, False), (False, False), (False, True)}
 
 
 def test_name_json_roundtrip(tmp_path):
