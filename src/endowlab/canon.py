@@ -11,14 +11,16 @@ certificate, and holds one text skeleton per distinct run of witness
 triples: the run's triples with their set fields left out, so the run's
 text for any set is one join with that set's field, made once per (set,
 run).  Text that depends on the poset alone lives longer, in a
-`TextTable`: each condition's string literal and each level's identity
-skeleton, the skeleton of the run whose every witness is its own
-condition.  A poset builds its table on first use (`Poset.text_table`),
-every certificate over the poset shares it, and a memo makes each run's
-skeleton by patching a slice of the identity skeleton where the run's
-witnesses differ from their conditions.  A record's own `to_text` joins a
-fresh list through the same writer, with a fresh table, and its
-`to_jsonable` parses that text, so each layout is spelled in one place.
+`TextTable`: each condition's string literal, its head of a name pair,
+from which a refined name's text is joined straight off its selector grid,
+and each level's identity skeleton, the skeleton of the run whose every
+witness is its own condition.  A poset builds its table on first use
+(`Poset.text_table`), every certificate over the poset shares it, and a
+memo makes each run's skeleton by patching a slice of the identity
+skeleton where the run's witnesses differ from their conditions.  A
+record's own `to_text` joins a fresh list through the same writer, with a
+fresh table, and its `to_jsonable` parses that text, so each layout is
+spelled in one place.
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ from .errors import DataError
 def set_key(s: Iterable[str]) -> tuple[str, ...]:
     """Canonical key for a set of point or condition identifiers."""
     return tuple(sorted(s))
-
-
-def family_key(family: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    """Canonical key for a family of sets: member keys in sorted order."""
-    return tuple(sorted(set_key(m) for m in family))
 
 
 def sorted_sets(family: Iterable[frozenset]) -> tuple[frozenset, ...]:
@@ -103,21 +100,25 @@ class TextTable:
     """Canonical text of conditions that does not depend on a certificate.
 
     `quoted[c]` is the JSON string literal of condition c, made at once for
-    the conditions given and on first use for any other.
+    the conditions given and on first use for any other.  `pair_heads`
+    holds, per condition given in identifier order, the head of a name
+    pair, `{"condition":"c","set":`: the rows of a refined name's selector
+    grid (see `names.RefineCertificate.refined_text`).
     `identity[conditions]` is the identity skeleton of a nonempty
     conditions tuple, the skeleton (see `TextMemo`) of the run that is the
     conditions themselves: `[head(c0), tail(c0) + "," + head(c1), ...,
     tail(c_last)]`.  A poset's table (`Poset.text_table`) holds its
-    conditions and one identity skeleton per level it is asked for, and is
-    shared read-only by every certificate over the poset: no entry is
-    changed once made.
+    conditions, their pair heads and one identity skeleton per level it is
+    asked for, and is shared read-only by every certificate over the
+    poset: no entry is changed once made.
     """
 
-    __slots__ = ("quoted", "identity")
+    __slots__ = ("quoted", "pair_heads", "identity")
 
     def __init__(self, conditions: Iterable[str] = ()):
         self.quoted = _Memo(encode_basestring_ascii,
                             {c: encode_basestring_ascii(c) for c in conditions})
+        self.pair_heads = tuple(['{"condition":' + self.quoted[c] + ',"set":' for c in sorted(self.quoted)])
         self.identity = _Memo(self._identity)
 
     def _identity(self, conditions: tuple[str, ...]) -> list[str]:

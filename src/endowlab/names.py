@@ -33,16 +33,19 @@ run's triples out once as a text skeleton, patched from the level's
 identity skeleton where a witness differs from its condition, and join it
 with each set's field (see `canon.TextMemo`).  Point names read each
 value set's reach (the union of its conditions' down masks) from one pass
-over the name, each point's density from the table's masks, and the
-conditions their greedy scan drops from `poset.compatible_masks`; the
+over the name, each point's density from the table's masks, the
+conditions their greedy scan drops from `poset.compatible_masks`, and the
+scan's maximality from its members' atom masks (`poset.atom_masks`); the
 approximation extracts and checks once per distinct point antichain.  The
 refined name pairs each ground set with the conditions of its forcing
-mask.  Each set's mask
-becomes 0/1 bytes in identifier order (`poset.identifier_order`), and
-`compress` picks the pairs out of (condition, set) in the name's canonical
-order, so no condition is tested bit by bit; the refinement check tables
-its value masks.  The pipeline closes with one
-pass over those masks that reads every closing fact (subfamily flags,
+mask.  Each set's mask becomes 0/1 bytes in identifier order
+(`poset.identifier_order`), one column of the level's selector grid over
+(condition, set) in the name's canonical order, and everything else is
+read off that grid with no condition tested bit by bit: `compress` picks
+the pairs, each set's value mask is the union of its column's selected
+atom masks, and the certificate's `refined_names` text is one join of the
+selected (pair head, set tail) cells per level.  The pipeline closes with
+one pass over those masks that reads every closing fact (subfamily flags,
 atom rows, covering verdict).  The frozenset oracles of `poset`
 (`evaluate_name`, `forces`, `forces_dense`) stay out of these steps; they
 serve the tests, and `selftest`'s oracle sweep, which checks this
@@ -53,8 +56,9 @@ check that only a program fault can trip raises `errors.InvariantError`.
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import chain, compress, product, repeat
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .canon import BOOL_TEXT, TextMemo, joined, set_key, sorted_sets, write_array
@@ -115,15 +119,18 @@ def derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointNa
     keep the lowest remaining position, then drop the conditions compatible
     with it, read by position from `poset.compatible_masks`.  The scan drops
     the kept position itself too, so it ends whatever the table holds.
-    Density makes the result maximal in the whole
-    poset, which is verified rather than assumed; an antichain that is not
-    maximal is a program fault and raises InvariantError.
+    Density makes the result maximal in the whole poset, which is verified
+    rather than assumed from the members' atom masks, read by the positions
+    the scan kept (`poset.atom_masks`): they must be pairwise disjoint and
+    hold every atom between them.  An antichain that is not maximal is a
+    program fault and raises InvariantError.
     Points with the same commitment mask share one antichain, built and
     verified once.  A member's committed set is the least value, in
     `set_key` order, whose reach holds the member's position bit.
     """
     poset = table.poset
     elements, down_mask, compatible = poset.elements, poset.down_mask, poset.compatible_masks
+    atom_masks = poset.atom_masks
     reach: dict[frozenset[str], int] = {}
     for q, u in table.name.pairs:
         reach[u] = reach.get(u, 0) | down_mask[q]
@@ -141,16 +148,21 @@ def derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointNa
         if atoms != everything:
             raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
         if committed not in greedy:
-            bits = []
+            bits, positions = [], []
             rest = committed
             while rest:
                 low = rest & -rest
+                i = low.bit_length() - 1
                 bits.append(low)
-                rest &= ~(low | compatible[low.bit_length() - 1])
-            members = tuple(elements[low.bit_length() - 1] for low in bits)
-            if not poset.is_maximal_antichain(members):
+                positions.append(i)
+                rest &= ~(low | compatible[i])
+            reached = overlap = 0  # the atoms below the members so far, and those met twice
+            for i in positions:
+                overlap |= reached & atom_masks[i]
+                reached |= atom_masks[i]
+            if overlap or reached != everything:
                 raise InvariantError(f"point {x!r}: greedy antichain is not maximal")
-            greedy[committed] = members, bits
+            greedy[committed] = tuple([elements[i] for i in positions]), bits
         antichain, bits = greedy[committed]
         chosen = []
         for p, bit in zip(antichain, bits):
@@ -396,6 +408,8 @@ class _RefineFields(NamedTuple):
     runs: tuple[Run, ...]
     counterexample: tuple[tuple[str, ...], Condition] | None
     refine_counterexample: Condition | None  # atom where refinement fails
+    # the refined name's selector grid (family, selectors); not a section
+    grid: tuple[tuple[frozenset[str], ...], bytes] = ((), b"")
 
 
 class RefineCertificate(LevelWitnesses, _RefineFields):
@@ -423,6 +437,24 @@ class RefineCertificate(LevelWitnesses, _RefineFields):
         self._write_triples(out, memo, "set")
         out.append("}")
 
+    def refined_text(self, memo: TextMemo) -> str:
+        """The refined name's canonical JSON text, read off the grid that
+        built it: the selected cells of (pair head, set tail), rows in
+        identifier order and sets in `set_key` order, joined once.  The
+        heads come from the memo's table, which must be the poset's
+        (`Poset.text_table`): heads that do not fill the grid's rows are a
+        program fault and raise InvariantError.  Each tail is a set's
+        field and the comma after the pair, and the last comma gives way
+        to the bracket."""
+        family, selectors = self.grid
+        heads = memo.table.pair_heads
+        if len(heads) * len(family) != len(selectors):
+            raise InvariantError("the text table's pair heads are not the selector grid's rows")
+        sets = memo.sets
+        tails = [sets[h] + "}," for h in family]
+        text = "".join(chain.from_iterable(compress(product(heads, tails), selectors)))
+        return "[" + text[:-1] + "]" if text else "[]"
+
 
 _FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits to 0/1 bytes
 
@@ -443,8 +475,15 @@ def refine_name(
     sets dominated there, so it refines the source name at every atom by
     construction; the certificate checks this rather than assuming it, and
     also records the dense witnesses for every ground set at the level.
-    The refined name's value masks, tabled from its pairs for that check,
-    come back with the name and the certificate.
+
+    One selector grid per level holds the name: a 0/1 byte per (condition,
+    ground set) cell, conditions in identifier order and sets in
+    `set_key` order.  The pairs are its selected cells; the value mask of
+    a set is the union of the atom masks of its column's selected
+    conditions, and a set with no selected cell has none.  The masks, read
+    for the refinement check, come back with the name and the
+    certificate, and the grid rides on the certificate, whose
+    `refined_text` writes the name from it.
     """
     poset = table.poset
     family = sorted_sets(frozenset(h) for h in ground_family)
@@ -456,17 +495,23 @@ def refine_name(
     # is the identity, and `itemgetter` of one index would return a bare item
     size, width = len(poset), len(family)
     pick = itemgetter(*poset.identifier_order) if size > 1 else tuple
+    atom_masks = pick(poset.atom_masks)
     selectors = bytearray(size * width)
+    masks = {}
     for j, h in enumerate(family):
         flags = bin(table.forcing(h))[:1:-1].ljust(size, "0").encode().translate(_FLAG_BYTES)
-        selectors[j::width] = pick(flags)
+        selectors[j::width] = column = pick(flags)
+        # every condition has an atom below it, so a selected cell adds a bit
+        mask = reduce(or_, compress(atom_masks, column), 0)
+        if mask:
+            masks[h] = mask
     refined = Name(tuple(compress(product(pick(poset.elements), family), selectors)))
-    masks = value_masks(poset, refined)
     missed = ~refinement_mask(poset, masks, table.masks)
     missed &= (1 << len(poset.atoms)) - 1
     bad_atom = poset.atoms[(missed & -missed).bit_length() - 1] if missed else None
     runs, counterexample = level_witnesses(table, family)
-    cert = RefineCertificate(table.level, table.conditions, runs, counterexample, bad_atom)
+    cert = RefineCertificate(table.level, table.conditions, runs, counterexample, bad_atom,
+                             (family, bytes(selectors)))
     return refined, cert, masks
 
 
@@ -511,10 +556,9 @@ def run_pipeline(
     Takes one witness table per level, levels 0, 1, ... in order, and one
     ground family per table; a count that differs, or none, is a program
     fault and raises ValueError.  The closing pass reads the refined
-    names' value masks that `refine_name` tabled for its refinement check.
-    They are built from each refined name's pairs, never from the
-    refinement's forcing masks, so the pass checks the construction rather
-    than assuming it; the evaluation at atoms[j] is the values whose mask
+    names' value masks that `refine_name` read off each level's selector
+    grid, the grid that also builds the pairs and the text, for its
+    refinement check; the evaluation at atoms[j] is the values whose mask
     has bit j.  A row names
     the least level at or above the stabilization floor covering its point,
     or none; the covering statement holds exactly when every row has a

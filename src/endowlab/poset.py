@@ -13,12 +13,13 @@ structure, and only explicit posets list named pairs, which
 `Poset.from_pairs` maps to positions.  The constructor closes the given
 masks, so `down_mask[p]` has bit i set when the condition at canonical
 position i lies below p, and `atom_mask[p]` has bit j set when `atoms[j]`
-lies below p.  Down masks carry the order, the positions of witnesses and
-the oracles below.  `self_least` marks the self-least positions, those
-whose own bit is the lowest bit of their down mask: a self-least condition
-that forces a statement is its own least witness.  The built-in posets list
-stronger conditions later, so every position of theirs is self-least; an
-explicit poset that lists a stronger condition first has fewer.  A
+lies below p; `atom_masks` holds the same masks by canonical position.
+Down masks carry the order, the positions of witnesses and the oracles
+below.  `self_least` marks the self-least positions, those whose own bit
+is the lowest bit of their down mask: a self-least condition that forces
+a statement is its own least witness.  The built-in posets list stronger
+conditions later, so every position of theirs is self-least; an explicit
+poset that lists a stronger condition first has fewer.  A
 `Stratification` keeps each level's position mask beside its conditions in
 canonical order, built once with the stratification.
 
@@ -150,7 +151,7 @@ class Poset:
                 rest ^= low
                 bits |= atom_bit[low]
             masks.append(bits)
-        self._atom_masks = tuple(masks)  # `atom_mask` by canonical position
+        self.atom_masks = tuple(masks)  # `atom_mask` by canonical position
         self.atom_mask = dict(zip(self._elements, masks))
 
     @classmethod
@@ -172,7 +173,7 @@ class Poset:
         """Per atom, in the order of `atoms`, the position mask of the
         conditions at or above it; built on first use."""
         up = [0] * len(self._atoms)
-        for i, rest in enumerate(self._atom_masks):
+        for i, rest in enumerate(self.atom_masks):
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -184,7 +185,7 @@ class Poset:
         """Per canonical position i, the position mask of the conditions
         compatible with `elements[i]`, `above_atoms` of its atom mask;
         built on first use."""
-        return tuple(map(self.above_atoms, self._atom_masks))
+        return tuple(map(self.above_atoms, self.atom_masks))
 
     @cached_property
     def identifier_order(self) -> tuple[int, ...]:
@@ -319,7 +320,7 @@ class Poset:
         if n > limits.max_poset:
             raise ResourceError(
                 f"exhaustive antichain enumeration capped at max_poset={limits.max_poset} conditions, got {n}")
-        masks = self._atom_masks
+        masks = self.atom_masks
         incompat = [{j for j in range(n) if masks[i] & masks[j] == 0} for i in range(n)]
         found: list[frozenset[Condition]] = []
 
@@ -375,7 +376,7 @@ class Poset:
                     j = getrandbits(k)
                 order[i], order[j] = order[j], order[i]
             hi = lo - 1
-        masks = self._atom_masks
+        masks = self.atom_masks
         everything = (1 << len(self._atoms)) - 1
         chosen: list[Condition] = []
         union = 0  # atoms below the chosen members

@@ -22,7 +22,10 @@ only the poset recipe through `canonical_json`, and the list is joined
 once.  The memo starts from the poset's text table (`Poset.text_table`),
 which `run_preservation` hands over in the certificate, so the writer
 looks no bundle up and every certificate over a poset shares its
-condition literals and identity skeletons.  `replay_certificate` decides
+condition literals, pair heads and identity skeletons.  The refined
+names are written from each level's selector grid, which rides on its
+refinement certificate (`RefineCertificate.refined_text`), not pair by
+pair.  `replay_certificate` decides
 a canonical file from its embedded scenario alone, comparing the file's
 prefix with the fresh text and allowing one final newline after it, rather
 than building the fresh text plus a newline; any other text is parsed
@@ -227,7 +230,7 @@ class PreservationCertificate(NamedTuple):
                    f'"format_version":{FORMAT_VERSION},"ground_families":')
         write_families(out, self.ground_families, memo)
         out.append(',"kind":"preservation-certificate","refined_names":')
-        write_records(out, pipeline.refined, memo)
+        write_array(out, [cert.refined_text(memo) for cert in pipeline.certificates])
         out.append(',"refinement_certificates":')
         write_records(out, pipeline.certificates, memo)
         out.append(',"scenario":')

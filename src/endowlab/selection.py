@@ -24,7 +24,10 @@ for a fixed canonical order on members and families, or None when no
 solution exists.  Rothberger and selective screenability share one
 backtracking search: each level offers (pick, gain) options in canonical
 order, a single fixed option with no gain below the floor, and the first
-choice of one option per level whose gains cover the space wins.  The
+choice of one option per level whose gains cover the space wins.
+Screenability's options are the disjoint families of a level's
+candidates, which a depth-first search emits in canonical order within
+each size, so one stable sort by size orders them.  The
 three checkers share one test that the picks at or above the floor cover.
 """
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .canon import family_key, sorted_sets
+from .canon import sorted_sets
 from .errors import DataError
 from .topology import FiniteSpace, covers
 
@@ -203,7 +206,12 @@ def check_menger(problem: SelectionProblem, families: Sequence[Sequence[frozense
 
 def _disjoint_families(candidates: Sequence[frozenset[str]]) -> list[tuple[frozenset[str], ...]]:
     """All pairwise disjoint subfamilies of the candidates, canonically sorted
-    by (size, member keys).  The empty family comes first."""
+    by (size, member keys).  The empty family comes first.
+
+    The candidates come in canonical order, and the search emits each
+    family's members in candidate order and the families in lexicographic
+    order of their candidate indices, so a stable sort by size alone is
+    that order."""
     out: list[tuple[frozenset[str], ...]] = []
 
     def extend(start: int, chosen: list[frozenset[str]]) -> None:
@@ -216,7 +224,7 @@ def _disjoint_families(candidates: Sequence[frozenset[str]]) -> list[tuple[froze
                 chosen.pop()
 
     extend(0, [])
-    return sorted(out, key=lambda fam: (len(fam), family_key(fam)))
+    return sorted(out, key=len)
 
 
 def screenability_select(problem: SelectionProblem) -> tuple[tuple[frozenset[str], ...], ...] | None:

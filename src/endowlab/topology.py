@@ -1,8 +1,11 @@
 """Finite topological spaces given by a subbase.
 
 The topology is the closure of the subbase under finite intersection and
-arbitrary union.  Openness is decided exactly: a set is open when every one
-of its points has an intersection-of-subbase neighborhood inside it.
+arbitrary union.  A finite space is an Alexandrov space: each point has a
+least open neighborhood, the intersection of the subbase sets holding it.
+Openness is decided exactly from those: a set is open when it holds the
+least neighborhood of each of its points, and the open sets are the unions
+of least neighborhoods.
 """
 
 from __future__ import annotations
@@ -40,36 +43,25 @@ class FiniteSpace:
         self.base: tuple[frozenset[str], ...] = members
 
     @cached_property
-    def _intersection_basis(self) -> tuple[frozenset[str], ...]:
-        """All intersections of nonempty subbase subsets, a genuine basis."""
-        basis = set(self.base)
-        frontier = set(self.base)
-        while frontier:
-            fresh = set()
-            for a in frontier:
-                for b in self.base:
-                    c = a & b
-                    if c not in basis:
-                        fresh.add(c)
-            basis |= fresh
-            frontier = fresh
-        return sorted_sets(basis)
+    def neighborhoods(self) -> dict[str, frozenset[str]]:
+        """Each point's least open neighborhood: the intersection of the
+        subbase sets holding it, of which the covering subbase has one."""
+        return {x: frozenset.intersection(*(b for b in self.base if x in b)) for x in self.points}
 
     def is_open(self, candidate: Iterable[str]) -> bool:
         s = frozenset(candidate)
         if not s <= self.points:
             raise DataError(f"set {sorted(s)} leaves the point set")
-        return all(any(x in b and b <= s for b in self._intersection_basis) for x in s)
+        neighborhoods = self.neighborhoods
+        return all(neighborhoods[x] <= s for x in s)
 
     @cached_property
     def opens(self) -> tuple[frozenset[str], ...]:
-        """The whole topology, in canonical order."""
-        pts = sorted(self.points)
-        out = []
-        for mask in range(1 << len(pts)):
-            s = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
-            if self.is_open(s):
-                out.append(s)
+        """The whole topology, in canonical order: every union of least
+        neighborhoods, the empty one included."""
+        out = {frozenset()}
+        for n in set(self.neighborhoods.values()):
+            out |= {s | n for s in out}
         return sorted_sets(out)
 
 

@@ -195,6 +195,14 @@ CASES = [
     # certificate text wherever a witness differs from its condition
     case(1, *PYTEST, f"{ROOT}/tests/test_certificate_text.py",
          mutant=("canon.py", "skeleton[i] = ", "skeleton[i - 1] = ")),
+    # a refined value mask that skips the last row of its column (j) leaves
+    # the atoms below the identifier-last condition out of the closing pass
+    case(1, *PYTEST, f"{ROOT}/tests/test_names.py",
+         mutant=("names.py", "compress(atom_masks, column)", "compress(atom_masks, column[:-1])")),
+    # openness that asks a point's least neighborhood only to meet the set (k)
+    # makes every set open that meets each of its points' neighborhoods
+    case(1, *PYTEST, f"{ROOT}/tests/test_topology.py",
+         mutant=("topology.py", "neighborhoods[x] <= s", "neighborhoods[x] & s")),
     case(64, "selftest", "--count", "1", "--jobs", "2"),
     case(65, "selftest", "--count", "3", "--bounds", '{"max_points": 1}'),
     case(70, "preserve", "--scenario", "nine.json", "--cert", "nine.cert.json"),

@@ -216,7 +216,7 @@ def test_cli_contract_table_is_well_formed():
         if case.mutant is not None:
             assert case.code != 0
             mutants.append(case.mutant)
-    assert len(mutants) == 7
+    assert len(mutants) == 9
     for file, text, replacement in mutants:
         assert (cli_contract.SRC / "endowlab" / file).read_text().count(text) == 1
         assert replacement != text

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from catalogs import limit_scenarios
 from endowlab.bounds import DEFAULT_LIMITS, Limits
-from endowlab.canon import set_key, sorted_sets
+from endowlab.canon import TextMemo, set_key, sorted_sets, write_array, write_records
 from endowlab.cohen import CohenPoset
 from endowlab.endowment import cohen_dow_family, maximal_antichain_family, measure_total_family
 from endowlab.errors import DataError, InvariantError
@@ -126,25 +127,41 @@ def test_point_name_scan_ends_when_above_atoms_drops_an_atom(monkeypatch):
     # atom of every mask it ends, and the maximality check reports the fault
     # as a program fault, not as bad input.
     # Each case has one commitment mask, so a scan that ends keeps at most
-    # one member per condition; a call past that fails instead of hanging
-    real = Poset.above_atoms
-    calls = []
+    # one member per condition and reads one `compatible_masks` row for
+    # each; a read past that fails instead of hanging
+    real_above, real_rows = Poset.above_atoms, Poset.compatible_masks.func
+    reads = []
+
+    class CountedRows(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            if len(reads) > len(self):
+                pytest.fail("the greedy scan read one compatible row per condition and went on")
+            return tuple.__getitem__(self, i)
 
     def drops_last_atom(self, atoms):
-        calls.append(atoms)
-        if len(calls) > len(self):
-            pytest.fail("the greedy scan called above_atoms once per condition and went on")
-        return real(self, atoms & ~(1 << atoms.bit_length() >> 1))  # the last atom, if any
+        return real_above(self, atoms & ~(1 << atoms.bit_length() >> 1))  # the last atom, if any
 
     monkeypatch.setattr(Poset, "above_atoms", drops_last_atom)
+    monkeypatch.setattr(Poset, "compatible_masks", property(lambda self: CountedRows(real_rows(self))))
     c, space, name = pair_setup()
     m = MeasurePoset(2)
     measure_name = Name.canonical((("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
     for poset, cover_name in ((c.poset, name), (m.poset, measure_name)):
-        calls.clear()
+        reads.clear()
         with pytest.raises(InvariantError, match="greedy antichain is not maximal"):
             derive_point_names(table_at(poset, cover_name), space)
-        assert calls
+        assert reads
+
+
+def test_point_name_check_catches_an_antichain_that_misses_an_atom(monkeypatch):
+    # a compatibility table that marks every position compatible ends the
+    # scan after one member, whose atoms are not every atom
+    everything = property(lambda self: ((1 << len(self)) - 1,) * len(self))
+    monkeypatch.setattr(Poset, "compatible_masks", everything)
+    c, space, name = pair_setup()
+    with pytest.raises(InvariantError, match="greedy antichain is not maximal"):
+        derive_point_names(table_at(c.poset, name), space)
 
 
 def reference_point_names(poset, space, name):
@@ -265,7 +282,8 @@ def test_approximate_extracts_once_per_distinct_antichain():
 
 
 def test_approximate_trusts_the_point_antichains(monkeypatch):
-    # derive_point_names verifies each antichain; the extractors do not repeat it
+    # derive_point_names verifies each antichain from its members' atom
+    # masks; neither it nor the extractors call is_maximal_antichain
     checks = []
     real = Poset.is_maximal_antichain
 
@@ -280,12 +298,10 @@ def test_approximate_trusts_the_point_antichains(monkeypatch):
         ("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
     for poset, family, cover_name in ((c.poset, cohen_dow_family(c, c.stratification()), name),
                                       (m.poset, measure_total_family(m), measure_name)):
-        checks.clear()
         pns = derive_point_names(table_at(poset, cover_name), space)
-        assert checks == [frozenset(pn.antichain) for pn in pns[:1]]  # one shared antichain
         for n in range(3):
             approximate(table_at(poset, cover_name, n), pns, family)
-        assert len(checks) == 1
+        assert checks == []
 
 
 def test_faulty_extractions_are_program_faults():
@@ -508,6 +524,59 @@ def test_refine_name_hands_its_pairs_over_in_canonical_order(make, monkeypatch):
     for pairs in handed:
         keys = [(q, set_key(u)) for q, u in pairs]
         assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly increasing
+
+
+def _one_condition_scenarios():
+    """A poset of one condition, so the grid has one row, under each mode."""
+    names = (Name.canonical((("e", {"x"}), ("e", {"y"}))), Name.canonical((("e", {"x", "y"}),)))
+    return [Scenario({"kind": "explicit", "elements": ["e"], "leq": []}, ("x", "y"),
+                     (frozenset("x"), frozenset("y"), frozenset("xy")), names, mode)
+            for mode in MODES]
+
+
+GRID_SCENARIOS = {
+    "goldens": lambda: [_golden_scenario(stem) for stem in ("cohen-pair", "measure-pair")],
+    "cohen5": lambda: limit_scenarios("cohen5"),
+    "measure3": lambda: limit_scenarios("measure3"),
+    "gen-0-299": lambda: [generate_scenario(seed) for seed in range(300)],
+    "one-condition": _one_condition_scenarios,
+}
+
+
+@pytest.mark.parametrize("label", GRID_SCENARIOS)
+def test_the_selector_grid_writes_and_masks_what_the_refined_pairs_do(label):
+    # the refined names' section written from each level's grid is the one
+    # the pairs' own writer lays out, and the grid's masks are the pairs'
+    # value masks, in the same order; besides each level's ground family,
+    # every level refines over no set and over the subbase with the whole
+    # space, which holds sets no condition selects, except in the goldens,
+    # whose names hold the whole space at some condition of every level
+    unselected = 0
+    for scenario in GRID_SCENARIOS[label]():
+        cert = run_preservation(scenario)
+        bundle = build_bundle(scenario.poset)
+        poset = bundle.poset
+        memo = TextMemo(poset.text_table)
+        from_grids, from_pairs = [], []
+        write_array(from_grids, [c.refined_text(memo) for c in cert.pipeline.certificates])
+        write_records(from_pairs, cert.pipeline.refined, memo)
+        assert "".join(from_grids) == "".join(from_pairs)
+        for n, name in enumerate(scenario.names):
+            table = WitnessTable(poset, bundle.strat, n, name)
+            for family in (cert.ground_families[n], (), scenario.base + (frozenset(scenario.points),)):
+                refined, refine_cert, masks = refine_name(table, family)
+                assert list(masks.items()) == list(value_masks(poset, refined).items())
+                assert refine_cert.refined_text(memo) == refined.to_text(TextMemo())
+                unselected += len(sorted_sets(family)) - len(masks)
+    assert unselected > 0 or label == "goldens"
+
+
+def test_refined_text_needs_the_posets_pair_heads():
+    c, _, name = pair_setup()
+    _, cert, _ = refine_name(table_at(c.poset, name), [frozenset({"x"})])
+    assert cert.refined_text(TextMemo(c.poset.text_table)).startswith('[{"condition":')
+    with pytest.raises(InvariantError, match="pair heads are not the selector grid's rows"):
+        cert.refined_text(TextMemo())
 
 
 def test_pipeline_positive_on_pair_fixture():

@@ -409,9 +409,9 @@ def test_names_are_checked_before_point_names_are_derived(monkeypatch):
         run_preservation(scenario)
 
 
-def test_each_level_tables_value_masks_twice(monkeypatch):
-    # once for the cover name, in the level's witness table, which the point
-    # names read too, and once for the refined name, in the refinement check
+def test_each_level_tables_value_masks_once(monkeypatch):
+    # for the cover name, in the level's witness table, which the point
+    # names read too; the refined name's masks come from its selector grid
     tabled = []
     real = names.value_masks
 
@@ -423,8 +423,8 @@ def test_each_level_tables_value_masks_twice(monkeypatch):
     for scenario in (fixture_cohen_pair(), fixture_measure_pair(),
                      generate_scenario(8, "selective-screenability")):
         tabled.clear()
-        cert = run_preservation(scenario)
-        assert tabled == [*scenario.names, *cert.pipeline.refined]
+        run_preservation(scenario)
+        assert tabled == [*scenario.names]
 
 
 # -- metamorphic relations ---------------------------------------------------------

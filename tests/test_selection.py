@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endowlab.canon import family_key
+from catalogs import limit_spaces, small_spaces
+from endowlab.canon import set_key
 from endowlab.errors import DataError
 from endowlab.selection import (
     EXACT_MENGER_POOL,
+    _disjoint_families,
     _least_selection,
     check_menger,
     check_rothberger,
@@ -258,6 +260,11 @@ def test_screenability_members_must_refine():
     assert not ok and "refines" in reason
 
 
+def family_key(family):
+    """Canonical key for a family of sets: member keys in sorted order."""
+    return tuple(sorted(set_key(m) for m in family))
+
+
 def brute_screenability(problem):
     """The lexicographically least family sequence: below the floor only the
     empty family, at or above it every pairwise disjoint family of nonempty
@@ -307,6 +314,38 @@ def test_screenability_agrees_with_brute_force(data):
     assert got == brute_screenability(problem)
     if got is not None:
         assert check_screenability(problem, got) == (True, None)
+
+
+def sorted_disjoint_families(candidates):
+    """`_disjoint_families` as it was, copied verbatim, with the explicit
+    (size, member keys) sort."""
+    out = []
+
+    def extend(start, chosen):
+        out.append(tuple(chosen))
+        for j in range(start, len(candidates)):
+            c = candidates[j]
+            if all(c.isdisjoint(v) for v in chosen):
+                chosen.append(c)
+                extend(j + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return sorted(out, key=lambda fam: (len(fam), family_key(fam)))
+
+
+@pytest.mark.parametrize("spaces", [small_spaces, limit_spaces], ids=["small", "limit"])
+def test_disjoint_families_keep_their_size_and_key_order(spaces):
+    # candidates as `screenability_select` takes them: the nonempty opens,
+    # in canonical order, inside some member of a cover; the covers are the
+    # subbase, the whole space, and a drawn half of the subbase with it
+    rng = random.Random(20)
+    for space in spaces():
+        opens = [v for v in space.opens if v]
+        whole = frozenset(space.points)
+        for cover in (space.base, [whole], [b for b in space.base if rng.random() < 0.5] + [whole]):
+            candidates = [v for v in opens if any(v <= u for u in cover)]
+            assert _disjoint_families(candidates) == sorted_disjoint_families(candidates)
 
 
 def test_check_screenability_rejects_overlap_and_empty():

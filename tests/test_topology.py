@@ -1,11 +1,16 @@
 """Finite spaces from subbases: openness, the full topology, refinement."""
 
 
+from functools import cached_property
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalogs import limit_spaces, small_spaces
 from endowlab.bounds import Limits
+from endowlab.canon import sorted_sets
 from endowlab.errors import DataError, ResourceError
 from endowlab.instances import load_instance, save_instance
 from endowlab.topology import FiniteSpace, covers
@@ -68,6 +73,59 @@ def test_random_subbases_match_brute_force(n, data):
         base.append(set(points))  # guarantee coverage
     s = FiniteSpace(points, base)
     assert set(s.opens) == brute_topology(points, s.base)
+
+
+class FixedPointSpace:
+    """`FiniteSpace`'s openness before least neighborhoods, copied verbatim:
+    a fixed point of subbase intersections as the basis, and the topology
+    by testing every subset."""
+
+    def __init__(self, space):
+        self.points, self.base = space.points, space.base
+
+    @cached_property
+    def _intersection_basis(self) -> tuple[frozenset[str], ...]:
+        """All intersections of nonempty subbase subsets, a genuine basis."""
+        basis = set(self.base)
+        frontier = set(self.base)
+        while frontier:
+            fresh = set()
+            for a in frontier:
+                for b in self.base:
+                    c = a & b
+                    if c not in basis:
+                        fresh.add(c)
+            basis |= fresh
+            frontier = fresh
+        return sorted_sets(basis)
+
+    def is_open(self, candidate) -> bool:
+        s = frozenset(candidate)
+        if not s <= self.points:
+            raise DataError(f"set {sorted(s)} leaves the point set")
+        return all(any(x in b and b <= s for b in self._intersection_basis) for x in s)
+
+    @cached_property
+    def opens(self) -> tuple[frozenset[str], ...]:
+        """The whole topology, in canonical order."""
+        pts = sorted(self.points)
+        out = []
+        for mask in range(1 << len(pts)):
+            s = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
+            if self.is_open(s):
+                out.append(s)
+        return sorted_sets(out)
+
+
+@pytest.mark.parametrize("spaces", [small_spaces, limit_spaces], ids=["small", "limit"])
+def test_least_neighborhoods_decide_what_the_intersection_basis_did(spaces):
+    for space in spaces():
+        old = FixedPointSpace(space)
+        points = sorted(space.points)
+        for size in range(len(points) + 1):
+            for s in combinations(points, size):
+                assert space.is_open(s) == old.is_open(s)
+        assert space.opens == old.opens
 
 
 def test_space_validation():
