@@ -260,7 +260,7 @@ def cmd_approx(args, limits: Limits) -> int:
     family = FAMILIES[args.family](bundle)
     table = WitnessTable(bundle.poset, bundle.strat, args.n, name)
     point_names = derive_point_names(table, space)
-    approx = approximate(table, point_names, family)
+    approx = approximate(table, space, family)
     cert = check_approximation(table, approx.cover)
     result = {
         "point_names": [pn.to_jsonable() for pn in point_names],

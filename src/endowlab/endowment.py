@@ -31,7 +31,7 @@ class EndowmentFamily(NamedTuple):
     `member(n, L)` decides whether L belongs to level n; `extract(n, A)`
     picks a candidate member out of a maximal antichain A.  The extractor
     trusts that A is one: `extract_each` hands it the antichains that the
-    enumerators built, and `approximate` those that `derive_point_names`
+    enumerators built, and `approximate` those that `names.point_antichain`
     verified.  Its output is not trusted; the endowment verifiers check it.
     """
 
@@ -50,9 +50,38 @@ class DowStage(NamedTuple):
 
 
 class DowTrace(NamedTuple):
+    """The staged construction on one antichain: its seed and result, and
+    what its stage records are built from, on demand, by `stages`.
+
+    `supports` holds the support mask after each stage that ran, from
+    stage 0, and `met`, for each later stage that ran, the (claim bit,
+    element) pairs of the elements it added, in the order the stage's
+    scan met them.  A construction that stopped at a fixed point leaves
+    the stages after it unrecorded: each would repeat it and add nothing.
+    """
+
     seed: Condition
-    stages: tuple[DowStage, ...]
     result: frozenset[Condition]
+    cohen: CohenPoset
+    n: int
+    supports: list[int]
+    met: list[list[tuple[int, Condition]]]
+
+    @property
+    def stages(self) -> tuple[DowStage, ...]:
+        """One record per stage 0..n.  A stage handles the conditions of
+        the support set before it (`CohenPoset.within`) and adds its met
+        elements, ordered by their claim bits, the order a scan of the
+        handled conditions would meet them in; the claims are disjoint,
+        so those bits differ.  The stages after a fixed point copy its
+        record and add nothing."""
+        cohen, supports = self.cohen, self.supports
+        stages = [DowStage((), (self.seed,), cohen.indices_in(supports[0]))]
+        for before, support, met in zip(supports, supports[1:], self.met):
+            stages.append(DowStage(cohen.within(before), tuple([a for _, a in sorted(met)]),
+                                   cohen.indices_in(support)))
+        stages += [stages[-1]._replace(added=())] * (self.n + 1 - len(stages))
+        return tuple(stages)
 
     def to_jsonable(self) -> dict:
         return {
@@ -79,8 +108,8 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     of support size at most n: such a condition misses one of the n+1
     disjoint support increments, and the keeper chosen for its restriction
     to the stage below works.  Once a stage leaves the support set
-    unchanged, each later stage would repeat it and add nothing, so its
-    record is copied.
+    unchanged, each later stage would repeat it and add nothing, so the
+    construction stops there.
 
     The keepers are read off masks.  Before the stages, one pass over the
     elements' positions, sorted as integers, gives each element its
@@ -89,14 +118,13 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     and each claim is what that row leaves after the earlier claims.  A stage
     handles `within_mask[support]`.  One pass over the elements not yet
     kept splits them into those whose claim meets that mask, which the
-    stage adds, and the rest, which wait.  The added elements are ordered
-    by the lowest such bit, the order a scan of the handled conditions
-    would meet them in; the claims are disjoint, so those bits differ.
-    The result is the seed and every added element, so a repeated element,
-    whose later copies claim nothing, changes nothing.  The handled
-    conditions and the support tuple of a stage are read from
-    `CohenPoset.within` and `CohenPoset.indices_in`, built once per support
-    mask.
+    stage adds, widening the support set as it goes, and the rest, which
+    wait.  The result is the seed and every added element, so a repeated
+    element, whose later copies claim nothing, changes nothing.  The loop
+    builds no stage record: the trace keeps each stage's support mask and
+    met elements, and builds the records only when `DowTrace.stages` is
+    read, as `dow` and the tests do; the Cohen family's extractor reads
+    only the result.
     """
     poset = cohen.poset
     elements, compatible = poset.elements, poset.compatible_masks
@@ -108,34 +136,28 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
         claims.append((elements[i], rest & compatible[i]))
         rest &= ~compatible[i]
     seed = claims[0][0]
-    chosen = [seed]
     pending = claims[1:]  # the elements not yet kept, with their claims
     support = support_mask[seed]
-    stages = [DowStage((), (seed,), cohen.indices_in(support))]
-    for stage in range(1, n + 1):
+    supports = [support]
+    mets: list[list[tuple[int, Condition]]] = []
+    for _ in range(n):
         handled = within_mask[support]
+        before = support
         met: list[tuple[int, Condition]] = []
         waiting: list[tuple[Condition, int]] = []
         for a, claim in pending:
             if mine := claim & handled:
                 met.append((mine & -mine, a))
+                support |= support_mask[a]
             else:
                 waiting.append((a, claim))
         pending = waiting
-        before = support
-        if met:
-            met.sort()
-            added = tuple(a for _, a in met)
-            chosen.extend(added)
-            for a in added:
-                support |= support_mask[a]
-        else:
-            added = ()
-        stages.append(DowStage(cohen.within(before), added, cohen.indices_in(support)))
+        supports.append(support)
+        mets.append(met)
         if support == before:
-            stages.extend([DowStage(stages[-1].handled, (), stages[-1].support)] * (n - stage))
             break
-    return DowTrace(seed, tuple(stages), frozenset(chosen))
+    result = frozenset([seed, *[a for met in mets for _, a in met]])
+    return DowTrace(seed, result, cohen, n, supports, mets)
 
 
 def hits_level(poset: Poset, level: Iterable[Condition], conditions: Iterable[Condition]) -> bool:

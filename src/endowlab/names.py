@@ -31,14 +31,20 @@ same table.  The certificates keep the runs, and derive their (set,
 condition, witness) `triples` on demand; their writers lay each distinct
 run's triples out once as a text skeleton, patched from the level's
 identity skeleton where a witness differs from its condition, and join it
-with each set's field (see `canon.TextMemo`).  Point names read each
-value set's reach (the union of its conditions' down masks) from one pass
-over the name, each point's density from the table's masks, the
-conditions their greedy scan drops from `poset.compatible_masks`, and the
-scan's maximality from its members' atom masks (`poset.atom_masks`); the
-approximation extracts and checks once per distinct point antichain.  The
-refined name pairs each ground set with the conditions of its forcing
-mask.  Each set's mask becomes 0/1 bytes in identifier order
+with each set's field (see `canon.TextMemo`).  The table's one pass over
+the name's pairs also tables each value set's reach, the union of its
+conditions' down masks.  The approximation builds its level in one pass
+over the points: a point's commitment mask is the union of the reaches of
+the values holding it, and `point_antichain`, the one greedy antichain
+builder, checks each distinct mask once: its density against the atoms'
+positions, its greedy scan, which drops each member's row of
+`poset.compatible_masks`, and the scan's maximality from the members'
+atom masks (`poset.atom_masks`).  Each distinct antichain is extracted
+once, and a point's piece intersects the least values holding the members
+used, never looking up another member's.  `derive_point_names`, which
+`approx` prints, shares the helper and lists every member's committed
+set.  The refined name pairs each ground set with the conditions of its
+forcing mask.  Each set's mask becomes 0/1 bytes in identifier order
 (`poset.identifier_order`), one column of the level's selector grid over
 (condition, set) in the name's canonical order, and everything else is
 read off that grid with no condition tested bit by bit: `compress` picks
@@ -73,7 +79,6 @@ from .poset import (
     refinement_mask,
     superset_mask,
     validate_name,
-    value_masks,
 )
 from .topology import FiniteSpace
 
@@ -82,12 +87,75 @@ def check_cover_name(poset: Poset, space: FiniteSpace, name: Name) -> None:
     """Check a name in place as a cover name's input: every condition must
     belong to the poset, checked first, and every value set to the
     subbase.  Raises DataError at the first failure.  Density, the rest of
-    being a cover name, is checked by `derive_point_names`."""
+    being a cover name, is checked by `point_antichain`, which
+    `approximate` and `derive_point_names` call."""
     validate_name(poset, name)
     basic = set(space.base)
     for _, u in name.pairs:
         if u not in basic:
             raise DataError(f"cover name value {sorted(u)} is not a basic open set")
+
+
+def point_commitments(table: WitnessTable, space: FiniteSpace):
+    """Per point, in order: the point, the (value, reach) pairs of the values
+    holding it in `set_key` order, and its commitment mask, the union of
+    their reaches (`WitnessTable.reach`)."""
+    reach = table.reach
+    for x in sorted(space.points):
+        values = [(u, r) for u, r in reach.items() if x in u]
+        yield x, values, reduce(or_, [r for _, r in values], 0)
+
+
+def point_antichain(poset: Poset, committed: int, x: str) -> list[int]:
+    """The positions of the greedy antichain of point x's commitment mask,
+    checked: the one place a commitment mask is scanned.
+
+    A commitment mask is down closed, so it is dense exactly when it holds
+    every atom (`poset.atom_positions`); one that is not raises DataError
+    naming the point.  The greedy canonical scan keeps the lowest remaining
+    position, then drops the positions compatible with it, read from
+    `poset.compatible_masks`.  The scan drops the kept position itself too,
+    so it ends whatever the table holds.  Density makes the result maximal
+    in the whole poset, which is verified rather than assumed from the
+    members' atom masks (`poset.atom_masks`): they must be pairwise
+    disjoint and hold every atom between them.  An antichain that is not
+    maximal is a program fault and raises InvariantError.
+    """
+    atoms = poset.atom_positions
+    if committed & atoms != atoms:
+        raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
+    compatible, atom_masks = poset.compatible_masks, poset.atom_masks
+    positions = []
+    rest = committed
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        positions.append(i)
+        rest &= ~(low | compatible[i])
+    reached = overlap = 0  # the atoms below the members so far, and those met twice
+    for i in positions:
+        overlap |= reached & atom_masks[i]
+        reached |= atom_masks[i]
+    if overlap or reached != (1 << len(poset.atoms)) - 1:
+        raise InvariantError(f"point {x!r}: greedy antichain is not maximal")
+    return positions
+
+
+def least_values(
+    values: list[tuple[frozenset[str], int]], wanted: int,
+) -> list[tuple[frozenset[str], int]]:
+    """The committed sets at the wanted positions.  A position's is the
+    first of the (value, reach) pairs, in `set_key` order, whose reach
+    holds it; each such value comes once, as (value, the wanted positions
+    it is the first for), in `set_key` order."""
+    least = []
+    for u, r in values:
+        if mine := r & wanted:
+            least.append((u, mine))
+            wanted ^= mine
+            if not wanted:
+                break
+    return least
 
 
 class PointName(NamedTuple):
@@ -107,70 +175,31 @@ class PointName(NamedTuple):
 
 
 def derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointName, ...]:
-    """Build the per point antichains and committed sets for the table's
-    name, a valid name whose conditions `check_cover_name` has checked.
+    """The per point antichains and every member's committed set for the
+    table's name, a valid name whose conditions `check_cover_name` has
+    checked: what `approx` prints, and what `approximate` reads only for
+    the members it uses.
 
-    One pass over the name's pairs tables each value set's reach, the union
-    of its conditions' down masks; a point's commitment mask is the union of
-    the reaches of the values containing it.  Valid means every point's
-    commitment mask is dense, that is, the values containing the point hold
-    every atom between them (`table.masks`); the first point without raises
-    DataError.  The antichain is the greedy canonical scan of that mask:
-    keep the lowest remaining position, then drop the conditions compatible
-    with it, read by position from `poset.compatible_masks`.  The scan drops
-    the kept position itself too, so it ends whatever the table holds.
-    Density makes the result maximal in the whole poset, which is verified
-    rather than assumed from the members' atom masks, read by the positions
-    the scan kept (`poset.atom_masks`): they must be pairwise disjoint and
-    hold every atom between them.  An antichain that is not maximal is a
-    program fault and raises InvariantError.
-    Points with the same commitment mask share one antichain, built and
-    verified once.  A member's committed set is the least value, in
-    `set_key` order, whose reach holds the member's position bit.
+    Each point's commitment mask comes from the reaches the table holds
+    (`point_commitments`); `point_antichain` checks it and scans its
+    antichain once per distinct mask, raising DataError at the first point
+    that is not densely committed.  A member's committed set is the least
+    value, in `set_key` order, whose reach holds the member's position.
     """
-    poset = table.poset
-    elements, down_mask, compatible = poset.elements, poset.down_mask, poset.compatible_masks
-    atom_masks = poset.atom_masks
-    reach: dict[frozenset[str], int] = {}
-    for q, u in table.name.pairs:
-        reach[u] = reach.get(u, 0) | down_mask[q]
-    masks = table.masks  # in set_key order
-    everything = (1 << len(poset.atoms)) - 1
-    # commitment mask -> verified antichain and its members' position bits
-    greedy: dict[int, tuple[tuple[Condition, ...], list[int]]] = {}
+    elements = table.poset.elements
+    # commitment mask -> antichain, its members' position bits, their union
+    greedy: dict[int, tuple[tuple[Condition, ...], list[int], int]] = {}
     out = []
-    for x in sorted(space.points):
-        values = [(u, reach[u]) for u in masks if x in u]
-        committed = atoms = 0
-        for u, mask in values:
-            committed |= mask
-            atoms |= masks[u]
-        if atoms != everything:
-            raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
-        if committed not in greedy:
-            bits, positions = [], []
-            rest = committed
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                bits.append(low)
-                positions.append(i)
-                rest &= ~(low | compatible[i])
-            reached = overlap = 0  # the atoms below the members so far, and those met twice
-            for i in positions:
-                overlap |= reached & atom_masks[i]
-                reached |= atom_masks[i]
-            if overlap or reached != everything:
-                raise InvariantError(f"point {x!r}: greedy antichain is not maximal")
-            greedy[committed] = tuple([elements[i] for i in positions]), bits
-        antichain, bits = greedy[committed]
-        chosen = []
-        for p, bit in zip(antichain, bits):
-            for u, mask in values:
-                if mask & bit:
-                    chosen.append((p, u))
-                    break
-        out.append(PointName(x, antichain, tuple(chosen)))
+    for x, values, committed in point_commitments(table, space):
+        found = greedy.get(committed)
+        if found is None:
+            positions = point_antichain(table.poset, committed, x)
+            bits = [1 << i for i in positions]
+            found = greedy[committed] = tuple([elements[i] for i in positions]), bits, sum(bits)
+        antichain, bits, wanted = found
+        least = least_values(values, wanted)
+        committed_sets = [next(u for u, mine in least if mine & bit) for bit in bits]
+        out.append(PointName(x, antichain, tuple(zip(antichain, committed_sets))))
     return tuple(out)
 
 
@@ -202,40 +231,51 @@ class Approximation(NamedTuple):
         return json.loads(self.to_text(TextMemo()))
 
 
-def approximate(
-    table: WitnessTable, point_names: Sequence[PointName], family: EndowmentFamily,
-) -> Approximation:
-    """The cover at the table's level: for each point, extract a family
-    member from its antichain and intersect the committed sets over it.
+def approximate(table: WitnessTable, space: FiniteSpace, family: EndowmentFamily) -> Approximation:
+    """The cover at the table's level, in one pass over the points: for
+    each point, extract a family member from its antichain and intersect
+    the committed sets of the members used.
 
-    The extraction, its two checks and the members used, in canonical
-    order, are worked out once per distinct antichain, the first time a
-    point brings it; `derive_point_names` lists each antichain in
-    canonical order, so equal antichains are equal tuples.  Each point
-    then only intersects its committed sets over the members used.  Each
-    piece contains its point, so the result covers the space.  The
-    antichains are trusted to be maximal, as `derive_point_names` verifies
-    them; an extraction that is empty or leaves its antichain is a program
-    fault and raises InvariantError, naming the first point with that
-    antichain.
+    The table's name is a name whose conditions `check_cover_name` has
+    checked.  Each point's commitment mask comes from the table's reaches
+    (`point_commitments`), and `point_antichain` checks it and scans its
+    antichain once per distinct mask, raising DataError at the first point
+    that is not densely committed.  The extraction, its two checks and the
+    members used, in canonical order, are worked out once per distinct
+    antichain, the first time a point brings it; an extraction that is
+    empty or leaves its antichain is a program fault and raises
+    InvariantError, naming that point.  Each point then reads the committed
+    set of each member used, the least value holding its position
+    (`least_values`), and intersects them; the other members' committed
+    sets, which `derive_point_names` lists, are never looked up.  Each
+    piece contains its point, so the result covers the space.
     """
-    n, sort_key = table.level, table.poset.sort_key
-    used_by: dict[tuple[Condition, ...], tuple[Condition, ...]] = {}  # antichain -> members used
+    poset, n = table.poset, table.level
+    elements, sort_key = poset.elements, poset.sort_key
+    # commitment mask, and antichain positions, -> the members used and their position mask
+    by_mask: dict[int, tuple[tuple[Condition, ...], int]] = {}
+    by_antichain: dict[tuple[int, ...], tuple[tuple[Condition, ...], int]] = {}
     entries = []
     pieces = []
-    for pn in sorted(point_names, key=lambda pn: pn.point):
-        used = used_by.get(pn.antichain)
+    for x, values, committed in point_commitments(table, space):
+        used = by_mask.get(committed)
         if used is None:
-            antichain = frozenset(pn.antichain)
-            chosen = family.extract(n, antichain)
-            if not chosen:
-                raise InvariantError(f"family extraction for point {pn.point!r} is empty")
-            if not chosen <= antichain:
-                raise InvariantError(f"family extraction for point {pn.point!r} leaves the antichain")
-            used = used_by[pn.antichain] = tuple(sorted(chosen, key=sort_key))
-        values = dict(pn.values)
-        piece = frozenset.intersection(*(values[p] for p in used))
-        entries.append((pn.point, used, piece))
+            positions = tuple(point_antichain(poset, committed, x))
+            used = by_antichain.get(positions)
+            if used is None:
+                antichain = frozenset([elements[i] for i in positions])
+                chosen = family.extract(n, antichain)
+                if not chosen:
+                    raise InvariantError(f"family extraction for point {x!r} is empty")
+                if not chosen <= antichain:
+                    raise InvariantError(f"family extraction for point {x!r} leaves the antichain")
+                kept = sorted(map(sort_key, chosen))
+                used = tuple([elements[i] for i in kept]), sum([1 << i for i in kept])
+                by_antichain[positions] = used
+            by_mask[committed] = used
+        members, wanted = used
+        piece = frozenset.intersection(*[u for u, _ in least_values(values, wanted)])
+        entries.append((x, members, piece))
         pieces.append(piece)
     return Approximation(n, tuple(entries), sorted_sets(pieces))
 
@@ -252,8 +292,11 @@ def forcing_mask(poset: Poset, truth_mask: int) -> int:
 class WitnessTable:
     """One level's inputs and witness data, read by every step of the level.
 
-    Built from the level's name, whose value masks it tables once.  For a
-    set h, `forcing(h)` is the forcing mask of "some named set contains h",
+    Built from the level's name in one pass over its pairs, which tables,
+    per distinct value set U in `set_key` order, its value mask (`masks`,
+    as `poset.value_masks` defines it) and its reach (`reach`: the union of
+    `down_mask[q]` over the pairs (q, U), the conditions committing some
+    point into U).  For a set h, `forcing(h)` is the forcing mask of "some named set contains h",
     computed the first time h is asked for, and `run(h)` the least
     witnesses of h below the level's conditions, in canonical order, up to
     the first condition without one.  A run depends on the set only through
@@ -262,7 +305,8 @@ class WitnessTable:
     one run tuple.  A table serves one level of one run.
     """
 
-    __slots__ = ("poset", "level", "name", "conditions", "level_mask", "masks", "_forcing", "_runs")
+    __slots__ = ("poset", "level", "name", "conditions", "level_mask", "masks", "reach",
+                 "_forcing", "_runs")
 
     def __init__(self, poset: Poset, strat: Stratification, n: int, name: Name):
         self.poset = poset
@@ -270,7 +314,19 @@ class WitnessTable:
         self.name = name
         self.conditions = strat.ordered_at(n)
         self.level_mask = strat.mask_at(n)
-        self.masks = value_masks(poset, name)
+        atom_mask, down_mask = poset.atom_mask, poset.down_mask
+        masks: dict[frozenset[str], int] = {}
+        reach: dict[frozenset[str], int] = {}
+        for q, u in name.pairs:
+            if u in masks:
+                masks[u] |= atom_mask[q]
+                reach[u] |= down_mask[q]
+            else:
+                masks[u] = atom_mask[q]
+                reach[u] = down_mask[q]
+        order = sorted(masks, key=set_key)
+        self.masks = {u: masks[u] for u in order}
+        self.reach = {u: reach[u] for u in order}
         self._forcing: dict[frozenset[str], int] = {}
         self._runs: dict[int, tuple[Condition, ...]] = {}  # forcing mask -> run
 

@@ -14,6 +14,9 @@ structure, and only explicit posets list named pairs, which
 masks, so `down_mask[p]` has bit i set when the condition at canonical
 position i lies below p, and `atom_mask[p]` has bit j set when `atoms[j]`
 lies below p; `atom_masks` holds the same masks by canonical position.
+`atom_positions` marks the atoms by canonical position: a down closed
+position mask, such as a point's commitment mask, is dense exactly when
+it holds them all.
 Down masks carry the order, the positions of witnesses and the oracles
 below.  `self_least` marks the self-least positions, those whose own bit
 is the lowest bit of their down mask: a self-least condition that forces
@@ -37,7 +40,8 @@ tabled once per poset, by position, in `compatible_masks`, which point
 names' greedy scan and the staged construction read; `above_atoms` serves
 arbitrary atom masks, such as forcing masks and the endowment clauses.
 
-Names are read through `value_masks`: one atom mask per distinct value
+Names are read through their value masks (`value_masks`, tabled by
+`names.WitnessTable` in its own pass): one atom mask per distinct value
 set, the union of `atom_mask[q]` over the pairs (q, U).  `superset_mask`
 and `refinement_mask` combine these into the atoms where a statement
 holds, and `names.forcing_mask` turns such a mask into the conditions
@@ -141,7 +145,9 @@ class Poset:
         self.self_least = sum(1 << i for i, mask in enumerate(down) if not mask & ((1 << i) - 1))
         self._atoms = tuple(p for i, p in enumerate(self._elements) if down[i] == 1 << i)
         atom_bit = {1 << pos[a]: 1 << j for j, a in enumerate(self._atoms)}
-        atom_positions = sum(atom_bit)
+        # the atoms by canonical position: a down closed position mask is
+        # dense exactly when it holds them all
+        atom_positions = self.atom_positions = sum(atom_bit)
         masks = []
         for mask in down:
             rest = mask & atom_positions

@@ -10,9 +10,10 @@ and hands the selected ground families to `names.run_pipeline`, which
 refines every name and, in one closing pass over the atoms, tabulates for
 each atom and point the refined set covering it at or above the floor.
 Each level has one `names.WitnessTable`, built first from its name and
-taken by every step of the level: point names read its value masks, the
-approximation check the runs of its cover pieces, and the refinement those
-of its ground sets; no level tables a name or searches a set twice.
+taken by every step of the level: the approximation reads its value
+reaches, the approximation check the runs of its cover pieces, and the
+refinement those of its ground sets; no level tables a name or searches a
+set twice.
 The verdict is positive only when every certificate along the way is.
 The certificate is canonical JSON: replaying the embedded scenario must
 reproduce it byte for byte.  `PreservationCertificate.to_text` is its one
@@ -68,7 +69,6 @@ from .names import (
     approximate,
     check_approximation,
     check_cover_name,
-    derive_point_names,
     run_pipeline,
 )
 from .poset import (
@@ -299,7 +299,7 @@ def run_preservation(scenario: Scenario, limits: Limits = DEFAULT_LIMITS) -> Pre
     tables = []
     for n, name in enumerate(scenario.names):
         table = WitnessTable(bundle.poset, bundle.strat, n, name)
-        approx = approximate(table, derive_point_names(table, space), bundle.family)
+        approx = approximate(table, space, bundle.family)
         approximations.append(approx)
         approx_certs.append(check_approximation(table, approx.cover))
         tables.append(table)

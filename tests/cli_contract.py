@@ -203,6 +203,15 @@ CASES = [
     # makes every set open that meets each of its points' neighborhoods
     case(1, *PYTEST, f"{ROOT}/tests/test_topology.py",
          mutant=("topology.py", "neighborhoods[x] <= s", "neighborhoods[x] & s")),
+    # a committed set taken from the last value holding a used member (l)
+    # instead of the first changes the pieces; the prior-step references
+    # and the frozenset oracle of the name tests kill it
+    case(1, *PYTEST, f"{ROOT}/tests/test_names.py",
+         mutant=("names.py", "for u, r in values:", "for u, r in reversed(values):")),
+    # a staged loop that stops one stage early (m) drops the last stage's
+    # keepers; the kernel tests kill it
+    case(1, *PYTEST, f"{ROOT}/tests/test_kernel.py",
+         mutant=("endowment.py", "for _ in range(n):", "for _ in range(n - 1):")),
     case(64, "selftest", "--count", "1", "--jobs", "2"),
     case(65, "selftest", "--count", "3", "--bounds", '{"max_points": 1}'),
     case(70, "preserve", "--scenario", "nine.json", "--cert", "nine.cert.json"),

@@ -35,7 +35,6 @@ from endowlab.names import (
     approximate,
     check_approximation,
     check_cover_name,
-    derive_point_names,
     forcing_mask,
     refine_name,
 )
@@ -166,7 +165,7 @@ def test_criterion_4_approximation_replays():
         for n, name in enumerate(scenario.names):
             check_cover_name(bundle.poset, space, name)
             table = WitnessTable(bundle.poset, bundle.strat, n, name)
-            approx = approximate(table, derive_point_names(table, space), bundle.family)
+            approx = approximate(table, space, bundle.family)
             cert = check_approximation(table, approx.cover)
             assert cert.positive, (seed, n, cert.counterexample)
             positives += 1
@@ -187,7 +186,7 @@ def test_criterion_5_refinement_replays():
         name = scenario.names[n]
         check_cover_name(bundle.poset, space, name)
         table = WitnessTable(bundle.poset, bundle.strat, n, name)
-        approx = approximate(table, derive_point_names(table, space), bundle.family)
+        approx = approximate(table, space, bundle.family)
         ground = []
         for piece in approx.cover:
             if rng.random() < 0.7:
@@ -254,7 +253,7 @@ def test_criterion_8_negative_controls():
     space = FiniteSpace(space_payload["points"], space_payload["base"])
     check_cover_name(bundle.poset, space, name)
     table = WitnessTable(bundle.poset, bundle.strat, 1, name)
-    approx = approximate(table, derive_point_names(table, space), bundle.family)
+    approx = approximate(table, space, bundle.family)
     cert = check_approximation(table, approx.cover + (frozenset({"y", "z"}),))
     assert not cert.positive
     assert cert.counterexample == (("y", "z"), "")

@@ -216,7 +216,7 @@ def test_cli_contract_table_is_well_formed():
         if case.mutant is not None:
             assert case.code != 0
             mutants.append(case.mutant)
-    assert len(mutants) == 9
+    assert len(mutants) == 11
     for file, text, replacement in mutants:
         assert (cli_contract.SRC / "endowlab" / file).read_text().count(text) == 1
         assert replacement != text
@@ -729,6 +729,50 @@ def test_approx_and_refine_json_are_unchanged(command, pair_files, tmp_path, cap
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+
+# Stdout digests of the two commands that print what the certify path no
+# longer builds, taken while `approximate` still read point names that
+# `derive_point_names` built and `dow_construct` built every stage record:
+# `approx --json` on each level of `gen --seed 10` (measure k=2), whose
+# point names list every member's committed set, and `dow --json` on the
+# README's example and on a Cohen D=3 antichain that adds one element per
+# stage.  All exit 0.
+PINNED_APPROX_LEVELS = (
+    "ace97d0e5b2e7dbb3756b761fedc0bcd28fbf92d1fb407c787a74d4a4fabf695",
+    "be0dd992de5c16a61d1bc2a648fe784bd2e1224929ec6f3d8a1c662ac261690b",
+    "c4dad86e720d0fd4ab4235a33e3900014c083c65e70ba0e5105ed303090424c7",
+    "a03aa95a2c3fd98d799d804894a4b3445393439ccc84891338d206a4a8ae0f43",
+    "264e40bbf26049d0d6c0175ef7a4c0bbe0a1a362bd1e94dba18e50f9ba053a62",
+    "8a622d65d8389ef8db798ab46f700f6d11443a31c269562c6b6413853a5f3faa",
+)
+D3_CHAIN = "--member 0:0 --member 0:1,1:0 --member 0:1,1:1,2:0 --member 0:1,1:1,2:1"
+PINNED_DOW_TRACES = {
+    "dow cohen:D=2 --member 0:0 --member 0:1 --n 1 --json":
+        "b7950de7d578d874f3b9bbce85c955115a986fde1583b592fcfaea55aa8cfd72",
+    f"dow cohen:D=3 {D3_CHAIN} --n 0 --json": "1a9487051bb7e287f91358c22e21ab44b8558f99335259659314ac63dfaf7f07",
+    f"dow cohen:D=3 {D3_CHAIN} --n 1 --json": "78a20c6bc78400307b576bf6e39f2090724bc56e2ec76e6b904a69f02fbf1303",
+    f"dow cohen:D=3 {D3_CHAIN} --n 2 --json": "9bf723f0664eaf1a1387be95d9b8534616aa4d353c4d16b76156521726a9b14f",
+    f"dow cohen:D=3 {D3_CHAIN} --n 3 --json": "565ec2342caba622d0b4190b83a4a92fce7ccbaa8442ed3fdd196f68b87843a3",
+}
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_approx_json_on_each_generated_level_is_unchanged(n, tmp_path, capsys):
+    scenario = generate_scenario(10).to_jsonable()
+    assert scenario["poset"] == {"kind": "measure", "k": 2} and len(scenario["names"]) == 6
+    space, name = tmp_path / "space.json", tmp_path / "name.json"
+    save_instance(space, "space", scenario["space"])
+    save_instance(name, "name", scenario["names"][n])
+    argv = ["approx", "--poset", "measure:k=2", "--space", str(space), "--name", str(name),
+            "--n", str(n), "--json"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_APPROX_LEVELS[n]
+
+
+@pytest.mark.parametrize("argv", PINNED_DOW_TRACES)
+def test_dow_json_is_unchanged(argv, capsys):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_DOW_TRACES[argv]
 
 SCENARIO_FILE_ERRORS = {
     "set-is-string": (lambda s: s["names"][1][2].update(set="x"),

@@ -16,7 +16,7 @@ copies of the code they replaced."""
 import random
 import re
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import pytest
 
@@ -681,9 +681,10 @@ def ref_approximate(
     return Approximation(n, tuple(entries), sorted_sets(pieces))
 
 
-def ref_dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> DowTrace:
+def ref_dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> tuple:
     """`dow_construct` before its claims pass read `compatible_masks`,
-    copied verbatim."""
+    copied verbatim apart from returning its trace's (seed, stages, result)
+    as a plain tuple (see `traced`)."""
     poset = cohen.poset
     by_canon = sorted(antichain, key=poset.sort_key)
     atom_mask, above_atoms = poset.atom_mask, poset.above_atoms
@@ -723,7 +724,78 @@ def ref_dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int)
         if support == before:
             stages.extend([DowStage(stages[-1].handled, (), stages[-1].support)] * (n - stage))
             break
-    return DowTrace(seed, tuple(stages), frozenset(chosen))
+    return seed, tuple(stages), frozenset(chosen)
+
+
+class PriorTrace(NamedTuple):
+    seed: Condition
+    stages: tuple[DowStage, ...]
+    result: frozenset[Condition]
+
+
+def prior_dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> PriorTrace:
+    """`dow_construct` before it built its stage records on demand, copied
+    verbatim apart from returning a `PriorTrace`."""
+    poset = cohen.poset
+    elements, compatible = poset.elements, poset.compatible_masks
+    support_mask, within_mask = cohen.support_mask, cohen.within_mask
+
+    claims: list[tuple[Condition, int]] = []
+    rest = (1 << len(poset)) - 1  # positions not yet claimed
+    for i in sorted(map(poset.sort_key, antichain)):
+        claims.append((elements[i], rest & compatible[i]))
+        rest &= ~compatible[i]
+    seed = claims[0][0]
+    chosen = [seed]
+    pending = claims[1:]  # the elements not yet kept, with their claims
+    support = support_mask[seed]
+    stages = [DowStage((), (seed,), cohen.indices_in(support))]
+    for stage in range(1, n + 1):
+        handled = within_mask[support]
+        met: list[tuple[int, Condition]] = []
+        waiting: list[tuple[Condition, int]] = []
+        for a, claim in pending:
+            if mine := claim & handled:
+                met.append((mine & -mine, a))
+            else:
+                waiting.append((a, claim))
+        pending = waiting
+        before = support
+        if met:
+            met.sort()
+            added = tuple(a for _, a in met)
+            chosen.extend(added)
+            for a in added:
+                support |= support_mask[a]
+        else:
+            added = ()
+        stages.append(DowStage(cohen.within(before), added, cohen.indices_in(support)))
+        if support == before:
+            stages.extend([DowStage(stages[-1].handled, (), stages[-1].support)] * (n - stage))
+            break
+    return PriorTrace(seed, tuple(stages), frozenset(chosen))
+
+
+def traced(trace: DowTrace) -> tuple:
+    """A trace as (seed, stages, result), the stages built on demand."""
+    return trace.seed, trace.stages, trace.result
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_staged_construction_matches_the_prior_loop_on_every_small_antichain(width):
+    # every maximal antichain of Cohen D <= 3 and every n up to 8, past each
+    # fixed point: the result the extractor reads, and the records `dow` prints
+    c = CohenPoset(range(width))
+    antichains = c.poset.maximal_antichains()
+    stopped = 0
+    for antichain in antichains:
+        for n in range(9):
+            trace, prior = dow_construct(c, antichain, n), prior_dow_construct(c, antichain, n)
+            assert trace.result == prior.result, (sorted(antichain), n)
+            assert traced(trace) == tuple(prior), (sorted(antichain), n)
+            stopped += len(trace.supports) < n + 1
+    assert len(antichains) > 100 or width < 3
+    assert stopped  # some run stopped at a fixed point
 
 
 LIMIT_LEVELS = 8
@@ -759,7 +831,7 @@ def assert_cover_steps_match(poset, strat, space, name, families, n) -> list[Poi
     assert pns == ref_derive_point_names(table, space)
     for family in families:
         calls, ref_calls = [], []
-        assert (approximate(table, pns, counting(family, calls))
+        assert (approximate(table, space, counting(family, calls))
                 == ref_approximate(table, pns, counting(family, ref_calls)))
         assert calls == ref_calls
     return pns
@@ -789,7 +861,8 @@ def test_cover_name_steps_match_the_replaced_code_on_limit_scenarios(kind):
                 antichains.add(tuple(poset.random_maximal_antichain(space_rng)))
                 for antichain in antichains:
                     for stage in range(7):
-                        assert dow_construct(model, antichain, stage) == ref_dow_construct(model, antichain, stage)
+                        assert traced(dow_construct(model, antichain, stage)) == ref_dow_construct(
+                            model, antichain, stage)
                         traces += 1
     if kind == "cohen":
         assert traces > 6 * LIMIT_LEVELS * 7  # a point antichain and a drawn one per level
@@ -822,21 +895,19 @@ def test_cover_name_steps_match_the_replaced_code_on_explicit_posets():
     assert invalid > 0  # some names dropped a needed pair
 
 
-def test_approximate_extracts_once_per_distinct_antichain_whatever_the_tuple_objects():
+def test_approximate_extracts_once_per_distinct_antichain_whatever_the_commitment_masks():
+    # y is committed below 1:0 too, which x is not, so the two points have
+    # different commitment masks; the greedy scan drops 1:0, compatible with
+    # both members of {0:0, 0:1}, so both get that antichain, extracted once
     c = CohenPoset(range(3))
-    space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"], ["x", "y", "z"]])
-    a, b = (sorted(c.poset.random_maximal_antichain(random.Random(seed)), key=c.poset.sort_key)
-            for seed in (3, 4))
-    assert a != b
-    name = Name.canonical([(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b])
+    space = FiniteSpace(["x", "y"], [["x"], ["y"], ["x", "y"]])
+    name = Name.canonical([(q, {x}) for q in ("0:0", "0:1") for x in "xy"] + [("1:0", {"y"})])
     table = WitnessTable(c.poset, c.stratification(), 2, name)
-    pns = derive_point_names(table, space)
-    # the same antichains as fresh tuple objects
-    copies = [pn._replace(antichain=tuple(list(pn.antichain))) for pn in pns]
-    assert copies[0].antichain == copies[2].antichain and copies[0].antichain is not copies[2].antichain
+    masks = {x: sum(table.reach[u] for u in table.reach if x in u) for x in "xy"}
+    assert masks["x"] != masks["y"]
+    assert [pn.antichain for pn in derive_point_names(table, space)] == [("0:0", "0:1")] * 2
     family = cohen_dow_family(c, c.stratification())
-    for given in (pns, copies):
-        calls = []
-        approx = approximate(table, given, counting(family, calls))
-        assert len(calls) == 2 and set(calls) == {frozenset(a), frozenset(b)}
-        assert approx == ref_approximate(table, given, family)
+    calls = []
+    approx = approximate(table, space, counting(family, calls))
+    assert calls == [frozenset({"0:0", "0:1"})]
+    assert approx == ref_approximate(table, derive_point_names(table, space), family)

@@ -4,6 +4,7 @@ witness certificate, refinement, and the pipeline."""
 import json
 import random
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -11,10 +12,17 @@ from catalogs import limit_scenarios
 from endowlab.bounds import DEFAULT_LIMITS, Limits
 from endowlab.canon import TextMemo, set_key, sorted_sets, write_array, write_records
 from endowlab.cohen import CohenPoset
-from endowlab.endowment import cohen_dow_family, maximal_antichain_family, measure_total_family
+from endowlab.endowment import (
+    EndowmentFamily,
+    adversarial_singleton_family,
+    cohen_dow_family,
+    maximal_antichain_family,
+    measure_total_family,
+)
 from endowlab.errors import DataError, InvariantError
 from endowlab.measure import MeasurePoset
 from endowlab.names import (
+    Approximation,
     AtomRow,
     PointName,
     WitnessTable,
@@ -26,6 +34,7 @@ from endowlab.names import (
     run_pipeline,
 )
 from endowlab.poset import (
+    Condition,
     ExistsSupersetInCover,
     Name,
     Poset,
@@ -38,6 +47,8 @@ from endowlab.poset import (
 from endowlab.preservation import Scenario, build_bundle, generate_scenario, run_preservation
 from endowlab.selection import MODES
 from endowlab.topology import FiniteSpace
+from test_certificate_text import stronger_first_scenario
+from test_kernel import counting
 
 
 def pair_setup():
@@ -84,18 +95,26 @@ def test_cover_name_validity():
     # dropping the 0 -> 1 side breaks density for both points below 0:1;
     # the first point in sorted order is the one named
     partial = Name.canonical((("0:0", {"x"}), ("0:0", {"x", "y"})))
-    with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
-        derive_point_names(table_at(c.poset, partial), space)
+    # both steps that read commitments raise the same error, with the same text
+    family = maximal_antichain_family(c.poset)
+    steps = (derive_point_names, lambda table, space: approximate(table, space, family))
+    for step in steps:
+        with pytest.raises(DataError, match="^name is not a valid cover name; point 'x' lacks dense "
+                                            "commitments$"):
+            step(table_at(c.poset, partial), space)
     # with x committed everywhere, y is the point that fails
     only_y = Name.canonical((("", {"x"}), ("0:0", {"x", "y"})))
-    with pytest.raises(DataError, match="point 'y' lacks dense commitments"):
-        derive_point_names(table_at(c.poset, only_y), space)
+    for step in steps:
+        with pytest.raises(DataError, match="point 'y' lacks dense commitments"):
+            step(table_at(c.poset, only_y), space)
     # two atoms and no top: only the first condition in canonical order lacks
     # a commitment below it
     pair = Poset.from_pairs(["a", "b"], [])
     single = FiniteSpace(["x"], [["x"]])
     with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
         derive_point_names(table_at(pair, Name.canonical((("b", {"x"}),))), single)
+    with pytest.raises(DataError, match="point 'x' lacks dense commitments"):
+        approximate(table_at(pair, Name.canonical((("b", {"x"}),))), single, maximal_antichain_family(pair))
 
 
 def test_point_names_on_pair_fixture():
@@ -148,10 +167,12 @@ def test_point_name_scan_ends_when_above_atoms_drops_an_atom(monkeypatch):
     m = MeasurePoset(2)
     measure_name = Name.canonical((("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
     for poset, cover_name in ((c.poset, name), (m.poset, measure_name)):
-        reads.clear()
-        with pytest.raises(InvariantError, match="greedy antichain is not maximal"):
-            derive_point_names(table_at(poset, cover_name), space)
-        assert reads
+        for step in (derive_point_names,
+                     lambda table, space: approximate(table, space, maximal_antichain_family(poset))):
+            reads.clear()
+            with pytest.raises(InvariantError, match="^point 'x': greedy antichain is not maximal$"):
+                step(table_at(poset, cover_name), space)
+            assert reads
 
 
 def test_point_name_check_catches_an_antichain_that_misses_an_atom(monkeypatch):
@@ -162,6 +183,8 @@ def test_point_name_check_catches_an_antichain_that_misses_an_atom(monkeypatch):
     c, space, name = pair_setup()
     with pytest.raises(InvariantError, match="greedy antichain is not maximal"):
         derive_point_names(table_at(c.poset, name), space)
+    with pytest.raises(InvariantError, match="^point 'x': greedy antichain is not maximal$"):
+        approximate(table_at(c.poset, name), space, maximal_antichain_family(c.poset))
 
 
 def reference_point_names(poset, space, name):
@@ -273,16 +296,15 @@ def test_approximate_extracts_once_per_distinct_antichain():
         ([(q, {"x"}) for q in a] + [(q, {x}) for q in b for x in "yz"], 2),
     ):
         name = Name.canonical(pairs)
-        pns = derive_point_names(table_at(c.poset, name), space)
         for n in range(4):
             calls.clear()
-            approx = approximate(table_at(c.poset, name, n), pns, counted)
+            approx = approximate(table_at(c.poset, name, n), space, counted)
             assert len(calls) == len(set(calls)) == distinct
-            assert approx == approximate(table_at(c.poset, name, n), pns, family)
+            assert approx == approximate(table_at(c.poset, name, n), space, family)
 
 
 def test_approximate_trusts_the_point_antichains(monkeypatch):
-    # derive_point_names verifies each antichain from its members' atom
+    # `point_antichain` verifies each antichain from its members' atom
     # masks; neither it nor the extractors call is_maximal_antichain
     checks = []
     real = Poset.is_maximal_antichain
@@ -298,9 +320,8 @@ def test_approximate_trusts_the_point_antichains(monkeypatch):
         ("00,01", {"x"}), ("00,01", {"x", "y"}), ("10,11", {"x", "y"})))
     for poset, family, cover_name in ((c.poset, cohen_dow_family(c, c.stratification()), name),
                                       (m.poset, measure_total_family(m), measure_name)):
-        pns = derive_point_names(table_at(poset, cover_name), space)
         for n in range(3):
-            approximate(table_at(poset, cover_name, n), pns, family)
+            approximate(table_at(poset, cover_name, n), space, family)
         assert checks == []
 
 
@@ -309,16 +330,195 @@ def test_faulty_extractions_are_program_faults():
     # given; one that does not is a program fault, not a rejection of input
     c, space, name = pair_setup()
     table = table_at(c.poset, name, 1)
-    pns = derive_point_names(table, space)
     family = cohen_dow_family(c, c.stratification())
     for extract, message in (
         (lambda n, antichain: frozenset(), "family extraction for point 'x' is empty"),
         (lambda n, antichain: frozenset({""}),
          "family extraction for point 'x' leaves the antichain"),
     ):
-        with pytest.raises(InvariantError, match=message) as caught:
-            approximate(table, pns, family._replace(extract=extract))
+        with pytest.raises(InvariantError, match=f"^{message}$") as caught:
+            approximate(table, space, family._replace(extract=extract))
         assert not isinstance(caught.value, DataError)
+    # the error names the first point with the antichain at fault: x and z
+    # share one antichain, y has another, which the stub empties or leaves
+    c = CohenPoset(range(3))
+    space = FiniteSpace(["x", "y", "z"], [["x"], ["y"], ["z"], ["x", "y", "z"]])
+    a, b = (sorted(c.poset.random_maximal_antichain(random.Random(seed)), key=c.poset.sort_key)
+            for seed in (3, 4))
+    name = Name.canonical([(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b])
+    family = cohen_dow_family(c, c.stratification())
+    for fault, message in ((frozenset(), "is empty"), (frozenset({""}), "leaves the antichain")):
+        def extract(n, antichain, fault=fault):
+            return fault if antichain == frozenset(b) else family.extract(n, antichain)
+
+        with pytest.raises(InvariantError, match=f"^family extraction for point 'y' {message}$"):
+            approximate(table_at(c.poset, name, 2), space, family._replace(extract=extract))
+
+
+# -- the one-pass approximation against the two steps it replaced ---------------
+#
+# `prior_approximation` composes verbatim copies of `derive_point_names` and
+# `approximate` as they were before `approximate` built each level in one
+# pass from its witness table.  `oracle_pieces` reads no mask at all.
+
+
+def prior_derive_point_names(table: WitnessTable, space: FiniteSpace) -> tuple[PointName, ...]:
+    """`derive_point_names` before `approximate` built each level in one
+    pass, copied verbatim."""
+    poset = table.poset
+    elements, down_mask, compatible = poset.elements, poset.down_mask, poset.compatible_masks
+    atom_masks = poset.atom_masks
+    reach: dict[frozenset[str], int] = {}
+    for q, u in table.name.pairs:
+        reach[u] = reach.get(u, 0) | down_mask[q]
+    masks = table.masks  # in set_key order
+    everything = (1 << len(poset.atoms)) - 1
+    # commitment mask -> verified antichain and its members' position bits
+    greedy: dict[int, tuple[tuple[Condition, ...], list[int]]] = {}
+    out = []
+    for x in sorted(space.points):
+        values = [(u, reach[u]) for u in masks if x in u]
+        committed = atoms = 0
+        for u, mask in values:
+            committed |= mask
+            atoms |= masks[u]
+        if atoms != everything:
+            raise DataError(f"name is not a valid cover name; point {x!r} lacks dense commitments")
+        if committed not in greedy:
+            bits, positions = [], []
+            rest = committed
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                bits.append(low)
+                positions.append(i)
+                rest &= ~(low | compatible[i])
+            reached = overlap = 0  # the atoms below the members so far, and those met twice
+            for i in positions:
+                overlap |= reached & atom_masks[i]
+                reached |= atom_masks[i]
+            if overlap or reached != everything:
+                raise InvariantError(f"point {x!r}: greedy antichain is not maximal")
+            greedy[committed] = tuple([elements[i] for i in positions]), bits
+        antichain, bits = greedy[committed]
+        chosen = []
+        for p, bit in zip(antichain, bits):
+            for u, mask in values:
+                if mask & bit:
+                    chosen.append((p, u))
+                    break
+        out.append(PointName(x, antichain, tuple(chosen)))
+    return tuple(out)
+
+
+def prior_approximate(
+    table: WitnessTable, point_names: Sequence[PointName], family: EndowmentFamily,
+) -> Approximation:
+    """`approximate` before it built each level in one pass, copied
+    verbatim."""
+    n, sort_key = table.level, table.poset.sort_key
+    used_by: dict[tuple[Condition, ...], tuple[Condition, ...]] = {}  # antichain -> members used
+    entries = []
+    pieces = []
+    for pn in sorted(point_names, key=lambda pn: pn.point):
+        used = used_by.get(pn.antichain)
+        if used is None:
+            antichain = frozenset(pn.antichain)
+            chosen = family.extract(n, antichain)
+            if not chosen:
+                raise InvariantError(f"family extraction for point {pn.point!r} is empty")
+            if not chosen <= antichain:
+                raise InvariantError(f"family extraction for point {pn.point!r} leaves the antichain")
+            used = used_by[pn.antichain] = tuple(sorted(chosen, key=sort_key))
+        values = dict(pn.values)
+        piece = frozenset.intersection(*(values[p] for p in used))
+        entries.append((pn.point, used, piece))
+        pieces.append(piece)
+    return Approximation(n, tuple(entries), sorted_sets(pieces))
+
+
+def prior_approximation(table, space, family):
+    return prior_approximate(table, prior_derive_point_names(table, space), family)
+
+
+def oracle_pieces(poset, space, name, used_by_point) -> dict:
+    """Each point's piece from frozensets alone: the intersection, over the
+    members p it uses, of its committed set at p, the least value U holding
+    the point, in `set_key` order, with a pair (q, U) such that p lies in
+    `down(q)`."""
+    pieces = {}
+    for x, used in used_by_point.items():
+        committed = []
+        for p in used:
+            holding = [u for q, u in name.pairs if x in u and p in poset.down(q)]
+            committed.append(min(holding, key=set_key))
+        pieces[x] = frozenset.intersection(*committed)
+    return pieces
+
+
+def outcome(step, *args):
+    """What a step returns, or the type and text of what it raises."""
+    try:
+        return step(*args)
+    except (DataError, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_prior(poset, strat, space, name, n, family) -> Approximation | None:
+    """The one-pass approximation at level n equals the prior composition,
+    raises what it raises, calls the extractor on the same antichains in
+    the same order, and its pieces are the oracle's."""
+    table = WitnessTable(poset, strat, n, name)
+    # the table's one pass tables the masks `value_masks` defines, and beside
+    # them each value's reach, in the same order
+    assert list(table.masks.items()) == list(value_masks(poset, name).items())
+    assert list(table.reach) == list(table.masks)
+    assert all(table.reach[u] == sum(1 << poset.sort_key(p) for p in set().union(*(
+        poset.down(q) for q, v in name.pairs if v == u))) for u in table.reach)
+    calls, prior_calls = [], []
+    approx = outcome(approximate, table, space, counting(family, calls))
+    assert approx == outcome(prior_approximation, table, space, counting(family, prior_calls))
+    assert calls == prior_calls
+    if not isinstance(approx, Approximation):
+        return None
+    used = {x: members for x, members, _ in approx.entries}
+    assert {x: piece for x, _, piece in approx.entries} == oracle_pieces(poset, space, name, used)
+    return approx
+
+
+def assert_scenario_matches_prior(scenario, families=None) -> int:
+    """Every level of the scenario under its default family, or under
+    each of `families(bundle)`; the number of approximations built."""
+    bundle = build_bundle(scenario.poset)
+    space = FiniteSpace(scenario.points, scenario.base)
+    built = 0
+    for family in (families(bundle) if families else (bundle.family,)):
+        for n, name in enumerate(scenario.names):
+            built += assert_matches_prior(bundle.poset, bundle.strat, space, name, n, family) is not None
+    return built
+
+
+def test_approximation_matches_the_prior_steps_on_the_goldens_and_the_stronger_first_poset():
+    goldens = sorted((Path(__file__).parent / "golden").glob("*.cert.json"))
+    scenarios = [Scenario.from_jsonable(json.loads(g.read_text())["scenario"]) for g in goldens]
+    scenarios += [stronger_first_scenario(mode) for mode in MODES]
+    assert len(goldens) == 2
+    assert sum(map(assert_scenario_matches_prior, scenarios)) == sum(len(s.names) for s in scenarios)
+
+
+@pytest.mark.parametrize("catalog", ["cohen5", "measure3"])
+def test_approximation_matches_the_prior_steps_on_the_limit_catalogs(catalog):
+    scenarios = limit_scenarios(catalog)
+    assert sum(map(assert_scenario_matches_prior, scenarios)) == sum(len(s.names) for s in scenarios)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_approximation_matches_the_prior_steps_on_generated_scenarios(mode):
+    def both(bundle):
+        return bundle.family, adversarial_singleton_family(bundle.poset)
+
+    built = sum(assert_scenario_matches_prior(generate_scenario(seed, mode), both) for seed in range(300))
+    assert built > 300
 
 
 def test_derive_rejects_invalid_names():
@@ -332,7 +532,7 @@ def test_approximation_on_pair_fixture():
     c, space, name = pair_setup()
     table = table_at(c.poset, name, 1)
     family = cohen_dow_family(c, c.stratification())
-    approx = approximate(table, derive_point_names(table, space), family)
+    approx = approximate(table, space, family)
     assert approx.level == 1
     # x uses both sides: {x} meet {x,y} = {x}; y gets {x,y}
     assert {x: v for x, _, v in approx.entries} == {
@@ -348,9 +548,8 @@ def test_approximation_pieces_contain_their_points():
         ("00,01", {"x", "y"}),
         ("10,11", {"x", "y"}),
     ))
-    pns = derive_point_names(table_at(m.poset, name), space)
     for n in range(3):
-        approx = approximate(table_at(m.poset, name, n), pns, measure_total_family(m))
+        approx = approximate(table_at(m.poset, name, n), space, measure_total_family(m))
         for x, _, piece in approx.entries:
             assert x in piece
 
@@ -359,7 +558,7 @@ def test_approximation_certificate_positive_with_witness_counts():
     c, space, name = pair_setup()
     strat = c.stratification()
     table = WitnessTable(c.poset, strat, 1, name)
-    approx = approximate(table, derive_point_names(table, space), cohen_dow_family(c, strat))
+    approx = approximate(table, space, cohen_dow_family(c, strat))
     cert = check_approximation(table, approx.cover)
     assert cert.positive
     # 2 cover pieces, 5 level-1 conditions: one witness each
@@ -380,7 +579,7 @@ def test_approximation_certificate_flags_undominated_piece():
         ("", {"x"}), ("", {"y"}), ("", {"z"}),
     ))
     table = WitnessTable(c.poset, c.stratification(), 1, name)
-    approx = approximate(table, derive_point_names(table, space), maximal_antichain_family(c.poset))
+    approx = approximate(table, space, maximal_antichain_family(c.poset))
     cert = check_approximation(table, approx.cover)
     assert cert.positive
     cert = check_approximation(table, approx.cover + (frozenset({"y", "z"}),))
@@ -394,7 +593,7 @@ def test_refined_name_evaluation_law():
     c, space, name = pair_setup()
     strat = c.stratification()
     table = WitnessTable(c.poset, strat, 1, name)
-    approx = approximate(table, derive_point_names(table, space), cohen_dow_family(c, strat))
+    approx = approximate(table, space, cohen_dow_family(c, strat))
     refined, cert, masks = refine_name(table, approx.cover)
     assert cert.positive
     assert masks == value_masks(c.poset, refined)  # tabled from the refined pairs
@@ -411,7 +610,7 @@ def test_refinement_certificate_clauses():
     c, space, name = pair_setup()
     strat = c.stratification()
     table = WitnessTable(c.poset, strat, 1, name)
-    approx = approximate(table, derive_point_names(table, space), cohen_dow_family(c, strat))
+    approx = approximate(table, space, cohen_dow_family(c, strat))
     refined, cert, _ = refine_name(table, approx.cover)
     assert cert.refines_everywhere
     assert cert.counterexample is None
@@ -584,7 +783,7 @@ def test_pipeline_positive_on_pair_fixture():
     strat = c.stratification()
     family = cohen_dow_family(c, strat)
     tables = level_tables(c.poset, strat, [name, name, name])
-    approxes = [approximate(table, derive_point_names(table, space), family) for table in tables]
+    approxes = [approximate(table, space, family) for table in tables]
     result = run_pipeline(tables, [a.cover for a in approxes], space, strat.stabilization_index)
     assert result.positive
     assert all(result.subfamily_everywhere)

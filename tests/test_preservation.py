@@ -396,12 +396,13 @@ def test_an_unknown_mode_is_rejected_by_the_selection_problem():
 
 
 def test_names_are_checked_before_point_names_are_derived(monkeypatch):
-    # `derive_point_names` trusts its name, so an unknown condition at the
-    # last level must be caught before the first level is derived
+    # `approximate` derives each point's antichain and trusts its name, so
+    # an unknown condition at the last level must be caught before the
+    # first level is approximated
     def refuse(*args):
         raise AssertionError("point names derived from an unchecked name")
 
-    monkeypatch.setattr(preservation, "derive_point_names", refuse)
+    monkeypatch.setattr(preservation, "approximate", refuse)
     scenario = fixture_cohen_pair()
     bad = Name((("9:9", frozenset({"x"})),))
     scenario = scenario._replace(names=scenario.names[:-1] + (bad,))
@@ -410,21 +411,43 @@ def test_names_are_checked_before_point_names_are_derived(monkeypatch):
 
 
 def test_each_level_tables_value_masks_once(monkeypatch):
-    # for the cover name, in the level's witness table, which the point
-    # names read too; the refined name's masks come from its selector grid
-    tabled = []
-    real = names.value_masks
+    # each level builds one witness table, whose one pass over the cover
+    # name's pairs tables its value masks and reaches together; every other
+    # step of the level reads the table, so apart from `check_cover_name`
+    # no step walks the name's pairs again, and the refined name's masks
+    # come from its selector grid, with no `value_masks` call
+    tabled, walked, checking = [], [], []
+    real_init, real_check, field = names.WitnessTable.__init__, preservation.check_cover_name, Name.pairs
 
-    def counted(poset, name):
+    def counted_init(self, poset, strat, n, name):
         tabled.append(name)
-        return real(poset, name)
+        real_init(self, poset, strat, n, name)
 
-    monkeypatch.setattr(names, "value_masks", counted)
+    def counted_check(poset, space, name):
+        checking.append(name)
+        real_check(poset, space, name)
+        checking.pop()
+
+    def pairs(name):
+        if not checking:
+            walked.append(name)
+        return field.__get__(name)
+
+    def refuse(*args):
+        raise AssertionError("a name tabled outside its witness table")
+
+    monkeypatch.setattr(names.WitnessTable, "__init__", counted_init)
+    monkeypatch.setattr(preservation, "check_cover_name", counted_check)
+    monkeypatch.setattr(Name, "pairs", property(pairs))
+    monkeypatch.setattr(names, "value_masks", refuse, raising=False)
     for scenario in (fixture_cohen_pair(), fixture_measure_pair(),
                      generate_scenario(8, "selective-screenability")):
         tabled.clear()
-        run_preservation(scenario)
+        walked.clear()
+        cert = run_preservation(scenario)
         assert tabled == [*scenario.names]
+        assert [name for name in walked if any(name is given for given in scenario.names)] == tabled
+        assert cert.verdict == "positive"
 
 
 # -- metamorphic relations ---------------------------------------------------------
