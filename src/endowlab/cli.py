@@ -127,14 +127,7 @@ def gather_antichains(poset, exhaustive: bool, seeded: int, seed: int, limits: L
     if exhaustive:
         return poset.maximal_antichains(limits)
     rng = random.Random(seed)
-    seen = set()
-    out = []
-    for _ in range(seeded):
-        antichain = poset.random_maximal_antichain(rng)
-        if antichain not in seen:
-            seen.add(antichain)
-            out.append(antichain)
-    return tuple(out)
+    return tuple(dict.fromkeys(poset.random_maximal_antichain(rng) for _ in range(seeded)))
 
 
 def emit(args, jsonable, text_lines) -> None:
@@ -228,7 +221,7 @@ def cmd_dow(args, limits: Limits) -> int:
     if not bundle.poset.is_maximal_antichain(args.member):
         raise DataError("staged construction needs a maximal antichain")
     trace = dow_construct(bundle.structure, args.member, args.n)
-    hits = hits_level(bundle.poset, bundle.strat.at(args.n), trace.result)
+    hits = hits_level(bundle.poset, bundle.strat.mask_at(args.n), trace.result)
     lines = [f"seed: {trace.seed!r}"]
     for i, stage in enumerate(trace.stages):
         lines.append(

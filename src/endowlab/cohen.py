@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .bounds import DEFAULT_LIMITS, Limits
 from .errors import DataError, ResourceError
-from .poset import Poset, Stratification, make_stratification
+from .poset import MAX_CONDITIONS, Poset, Stratification, make_stratification
 
 
 def format_condition(assignment: Mapping[int, int]) -> str:
@@ -51,8 +51,10 @@ class CohenPoset:
     `support_mask[p]` has bit j set when the j-th entry of `indices` lies in
     the support of p, and `within_mask[s]` marks by canonical position the
     conditions whose support mask lies inside the support mask s.  `within`
-    and `indices_in` list a support mask's conditions and indices, each
-    built once per mask.
+    and `indices_in` list a support mask's conditions and indices when
+    called; only the stage records of `endowment.DowTrace` read them.  The
+    3^D conditions of D indices are checked against `poset.MAX_CONDITIONS`
+    before anything is built.
     """
 
     def __init__(self, indices: Iterable[int], limits: Limits = DEFAULT_LIMITS):
@@ -64,6 +66,8 @@ class CohenPoset:
             raise DataError("index set must be nonempty")
         if len(idx) > limits.max_indices:
             raise ResourceError(f"index set capped at {limits.max_indices} entries, got {len(idx)}")
+        if 3 ** len(idx) > MAX_CONDITIONS:
+            raise ResourceError(f"poset capped at {MAX_CONDITIONS} conditions, got 3^{len(idx)}")
         self.indices: tuple[int, ...] = tuple(idx)
         # an assignment is keyed by its support bits and value bits over the
         # positions of `indices`; it lies directly below each restriction
@@ -94,26 +98,15 @@ class CohenPoset:
                 if bits >> j & 1:
                     within[bits] |= within[bits ^ 1 << j]
         self.within_mask: tuple[int, ...] = tuple(within)
-        self._within: dict[int, tuple[str, ...]] = {}
-        self._indices_in: dict[int, tuple[int, ...]] = {}
         self.poset = Poset(literals, below)
 
     def within(self, support: int) -> tuple[str, ...]:
-        """The conditions of `within_mask[support]` in canonical order, built
-        once per support mask."""
-        handled = self._within.get(support)
-        if handled is None:
-            handled = self._within[support] = tuple(self.poset.conditions_in(self.within_mask[support]))
-        return handled
+        """The conditions of `within_mask[support]` in canonical order."""
+        return tuple(self.poset.conditions_in(self.within_mask[support]))
 
     def indices_in(self, support: int) -> tuple[int, ...]:
-        """The entries of `indices` at the set bits of a support mask, in
-        order, built once per support mask."""
-        found = self._indices_in.get(support)
-        if found is None:
-            found = self._indices_in[support] = tuple(
-                i for j, i in enumerate(self.indices) if support >> j & 1)
-        return found
+        """The entries of `indices` at the set bits of a support mask, in order."""
+        return tuple(i for j, i in enumerate(self.indices) if support >> j & 1)
 
     def stratification(self) -> Stratification:
         """Level n holds the conditions with support size at most n.

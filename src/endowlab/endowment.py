@@ -160,10 +160,13 @@ def dow_construct(cohen: CohenPoset, antichain: Iterable[Condition], n: int) -> 
     return DowTrace(seed, result, cohen, n, supports, mets)
 
 
-def hits_level(poset: Poset, level: Iterable[Condition], conditions: Iterable[Condition]) -> bool:
-    """True when every condition of the level is compatible with a member."""
-    atoms, atom_mask = poset.atoms_below(conditions), poset.atom_mask
-    return all(atom_mask[p] & atoms for p in level)
+def hits_level(poset: Poset, level_mask: int, conditions: Iterable[Condition]) -> bool:
+    """Weak clause 3': every condition of the level, given by its position
+    mask, is compatible with a member.  The conditions compatible with some
+    member are `above_atoms` of the members' `atoms_below`, so the clause
+    holds when the level has no position outside them; `verify_weak_endowment`
+    lists those positions as its clause 3' violations."""
+    return level_mask & ~poset.above_atoms(poset.atoms_below(conditions)) == 0
 
 
 # -- concrete families -------------------------------------------------------
@@ -179,7 +182,7 @@ def cohen_dow_family(cohen: CohenPoset, strat: Stratification) -> EndowmentFamil
     def member(n: int, conditions: frozenset[str]) -> bool:
         if not cohen.poset.is_antichain(conditions):
             return False
-        return hits_level(cohen.poset, strat.at(n), conditions)
+        return hits_level(cohen.poset, strat.mask_at(n), conditions)
 
     def extract(n: int, antichain: frozenset[str]) -> frozenset[str]:
         return dow_construct(cohen, antichain, n).result

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .bounds import DEFAULT_LIMITS, Limits
 from .errors import DataError, ResourceError
-from .poset import Poset, Stratification, make_stratification
+from .poset import MAX_CONDITIONS, Poset, Stratification, make_stratification
 
 
 def format_cell(cell: Iterable[str]) -> str:
@@ -41,7 +41,8 @@ class MeasurePoset:
     tuple, so the top condition comes first and atoms come last.  The cells
     directly below a cell drop one of its points.  k is capped at the
     configured limit (default 3, already 255 conditions), since every
-    poset mask holds one bit per cell.
+    poset mask holds one bit per cell, and the 2^(2^k) - 1 cells are
+    checked against `poset.MAX_CONDITIONS` before anything is built.
     """
 
     def __init__(self, k: int, limits: Limits = DEFAULT_LIMITS):
@@ -49,6 +50,10 @@ class MeasurePoset:
             raise DataError(f"k must be a nonnegative integer, got {k!r}")
         if k > limits.max_k:
             raise ResourceError(f"measure algebra exponent capped at {limits.max_k}, got {k}")
+        # 2^(2^k) - 1 cells, past the cap from k = 4 on, so no larger k than
+        # 5 is raised to its power
+        if (1 << (1 << min(k, 5))) - 1 > MAX_CONDITIONS:
+            raise ResourceError(f"poset capped at {MAX_CONDITIONS} conditions, got 2^(2^{k}) - 1")
         self.k = k
         self.points: tuple[str, ...] = tuple("".join(bits) for bits in product("01", repeat=k))
         # a cell is keyed by its bits over the positions of `points`; it lies

@@ -23,8 +23,8 @@ is the lowest bit of their down mask: a self-least condition that forces
 a statement is its own least witness.  The built-in posets list stronger
 conditions later, so every position of theirs is self-least; an explicit
 poset that lists a stronger condition first has fewer.  A
-`Stratification` keeps each level's position mask beside its conditions in
-canonical order, built once with the stratification.
+`Stratification` holds each level as positions: its position mask, and its
+conditions in canonical order, built once with the stratification.
 
 Atom masks are the one compatibility kernel.  Every common lower bound has
 an atom below it, so p and q are compatible exactly when `atom_mask[p] &
@@ -78,6 +78,12 @@ Condition = str
 # number can be exponential in the conditions (4^g for g groups of a
 # condition below three others), so `max_poset` alone does not bound it.
 MAX_ANTICHAINS = 100_000
+
+# The most conditions a built-in poset may have, checked against the size's
+# closed form before anything is built: 3^D for Cohen D, 2^(2^k) - 1 for
+# measure k.  Cohen D = 9 builds in a few seconds; D >= 10 and k >= 4 are
+# refused whatever the limits.
+MAX_CONDITIONS = 3 ** 9
 
 
 class AntichainCapReport(NamedTuple):
@@ -235,12 +241,6 @@ class Poset:
     def require(self, p: Condition) -> None:
         if p not in self._pos:
             raise DataError(f"unknown condition: {p!r}")
-
-    def leq(self, p: Condition, q: Condition) -> bool:
-        """True when p is stronger than or equal to q."""
-        self.require(p)
-        self.require(q)
-        return self.down_mask[q] >> self._pos[p] & 1 == 1
 
     def down(self, p: Condition) -> frozenset[Condition]:
         """All conditions at or below p."""
@@ -400,18 +400,14 @@ class Stratification(NamedTuple):
     """An increasing chain of condition sets that exhausts the poset.
 
     `stabilization_index` is the least level equal to the whole poset.
-    Levels beyond the recorded chain repeat the final one.  `ordered` holds
-    each level's conditions in canonical order and `masks` each level's
-    position mask, both built once.
+    Levels beyond the recorded chain repeat the final one.  Each level is
+    held as positions: `masks` holds its position mask, and `ordered` its
+    conditions in canonical order, both built once.
     """
 
-    levels: tuple[frozenset[Condition], ...]
     stabilization_index: int
     ordered: tuple[tuple[Condition, ...], ...]
     masks: tuple[int, ...]
-
-    def at(self, n: int) -> frozenset[Condition]:
-        return self.levels[self._index(n)]
 
     def ordered_at(self, n: int) -> tuple[Condition, ...]:
         """Level n in canonical order."""
@@ -424,7 +420,7 @@ class Stratification(NamedTuple):
     def _index(self, n: int) -> int:
         if n < 0:
             raise DataError(f"stratification level must be nonnegative, got {n}")
-        return min(n, len(self.levels) - 1)
+        return min(n, len(self.masks) - 1)
 
 
 def make_stratification(poset: Poset, levels: Sequence[Iterable[Condition]]) -> Stratification:
@@ -433,22 +429,23 @@ def make_stratification(poset: Poset, levels: Sequence[Iterable[Condition]]) -> 
     Requires an inclusion increasing chain whose last level is the whole
     poset.
     """
-    frozen = [frozenset(level) for level in levels]
-    if not frozen:
-        raise DataError("stratification needs at least one level")
-    everything = frozenset(poset.elements)
-    for level in frozen:
+    masks = []
+    for level in levels:
+        mask = 0
         for p in level:
             poset.require(p)
-    for lo, hi in zip(frozen, frozen[1:]):
-        if not lo <= hi:
+            mask |= 1 << poset.sort_key(p)
+        masks.append(mask)
+    if not masks:
+        raise DataError("stratification needs at least one level")
+    for lo, hi in zip(masks, masks[1:]):
+        if lo & ~hi:
             raise DataError("stratification levels must be inclusion increasing")
-    if frozen[-1] != everything:
+    everything = (1 << len(poset)) - 1
+    if masks[-1] != everything:
         raise DataError("final stratification level must contain every condition")
-    stabilization = next(i for i, level in enumerate(frozen) if level == everything)
-    ordered = tuple(tuple(p for p in poset.elements if p in level) for level in frozen)
-    masks = tuple(sum(1 << poset.sort_key(p) for p in level) for level in frozen)
-    return Stratification(tuple(frozen), stabilization, ordered, masks)
+    ordered = tuple(tuple(poset.conditions_in(mask)) for mask in masks)
+    return Stratification(masks.index(everything), ordered, tuple(masks))
 
 
 # -- names and statements ---------------------------------------------------

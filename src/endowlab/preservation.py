@@ -450,12 +450,7 @@ def _random_base(rng: random.Random, points: tuple[str, ...], cap: int) -> tuple
             extra = frozenset({x} | {y for y in points if rng.random() < 0.3})
             sets.append(extra)
             covered |= extra
-    unique = []
-    seen = set()
-    for s in sets:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
+    unique = list(dict.fromkeys(sets))
     if len(unique) > cap:
         # keep coverage first, then fill up to the cap
         kept: list[frozenset[str]] = []

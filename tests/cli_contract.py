@@ -223,6 +223,14 @@ CASES = [
     case(0, "endow-verify", "cohen:D=5", "--n", "1", "--seeded", "10000", "--seed", "3", "--full"),
     case(70, "endow-verify", "cohen:D=2", "--n", "1", "--exhaustive",
          env=("ENDOWLAB_BOUNDS", '{"max_poset": 5}')),
+    # a built-in poset past `poset.MAX_CONDITIONS` is refused before it is built,
+    # whatever limit lets its parameter through
+    case(70, "endow-verify", "measure:k=4", "--n", "1", "--seeded", "1", cap=2,
+         env=("ENDOWLAB_BOUNDS", '{"max_k": 4}'),
+         stderr=("resource error: poset capped at 19683 conditions, got 2^(2^4) - 1",)),
+    case(70, "endow-verify", "cohen:D=10", "--n", "1", "--seeded", "1", cap=2,
+         env=("ENDOWLAB_BOUNDS", '{"max_indices": 10}'),
+         stderr=("resource error: poset capped at 19683 conditions, got 3^10",)),
     case(70, "endow-verify", "cohen:D=2", "--n", "2", "--full", "--budget", "10", "--json",
          check=PARTIAL),
     # at n = 3 the joint clause scans rows with a two-entry prefix

@@ -30,6 +30,7 @@ from endowlab.instances import (
     pair_space_payload,
     save_instance,
 )
+from endowlab.measure import MeasurePoset
 from endowlab.poset import Poset
 from endowlab.preservation import ReplayReport, build_bundle, generate_scenario, run_preservation
 from endowlab.selection import MODES
@@ -434,6 +435,41 @@ def test_max_poset_caps_exhaustive_enumeration(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["selftest", "--count", "1", "--bounds", '{"max_poset": 5}']) == 70
     assert "capped at max_poset=5 conditions, got 9" in capsys.readouterr().err
+
+
+class _Built(Exception):
+    """Raised in place of building a poset."""
+
+
+def _refuse_construction(*args, **kwargs):
+    raise _Built
+
+
+@pytest.mark.parametrize("bounds, spec, size", [
+    ('{"max_k": 4}', "measure:k=4", "2^(2^4) - 1"),
+    ('{"max_k": 64}', "measure:k=64", "2^(2^64) - 1"),
+    ('{"max_indices": 10}', "cohen:D=10", "3^10"),
+])
+def test_a_poset_past_max_conditions_is_refused_before_it_is_built(monkeypatch, capsys, bounds, spec, size):
+    for target in ("endowlab.poset.Poset.__init__", "endowlab.cohen.combinations",
+                   "endowlab.measure.product"):
+        monkeypatch.setattr(target, _refuse_construction)
+    monkeypatch.setenv("ENDOWLAB_BOUNDS", bounds)
+    start = time.perf_counter()
+    assert main(["endow-verify", spec, "--n", "1", "--seeded", "1"]) == 70
+    assert time.perf_counter() - start < 1
+    assert f"resource error: poset capped at {poset_module.MAX_CONDITIONS} conditions, got {size}" \
+        in capsys.readouterr().err
+
+
+def test_the_largest_posets_within_max_conditions_reach_construction(monkeypatch):
+    # 255 and 19,683 conditions; construction is stopped once reached, since
+    # Cohen D = 9 takes seconds to build
+    monkeypatch.setattr("endowlab.poset.Poset.__init__", _refuse_construction)
+    with pytest.raises(_Built):
+        MeasurePoset(3)
+    with pytest.raises(_Built):
+        CohenPoset(range(9), Limits(max_indices=9))
 
 
 def grouped_poset_file(tmp_path, groups: int) -> str:
@@ -1546,7 +1582,7 @@ def shared_snapshot(recipe):
     bundle = build_bundle(recipe)
     poset, strat, structure = bundle.poset, bundle.strat, bundle.structure
     tables = [poset.elements, dict(poset.down_mask), dict(poset.atom_mask), poset.atom_up,
-              strat.levels, strat.ordered, bundle.family]
+              strat.masks, strat.ordered, bundle.family]
     if recipe["kind"] == "cohen":
         tables += [dict(structure.support_mask), structure.within_mask]
     return tables

@@ -129,8 +129,7 @@ def test_hitting_guarantee_exhaustive_small():
         for antichain in c.poset.maximal_antichains():
             for n in range(len(indices) + 2):
                 result = dow_construct(c, antichain, n).result
-                level = strat.at(n)
-                for p in level:
+                for p in strat.ordered_at(n):
                     assert any(c.poset.compatible(p, q) for q in result), (antichain, n, p)
 
 
@@ -141,7 +140,7 @@ def test_hitting_guarantee_sampled_three_indices(n, seed):
     antichain = c.poset.random_maximal_antichain(random.Random(seed))
     result = dow_construct(c, antichain, n).result
     assert result <= antichain
-    for p in c.stratification().at(n):
+    for p in c.stratification().ordered_at(n):
         assert any(c.poset.compatible(p, q) for q in result)
 
 
@@ -155,9 +154,8 @@ def test_hits_level_agrees_with_pairwise_compatibility(poset, strat):
         for picked in product((False, True), repeat=len(members)):
             subset = [q for q, keep in zip(members, picked) if keep]
             for n in range(strat.stabilization_index + 1):
-                level = strat.at(n)
-                expected = all(any(poset.compatible(p, q) for q in subset) for p in level)
-                assert hits_level(poset, level, subset) == expected, (subset, n)
+                expected = all(any(poset.compatible(p, q) for q in subset) for p in strat.ordered_at(n))
+                assert hits_level(poset, strat.mask_at(n), subset) == expected, (subset, n)
                 answers.add(expected)
     assert answers == {False, True}
 
@@ -166,7 +164,7 @@ def test_a_member_outside_the_poset_is_a_data_error_in_each_atoms_below_user():
     c = CohenPoset([0])
     strat = c.stratification()
     with pytest.raises(DataError, match="unknown condition"):
-        hits_level(c.poset, strat.at(1), ["0:0", "nowhere"])
+        hits_level(c.poset, strat.mask_at(1), ["0:0", "nowhere"])
     family = EndowmentFamily("stray", lambda n, chosen: True, lambda n, antichain: antichain | {"nowhere"})
     extractions = extract_each(family, 1, c.poset.maximal_antichains())
     for verify in (verify_weak_endowment, verify_full_endowment):
@@ -402,7 +400,7 @@ def reference_scan(poset, strat, family, n, antichains):
     number of violations found before, so one run answers every budget (see
     `reference_outcome`).  Inputs are trusted to be maximal antichains.
     """
-    level = sorted(strat.at(n), key=poset.sort_key)
+    level = strat.ordered_at(n)
     outputs = []
     seen = set()
     checked = 0

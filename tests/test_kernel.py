@@ -137,7 +137,7 @@ def test_refinement_mask_matches_the_atom_definition_of_forcing():
         stmt = RefinesName(name, other)
         mask = refinement_mask(poset, value_masks(poset, name), value_masks(poset, other))
         for p in poset.elements:
-            expected = all(statement_holds_at(poset, stmt, a) for a in poset.atoms if poset.leq(a, p))
+            expected = all(statement_holds_at(poset, stmt, a) for a in poset.atoms if a in poset.down(p))
             assert forces(poset, p, stmt) == expected
             assert (poset.atom_mask[p] & ~mask == 0) == expected
 
@@ -240,7 +240,7 @@ def test_witness_runs_match_the_per_condition_scan():
     assert sum(poset.self_least != (1 << len(poset)) - 1 for poset in explicit) > 5
     stops = 0
     for poset, strat in cases:
-        for n in range(len(strat.levels)):
+        for n in range(len(strat.masks)):
             assert strat.mask_at(n) == sum(1 << poset.sort_key(p) for p in strat.ordered_at(n))
             for _ in range(3):
                 table = WitnessTable(poset, strat, n, random_name(rng, poset))
@@ -878,7 +878,7 @@ def test_cover_name_steps_match_the_replaced_code_on_explicit_posets():
     for poset in explicit:
         strat = random_stratification(rng, poset)
         families = [maximal_antichain_family(poset), adversarial_singleton_family(poset)]
-        for n in range(len(strat.levels)):
+        for n in range(len(strat.masks)):
             a, b = (sorted(poset.random_maximal_antichain(rng), key=poset.sort_key) for _ in range(2))
             cover = [(q, rng.choice([u for u in base if x in u])) for q in a for x in "xyz"]
             split = [(q, {x}) for q in a for x in "xz"] + [(q, {"y"}) for q in b]

@@ -41,9 +41,9 @@ def test_canonical_order_weakest_first():
 
 def test_order_is_inclusion():
     m = MeasurePoset(2)
-    assert m.poset.leq("00", "00,01")
-    assert not m.poset.leq("00,01", "00")
-    assert not m.poset.leq("00", "01,10")
+    assert "00" in m.poset.down("00,01")
+    assert "00,01" not in m.poset.down("00")
+    assert "00" not in m.poset.down("01,10")
 
 
 def test_compatibility_is_intersection():
@@ -68,7 +68,7 @@ def test_stratification_by_measure():
     m = MeasurePoset(2)
     s = m.stratification()
     # cells of measure >= 1/2 means size >= 2: C(4,2)+C(4,3)+C(4,4)
-    assert [len(level) for level in s.levels] == [1, 11, 15]
+    assert [len(level) for level in s.ordered] == [1, 11, 15]
     assert s.stabilization_index == 2
     assert MeasurePoset(1).stratification().stabilization_index == 1
     assert MeasurePoset(3).stratification().stabilization_index == 3
@@ -152,5 +152,5 @@ def test_members_meet_every_heavy_condition(n, data):
     m = MeasurePoset(2)
     antichain = data.draw(st.sampled_from(m.poset.maximal_antichains()))
     chosen = extract_measure_endowment(m, n, antichain)
-    for p in m.stratification().at(n):
+    for p in m.stratification().ordered_at(n):
         assert any(m.poset.compatible(p, q) for q in chosen)

@@ -232,7 +232,7 @@ def is_separative(poset: Poset) -> bool:
     """Whether p <= q whenever every atom below p lies below q: if p is not
     below q, some atom below p is then incompatible with q."""
     atoms = poset.atom_mask
-    return all(poset.leq(p, q) for p in poset.elements for q in poset.elements
+    return all(p in poset.down(q) for p in poset.elements for q in poset.elements
                if atoms[p] & ~atoms[q] == 0)
 
 
@@ -566,7 +566,7 @@ def test_approximation_certificate_positive_with_witness_counts():
     assert cert.counterexample is None
     # a piece is forced in below the witness
     for piece_key, p, r in cert.triples:
-        assert c.poset.leq(r, p)
+        assert r in c.poset.down(p)
         assert forces(c.poset, r, ExistsSupersetInCover(name, frozenset(piece_key)))
 
 
@@ -615,9 +615,9 @@ def test_refinement_certificate_clauses():
     assert cert.refines_everywhere
     assert cert.counterexample is None
     # every (ground set, level condition) pair has a dense witness
-    assert len(cert.triples) == len(approx.cover) * len(strat.at(1))
+    assert len(cert.triples) == len(approx.cover) * len(strat.ordered_at(1))
     for h_key, p, r in cert.triples:
-        assert c.poset.leq(r, p)
+        assert r in c.poset.down(p)
         assert (r, frozenset(h_key)) in set(refined.pairs)
 
 
